@@ -138,9 +138,10 @@ EXPERIMENT_INDEX: Sequence[ExperimentEntry] = (
                     "switching policies, ways-off trades writes for leakage.",
                     "arena_writes"),
     ExperimentEntry("Harness", "Hot-path throughput (infrastructure)",
-                    "Simulator accesses/sec on the Fig. 14 grid, instrumented vs "
-                    "probe-free; the probe-bus refactor's >=1.5x uninstrumented "
-                    "speedup is recorded in BENCH_hotpath.json.",
+                    "Simulator accesses/sec on WL1 for the kernel-eligible trio: "
+                    "the generic per-reference loop vs the batched kernel on both "
+                    "tag stores, with the default probes and probe-free; every "
+                    "run appends to BENCH_hotpath.json.",
                     "hotpath_throughput"),
     ExperimentEntry("Harness", "Benchmark-suite geomean (infrastructure)",
                     "The paper's summary statistic as a harness primitive: "

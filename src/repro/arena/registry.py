@@ -8,7 +8,7 @@ once — a factory dict in :mod:`repro.core.policies`, the 7-tuple
 all of them and hoping nothing drifted. The registry replaces that:
 every policy is a :class:`PolicyEntry` carrying its factory *and* its
 metadata — source paper + section anchor, data-flow rules, probe
-events, invariant coverage, SoA-kernel eligibility, and which curated
+events, invariant coverage, batched-kernel eligibility, and which curated
 sets (arena grid, ``repro check`` default) it belongs to. Everything
 that used to hardcode a tuple now derives it from here, and the
 DESIGN.md §15 catalog table is checked against these entries by a
@@ -28,6 +28,7 @@ import contextlib
 import dataclasses
 import difflib
 import importlib
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -61,7 +62,7 @@ class PolicyEntry:
     rules: str
     aliases: Tuple[str, ...] = ()
     defaults: Tuple[Tuple[str, object], ...] = ()
-    #: ``BATCHED`` when the SoA batched kernel can run this policy,
+    #: ``BATCHED`` when the batched kernel can run this policy,
     #: ``GENERIC`` otherwise (the default for new policies)
     kernel: str = GENERIC
     #: needs a hybrid (SRAM+STT) LLC geometry to be meaningful
@@ -76,15 +77,28 @@ class PolicyEntry:
     #: that actively constrain this policy (beyond the always-on ones)
     invariants: Tuple[str, ...] = ()
 
-    def build(self, **kwargs):
-        """Instantiate the policy (lazy factory import)."""
+    def _factory(self):
+        """The factory callable (imports a dotted path lazily)."""
         obj = self.factory
         if isinstance(obj, str):
             module_name, _, attr = obj.partition(":")
             obj = getattr(importlib.import_module(module_name), attr)
+        return obj
+
+    def accepts(self, kwarg: str) -> bool:
+        """Whether the factory takes the keyword argument ``kwarg``
+        (a ``**kwargs`` factory takes any)."""
+        params = inspect.signature(self._factory()).parameters
+        found = params.get(kwarg)
+        if found is not None:
+            return found.kind is not inspect.Parameter.POSITIONAL_ONLY
+        return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+
+    def build(self, **kwargs):
+        """Instantiate the policy (lazy factory import)."""
         merged = dict(self.defaults)
         merged.update(kwargs)
-        return obj(**merged)
+        return self._factory()(**merged)
 
 
 _ENTRIES: Dict[str, PolicyEntry] = {}
@@ -185,7 +199,7 @@ def arena_names(hybrid: bool = False) -> Tuple[str, ...]:
 
 
 def batched_names() -> Tuple[str, ...]:
-    """Policies declared eligible for the SoA batched kernel."""
+    """Policies declared eligible for the batched kernel."""
     return tuple(e.name for e in entries() if e.kernel == BATCHED)
 
 

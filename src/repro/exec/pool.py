@@ -17,11 +17,14 @@ cache does this automatically, next to the cached results), and
 ``heartbeat_interval`` to get rate-limited progress lines on stderr
 during long sweeps.
 
-Failure policy: library errors (:class:`~repro.errors.ReproError`) are
-deterministic — a retry would fail identically — so they propagate
-unchanged. Anything else (a worker killed by the OS, a broken pool, a
-pickling hiccup) is treated as transient and retried once, in-process;
-a second failure raises :class:`~repro.errors.ExecutionError`.
+Failure policy: only failures of the worker or process — a broken pool
+(a worker killed by the OS), a pickling error, an ``OSError`` — are
+treated as transient and retried once, in-process; a second failure
+raises :class:`~repro.errors.ExecutionError`. Library errors
+(:class:`~repro.errors.ReproError`) propagate unchanged, and any other
+exception (an ``AssertionError`` or ``IndexError`` from the simulator)
+is a deterministic bug that a retry would only hide: it fails the job
+on its first attempt as an :class:`~repro.errors.ExecutionError`.
 
 Interruption policy: SIGINT (Ctrl-C) and SIGTERM (a supervisor's stop)
 during a batch shut the batch down gracefully instead of unwinding
@@ -42,6 +45,7 @@ from __future__ import annotations
 import concurrent.futures as cf
 import contextlib
 import pathlib
+import pickle
 import signal
 import threading
 import time
@@ -108,6 +112,18 @@ class ExecutionOutcome(List[RunResult]):
         return self.manifest().write(target)
 
 
+#: failures of the worker or process rather than of the job itself; only
+#: these are retried (``cf.TimeoutError`` is handled before them).
+_TRANSIENT_ERRORS = (cf.BrokenExecutor, pickle.PicklingError, OSError)
+
+
+def _job_failed(index: int, job: JobSpec, exc: BaseException, where: str) -> ExecutionError:
+    return ExecutionError(
+        f"job {index} ({job.workload.label} / {job.policy}) failed{where}: "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
 def _run_job_dict(job: JobSpec) -> Dict[str, Any]:
     """Worker entry point: run one job, return its serialised result
     plus the worker-side profile facts (wall time, peak RSS)."""
@@ -134,8 +150,10 @@ def _run_with_retry(
             return job.run(), attempt
         except ReproError:
             raise
-        except Exception as exc:  # transient by assumption; retry once
+        except _TRANSIENT_ERRORS as exc:
             last = exc
+        except Exception as exc:  # a deterministic bug: no retry
+            raise _job_failed(index, job, exc, "") from exc
     raise ExecutionError(
         f"job {index} ({job.workload.label} / {job.policy}) failed after "
         f"{attempts} attempts: {last}"
@@ -384,7 +402,7 @@ def _execute_pooled(
                     f"job {i} ({jobs[i].workload.label} / {jobs[i].policy}) "
                     f"exceeded its {timeout:g}s timeout"
                 ) from None
-            except Exception as exc:
+            except _TRANSIENT_ERRORS as exc:
                 if retry_budget[i] > 0:
                     retry_budget[i] -= 1
                     # A crashed worker may have broken the whole pool;
@@ -398,10 +416,9 @@ def _execute_pooled(
                     profile.peak_rss_kb = peak_rss_kb()
                     profiles[i] = profile
                 else:
-                    raise ExecutionError(
-                        f"job {i} ({jobs[i].workload.label} / {jobs[i].policy}) "
-                        f"failed in worker: {exc}"
-                    ) from exc
+                    raise _job_failed(i, jobs[i], exc, " in worker") from exc
+            except Exception as exc:  # a deterministic bug: no retry
+                raise _job_failed(i, jobs[i], exc, " in worker") from exc
             done += 1
             pulse.beat(cached_count + done, cached_count)
     except KeyboardInterrupt:

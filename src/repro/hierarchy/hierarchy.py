@@ -78,8 +78,8 @@ class CacheHierarchy:
     hierarchy (see :mod:`repro.kernel`): ``"object"`` or ``"soa"``;
     ``None`` consults ``REPRO_TAG_BACKEND`` and defaults to
     ``"object"``. Semantics and stats are backend-independent; the
-    choice only decides the memory layout and whether the batched
-    probe-free kernel may engage.
+    choice only decides the memory layout (the batched kernel checks
+    out from either).
     """
 
     def __init__(

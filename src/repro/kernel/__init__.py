@@ -4,14 +4,19 @@
 
 - :mod:`repro.kernel.base` — the :class:`TagStore` contract;
 - :mod:`repro.kernel.object_store` — ``"object"``: one Python
-  ``CacheBlock`` per way (the reference layout);
+  ``CacheBlock`` per way (the reference and default layout);
 - :mod:`repro.kernel.soa` — ``"soa"``: struct-of-arrays numpy matrices
-  with proxy views, vectorized queries, and checkout/checkin;
-- :mod:`repro.kernel.batch` — the flattened probe-free reference loop
-  that runs whole trace batches against a checked-out SoA store.
+  with proxy views and vectorized queries;
+- :mod:`repro.kernel.batch` — the flattened reference loop that runs
+  whole trace batches against a checked-out store (both stores speak
+  the checkout/checkin protocol), carrying the paper's standard probes
+  as derived counters.
 
-Backend selection: explicit argument > ``REPRO_TAG_BACKEND``
-environment variable > ``"object"``. The ``"soa"`` backend requires
+Backend selection: :func:`resolve_backend` takes an explicit argument >
+``REPRO_TAG_BACKEND`` environment variable > ``"object"``.
+:class:`~repro.sim.simulator.Simulator` gives the environment variable
+precedence over ``SystemConfig.tag_backend`` and resolves that knob's
+default, ``"auto"``, to ``"object"``. The ``"soa"`` backend requires
 numpy; asking for it without numpy raises a
 :class:`~repro.errors.ConfigurationError` naming the missing
 dependency rather than silently falling back.
@@ -35,7 +40,7 @@ except ImportError:  # pragma: no cover - numpy-less environments
     _NUMPY_OK = False
 
 #: concrete backend names accepted everywhere a ``tag_backend`` knob
-#: exists; ``"auto"`` (SystemConfig only) resolves to one of these.
+#: exists; ``"auto"`` (SystemConfig only) resolves to ``"object"``.
 TAG_BACKENDS = ("object", "soa")
 
 #: environment override consulted when no explicit backend is given —

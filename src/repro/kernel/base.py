@@ -19,9 +19,11 @@ Two implementations ship:
   numpy ``int64``/``bool`` matrices of shape ``(num_sets, assoc)``
   (struct-of-arrays), the views are thin proxies over matrix cells, and
   the store additionally exposes the raw matrices plus vectorized
-  find/victim/occupancy queries and a checkout/checkin protocol that
-  the batched probe-free reference loop (:mod:`repro.kernel.batch`)
-  uses to run whole trace batches without touching Python objects.
+  find/victim/occupancy queries.
+
+Both stores implement the checkout/checkin protocol that the batched
+reference loop (:mod:`repro.kernel.batch`) uses to run whole trace
+batches on flat Python lists without touching the per-way views.
 
 The contract both backends must satisfy:
 
@@ -59,8 +61,8 @@ class TagStore:
     #: backend registry name ("object" / "soa")
     kind: str = "abstract"
     #: whether :mod:`repro.kernel.batch` can run its flattened batched
-    #: reference loop against this store (requires the checkout/checkin
-    #: protocol of the SoA backend).
+    #: reference loop against this store (requires ``checkout()`` /
+    #: ``checkin(state)``; both shipped stores provide them).
     supports_batch: bool = False
 
     def __init__(self, num_sets: int, assoc: int, way_techs: Sequence[str]) -> None:

@@ -1,4 +1,4 @@
-"""Batched probe-free reference loop over checked-out SoA tag stores.
+"""Batched reference loop over checked-out tag stores.
 
 The generic access path (:meth:`CacheHierarchy.access`) walks ~35
 Python calls per reference: clean layering, but ~9 microseconds per
@@ -6,17 +6,22 @@ access. This module is the same semantics with the layers flattened
 into one loop, for the configurations where nothing can observe the
 difference:
 
-- every cache uses the ``"soa"`` tag store (checkout/checkin),
-- the probe bus is empty (no instrumentation to dispatch),
+- every cache's tag store supports checkout/checkin (both shipped
+  stores do),
+- the probe bus holds only the paper's standard probes — at most one
+  each of exactly :class:`~repro.instr.probes.LoopProbe`,
+  :class:`~repro.instr.probes.RedundantFillProbe` and
+  :class:`~repro.instr.probes.OccupancySampler` (subclasses and any
+  other probe fall back),
 - coherence is off (no MOESI states, no snoops, no peer supplies),
 - the inclusion policy is one the kernel inlines: non-inclusive,
   exclusive, or LAP over an LRU baseline (all three replacement modes).
 
-Everything else falls back to the generic loop, which remains
-bit-identical across backends by construction (same code, same block
-protocol). The kernel is *required* to be bit-identical too — same
-stats, same timing floats, same final tag-array state — and the parity
-suite (``tests/test_tagstore_parity.py``) holds it to that.
+Everything else falls back to the generic loop. The kernel is
+*required* to be bit-identical to it — same stats, same timing floats,
+same final tag-array state, same probe state — and the parity suites
+(``tests/test_tagstore_parity.py``, ``tests/test_kernel_probes.py``)
+hold it to that.
 
 How it stays exact: the per-access op sequence below is a line-by-line
 transcription of ``hierarchy.access`` + the policy flows, preserving
@@ -31,6 +36,28 @@ transcription of ``hierarchy.access`` + the policy flows, preserving
   so bank-contention floats match bit-for-bit);
 - per-set loop-counter and tag-map discipline.
 
+The standard probes become derived counters at the event sites the
+loop already transcribes. The loop updates the probes' own containers
+(keyed by block address, as on the generic path) and adds its counts
+to their stats at checkin, so ``finish()``, a second ``run()`` and
+``loop_stats()`` behave exactly as on the generic path:
+
+- **loop tracker** — ``_from_llc`` on every L2 fill; L2 victims count
+  evictions, extend clean-trip streaks or finalise them (dirty); the
+  first clean→dirty store finalises; clean LLC inserts count
+  re-insertions. CTC finalisations call ``record_ctc`` in event order,
+  so the histogram's key order matches too.
+- **redundant-fill detector** — the fresh set gains LLC data-fills and
+  loses demand hits and LLC evictions/invalidations; a dirty victim
+  meeting a fresh entry bumps ``redundant_fills``.
+- **occupancy sampler** — each batch's reference stream is split at the
+  sample points, so the ``(valid, loop)`` sample lands after exactly the
+  same reference as on the generic path and the per-reference loop
+  carries no counter.
+
+With a probe absent its state is an empty dict/set that nothing fills,
+so the probe-free run pays only membership tests on rare paths.
+
 The speed comes from four reductions of per-reference Python work:
 
 - **flat maps** — tag lookups key one dict per cache on the *block
@@ -42,7 +69,8 @@ The speed comes from four reductions of per-reference Python work:
 - **one interleaved stream** — per batch, addresses are sliced with a
   handful of whole-matrix numpy ops, transposed into reference order
   (core-minor, matching the generic round-robin), and iterated with a
-  single ``zip``; the scalar loop never double-indexes ``[core][i]``.
+  single ``zip`` (materialised as Python values a chunk at a time);
+  the scalar loop never double-indexes ``[core][i]``.
 - **derived stats** — counters that move in lockstep with a path
   (lookups, hit/read splits, fill writes at L1/L2, demand counts) are
   reconstructed after the run from the few data-dependent ones, so the
@@ -57,12 +85,15 @@ local ints that are written back to the controller at the end.
 
 from __future__ import annotations
 
+from itertools import chain, cycle, islice
 from typing import List, Optional
 
 import numpy as np
 
 from ..core.lap import LAPPolicy
+from ..core.loop_bits import LoopBlockTracker
 from ..inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
+from ..instr.probes import LoopProbe, OccupancySampler, RedundantFillProbe
 from ..obs.spans import start_span
 
 MODE_NONI = 0
@@ -91,6 +122,28 @@ def kernel_mode(policy) -> Optional[int]:
     return None
 
 
+#: probe types whose semantics the kernel carries as derived counters
+_KERNEL_PROBES = (LoopProbe, RedundantFillProbe, OccupancySampler)
+
+
+def _kernel_probes(probes) -> Optional[dict]:
+    """``{probe type: probe}`` when the kernel can carry ``probes``.
+
+    Exact types, at most one of each (a second instance, a subclass, a
+    loop probe over a tracker subclass, or any other probe returns
+    None): the kernel inlines these classes' handlers, not overrides.
+    """
+    found = {}
+    for probe in probes:
+        t = type(probe)
+        if t not in _KERNEL_PROBES or t in found:
+            return None
+        if t is LoopProbe and type(probe.tracker) is not LoopBlockTracker:
+            return None
+        found[t] = probe
+    return found
+
+
 def eligible(hierarchy) -> bool:
     """Whether the batched kernel can run this hierarchy verbatim."""
     return (
@@ -98,7 +151,7 @@ def eligible(hierarchy) -> bool:
         and all(c.store.supports_batch for c in hierarchy.l1s)
         and all(c.store.supports_batch for c in hierarchy.l2s)
         and hierarchy.coherence is None
-        and not hierarchy.probe_bus.probes
+        and _kernel_probes(hierarchy.probe_bus.probes) is not None
         and kernel_mode(hierarchy.policy) is not None
     )
 
@@ -132,6 +185,20 @@ def _blk_shadow(flat, nslots) -> list:
     for b, slot in flat.items():
         bl[slot] = b
     return bl
+
+
+#: references per core materialised as Python values at a time
+_CHUNK = 1024
+
+
+def _in_ref_order(m):
+    """The values of ``m`` (shape ``(ncores, take)``) in reference order
+    (i-major, core-minor), as Python scalars, ``_CHUNK`` references per
+    core at a time: the chained list iterators stay C-level, and a batch
+    never holds all of its values as objects at once."""
+    return chain.from_iterable(
+        m[:, lo : lo + _CHUNK].T.ravel().tolist() for lo in range(0, m.shape[1], _CHUNK)
+    )
 
 
 def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
@@ -235,6 +302,30 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     l1_tick = [c._tick for c in h.l1s]
     l2_tick = [c._tick for c in h.l2s]
     ll_tick = llc._tick
+
+    # Probe state: the loop continues the probes' own containers, keyed
+    # by block address (``blk << off``). An absent probe leaves an empty
+    # dict/set that nothing fills, and the sites test it for emptiness
+    # before computing an address.
+    probes = _kernel_probes(h.probe_bus.probes)
+    loop_probe = probes.get(LoopProbe)
+    rf_probe = probes.get(RedundantFillProbe)
+    sampler = probes.get(OccupancySampler)
+    trk = loop_probe is not None
+    streak: dict = {}
+    from_llc: dict = {}
+    rec_ctc = None
+    if trk:
+        tracker = loop_probe.tracker
+        streak = tracker._streak
+        from_llc = tracker._from_llc
+        rec_ctc = tracker.stats.record_ctc
+    rf_on = rf_probe is not None
+    fresh = rf_probe._fresh if rf_on else set()
+    occ_on = sampler is not None
+    interval = sampler.interval if occ_on else 0
+    since = sampler._since if occ_on else 0
+    loop_ev = loop_reins = redundant = samp_valid = samp_loops = 0
     checkout_span.finish()
 
     # ---- local stat accumulators (data-dependent only; the rest is
@@ -291,8 +382,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # oldest line otherwise, with ties breaking to the lowest way —
     # exactly LRUPolicy's first-win scan.
 
-    # Per-core objects repeated in reference order, so the scalar loop
-    # unpacks them from one zip instead of double-indexing.
+    # Per-core objects in core order; each batch's stream cycles through
+    # them, so the scalar loop unpacks them from one zip instead of
+    # double-indexing.
     core_pat = list(range(ncores))
     m1_pat = [m1_flat[c] for c in core_pat]
     m2_pat = [m2_flat[c] for c in core_pat]
@@ -327,13 +419,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         take = min(batch, remaining)
         batches = [gen.batch(take) for gen in gens]
         # Vectorized per-batch slicing: stack to (ncores, take), one
-        # vector op per field, transpose into reference order (i-major,
-        # core-minor — the generic round-robin), then plain lists.
-        addrs = np.stack([b[0] for b in batches]).astype(np.int64)
+        # vector op per field; _in_ref_order turns each into plain values
+        # in reference order (i-major, core-minor — the generic
+        # round-robin).
+        blk2 = np.stack([b[0] for b in batches]).astype(np.int64) >> off
         writes = np.stack([b[1] for b in batches])
-        blk2 = addrs >> off
-        blk_f = blk2.T.ravel().tolist()
-        wr_f = writes.T.ravel().tolist()
         accesses += take * ncores
         stores += int(writes.sum())
         # L1 tick stamps: exactly one advance per reference.
@@ -341,379 +431,436 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
             np.asarray(l1_tick, dtype=np.int64)[:, None]
             + np.arange(1, take + 1, dtype=np.int64)[None, :]
         )
-        tk_f = tk2.T.ravel().tolist()
         for c in core_pat:
             l1_tick[c] += take
 
-        cores_f = core_pat * take
-        m1_f = m1_pat * take
-        m2_f = m2_pat * take
-        last1_f = last1_pat * take
-        dir1_f = dir1_pat * take
-        ctx_f = ctx_pat * take
-
-        for core, w, blk, tk, m1, m2, last1, dir1, ctx in zip(
-            cores_f, wr_f, blk_f, tk_f, m1_f, m2_f, last1_f, dir1_f, ctx_f
-        ):
-            # ---- L1 lookup --------------------------------------
-            slot = m1.get(blk)
-            if slot is not None:
-                last1[slot] = tk
-                if w:
-                    wh1[core] += 1
-                    dir1[slot] = True
-                    # propagate_store: L2 copy exists (L1 ⊆ L2)
-                    ls = m2[blk]
-                    l2_dir[core][ls] = True
-                    if l2_loop[core][ls]:
-                        l2_lc[core][blk & l2_mask] -= 1
-                        l2_loop[core][ls] = False
-                continue
-            l1_mis[core] += 1
-            tags2, val2, last2, dir2, loop2, iseq2, lc2, bn2, tags1, v1, iseq1, bn1 = ctx
-            # ---- L2 lookup (reads only; stores dirty via
-            # propagation) -----------------------------------------
-            ls = m2.get(blk)
-            if ls is not None:
-                t2k = l2_tick[core] + 1
-                l2_tick[core] = t2k
-                last2[ls] = t2k
-                cc[core] += l2_lat_f
-            else:
-                l2_mis[core] += 1
-                # ---- L2 miss: inlined policy.llc_access ---------
-                # ``ck`` shadows cc[core] for this whole demand block
-                # (same float ops in the same order, one store at the
-                # end); posted-write charges read it at the same points
-                # the generic path reads cc[core].
-                ck = cc[core]
-                si = blk & llc_mask
-                bk = blk & bank_mask
-                if duel_on and not duel_degen:
-                    # dueling.tick()
-                    duel_acc += 1
-                    if duel_acc >= duel_interval:
-                        duel_acc = 0
-                        duel_winner = winner_fn(la_miss, duel_wa, lb_miss, duel_wb)
-                        if duel_winner == 0:
-                            dec_a += 1
-                        else:
-                            dec_b += 1
-                        duel_ivals += 1
-                        la_miss //= 2
-                        lb_miss //= 2
-                        duel_wa //= 2
-                        duel_wb //= 2
-                s = ll_flat.get(blk)
-                out_dirty = False
-                if s is None:
-                    ll_mis += 1
-                    hit = False
-                    if duel_on:
-                        # dueling.record_miss(si)
-                        r = roles[si]
-                        if r == 0:
-                            la_miss += 1
-                        elif r == 1:
-                            lb_miss += 1
-                    if noni:
-                        # Fig. 1b: the miss fills the LLC too. The
-                        # just-missed line cannot be present, so
-                        # insert_or_update is a straight insert
-                        # (plain-LRU scan, clean, loop bit off).
-                        ll_tick += 1
-                        base = si * llc_assoc
-                        seg = ll_last[base : base + llc_assoc]
-                        s = base + seg.index(min(seg))
-                        if ll_val[s]:
-                            ll_ev += 1
-                            if ll_dir[s]:
-                                ll_dev += 1
-                                mem_writes += 1
-                            del ll_flat[ll_bn[s]]
-                            if ll_loop[s]:
-                                ll_lc[si] -= 1
-                        ll_tag[s] = blk >> llc_idx_bits
-                        ll_val[s] = True
-                        ll_dir[s] = False
-                        ll_loop[s] = False
-                        ll_last[s] = ll_tick
-                        ll_iseq[s] = ll_tick
-                        ll_flat[blk] = s
-                        ll_bn[s] = blk
-                        ll_ins += 1
-                        ll_tp += 1
-                        if slot_sram[s]:
-                            ll_dws += 1
-                        else:
-                            ll_dwt += 1
-                        ll_fillw += 1
-                        wnow = ck
-                        free = busy[bk]
-                        st = free - wnow
-                        if st < 0.0:
-                            st = 0.0
-                        busy[bk] = wnow + st + w_serv[s]
-                        write_stall += st
+        # The zip ends with the batch's per-reference values.
+        stream = zip(
+            cycle(core_pat), _in_ref_order(writes), _in_ref_order(blk2),
+            _in_ref_order(tk2), cycle(m1_pat), cycle(m2_pat), cycle(last1_pat),
+            cycle(dir1_pat), cycle(ctx_pat),
+        )
+        left = take * ncores
+        while left:
+            # Split the stream at occupancy-sample points (module
+            # docstring); without a sampler the batch is one segment.
+            part = left
+            if occ_on:
+                gap = interval - since
+                if gap < part:
+                    part = gap if gap > 0 else 1
+            for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
+                stream if part == left else islice(stream, part)
+            ):
+                # ---- L1 lookup --------------------------------------
+                slot = m1.get(blk)
+                if slot is not None:
+                    last1[slot] = tk
+                    if w:
+                        wh1[core] += 1
+                        dir1[slot] = True
+                        # propagate_store: L2 copy exists (L1 ⊆ L2)
+                        ls = m2[blk]
+                        d2 = l2_dir[core]
+                        if not d2[ls]:
+                            d2[ls] = True
+                            # on_dirtied -> tracker._finalize
+                            if streak and (blk << off) in streak:
+                                rec_ctc(streak.pop(blk << off))
+                        if l2_loop[core][ls]:
+                            l2_lc[core][blk & l2_mask] -= 1
+                            l2_loop[core][ls] = False
+                    continue
+                l1_mis[core] += 1
+                (tags2, val2, last2, dir2, loop2, iseq2, lc2, bn2,
+                 tags1, v1, iseq1, bn1) = ctx
+                # ---- L2 lookup (reads only; stores dirty via
+                # propagation) -----------------------------------------
+                ls = m2.get(blk)
+                if ls is not None:
+                    t2k = l2_tick[core] + 1
+                    l2_tick[core] = t2k
+                    last2[ls] = t2k
+                    cc[core] += l2_lat_f
                 else:
-                    hit = True
-                    if slot_sram[s]:
-                        ll_drs += 1
-                    else:
-                        ll_drt += 1
-                    ll_tick += 1
-                    ll_last[s] = ll_tick
-                    # timing.llc_read
-                    rnow = ck + l2_lat
-                    serv = r_serv[s]
-                    free = busy[bk]
-                    st = free - rnow
-                    if st < 0.0:
-                        st = 0.0
-                    busy[bk] = rnow + st + serv
-                    read_stall += st
-                    ck += l2_lat + st + serv
-                    if exm:
-                        # invalidate-on-hit; dirtiness moves up
-                        out_dirty = ll_dir[s]
-                        ll_tp += 1
-                        del ll_flat[blk]
-                        if ll_loop[s]:
-                            ll_lc[si] -= 1
-                        ll_tag[s] = -1
-                        ll_val[s] = False
-                        ll_dir[s] = False
-                        ll_loop[s] = False
-                        ll_last[s] = 0
-                        ll_iseq[s] = 0
-                        ll_inv += 1
-                        ll_hitinv += 1
-                if not hit:
-                    ck += mem_stall
-                # ---- _fill_l2 -----------------------------------
-                s2 = blk & l2_mask
-                fl_loop = lap and hit  # l2_fill_loop_bit
-                t2k = l2_tick[core] + 1
-                l2_tick[core] = t2k
-                base2 = s2 * l2_assoc
-                if u8:
-                    vs = base2
-                    m = last2[vs]
-                    j = base2 + 1
-                    v = last2[j]
-                    if v < m: m = v; vs = j
-                    j = base2 + 2
-                    v = last2[j]
-                    if v < m: m = v; vs = j
-                    j = base2 + 3
-                    v = last2[j]
-                    if v < m: m = v; vs = j
-                    j = base2 + 4
-                    v = last2[j]
-                    if v < m: m = v; vs = j
-                    j = base2 + 5
-                    v = last2[j]
-                    if v < m: m = v; vs = j
-                    j = base2 + 6
-                    v = last2[j]
-                    if v < m: m = v; vs = j
-                    j = base2 + 7
-                    v = last2[j]
-                    if v < m: vs = j
-                else:
-                    seg = last2[base2 : base2 + l2_assoc]
-                    vs = base2 + seg.index(min(seg))
-                if val2[vs]:
-                    ev_blk = bn2[vs]
-                    ev_dirty = dir2[vs]
-                    ev_loop = loop2[vs]
-                    l2_ev[core] += 1
-                    if ev_dirty:
-                        l2_dev[core] += 1
-                    del m2[ev_blk]
-                    if ev_loop:
-                        lc2[s2] -= 1
-                else:
-                    ev_blk = -1
-                tags2[vs] = blk >> l2_idx_bits
-                val2[vs] = True
-                dir2[vs] = out_dirty
-                loop2[vs] = fl_loop
-                last2[vs] = t2k
-                iseq2[vs] = t2k
-                if fl_loop:
-                    lc2[s2] += 1
-                m2[blk] = vs
-                bn2[vs] = blk
-                ls = vs
-                if ev_blk != -1:
-                    # ---- _handle_l2_victim ----------------------
-                    # L1 ⊆ L2: kill the upper copy
-                    eslot = m1.pop(ev_blk, None)
-                    if eslot is not None:
-                        v1[eslot] = False
-                        tags1[eslot] = -1
-                        dir1[eslot] = False
-                        last1[eslot] = 0
-                        iseq1[eslot] = 0
-                        l1_inv[core] += 1
-                    if ev_dirty:
-                        l2_dv += 1
-                    else:
-                        l2_cv += 1
-                    # ---- policy.l2_victim -----------------------
-                    # One unified flow for the three modes. noni drops
-                    # clean victims; every other (mode, dirty, present)
-                    # combination updates the LLC copy or inserts:
-                    #   present+dirty        -> update(d=True) + updw,
-                    #     loop bit: ex keeps ev_loop, noni/LAP clear
-                    #   present+clean (ex)   -> update(d=False)+cleanw,
-                    #     loop bit := ev_loop
-                    #   present+clean (LAP)  -> Fig. 10b loop-bit
-                    #     refresh only, no write
-                    #   absent               -> insert(d=ev_dirty),
-                    #     loop bit: ex keeps, LAP clean keeps,
-                    #     dirty-merge clears; dirtyw/cleanw by d
-                    if ev_dirty or not noni:
-                        esi = ev_blk & llc_mask
-                        ebk = ev_blk & bank_mask
-                        if lap:
-                            ll_tp += 1  # llc.probe
-                        es = ll_flat.get(ev_blk)
-                        if es is not None:
-                            if ev_dirty or exm:
-                                # inline Cache.update + posted write
-                                if ev_dirty:
-                                    ll_dir[es] = True
-                                ll_tick += 1
-                                ll_last[es] = ll_tick
-                                ll_tp += 1
-                                if slot_sram[es]:
-                                    ll_dws += 1
-                                else:
-                                    ll_dwt += 1
-                                wnow = ck
-                                free = busy[ebk]
-                                st = free - wnow
-                                if st < 0.0:
-                                    st = 0.0
-                                busy[ebk] = wnow + st + w_serv[es]
-                                write_stall += st
-                                if ev_dirty:
-                                    ll_updw += 1
-                                else:
-                                    ll_cleanw += 1
-                            # loop-bit reconciliation on the copy
-                            nl = ev_loop if (exm or not ev_dirty) else False
-                            if nl != ll_loop[es]:
-                                ll_lc[esi] += 1 if nl else -1
-                                ll_loop[es] = nl
-                        else:
-                            # inline _place_and_insert + _finish_insert
-                            lb = ev_loop if (exm or not ev_dirty) else False
-                            if lap_loop_mode:
-                                loop_scan = True
-                            elif lap_duel_mode:
-                                r = roles[esi]
-                                loop_scan = (duel_winner if r is None else r) == 0
+                    l2_mis[core] += 1
+                    # ---- L2 miss: inlined policy.llc_access ---------
+                    # ``ck`` shadows cc[core] for this whole demand block
+                    # (same float ops in the same order, one store at the
+                    # end); posted-write charges read it at the same points
+                    # the generic path reads cc[core].
+                    ck = cc[core]
+                    si = blk & llc_mask
+                    bk = blk & bank_mask
+                    if duel_on and not duel_degen:
+                        # dueling.tick()
+                        duel_acc += 1
+                        if duel_acc >= duel_interval:
+                            duel_acc = 0
+                            duel_winner = winner_fn(la_miss, duel_wa, lb_miss, duel_wb)
+                            if duel_winner == 0:
+                                dec_a += 1
                             else:
-                                loop_scan = False
+                                dec_b += 1
+                            duel_ivals += 1
+                            la_miss //= 2
+                            lb_miss //= 2
+                            duel_wa //= 2
+                            duel_wb //= 2
+                    s = ll_flat.get(blk)
+                    out_dirty = False
+                    if s is None:
+                        ll_mis += 1
+                        hit = False
+                        if duel_on:
+                            # dueling.record_miss(si)
+                            r = roles[si]
+                            if r == 0:
+                                la_miss += 1
+                            elif r == 1:
+                                lb_miss += 1
+                        if noni:
+                            # Fig. 1b: the miss fills the LLC too. The
+                            # just-missed line cannot be present, so
+                            # insert_or_update is a straight insert
+                            # (plain-LRU scan, clean, loop bit off).
                             ll_tick += 1
-                            base = esi * llc_assoc
+                            base = si * llc_assoc
                             seg = ll_last[base : base + llc_assoc]
                             s = base + seg.index(min(seg))
-                            if loop_scan and ll_loop[s]:
-                                # The global-LRU winner is loop-marked:
-                                # redo the scan with loop-marked ways
-                                # masked to a sentinel. (When the plain
-                                # winner is unmarked it already IS the
-                                # min over unmarked ways, so this path
-                                # only runs when it would differ.)
-                                # Invalid ways have the bit clear, so
-                                # first-invalid still wins; all-loop
-                                # sets keep the plain-LRU winner.
-                                masked = [
-                                    _BIG if lbit else la
-                                    for la, lbit in zip(
-                                        seg, ll_loop[base : base + llc_assoc]
-                                    )
-                                ]
-                                m = min(masked)
-                                if m < _BIG:
-                                    s = base + masked.index(m)
                             if ll_val[s]:
                                 ll_ev += 1
                                 if ll_dir[s]:
                                     ll_dev += 1
                                     mem_writes += 1
-                                del ll_flat[ll_bn[s]]
+                                eb = ll_bn[s]
+                                del ll_flat[eb]
+                                if fresh:  # on_llc_evict
+                                    fresh.discard(eb << off)
                                 if ll_loop[s]:
-                                    ll_lc[esi] -= 1
-                            ll_tag[s] = ev_blk >> llc_idx_bits
+                                    ll_lc[si] -= 1
+                            ll_tag[s] = blk >> llc_idx_bits
                             ll_val[s] = True
-                            ll_dir[s] = ev_dirty
-                            ll_loop[s] = lb
+                            ll_dir[s] = False
+                            ll_loop[s] = False
                             ll_last[s] = ll_tick
                             ll_iseq[s] = ll_tick
-                            if lb:
-                                ll_lc[esi] += 1
-                            ll_flat[ev_blk] = s
-                            ll_bn[s] = ev_blk
+                            ll_flat[blk] = s
+                            ll_bn[s] = blk
                             ll_ins += 1
                             ll_tp += 1
                             if slot_sram[s]:
                                 ll_dws += 1
                             else:
                                 ll_dwt += 1
-                            if ev_dirty:
-                                ll_dirtyw += 1
-                            else:
-                                ll_cleanw += 1
+                            ll_fillw += 1
+                            if rf_on:  # on_llc_fill
+                                fresh.add(blk << off)
                             wnow = ck
-                            free = busy[ebk]
+                            free = busy[bk]
                             st = free - wnow
                             if st < 0.0:
                                 st = 0.0
-                            busy[ebk] = wnow + st + w_serv[s]
+                            busy[bk] = wnow + st + w_serv[s]
                             write_stall += st
-                cc[core] = ck
-            # ---- l1.fill(addr, is_write) ------------------------
-            s1 = blk & l1_mask
-            base1 = s1 * l1_assoc
-            if u4:
-                vs = base1
-                m = last1[vs]
-                j = base1 + 1
-                v = last1[j]
-                if v < m: m = v; vs = j
-                j = base1 + 2
-                v = last1[j]
-                if v < m: m = v; vs = j
-                j = base1 + 3
-                v = last1[j]
-                if v < m: vs = j
-            else:
-                seg = last1[base1 : base1 + l1_assoc]
-                vs = base1 + seg.index(min(seg))
-            if v1[vs]:
-                l1_ev[core] += 1
-                if dir1[vs]:
-                    l1_dev[core] += 1
-                del m1[bn1[vs]]
-            tags1[vs] = blk >> l1_idx_bits
-            v1[vs] = True
-            dir1[vs] = w
-            last1[vs] = tk
-            iseq1[vs] = tk
-            m1[blk] = vs
-            bn1[vs] = blk
-            if w:
-                # propagate_store into the (just ensured) L2 copy:
-                # ``ls`` carries the slot from the hit/fill above.
-                dir2[ls] = True
-                if loop2[ls]:
-                    lc2[blk & l2_mask] -= 1
-                    loop2[ls] = False
+                    else:
+                        hit = True
+                        if fresh:  # on_demand_hit
+                            fresh.discard(blk << off)
+                        if slot_sram[s]:
+                            ll_drs += 1
+                        else:
+                            ll_drt += 1
+                        ll_tick += 1
+                        ll_last[s] = ll_tick
+                        # timing.llc_read
+                        rnow = ck + l2_lat
+                        serv = r_serv[s]
+                        free = busy[bk]
+                        st = free - rnow
+                        if st < 0.0:
+                            st = 0.0
+                        busy[bk] = rnow + st + serv
+                        read_stall += st
+                        ck += l2_lat + st + serv
+                        if exm:
+                            # invalidate-on-hit; dirtiness moves up
+                            out_dirty = ll_dir[s]
+                            ll_tp += 1
+                            del ll_flat[blk]
+                            if ll_loop[s]:
+                                ll_lc[si] -= 1
+                            ll_tag[s] = -1
+                            ll_val[s] = False
+                            ll_dir[s] = False
+                            ll_loop[s] = False
+                            ll_last[s] = 0
+                            ll_iseq[s] = 0
+                            ll_inv += 1
+                            ll_hitinv += 1
+                    if not hit:
+                        ck += mem_stall
+                    # ---- _fill_l2 -----------------------------------
+                    s2 = blk & l2_mask
+                    fl_loop = lap and hit  # l2_fill_loop_bit
+                    t2k = l2_tick[core] + 1
+                    l2_tick[core] = t2k
+                    base2 = s2 * l2_assoc
+                    if u8:
+                        vs = base2
+                        m = last2[vs]
+                        j = base2 + 1
+                        v = last2[j]
+                        if v < m: m = v; vs = j
+                        j = base2 + 2
+                        v = last2[j]
+                        if v < m: m = v; vs = j
+                        j = base2 + 3
+                        v = last2[j]
+                        if v < m: m = v; vs = j
+                        j = base2 + 4
+                        v = last2[j]
+                        if v < m: m = v; vs = j
+                        j = base2 + 5
+                        v = last2[j]
+                        if v < m: m = v; vs = j
+                        j = base2 + 6
+                        v = last2[j]
+                        if v < m: m = v; vs = j
+                        j = base2 + 7
+                        v = last2[j]
+                        if v < m: vs = j
+                    else:
+                        seg = last2[base2 : base2 + l2_assoc]
+                        vs = base2 + seg.index(min(seg))
+                    if val2[vs]:
+                        ev_blk = bn2[vs]
+                        ev_dirty = dir2[vs]
+                        ev_loop = loop2[vs]
+                        l2_ev[core] += 1
+                        if ev_dirty:
+                            l2_dev[core] += 1
+                        del m2[ev_blk]
+                        if ev_loop:
+                            lc2[s2] -= 1
+                    else:
+                        ev_blk = -1
+                    tags2[vs] = blk >> l2_idx_bits
+                    val2[vs] = True
+                    dir2[vs] = out_dirty
+                    loop2[vs] = fl_loop
+                    last2[vs] = t2k
+                    iseq2[vs] = t2k
+                    if fl_loop:
+                        lc2[s2] += 1
+                    m2[blk] = vs
+                    bn2[vs] = blk
+                    ls = vs
+                    if ev_blk != -1:
+                        # ---- _handle_l2_victim ----------------------
+                        # L1 ⊆ L2: kill the upper copy
+                        eslot = m1.pop(ev_blk, None)
+                        if eslot is not None:
+                            v1[eslot] = False
+                            tags1[eslot] = -1
+                            dir1[eslot] = False
+                            last1[eslot] = 0
+                            iseq1[eslot] = 0
+                            l1_inv[core] += 1
+                        # on_l2_victim -> tracker.on_l2_evict
+                        if ev_dirty:
+                            l2_dv += 1
+                            if streak and (ev_blk << off) in streak:
+                                rec_ctc(streak.pop(ev_blk << off))
+                        else:
+                            l2_cv += 1
+                            if trk:
+                                ea = ev_blk << off
+                                if from_llc.get(ea, False):
+                                    streak[ea] = streak.get(ea, 0) + 1
+                                    loop_ev += 1
+                        # ---- policy.l2_victim -----------------------
+                        # One unified flow for the three modes. noni drops
+                        # clean victims; every other (mode, dirty, present)
+                        # combination updates the LLC copy or inserts:
+                        #   present+dirty        -> update(d=True) + updw,
+                        #     loop bit: ex keeps ev_loop, noni/LAP clear
+                        #   present+clean (ex)   -> update(d=False)+cleanw,
+                        #     loop bit := ev_loop
+                        #   present+clean (LAP)  -> Fig. 10b loop-bit
+                        #     refresh only, no write
+                        #   absent               -> insert(d=ev_dirty),
+                        #     loop bit: ex keeps, LAP clean keeps,
+                        #     dirty-merge clears; dirtyw/cleanw by d
+                        if ev_dirty or not noni:
+                            esi = ev_blk & llc_mask
+                            ebk = ev_blk & bank_mask
+                            if lap:
+                                ll_tp += 1  # llc.probe
+                            es = ll_flat.get(ev_blk)
+                            if es is not None:
+                                if ev_dirty or exm:
+                                    # inline Cache.update + posted write
+                                    if ev_dirty:
+                                        ll_dir[es] = True
+                                    ll_tick += 1
+                                    ll_last[es] = ll_tick
+                                    ll_tp += 1
+                                    if slot_sram[es]:
+                                        ll_dws += 1
+                                    else:
+                                        ll_dwt += 1
+                                    wnow = ck
+                                    free = busy[ebk]
+                                    st = free - wnow
+                                    if st < 0.0:
+                                        st = 0.0
+                                    busy[ebk] = wnow + st + w_serv[es]
+                                    write_stall += st
+                                    if ev_dirty:
+                                        ll_updw += 1
+                                        if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                            redundant += 1
+                                            fresh.remove(ev_blk << off)
+                                    else:
+                                        ll_cleanw += 1
+                                        if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                            loop_reins += 1
+                                # loop-bit reconciliation on the copy
+                                nl = ev_loop if (exm or not ev_dirty) else False
+                                if nl != ll_loop[es]:
+                                    ll_lc[esi] += 1 if nl else -1
+                                    ll_loop[es] = nl
+                            else:
+                                # inline _place_and_insert + _finish_insert
+                                lb = ev_loop if (exm or not ev_dirty) else False
+                                if lap_loop_mode:
+                                    loop_scan = True
+                                elif lap_duel_mode:
+                                    r = roles[esi]
+                                    loop_scan = (duel_winner if r is None else r) == 0
+                                else:
+                                    loop_scan = False
+                                ll_tick += 1
+                                base = esi * llc_assoc
+                                seg = ll_last[base : base + llc_assoc]
+                                s = base + seg.index(min(seg))
+                                if loop_scan and ll_loop[s]:
+                                    # The global-LRU winner is loop-marked:
+                                    # redo the scan with loop-marked ways
+                                    # masked to a sentinel. (When the plain
+                                    # winner is unmarked it already IS the
+                                    # min over unmarked ways, so this path
+                                    # only runs when it would differ.)
+                                    # Invalid ways have the bit clear, so
+                                    # first-invalid still wins; all-loop
+                                    # sets keep the plain-LRU winner.
+                                    masked = [
+                                        _BIG if lbit else la
+                                        for la, lbit in zip(
+                                            seg, ll_loop[base : base + llc_assoc]
+                                        )
+                                    ]
+                                    m = min(masked)
+                                    if m < _BIG:
+                                        s = base + masked.index(m)
+                                if ll_val[s]:
+                                    ll_ev += 1
+                                    if ll_dir[s]:
+                                        ll_dev += 1
+                                        mem_writes += 1
+                                    eb = ll_bn[s]
+                                    del ll_flat[eb]
+                                    if fresh:  # on_llc_evict
+                                        fresh.discard(eb << off)
+                                    if ll_loop[s]:
+                                        ll_lc[esi] -= 1
+                                ll_tag[s] = ev_blk >> llc_idx_bits
+                                ll_val[s] = True
+                                ll_dir[s] = ev_dirty
+                                ll_loop[s] = lb
+                                ll_last[s] = ll_tick
+                                ll_iseq[s] = ll_tick
+                                if lb:
+                                    ll_lc[esi] += 1
+                                ll_flat[ev_blk] = s
+                                ll_bn[s] = ev_blk
+                                ll_ins += 1
+                                ll_tp += 1
+                                if slot_sram[s]:
+                                    ll_dws += 1
+                                else:
+                                    ll_dwt += 1
+                                if ev_dirty:
+                                    ll_dirtyw += 1
+                                    if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                        redundant += 1
+                                        fresh.remove(ev_blk << off)
+                                else:
+                                    ll_cleanw += 1
+                                    if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                        loop_reins += 1
+                                wnow = ck
+                                free = busy[ebk]
+                                st = free - wnow
+                                if st < 0.0:
+                                    st = 0.0
+                                busy[ebk] = wnow + st + w_serv[s]
+                                write_stall += st
+                    if trk:  # on_l2_fill
+                        from_llc[blk << off] = hit
+                    cc[core] = ck
+                # ---- l1.fill(addr, is_write) ------------------------
+                s1 = blk & l1_mask
+                base1 = s1 * l1_assoc
+                if u4:
+                    vs = base1
+                    m = last1[vs]
+                    j = base1 + 1
+                    v = last1[j]
+                    if v < m: m = v; vs = j
+                    j = base1 + 2
+                    v = last1[j]
+                    if v < m: m = v; vs = j
+                    j = base1 + 3
+                    v = last1[j]
+                    if v < m: vs = j
+                else:
+                    seg = last1[base1 : base1 + l1_assoc]
+                    vs = base1 + seg.index(min(seg))
+                if v1[vs]:
+                    l1_ev[core] += 1
+                    if dir1[vs]:
+                        l1_dev[core] += 1
+                    del m1[bn1[vs]]
+                tags1[vs] = blk >> l1_idx_bits
+                v1[vs] = True
+                dir1[vs] = w
+                last1[vs] = tk
+                iseq1[vs] = tk
+                m1[blk] = vs
+                bn1[vs] = blk
+                if w:
+                    # propagate_store into the (just ensured) L2 copy:
+                    # ``ls`` carries the slot from the hit/fill above.
+                    if not dir2[ls]:
+                        dir2[ls] = True
+                        # on_dirtied -> tracker._finalize
+                        if streak and (blk << off) in streak:
+                            rec_ctc(streak.pop(blk << off))
+                    if loop2[ls]:
+                        lc2[blk & l2_mask] -= 1
+                        loop2[ls] = False
+            left -= part
+            if occ_on:
+                # OccupancySampler.on_access -> LoopProbe sample
+                since += part
+                if since >= interval:
+                    since = 0
+                    if trk:
+                        samp_valid += len(ll_flat)
+                        samp_loops += sum(ll_lc)
+        del stream  # frees this batch's last chunk before the next batch
 
         for core, gen in enumerate(gens):
             instrs = take * gen.instr_per_ref
@@ -738,6 +885,18 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     ll_st["maps"] = _unflatten_maps(ll_flat, llc.num_sets, llc_mask, llc_idx_bits)
     llc.store.checkin(ll_st)
     llc._tick = ll_tick
+
+    if trk:
+        lstats = tracker.stats
+        lstats.l2_evictions += sum(l2_ev)
+        lstats.loop_evictions += loop_ev
+        lstats.loop_reinsertions += loop_reins
+        lstats.llc_loop_samples += samp_valid
+        lstats.llc_loop_blocks += samp_loops
+    if rf_on:
+        rf_probe._llc_stats.redundant_fills += redundant
+    if occ_on:
+        sampler._since = since
 
     if duel_on:
         dueling._accesses = duel_acc

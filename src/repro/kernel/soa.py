@@ -34,11 +34,12 @@ Layered on top:
 - vectorized bulk queries (:meth:`SoATagStore.find_ways`,
   :meth:`SoATagStore.lru_victims`, :meth:`SoATagStore.loop_block_occupancy`)
   answered with whole-matrix numpy ops.
-- the checkout/checkin protocol :mod:`repro.kernel.batch` uses:
-  scalar indexing into numpy arrays costs ~3-5x a Python list index,
-  so the batch kernel *checks out* the matrices as flat Python lists,
-  runs its inlined reference loop on those, and *checks in* the result
-  with bulk numpy writes. Between checkouts the matrices are canonical.
+- the checkout/checkin protocol :mod:`repro.kernel.batch` uses (the
+  object store speaks it too): scalar indexing into numpy arrays costs
+  ~3-5x a Python list index, so the batch kernel *checks out* the
+  matrices as flat Python lists, runs its inlined reference loop on
+  those, and *checks in* the result with bulk numpy writes. Between
+  checkouts the matrices are canonical.
 """
 
 from __future__ import annotations

@@ -402,7 +402,7 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
                 any_regressed = True
             classes.append(cls)
         titles = [
-            f"{cell.policy}/{cell.backend} @ {t}: {_fmt(v)} accesses/s"
+            f"{cell.label} @ {t}: {_fmt(v)} accesses/s"
             for t, v in cell.series
         ]
         labels = [t[5:10] if len(t) >= 10 else t for t in stamps]
@@ -410,7 +410,8 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
         delta_text = "" if delta is None else f" ({delta:+.1f}% vs best prior)"
         multiples.append(
             f'<div class="card"><h2 style="margin-top:0">{_esc(cell.policy)} '
-            f"· {_esc(cell.backend)}{_esc(delta_text)}</h2>"
+            f"· {_esc(cell.backend)} · {_esc(cell.instrumentation)}"
+            f"{_esc(delta_text)}</h2>"
             + _columns(values, labels, titles, classes)
             + "</div>"
         )

@@ -11,15 +11,17 @@ are disjoint by construction, so every snoop would miss).
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Optional, Sequence, Union
 
+from ..arena import registry
 from ..core.policies import make_policy
 from ..errors import SimulationError
 from ..hierarchy.hierarchy import CacheHierarchy
 from ..inclusion.base import InclusionPolicy
 from ..instr import Probe
-from ..kernel import numpy_available, resolve_backend
+from ..kernel import ENV_VAR, resolve_backend
 from ..obs.spans import span
 from ..workloads.mixes import MULTITHREADED, Workload
 from .results import RunResult
@@ -46,13 +48,10 @@ class Simulator:
                 f"{system.hierarchy.ncores} cores"
             )
         if isinstance(policy, str):
-            policy_kwargs.setdefault("duel_interval", system.duel_interval)
-            try:
-                policy = make_policy(policy, **policy_kwargs)
-            except TypeError:
-                # Policy without dueling knobs (e.g. traditional ones).
-                policy_kwargs.pop("duel_interval", None)
-                policy = make_policy(policy, **policy_kwargs)
+            # Only dueling policies take the system's duel cadence.
+            if registry.get(policy).accepts("duel_interval"):
+                policy_kwargs.setdefault("duel_interval", system.duel_interval)
+            policy = make_policy(policy, **policy_kwargs)
         self.system = system
         self.workload = workload
         self.policy = policy
@@ -62,12 +61,16 @@ class Simulator:
         # supplies one explicitly (tests, custom instrumentation).
         if probes is None:
             probes = system.probes()
-        #: when True (default), probe-free non-coherent runs on the soa
-        #: backend execute through the batched kernel; parity tests set
-        #: this False to force the generic loop over the same store.
+        #: when True (default), runs that pass
+        #: :func:`repro.kernel.batch.eligible` execute through the batched
+        #: kernel; parity tests set this False to force the generic loop
+        #: over the same store.
         self.enable_batch_kernel = True
-        self.tag_backend = self._resolve_backend(
-            system.tag_backend, policy, enable_coherence, probes
+        # ``REPRO_TAG_BACKEND`` outranks the config; ``"auto"`` is the
+        # object store, which the kernel checks out from directly.
+        requested = os.environ.get(ENV_VAR) or system.tag_backend
+        self.tag_backend = resolve_backend(
+            "object" if requested == "auto" else requested
         )
         self.hierarchy = CacheHierarchy(
             system.hierarchy,
@@ -77,32 +80,6 @@ class Simulator:
             probes=probes,
             tag_backend=self.tag_backend,
         )
-
-    @staticmethod
-    def _resolve_backend(requested, policy, enable_coherence, probes) -> str:
-        """Resolve ``SystemConfig.tag_backend`` for this run.
-
-        ``"auto"`` picks soa exactly when the batched kernel would
-        engage (numpy present, no probes, no coherence, supported
-        policy) and object otherwise, so default runs either get the
-        full speedup or stay on the reference layout — never the
-        slower proxy-view middle ground. Explicit names (or the
-        ``REPRO_TAG_BACKEND`` override) are honoured as-is.
-        """
-        import os
-
-        from ..kernel import ENV_VAR
-
-        env = os.environ.get(ENV_VAR)
-        if env:
-            return resolve_backend(env)
-        if requested != "auto":
-            return resolve_backend(requested)
-        if not numpy_available() or probes or enable_coherence:
-            return "object"
-        from ..kernel.batch import kernel_mode
-
-        return "soa" if kernel_mode(policy) is not None else "object"
 
     def run(self, refs_per_core: int, batch: int = DEFAULT_BATCH) -> RunResult:
         """Simulate ``refs_per_core`` references on every core."""
@@ -130,10 +107,10 @@ class Simulator:
         :mod:`repro.kernel.batch` for the eligibility conditions).
         """
         h = self.hierarchy
-        if self.enable_batch_kernel and h.llc.store.supports_batch:
+        if self.enable_batch_kernel and h.coherence is None:
             from ..kernel import batch as _batch
 
-            if _batch.eligible(h) and _batch.kernel_mode(self.policy) is not None:
+            if _batch.eligible(h):
                 return _batch.run_kernel(self, refs_per_core, batch)
         timing = h.timing
         gens = self.workload.generators

@@ -34,11 +34,13 @@ class SystemConfig:
 
     ``tag_backend`` selects the tag-store layout (see
     :mod:`repro.kernel`): ``"object"`` (one Python block per way),
-    ``"soa"`` (numpy struct-of-arrays + the batched probe-free
-    kernel), or ``"auto"`` — soa exactly when the run is probe-free,
-    non-coherent, and the policy has a batched kernel flow, object
-    otherwise. Stats are bit-identical across backends; the knob only
-    changes speed.
+    ``"soa"`` (numpy struct-of-arrays), or ``"auto"``, which is
+    ``"object"``. Either store runs through the batched kernel when
+    :func:`repro.kernel.batch.eligible` holds — non-coherent,
+    non-inclusive/exclusive/LAP, and instrumentation that is probe-free
+    or a subset of the default probes — and through the generic loop
+    otherwise. Stats are bit-identical across backends and paths; the
+    knob only changes speed.
     """
 
     hierarchy: HierarchyConfig
@@ -108,17 +110,18 @@ class SystemConfig:
     def probe_free(self) -> "SystemConfig":
         """Same system with all instrumentation probes disabled.
 
-        Runs on the uninstrumented hot path: loop-block stats come back
-        empty and ``redundant_fills`` stays zero, but every mechanical
-        counter (hits, misses, write classes, energy inputs) is
-        unaffected. Use for large policy-comparison sweeps where only
-        the mechanical stats matter.
+        Loop-block stats come back empty and ``redundant_fills`` stays
+        zero, but every mechanical counter (hits, misses, write classes,
+        energy inputs) is unaffected. The batched kernel runs either
+        way (it carries the default probes as counters), so this saves
+        only the probes' few per-event operations there; on the generic
+        loop (coherent runs, other policies) it saves their dispatch.
         """
         return replace(self, instrumentation="none")
 
     def with_tag_backend(self, backend: str) -> "SystemConfig":
-        """Same system pinned to one tag-store backend (Fig. 14 parity
-        runs and the benchmark harness use this)."""
+        """Same system pinned to one tag-store backend (parity tests and
+        ``repro bench`` use this)."""
         return replace(self, tag_backend=backend)
 
     def probes(self):

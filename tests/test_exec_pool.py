@@ -78,7 +78,7 @@ class TestExecuteJobs:
         def flaky_run(self):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("simulated transient worker failure")
+                raise OSError("simulated transient worker failure")
             return real_run(self)
 
         monkeypatch.setattr(JobSpec, "run", flaky_run)
@@ -88,7 +88,7 @@ class TestExecuteJobs:
 
     def test_persistent_failure_raises_execution_error(self, monkeypatch):
         def broken_run(self):
-            raise RuntimeError("always broken")
+            raise OSError("always broken")
 
         monkeypatch.setattr(JobSpec, "run", broken_run)
         with pytest.raises(ExecutionError, match="after 2 attempts"):
@@ -105,6 +105,40 @@ class TestExecuteJobs:
         with pytest.raises(SimulationError):
             execute_jobs(self.jobs(1))
         assert calls["n"] == 1, "ReproErrors are permanent: no retry"
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_simulator_bug_runs_exactly_once(self, monkeypatch, tmp_path, max_workers):
+        """An AssertionError from the simulator is a deterministic bug:
+        it fails the job on its first attempt instead of being retried
+        (serially, or in-process after a pool worker raised it). The
+        attempts are counted through a file, which forked pool workers
+        append to as well."""
+        import multiprocessing
+
+        from repro.sim.simulator import Simulator
+
+        if max_workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched simulator only under fork")
+        attempts = tmp_path / "attempts"
+        real = Simulator._run_references
+
+        def buggy(self, refs_per_core, batch):
+            if self.policy.name == "exclusive":
+                with open(attempts, "a") as fh:
+                    fh.write("x\n")
+                raise AssertionError("simulated simulator bug")
+            return real(self, refs_per_core, batch)
+
+        monkeypatch.setattr(Simulator, "_run_references", buggy)
+        jobs = self.jobs(2)
+        jobs[0] = JobSpec(
+            system=jobs[0].system, workload=jobs[0].workload,
+            policy="exclusive", refs_per_core=400,
+        )
+        with pytest.raises(ExecutionError) as info:
+            execute_jobs(jobs, max_workers=max_workers)
+        assert attempts.read_text().count("x") == 1
+        assert "AssertionError" in str(info.value)
 
 
 class TestSweepSpecRequirement:

@@ -44,7 +44,7 @@ def test_resolve_backend_rejects_unknown():
 def test_make_tag_store_kinds():
     store = make_tag_store("object", 4, 2, ("sram", "sram"))
     assert store.kind == "object"
-    assert not store.supports_batch
+    assert store.supports_batch  # the kernel checks out from it directly
     assert len(store.sets) == 4
     if numpy_available():
         store = make_tag_store("soa", 4, 2, ("sram", "sram"))

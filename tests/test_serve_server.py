@@ -261,7 +261,7 @@ class TestHttpSurface:
 
         def failing_then_ok(self):
             calls["n"] += 1
-            if calls["n"] <= 2:  # fails the first attempt AND its retry
+            if calls["n"] == 1:  # a deterministic bug: failed, not retried
                 raise RuntimeError("injected failure")
             return real_run(self)
 

@@ -98,6 +98,35 @@ class TestSimulator:
         with pytest.raises(WorkloadError):
             make_workload("gcc", small_system)
 
+    def test_duel_interval_reaches_only_dueling_policies(self, small_system):
+        from repro.arena import registry
+
+        assert registry.get("lap").accepts("duel_interval")
+        assert registry.get("dswitch").accepts("duel_interval")
+        assert not registry.get("non-inclusive").accepts("duel_interval")
+        wl = make_workload("mcf", small_system)
+        sim = Simulator(small_system, "lap", wl)
+        assert sim.policy._duel_interval == small_system.duel_interval
+        assert Simulator(small_system, "non-inclusive", wl).policy.name == "non-inclusive"
+
+    def test_policy_constructor_type_error_surfaces(self, small_system):
+        """A TypeError raised *inside* a policy constructor is a bug and
+        must surface, not trigger a retry without ``duel_interval``."""
+        from repro.arena import registry
+        from repro.core import LAPPolicy
+
+        class BuggyLAP(LAPPolicy):
+            def __init__(self, duel_interval: int = 4096, **kwargs):
+                if duel_interval != 4096:
+                    len(duel_interval)  # the bug: TypeError on int
+                super().__init__(duel_interval=duel_interval, **kwargs)
+
+        wl = make_workload("mcf", small_system)
+        assert small_system.duel_interval != 4096
+        with registry.overridden("lap", BuggyLAP):
+            with pytest.raises(TypeError, match="has no len"):
+                Simulator(small_system, "lap", wl)
+
 
 class TestRunResult:
     @pytest.fixture

@@ -9,9 +9,12 @@ DESIGN.md §13's switch-over criteria, as executable tests:
    probe keeps these runs on the generic per-reference path, so this
    exercises the store protocol itself).
 2. **Simulator-level RunResult parity** — for the kernel-eligible
-   policies, the batched soa kernel, the generic loop over the soa
-   store, and the generic loop over the object store must agree on the
-   *entire* RunResult (stats, cycles, energy inputs, dueling extras).
+   policies, the batched kernel over either store and the generic loop
+   over either store must agree on the *entire* RunResult (stats,
+   cycles, energy inputs, dueling extras).
+
+Instrumented kernel runs (the standard probes carried as kernel
+counters) have their own parity suite in ``tests/test_kernel_probes.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.arena import registry
+from repro.kernel import batch as kernel_batch
 from repro.kernel import batched_policy_names, numpy_available
 from repro.sim.simulator import Simulator
 from repro.sim.system import SystemConfig
@@ -86,24 +90,29 @@ def _run(policy, backend, *, kernel=True, refs=3000, workload="WL1"):
 @pytest.mark.parametrize("policy", KERNEL_POLICIES)
 @pytest.mark.parametrize("workload", ("WL1", "WH1"))
 def test_runresult_parity_kernel(policy, workload):
-    """object-generic == soa-kernel == soa-generic, entire RunResult."""
-    sim_obj, r_obj = _run(policy, "object", workload=workload)
+    """object-generic == object-kernel == soa-kernel == soa-generic,
+    entire RunResult."""
+    sim_obj, r_obj = _run(policy, "object", kernel=False, workload=workload)
+    sim_oker, r_oker = _run(policy, "object", workload=workload)
     sim_ker, r_ker = _run(policy, "soa", workload=workload)
     _, r_gen = _run(policy, "soa", kernel=False, workload=workload)
     # the kernel must actually have been exercised, not silently skipped
-    assert sim_obj.tag_backend == "object"
+    assert sim_obj.tag_backend == sim_oker.tag_backend == "object"
     assert sim_ker.tag_backend == "soa"
+    assert kernel_batch.eligible(sim_oker.hierarchy)
+    assert kernel_batch.eligible(sim_ker.hierarchy)
+    assert asdict(r_obj) == asdict(r_oker)
     assert asdict(r_obj) == asdict(r_ker)
     assert asdict(r_obj) == asdict(r_gen)
 
 
 @pytest.mark.parametrize("policy", registry.names())
 def test_runresult_parity_generic(policy):
-    """Pinned-soa generic runs match object for EVERY registered policy
-    (instrumentation on: the probe bus blocks the batched kernel, so
-    both backends run the same generic path over different layouts).
-    Parametrized over the registry, so a new policy is covered the
-    moment it is registered."""
+    """Pinned-soa runs match object for EVERY registered policy, with
+    the default instrumentation on. Both backends take the same path —
+    the batched kernel for the kernel-eligible policies, the generic
+    loop for the rest — over different layouts. Parametrized over the
+    registry, so a new policy is covered the moment it is registered."""
     hybrid = registry.get(policy).hybrid_only  # Lhybrid family needs SRAM ways
     system_obj = SystemConfig.scaled(hybrid=hybrid).with_tag_backend("object")
     system_soa = SystemConfig.scaled(hybrid=hybrid).with_tag_backend("soa")
@@ -115,15 +124,24 @@ def test_runresult_parity_generic(policy):
 
 
 def test_auto_backend_engages_kernel():
-    """``tag_backend="auto"`` resolves to soa exactly when the batched
-    kernel can run, and to object otherwise."""
+    """``tag_backend="auto"`` is the object store, and the batched kernel
+    checks out from it: default-instrumented non-inclusive, exclusive
+    and LAP runs are kernel-eligible; inclusive and coherent runs are
+    not."""
+    system = SystemConfig.scaled()
+    assert system.tag_backend == "auto"
+    w = make_table3_mix("WL1", system.scale_context(), seed=1)
+    for policy in ("non-inclusive", "exclusive", "lap"):
+        sim = Simulator(system, policy, w)
+        assert sim.tag_backend == "object"
+        assert kernel_batch.eligible(sim.hierarchy), policy
+    sim = Simulator(system, "inclusive", w)
+    assert sim.tag_backend == "object"
+    assert not kernel_batch.eligible(sim.hierarchy)
+    coherent = Simulator(system, "lap", w, enable_coherence=True)
+    assert not kernel_batch.eligible(coherent.hierarchy)
     probe_free = SystemConfig.scaled().probe_free()
-    w = make_table3_mix("WL1", probe_free.scale_context(), seed=1)
-    assert Simulator(probe_free, "lap", w).tag_backend == "soa"
-    assert Simulator(probe_free, "inclusive", w).tag_backend == "object"
-    instrumented = SystemConfig.scaled()
-    w = make_table3_mix("WL1", instrumented.scale_context(), seed=1)
-    assert Simulator(instrumented, "lap", w).tag_backend == "object"
+    assert Simulator(probe_free, "lap", w).tag_backend == "object"
 
 
 def test_env_var_pins_backend(monkeypatch):
