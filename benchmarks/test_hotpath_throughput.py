@@ -8,7 +8,9 @@ which now take the batched kernel (DESIGN.md §13). Two more legs sit
 beside the grid: the generic per-reference loop on the object store
 (``Simulator.enable_batch_kernel = False``) under both specs, which is
 what the kernel is measured against, and the probe-free kernel with the
-telemetry layer imported but idle. The entry is **appended** to
+telemetry layer imported but idle. A coherent leg measures the kernel
+against the generic loop on a MOESI run (PARSEC ``canneal``, default
+probes), the configuration behind Fig. 20. The entry is **appended** to
 ``BENCH_hotpath.json`` at the repo root; earlier entries (including the
 pre-refactor record, preserved under ``"legacy"``) are never
 overwritten.
@@ -40,7 +42,7 @@ from repro.bench import (
 from repro.kernel import numpy_available
 from repro.sim.simulator import Simulator
 from repro.sim.system import SystemConfig
-from repro.workloads.mixes import make_table3_mix
+from repro.workloads.mixes import make_multithreaded, make_table3_mix
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_hotpath.json"
 
@@ -61,23 +63,56 @@ PRE_REFACTOR_BASELINE = {
 #: enough that the automated gate sits lower.
 MIN_KERNEL_SPEEDUP = 1.8
 
+#: coherent leg: a PARSEC workload under MOESI snooping (Fig. 20), where
+#: the kernel also runs the sharers map and peer snoops, so its floor
+#: sits lower than the multiprogrammed one.
+COHERENT_WORKLOAD = "canneal"
+COHERENT_REFS_PER_CORE = 10_000
+MIN_COHERENT_SPEEDUP = 1.5
+
 
 def _throughput(system: SystemConfig, policy: str, reps: int = REPS) -> float:
     return measure_throughput(system, policy, refs_per_core=REFS_PER_CORE, reps=reps, seed=7)
 
 
+def _rate(system: SystemConfig, policy: str, workload, refs: int, kernel: bool) -> float:
+    """Accesses/sec of one run, timed exactly as ``measure_throughput``
+    times the kernel; ``kernel=False`` drives the generic loop."""
+    sim = Simulator(system, policy, workload)
+    sim.enable_batch_kernel = kernel
+    start = time.perf_counter()
+    sim.run(refs)
+    return refs * workload.ncores / (time.perf_counter() - start)
+
+
 def _generic_throughput(system: SystemConfig, policy: str) -> float:
-    """Best-of-``REPS`` accesses/sec on the generic per-reference loop,
-    timed exactly as ``measure_throughput`` times the kernel."""
-    best = 0.0
+    """Best-of-``REPS`` accesses/sec on the generic per-reference loop."""
+    return max(
+        _rate(
+            system, policy, make_table3_mix("WL1", system.scale_context(), seed=7),
+            REFS_PER_CORE, kernel=False,
+        )
+        for _ in range(REPS)
+    )
+
+
+def _coherent_throughput(policy: str) -> dict:
+    """Best-of-``REPS`` accesses/sec of the kernel and the generic loop on
+    the coherent leg, alternating rep by rep so both sides see the same
+    host-speed phase."""
+    system = SystemConfig.scaled()
+    best = {"kernel": 0.0, "generic": 0.0}
     for _ in range(REPS):
-        workload = make_table3_mix("WL1", system.scale_context(), seed=7)
-        sim = Simulator(system, policy, workload)
-        sim.enable_batch_kernel = False
-        start = time.perf_counter()
-        sim.run(REFS_PER_CORE)
-        best = max(best, REFS_PER_CORE * workload.ncores / (time.perf_counter() - start))
-    return best
+        for side in best:
+            workload = make_multithreaded(
+                COHERENT_WORKLOAD, system.scale_context(),
+                nthreads=system.hierarchy.ncores, seed=7,
+            )
+            rate = _rate(
+                system, policy, workload, COHERENT_REFS_PER_CORE, kernel=side == "kernel"
+            )
+            best[side] = max(best[side], rate)
+    return {side: round(rate) for side, rate in best.items()}
 
 
 def measure_grid() -> dict:
@@ -113,6 +148,13 @@ def measure_grid() -> dict:
     }
     entry["default_vs_pre_refactor"] = {
         p: round(kernel["default"][p] / PRE_REFACTOR_BASELINE[p], 3) for p in POLICIES
+    }
+
+    # Coherent leg (MOESI, default probes): kernel vs generic loop.
+    coherent = {p: _coherent_throughput(p) for p in POLICIES}
+    entry["coherent_accesses_per_sec"] = coherent
+    entry["coherent_speedup_kernel_vs_generic"] = {
+        p: round(coherent[p]["kernel"] / coherent[p]["generic"], 2) for p in POLICIES
     }
 
     # Telemetry-idle guard: with repro.telemetry fully imported and a
@@ -170,6 +212,19 @@ def test_hotpath_throughput(benchmark, emit):
                 f"{rates[spec][policy]['object']:>10,} {rates[spec][policy]['soa']:>10,} "
                 f"{speedup[spec][policy]:>14.2f}x"
             )
+    coherent = entry["coherent_accesses_per_sec"]
+    coherent_speedup = entry["coherent_speedup_kernel_vs_generic"]
+    lines.append("")
+    lines.append(
+        f"coherent ({COHERENT_WORKLOAD}, MOESI, default probes, "
+        f"{COHERENT_REFS_PER_CORE:,} refs/core)"
+    )
+    lines.append(f"{'policy':15s} {'generic':>10s} {'kernel':>10s} {'kernel/generic':>15s}")
+    for policy in POLICIES:
+        lines.append(
+            f"{policy:15s} {coherent[policy]['generic']:>10,} "
+            f"{coherent[policy]['kernel']:>10,} {coherent_speedup[policy]:>14.2f}x"
+        )
     emit("hotpath_throughput", "\n".join(lines))
 
     # Loose in-benchmark gates (exact acceptance ratios are same-machine
@@ -183,6 +238,8 @@ def test_hotpath_throughput(benchmark, emit):
     for spec in SPECS:
         for policy in POLICIES:
             assert speedup[spec][policy] >= MIN_KERNEL_SPEEDUP, (spec, policy)
+    for policy in POLICIES:
+        assert coherent_speedup[policy] >= MIN_COHERENT_SPEEDUP, policy
     for ratios in ("probe_free_vs_pre_refactor", "default_vs_pre_refactor"):
         grid_ratio = sum(entry[ratios].values()) / len(POLICIES)
         assert grid_ratio > 1.2, ratios

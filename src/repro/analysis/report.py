@@ -140,8 +140,9 @@ EXPERIMENT_INDEX: Sequence[ExperimentEntry] = (
     ExperimentEntry("Harness", "Hot-path throughput (infrastructure)",
                     "Simulator accesses/sec on WL1 for the kernel-eligible trio: "
                     "the generic per-reference loop vs the batched kernel on both "
-                    "tag stores, with the default probes and probe-free; every "
-                    "run appends to BENCH_hotpath.json.",
+                    "tag stores, with the default probes and probe-free, plus "
+                    "kernel vs generic on a coherent (MOESI) PARSEC canneal run; "
+                    "every run appends to BENCH_hotpath.json.",
                     "hotpath_throughput"),
     ExperimentEntry("Harness", "Benchmark-suite geomean (infrastructure)",
                     "The paper's summary statistic as a harness primitive: "

@@ -13,7 +13,8 @@ difference:
   :class:`~repro.instr.probes.RedundantFillProbe` and
   :class:`~repro.instr.probes.OccupancySampler` (subclasses and any
   other probe fall back),
-- coherence is off (no MOESI states, no snoops, no peer supplies),
+- coherence is off, or is the stock
+  :class:`~repro.hierarchy.coherence.CoherenceController` (exact type),
 - the inclusion policy is one the kernel inlines: non-inclusive,
   exclusive, or LAP over an LRU baseline (all three replacement modes).
 
@@ -58,6 +59,24 @@ to their stats at checkin, so ``finish()``, a second ``run()`` and
 With a probe absent its state is an empty dict/set that nothing fills,
 so the probe-free run pays only membership tests on rare paths.
 
+MOESI coherence (Fig. 20's multithreaded runs) runs in the same loop
+behind one local ``coh`` flag, tested only on the L2-miss, L2-fill and
+first-dirtying paths. Each controller hook is transcribed at the site
+where the generic path calls it, in the same order:
+
+- ``on_l2_miss`` after the LLC access — snoop broadcasts, write
+  invalidations, E→S and M→O downgrades, and peer supply, which skips
+  the memory read and its stall;
+- ``fill_state`` + ``on_l2_insert`` at the L2 fill and ``on_l2_drop``
+  at the L2 victim, on the controller's own sharers map (keyed by block
+  address) and the L2 ``state`` column both stores check out;
+- ``on_store`` on the first dirtying store only — S/O upgrade, and the
+  LLC copy discarded with ``note_llc_evict``;
+- ``_invalidate_peer`` (:func:`_invalidate_peers`) — peer L1 discard,
+  L2 invalidate, sharers drop, and ``note_l2_drop``, which the loop
+  tracker counts as an L2 eviction;
+- exclusive's ``shared_by_peers`` exception to invalidate-on-hit.
+
 The speed comes from four reductions of per-reference Python work:
 
 - **flat maps** — tag lookups key one dict per cache on the *block
@@ -90,8 +109,16 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..cache.block import (
+    STATE_EXCLUSIVE,
+    STATE_MODIFIED,
+    STATE_NONE,
+    STATE_OWNED,
+    STATE_SHARED,
+)
 from ..core.lap import LAPPolicy
 from ..core.loop_bits import LoopBlockTracker
+from ..hierarchy.coherence import CoherenceController
 from ..inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from ..instr.probes import LoopProbe, OccupancySampler, RedundantFillProbe
 from ..obs.spans import start_span
@@ -146,11 +173,12 @@ def _kernel_probes(probes) -> Optional[dict]:
 
 def eligible(hierarchy) -> bool:
     """Whether the batched kernel can run this hierarchy verbatim."""
+    coherence = hierarchy.coherence
     return (
         hierarchy.llc.store.supports_batch
         and all(c.store.supports_batch for c in hierarchy.l1s)
         and all(c.store.supports_batch for c in hierarchy.l2s)
-        and hierarchy.coherence is None
+        and (coherence is None or type(coherence) is CoherenceController)
         and _kernel_probes(hierarchy.probe_bus.probes) is not None
         and kernel_mode(hierarchy.policy) is not None
     )
@@ -199,6 +227,83 @@ def _in_ref_order(m):
     return chain.from_iterable(
         m[:, lo : lo + _CHUNK].T.ravel().tolist() for lo in range(0, m.shape[1], _CHUNK)
     )
+
+
+def _invalidate_peers(
+    peers, blk, addr, pctx, l2_mask, sharers, streak, from_llc, rec_ctc, tally
+) -> None:
+    """``CoherenceController._invalidate_peer`` for every core set in the
+    bitmask ``peers``, in core order, over the checked-out state.
+
+    ``pctx[c]`` is core ``c``'s L1/L2 working state, ending with its
+    ``[discard calls, L1 invalidations, L2 invalidations]`` counters;
+    ``tally`` accumulates ``[invalidation messages, L2 lines dropped,
+    loop evictions]`` (a dropped line is an L2 eviction to the loop
+    tracker, as ``note_l2_drop`` makes it on the generic path).
+    """
+    peer = 0
+    while peers:
+        if peers & 1:
+            (m1, tags1, v1, dir1, last1, iseq1, m2, tags2, val2, dir2, loop2,
+             last2, iseq2, st2, lc2, cnt) = pctx[peer]
+            tally[0] += 1
+            cnt[0] += 1
+            # l1.discard
+            s = m1.pop(blk, None)
+            if s is not None:
+                tags1[s] = -1
+                v1[s] = False
+                dir1[s] = False
+                last1[s] = 0
+                iseq1[s] = 0
+                cnt[1] += 1
+            # l2.invalidate
+            s = m2.pop(blk, None)
+            if s is not None:
+                dirty = dir2[s]
+                if loop2[s]:
+                    lc2[blk & l2_mask] -= 1
+                tags2[s] = -1
+                val2[s] = False
+                dir2[s] = False
+                loop2[s] = False
+                last2[s] = 0
+                iseq2[s] = 0
+                st2[s] = STATE_NONE
+                cnt[2] += 1
+                # on_l2_drop
+                mask = sharers.get(addr, 0) & ~(1 << peer)
+                if mask:
+                    sharers[addr] = mask
+                else:
+                    sharers.pop(addr, None)
+                # note_l2_drop -> tracker.on_l2_evict
+                tally[1] += 1
+                if dirty:
+                    if streak and addr in streak:
+                        rec_ctc(streak.pop(addr))
+                elif from_llc.get(addr, False):
+                    streak[addr] = streak.get(addr, 0) + 1
+                    tally[2] += 1
+        peers >>= 1
+        peer += 1
+
+
+def _downgrade_peers(peers, blk, m2_flat, l2_state, owned) -> None:
+    """The read-snoop downgrades of ``CoherenceController.on_l2_miss``:
+    E→S in every peer, and M→O too when ``owned`` (an LLC miss)."""
+    peer = 0
+    while peers:
+        if peers & 1:
+            s = m2_flat[peer].get(blk)
+            if s is not None:
+                st2 = l2_state[peer]
+                if st2[s] == STATE_EXCLUSIVE:
+                    st2[s] = STATE_SHARED
+                elif owned and st2[s] == STATE_MODIFIED:
+                    st2[s] = STATE_OWNED
+        peers >>= 1
+        peer += 1
 
 
 def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
@@ -283,6 +388,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     l2_last = [s["last"] for s in l2_st]
     l2_iseq = [s["iseq"] for s in l2_st]
     l2_lc = [s["loop_counts"] for s in l2_st]
+    l2_state = [s["state"] for s in l2_st]
     ll_tag = ll_st["tag"]
     ll_val = ll_st["valid"]
     ll_dir = ll_st["dirty"]
@@ -326,6 +432,17 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     interval = sampler.interval if occ_on else 0
     since = sampler._since if occ_on else 0
     loop_ev = loop_reins = redundant = samp_valid = samp_loops = 0
+
+    # Coherence: the loop runs CoherenceController's hooks against its
+    # own sharers map (keyed by block address, as the controller keys
+    # it) and the L2 ``state`` columns. Non-coherent runs only pay the
+    # ``coh`` tests on the L2-miss, L2-fill and first-dirtying paths.
+    coherence = h.coherence
+    coh = coherence is not None
+    sharers: dict = coherence._sharers if coh else {}
+    snoops = upgrades = c2c = 0
+    peer_tally = [0, 0, 0]
+    peer_cnt = [[0, 0, 0] for _ in range(ncores)]
     checkout_span.finish()
 
     # ---- local stat accumulators (data-dependent only; the rest is
@@ -409,6 +526,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         )
         for c in core_pat
     ]
+    # What a peer invalidation touches, per core (see _invalidate_peers).
+    pctx = [
+        (m1_flat[c], l1_tag[c], l1_val[c], l1_dir[c], l1_last[c], l1_iseq[c],
+         m2_flat[c], l2_tag[c], l2_val[c], l2_dir[c], l2_loop[c], l2_last[c],
+         l2_iseq[c], l2_state[c], l2_lc[c], peer_cnt[c])
+        for c in core_pat
+    ]
 
     core_instr = [0.0] * ncores
     loop_span = start_span(
@@ -467,6 +591,35 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             # on_dirtied -> tracker._finalize
                             if streak and (blk << off) in streak:
                                 rec_ctc(streak.pop(blk << off))
+                            if coh:
+                                # coherence.on_store
+                                st2 = l2_state[core]
+                                if st2[ls] == STATE_SHARED or st2[ls] == STATE_OWNED:
+                                    upgrades += 1
+                                    snoops += 1
+                                    a = blk << off
+                                    peers = sharers.get(a, 0) & ~(1 << core)
+                                    if peers:
+                                        _invalidate_peers(
+                                            peers, blk, a, pctx, l2_mask, sharers,
+                                            streak, from_llc, rec_ctc, peer_tally,
+                                        )
+                                st2[ls] = STATE_MODIFIED
+                                s = ll_flat.pop(blk, None)
+                                if s is not None:
+                                    # llc.discard + note_llc_evict
+                                    ll_tp += 1
+                                    if ll_loop[s]:
+                                        ll_lc[blk & llc_mask] -= 1
+                                    ll_tag[s] = -1
+                                    ll_val[s] = False
+                                    ll_dir[s] = False
+                                    ll_loop[s] = False
+                                    ll_last[s] = 0
+                                    ll_iseq[s] = 0
+                                    ll_inv += 1
+                                    if fresh:
+                                        fresh.discard(blk << off)
                         if l2_loop[core][ls]:
                             l2_lc[core][blk & l2_mask] -= 1
                             l2_loop[core][ls] = False
@@ -583,8 +736,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         busy[bk] = rnow + st + serv
                         read_stall += st
                         ck += l2_lat + st + serv
-                        if exm:
-                            # invalidate-on-hit; dirtiness moves up
+                        if exm and not (
+                            coh and sharers.get(blk << off, 0) & ~(1 << core)
+                        ):
+                            # invalidate-on-hit (kept while peers share
+                            # the line); dirtiness moves up
                             out_dirty = ll_dir[s]
                             ll_tp += 1
                             del ll_flat[blk]
@@ -598,7 +754,35 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             ll_iseq[s] = 0
                             ll_inv += 1
                             ll_hitinv += 1
-                    if not hit:
+                    if coh:
+                        # ---- coherence.on_l2_miss -------------------
+                        a = blk << off
+                        peers = sharers.get(a, 0) & ~(1 << core)
+                        if hit:
+                            if w:
+                                snoops += 1
+                                if peers:
+                                    _invalidate_peers(
+                                        peers, blk, a, pctx, l2_mask, sharers,
+                                        streak, from_llc, rec_ctc, peer_tally,
+                                    )
+                            elif peers:
+                                _downgrade_peers(peers, blk, m2_flat, l2_state, False)
+                        else:
+                            snoops += 1
+                            if peers:
+                                # a peer supplies the line: no memory read
+                                c2c += 1
+                                if w:
+                                    _invalidate_peers(
+                                        peers, blk, a, pctx, l2_mask, sharers,
+                                        streak, from_llc, rec_ctc, peer_tally,
+                                    )
+                                else:
+                                    _downgrade_peers(peers, blk, m2_flat, l2_state, True)
+                            else:
+                                ck += mem_stall
+                    elif not hit:
                         ck += mem_stall
                     # ---- _fill_l2 -----------------------------------
                     s2 = blk & l2_mask
@@ -656,6 +840,16 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                     m2[blk] = vs
                     bn2[vs] = blk
                     ls = vs
+                    if coh:
+                        # fill_state + on_l2_insert
+                        pm = sharers.get(a, 0)
+                        if out_dirty or w:
+                            l2_state[core][vs] = STATE_MODIFIED
+                        elif pm & ~(1 << core):
+                            l2_state[core][vs] = STATE_SHARED
+                        else:
+                            l2_state[core][vs] = STATE_EXCLUSIVE
+                        sharers[a] = pm | (1 << core)
                     if ev_blk != -1:
                         # ---- _handle_l2_victim ----------------------
                         # L1 ⊆ L2: kill the upper copy
@@ -667,6 +861,14 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             last1[eslot] = 0
                             iseq1[eslot] = 0
                             l1_inv[core] += 1
+                        if coh:
+                            # on_l2_drop
+                            ea = ev_blk << off
+                            pm = sharers.get(ea, 0) & ~(1 << core)
+                            if pm:
+                                sharers[ea] = pm
+                            else:
+                                sharers.pop(ea, None)
                         # on_l2_victim -> tracker.on_l2_evict
                         if ev_dirty:
                             l2_dv += 1
@@ -848,6 +1050,35 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         # on_dirtied -> tracker._finalize
                         if streak and (blk << off) in streak:
                             rec_ctc(streak.pop(blk << off))
+                        if coh:
+                            # coherence.on_store (as on the L1-hit path)
+                            st2 = l2_state[core]
+                            if st2[ls] == STATE_SHARED or st2[ls] == STATE_OWNED:
+                                upgrades += 1
+                                snoops += 1
+                                a = blk << off
+                                peers = sharers.get(a, 0) & ~(1 << core)
+                                if peers:
+                                    _invalidate_peers(
+                                        peers, blk, a, pctx, l2_mask, sharers,
+                                        streak, from_llc, rec_ctc, peer_tally,
+                                    )
+                            st2[ls] = STATE_MODIFIED
+                            s = ll_flat.pop(blk, None)
+                            if s is not None:
+                                # llc.discard + note_llc_evict
+                                ll_tp += 1
+                                if ll_loop[s]:
+                                    ll_lc[blk & llc_mask] -= 1
+                                ll_tag[s] = -1
+                                ll_val[s] = False
+                                ll_dir[s] = False
+                                ll_loop[s] = False
+                                ll_last[s] = 0
+                                ll_iseq[s] = 0
+                                ll_inv += 1
+                                if fresh:
+                                    fresh.discard(blk << off)
                     if loop2[ls]:
                         lc2[blk & l2_mask] -= 1
                         loop2[ls] = False
@@ -888,8 +1119,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
 
     if trk:
         lstats = tracker.stats
-        lstats.l2_evictions += sum(l2_ev)
-        lstats.loop_evictions += loop_ev
+        lstats.l2_evictions += sum(l2_ev) + peer_tally[1]
+        lstats.loop_evictions += loop_ev + peer_tally[2]
         lstats.loop_reinsertions += loop_reins
         lstats.llc_loop_samples += samp_valid
         lstats.llc_loop_blocks += samp_loops
@@ -909,11 +1140,20 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         dueling.stats.decisions_b = dec_b
         dueling.stats.intervals = duel_ivals
 
+    if coh:
+        cs = coherence.stats
+        cs.snoop_broadcasts += snoops
+        cs.cache_to_cache += c2c
+        cs.invalidation_messages += peer_tally[0]
+        cs.upgrades += upgrades
+
     # ---- derived + accumulated stat flush ----------------------------
     # Lockstep identities: every reference does one L1 lookup and, on a
     # miss, exactly one L1 fill-insert; every L1 miss does one L2
-    # lookup and every L2 miss one fill-insert; every L2 eviction runs
-    # one upper-level probe; every L2 miss does one LLC lookup.
+    # lookup and every L2 miss one fill-insert; every L2 eviction and
+    # every peer invalidation runs one upper-level probe, and a peer
+    # invalidation one L2 probe; every L2 miss does one LLC lookup, and
+    # reads memory unless the LLC or a peer supplies the line.
     refs = refs_per_core
     l1_hits_h = l2_hits_h = 0
     for core in range(ncores):
@@ -925,13 +1165,14 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         s.lookups += refs
         s.hits += hit1
         s.misses += mis1
-        s.tag_probes += refs + mis1 + l2_ev[core]
+        pk_calls, pk_l1_inv, pk_l2_inv = peer_cnt[core]
+        s.tag_probes += refs + mis1 + l2_ev[core] + pk_calls
         s.data_reads_sram += hit1 - wh
         s.data_writes_sram += wh + mis1
         s.insertions += mis1
         s.evictions += l1_ev[core]
         s.dirty_evictions += l1_dev[core]
-        s.invalidations += l1_inv[core]
+        s.invalidations += l1_inv[core] + pk_l1_inv
         mis2 = l2_mis[core]
         hit2 = mis1 - mis2
         l2_hits_h += hit2
@@ -939,12 +1180,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         s.lookups += mis1
         s.hits += hit2
         s.misses += mis2
-        s.tag_probes += mis1 + mis2
+        s.tag_probes += mis1 + mis2 + pk_calls
         s.data_reads_sram += hit2
         s.data_writes_sram += mis2
         s.insertions += mis2
         s.evictions += l2_ev[core]
         s.dirty_evictions += l2_dev[core]
+        s.invalidations += pk_l2_inv
     ll_lkp = sum(l2_mis)
     s = llc.stats
     s.lookups += ll_lkp
@@ -974,7 +1216,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     hs.llc_demand_hits += ll_lkp - ll_mis
     hs.l2_clean_victims += l2_cv
     hs.l2_dirty_victims += l2_dv
-    hs.mem_reads += ll_mis
+    hs.mem_reads += ll_mis - c2c
     hs.mem_writes += mem_writes
 
     timing.banks.read_stall_cycles += read_stall

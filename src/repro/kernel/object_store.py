@@ -41,9 +41,9 @@ class ObjectTagStore(TagStore):
 
         Same shape as :meth:`SoATagStore.checkout
         <repro.kernel.soa.SoATagStore.checkout>`: flat slot-ordered
-        lists, per-set ``{tag: slot}`` dicts and the loop counters. The
-        blocks are stale until :meth:`checkin`; ``state`` is absent
-        because the kernel only runs non-coherent configurations.
+        lists (MOESI ``state`` strings included, for coherent runs),
+        per-set ``{tag: slot}`` dicts and the loop counters. The blocks
+        are stale until :meth:`checkin`.
         """
         blocks = self._blocks()
         assoc = self.assoc
@@ -59,6 +59,7 @@ class ObjectTagStore(TagStore):
             "last": [b.last_access for b in blocks],
             "iseq": [b.insert_seq for b in blocks],
             "rrpv": [b.rrpv for b in blocks],
+            "state": [b.state for b in blocks],
             "maps": maps,
             "loop_counts": [s.loop_count for s in self.sets],
         }
@@ -67,7 +68,7 @@ class ObjectTagStore(TagStore):
         """Write a checked-out working state back into the blocks and
         rebuild the per-set tag maps / loop counters."""
         blocks = self._blocks()
-        for b, tag, valid, dirty, loop, last, iseq, rrpv in zip(
+        for b, tag, valid, dirty, loop, last, iseq, rrpv, moesi in zip(
             blocks,
             state["tag"],
             state["valid"],
@@ -76,6 +77,7 @@ class ObjectTagStore(TagStore):
             state["last"],
             state["iseq"],
             state["rrpv"],
+            state["state"],
         ):
             b.tag = tag
             b.valid = valid
@@ -84,6 +86,7 @@ class ObjectTagStore(TagStore):
             b.last_access = last
             b.insert_seq = iseq
             b.rrpv = rrpv
+            b.state = moesi
         for s, slot_map, loops in zip(self.sets, state["maps"], state["loop_counts"]):
             s.tag_map = {t: blocks[slot] for t, slot in slot_map.items()}
             s.loop_count = loops

@@ -271,9 +271,8 @@ class SoATagStore(TagStore):
         Returns flat row-major Python lists (slot = set * assoc + way)
         plus per-set tag->slot dicts and the loop counters. While the
         state is checked out the matrices are stale; nothing else may
-        read the store until :meth:`checkin`. The ``state`` matrix is
-        deliberately absent: the batch kernel only runs non-coherent
-        configurations, where every state stays ``"-"``.
+        read the store until :meth:`checkin`. MOESI states travel as
+        their strings (``CODE_STATES``), as the object store holds them.
         """
         assoc = self.assoc
         maps = []
@@ -288,6 +287,7 @@ class SoATagStore(TagStore):
             "last": self.last_access.ravel().tolist(),
             "iseq": self.insert_seq.ravel().tolist(),
             "rrpv": self.rrpv.ravel().tolist(),
+            "state": [CODE_STATES[c] for c in self.state.ravel().tolist()],
             "maps": maps,
             "loop_counts": [s.loop_count for s in self.sets],
         }
@@ -303,6 +303,9 @@ class SoATagStore(TagStore):
         self.last_access[:] = np.asarray(state["last"], dtype=np.int64).reshape(shape)
         self.insert_seq[:] = np.asarray(state["iseq"], dtype=np.int64).reshape(shape)
         self.rrpv[:] = np.asarray(state["rrpv"], dtype=np.int64).reshape(shape)
+        self.state[:] = np.asarray(
+            [STATE_CODES[s] for s in state["state"]], dtype=np.int8
+        ).reshape(shape)
         assoc = self.assoc
         for s, slot_map, loops in zip(self.sets, state["maps"], state["loop_counts"]):
             base = s.index * assoc

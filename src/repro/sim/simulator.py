@@ -107,7 +107,7 @@ class Simulator:
         :mod:`repro.kernel.batch` for the eligibility conditions).
         """
         h = self.hierarchy
-        if self.enable_batch_kernel and h.coherence is None:
+        if self.enable_batch_kernel:
             from ..kernel import batch as _batch
 
             if _batch.eligible(h):

@@ -36,11 +36,11 @@ class SystemConfig:
     :mod:`repro.kernel`): ``"object"`` (one Python block per way),
     ``"soa"`` (numpy struct-of-arrays), or ``"auto"``, which is
     ``"object"``. Either store runs through the batched kernel when
-    :func:`repro.kernel.batch.eligible` holds — non-coherent,
-    non-inclusive/exclusive/LAP, and instrumentation that is probe-free
-    or a subset of the default probes — and through the generic loop
-    otherwise. Stats are bit-identical across backends and paths; the
-    knob only changes speed.
+    :func:`repro.kernel.batch.eligible` holds — non-inclusive/
+    exclusive/LAP, coherent or not, and instrumentation that is
+    probe-free or a subset of the default probes — and through the
+    generic loop otherwise. Stats are bit-identical across backends and
+    paths; the knob only changes speed.
     """
 
     hierarchy: HierarchyConfig
@@ -115,7 +115,7 @@ class SystemConfig:
         energy inputs) is unaffected. The batched kernel runs either
         way (it carries the default probes as counters), so this saves
         only the probes' few per-event operations there; on the generic
-        loop (coherent runs, other policies) it saves their dispatch.
+        loop (the policies it does not inline) it saves their dispatch.
         """
         return replace(self, instrumentation="none")
 

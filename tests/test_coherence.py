@@ -51,6 +51,22 @@ class TestStates:
         assert h.l2s[1].peek(A).state == STATE_SHARED
         assert h.coherence.stats.cache_to_cache == 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: a store to an Owned line neither upgrades nor "
+        "invalidates peers (on_store runs only on the first dirtying store); "
+        "the fix changes Fig. 20 numbers and waits for a semantics version",
+    )
+    def test_store_to_owned_line_upgrades(self):
+        h = build_mp()
+        h.access(0, A, True)  # core 0: M
+        h.access(1, A, False)  # core 1 reads: core 0 M -> O, core 1 S
+        assert h.l2s[0].peek(A).state == STATE_OWNED
+        h.access(0, A, True)  # the owner writes again: O -> M
+        assert h.coherence.stats.upgrades == 1
+        assert h.l2s[0].peek(A).state == STATE_MODIFIED
+        assert h.l2s[1].peek(A) is None
+
     def test_upgrade_counts(self):
         h = build_mp()
         h.access(0, A, False)

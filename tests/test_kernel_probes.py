@@ -8,7 +8,8 @@ the generic loop over the same store (``enable_batch_kernel = False``):
 - the entire ``RunResult`` (``asdict``), and its serialised JSON byte for
   byte without ``sort_keys`` (so dict key order — the CTC histogram's
   included — matches too);
-- the final tag-array state of every cache, tag-map order included;
+- the final tag-array state and the stats of every cache (the private
+  L1s and L2s are not in the ``RunResult``), tag-map order included;
 - the probes' internal state after ``finish()`` (open streaks and the
   ``_from_llc`` map in insertion order, the fresh-fill set, the
   sampler's countdown), which is what a second ``run()`` starts from.
@@ -16,7 +17,9 @@ the generic loop over the same store (``enable_batch_kernel = False``):
 The matrix covers every batched policy, every instrumentation spec the
 kernel accepts, WL and WH mixes, and fuzzer traces on a micro hierarchy
 (non-unrolled victim scans, addresses shared between cores, sample
-points at every offset of the batch stream).
+points at every offset of the batch stream). Coherent (MOESI) runs add
+the L2 ``state`` column and the sharers map, which must equal both the
+controller's snapshot and the map rebuilt from the L2 tag arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ from repro.sim.system import SystemConfig
 from repro.testing import micro_hierarchy_config
 from repro.validate import generate_trace
 from repro.validate.invariants import InvariantProbe
-from repro.workloads.mixes import MULTIPROGRAMMED, Workload, make_table3_mix
+from repro.workloads.mixes import (
+    MULTIPROGRAMMED,
+    Workload,
+    make_multithreaded,
+    make_table3_mix,
+)
 from repro.workloads.tracefile import ReplayTrace
 
 #: every policy declared batched (non-inclusive, exclusive, lap, lap-lru,
@@ -74,6 +82,11 @@ def tag_state(h) -> list:
     return state
 
 
+def cache_stats(h) -> list:
+    """Every cache's stats, private levels included."""
+    return [asdict(cache.stats) for cache in (*h.l1s, *h.l2s, h.llc)]
+
+
 def probe_state(h) -> list:
     """The standard probes' internal state, in bus order."""
     state = []
@@ -94,12 +107,23 @@ def probe_state(h) -> list:
     return state
 
 
-def run_pair(system, policy, make_workload, refs, *, runs=1, batch=4096):
+def sharers_from_tags(h) -> dict:
+    """The sharers map rebuilt from the L2 tag arrays (ground truth)."""
+    rebuilt = {}
+    for core, l2 in enumerate(h.l2s):
+        for cache_set in l2.sets:
+            for tag in cache_set.tag_map:
+                addr = l2.addr_of(cache_set.index, tag)
+                rebuilt[addr] = rebuilt.get(addr, 0) | (1 << core)
+    return rebuilt
+
+
+def run_pair(system, policy, make_workload, refs, *, runs=1, batch=4096, **sim_kwargs):
     """Run the kernel and the generic loop on fresh simulators; ``runs``
     consecutive ``run()`` calls each."""
     out = []
     for kernel in (True, False):
-        sim = Simulator(system, policy, make_workload())
+        sim = Simulator(system, policy, make_workload(), **sim_kwargs)
         sim.enable_batch_kernel = kernel
         out.append((sim, [sim.run(refs, batch) for _ in range(runs)]))
     return out
@@ -113,7 +137,14 @@ def assert_identical(pair) -> None:
         assert asdict(r_k) == asdict(r_g)
         assert json.dumps(result_to_dict(r_k)) == json.dumps(result_to_dict(r_g))
     assert tag_state(sim_k.hierarchy) == tag_state(sim_g.hierarchy)
+    assert cache_stats(sim_k.hierarchy) == cache_stats(sim_g.hierarchy)
     assert probe_state(sim_k.hierarchy) == probe_state(sim_g.hierarchy)
+    coh_k, coh_g = sim_k.hierarchy.coherence, sim_g.hierarchy.coherence
+    if coh_k is not None:
+        sharers = coh_k.sharers_snapshot()
+        assert sharers == coh_g.sharers_snapshot()
+        assert list(sharers) == list(coh_g.sharers_snapshot())
+        assert sharers == sharers_from_tags(sim_k.hierarchy)
 
 
 def _mix_system(spec: str) -> SystemConfig:
@@ -162,18 +193,26 @@ def test_default_mix_counters_are_live():
     assert r.loop.llc_loop_samples > 0
 
 
+def run_continued(system, policy, make_workload, refs, *, batch=4096, **sim_kwargs):
+    """A kernel run then a generic run, against two generic runs."""
+    sims = []
+    for first_kernel in (True, False):
+        sim = Simulator(system, policy, make_workload(), **sim_kwargs)
+        sim.enable_batch_kernel = first_kernel
+        first = sim.run(refs, batch)
+        sim.enable_batch_kernel = False
+        sims.append((sim, [first, sim.run(refs, batch)]))
+    return sims
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_kernel_then_generic_continues_exactly(policy):
     """Probe state checked in by the kernel is what the generic loop
     continues from: kernel-then-generic == generic-then-generic."""
     system = _mix_system("default")
-    sims = []
-    for first_kernel in (True, False):
-        sim = Simulator(system, policy, make_table3_mix("WH4", system.scale_context(), seed=9))
-        sim.enable_batch_kernel = first_kernel
-        first = sim.run(600)
-        sim.enable_batch_kernel = False
-        sims.append((sim, [first, sim.run(600)]))
+    sims = run_continued(
+        system, policy, lambda: make_table3_mix("WH4", system.scale_context(), seed=9), 600
+    )
     assert_identical(sims)
 
 
@@ -211,6 +250,67 @@ def test_fuzz_trace_parity(policy, seed, interval):
     )
     pair = run_pair(system, policy, _fuzz_workload(seed, 2), refs=450, runs=2, batch=97)
     assert_identical(pair)
+
+
+# ----------------------------------------------------------------------
+# coherent (MOESI) runs
+# ----------------------------------------------------------------------
+def _assert_coherence_exercised(pair) -> None:
+    """Snoops, peer supplies, invalidations and upgrades all happened,
+    so the parity is not vacuous."""
+    coh = pair[0][1][-1].coherence
+    assert coh.snoop_broadcasts and coh.cache_to_cache
+    assert coh.invalidation_messages and coh.upgrades
+
+
+@pytest.mark.parametrize("interval", (1, 7, 64))
+@pytest.mark.parametrize("ncores", (2, 4))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coherent_fuzz_trace_parity(policy, ncores, interval):
+    system = SystemConfig(
+        hierarchy=micro_hierarchy_config(ncores=ncores),
+        label="micro",
+        duel_interval=64,
+        occupancy_sample_interval=interval,
+    )
+    seed = 10 * ncores + interval
+    pair = run_pair(
+        system, policy, _fuzz_workload(seed, ncores), refs=450, runs=2, batch=97,
+        enable_coherence=True,
+    )
+    assert_identical(pair)
+    _assert_coherence_exercised(pair)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coherent_parsec_parity(policy):
+    system = _mix_system("default")
+    pair = run_pair(
+        system, policy,
+        lambda: make_multithreaded("canneal", system.scale_context(), nthreads=4, seed=3),
+        refs=1200, runs=2, batch=500,
+    )
+    assert pair[0][0].hierarchy.coherence is not None
+    assert_identical(pair)
+    coh = pair[0][1][-1].coherence
+    assert coh.snoop_broadcasts and coh.cache_to_cache and coh.invalidation_messages
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coherent_kernel_then_generic_continues_exactly(policy):
+    """The sharers map, the L2 states and the probes checked in by the
+    kernel are what the generic loop continues from."""
+    system = SystemConfig(
+        hierarchy=micro_hierarchy_config(ncores=4),
+        label="micro",
+        duel_interval=64,
+        occupancy_sample_interval=7,
+    )
+    sims = run_continued(
+        system, policy, _fuzz_workload(5, 4), 300, batch=97, enable_coherence=True
+    )
+    assert_identical(sims)
+    _assert_coherence_exercised(sims)
 
 
 # ----------------------------------------------------------------------
@@ -265,4 +365,11 @@ def test_duplicate_probes_fall_back():
 
 
 def test_coherence_falls_back():
-    assert not kernel_batch.eligible(_hierarchy(None, enable_coherence=True))
+    """Coherent non-inclusive/exclusive/LAP runs take the kernel; the
+    policies it does not inline fall back, coherent or not."""
+    for policy in POLICIES:
+        assert kernel_batch.eligible(_hierarchy(None, policy=policy, enable_coherence=True))
+    for policy in ("flexclusion", "dswitch", "inclusive"):
+        assert not kernel_batch.eligible(
+            _hierarchy(None, policy=policy, enable_coherence=True)
+        )

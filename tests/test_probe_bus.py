@@ -40,7 +40,7 @@ from repro.workloads.mixes import make_multithreaded, make_table3_mix
 GOLDEN_PATH = Path(__file__).parent / "data" / "seed_hotpath_golden.json"
 
 MP_POLICIES = ("non-inclusive", "exclusive", "lap")
-MT_POLICIES = ("exclusive", "inclusive", "lap")
+MT_POLICIES = ("non-inclusive", "exclusive", "inclusive", "lap")
 
 
 def _norm(value):

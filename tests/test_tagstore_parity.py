@@ -126,8 +126,8 @@ def test_runresult_parity_generic(policy):
 def test_auto_backend_engages_kernel():
     """``tag_backend="auto"`` is the object store, and the batched kernel
     checks out from it: default-instrumented non-inclusive, exclusive
-    and LAP runs are kernel-eligible; inclusive and coherent runs are
-    not."""
+    and LAP runs are kernel-eligible, coherent or not; inclusive runs
+    and coherent switching policies are not."""
     system = SystemConfig.scaled()
     assert system.tag_backend == "auto"
     w = make_table3_mix("WL1", system.scale_context(), seed=1)
@@ -138,8 +138,12 @@ def test_auto_backend_engages_kernel():
     sim = Simulator(system, "inclusive", w)
     assert sim.tag_backend == "object"
     assert not kernel_batch.eligible(sim.hierarchy)
-    coherent = Simulator(system, "lap", w, enable_coherence=True)
-    assert not kernel_batch.eligible(coherent.hierarchy)
+    for policy in ("non-inclusive", "exclusive", "lap"):
+        coherent = Simulator(system, policy, w, enable_coherence=True)
+        assert kernel_batch.eligible(coherent.hierarchy), policy
+    for policy in ("flexclusion", "dswitch", "inclusive"):
+        coherent = Simulator(system, policy, w, enable_coherence=True)
+        assert not kernel_batch.eligible(coherent.hierarchy), policy
     probe_free = SystemConfig.scaled().probe_free()
     assert Simulator(probe_free, "lap", w).tag_backend == "object"
 
