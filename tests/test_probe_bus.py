@@ -5,7 +5,9 @@ into ``repro.instr`` probes promises three things, each pinned here:
 
 1. **Bit-identity**: default-instrumented runs reproduce exactly the
    stats the pre-refactor engine produced (golden file
-   ``tests/data/seed_hotpath_golden.json``, captured at the seed).
+   ``tests/data/seed_hotpath_golden.json``, captured at the seed; one
+   multiprogrammed entry per registered policy, the hybrid-only ones on
+   a hybrid LLC).
 2. **Equivalence**: an explicitly constructed legacy-equivalent probe
    list behaves identically to ``instrumentation="default"``, and a
    probe-free run keeps every mechanical counter unchanged while the
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arena import registry
 from repro.errors import ConfigurationError
 from repro.instr import (
     PROBE_EVENTS,
@@ -98,9 +101,13 @@ class TestGoldenBitIdentity:
     def golden(self):
         return json.loads(GOLDEN_PATH.read_text())
 
-    @pytest.mark.parametrize("policy", MP_POLICIES)
+    @pytest.mark.parametrize("policy", registry.names())
     def test_multiprogrammed_matches_seed(self, golden, policy):
-        _assert_matches_golden(_snapshot(_run_mp(policy)), golden[policy], policy)
+        hybrid = registry.get(policy).hybrid_only
+        system = SystemConfig.scaled(hybrid=True) if hybrid else None
+        _assert_matches_golden(
+            _snapshot(_run_mp(policy, system=system)), golden[policy], policy
+        )
 
     @pytest.mark.parametrize("policy", MT_POLICIES)
     def test_multithreaded_matches_seed(self, golden, policy):
