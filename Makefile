@@ -14,8 +14,8 @@ test:
 check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro check --fuzz 200
 
-# Hot-path throughput per tag-store backend; appends one timestamped
-# entry to BENCH_hotpath.json (DESIGN.md §13).
+# Hot-path throughput with the default probes and probe-free; appends
+# one timestamped entry to BENCH_hotpath.json (DESIGN.md §13).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench
 

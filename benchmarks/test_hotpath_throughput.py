@@ -1,11 +1,10 @@
 """Hot-path throughput microbenchmark: batched kernel vs generic loop.
 
 Measures raw simulator accesses/sec on the kernel-eligible policy trio
-over the full ``repro bench`` grid — both tag stores (``object``,
-``soa``) under both instrumentation specs (``default``: the paper's
-probes, as every shipped path runs; ``none``: probe-free) — all of
-which now take the batched kernel (DESIGN.md §13). Two more legs sit
-beside the grid: the generic per-reference loop on the object store
+over the full ``repro bench`` grid — both instrumentation specs
+(``default``: the paper's probes, as every shipped path runs; ``none``:
+probe-free) — all of which take the batched kernel (DESIGN.md §13).
+Two more legs sit beside the grid: the generic per-reference loop
 (``Simulator.enable_batch_kernel = False``) under both specs, which is
 what the kernel is measured against, and the probe-free kernel with the
 telemetry layer imported but idle. A coherent leg measures the kernel
@@ -14,10 +13,6 @@ probes), the configuration behind Fig. 20. The entry is **appended** to
 ``BENCH_hotpath.json`` at the repo root; earlier entries (including the
 pre-refactor record, preserved under ``"legacy"``) are never
 overwritten.
-
-The soa leg needs numpy: when numpy is unavailable the whole test skips
-loudly with a reason instead of silently passing on an object-only
-grid.
 
 ``PRE_REFACTOR_BASELINE`` pins the accesses/sec measured at the growth
 seed (commit ad4a4f6, always-on instrumentation, same workload/refs/
@@ -31,15 +26,13 @@ import pathlib
 import time
 from dataclasses import replace
 
-import pytest
-
 from repro.bench import (
+    BACKEND,
     BENCH_INSTRUMENTATION,
     append_entry,
     measure_throughput,
     run_hotpath_bench,
 )
-from repro.kernel import numpy_available
 from repro.sim.simulator import Simulator
 from repro.sim.system import SystemConfig
 from repro.workloads.mixes import make_multithreaded, make_table3_mix
@@ -116,21 +109,20 @@ def _coherent_throughput(policy: str) -> dict:
 
 
 def measure_grid() -> dict:
-    # The repro-bench grid: both stores x both specs, all on the kernel.
+    # The repro-bench grid: both specs, all on the kernel.
     entry = run_hotpath_bench(
         POLICIES,
-        ("object", "soa"),
         refs_per_core=REFS_PER_CORE,
         reps=REPS,
         seed=7,
     )
     entry["pre_refactor_accesses_per_sec"] = dict(PRE_REFACTOR_BASELINE)
     kernel = {
-        spec: {p: entry["accesses_per_sec"][spec][p]["object"] for p in POLICIES}
+        spec: {p: entry["accesses_per_sec"][spec][p][BACKEND] for p in POLICIES}
         for spec in SPECS
     }
 
-    # The generic per-reference loop over the same (object) store.
+    # The generic per-reference loop.
     generic = {}
     for spec in SPECS:
         system = replace(SystemConfig.scaled(), instrumentation=spec)
@@ -188,13 +180,6 @@ def measure_grid() -> dict:
 def test_hotpath_throughput(benchmark, emit):
     from conftest import run_once
 
-    if not numpy_available():
-        pytest.skip(
-            "numpy is not importable: the soa tag-store backend cannot "
-            "run, and an object-only grid would record a misleadingly "
-            "green entry"
-        )
-
     entry = run_once(benchmark, measure_grid)
     append_entry(BENCH_PATH, entry)
 
@@ -202,15 +187,14 @@ def test_hotpath_throughput(benchmark, emit):
     generic = entry["generic_accesses_per_sec"]
     speedup = entry["speedup_kernel_vs_generic"]
     lines = [
-        f"{'policy':15s} {'spec':8s} {'generic':>10s} {'object':>10s} {'soa':>10s} "
+        f"{'policy':15s} {'spec':8s} {'generic':>10s} {'kernel':>10s} "
         f"{'kernel/generic':>15s}"
     ]
     for policy in POLICIES:
         for spec in SPECS:
             lines.append(
                 f"{policy:15s} {spec:8s} {generic[spec][policy]:>10,} "
-                f"{rates[spec][policy]['object']:>10,} {rates[spec][policy]['soa']:>10,} "
-                f"{speedup[spec][policy]:>14.2f}x"
+                f"{rates[spec][policy][BACKEND]:>10,} {speedup[spec][policy]:>14.2f}x"
             )
     coherent = entry["coherent_accesses_per_sec"]
     coherent_speedup = entry["coherent_speedup_kernel_vs_generic"]

@@ -139,8 +139,8 @@ EXPERIMENT_INDEX: Sequence[ExperimentEntry] = (
                     "arena_writes"),
     ExperimentEntry("Harness", "Hot-path throughput (infrastructure)",
                     "Simulator accesses/sec on WL1 for the kernel-eligible trio: "
-                    "the generic per-reference loop vs the batched kernel on both "
-                    "tag stores, with the default probes and probe-free, plus "
+                    "the generic per-reference loop vs the batched kernel, "
+                    "with the default probes and probe-free, plus "
                     "kernel vs generic on a coherent (MOESI) PARSEC canneal run; "
                     "every run appends to BENCH_hotpath.json.",
                     "hotpath_throughput"),

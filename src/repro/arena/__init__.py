@@ -6,7 +6,7 @@ Two things live here:
   :mod:`~repro.arena.catalog`): the single source of truth for which
   inclusion policies exist, how to build them, and what each one
   claims — source paper + anchor, data-flow rules, invariant coverage,
-  SoA-kernel eligibility, and curated-set membership (``repro check``
+  batched-kernel eligibility, and curated-set membership (``repro check``
   default, ``--arena`` grid);
 - the **arena rivals**: mechanisms from papers other than LAP, riding
   the same :class:`~repro.inclusion.base.InclusionPolicy` protocol and

@@ -1,11 +1,10 @@
-"""Hot-path throughput benchmarking across tag stores and instrumentation.
+"""Hot-path throughput benchmarking across instrumentation specs.
 
 One bench run measures the simulation rate (accesses/sec, best of
-``reps`` to shed scheduler noise) for each requested policy on each
-requested backend under both instrumentation specs
-(``"default"``: the paper's probes, as every shipped path runs;
-``"none"``: probe-free), and appends the result as one timestamped
-entry to ``BENCH_hotpath.json``. The entry format is append-only
+``reps`` to shed scheduler noise) for each requested policy under both
+instrumentation specs (``"default"``: the paper's probes, as every
+shipped path runs; ``"none"``: probe-free), and appends the result as
+one timestamped entry to ``BENCH_hotpath.json``. The entry format is append-only
 history: re-running the bench never overwrites earlier measurements,
 so before/after comparisons across refactors stay in the file.
 
@@ -18,14 +17,14 @@ File schema (version 2)::
         {
           "timestamp": "2026-10-17T02:29:22Z",
           "workload": "WL1", "refs_per_core": 30000, "reps": 5,
-          "backends": ["object", "soa"],
+          "backends": ["object"],
           "instrumentation": ["default", "none"],
           "accesses_per_sec": {
-            "default": {"lap": {"object": <rate>, "soa": <rate>}},
-            "none": {"lap": {"object": <rate>, "soa": <rate>}}
+            "default": {"lap": {"object": <rate>}},
+            "none": {"lap": {"object": <rate>}}
           },
           "host_ref_ms": {      # host-speed reading per cell, same shape
-            "default": {"lap": {"object": <ms>, "soa": <ms>}}, ...
+            "default": {"lap": {"object": <ms>}}, ...
           },
           ...
         }, ...
@@ -38,6 +37,9 @@ Entries written before the instrumentation axis existed have no
 :func:`repro.obs.trend.entry_rates` reads them as ``"none"``. (In those
 entries the ``object`` column is the generic per-reference loop; since
 the batched kernel checks out from the object store, it is the kernel.)
+The per-cell ``"object"`` key and the ``"backends"`` list are kept so
+the whole history reads alike; entries from before the numpy layout was
+removed also hold ``"soa"`` columns, which stay as frozen history.
 
 A version-1 file (one flat dict, no ``entries``) is migrated in place
 on first append: the old record moves under ``"legacy"``.
@@ -52,9 +54,8 @@ import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from .kernel import numpy_available
 from .obs.trend import entry_rates
 from .sim.simulator import Simulator
 from .sim.system import SystemConfig
@@ -66,6 +67,9 @@ BENCH_POLICIES = ("non-inclusive", "exclusive", "lap")
 #: instrumentation specs benched by default: the shipped configuration
 #: and the probe-free one.
 BENCH_INSTRUMENTATION = ("default", "none")
+
+#: the one tag layout; entries keep it as their column key
+BACKEND = "object"
 
 DEFAULT_REFS = 30_000
 DEFAULT_REPS = 5
@@ -154,21 +158,14 @@ def host_reference_ms(repeats: int = 3) -> float:
 
 def run_hotpath_bench(
     policies: Sequence[str] = BENCH_POLICIES,
-    backends: Optional[Sequence[str]] = None,
     *,
     workload: str = "WL1",
     refs_per_core: int = DEFAULT_REFS,
     reps: int = DEFAULT_REPS,
     seed: int = 7,
 ) -> dict:
-    """Measure every (instrumentation, policy, backend) cell, over
+    """Measure every (instrumentation, policy) cell, over
     :data:`BENCH_INSTRUMENTATION`, and return one bench entry.
-
-    ``backends`` defaults to ``("object", "soa")`` when numpy is
-    importable and ``("object",)`` otherwise — the entry's
-    ``"backends"`` and ``"instrumentation"`` lists record what actually
-    ran, so a numpy-less environment produces an honestly-labelled
-    object-only entry rather than a silently identical "soa" column.
 
     :func:`host_reference_ms` is read before the first cell and after
     every cell; ``"host_ref_ms"`` records, in the shape of
@@ -176,8 +173,6 @@ def run_hotpath_bench(
     each cell, which :mod:`repro.obs.trend` uses to compare entries
     taken at different host speeds.
     """
-    if backends is None:
-        backends = ("object", "soa") if numpy_available() else ("object",)
     rates: Dict[str, Dict[str, Dict[str, int]]] = {}
     refs: Dict[str, Dict[str, Dict[str, float]]] = {}
     before = host_reference_ms()
@@ -186,31 +181,26 @@ def run_hotpath_bench(
         rates[spec] = {}
         refs[spec] = {}
         for policy in policies:
-            rates[spec][policy] = {}
-            refs[spec][policy] = {}
-            for backend in backends:
-                rates[spec][policy][backend] = round(
-                    measure_throughput(
-                        base.with_tag_backend(backend),
-                        policy,
-                        workload_name=workload,
-                        refs_per_core=refs_per_core,
-                        reps=reps,
-                        seed=seed,
-                    )
-                )
-                after = host_reference_ms()
-                refs[spec][policy][backend] = round((before + after) / 2, 3)
-                before = after
+            rate = measure_throughput(
+                base,
+                policy,
+                workload_name=workload,
+                refs_per_core=refs_per_core,
+                reps=reps,
+                seed=seed,
+            )
+            after = host_reference_ms()
+            rates[spec][policy] = {BACKEND: round(rate)}
+            refs[spec][policy] = {BACKEND: round((before + after) / 2, 3)}
+            before = after
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": workload,
         "refs_per_core": refs_per_core,
         "reps": reps,
         "seed": seed,
-        "backends": list(backends),
+        "backends": [BACKEND],
         "instrumentation": list(BENCH_INSTRUMENTATION),
-        "numpy_available": numpy_available(),
         "accesses_per_sec": rates,
         "host_ref_ms": refs,
     }

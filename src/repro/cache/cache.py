@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, List, NamedTuple, Optional
 
 from ..errors import ConfigurationError
-from ..kernel import make_tag_store
 from ..utils import ilog2, require_pow2
 from .block import CacheBlock
 from .replacement import LRUPolicy, ReplacementPolicy
@@ -65,13 +64,6 @@ class Cache:
     banks:
         Number of independently busy banks (address-interleaved at
         block granularity); used by the timing model.
-    backend:
-        Tag-store layout (see :mod:`repro.kernel`): ``"object"`` keeps
-        one Python block object per way, ``"soa"`` keeps numpy
-        struct-of-arrays matrices behind protocol-identical views.
-        ``None`` consults ``REPRO_TAG_BACKEND`` and defaults to
-        ``"object"``. The choice never changes semantics or stats —
-        only the memory layout and which execution engines can run.
     """
 
     def __init__(
@@ -84,7 +76,6 @@ class Cache:
         tech: str = "sram",
         sram_ways: Optional[int] = None,
         banks: int = 1,
-        backend: Optional[str] = None,
     ) -> None:
         require_pow2(size_bytes, f"{name} size_bytes")
         require_pow2(block_size, f"{name} block_size")
@@ -128,12 +119,7 @@ class Cache:
         # Tag extraction is ``addr >> _tag_shift``; precomputed so the
         # hot path slices each address exactly once per operation.
         self._tag_shift = self._offset_bits + self._index_bits
-        # The tag-array state lives in a swappable TagStore backend;
-        # ``self.sets`` aliases the store's protocol-identical set
-        # objects so every operation below is backend-agnostic.
-        self.store = make_tag_store(backend, num_sets, assoc, way_techs)
-        self.backend = self.store.kind
-        self.sets: List[CacheSet] = self.store.sets
+        self.sets: List[CacheSet] = [CacheSet(i, assoc, way_techs) for i in range(num_sets)]
         self.stats = CacheStats()
         self._tick = 0
         #: Optional per-set replacement resolver consulted on hit-path
@@ -394,18 +380,20 @@ class Cache:
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Total valid lines across all sets."""
-        return self.store.occupancy()
+        return sum(len(s.tag_map) for s in self.sets)
 
     def loop_block_occupancy(self) -> tuple[int, int]:
         """(valid lines, valid lines with loop_bit set) — Fig. 16 metric.
 
-        Delegates to the tag store: the object backend reads the per-set
-        incremental counters (O(num_sets)), the SoA backend reduces its
-        valid/loop matrices in two vector ops; see
+        Reads the per-set incremental counters in O(num_sets); see
         :meth:`~repro.cache.block.CacheBlock.set_loop_bit` for the
-        write-side discipline that keeps the counters exact.
+        write-side discipline that keeps them exact.
         """
-        return self.store.loop_block_occupancy()
+        valid = loops = 0
+        for s in self.sets:
+            valid += len(s.tag_map)
+            loops += s.loop_count
+        return valid, loops
 
     def resident_addrs(self) -> list[int]:
         """Block addresses of every valid line (test/diagnostic helper)."""

@@ -1,15 +1,10 @@
 """One set of a set-associative cache.
 
-A :class:`CacheSet` owns its ways and a tag→block map for O(1)
-lookups. The ways are block-protocol objects supplied by the cache's
-:class:`~repro.kernel.base.TagStore` backend: pre-allocated
-:class:`~repro.cache.block.CacheBlock` objects under the ``"object"``
-backend, :class:`~repro.kernel.soa.SoABlockView` proxies over numpy
-matrices under ``"soa"``. Everything in this class goes through the
-shared protocol, so set semantics are backend-independent by
-construction. Hybrid LLCs partition the ways of *every* set between an
-SRAM region and an STT-RAM region (Table II: 4 SRAM ways + 12 STT-RAM
-ways), so region filtering happens here.
+A :class:`CacheSet` owns its ways — pre-allocated
+:class:`~repro.cache.block.CacheBlock` objects, one per way — and a
+tag→block map for O(1) lookups. Hybrid LLCs partition the ways of
+*every* set between an SRAM region and an STT-RAM region (Table II:
+4 SRAM ways + 12 STT-RAM ways), so region filtering happens here.
 
 Each set also maintains ``loop_count`` — the number of valid ways whose
 loop-bit is set — incrementally: install/drop update it here, and every
@@ -30,17 +25,9 @@ class CacheSet:
 
     __slots__ = ("index", "blocks", "tag_map", "loop_count")
 
-    def __init__(
-        self,
-        index: int,
-        ways: int,
-        way_techs: List[str],
-        blocks: Optional[List[CacheBlock]] = None,
-    ) -> None:
+    def __init__(self, index: int, ways: int, way_techs: List[str]) -> None:
         self.index = index
-        if blocks is None:
-            blocks = [CacheBlock(w, way_techs[w]) for w in range(ways)]
-        self.blocks: List[CacheBlock] = blocks
+        self.blocks: List[CacheBlock] = [CacheBlock(w, way_techs[w]) for w in range(ways)]
         for block in self.blocks:
             block.cset = self
         self.tag_map: Dict[int, CacheBlock] = {}

@@ -124,12 +124,6 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--refs", type=int, default=20_000,
                         help="memory references per core (default: 20000)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tag-backend", choices=("auto", "object", "soa"),
-                        default="auto",
-                        help="tag-store layout: object (reference), soa "
-                        "(numpy struct-of-arrays), or auto (= object; "
-                        "default). Eligible runs take the batched kernel "
-                        "on either")
 
 
 def _system_from(args: argparse.Namespace) -> SystemConfig:
@@ -144,7 +138,6 @@ def _system_from(args: argparse.Namespace) -> SystemConfig:
         hybrid=args.hybrid,
         llc_kb=args.llc_kb,
         l2_kb=args.l2_kb,
-        tag_backend=getattr(args, "tag_backend", "auto"),
     )
 
 
@@ -594,7 +587,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         coherence=args.coherence,
         interval=args.interval,
         progress=(None if args.quiet else lambda m: print(f"  {m}", file=sys.stderr)),
-        tag_backend=args.tag_backend,
     )
     print(render_table(
         f"invariant checks ({len(policies)} policies, coherence={args.coherence}"
@@ -616,7 +608,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench: hot-path throughput across tag stores and instrumentation
+# bench: hot-path throughput across instrumentation specs
 # ----------------------------------------------------------------------
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.action == "trend":
@@ -628,23 +620,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         entry_rows,
         run_hotpath_bench,
     )
-    from .kernel import numpy_available
 
     policies = tuple(args.policy) if args.policy else BENCH_POLICIES
-    if args.backend:
-        backends = tuple(args.backend)
-    else:
-        backends = ("object", "soa") if numpy_available() else ("object",)
     if not args.quiet:
         print(
-            f"  benchmarking {len(policies)} policies x {len(backends)} "
-            f"backends x {len(BENCH_INSTRUMENTATION)} instrumentation specs "
+            f"  benchmarking {len(policies)} policies x "
+            f"{len(BENCH_INSTRUMENTATION)} instrumentation specs "
             f"({args.refs} refs/core, best of {args.reps})",
             file=sys.stderr,
         )
     entry = run_hotpath_bench(
         policies,
-        backends,
         workload=args.workload,
         refs_per_core=args.refs,
         reps=args.reps,
@@ -657,7 +643,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         print(render_table(
             f"hotpath accesses/sec ({entry['workload']}, {entry['timestamp']})",
-            ["policy", "instrumentation", *backends],
+            ["policy", "instrumentation", *entry["backends"]],
             entry_rows(entry),
         ))
         if args.out != "-":
@@ -1146,16 +1132,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which coherence modes to exercise (default: both)")
     p.add_argument("--interval", type=int, default=64,
                    help="invariant re-check period in references (default: 64)")
-    p.add_argument("--tag-backend", choices=("object", "soa"), default=None,
-                   help="pin every stage's tag-store layout (default: the "
-                   "REPRO_TAG_BACKEND env var, then object)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-stage progress on stderr")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser(
         "bench",
-        help="measure hot-path throughput per tag-store backend, with the "
+        help="measure hot-path throughput with the "
         "default probes and probe-free, and append the entry to "
         "BENCH_hotpath.json; "
         "`bench trend` analyses the accumulated history instead",
@@ -1173,10 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", action="append", default=None, metavar="NAME",
                    help="policy to bench (repeatable; default: the "
                    "kernel-eligible trio non-inclusive/exclusive/lap)")
-    p.add_argument("--backend", action="append", default=None,
-                   choices=("object", "soa"),
-                   help="tag-store backend to bench (repeatable; default: "
-                   "both when numpy is importable, object otherwise)")
     p.add_argument("--workload", default="WL1",
                    help="workload name (default: WL1)")
     p.add_argument("--refs", type=int, default=30_000,

@@ -34,7 +34,6 @@ from ..core.loop_bits import LoopBlockTracker
 from ..errors import SimulationError
 from ..inclusion.base import InclusionPolicy
 from ..instr import LoopProbe, Probe, ProbeBus, make_probes
-from ..kernel import resolve_backend
 from .config import HierarchyConfig
 from .coherence import CoherenceController
 from .timing import TimingModel
@@ -73,13 +72,6 @@ class CacheHierarchy:
     detector, and — when ``occupancy_sample_interval`` is positive —
     the occupancy sampler), an explicit sequence is used verbatim, and
     an empty sequence runs with zero per-access instrumentation.
-
-    ``tag_backend`` picks the tag-store layout for every cache in the
-    hierarchy (see :mod:`repro.kernel`): ``"object"`` or ``"soa"``;
-    ``None`` consults ``REPRO_TAG_BACKEND`` and defaults to
-    ``"object"``. Semantics and stats are backend-independent; the
-    choice only decides the memory layout (the batched kernel checks
-    out from either).
     """
 
     def __init__(
@@ -89,12 +81,9 @@ class CacheHierarchy:
         enable_coherence: bool = False,
         occupancy_sample_interval: int = 0,
         probes: Optional[Sequence[Probe]] = None,
-        tag_backend: Optional[str] = None,
     ) -> None:
         self.config = config
         self.policy = policy
-        self.tag_backend = resolve_backend(tag_backend)
-        backend = self.tag_backend
         block = config.block_size
         self.l1s: List[Cache] = [
             Cache(
@@ -104,7 +93,6 @@ class CacheHierarchy:
                 block,
                 replacement=LRUPolicy(),
                 tech="sram",
-                backend=backend,
             )
             for c in range(config.ncores)
         ]
@@ -116,7 +104,6 @@ class CacheHierarchy:
                 block,
                 replacement=LRUPolicy(),
                 tech="sram",
-                backend=backend,
             )
             for c in range(config.ncores)
         ]
@@ -130,7 +117,6 @@ class CacheHierarchy:
             tech="sram" if llc_cfg.tech.name.startswith("sram") else "stt",
             sram_ways=llc_cfg.sram_ways,
             banks=llc_cfg.banks,
-            backend=backend,
         )
         self.timing = TimingModel(config)
         self.stats = HierarchyStats()

@@ -1,4 +1,4 @@
-"""Batched reference loop over checked-out tag stores.
+"""Batched reference loop over checked-out tag arrays.
 
 The generic access path (:meth:`CacheHierarchy.access`) walks ~35
 Python calls per reference: clean layering, but ~9 microseconds per
@@ -6,8 +6,6 @@ access. This module is the same semantics with the layers flattened
 into one loop, for the configurations where nothing can observe the
 difference:
 
-- every cache's tag store supports checkout/checkin (both shipped
-  stores do),
 - the probe bus holds only the paper's standard probes — at most one
   each of exactly :class:`~repro.instr.probes.LoopProbe`,
   :class:`~repro.instr.probes.RedundantFillProbe` and
@@ -20,9 +18,8 @@ difference:
 
 Everything else falls back to the generic loop. The kernel is
 *required* to be bit-identical to it — same stats, same timing floats,
-same final tag-array state, same probe state — and the parity suites
-(``tests/test_tagstore_parity.py``, ``tests/test_kernel_probes.py``)
-hold it to that.
+same final tag-array state, same probe state — and the parity suite
+(``tests/test_kernel_probes.py``) holds it to that.
 
 How it stays exact: the per-access op sequence below is a line-by-line
 transcription of ``hierarchy.access`` + the policy flows, preserving
@@ -69,7 +66,7 @@ where the generic path calls it, in the same order:
   the memory read and its stall;
 - ``fill_state`` + ``on_l2_insert`` at the L2 fill and ``on_l2_drop``
   at the L2 victim, on the controller's own sharers map (keyed by block
-  address) and the L2 ``state`` column both stores check out;
+  address) and the L2 ``state`` column of the checked-out blocks;
 - ``on_store`` on the first dirtying store only — S/O upgrade, and the
   LLC copy discarded with ``note_llc_evict``;
 - ``_invalidate_peer`` (:func:`_invalidate_peers`) — peer L1 discard,
@@ -175,13 +172,64 @@ def eligible(hierarchy) -> bool:
     """Whether the batched kernel can run this hierarchy verbatim."""
     coherence = hierarchy.coherence
     return (
-        hierarchy.llc.store.supports_batch
-        and all(c.store.supports_batch for c in hierarchy.l1s)
-        and all(c.store.supports_batch for c in hierarchy.l2s)
-        and (coherence is None or type(coherence) is CoherenceController)
+        (coherence is None or type(coherence) is CoherenceController)
         and _kernel_probes(hierarchy.probe_bus.probes) is not None
         and kernel_mode(hierarchy.policy) is not None
     )
+
+
+def _checkout(cache) -> dict:
+    """Copy ``cache``'s blocks into the kernel's working state.
+
+    Flat lists in slot order (slot = set * assoc + way; MOESI ``state``
+    strings included, for coherent runs), per-set ``{tag: slot}`` dicts
+    and the loop counters. The blocks are stale until :func:`_checkin`.
+    """
+    blocks = [b for s in cache.sets for b in s.blocks]
+    assoc = cache.assoc
+    return {
+        "tag": [b.tag for b in blocks],
+        "valid": [b.valid for b in blocks],
+        "dirty": [b.dirty for b in blocks],
+        "loop": [b.loop_bit for b in blocks],
+        "last": [b.last_access for b in blocks],
+        "iseq": [b.insert_seq for b in blocks],
+        "rrpv": [b.rrpv for b in blocks],
+        "state": [b.state for b in blocks],
+        "maps": [
+            {t: s.index * assoc + b.way for t, b in s.tag_map.items()}
+            for s in cache.sets
+        ],
+        "loop_counts": [s.loop_count for s in cache.sets],
+    }
+
+
+def _checkin(cache, state: dict) -> None:
+    """Write a checked-out working state back into ``cache``'s blocks
+    and rebuild its per-set tag maps and loop counters."""
+    blocks = [b for s in cache.sets for b in s.blocks]
+    for b, tag, valid, dirty, loop, last, iseq, rrpv, moesi in zip(
+        blocks,
+        state["tag"],
+        state["valid"],
+        state["dirty"],
+        state["loop"],
+        state["last"],
+        state["iseq"],
+        state["rrpv"],
+        state["state"],
+    ):
+        b.tag = tag
+        b.valid = valid
+        b.dirty = dirty
+        b.loop_bit = loop
+        b.last_access = last
+        b.insert_seq = iseq
+        b.rrpv = rrpv
+        b.state = moesi
+    for s, slot_map, loops in zip(cache.sets, state["maps"], state["loop_counts"]):
+        s.tag_map = {t: blocks[slot] for t, slot in slot_map.items()}
+        s.loop_count = loops
 
 
 def _flatten_maps(per_set_maps, idx_bits) -> dict:
@@ -353,7 +401,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     write_stall = 0.0
 
     # Per-LLC-slot service latencies / technology (hybrid-aware).
-    slot_techs = llc.store.way_techs * llc.num_sets
+    slot_techs = [b.tech for s in llc.sets for b in s.blocks]
     r_serv = [
         timing.sram_read_latency if t == "sram" else timing.llc_read_latency
         for t in slot_techs
@@ -372,9 +420,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # kernel phases are flat several-hundred-line regions and spans are
     # per-phase, never per-reference, so the hot loop stays untouched.
     checkout_span = start_span("kernel.checkout", ncores=ncores)
-    l1_st = [c.store.checkout() for c in h.l1s]
-    l2_st = [c.store.checkout() for c in h.l2s]
-    ll_st = llc.store.checkout()
+    l1_st = [_checkout(c) for c in h.l1s]
+    l2_st = [_checkout(c) for c in h.l2s]
+    ll_st = _checkout(llc)
 
     l1_tag = [s["tag"] for s in l1_st]
     l1_val = [s["valid"] for s in l1_st]
@@ -1109,12 +1157,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         l2_st[core]["maps"] = _unflatten_maps(
             m2_flat[core], h.l2s[core].num_sets, l2_mask, l2_idx_bits
         )
-        h.l1s[core].store.checkin(l1_st[core])
-        h.l2s[core].store.checkin(l2_st[core])
+        _checkin(h.l1s[core], l1_st[core])
+        _checkin(h.l2s[core], l2_st[core])
         h.l1s[core]._tick = l1_tick[core]
         h.l2s[core]._tick = l2_tick[core]
     ll_st["maps"] = _unflatten_maps(ll_flat, llc.num_sets, llc_mask, llc_idx_bits)
-    llc.store.checkin(ll_st)
+    _checkin(llc, ll_st)
     llc._tick = ll_tick
 
     if trk:

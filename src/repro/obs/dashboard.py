@@ -11,8 +11,9 @@ bench trend with regression highlighting.
 
 Chart conventions (kept deliberately boring so the data is the loud
 part): single-series charts use one accent hue with no legend; the
-bench trend's two backends use the first two categorical slots (blue =
-object, orange = soa) with a legend; pass/fail status uses the
+bench trend's two backend columns use the first two categorical slots
+(blue = object, orange = soa, which only entries from before the numpy
+layout was removed hold) with a legend; pass/fail status uses the
 reserved status palette *with* a textual badge so color never carries
 meaning alone; all text wears text tokens, never a series color; dark
 mode is its own selected steps behind ``prefers-color-scheme``, not an
@@ -335,7 +336,6 @@ def _section_invariants(check_rows: Optional[Sequence[Tuple[str, Optional[bool],
 
 def _section_provenance(ledger: RunLedger) -> str:
     source_rows = [[k, _fmt(v)] for k, v in sorted(ledger.by_source().items())]
-    backend_rows = [[k, _fmt(v)] for k, v in sorted(ledger.by_backend().items())]
     dirs = "".join(f'<div class="mono">{_esc(d)}</div>' for d in ledger.dirs)
     problems = ""
     if ledger.problems:
@@ -345,15 +345,10 @@ def _section_provenance(ledger: RunLedger) -> str:
             f'<ul class="note">{items}</ul>'
         )
     return (
-        '<div class="grid-wrap">'
         '<div class="card"><h2 style="margin-top:0">Result provenance</h2>'
         + _table(["source", "jobs"], source_rows)
         + '<p class="note">cache = warm result-cache hit; pool/serial = freshly '
         "simulated; disk = cache entry with no manifest row</p></div>"
-        '<div class="card"><h2 style="margin-top:0">Tag-store backends</h2>'
-        + _table(["backend", "jobs"], backend_rows)
-        + f'<p class="note">as specified on the job (auto resolves at run time)</p>'
-        f"</div></div>"
         f'<div class="card"><h2 style="margin-top:0">Scanned directories</h2>{dirs}'
         f"{problems}</div>"
     )

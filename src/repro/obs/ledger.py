@@ -6,11 +6,10 @@ spec *and* its full metrics), ``spans.jsonl`` (the span trace), and any
 ``*.metrics.json`` / ``metrics.json`` registry snapshots written by
 ``--metrics``. :func:`scan_dirs` walks one or more such directories and
 merges everything into a :class:`RunLedger`: one :class:`LedgerRow` per
-job with provenance (tag-store backend, policy, cache-hit source,
-retries) and headline result metrics, plus the merged span and metrics
-material. The ledger is what ``repro report`` renders and what any
-future fleet aggregation ships between hosts — plain JSON-safe data,
-no simulator objects.
+job with provenance (policy, cache-hit source, retries) and headline
+result metrics, plus the merged span and metrics material. The ledger
+is what ``repro report`` renders and what any future fleet aggregation
+ships between hosts — plain JSON-safe data, no simulator objects.
 
 Scanning is forgiving by design: a corrupt entry, a missing manifest,
 or a half-written span dump downgrades to a partial row (and a note in
@@ -53,8 +52,6 @@ class LedgerRow:
     accesses: int = 0
     accesses_per_s: float = 0.0
     retries: int = 0
-    #: Tag-store backend the job was *specified* with ("auto"/"object"/"soa").
-    backend: str = "?"
     cache_dir: str = ""
     #: Headline result metrics (RunResult.summary) when the cache entry
     #: was readable; empty for manifest-only rows.
@@ -76,7 +73,6 @@ class LedgerRow:
             "accesses": self.accesses,
             "accesses_per_s": self.accesses_per_s,
             "retries": self.retries,
-            "backend": self.backend,
             "cache_dir": self.cache_dir,
             "metrics": dict(self.metrics),
         }
@@ -106,12 +102,6 @@ class RunLedger:
         counts: Dict[str, int] = {}
         for r in self.rows:
             counts[r.source] = counts.get(r.source, 0) + 1
-        return counts
-
-    def by_backend(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for r in self.rows:
-            counts[r.backend] = counts.get(r.backend, 0) + 1
         return counts
 
     def total_retries(self) -> int:
@@ -153,7 +143,6 @@ class RunLedger:
                 "workloads": len(self.workloads()),
                 "policies": len(self.policies()),
                 "by_source": self.by_source(),
-                "by_backend": self.by_backend(),
                 "retries": self.total_retries(),
                 "simulated_accesses": self.simulated_accesses(),
                 "wall_s": self.total_wall_s(),
@@ -224,14 +213,12 @@ def _scan_entries(root: pathlib.Path, ledger: RunLedger,
         if row is None:
             row = rows[key] = LedgerRow(key=key, cache_dir=str(root))
         workload = job.get("workload", {})
-        system = job.get("system", {})
         row.policy = job.get("policy", row.policy)
         row.refs_per_core = int(job.get("refs_per_core", row.refs_per_core))
         if row.workload == "?":
             row.workload = result.workload
         if row.system == "?":
             row.system = result.system
-        row.backend = system.get("tag_backend", row.backend)
         summary = result.summary()
         row.metrics = {k: float(v) for k, v in summary.items()}
         row.metrics["llc_hit_rate"] = (

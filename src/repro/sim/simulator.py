@@ -11,7 +11,6 @@ are disjoint by construction, so every snoop would miss).
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional, Sequence, Union
 
@@ -21,7 +20,6 @@ from ..errors import SimulationError
 from ..hierarchy.hierarchy import CacheHierarchy
 from ..inclusion.base import InclusionPolicy
 from ..instr import Probe
-from ..kernel import ENV_VAR, resolve_backend
 from ..obs.spans import span
 from ..workloads.mixes import MULTITHREADED, Workload
 from .results import RunResult
@@ -63,22 +61,14 @@ class Simulator:
             probes = system.probes()
         #: when True (default), runs that pass
         #: :func:`repro.kernel.batch.eligible` execute through the batched
-        #: kernel; parity tests set this False to force the generic loop
-        #: over the same store.
+        #: kernel; parity tests set this False to force the generic loop.
         self.enable_batch_kernel = True
-        # ``REPRO_TAG_BACKEND`` outranks the config; ``"auto"`` is the
-        # object store, which the kernel checks out from directly.
-        requested = os.environ.get(ENV_VAR) or system.tag_backend
-        self.tag_backend = resolve_backend(
-            "object" if requested == "auto" else requested
-        )
         self.hierarchy = CacheHierarchy(
             system.hierarchy,
             policy,
             enable_coherence=enable_coherence,
             occupancy_sample_interval=system.occupancy_sample_interval,
             probes=probes,
-            tag_backend=self.tag_backend,
         )
 
     def run(self, refs_per_core: int, batch: int = DEFAULT_BATCH) -> RunResult:

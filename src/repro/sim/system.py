@@ -32,15 +32,11 @@ class SystemConfig:
     zero per-access instrumentation overhead, and a comma-separated
     list of probe names selects exactly those probes.
 
-    ``tag_backend`` selects the tag-store layout (see
-    :mod:`repro.kernel`): ``"object"`` (one Python block per way),
-    ``"soa"`` (numpy struct-of-arrays), or ``"auto"``, which is
-    ``"object"``. Either store runs through the batched kernel when
-    :func:`repro.kernel.batch.eligible` holds — non-inclusive/
+    Runs go through the batched kernel (:mod:`repro.kernel.batch`) when
+    :func:`~repro.kernel.batch.eligible` holds — non-inclusive/
     exclusive/LAP, coherent or not, and instrumentation that is
     probe-free or a subset of the default probes — and through the
-    generic loop otherwise. Stats are bit-identical across backends and
-    paths; the knob only changes speed.
+    generic loop otherwise. Stats are bit-identical across the two.
     """
 
     hierarchy: HierarchyConfig
@@ -50,7 +46,6 @@ class SystemConfig:
     duel_interval: int = 4096
     occupancy_sample_interval: int = 2048
     instrumentation: str = "default"
-    tag_backend: str = "auto"
 
     # ------------------------------------------------------------------
     # stock configurations
@@ -118,11 +113,6 @@ class SystemConfig:
         loop (the policies it does not inline) it saves their dispatch.
         """
         return replace(self, instrumentation="none")
-
-    def with_tag_backend(self, backend: str) -> "SystemConfig":
-        """Same system pinned to one tag-store backend (parity tests and
-        ``repro bench`` use this)."""
-        return replace(self, tag_backend=backend)
 
     def probes(self):
         """The probe list implied by ``instrumentation`` (fresh instances)."""

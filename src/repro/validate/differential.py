@@ -59,7 +59,6 @@ def run_trace(
     enable_coherence: bool = False,
     interval: int = 64,
     sram_ways: Optional[int] = None,
-    tag_backend: Optional[str] = None,
     **config_kwargs,
 ) -> CacheHierarchy:
     """Replay ``trace`` under ``policy`` with the invariant probe armed.
@@ -68,11 +67,8 @@ def run_trace(
     :class:`InvariantProbe` checking every ``interval`` references, and
     finishes the run (which runs one final check pass). Lhybrid-family
     policies get a hybrid LLC automatically (4 SRAM ways) when
-    ``sram_ways`` is not given. ``tag_backend`` pins the tag-store
-    layout (default: the ``REPRO_TAG_BACKEND`` environment override,
-    then ``"object"``) — the probe keeps every run on the generic
-    access path, so this exercises the backend's store protocol, not
-    the batched kernel. Raises
+    ``sram_ways`` is not given. The probe keeps every run on the
+    generic access path, not the batched kernel. Raises
     :class:`~repro.errors.InvariantViolation` on the first failure.
     """
     if isinstance(policy, str):
@@ -86,7 +82,6 @@ def run_trace(
         policy,
         enable_coherence=enable_coherence,
         probes=(probe,),
-        tag_backend=tag_backend,
     )
     for core, addr, is_write in trace:
         h.access(core, addr, is_write)
@@ -140,7 +135,6 @@ def run_differential(
     enable_coherence: bool = False,
     interval: int = 64,
     sram_ways: Optional[int] = None,
-    tag_backend: Optional[str] = None,
     **config_kwargs,
 ) -> DifferentialReport:
     """Run ``trace`` under every policy and assert the cross-policy laws.
@@ -164,7 +158,6 @@ def run_differential(
             enable_coherence=enable_coherence,
             interval=interval,
             sram_ways=sram_ways,
-            tag_backend=tag_backend,
             **config_kwargs,
         )
         report.hier[name] = runs[name].stats.snapshot()

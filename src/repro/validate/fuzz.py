@@ -100,11 +100,7 @@ def generate_trace(
     return trace[:refs]
 
 
-def run_case(
-    case: FuzzCase,
-    trace: Optional[Sequence[Ref]] = None,
-    tag_backend: Optional[str] = None,
-) -> None:
+def run_case(case: FuzzCase, trace: Optional[Sequence[Ref]] = None) -> None:
     """Replay one case (its generated trace unless ``trace`` is given);
     raises :class:`InvariantViolation` on failure."""
     if trace is None:
@@ -115,7 +111,6 @@ def run_case(
         ncores=case.ncores,
         enable_coherence=case.enable_coherence,
         interval=case.interval,
-        tag_backend=tag_backend,
     )
 
 
@@ -174,11 +169,9 @@ class FuzzFailure:
         )
 
 
-def _failure_for(
-    case: FuzzCase, trace: Sequence[Ref], tag_backend: Optional[str] = None
-) -> Optional[InvariantViolation]:
+def _failure_for(case: FuzzCase, trace: Sequence[Ref]) -> Optional[InvariantViolation]:
     try:
-        run_case(case, trace, tag_backend=tag_backend)
+        run_case(case, trace)
     except InvariantViolation as exc:
         return exc
     return None
@@ -193,7 +186,6 @@ def fuzz(
     refs: int = 600,
     progress: Optional[Callable[[int, FuzzCase], None]] = None,
     shrink: bool = True,
-    tag_backend: Optional[str] = None,
 ) -> List[FuzzFailure]:
     """Run ``rounds`` fuzz cases round-robin over policies × coherence.
 
@@ -217,7 +209,7 @@ def fuzz(
         if progress is not None:
             progress(i, case)
         trace = generate_trace(case.seed, case.refs, case.ncores)
-        exc = _failure_for(case, trace, tag_backend)
+        exc = _failure_for(case, trace)
         if exc is None:
             continue
         invariant = getattr(exc, "invariant", "unknown")
@@ -226,7 +218,7 @@ def fuzz(
             tight = replace(case, interval=1)
 
             def same_failure(candidate: Sequence[Ref]) -> bool:
-                again = _failure_for(tight, candidate, tag_backend)
+                again = _failure_for(tight, candidate)
                 return again is not None and getattr(again, "invariant", None) == invariant
 
             if same_failure(trace):

@@ -78,14 +78,8 @@ def run_checks(
     coherence: str = "both",
     interval: int = 64,
     progress: Optional[Callable[[str], None]] = None,
-    tag_backend: Optional[str] = None,
 ) -> CheckReport:
-    """Run the full validation suite; see the module docstring.
-
-    ``tag_backend`` pins every stage's tag-store layout (``"object"``
-    or ``"soa"``); ``None`` defers to the ``REPRO_TAG_BACKEND``
-    environment override and then the object default.
-    """
+    """Run the full validation suite; see the module docstring."""
     report = CheckReport()
     say = progress or (lambda _msg: None)
     modes = _modes(coherence)
@@ -106,7 +100,6 @@ def run_checks(
                     ncores=ncores,
                     enable_coherence=coherent,
                     interval=interval,
-                    tag_backend=tag_backend,
                 )
             except InvariantViolation as exc:
                 report.entries.append(CheckEntry(label, False, str(exc)))
@@ -129,7 +122,6 @@ def run_checks(
                 ncores=ncores,
                 enable_coherence=coherent,
                 interval=interval,
-                tag_backend=tag_backend,
             )
         except InvariantViolation as exc:
             report.entries.append(CheckEntry(label, False, str(exc)))
@@ -158,7 +150,6 @@ def run_checks(
             policies,
             base_seed=seed,
             coherence_modes=coherence_modes,
-            tag_backend=tag_backend,
         )
         report.fuzz_failures = failures
         if failures:

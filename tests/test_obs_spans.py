@@ -230,14 +230,11 @@ class TestIntegration:
 
     def test_kernel_spans_nest_under_simulate(self):
         from repro import make_workload, simulate
-        from repro.kernel import numpy_available
         from repro.sim import SystemConfig
 
-        if not numpy_available():
-            pytest.skip("numpy-less environment: no batched kernel")
         rec = SpanRecorder()
         install_recorder(rec)
-        system = SystemConfig.scaled(tag_backend="soa").probe_free()
+        system = SystemConfig.scaled().probe_free()
         workload = make_workload("WL1", system, seed=0)
         simulate(system, "lap", workload, refs_per_core=400)
         by_name = {s["name"]: s for s in rec.spans()}
