@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check bench bench-figures lint trace-demo serve-demo arena-demo suite-demo report
+.PHONY: test check bench bench-figures lint trace-demo arena-demo suite-demo report
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -57,12 +57,6 @@ arena-demo:
 suite-demo:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/suite_demo.py loop 3000
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro corpus verify --dir tests/data/corpus
-
-# Boot the simulation service, submit one Fig. 14 cell twice (same
-# server, then a restarted server on the shared cache dir) and assert
-# the second and third submissions never simulate (DESIGN.md §12).
-serve-demo:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/serve_demo.py
 
 # `ruff` is an optional dependency (`pip install -e '.[lint]'`); the
 # target degrades to a notice where it is unavailable so `make lint`

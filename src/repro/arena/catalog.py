@@ -5,7 +5,7 @@ only, loaded lazily by the registry on first use. The same entries
 drive ``repro list``, the DESIGN.md §15 catalog table (doc-sync
 tested), the default ``repro check`` set, the ``--arena`` grid, and
 policy-name validation everywhere a name enters the system (CLI,
-JobSpec, serve submissions).
+JobSpec, ``JobSpec.from_dict``).
 
 Registration order is meaningful: :func:`~repro.arena.registry.names`
 and the derived curated sets preserve it, and the differential

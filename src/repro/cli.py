@@ -48,15 +48,6 @@ Commands
     ``verify`` every stored trace against its manifest and checksums,
     or ``capture`` a synthetic workload's streams straight into the
     corpus.
-``serve``
-    Run the simulation service (``repro.serve``): an asyncio HTTP/JSON
-    server that accepts job specs, coalesces identical submissions,
-    short-circuits warm-cache hits, and schedules the rest fairly
-    across clients through the execution pool.
-``submit`` / ``status`` / ``result``
-    Client side of ``serve``: submit one (workload, policy) job spec
-    (``--wait`` polls to completion and prints the summary), poll a
-    job id, or fetch a finished result.
 
 Every command accepts ``--refs``, ``--seed`` and system-shape flags so
 sweeps can be scripted from the shell; all output is plain ASCII.
@@ -707,113 +698,6 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# serve: the simulation service and its client commands
-# ----------------------------------------------------------------------
-def _job_spec_from(args: argparse.Namespace):
-    """One (workload, policy) JobSpec from the standard system flags."""
-    from .exec import JobSpec, WorkloadSpec
-    from .workloads.mixes import TABLE3_MIXES
-    from .workloads.parsec import PARSEC_BENCHMARKS
-
-    system = _system_from(args)
-    name = args.workload
-    if name in TABLE3_MIXES:
-        workload = WorkloadSpec.mix(name, seed=args.seed)
-    elif name in PARSEC_BENCHMARKS:
-        workload = WorkloadSpec.multithreaded(
-            name, nthreads=system.hierarchy.ncores, seed=args.seed
-        )
-    else:
-        workload = WorkloadSpec.duplicate(
-            name, ncores=system.hierarchy.ncores, seed=args.seed
-        )
-    return JobSpec(
-        system=system, workload=workload, policy=args.policy,
-        refs_per_core=args.refs,
-    )
-
-
-def _serve_client(args: argparse.Namespace):
-    from .serve import ServeClient
-
-    return ServeClient(
-        host=args.host, port=args.port,
-        client_id=getattr(args, "client", None) or "cli",
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServeConfig, serve_forever
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        cache=get_active_cache(),
-        job_workers=args.job_workers,
-        heartbeat_interval=args.heartbeat if args.heartbeat > 0 else None,
-    )
-    return serve_forever(config)
-
-
-def _print_job_status(status: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return
-    rows = [[k, status[k]] for k in
-            ("id", "state", "client", "workload", "policy", "system",
-             "source", "coalesced", "wall_s", "error")]
-    print(render_table("job", ["field", "value"], rows))
-    for line in status.get("progress", ()):
-        print(f"  {line}")
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    spec = _job_spec_from(args)
-    client = _serve_client(args)
-    receipt = client.submit(spec)
-    if not args.wait:
-        _print_job_status(receipt, args.json)
-        return 0
-    status = receipt
-    if receipt["state"] not in ("done", "failed"):
-        status = client.wait(receipt["id"], timeout=args.timeout)
-    result = client.result(status["id"])
-    summary = result.summary()
-    if args.json:
-        print(json.dumps({**status, "summary": summary}, indent=2, sort_keys=True))
-    else:
-        _print_job_status(status, False)
-        print()
-        print(render_table(
-            f"{args.workload} under {args.policy} (via repro serve)",
-            ["metric", "value"],
-            [[k, v] for k, v in summary.items()],
-        ))
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    _print_job_status(_serve_client(args).status(args.job_id), args.json)
-    return 0
-
-
-def _cmd_result(args: argparse.Namespace) -> int:
-    result = _serve_client(args).result(args.job_id)
-    summary = result.summary()
-    if args.json:
-        print(json.dumps({"id": args.job_id, **summary}, indent=2, sort_keys=True))
-    else:
-        print(render_table(
-            f"result {args.job_id[:12]}…",
-            ["metric", "value"],
-            [[k, v] for k, v in summary.items()],
-        ))
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     actions = {
         "record": _cmd_trace_record,
@@ -1170,54 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress on stderr")
     p.set_defaults(fn=_cmd_bench)
-
-    from .serve.protocol import DEFAULT_PORT
-
-    def _add_endpoint_args(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--host", default="127.0.0.1")
-        sp.add_argument("--port", type=int, default=DEFAULT_PORT)
-
-    p = sub.add_parser("serve", help="run the simulation service "
-                       "(HTTP/JSON over the exec engine)")
-    _add_endpoint_args(p)
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent simulations (default: 2)")
-    p.add_argument("--queue-limit", type=int, default=256, metavar="N",
-                   help="global queued-job bound before backpressure "
-                   "(default: 256)")
-    p.add_argument("--job-workers", type=int, default=1, metavar="N",
-                   help="process-pool width per job (default: 1 = in-thread)")
-    p.add_argument("--heartbeat", type=float, default=5.0, metavar="SECONDS",
-                   help="per-job progress-line interval (default: 5; "
-                   "0 disables)")
-    p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser("submit", help="submit one job spec to a running "
-                       "`repro serve`")
-    p.add_argument("workload")
-    p.add_argument("policy")
-    _add_endpoint_args(p)
-    p.add_argument("--client", default="cli", metavar="NAME",
-                   help="client identity for fair scheduling (default: cli)")
-    p.add_argument("--wait", action="store_true",
-                   help="poll until done and print the metric summary")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS",
-                   help="--wait deadline (default: 600)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_system_args(p)
-    p.set_defaults(fn=_cmd_submit)
-
-    p = sub.add_parser("status", help="status of one submitted job")
-    p.add_argument("job_id")
-    _add_endpoint_args(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=_cmd_status)
-
-    p = sub.add_parser("result", help="fetch a finished job's metric summary")
-    p.add_argument("job_id")
-    _add_endpoint_args(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=_cmd_result)
 
     p = sub.add_parser(
         "suite",

@@ -59,33 +59,6 @@ class ExecutionError(ReproError):
     """
 
 
-class ServeError(ReproError):
-    """The simulation service failed (``repro.serve``).
-
-    Raised for malformed submissions, unknown job ids, results
-    requested before a job finishes, unreachable servers, and error
-    responses a client receives from a server.
-    """
-
-    def __init__(self, message: str, status: int = 400) -> None:
-        super().__init__(message)
-        #: The HTTP status the server maps this error to (and the
-        #: status a client observed when re-raising a server error).
-        self.status = status
-
-
-class BackpressureError(ServeError):
-    """The service's global queue is full; the submission was shed.
-
-    Corresponds to the wire-level 429 ``{"error": "backpressure"}``
-    response. Clients should back off and retry rather than treat this
-    as a permanent failure.
-    """
-
-    def __init__(self, message: str = "backpressure: server queue is full") -> None:
-        super().__init__(message, status=429)
-
-
 class TelemetryError(ReproError):
     """The observability layer failed (``repro.telemetry``).
 

@@ -8,15 +8,15 @@ wrong, only misses. A size cap evicts least-recently-used entries
 (mtime order; hits refresh mtime). Corrupt or schema-mismatched files
 count as misses and are deleted on sight.
 
-The directory is safe to share between independent writers (the serve
-daemon, concurrent CLI invocations, pool workers): every store writes
-a process-unique temporary file and publishes it with an atomic
-``os.replace``, so readers only ever observe complete entries, and
-every directory walk tolerates entries that a racing eviction (or
-``clear``) deletes mid-scan. Two processes storing the same key both
-win — the entries are byte-identical by construction (content
-addressing plus deterministic simulation), so last-replace-wins is a
-no-op.
+The directory is safe to share between independent writers (concurrent
+CLI invocations sharing one ``--cache-dir``, pool workers, threads of
+one library caller): every store writes a process- and thread-unique
+temporary file and publishes it with an atomic ``os.replace``, so
+readers only ever observe complete entries, and every directory walk
+tolerates entries that a racing eviction (or ``clear``) deletes
+mid-scan. Two processes storing the same key both win — the entries
+are byte-identical by construction (content addressing plus
+deterministic simulation), so last-replace-wins is a no-op.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024  # 512 MiB of JSON ≈ hundreds of thousan
 # the benchmark harness both honour it).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-# Distinguishes concurrent in-process writers (serve worker threads)
-# sharing one pid; combined with the pid it makes temp names unique
-# across processes sharing a cache directory.
+# Distinguishes concurrent in-process writers (threads of any library
+# caller) sharing one pid; combined with the pid it makes temp names
+# unique across processes sharing a cache directory.
 _tmp_counter = itertools.count()
 
 

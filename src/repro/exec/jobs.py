@@ -31,8 +31,10 @@ from .serialize import system_from_dict, system_to_dict
 
 # Bump whenever the meaning of a cached result changes (serialisation
 # format, simulator semantics, metric definitions): old entries then
-# miss instead of resurrecting stale results.
-CACHE_SCHEMA_VERSION = 1
+# miss instead of resurrecting stale results. A test binds each version
+# to the digest of the seed golden (tests/test_probe_bus.py), so a
+# golden re-capture without a bump fails.
+CACHE_SCHEMA_VERSION = 2
 
 DUPLICATE = "duplicate"
 MIX = "mix"
@@ -212,7 +214,7 @@ class JobSpec:
         if not isinstance(self.policy, str) or not self.policy:
             raise ExecutionError("JobSpec.policy must be a non-empty policy name")
         # The registry is the single source of truth for policy names:
-        # validate at admission (CLI, serve submissions, from_dict all
+        # validate at admission (CLI, library callers, from_dict all
         # funnel through here) and canonicalise aliases so "noni" and
         # "non-inclusive" share one cache key.
         from ..arena import registry

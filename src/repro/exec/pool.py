@@ -32,8 +32,8 @@ with a raw traceback — pending work is cancelled, every *completed*
 job is still cached and profiled, the manifest is still written, and
 the caller receives a partial :class:`ExecutionOutcome` with
 ``interrupted=True`` (SIGTERM is bridged to ``KeyboardInterrupt``
-while the batch runs, main thread only — worker-thread callers such as
-the serve daemon inherit their host's signal handling untouched).
+while the batch runs, main thread only — a library caller that runs
+a batch in a worker thread keeps its host's signal handling untouched).
 
 Workers serialise results with :mod:`repro.exec.serialize` rather than
 pickling :class:`RunResult` objects, so the parallel path returns
@@ -49,7 +49,7 @@ import pickle
 import signal
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ExecutionError, ReproError
 from ..obs.spans import current_recorder, span, tracing_enabled
@@ -167,8 +167,8 @@ def _sigterm_as_interrupt() -> Iterator[None]:
     Lets a supervisor's ``kill`` trigger the same graceful partial
     shutdown as Ctrl-C. Signal handlers are a main-thread-only,
     process-global resource, so this is a no-op off the main thread
-    (e.g. ``execute_jobs`` running inside a serve worker thread) and
-    on platforms that refuse the handler.
+    (e.g. ``execute_jobs`` called from a library caller's worker
+    thread) and on platforms that refuse the handler.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -208,7 +208,6 @@ def execute_jobs(
     retries: int = 1,
     manifest_dir: Optional[Union[str, pathlib.Path]] = None,
     heartbeat_interval: Optional[float] = None,
-    heartbeat_emit: Optional[Callable[[str], None]] = None,
 ) -> ExecutionOutcome:
     """Execute ``jobs`` and return one :class:`RunResult` per job, in order.
 
@@ -220,7 +219,7 @@ def execute_jobs(
     of transiently-failed jobs (default: one retry). ``manifest_dir``
     writes the run manifest there (``manifest.json``);
     ``heartbeat_interval`` emits progress lines at most that many
-    seconds apart (via ``heartbeat_emit``, default stderr).
+    seconds apart on stderr.
 
     SIGINT/SIGTERM mid-batch returns a *partial* outcome instead of
     raising: completed jobs are cached, profiled, and manifest-logged
@@ -236,7 +235,7 @@ def execute_jobs(
         raise ExecutionError(f"retries must be >= 0, got {retries}")
     results: List[Optional[RunResult]] = [None] * len(jobs)
     profiles: List[Optional[JobProfile]] = [None] * len(jobs)
-    pulse = Heartbeat(len(jobs), heartbeat_interval, emit=heartbeat_emit)
+    pulse = Heartbeat(len(jobs), heartbeat_interval)
 
     batch_span = span("exec.batch", jobs=len(jobs), max_workers=max_workers)
     misses: List[int] = []

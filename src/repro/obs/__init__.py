@@ -1,15 +1,12 @@
-"""Observability: span tracing, Prometheus exposition, ledger, dashboard.
+"""Observability: span tracing, ledger, dashboard.
 
-Import discipline: this package ``__init__`` pulls in only the two
-dependency-light leaves (``spans``, ``prom``) because the exec pool,
-the simulator, and the serve layer import them at module load —
-``ledger``/``dashboard``/``trend`` reach back into ``repro.exec`` and
-must be imported explicitly (``from repro.obs import ledger``) to keep
-the import graph acyclic.
+Import discipline: this package ``__init__`` pulls in only the
+dependency-light ``spans`` leaf because the exec pool and the
+simulator import it at module load — ``ledger``/``dashboard``/``trend``
+reach back into ``repro.exec`` and must be imported explicitly
+(``from repro.obs import ledger``) to keep the import graph acyclic.
 """
 
-from .prom import CONTENT_TYPE as PROM_CONTENT_TYPE
-from .prom import check_exposition, render_prometheus, sanitize_name
 from .spans import (
     SPANS_ENV,
     SPANS_NAME,
@@ -26,17 +23,13 @@ from .spans import (
 )
 
 __all__ = [
-    "PROM_CONTENT_TYPE",
     "SPANS_ENV",
     "SPANS_NAME",
     "SpanRecorder",
-    "check_exposition",
     "current_recorder",
     "install_recorder",
     "read_spans",
     "recorder_from_env",
-    "render_prometheus",
-    "sanitize_name",
     "span",
     "start_span",
     "summarize_spans",

@@ -19,11 +19,11 @@ Usage::
     current_recorder().dump("spans.jsonl")
 
 The recorder is process-global and thread-safe; each thread keeps its
-own parent stack, so spans opened on the serve event loop, a worker
-thread, and the main thread never mis-parent each other. The execution
-pool dumps the recorder next to ``manifest.json`` (as ``spans.jsonl``)
-whenever tracing is on, and the CLI's global ``--spans PATH`` turns
-tracing on for any command.
+own parent stack, so spans opened on a worker thread and on the main
+thread never mis-parent each other. The execution pool dumps the
+recorder next to ``manifest.json`` (as ``spans.jsonl``) whenever
+tracing is on, and the CLI's global ``--spans PATH`` turns tracing on
+for any command.
 
 Dump format is one JSON object per line::
 
@@ -272,8 +272,8 @@ def span(name: str, **attrs: Any) -> Span:
 
     When tracing is off this returns a shared no-op object — the cost
     is one global read and one ``is None`` test, which is why spans are
-    safe to leave compiled into the exec pool, the serve request path,
-    and the kernel flow permanently.
+    safe to leave compiled into the exec pool and the kernel flow
+    permanently.
     """
     recorder = _recorder
     if recorder is None:

@@ -8,7 +8,7 @@ Where :mod:`repro.instr` observes a *single* simulation from inside
   streams the probe-bus event vocabulary to compressed JSONL and loads
   it back as typed records;
 - the **metrics registry** (:class:`MetricsRegistry` with
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram`) collects
+  :class:`Counter` / :class:`Histogram`) collects
   process-local roll-ups from the simulator, the hierarchy, and the
   execution pool, snapshot-able to JSON;
 - **per-job profiling** (:class:`JobProfile` / :class:`RunManifest`)
@@ -28,7 +28,6 @@ from .diff import Divergence, TraceDiff, TraceSummary, diff_traces, summarize_tr
 from .metrics import (
     BUCKET_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -64,7 +63,6 @@ __all__ = [
     "EVENT_FIELDS",
     "EVENT_GROUPS",
     "EVENT_TYPES",
-    "Gauge",
     "Heartbeat",
     "Histogram",
     "JobProfile",

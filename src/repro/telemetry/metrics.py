@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, and log-bucket histograms.
+"""Process-local metrics: counters and log-bucket histograms.
 
 The registry is the cross-run companion to :mod:`repro.instr`'s
 per-run probes: the simulator, the hierarchy, and the execution pool
@@ -67,28 +67,10 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise TelemetryError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        # += is a read-modify-write, NOT atomic under the GIL; serve
-        # worker threads and the event loop inc the same counters.
+        # += is a read-modify-write, NOT atomic under the GIL; any
+        # library caller's threads may inc the same counter.
         with self._lock:
             self.value += amount
-
-
-class Gauge:
-    """A value that can move both ways (queue depth, cache bytes)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: Number) -> None:
-        self.value = float(value)
-
-    def add(self, delta: Number) -> None:
-        with self._lock:
-            self.value += float(delta)
 
 
 class Histogram:
@@ -166,13 +148,13 @@ class Histogram:
             }
 
 
-Instrument = Union[Counter, Gauge, Histogram]
+Instrument = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
     """Named instruments, created on first use, snapshot-able to JSON.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first
+    ``counter``/``histogram`` are get-or-create: the first
     call for a name fixes its kind, and asking for the same name as a
     different kind raises :class:`~repro.errors.TelemetryError` (a
     silent re-type would corrupt dashboards downstream). Creation takes
@@ -211,9 +193,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
@@ -235,17 +214,14 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-safe dict of every instrument, grouped by kind."""
         counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, object] = {}
         for name in self.names():
             inst = self._instruments[name]
             if isinstance(inst, Counter):
                 counters[name] = inst.value
-            elif isinstance(inst, Gauge):
-                gauges[name] = inst.value
             else:
                 histograms[name] = inst.as_dict()
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def snapshot_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)

@@ -1,8 +1,8 @@
-"""Concurrent-writer safety of the result cache (satellite of the
-serve PR): many independent ``ResultCache`` instances — the in-process
-stand-in for many processes, since instances share no state, only the
-directory — hammer one cache dir while evictions race, and two real
-processes share one dir with exactly one simulation between them."""
+"""Concurrent-writer safety of the result cache: many independent
+``ResultCache`` instances — the in-process stand-in for many processes,
+since instances share no state, only the directory — hammer one cache
+dir while evictions race, and two real processes share one dir with
+exactly one simulation between them."""
 
 import json
 import subprocess
@@ -103,10 +103,9 @@ class TestConcurrentWriters:
 
 class TestTwoProcessesOneCacheDir:
     def test_identical_specs_across_processes_simulate_once(self, tmp_path):
-        """The serve deployment model: independent processes (server +
-        CLI) share one cache dir; the second submission of an identical
-        spec must be a pure cache hit — zero simulations — and return
-        the byte-identical result."""
+        """Independent CLI invocations sharing one ``--cache-dir``: the
+        second run of an identical spec must be a pure cache hit — zero
+        simulations — and return the byte-identical result."""
         script = r"""
 import json, sys
 sys.path.insert(0, {src!r})

@@ -1,9 +1,12 @@
-"""Graceful-shutdown semantics of execute_jobs (satellite of the serve
-PR): SIGINT/SIGTERM mid-batch yields a partial ExecutionOutcome with
-completed work cached and manifest-logged, not a raw traceback."""
+"""Graceful-shutdown semantics of execute_jobs: SIGINT/SIGTERM
+mid-batch yields a partial ExecutionOutcome with completed work cached
+and manifest-logged, not a raw traceback; off the main thread the
+batch leaves the process's signal handling alone."""
 
 import os
 import signal
+import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -114,3 +117,29 @@ class TestGracefulInterrupt:
             assert get_registry().counter("exec.interrupted").value == 1
         finally:
             set_registry(previous)
+
+
+def test_execute_jobs_off_the_main_thread(tmp_path):
+    """A worker thread cannot install signal handlers, so the SIGTERM
+    bridge must be a no-op there: the batch completes, its results match
+    a main-thread run, and the process's SIGTERM handler is untouched."""
+    batch = jobs(2, refs=200)
+    handler_before = signal.getsignal(signal.SIGTERM)
+    box = {}
+
+    def run():
+        try:
+            box["outcome"] = execute_jobs(batch, cache=ResultCache(tmp_path / "cache"))
+        except BaseException as exc:  # surfaced after join
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert "error" not in box, box.get("error")
+    assert signal.getsignal(signal.SIGTERM) is handler_before
+    threaded = box["outcome"]
+    assert not threaded.interrupted
+    main = execute_jobs(batch)
+    assert [asdict(r) for r in threaded] == [asdict(r) for r in main]

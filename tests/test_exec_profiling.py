@@ -256,13 +256,9 @@ class TestHeartbeat:
         pulse.final(10)
         assert len(lines) == 1  # final always emits
 
-    def test_execute_jobs_heartbeat_plumbing(self):
-        lines = []
-        execute_jobs(
-            make_jobs(2, refs=200),
-            heartbeat_interval=0.0,
-            heartbeat_emit=lines.append,
-        )
+    def test_execute_jobs_heartbeat_plumbing(self, capsys):
+        execute_jobs(make_jobs(2, refs=200), heartbeat_interval=0.0)
+        lines = capsys.readouterr().err.splitlines()
         assert lines  # at least the final line
         assert "2/2 job(s) done" in lines[-1]
 

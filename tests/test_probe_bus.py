@@ -15,8 +15,13 @@ into ``repro.instr`` probes promises three things, each pinned here:
 3. **Substrate invariants**: the incrementally maintained loop-block
    occupancy counter matches a brute-force scan, and the coherence
    controller's sharers map matches the actual L2 contents.
+
+The golden also pins the result cache's semantics version: each
+``CACHE_SCHEMA_VERSION`` is bound to the digest of the golden it was
+released with, so changing results without a version bump fails here.
 """
 
+import hashlib
 import json
 import random
 from dataclasses import asdict
@@ -26,6 +31,7 @@ import pytest
 
 from repro.arena import registry
 from repro.errors import ConfigurationError
+from repro.exec import CACHE_SCHEMA_VERSION
 from repro.instr import (
     PROBE_EVENTS,
     LoopProbe,
@@ -41,6 +47,11 @@ from repro.testing import build_micro, run_refs
 from repro.workloads.mixes import make_multithreaded, make_table3_mix
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "seed_hotpath_golden.json"
+
+#: SHA-256 of the golden's canonical JSON, per cache semantics version.
+GOLDEN_DIGESTS = {
+    2: "b23e1e7f077e835801da425b8f5020e4e63f73ba5f1ecf9e2ea9c0fcfa69e8fa",
+}
 
 MP_POLICIES = ("non-inclusive", "exclusive", "lap")
 MT_POLICIES = ("non-inclusive", "exclusive", "inclusive", "lap")
@@ -114,6 +125,20 @@ class TestGoldenBitIdentity:
         _assert_matches_golden(
             _snapshot(_run_mt(policy)), golden[f"mt-{policy}"], f"mt-{policy}"
         )
+
+
+def test_cache_version_is_bound_to_golden():
+    canonical = json.dumps(
+        json.loads(GOLDEN_PATH.read_text()), sort_keys=True, separators=(",", ":")
+    )
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    assert GOLDEN_DIGESTS.get(CACHE_SCHEMA_VERSION) == digest, (
+        f"{GOLDEN_PATH.name} (sha256 {digest}) does not match the digest "
+        f"recorded for CACHE_SCHEMA_VERSION {CACHE_SCHEMA_VERSION}: results "
+        "changed, so persisted cache entries are stale. Bump "
+        "CACHE_SCHEMA_VERSION in repro/exec/jobs.py and add a "
+        "GOLDEN_DIGESTS row for the new version with this digest."
+    )
 
 
 class TestProbeEquivalence:

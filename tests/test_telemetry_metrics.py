@@ -10,7 +10,6 @@ from repro.telemetry.metrics import (
     BUCKET_LABELS,
     OVERFLOW_LABEL,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -40,14 +39,6 @@ class TestCounter:
         with pytest.raises(TelemetryError, match="jobs"):
             c.inc(-1)
         assert c.value == 0
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.add(-1.5)
-        assert g.value == 1.5
 
 
 class TestHistogram:
@@ -109,8 +100,6 @@ class TestRegistry:
         r = MetricsRegistry()
         r.counter("a")
         with pytest.raises(TelemetryError, match="Counter"):
-            r.gauge("a")
-        with pytest.raises(TelemetryError, match="Counter"):
             r.histogram("a")
 
     def test_rejects_bad_names(self):
@@ -130,11 +119,9 @@ class TestRegistry:
     def test_snapshot_groups_by_kind(self):
         r = MetricsRegistry()
         r.counter("jobs").inc(2)
-        r.gauge("depth").set(1.5)
         r.histogram("wall").observe(0.5)
         snap = r.snapshot()
         assert snap["counters"] == {"jobs": 2}
-        assert snap["gauges"] == {"depth": 1.5}
         assert snap["histograms"]["wall"]["count"] == 1
         assert snap["histograms"]["wall"]["buckets"] == {"5e-01": 1}
 
@@ -260,11 +247,6 @@ class TestConcurrency:
         r = MetricsRegistry()
         self._hammer(lambda: r.counter("jobs").inc())
         assert r.counter("jobs").value == self.N_THREADS * self.PER_THREAD
-
-    def test_concurrent_gauge_adds_are_exact(self):
-        r = MetricsRegistry()
-        self._hammer(lambda: r.gauge("depth").add(1))
-        assert r.gauge("depth").value == self.N_THREADS * self.PER_THREAD
 
     def test_concurrent_histogram_observes_are_exact(self):
         r = MetricsRegistry()
