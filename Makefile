@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check bench bench-figures lint trace-demo arena-demo suite-demo report
+.PHONY: test check bench bench-e2e bench-figures lint trace-demo arena-demo suite-demo report
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -18,6 +18,15 @@ check:
 # one timestamped entry to BENCH_hotpath.json (DESIGN.md §13).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench
+
+# The repo benchmark end to end: perfbench/run.py for every
+# BENCHMARK.json workload, for its declared run length, at --trace 0
+# and 1; one record per run appended to BENCH_e2e.json. CHECKOUT=<dir>
+# measures another checkout (e.g. a clone of the parent commit) into
+# the same file.
+CHECKOUT ?= .
+bench-e2e:
+	$(PYTHON) benchmarks/bench_e2e.py --checkout $(CHECKOUT)
 
 # The HTML fleet dashboard (DESIGN.md §14) over a result-cache dir:
 # runs a tiny traced sweep into CACHE_DIR when it is empty, then

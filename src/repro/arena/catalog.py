@@ -61,8 +61,9 @@ register(PolicyEntry(
     summary="capacity/bandwidth-driven non-inclusive/exclusive switching",
     paper="FLEXclusion (Sim et al., ISCA 2012) via " + _LAP_PAPER,
     anchor="Table IV",
-    rules="set-dueling flips the whole LLC between noni and ex data flows",
-    kernel=GENERIC,
+    rules="set-dueling between noni and ex: leader sets keep their flow; "
+          "followers adopt ex only when its leaders miss >= 2% less",
+    kernel=BATCHED,
     check_default=True,
     events=("llc_fill", "clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -72,8 +73,9 @@ register(PolicyEntry(
     summary="write-aware dynamic switching",
     paper=_LAP_PAPER,
     anchor="Table IV",
-    rules="like flexclusion but the duel counts LLC writes, not misses",
-    kernel=GENERIC,
+    rules="like flexclusion, but followers adopt the flow whose leaders "
+          "score lower on LLC writes + 0.6 x misses",
+    kernel=BATCHED,
     check_default=True,
     events=("llc_fill", "clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
 ))

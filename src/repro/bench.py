@@ -61,7 +61,8 @@ from .sim.simulator import Simulator
 from .sim.system import SystemConfig
 
 #: the kernel-eligible policies the hot-path bench tracks by default —
-#: one per batched-kernel mode (non-inclusion, exclusion, LAP).
+#: one per batched-kernel flow (non-inclusion, exclusion, LAP; the
+#: switchers run the first two).
 BENCH_POLICIES = ("non-inclusive", "exclusive", "lap")
 
 #: instrumentation specs benched by default: the shipped configuration

@@ -1039,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "best prior value")
     p.add_argument("--policy", action="append", default=None, metavar="NAME",
                    help="policy to bench (repeatable; default: the "
-                   "kernel-eligible trio non-inclusive/exclusive/lap)")
+                   "kernel's three flows non-inclusive/exclusive/lap)")
     p.add_argument("--workload", default="WL1",
                    help="workload name (default: WL1)")
     p.add_argument("--refs", type=int, default=30_000,

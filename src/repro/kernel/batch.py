@@ -14,7 +14,8 @@ difference:
 - coherence is off, or is the stock
   :class:`~repro.hierarchy.coherence.CoherenceController` (exact type),
 - the inclusion policy is one the kernel inlines: non-inclusive,
-  exclusive, or LAP over an LRU baseline (all three replacement modes).
+  exclusive, LAP over an LRU baseline (all three replacement modes), or
+  the FLEXclusion and Dswitch switchers.
 
 Everything else falls back to the generic loop. The kernel is
 *required* to be bit-identical to it — same stats, same timing floats,
@@ -94,9 +95,16 @@ The speed comes from four reductions of per-reference Python work:
 - **precomputed L1 stamps** — the L1 tick advances exactly once per
   reference (hit or fill), so its stamps are a numpy arange per batch.
 
-Set-dueling (LAP) is inlined the same way: static leader roles are
-precomputed per set, and the tick/record/decide state machine runs on
-local ints that are written back to the controller at the end.
+Set-dueling is inlined the same way, for LAP and the switchers alike:
+static leader roles are precomputed per set, and the tick/record/decide
+state machine runs on local ints that are written back to the controller
+at the end. The switchers reuse the non-inclusive and exclusive branches:
+after the tick the ``noni``/``exm`` flags are set from the demand set's
+role (leaders keep their flow, followers take the winner), and again
+from the victim's set at the L2-victim site, so one unified victim flow
+covers every merge across mode flips. Their three LLC-write sites (the
+non-inclusive fill, the victim update and the victim insert) count
+leader writes for Dswitch's decision; LAP counts none.
 """
 
 from __future__ import annotations
@@ -116,6 +124,7 @@ from ..cache.block import (
 from ..core.lap import LAPPolicy
 from ..core.loop_bits import LoopBlockTracker
 from ..hierarchy.coherence import CoherenceController
+from ..inclusion.switching import DswitchPolicy, FLEXclusionPolicy
 from ..inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from ..instr.probes import LoopProbe, OccupancySampler, RedundantFillProbe
 from ..obs.spans import start_span
@@ -123,6 +132,7 @@ from ..obs.spans import start_span
 MODE_NONI = 0
 MODE_EX = 1
 MODE_LAP = 2
+MODE_SWITCH = 3
 
 _LAP_REPL = {"lru": 0, "loop": 1, "duel": 2}
 
@@ -143,6 +153,8 @@ def kernel_mode(policy) -> Optional[int]:
         return MODE_EX
     if t is LAPPolicy and policy.baseline == "lru":
         return MODE_LAP
+    if t is FLEXclusionPolicy or t is DswitchPolicy:
+        return MODE_SWITCH
     return None
 
 
@@ -510,10 +522,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     noni = mode == MODE_NONI
     exm = mode == MODE_EX
     lap = mode == MODE_LAP
+    # Switchers re-set noni/exm per set (SwitchingPolicy.mode_for) at the
+    # demand set and at the victim's set; the other modes keep them fixed.
+    sw = mode == MODE_SWITCH
     lap_repl = _LAP_REPL[policy.replacement_mode] if lap else 0
     lap_loop_mode = lap and lap_repl == 1
     lap_duel_mode = lap and lap_repl == 2
-    dueling = policy.dueling if lap else None
+    dueling = policy.dueling if lap or sw else None
     duel_on = dueling is not None
     if duel_on:
         roles = [dueling.role(s) for s in range(llc.num_sets)]
@@ -708,6 +723,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             lb_miss //= 2
                             duel_wa //= 2
                             duel_wb //= 2
+                    if sw:
+                        # mode_for: leaders keep their flow, followers
+                        # take the winner (0 = noni, 1 = ex)
+                        r = roles[si]
+                        exm = (duel_winner if r is None else r) == 1
+                        noni = not exm
                     s = ll_flat.get(blk)
                     out_dirty = False
                     if s is None:
@@ -757,6 +778,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             ll_fillw += 1
                             if rf_on:  # on_llc_fill
                                 fresh.add(blk << off)
+                            if sw:  # _record_duel_write
+                                r = roles[si]
+                                if r == 0:
+                                    duel_wa += 1
+                                elif r == 1:
+                                    duel_wb += 1
                             wnow = ck
                             free = busy[bk]
                             st = free - wnow
@@ -942,6 +969,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         #   absent               -> insert(d=ev_dirty),
                         #     loop bit: ex keeps, LAP clean keeps,
                         #     dirty-merge clears; dirtyw/cleanw by d
+                        if sw:  # mode_for(line.addr)
+                            r = roles[ev_blk & llc_mask]
+                            exm = (duel_winner if r is None else r) == 1
+                            noni = not exm
                         if ev_dirty or not noni:
                             esi = ev_blk & llc_mask
                             ebk = ev_blk & bank_mask
@@ -976,6 +1007,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                         ll_cleanw += 1
                                         if streak and (ev_blk << off) in streak:  # on_clean_insert
                                             loop_reins += 1
+                                    if sw:  # _record_duel_write
+                                        r = roles[esi]
+                                        if r == 0:
+                                            duel_wa += 1
+                                        elif r == 1:
+                                            duel_wb += 1
                                 # loop-bit reconciliation on the copy
                                 nl = ev_loop if (exm or not ev_dirty) else False
                                 if nl != ll_loop[es]:
@@ -1050,6 +1087,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                     ll_cleanw += 1
                                     if streak and (ev_blk << off) in streak:  # on_clean_insert
                                         loop_reins += 1
+                                if sw:  # _record_duel_write
+                                    r = roles[esi]
+                                    if r == 0:
+                                        duel_wa += 1
+                                    elif r == 1:
+                                        duel_wb += 1
                                 wnow = ck
                                 free = busy[ebk]
                                 st = free - wnow

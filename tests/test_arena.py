@@ -133,13 +133,24 @@ class TestCatalog:
 
     def test_design_section15_documents_every_entry(self):
         """Doc-sync: DESIGN.md §15 must catalog every registered policy
-        with its source paper."""
+        with its source paper, and the §15.2 table's kernel column must
+        match each entry's declaration."""
         text = (pathlib.Path(__file__).parent.parent / "DESIGN.md").read_text()
         section = text.split("## 15. Policy arena")[1]
+        # §15.2 rows: | `name` (`alias`) | source | kernel | sets | rules |
+        kernel_column = {}
+        for line in section.split("### 15.2 Catalog")[1].splitlines():
+            cells = [c.strip() for c in line.split("|")[1:-1]]
+            if cells and cells[0].startswith("`"):
+                kernel_column[cells[0].split("`")[1]] = cells[2]
         for e in registry.entries():
             assert f"`{e.name}`" in section, f"{e.name} missing from DESIGN.md §15"
             citation = e.paper.split(" via ")[0]
             assert citation in section, f"{e.name}: paper {citation!r} not in §15"
+            assert kernel_column.get(e.name) == e.kernel, (
+                f"{e.name}: §15.2 kernel column says {kernel_column.get(e.name)!r}, "
+                f"registry declares {e.kernel!r}"
+            )
 
     def test_jobspec_admission_canonicalises(self):
         from repro.exec.jobs import JobSpec, WorkloadSpec

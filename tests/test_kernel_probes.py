@@ -19,7 +19,9 @@ kernel accepts, WL and WH mixes, and fuzzer traces on a micro hierarchy
 (non-unrolled victim scans, addresses shared between cores, sample
 points at every offset of the batch stream). Coherent (MOESI) runs add
 the L2 ``state`` column and the sharers map, which must equal both the
-controller's snapshot and the map rebuilt from the L2 tag arrays.
+controller's snapshot and the map rebuilt from the L2 tag arrays. The
+switchers (FLEXclusion, Dswitch) also run at short duel intervals, so
+their follower sets flip between the non-inclusive and exclusive flows.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import pytest
 from repro.cache import Cache
 from repro.core.loop_bits import LoopBlockTracker
 from repro.exec.serialize import result_to_dict
+from repro.inclusion.switching import FLEXclusionPolicy
 from repro.instr import LoopProbe, OccupancySampler, RedundantFillProbe
 from repro.kernel import batch as kernel_batch
 from repro.kernel import batched_policy_names
@@ -49,8 +52,9 @@ from repro.workloads.mixes import (
 )
 from repro.workloads.tracefile import ReplayTrace
 
-#: every policy declared batched (non-inclusive, exclusive, lap, lap-lru,
-#: lap-loop) — derived, so a new batched policy joins automatically.
+#: every policy declared batched (non-inclusive, exclusive, flexclusion,
+#: dswitch, lap, lap-lru, lap-loop) — derived, so a new batched policy
+#: joins automatically.
 POLICIES = batched_policy_names()
 
 #: instrumentation specs the kernel carries (both probe orders included:
@@ -297,6 +301,34 @@ def test_coherent_parsec_parity(policy):
     assert coh.snoop_broadcasts and coh.cache_to_cache and coh.invalidation_messages
 
 
+def _assert_dueling_exercised(pair) -> None:
+    """Both leaders won intervals, so follower sets changed flow and the
+    parity covers the mode flips, not one fixed flow."""
+    stats = pair[0][0].policy.dueling.stats
+    assert stats.decisions_a > 0 and stats.decisions_b > 0
+
+
+@pytest.mark.parametrize("interval", (16, 64))
+@pytest.mark.parametrize("workload", ("WH2", "streamcluster"))
+@pytest.mark.parametrize("policy", ("flexclusion", "dswitch"))
+def test_switching_flip_parity(policy, workload, interval):
+    """Short duel intervals flip the switchers' followers between the
+    non-inclusive and exclusive flows many times per run, on a
+    multiprogrammed mix and on a coherent PARSEC workload."""
+    system = replace(_mix_system("default"), duel_interval=interval)
+    ctx = system.scale_context()
+
+    def make():
+        if workload == "WH2":
+            return make_table3_mix("WH2", ctx, seed=5)
+        return make_multithreaded(workload, ctx, nthreads=4, seed=3)
+
+    pair = run_pair(system, policy, make, refs=1500, runs=2, batch=500)
+    assert (pair[0][0].hierarchy.coherence is None) == (workload == "WH2")
+    assert_identical(pair)
+    _assert_dueling_exercised(pair)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_coherent_kernel_then_generic_continues_exactly(policy):
     """The sharers map, the L2 states and the probes checked in by the
@@ -360,11 +392,17 @@ def test_kernel_mode_exact_policy_types():
     assert kernel_mode(make_policy("exclusive")) == kernel_batch.MODE_EX
     assert kernel_mode(make_policy("lap")) == kernel_batch.MODE_LAP
     assert kernel_mode(make_policy("lap-lru")) == kernel_batch.MODE_LAP
+    assert kernel_mode(make_policy("flexclusion")) == kernel_batch.MODE_SWITCH
+    assert kernel_mode(make_policy("dswitch")) == kernel_batch.MODE_SWITCH
     # srrip baseline has no kernel flow; subclasses/others fall back
     assert kernel_mode(make_policy("lap-rrip")) is None
     assert kernel_mode(make_policy("inclusive")) is None
-    assert kernel_mode(make_policy("flexclusion")) is None
     assert kernel_mode(make_policy("lhybrid")) is None
+
+    class TunedFLEXclusion(FLEXclusionPolicy):
+        pass
+
+    assert kernel_mode(TunedFLEXclusion()) is None
 
 
 # ----------------------------------------------------------------------
@@ -419,26 +457,26 @@ def test_duplicate_probes_fall_back():
 
 
 def test_default_system_engages_kernel():
-    """Default-instrumented non-inclusive/exclusive/LAP runs take the
-    kernel, and so does a probe-free LAP run; the policies it does not
-    inline fall back."""
+    """Default-instrumented runs of every batched policy (the switchers
+    included) take the kernel, and so does a probe-free LAP run; the
+    policies it does not inline fall back."""
     for policy in POLICIES:
         assert kernel_batch.eligible(_hierarchy(None, policy=policy)), policy
-    for policy in ("flexclusion", "dswitch", "inclusive"):
-        assert not kernel_batch.eligible(_hierarchy(None, policy=policy)), policy
+    assert {"flexclusion", "dswitch"} <= set(POLICIES)
+    assert not kernel_batch.eligible(_hierarchy(None, policy="inclusive"))
     probe_free = SystemConfig.scaled().probe_free()
     w = make_table3_mix("WL1", probe_free.scale_context(), seed=1)
     assert kernel_batch.eligible(Simulator(probe_free, "lap", w).hierarchy)
 
 
 def test_coherence_falls_back():
-    """Coherent non-inclusive/exclusive/LAP runs take the kernel; the
-    policies it does not inline fall back, coherent or not."""
+    """Coherent runs of every batched policy (the switchers included)
+    take the kernel; the policies it does not inline fall back, coherent
+    or not."""
     for policy in POLICIES:
         assert kernel_batch.eligible(
             _hierarchy(None, policy=policy, enable_coherence=True)
         ), policy
-    for policy in ("flexclusion", "dswitch", "inclusive"):
-        assert not kernel_batch.eligible(
-            _hierarchy(None, policy=policy, enable_coherence=True)
-        ), policy
+    assert not kernel_batch.eligible(
+        _hierarchy(None, policy="inclusive", enable_coherence=True)
+    )
