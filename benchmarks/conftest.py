@@ -11,13 +11,15 @@ paper. Conventions:
   record (EXPERIMENTS.md is assembled from these);
 - reference counts come from :data:`repro.analysis.figures.
   DEFAULT_BENCH_REFS` (override with the ``REPRO_REFS`` env var);
-- setting ``REPRO_CACHE_DIR=<dir>`` opts repeated harness invocations
-  into the ``repro.exec`` result cache: every spec-described simulation
-  is memoised by content address, so re-running the harness (or single
-  figures while iterating on analysis code) skips identical runs. The
-  tier-1 command (``PYTHONPATH=src python -m pytest -x -q``) collects
-  only ``tests/`` (see ``pyproject.toml``) and never sets the variable,
-  so tier-1 always stays cache-off.
+- the harness always runs with an active ``repro.exec`` result cache,
+  so every simulation is memoised by content address and figures that
+  share runs (Figs. 14/15/16/18 all simulate the Table III mixes)
+  simulate each one once. ``REPRO_CACHE_DIR=<dir>`` only picks the
+  directory: set it to keep results across harness invocations (or
+  single figures while iterating on analysis code); unset, the cache
+  lives in a per-session temporary directory. The tier-1 command
+  (``PYTHONPATH=src python -m pytest -x -q``) collects only ``tests/``
+  (see ``pyproject.toml``), so this fixture never reaches tier-1.
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session", autouse=True)
-def repro_result_cache():
-    """Opt-in result cache for the whole harness run (``REPRO_CACHE_DIR``)."""
-    from repro.exec import cache_from_env, set_active_cache
+def repro_result_cache(tmp_path_factory):
+    """Result cache for the whole harness run (``REPRO_CACHE_DIR`` or a tmp dir)."""
+    from repro.exec import ResultCache, cache_from_env, set_active_cache
 
-    cache = cache_from_env()
-    if cache is None:
-        yield None
-        return
+    cache = cache_from_env() or ResultCache(tmp_path_factory.mktemp("repro-cache"))
     previous = set_active_cache(cache)
     try:
         yield cache

@@ -1,9 +1,9 @@
-"""Extension ablation: set-dueling cadence and leader density for LAP.
+"""Extension ablation: set-dueling cadence for LAP.
 
 Not a paper figure — DESIGN.md §6 calls this out: how sensitive is LAP
-to the dueling interval and to the 1/64 leader-set fraction the paper
-fixes? The expectation is robustness: energy within a few percent
-across an order of magnitude of cadence.
+to the dueling interval? The 1/64 leader-set fraction the paper fixes
+is not swept. The expectation is robustness: energy within a few
+percent across an order of magnitude of cadence.
 """
 
 from conftest import run_once
@@ -24,20 +24,12 @@ def _sweep():
     rows = {}
     refs = max(6000, DEFAULT_BENCH_REFS // 2)
     for interval in (512, 2048, 8192):
-        for period in (32, 64):
-            label = f"interval={interval},period={period}"
-            acc = 0.0
-            for mix in MIXES:
-                system = SystemConfig.scaled(duel_interval=interval)
-                res = run_policies(
-                    system, ("non-inclusive",), mix_builder(mix), refs
-                )
-                base = res["non-inclusive"]
-                lap = run_policies(
-                    system, ("lap",), mix_builder(mix), refs
-                )["lap"]
-                acc += lap.epi / base.epi / len(MIXES)
-            rows[label] = {"lap_epi_vs_noni": acc}
+        system = SystemConfig.scaled(duel_interval=interval)
+        acc = 0.0
+        for mix in MIXES:
+            res = run_policies(system, ("non-inclusive", "lap"), mix_builder(mix), refs)
+            acc += res["lap"].epi / res["non-inclusive"].epi / len(MIXES)
+        rows[f"interval={interval}"] = {"lap_epi_vs_noni": acc}
     return rows
 
 
@@ -46,7 +38,7 @@ def test_ablation_dueling(benchmark, emit):
     emit(
         "ablation_dueling",
         render_mapping_table(
-            "Ablation: LAP EPI vs dueling interval / leader period "
+            "Ablation: LAP EPI vs dueling interval "
             "(normalised to non-inclusive, WL2+WH1 average)",
             rows,
             row_label="configuration",

@@ -60,21 +60,8 @@ def make_workload(name: str, system: SystemConfig, seed: int = 0) -> Workload:
     benchmark (run as duplicate copies on every core), or a PARSEC-like
     benchmark (run multithreaded).
     """
-    from .workloads.mixes import TABLE3_MIXES
-    from .workloads.parsec import PARSEC_BENCHMARKS
-    from .workloads.spec import SPEC_BENCHMARKS
-
-    ctx = system.scale_context()
-    ncores = system.hierarchy.ncores
-    if name in TABLE3_MIXES:
-        return make_table3_mix(name, ctx, seed=seed)
-    if name in SPEC_BENCHMARKS:
-        return make_duplicate(name, ctx, ncores=ncores, seed=seed)
-    if name in PARSEC_BENCHMARKS:
-        return make_multithreaded(name, ctx, nthreads=ncores, seed=seed)
-    raise WorkloadError(
-        f"unknown workload {name!r}: not a Table III mix, SPEC benchmark, "
-        "or PARSEC benchmark"
+    return WorkloadSpec.named(name, system.hierarchy.ncores, seed).build(
+        system.scale_context()
     )
 
 

@@ -18,8 +18,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..arena import registry
 from ..errors import AnalysisError
+from ..exec.jobs import WorkloadSpec
 from ..sim.results import RunResult
+from ..sim.runner import mix_builder, normalized, run_matrix, run_policies
 from ..sim.system import SystemConfig
+from ..workloads.mixes import TABLE3_ORDER
 
 Rows = Dict[str, Dict[str, float]]
 
@@ -48,8 +51,6 @@ def arena_grid(
     split (fills / clean victims / dirty victims, as shares of the
     baseline's total writes — the Fig. 15 convention).
     """
-    from .. import make_workload, simulate
-
     if policies is None:
         policies = arena_policies(hybrid=system.hierarchy.llc.sram_ways is not None)
     policies = registry.validate_names(policies)
@@ -57,11 +58,8 @@ def arena_grid(
         raise AnalysisError(
             f"the arena grid normalises to {BASELINE!r}; include it in the policy set"
         )
-    results: Dict[str, RunResult] = {}
-    for policy in policies:
-        workload = make_workload(workload_name, system, seed=seed)
-        results[policy] = simulate(system, policy, workload, refs_per_core=refs)
-    return grid_rows(results)
+    spec = WorkloadSpec.named(workload_name, system.hierarchy.ncores, seed)
+    return grid_rows(run_policies(system, policies, spec, refs))
 
 
 def grid_rows(results: Dict[str, RunResult]) -> Rows:
@@ -90,9 +88,6 @@ def arena_over_mixes(
 ) -> Tuple[Rows, Rows]:
     """Fig. 14-shaped (mix x policy) EPI and write matrices for the
     arena set on the scaled STT-RAM system (experiment record)."""
-    from ..workloads.mixes import TABLE3_ORDER
-    from .figures import _mix_results, _norm
-
     if mixes is None:
         mixes = TABLE3_ORDER
     if policies is None:
@@ -101,8 +96,9 @@ def arena_over_mixes(
     system = SystemConfig.scaled()
     epi: Rows = {}
     writes: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
-        epi[mix] = _norm(res, "epi")
+    builders = {mix: mix_builder(mix) for mix in mixes}
+    for mix, res in run_matrix(system, policies, builders, refs).items():
+        epi[mix] = normalized(res, "epi")
         base_writes = max(1, res[BASELINE].llc_writes)
         writes[mix] = {p: res[p].llc_writes / base_writes for p in policies}
     return epi, writes

@@ -15,7 +15,7 @@ by relative write traffic under exclusion.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.policies import (
     HOMOGENEOUS_POLICIES,
@@ -24,29 +24,25 @@ from ..core.policies import (
     LHYBRID_STAGES,
 )
 from ..energy import PUBLISHED_CONFIGS, RAW_TABLE1, SRAM, STT_RAM
-from ..errors import AnalysisError
 from ..sim.results import RunResult
 from ..sim.runner import (
+    benchmarks_builder,
     duplicate_builder,
     mix_builder,
     multithreaded_builder,
+    normalized,
+    run_matrix,
     run_policies,
 )
+from ..sim.simulator import simulate
 from ..sim.system import SystemConfig
-from ..workloads.mixes import TABLE3_MIXES, TABLE3_ORDER
+from ..workloads.mixes import TABLE3_MIXES, TABLE3_ORDER, make_table3_mix
 from ..workloads.parsec import PARSEC_ORDER
 from ..workloads.spec import PAPER_BENCHMARK_ORDER
 
 DEFAULT_BENCH_REFS = int(os.environ.get("REPRO_REFS", "30000"))
 
 Rows = Dict[str, Dict[str, float]]
-
-
-def _norm(results: Mapping[str, RunResult], metric: str, baseline: str = "non-inclusive") -> Dict[str, float]:
-    base = getattr(results[baseline], metric)
-    if base == 0:
-        raise AnalysisError(f"baseline metric {metric} is zero")
-    return {p: getattr(r, metric) / base for p, r in results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +129,13 @@ def fig2_motivation(
         sram_res = run_policies(sram_sys, ("non-inclusive", "exclusive"), builder, refs)
         stt_res = run_policies(stt_sys, ("non-inclusive", "exclusive"), builder, refs)
         sram_rows[bench] = {
-            "ex_epi": _norm(sram_res, "epi")["exclusive"],
-            "ex_static_epi": _norm(sram_res, "static_epi")["exclusive"],
+            "ex_epi": normalized(sram_res, "epi")["exclusive"],
+            "ex_static_epi": normalized(sram_res, "static_epi")["exclusive"],
         }
         stt_rows[bench] = {
-            "ex_epi": _norm(stt_res, "epi")["exclusive"],
-            "rel_misses": _norm(stt_res, "llc_misses")["exclusive"],
-            "rel_writes": _norm(stt_res, "llc_writes")["exclusive"],
+            "ex_epi": normalized(stt_res, "epi")["exclusive"],
+            "rel_misses": normalized(stt_res, "llc_misses")["exclusive"],
+            "rel_writes": normalized(stt_res, "llc_writes")["exclusive"],
         }
     return sram_rows, stt_rows
 
@@ -185,42 +181,13 @@ def fig6_redundant_fill(
 # ---------------------------------------------------------------------------
 
 
-# Several figures consume the same (system, mix, policy) runs — e.g.
-# Figs. 14/15/16/18 all simulate the Table III mixes under the same
-# policies. Results are deterministic, so they are memoised per process;
-# the benchmark harness relies on this to avoid re-simulating.
-_RUN_CACHE: Dict[tuple, RunResult] = {}
-
-
-def _system_key(system: SystemConfig) -> tuple:
-    llc = system.hierarchy.llc
-    return (
-        system.label,
-        system.hierarchy.ncores,
-        system.hierarchy.l2.size_bytes,
-        llc.size_bytes,
-        llc.tech.name,
-        llc.sram_ways,
-        system.duel_interval,
-    )
-
-
-def _cached_run(system: SystemConfig, policy: str, mix: str, refs: int) -> RunResult:
-    key = (_system_key(system), policy, mix, refs)
-    if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = run_policies(system, (policy,), mix_builder(mix), refs)[policy]
-    return _RUN_CACHE[key]
-
-
 def _mix_results(
     system: SystemConfig,
     policies: Sequence[str],
     refs: int,
     mixes: Sequence[str] = TABLE3_ORDER,
 ) -> Dict[str, Dict[str, RunResult]]:
-    return {
-        mix: {p: _cached_run(system, p, mix, refs) for p in policies} for mix in mixes
-    }
+    return run_matrix(system, policies, {mix: mix_builder(mix) for mix in mixes}, refs)
 
 
 def fig12_noni_vs_ex(
@@ -234,9 +201,9 @@ def fig12_noni_vs_ex(
     sram_rows: Rows = {}
     stt_rows: Rows = {}
     for mix in mixes:
-        sres = {p: _cached_run(sram_sys, p, mix, refs) for p in ("non-inclusive", "exclusive")}
-        tres = {p: _cached_run(stt_sys, p, mix, refs) for p in ("non-inclusive", "exclusive")}
-        sram_rows[mix] = {"ex_epi": _norm(sres, "epi")["exclusive"]}
+        sres = run_policies(sram_sys, ("non-inclusive", "exclusive"), mix_builder(mix), refs)
+        tres = run_policies(stt_sys, ("non-inclusive", "exclusive"), mix_builder(mix), refs)
+        sram_rows[mix] = {"ex_epi": normalized(sres, "epi")["exclusive"]}
         noni, ex = tres["non-inclusive"], tres["exclusive"]
         stt_rows[mix] = {
             "ex_epi": ex.epi / noni.epi,
@@ -256,8 +223,8 @@ def fig13_scatter(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for mix in mixes:
-        noni = _cached_run(system, "non-inclusive", mix, refs)
-        ex = _cached_run(system, "exclusive", mix, refs)
+        res = run_policies(system, ("non-inclusive", "exclusive"), mix_builder(mix), refs)
+        noni, ex = res["non-inclusive"], res["exclusive"]
         mrel = ex.llc_misses / max(1, noni.llc_misses)
         wrel = ex.llc_writes / max(1, noni.llc_writes)
         rows[mix] = {
@@ -282,9 +249,9 @@ def fig14_policy_comparison(
     dyn: Rows = {}
     perf: Rows = {}
     for mix, res in matrix.items():
-        epi[mix] = _norm(res, "epi")
-        dyn[mix] = _norm(res, "dynamic_epi")
-        perf[mix] = _norm(res, "throughput")
+        epi[mix] = normalized(res, "epi")
+        dyn[mix] = normalized(res, "dynamic_epi")
+        perf[mix] = normalized(res, "throughput")
     return epi, dyn, perf
 
 
@@ -339,7 +306,7 @@ def fig17_redundant_fill_mixes(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for mix in mixes:
-        res = _cached_run(system, "non-inclusive", mix, refs)
+        res = run_policies(system, ("non-inclusive",), mix_builder(mix), refs)["non-inclusive"]
         rows[mix] = {"redundant_fill_fraction": res.redundant_fill_fraction}
     return rows
 
@@ -353,7 +320,7 @@ def fig18_mpki(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for mix, res in _mix_results(system, policies, refs, mixes).items():
-        rows[mix] = _norm(res, "mpki")
+        rows[mix] = normalized(res, "mpki")
     return rows
 
 
@@ -366,7 +333,7 @@ def fig19_lap_variants(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for mix, res in _mix_results(system, policies, refs, mixes).items():
-        rows[mix] = {p: v for p, v in _norm(res, "epi").items() if p != "non-inclusive"}
+        rows[mix] = {p: v for p, v in normalized(res, "epi").items() if p != "non-inclusive"}
     return rows
 
 
@@ -422,23 +389,19 @@ def fig21_capacity_ratio(
     }
     # The workloads are FIXED at the baseline geometry: the paper varies
     # the caches under the same applications, so region sizes must not
-    # re-scale with the swept L2/LLC capacities.
+    # re-scale with the swept L2/LLC capacities. A workload that is no
+    # function of its system has no JobSpec, so these runs simulate
+    # directly instead of going through the engine and its cache.
     base_ctx = SystemConfig.scaled().scale_context()
-
-    def fixed_builder(mix_name: str):
-        from ..workloads.mixes import make_table3_mix
-
-        def build(_ctx):
-            return make_table3_mix(mix_name, base_ctx, seed=0)
-
-        return build
-
     rows: Rows = {}
     for label, system in configs.items():
         acc: Dict[str, float] = {p: 0.0 for p in policies}
         for mix in mixes:
-            res = run_policies(system, policies, fixed_builder(mix), refs)
-            norm = _norm(res, "epi")
+            res = {
+                p: simulate(system, p, make_table3_mix(mix, base_ctx, seed=0), refs)
+                for p in policies
+            }
+            norm = normalized(res, "epi")
             for p in policies:
                 acc[p] += norm[p] / len(mixes)
         rows[label] = acc
@@ -450,8 +413,6 @@ def fig22_core_count(
     policies: Sequence[str] = ("non-inclusive", "exclusive", "dswitch", "lap"),
 ) -> Rows:
     """Fig. 22: 4-core vs 8-core LLC EPI (fixed cache sizes)."""
-    from ..sim.runner import benchmarks_builder
-
     mixes4 = [TABLE3_MIXES[m] for m in ("WL2", "WH1")]
     rows: Rows = {}
     for ncores in (4, 8):
@@ -463,7 +424,7 @@ def fig22_core_count(
             res = run_policies(
                 system, policies, benchmarks_builder(benchlist), refs
             )
-            norm = _norm(res, "epi")
+            norm = normalized(res, "epi")
             for p in policies:
                 acc[p] += norm[p] / len(mixes4)
         rows[f"{ncores}-core"] = acc
@@ -499,8 +460,8 @@ def fig23_energy_ratio(
 def _avg_lap_saving(system: SystemConfig, mixes: Sequence[str], refs: int) -> float:
     total = 0.0
     for mix in mixes:
-        noni = _cached_run(system, "non-inclusive", mix, refs)
-        lap = _cached_run(system, "lap", mix, refs)
+        res = run_policies(system, ("non-inclusive", "lap"), mix_builder(mix), refs)
+        noni, lap = res["non-inclusive"], res["lap"]
         total += 1.0 - lap.epi / noni.epi
     return total / len(mixes)
 
@@ -519,7 +480,7 @@ def fig24_hybrid(
     system = SystemConfig.scaled(hybrid=True)
     rows: Rows = {}
     for mix, res in _mix_results(system, policies, refs, mixes).items():
-        rows[mix] = _norm(res, "epi")
+        rows[mix] = normalized(res, "epi")
     return rows
 
 
@@ -533,5 +494,5 @@ def fig25_lhybrid_stages(
     rows: Rows = {}
     matrix = _mix_results(system, ("non-inclusive",) + tuple(policies), refs, mixes)
     for mix, res in matrix.items():
-        rows[mix] = {p: v for p, v in _norm(res, "epi").items() if p != "non-inclusive"}
+        rows[mix] = {p: v for p, v in normalized(res, "epi").items() if p != "non-inclusive"}
     return rows

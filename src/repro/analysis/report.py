@@ -117,7 +117,7 @@ EXPERIMENT_INDEX: Sequence[ExperimentEntry] = (
                     "fig25_lhybrid_ablation"),
     ExperimentEntry("Ablation A", "Set-dueling cadence (extension)",
                     "(no paper counterpart) LAP should be robust to the dueling "
-                    "interval and leader density.",
+                    "interval; the leader-set fraction is fixed at 1/64.",
                     "ablation_dueling"),
     ExperimentEntry("Ablation B", "Loop-bit prediction value (extension)",
                     "(no paper counterpart) loop-aware replacement must cut clean "

@@ -77,8 +77,14 @@ from . import make_workload, simulate
 from .analysis import classify_wl_wh, favors_exclusion, render_mapping_table, render_table
 from .energy import SRAM, STT_RAM
 from .errors import ReproError
-from .exec import ResultCache, cache_from_env, get_active_cache, set_active_cache
-from .sim import SystemConfig
+from .exec import (
+    ResultCache,
+    WorkloadSpec,
+    cache_from_env,
+    get_active_cache,
+    set_active_cache,
+)
+from .sim import SystemConfig, run_policies
 from .workloads import PARSEC_ORDER, TABLE3_ORDER, benchmark_names
 
 FIGURES = {
@@ -217,10 +223,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         policies = _policy_list("arena", hybrid=args.hybrid)
     else:
         policies = _policy_list(args.policies, hybrid=args.hybrid)
-    results = {}
-    for policy in policies:
-        workload = make_workload(args.workload, system, seed=args.seed)
-        results[policy] = simulate(system, policy, workload, refs_per_core=args.refs)
+    spec = WorkloadSpec.named(args.workload, system.hierarchy.ncores, args.seed)
+    results = run_policies(system, policies, spec, args.refs)
     if args.arena:
         print(render_mapping_table(
             f"arena grid: {args.workload} on {system.label} "
@@ -253,10 +257,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     rows = []
     benches = args.benchmarks or list(benchmark_names())
     for bench in benches:
-        runs = {}
-        for policy in ("non-inclusive", "exclusive"):
-            workload = make_workload(bench, system, seed=args.seed)
-            runs[policy] = simulate(system, policy, workload, refs_per_core=args.refs)
+        spec = WorkloadSpec.named(bench, system.hierarchy.ncores, args.seed)
+        runs = run_policies(system, ("non-inclusive", "exclusive"), spec, args.refs)
         noni, ex = runs["non-inclusive"], runs["exclusive"]
         rows.append([
             bench,
@@ -414,27 +416,15 @@ def _cmd_validate_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sim.runner import duplicate_builder, mix_builder, multithreaded_builder
     from .sim.sweeps import Sweep, records_to_csv
-    from .workloads.mixes import TABLE3_MIXES
-    from .workloads.parsec import PARSEC_BENCHMARKS
 
     system = _system_from(args)
-    builders = {}
-    for name in args.workloads.split(","):
-        if name in TABLE3_MIXES:
-            builders[name] = mix_builder(name, seed=args.seed)
-        elif name in PARSEC_BENCHMARKS:
-            builders[name] = multithreaded_builder(
-                name, nthreads=system.hierarchy.ncores, seed=args.seed
-            )
-        else:
-            builders[name] = duplicate_builder(
-                name, ncores=system.hierarchy.ncores, seed=args.seed
-            )
     sweep = Sweep(
         systems={system.label: system},
-        workloads=builders,
+        workloads={
+            name: WorkloadSpec.named(name, system.hierarchy.ncores, args.seed)
+            for name in args.workloads.split(",")
+        },
         policies=_policy_list(args.policies, hybrid=args.hybrid),
         refs_per_core=args.refs,
     )
@@ -782,6 +772,7 @@ def _cmd_suite_run(args: argparse.Namespace) -> int:
         ))
     else:
         print(result_text(report), end="")
+    print(f"suite run took {report.wall_s:.1f}s wall", file=sys.stderr)
     if args.output:
         records_to_csv(suite_records(report), args.output)
         print(f"CSV written to {args.output}", file=sys.stderr)

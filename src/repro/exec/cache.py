@@ -214,9 +214,10 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # process-wide active cache
 # ----------------------------------------------------------------------
-# The runner consults this so that *every* path into run_one — figures,
-# the benchmark harness, the CLI — can be cached without threading a
-# cache handle through each call site.
+# sim.runner's run_policies/run_matrix pass this to execute_jobs, so
+# every grid they run — figures, the benchmark harness, the CLI's
+# compare/characterize — is cached without threading a cache handle
+# through each call site.
 _active_cache: Optional[ResultCache] = None
 
 

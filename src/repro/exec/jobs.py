@@ -20,12 +20,15 @@ from typing import Any, Dict, Optional, Tuple
 from ..errors import ExecutionError, WorkloadError
 from ..sim.system import SystemConfig
 from ..workloads.mixes import (
+    TABLE3_MIXES,
     Workload,
     make_duplicate,
     make_multiprogrammed,
     make_multithreaded,
     make_table3_mix,
 )
+from ..workloads.parsec import PARSEC_BENCHMARKS
+from ..workloads.spec import get_benchmark
 from ..workloads.synthetic import ScaleContext
 from .serialize import system_from_dict, system_to_dict
 
@@ -102,6 +105,27 @@ class WorkloadSpec:
         return cls(kind=MULTITHREADED, benchmarks=(benchmark,), ncores=nthreads, seed=seed)
 
     @classmethod
+    def named(cls, name: str, ncores: int = 4, seed: int = 0) -> "WorkloadSpec":
+        """The workload a bare name denotes on an ``ncores`` system.
+
+        A Table III mix, else a PARSEC-like benchmark (multithreaded),
+        else a SPEC-like benchmark (one duplicate copy per core). No
+        name is in two tables.
+        """
+        if name in TABLE3_MIXES:
+            return cls.mix(name, seed=seed)
+        if name in PARSEC_BENCHMARKS:
+            return cls.multithreaded(name, nthreads=ncores, seed=seed)
+        try:
+            get_benchmark(name)
+        except WorkloadError:
+            raise WorkloadError(
+                f"unknown benchmark {name!r}: not a Table III mix, SPEC "
+                "benchmark, or PARSEC benchmark"
+            ) from None
+        return cls.duplicate(name, ncores=ncores, seed=seed)
+
+    @classmethod
     def trace(
         cls, digests, ncores: int = 4, name: Optional[str] = None
     ) -> "WorkloadSpec":
@@ -171,7 +195,7 @@ class WorkloadSpec:
             benchmarks=names,
         )
 
-    # WorkloadSpec *is* a WorkloadBuilder: callable(ScaleContext) -> Workload.
+    # A WorkloadSpec is a workload builder: callable(ScaleContext) -> Workload.
     __call__ = build
 
     def to_dict(self) -> Dict[str, Any]:

@@ -1,7 +1,8 @@
 """Parallel job execution over a process pool, with caching and retry.
 
-:func:`execute_jobs` is the engine behind ``Sweep.run(max_workers=...)``
-and the CLI's ``--jobs``: it resolves cache hits first, fans the misses
+:func:`execute_jobs` is the engine behind every multi-run caller
+(``sim.runner.run_policies``/``run_matrix``, ``Sweep.run``,
+``run_suite``) and the CLI's ``--jobs``: it resolves cache hits first, fans the misses
 out over a :class:`~concurrent.futures.ProcessPoolExecutor`, and returns
 results in the *input* order regardless of completion order, so parallel
 sweeps are record-for-record identical to serial ones.

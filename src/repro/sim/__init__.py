@@ -9,7 +9,6 @@ from .runner import (
     multithreaded_builder,
     normalized,
     run_matrix,
-    run_one,
     run_policies,
 )
 from .simulator import Simulator, simulate
@@ -20,7 +19,6 @@ __all__ = [
     "Simulator",
     "simulate",
     "RunResult",
-    "run_one",
     "run_policies",
     "run_matrix",
     "normalized",

@@ -1,32 +1,26 @@
-"""Experiment runner: build-fresh-workload-per-run orchestration.
+"""Experiment runner: policy grids through the exec engine.
 
 Trace generators are stateful streams, so comparing policies fairly
 requires rebuilding the workload (same seed → bit-identical trace) for
-every run. The runner owns that discipline: callers pass a *workload
-builder* (``ScaleContext -> Workload``) and a list of policy names, and
-get back one :class:`~repro.sim.results.RunResult` per policy.
+every run. The runner owns that discipline: callers pass declarative
+:class:`~repro.exec.jobs.WorkloadSpec` builders and a list of policy
+names, and get back one :class:`~repro.sim.results.RunResult` per
+(workload, policy) pair.
 
-Builders returned by this module are declarative
-:class:`~repro.exec.jobs.WorkloadSpec` values (picklable, content-
-addressable) rather than closures; any callable with the same signature
-still works for the serial path. When a process-wide result cache is
-active (see :func:`repro.exec.set_active_cache`), :func:`run_one`
-transparently serves cache hits for spec-described runs.
+Every grid is lowered to one :class:`~repro.exec.jobs.JobSpec` batch
+and run by :func:`repro.exec.pool.execute_jobs` against the
+process-wide result cache (see :func:`repro.exec.set_active_cache`), so
+a run already in the cache is served from it, whichever caller asked.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 from ..errors import AnalysisError
 from ..exec.jobs import JobSpec, WorkloadSpec
-from ..workloads.mixes import Workload
-from ..workloads.synthetic import ScaleContext
 from .results import RunResult
-from .simulator import Simulator
 from .system import SystemConfig
-
-WorkloadBuilder = Callable[[ScaleContext], Workload]
 
 # Default reference count per core for harness runs; large enough for
 # working sets to cycle through the scaled hierarchy several times.
@@ -55,68 +49,48 @@ def multithreaded_builder(benchmark: str, nthreads: int = 4, seed: int = 0) -> W
     return WorkloadSpec.multithreaded(benchmark, nthreads=nthreads, seed=seed)
 
 
-def run_one(
+def run_matrix(
     system: SystemConfig,
-    policy: str,
-    builder: WorkloadBuilder,
+    policies: Sequence[str],
+    builders: Dict[str, WorkloadSpec],
     refs_per_core: int = DEFAULT_REFS,
-    **policy_kwargs,
-) -> RunResult:
-    """Simulate one (policy, workload) pair on a fresh hierarchy.
+) -> Dict[str, Dict[str, RunResult]]:
+    """Full workload × policy grid as one batch: ``{workload: {policy: result}}``.
 
     The probe list (instrumentation) is derived from
     ``system.instrumentation`` by the simulator — run a
-    ``system.probe_free()`` config for uninstrumented sweeps. The
-    field is part of the content-addressed cache key, so instrumented
-    and probe-free runs never alias in the result cache.
-
-    If a process-wide result cache is active and the run is fully
-    described by declarative values (a :class:`WorkloadSpec` builder, a
-    policy *name*, no extra policy kwargs), the cache is consulted first
-    and populated afterwards; otherwise the run always simulates.
+    ``system.probe_free()`` config for uninstrumented grids. The field
+    is part of the content-addressed cache key, so instrumented and
+    probe-free runs never alias in the result cache.
     """
-    if not policy_kwargs and isinstance(builder, WorkloadSpec) and isinstance(policy, str):
-        from ..exec.cache import get_active_cache
+    # exec.cache imports sim.results: import the engine lazily.
+    from ..exec.cache import get_active_cache
+    from ..exec.pool import execute_jobs
 
-        cache = get_active_cache()
-        if cache is not None:
-            job = JobSpec(
-                system=system, workload=builder, policy=policy, refs_per_core=refs_per_core
-            )
-            hit = cache.get(job)
-            if hit is not None:
-                return hit
-            result = job.run()
-            cache.put(job, result)
-            return result
-    workload = builder(system.scale_context())
-    sim = Simulator(system, policy, workload, **policy_kwargs)
-    return sim.run(refs_per_core)
+    policies = list(policies)
+    cells = [(wname, policy) for wname in builders for policy in policies]
+    jobs = [
+        JobSpec(system=system, workload=builders[wname], policy=policy,
+                refs_per_core=refs_per_core)
+        for wname, policy in cells
+    ]
+    results = execute_jobs(jobs, cache=get_active_cache())
+    if results.interrupted:  # a partial grid is not a result
+        raise KeyboardInterrupt
+    out: Dict[str, Dict[str, RunResult]] = {wname: {} for wname in builders}
+    for (wname, policy), result in zip(cells, results):
+        out[wname][policy] = result
+    return out
 
 
 def run_policies(
     system: SystemConfig,
     policies: Iterable[str],
-    builder: WorkloadBuilder,
+    builder: WorkloadSpec,
     refs_per_core: int = DEFAULT_REFS,
 ) -> Dict[str, RunResult]:
     """Run several policies against bit-identical copies of a workload."""
-    return {
-        policy: run_one(system, policy, builder, refs_per_core) for policy in policies
-    }
-
-
-def run_matrix(
-    system: SystemConfig,
-    policies: Sequence[str],
-    builders: Dict[str, WorkloadBuilder],
-    refs_per_core: int = DEFAULT_REFS,
-) -> Dict[str, Dict[str, RunResult]]:
-    """Full workload × policy sweep: ``{workload: {policy: result}}``."""
-    out: Dict[str, Dict[str, RunResult]] = {}
-    for wname, builder in builders.items():
-        out[wname] = run_policies(system, policies, builder, refs_per_core)
-    return out
+    return run_matrix(system, list(policies), {"": builder}, refs_per_core)[""]
 
 
 def normalized(

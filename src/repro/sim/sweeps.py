@@ -16,18 +16,17 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..errors import AnalysisError, ExecutionError
+from ..errors import AnalysisError
 from ..exec.cache import ResultCache
 from ..exec.jobs import JobSpec, WorkloadSpec
 from ..exec.pool import execute_jobs
 from .results import RunResult
-from .runner import WorkloadBuilder, run_one
 from .system import SystemConfig
 
 # A sweep axis: label -> SystemConfig
 SystemAxis = Dict[str, SystemConfig]
-# workload axis: label -> builder
-WorkloadAxis = Dict[str, WorkloadBuilder]
+# workload axis: label -> declarative workload spec
+WorkloadAxis = Dict[str, WorkloadSpec]
 
 RECORD_METRICS = (
     "epi",
@@ -98,40 +97,37 @@ class Sweep:
     ) -> List[SweepRecord]:
         """Execute the grid; returns one record per run (stable order).
 
-        ``max_workers > 1`` fans the grid out over worker processes and
-        ``cache`` memoises results by content address; both paths emit
-        records in exactly the serial order (systems × workloads ×
-        policies, insertion order), so downstream CSV/normalisation is
-        oblivious to how the grid was executed. The default
-        (``max_workers=1``, no cache) is the unchanged serial path.
+        Every cell is lowered to a :class:`JobSpec` and the grid runs as
+        one :func:`execute_jobs` batch. ``max_workers > 1`` fans it out
+        over worker processes and ``cache`` memoises results by content
+        address; records always come back in the grid order (systems ×
+        workloads × policies, insertion order), so downstream
+        CSV/normalisation is oblivious to how the grid was executed.
 
-        Any engine-executed run (parallel, cached, or explicit
-        ``manifest_dir``) records per-job profiles; a run with a cache
-        writes the roll-up as ``manifest.json`` next to the cached
-        results (``manifest_dir`` overrides the location).
-        ``heartbeat_interval`` emits progress lines for long sweeps.
+        A run with a cache writes the per-job profile roll-up as
+        ``manifest.json`` next to the cached results (``manifest_dir``
+        overrides the location). ``heartbeat_interval`` emits progress
+        lines for long sweeps.
         """
         cells = [
-            (sys_label, system, wl_label, builder, policy)
+            (sys_label, system, wl_label, spec, policy)
             for sys_label, system in self.systems.items()
-            for wl_label, builder in self.workloads.items()
+            for wl_label, spec in self.workloads.items()
             for policy in self.policies
         ]
-        if max_workers <= 1 and cache is None and manifest_dir is None:
-            results = [
-                run_one(system, policy, builder, self.refs_per_core)
-                for _, system, _, builder, policy in cells
-            ]
-        else:
-            if manifest_dir is None and cache is not None:
-                manifest_dir = cache.root
-            results = execute_jobs(
-                self._jobs(cells),
-                max_workers=max_workers,
-                cache=cache,
-                manifest_dir=manifest_dir,
-                heartbeat_interval=heartbeat_interval,
-            )
+        if manifest_dir is None and cache is not None:
+            manifest_dir = cache.root
+        results = execute_jobs(
+            [
+                JobSpec(system=system, workload=spec, policy=policy,
+                        refs_per_core=self.refs_per_core)
+                for _, system, _, spec, policy in cells
+            ],
+            max_workers=max_workers,
+            cache=cache,
+            manifest_dir=manifest_dir,
+            heartbeat_interval=heartbeat_interval,
+        )
         records: List[SweepRecord] = []
         for (sys_label, _, wl_label, _, policy), result in zip(cells, results):
             record = SweepRecord(
@@ -144,26 +140,6 @@ class Sweep:
             if progress is not None:
                 progress(record)
         return records
-
-    def _jobs(self, cells) -> List[JobSpec]:
-        """Lower grid cells to :class:`JobSpec`s (parallel/cached path)."""
-        jobs: List[JobSpec] = []
-        for _, system, wl_label, builder, policy in cells:
-            if not isinstance(builder, WorkloadSpec):
-                raise ExecutionError(
-                    f"workload {wl_label!r} is a {type(builder).__name__}, not a "
-                    "WorkloadSpec; parallel or cached sweeps need declarative "
-                    "specs (see repro.exec.WorkloadSpec / sim.runner builders)"
-                )
-            jobs.append(
-                JobSpec(
-                    system=system,
-                    workload=builder,
-                    policy=policy,
-                    refs_per_core=self.refs_per_core,
-                )
-            )
-        return jobs
 
     def _extract(self, result: RunResult) -> Dict[str, float]:
         out = {}

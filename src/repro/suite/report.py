@@ -83,7 +83,7 @@ def result_text(report: SuiteReport) -> str:
         parts += ["", *failures]
     parts.append(
         f"\n{len(report.profiles)} job(s): {report.cache_hits} from cache, "
-        f"{report.simulated} simulated, {report.wall_s:.1f}s wall"
+        f"{report.simulated} simulated"
     )
     return "\n".join(parts) + "\n"
 

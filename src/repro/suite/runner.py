@@ -30,8 +30,6 @@ from ..sim.system import SystemConfig
 from ..telemetry.profiling import JobProfile, RunManifest
 from ..utils import geometric_mean
 from ..workloads.corpus import TraceCorpus, active_corpus, set_active_corpus
-from ..workloads.mixes import TABLE3_MIXES
-from ..workloads.parsec import PARSEC_BENCHMARKS
 from .registry import TRACE, BenchmarkSet, resolve
 
 DEFAULT_POLICIES = ("non-inclusive", "exclusive", "lap")
@@ -46,11 +44,7 @@ def workload_spec_for(
     """The declarative spec for one set member on an ``ncores`` system."""
     if bset.kind == TRACE:
         return WorkloadSpec.trace((member,), ncores=ncores)
-    if member in TABLE3_MIXES:
-        return WorkloadSpec.mix(member, seed=seed)
-    if member in PARSEC_BENCHMARKS:
-        return WorkloadSpec.multithreaded(member, nthreads=ncores, seed=seed)
-    return WorkloadSpec.duplicate(member, ncores=ncores, seed=seed)
+    return WorkloadSpec.named(member, ncores, seed)
 
 
 @dataclass

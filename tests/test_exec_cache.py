@@ -14,7 +14,7 @@ from repro.exec import (
     set_active_cache,
 )
 from repro.sim import SystemConfig
-from repro.sim.runner import duplicate_builder, run_one
+from repro.sim.runner import duplicate_builder, run_policies
 from repro.sim.simulator import Simulator
 from repro.sim.sweeps import Sweep
 
@@ -170,7 +170,7 @@ class TestWarmSweepRunsNothing:
         s = cache.stats()
         assert s.hits == 12 and s.puts == 12
 
-    def test_active_cache_short_circuits_run_one(self, tmp_path, monkeypatch):
+    def test_active_cache_short_circuits_run_policies(self, tmp_path, monkeypatch):
         calls = {"n": 0}
         real_run = Simulator.run
 
@@ -182,25 +182,9 @@ class TestWarmSweepRunsNothing:
         set_active_cache(ResultCache(tmp_path))
         system = small_system()
         builder = duplicate_builder("mcf", ncores=2)
-        a = run_one(system, "lap", builder, 600)
+        a = run_policies(system, ("lap",), builder, 600)["lap"]
         assert calls["n"] == 1
-        b = run_one(system, "lap", builder, 600)
+        b = run_policies(system, ("lap",), builder, 600)["lap"]
         assert calls["n"] == 1, "second identical run must be a cache hit"
         assert a.to_dict() == b.to_dict()
         assert get_active_cache().hits == 1
-
-    def test_policy_kwargs_bypass_the_cache(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        real_run = Simulator.run
-
-        def counting_run(self, *args, **kwargs):
-            calls["n"] += 1
-            return real_run(self, *args, **kwargs)
-
-        monkeypatch.setattr(Simulator, "run", counting_run)
-        set_active_cache(ResultCache(tmp_path))
-        system = small_system()
-        builder = duplicate_builder("mcf", ncores=2)
-        run_one(system, "lap", builder, 600, duel_interval=256)
-        run_one(system, "lap", builder, 600, duel_interval=256)
-        assert calls["n"] == 2, "kwarg-customised runs are not content-addressed"

@@ -150,10 +150,10 @@ class TestSweepSpecRequirement:
             policies=("lap",),
             refs_per_core=400,
         )
-        with pytest.raises(ExecutionError, match="WorkloadSpec"):
-            sweep.run(max_workers=2)
-        # ... but the serial path still accepts arbitrary callables
-        assert len(sweep.run()) == 1
+        # Serial and parallel sweeps share one engine: neither runs closures.
+        for max_workers in (1, 2):
+            with pytest.raises(ExecutionError, match="WorkloadSpec"):
+                sweep.run(max_workers=max_workers)
 
 
 class TestBuilderSpecs:
@@ -185,3 +185,36 @@ class TestBuilderSpecs:
             normalized(results, "epi", baseline="nonexistent")
         with pytest.raises(AnalysisError, match="zero"):
             normalized(results, "snoop_traffic")  # zero for multiprogrammed
+
+
+class TestOneRunPath:
+    def test_every_grid_caller_agrees(self):
+        """run_policies, serial and pooled Sweeps, and run_suite all lower
+        to the same JobSpecs, so they must return identical results."""
+        from repro.exec import result_to_dict
+        from repro.sim.runner import run_policies
+        from repro.sim.sweeps import RECORD_METRICS
+        from repro.suite import BenchmarkSet, run_suite
+
+        system = small_system()
+        policies = ("non-inclusive", "lap")
+        spec = WorkloadSpec.named("mcf", ncores=2)
+        direct = run_policies(system, policies, spec, 500)
+
+        report = run_suite(
+            BenchmarkSet(name="one", description="one member", members=("mcf",)),
+            system, policies=policies, refs_per_core=500, max_workers=2,
+        )
+        assert report.ok
+        suite = report.outcomes[0].results
+        for policy in policies:
+            assert result_to_dict(suite[policy]) == result_to_dict(direct[policy])
+
+        sweep = Sweep(systems={"s": system}, workloads={"mcf": spec},
+                      policies=policies, refs_per_core=500)
+        expected = [
+            {m: float(getattr(direct[p], m)) for m in RECORD_METRICS} for p in policies
+        ]
+        for max_workers in (1, 2):
+            records = sweep.run(max_workers=max_workers)
+            assert [r.metrics for r in records] == expected

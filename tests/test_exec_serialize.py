@@ -12,7 +12,7 @@ from repro.exec import (
     system_to_dict,
 )
 from repro.sim import SystemConfig, simulate
-from repro.sim.runner import run_one, duplicate_builder, multithreaded_builder
+from repro.sim.runner import duplicate_builder, multithreaded_builder, run_policies
 from repro.sim.sweeps import RECORD_METRICS
 
 
@@ -22,14 +22,14 @@ def small_system(**kwargs) -> SystemConfig:
 
 @pytest.fixture(scope="module")
 def multiprogrammed_result():
-    return run_one(small_system(), "lap", duplicate_builder("mcf", ncores=2), 1500)
+    return run_policies(small_system(), ("lap",), duplicate_builder("mcf", ncores=2), 1500)["lap"]
 
 
 @pytest.fixture(scope="module")
 def multithreaded_result():
-    return run_one(
-        small_system(), "non-inclusive", multithreaded_builder("canneal", nthreads=2), 1200
-    )
+    return run_policies(
+        small_system(), ("non-inclusive",), multithreaded_builder("canneal", nthreads=2), 1200
+    )["non-inclusive"]
 
 
 class TestResultRoundTrip:
@@ -108,8 +108,8 @@ class TestSystemRoundTrip:
         system = small_system()
         restored = system_from_dict(system_to_dict(system))
         builder = duplicate_builder("lbm", ncores=2)
-        a = run_one(system, "exclusive", builder, 800)
-        b = run_one(restored, "exclusive", builder, 800)
+        a = run_policies(system, ("exclusive",), builder, 800)["exclusive"]
+        b = run_policies(restored, ("exclusive",), builder, 800)["exclusive"]
         assert result_to_dict(a) == result_to_dict(b)
 
     def test_malformed_dict_rejected(self):

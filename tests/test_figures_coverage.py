@@ -8,6 +8,8 @@ the fast test-suite rather than only during the long benchmark run.
 import pytest
 
 import repro.analysis.figures as F
+from repro.exec import ResultCache, set_active_cache
+from repro.sim.simulator import Simulator
 
 REFS = 2000
 
@@ -51,13 +53,25 @@ class TestMixFigures:
         rows = F.fig19_lap_variants(refs=REFS, mixes=("WH5",))
         assert {"lap-lru", "lap-loop", "lap"} <= set(rows["WH5"])
 
-    def test_run_cache_reuses_results(self):
-        before = len(F._RUN_CACHE)
-        F.fig18_mpki(refs=REFS, mixes=("WL3",))
-        mid = len(F._RUN_CACHE)
-        F.fig18_mpki(refs=REFS, mixes=("WL3",))
-        assert len(F._RUN_CACHE) == mid
-        assert mid >= before
+    def test_run_cache_reuses_results(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        real_run = Simulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls["n"] += 1
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        previous = set_active_cache(ResultCache(tmp_path))
+        try:
+            first = F.fig18_mpki(refs=REFS, mixes=("WL3",))
+            simulated = calls["n"]
+            second = F.fig18_mpki(refs=REFS, mixes=("WL3",))
+        finally:
+            set_active_cache(previous)
+        assert simulated == 3  # non-inclusive, exclusive, lap
+        assert calls["n"] == simulated, "the repeat must be served from the cache"
+        assert second == first
 
 
 class TestMultithreadedFigure:

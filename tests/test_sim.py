@@ -12,7 +12,6 @@ from repro.sim.runner import (
     multithreaded_builder,
     normalized,
     run_matrix,
-    run_one,
     run_policies,
 )
 from repro.sim.simulator import Simulator
@@ -203,18 +202,18 @@ class TestRunner:
         assert set(out["a"]) == {"non-inclusive"}
 
     def test_multithreaded_builder(self, small_system):
-        r = run_one(
-            small_system, "lap", multithreaded_builder("dedup", nthreads=2), 800
-        )
+        r = run_policies(
+            small_system, ("lap",), multithreaded_builder("dedup", nthreads=2), 800
+        )["lap"]
         assert r.snoop_traffic > 0
 
     def test_benchmarks_builder_names(self, small_system):
-        r = run_one(
-            small_system, "lap", benchmarks_builder(["mcf", "lbm"]), 500
-        )
+        r = run_policies(
+            small_system, ("lap",), benchmarks_builder(["mcf", "lbm"]), 500
+        )["lap"]
         assert r.workload == "mcf+lbm"
 
     def test_mix_builder_requires_four_cores(self):
         system = SystemConfig.scaled()  # 4 cores
-        r = run_one(system, "non-inclusive", mix_builder("WH1"), 400)
+        r = run_policies(system, ("non-inclusive",), mix_builder("WH1"), 400)["non-inclusive"]
         assert r.workload == "WH1"
