@@ -6,8 +6,9 @@ over the full ``repro bench`` grid — both instrumentation specs
 probe-free) — all of which take the batched kernel (DESIGN.md §13).
 Two more legs sit beside the grid: the generic per-reference loop
 (``Simulator.enable_batch_kernel = False``) under both specs, which is
-what the kernel is measured against, and the probe-free kernel with the
-telemetry layer imported but idle. A coherent leg measures the kernel
+what the kernel is measured against, and the probe-free kernel with a
+live span recorder installed and the flight recorder imported but not
+attached. A coherent leg measures the kernel
 against the generic loop on a MOESI run (PARSEC ``canneal``, default
 probes), the configuration behind Fig. 20. The entry is **appended** to
 ``BENCH_hotpath.json`` at the repo root; earlier entries (including the
@@ -149,15 +150,15 @@ def measure_grid() -> dict:
         p: round(coherent[p]["kernel"] / coherent[p]["generic"], 2) for p in POLICIES
     }
 
-    # Telemetry-idle guard: with repro.telemetry fully imported and a
-    # live metrics registry installed — but no TraceProbe attached and
-    # nothing recording — the probe-free hot path must be unchanged.
-    # Metrics reporting is edge-triggered (once per run in finish()),
-    # so this measures that the telemetry layer stays off the
-    # per-access path entirely. The two sides alternate rep by rep so
-    # they see the same host-speed phase (the grid above ran minutes
-    # earlier).
-    from repro.telemetry import MetricsRegistry, set_registry
+    # Telemetry-idle guard: with repro.obs's recorder modules imported
+    # and a live span recorder installed — but no TraceProbe attached —
+    # the probe-free hot path must be unchanged. Spans are coarse (one
+    # per run and per kernel phase, never per access), so this measures
+    # that the observability layer stays off the per-access path
+    # entirely. The two sides alternate rep by rep so they see the same
+    # host-speed phase (the grid above ran minutes earlier).
+    import repro.obs.trace  # noqa: F401  (imported, never attached)
+    from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 
     probe_free_system = SystemConfig.scaled().probe_free()
     plain = {p: 0.0 for p in POLICIES}
@@ -165,11 +166,14 @@ def measure_grid() -> dict:
     for policy in POLICIES:
         for _ in range(REPS):
             plain[policy] = max(plain[policy], _throughput(probe_free_system, policy, reps=1))
-            previous = set_registry(MetricsRegistry())
+            previous = install_recorder(SpanRecorder())
             try:
                 idle[policy] = max(idle[policy], _throughput(probe_free_system, policy, reps=1))
             finally:
-                set_registry(previous)
+                if previous is None:
+                    uninstall_recorder()
+                else:
+                    install_recorder(previous)
     entry["telemetry_idle_accesses_per_sec"] = {p: round(idle[p]) for p in POLICIES}
     entry["telemetry_idle_vs_probe_free"] = {
         p: round(idle[p] / plain[p], 3) for p in POLICIES

@@ -12,7 +12,8 @@ import tempfile
 from pathlib import Path
 
 from repro.sim.system import SystemConfig
-from repro.telemetry import diff_traces, record_simulation
+from repro.obs.diff import diff_traces
+from repro.obs.trace import record_simulation
 
 WORKLOAD = "WL1"
 REFS = 2_000

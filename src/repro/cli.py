@@ -52,13 +52,12 @@ Commands
 Every command accepts ``--refs``, ``--seed`` and system-shape flags so
 sweeps can be scripted from the shell; all output is plain ASCII.
 
-Four *global* options (they precede the subcommand) drive the
-execution engine and telemetry: ``--jobs N`` fans grid commands out
+Three *global* options (they precede the subcommand) drive the
+execution engine and tracing: ``--jobs N`` fans grid commands out
 over N worker processes, ``--cache-dir PATH`` memoises every
 spec-described simulation in a content-addressed on-disk cache
-(``$REPRO_CACHE_DIR`` is honoured when the flag is absent),
-``--metrics PATH`` dumps the process metrics-registry snapshot to JSON
-after the command finishes, and ``--spans PATH`` turns on span tracing
+(``$REPRO_CACHE_DIR`` is honoured when the flag is absent), and
+``--spans PATH`` turns on span tracing
 for the command and dumps the trace as JSONL (``$REPRO_SPANS`` enables
 tracing without a dump path; the exec pool then writes ``spans.jsonl``
 next to ``manifest.json``), e.g.::
@@ -480,7 +479,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 # trace: the flight recorder
 # ----------------------------------------------------------------------
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from .telemetry import record_simulation, summarize_trace
+    from .obs.diff import summarize_trace
+    from .obs.trace import record_simulation
 
     system = _system_from(args)
     record_simulation(
@@ -505,7 +505,7 @@ def _summary_rows(summary) -> list:
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
-    from .telemetry import summarize_trace
+    from .obs.diff import summarize_trace
 
     summary = summarize_trace(args.path)
     if args.json:
@@ -521,7 +521,7 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    from .telemetry import diff_traces
+    from .obs.diff import diff_traces
 
     diff = diff_traces(args.left, args.right)
     if args.json:
@@ -887,11 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_CACHE_DIR when set, else no caching)",
     )
     parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write the process metrics-registry snapshot to PATH (JSON) "
-        "after the command finishes",
-    )
-    parser.add_argument(
         "--spans", default=None, metavar="PATH",
         help="enable span tracing for the command and dump the trace as "
         "JSONL to PATH afterwards ($REPRO_SPANS enables tracing without "
@@ -1190,15 +1185,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"span trace written to {spans_path} "
                           f"({len(recorder)} spans)", file=sys.stderr)
                 uninstall_recorder()
-            if getattr(args, "metrics", None):
-                from .telemetry import get_registry
-
-                import pathlib
-
-                pathlib.Path(args.metrics).write_text(
-                    get_registry().snapshot_json() + "\n"
-                )
-                print(f"metrics snapshot written to {args.metrics}", file=sys.stderr)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,9 +60,9 @@ class ExecutionError(ReproError):
 
 
 class TelemetryError(ReproError):
-    """The observability layer failed (``repro.telemetry``).
+    """The observability layer failed (``repro.obs``).
 
     Raised for unwritable or malformed trace files (bad header,
-    truncated stream, unknown event type), metric name/type collisions
-    in the registry, and unreadable run manifests.
+    truncated stream, unknown event type), unreadable run manifests
+    and span dumps, and missing result-cache directories.
     """

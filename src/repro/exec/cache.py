@@ -99,7 +99,7 @@ class ResultCache:
         """Only content-addressed files (64-hex stems) are cache entries.
 
         The run manifest (``manifest.json``, see
-        :mod:`repro.telemetry.profiling`) and any other stray files in
+        :mod:`repro.obs.profiling`) and any other stray files in
         the cache directory must never be counted, evicted, or cleared.
         """
         stem = path.stem

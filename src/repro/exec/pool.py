@@ -9,10 +9,10 @@ sweeps are record-for-record identical to serial ones.
 
 The return value is an :class:`ExecutionOutcome` — a list of
 :class:`RunResult` (so every existing caller keeps working) that also
-carries one :class:`~repro.telemetry.profiling.JobProfile` per job
+carries one :class:`~repro.obs.profiling.JobProfile` per job
 (wall time, throughput, retries, provenance, peak RSS) plus cache
 hit/miss totals, and can roll them up into a
-:class:`~repro.telemetry.profiling.RunManifest`. Pass ``manifest_dir``
+:class:`~repro.obs.profiling.RunManifest`. Pass ``manifest_dir``
 to have the manifest written as ``manifest.json`` (a sweep run with a
 cache does this automatically, next to the cached results), and
 ``heartbeat_interval`` to get rate-limited progress lines on stderr
@@ -53,9 +53,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ExecutionError, ReproError
-from ..obs.spans import current_recorder, span, tracing_enabled
-from ..sim.results import RunResult
-from ..telemetry.profiling import (
+from ..obs.profiling import (
     SOURCE_CACHE,
     SOURCE_POOL,
     SOURCE_SERIAL,
@@ -64,6 +62,8 @@ from ..telemetry.profiling import (
     RunManifest,
     peak_rss_kb,
 )
+from ..obs.spans import current_recorder, span, tracing_enabled
+from ..sim.results import RunResult
 from .cache import ResultCache
 from .jobs import JobSpec
 from .serialize import result_from_dict, result_to_dict
@@ -268,23 +268,10 @@ def execute_jobs(
                             retries, pulse, cached_count,
                         )
                     else:
-                        for n, i in enumerate(misses):
-                            job_start = time.perf_counter()
-                            with span(
-                                "exec.job", index=i, policy=jobs[i].policy,
-                                workload=jobs[i].workload.label,
-                            ):
-                                results[i], used = _run_with_retry(
-                                    jobs[i], i, retries
-                                )
-                            profile = _profile_for(
-                                i, jobs[i], SOURCE_SERIAL, results[i]
-                            )
-                            profile.wall_s = time.perf_counter() - job_start
-                            profile.retries = used
-                            profile.peak_rss_kb = peak_rss_kb()
-                            profiles[i] = profile
-                            pulse.beat(cached_count + n + 1, cached_count)
+                        _execute_in_process(
+                            jobs, misses, results, profiles, retries, pulse,
+                            cached_count,
+                        )
                 except KeyboardInterrupt:
                     # Graceful shutdown: keep everything that finished.
                     # (_execute_pooled has already cancelled its futures.)
@@ -314,7 +301,6 @@ def execute_jobs(
         completed=len(completed), cache_hits=cached_count, interrupted=interrupted
     )
     batch_span.finish()
-    _report_metrics(outcome)
     if jobs:
         pulse.final(len(completed), cached_count)
     if manifest_dir is not None:
@@ -330,21 +316,42 @@ def execute_jobs(
     return outcome
 
 
-def _report_metrics(outcome: ExecutionOutcome) -> None:
-    """Pool roll-ups into the process metrics registry (once per batch)."""
-    from ..telemetry.metrics import get_registry
+def _run_in_process(
+    job: JobSpec, index: int, retries: int, prior_retries: int = 0
+) -> Tuple[RunResult, JobProfile]:
+    """Run one job in this process under an ``exec.job`` span.
 
-    registry = get_registry()
-    registry.counter("exec.jobs").inc(len(outcome))
-    if outcome.interrupted:
-        registry.counter("exec.interrupted").inc()
-    registry.counter("exec.cache_hits").inc(outcome.cache_hits)
-    registry.counter("exec.cache_misses").inc(outcome.cache_misses)
-    registry.counter("exec.retries").inc(sum(p.retries for p in outcome.profiles))
-    job_wall = registry.histogram("exec.job_wall_s")
-    for profile in outcome.profiles:
-        if profile.source != SOURCE_CACHE:
-            job_wall.observe(profile.wall_s)
+    The one in-process job path: the serial loop, the pool-cannot-start
+    fallback and the pool's in-process retry all come through here.
+    ``prior_retries`` counts attempts already spent elsewhere (a failed
+    worker) so the profile reports the job's total.
+    """
+    start = time.perf_counter()
+    with span(
+        "exec.job", index=index, policy=job.policy, workload=job.workload.label
+    ):
+        result, used = _run_with_retry(job, index, retries)
+    profile = _profile_for(index, job, SOURCE_SERIAL, result)
+    profile.wall_s = time.perf_counter() - start
+    profile.retries = prior_retries + used
+    profile.peak_rss_kb = peak_rss_kb()
+    return result, profile
+
+
+def _execute_in_process(
+    jobs: Sequence[JobSpec],
+    misses: Sequence[int],
+    results: List[Optional[RunResult]],
+    profiles: List[Optional[JobProfile]],
+    retries: int,
+    pulse: Heartbeat,
+    cached_count: int,
+) -> None:
+    """Run ``misses`` one after another in this process, filling
+    ``results`` and ``profiles`` in place."""
+    for n, i in enumerate(misses):
+        results[i], profiles[i] = _run_in_process(jobs[i], i, retries)
+        pulse.beat(cached_count + n + 1, cached_count)
 
 
 def _execute_pooled(
@@ -366,15 +373,9 @@ def _execute_pooled(
     except (OSError, ValueError, RuntimeError):
         # Pool cannot start (sandboxed environment, missing semaphores,
         # spawn failure): degrade gracefully to serial execution.
-        for n, i in enumerate(misses):
-            job_start = time.perf_counter()
-            results[i], used = _run_with_retry(jobs[i], i, retries)
-            profile = _profile_for(i, jobs[i], SOURCE_SERIAL, results[i])
-            profile.wall_s = time.perf_counter() - job_start
-            profile.retries = used
-            profile.peak_rss_kb = peak_rss_kb()
-            profiles[i] = profile
-            pulse.beat(cached_count + n + 1, cached_count)
+        _execute_in_process(
+            jobs, misses, results, profiles, retries, pulse, cached_count
+        )
         return
 
     try:
@@ -408,13 +409,9 @@ def _execute_pooled(
                     # A crashed worker may have broken the whole pool;
                     # the retry runs in-process, which also covers
                     # unpicklable-job failures.
-                    job_start = time.perf_counter()
-                    results[i], _ = _run_with_retry(jobs[i], i, retries=0)
-                    profile = _profile_for(i, jobs[i], SOURCE_SERIAL, results[i])
-                    profile.wall_s = time.perf_counter() - job_start
-                    profile.retries = retries - retry_budget[i]
-                    profile.peak_rss_kb = peak_rss_kb()
-                    profiles[i] = profile
+                    results[i], profiles[i] = _run_in_process(
+                        jobs[i], i, retries=0, prior_retries=retries - retry_budget[i]
+                    )
                 else:
                     raise _job_failed(i, jobs[i], exc, " in worker") from exc
             except Exception as exc:  # a deterministic bug: no retry

@@ -391,25 +391,15 @@ class CacheHierarchy:
     def finish(self) -> None:
         """End-of-run bookkeeping (flush CTC streaks, policy hooks).
 
-        Also reports run totals into the process metrics registry —
-        once per run, never per access, so the hot path is unaffected.
         Idempotent: calling it again (tests, belt-and-braces callers
-        like ``record_simulation``) must not double-report the
-        ``hierarchy.*`` metrics or re-run probe/policy finalisation.
+        like ``record_simulation``) must not re-run probe or policy
+        finalisation.
         """
         if self._finished:
             return
         self._finished = True
         self.probe_bus.finish()
         self.policy.end_of_run()
-        from ..telemetry.metrics import get_registry
-
-        registry = get_registry()
-        registry.counter("hierarchy.runs").inc()
-        registry.counter("hierarchy.accesses").inc(self.stats.accesses)
-        registry.counter("hierarchy.llc_demand_accesses").inc(self.stats.llc_demand_accesses)
-        registry.counter("hierarchy.llc_writes").inc(self.llc.stats.llc_writes)
-        registry.counter("hierarchy.mem_writes").inc(self.stats.mem_writes)
 
     # convenience -------------------------------------------------------
     @property

@@ -1,20 +1,22 @@
 """The run ledger: one normalized view over result-cache directories.
 
-A sweep leaves its telemetry scattered: ``manifest.json`` (per-job
+A sweep leaves its records in three places: ``manifest.json`` (per-job
 profiles), content-addressed ``<sha256>.json`` result entries (the job
-spec *and* its full metrics), ``spans.jsonl`` (the span trace), and any
-``*.metrics.json`` / ``metrics.json`` registry snapshots written by
-``--metrics``. :func:`scan_dirs` walks one or more such directories and
-merges everything into a :class:`RunLedger`: one :class:`LedgerRow` per
-job with provenance (policy, cache-hit source, retries) and headline
-result metrics, plus the merged span and metrics material. The ledger
-is what ``repro report`` renders and what any future fleet aggregation
-ships between hosts — plain JSON-safe data, no simulator objects.
+spec *and* its full metrics) and ``spans.jsonl`` (the span trace).
+:func:`scan_dirs` walks one or more such directories and merges
+everything into a :class:`RunLedger`: one :class:`LedgerRow` per job
+with provenance (policy, cache-hit source, retries) and headline result
+metrics, plus the merged spans. The ledger is what ``repro report``
+renders and what any future fleet aggregation ships between hosts —
+plain JSON-safe data, no simulator objects.
 
 Scanning is forgiving by design: a corrupt entry, a missing manifest,
 or a half-written span dump downgrades to a partial row (and a note in
 ``ledger.problems``) rather than an exception — the dashboard must
-render *something* for a fleet where one worker died mid-write.
+render *something* for a fleet where one worker died mid-write. An
+entry written under another ``CACHE_SCHEMA_VERSION`` is noted the same
+way and kept out of the rows: its numbers come from older semantics,
+which :meth:`~repro.exec.cache.ResultCache.get` refuses to serve too.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import TelemetryError
-from ..telemetry.profiling import MANIFEST_NAME
+from .profiling import MANIFEST_NAME
 from .spans import SPANS_NAME, read_spans
 
-LEDGER_SCHEMA = 1
+LEDGER_SCHEMA = 2
 LEDGER_KIND = "repro-ledger"
 
 
@@ -84,7 +86,6 @@ class RunLedger:
 
     rows: List[LedgerRow] = field(default_factory=list)
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    metrics_snapshots: List[Dict[str, Any]] = field(default_factory=list)
     dirs: List[str] = field(default_factory=list)
     manifests: int = 0
     problems: List[str] = field(default_factory=list)
@@ -147,11 +148,9 @@ class RunLedger:
                 "simulated_accesses": self.simulated_accesses(),
                 "wall_s": self.total_wall_s(),
                 "spans": len(self.spans),
-                "metrics_snapshots": len(self.metrics_snapshots),
             },
             "rows": [r.as_dict() for r in self.rows],
             "spans": list(self.spans),
-            "metrics_snapshots": list(self.metrics_snapshots),
             "problems": list(self.problems),
         }
 
@@ -196,6 +195,7 @@ def _scan_manifest(root: pathlib.Path, ledger: RunLedger,
 
 def _scan_entries(root: pathlib.Path, ledger: RunLedger,
                   rows: Dict[str, LedgerRow]) -> None:
+    from ..exec.jobs import CACHE_SCHEMA_VERSION
     from ..exec.serialize import result_from_dict
 
     for path in sorted(root.glob("*.json")):
@@ -203,6 +203,12 @@ def _scan_entries(root: pathlib.Path, ledger: RunLedger,
             continue
         try:
             payload = json.loads(path.read_text())
+            if payload.get("schema") != CACHE_SCHEMA_VERSION:
+                ledger.problems.append(
+                    f"{path.name}: cache entry schema {payload.get('schema')!r} "
+                    f"is not the current {CACHE_SCHEMA_VERSION}; left out"
+                )
+                continue
             job = payload["job"]
             result = result_from_dict(payload["result"])
         except Exception as exc:  # any malformed entry: note and move on
@@ -239,23 +245,6 @@ def _scan_spans(root: pathlib.Path, ledger: RunLedger) -> None:
         ledger.problems.append(str(exc))
 
 
-def _scan_metrics(root: pathlib.Path, ledger: RunLedger) -> None:
-    candidates = sorted(
-        p for p in root.glob("*.json")
-        if p.name == "metrics.json" or p.name.endswith(".metrics.json")
-    )
-    for path in candidates:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            ledger.problems.append(f"{path.name}: unreadable metrics snapshot ({exc})")
-            continue
-        if isinstance(data, dict) and {"counters", "gauges", "histograms"} & set(data):
-            ledger.metrics_snapshots.append({"file": str(path), "snapshot": data})
-        else:
-            ledger.problems.append(f"{path.name}: not a metrics-registry snapshot")
-
-
 def scan_dirs(dirs: Sequence[Union[str, pathlib.Path]]) -> RunLedger:
     """Build the merged ledger for one or more result-cache directories."""
     ledger = RunLedger()
@@ -268,7 +257,6 @@ def scan_dirs(dirs: Sequence[Union[str, pathlib.Path]]) -> RunLedger:
         _scan_manifest(root, ledger, rows)
         _scan_entries(root, ledger, rows)
         _scan_spans(root, ledger)
-        _scan_metrics(root, ledger)
     # Deterministic order: workload, then policy, then key.
     ledger.rows = sorted(
         rows.values(), key=lambda r: (r.workload, r.policy, r.key)

@@ -11,7 +11,6 @@ are disjoint by construction, so every snoop would miss).
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence, Union
 
 from ..arena import registry
@@ -75,7 +74,6 @@ class Simulator:
         """Simulate ``refs_per_core`` references on every core."""
         if refs_per_core <= 0:
             raise SimulationError(f"refs_per_core must be positive, got {refs_per_core}")
-        wall_start = time.perf_counter()
         h = self.hierarchy
         with span(
             "simulate",
@@ -86,7 +84,6 @@ class Simulator:
             core_instr = self._run_references(refs_per_core, batch)
             h.finish()
             run_span.set(accesses=h.stats.accesses)
-        self._report_metrics(time.perf_counter() - wall_start)
         return self._collect(refs_per_core, core_instr)
 
     def _run_references(self, refs_per_core: int, batch: int):
@@ -123,19 +120,6 @@ class Simulator:
                 timing.advance_instructions(core, instrs)
             remaining -= take
         return core_instr
-
-    def _report_metrics(self, wall_s: float) -> None:
-        """Once-per-run roll-ups into the process metrics registry."""
-        from ..telemetry.metrics import get_registry
-
-        registry = get_registry()
-        registry.counter("sim.runs").inc()
-        registry.counter("sim.accesses").inc(self.hierarchy.stats.accesses)
-        registry.histogram("sim.wall_s").observe(wall_s)
-        if wall_s > 0:
-            registry.histogram("sim.accesses_per_s").observe(
-                self.hierarchy.stats.accesses / wall_s
-            )
 
     def _collect(self, refs_per_core: int, core_instr) -> RunResult:
         h = self.hierarchy

@@ -25,9 +25,9 @@ from ..errors import AnalysisError, ReproError
 from ..exec.cache import ResultCache
 from ..exec.jobs import JobSpec, WorkloadSpec
 from ..exec.pool import execute_jobs
+from ..obs.profiling import JobProfile, RunManifest
 from ..sim.results import RunResult
 from ..sim.system import SystemConfig
-from ..telemetry.profiling import JobProfile, RunManifest
 from ..utils import geometric_mean
 from ..workloads.corpus import TraceCorpus, active_corpus, set_active_corpus
 from .registry import TRACE, BenchmarkSet, resolve
@@ -163,7 +163,6 @@ def run_suite(
     sweep.
     """
     from ..arena import registry as arena_registry
-    from ..telemetry.metrics import get_registry
 
     if corpus is None:
         corpus = active_corpus()  # the $REPRO_CORPUS_DIR channel
@@ -224,9 +223,6 @@ def run_suite(
         max_workers=max_workers,
         wall_s=time.perf_counter() - start,
     )
-    metrics = get_registry()
-    metrics.counter("suite.benchmarks").inc(len(outcomes))
-    metrics.counter("suite.failures").inc(len(report.failures))
     if cache is not None and profiles:
         report.manifest().write(pathlib.Path(cache.root))
     return report

@@ -1,12 +1,12 @@
-"""CLI tests for the telemetry surface: trace commands, cache --json,
-the global --metrics flag, and sweep manifests."""
+"""CLI tests for the observability surface: trace commands, cache
+--json, and sweep manifests."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.telemetry import MANIFEST_NAME, RunManifest
+from repro.obs.profiling import MANIFEST_NAME, RunManifest
 
 SMALL = ["--refs", "250", "--ncores", "2", "--llc-kb", "32", "--l2-kb", "4"]
 
@@ -30,7 +30,7 @@ class TestTraceRecord:
         code = main(["trace", "record", "mcf", "non-inclusive",
                      "--out", str(out), "--events", "llc_fill", *SMALL])
         assert code == 0
-        from repro.telemetry import read_events
+        from repro.obs.trace import read_events
 
         names = {type(e).__name__ for e in read_events(out)}
         assert names == {"LlcFillEvent"}
@@ -112,17 +112,6 @@ class TestCacheStatsJson:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == 1
-
-
-class TestMetricsFlag:
-    def test_metrics_snapshot_written_after_command(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics.json"
-        code = main(["--metrics", str(metrics), "run", "mcf", "lap", *SMALL])
-        assert code == 0
-        payload = json.loads(metrics.read_text())
-        assert payload["counters"]["sim.runs"] >= 1
-        assert payload["counters"]["hierarchy.accesses"] >= 1
-        assert "metrics snapshot written" in capsys.readouterr().err
 
 
 class TestSweepManifest:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
 from repro.sim import SystemConfig
-from repro.telemetry.profiling import RunManifest
+from repro.obs.profiling import RunManifest
 
 
 def jobs(n=3, refs=400):
@@ -106,17 +106,18 @@ class TestGracefulInterrupt:
         assert outcome.total_jobs == len(outcome) == 2
 
     def test_interrupt_counted_in_metrics(self, monkeypatch):
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 
-        previous = set_registry(MetricsRegistry())
+        recorder = SpanRecorder()
+        install_recorder(recorder)
         try:
             interrupt_on_call(monkeypatch, 1)
             execute_jobs(jobs(2))
-            from repro.telemetry.metrics import get_registry
-
-            assert get_registry().counter("exec.interrupted").value == 1
         finally:
-            set_registry(previous)
+            uninstall_recorder()
+        (batch,) = [s for s in recorder.spans() if s["name"] == "exec.batch"]
+        assert batch["attrs"]["interrupted"] is True
+        assert batch["attrs"]["completed"] == 1
 
 
 def test_execute_jobs_off_the_main_thread(tmp_path):

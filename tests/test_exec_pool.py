@@ -29,6 +29,11 @@ def small_grid(refs=600) -> Sweep:
     )
 
 
+def _worker_lost(job):
+    """Pool entry point that fails the way a lost worker does."""
+    raise OSError("worker lost")
+
+
 class TestDeterminism:
     def test_parallel_records_equal_serial(self):
         sweep = small_grid()
@@ -93,6 +98,48 @@ class TestExecuteJobs:
         monkeypatch.setattr(JobSpec, "run", broken_run)
         with pytest.raises(ExecutionError, match="after 2 attempts"):
             execute_jobs(self.jobs(1))
+
+    @staticmethod
+    def job_spans(jobs, max_workers):
+        from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
+
+        recorder = SpanRecorder()
+        install_recorder(recorder)
+        try:
+            outcome = execute_jobs(jobs, max_workers=max_workers)
+        finally:
+            uninstall_recorder()
+        spans = [s for s in recorder.spans() if s["name"] == "exec.job"]
+        return outcome, spans
+
+    def test_pool_fallback_records_job_spans(self, monkeypatch):
+        """A pool that cannot start runs the batch in-process through
+        the same job path as the serial loop, spans included."""
+        import concurrent.futures as cf
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", no_pool)
+        outcome, spans = self.job_spans(self.jobs(2), max_workers=2)
+        assert sorted(s["attrs"]["index"] for s in spans) == [0, 1]
+        assert [p.source for p in outcome.profiles] == ["serial", "serial"]
+
+    def test_in_process_retry_records_job_spans(self, monkeypatch):
+        """A job whose worker fails transiently is retried in-process,
+        under an exec.job span, and its profile counts the failed
+        attempt."""
+        import multiprocessing
+
+        from repro.exec import pool
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched entry point only under fork")
+        monkeypatch.setattr(pool, "_run_job_dict", _worker_lost)
+        outcome, spans = self.job_spans(self.jobs(2), max_workers=2)
+        assert sorted(s["attrs"]["index"] for s in spans) == [0, 1]
+        assert [p.retries for p in outcome.profiles] == [1, 1]
+        assert [p.source for p in outcome.profiles] == ["serial", "serial"]
 
     def test_library_errors_propagate_without_retry(self, monkeypatch):
         calls = {"n": 0}

@@ -8,17 +8,15 @@ from repro.errors import TelemetryError
 from repro.exec import ExecutionOutcome, JobSpec, ResultCache, WorkloadSpec, execute_jobs
 from repro.sim import SystemConfig
 from repro.sim.sweeps import Sweep
-from repro.telemetry import (
+from repro.obs.profiling import (
     MANIFEST_NAME,
     SOURCE_CACHE,
     SOURCE_POOL,
     SOURCE_SERIAL,
     Heartbeat,
     JobProfile,
-    MetricsRegistry,
     RunManifest,
     peak_rss_kb,
-    set_registry,
 )
 
 
@@ -92,17 +90,20 @@ class TestExecutionOutcome:
         assert loaded.cache_misses == 2
         assert loaded.simulated_accesses == sum(p.accesses for p in outcome.profiles)
 
-    def test_metrics_reported_once_per_batch(self):
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            execute_jobs(make_jobs(2))
-        finally:
-            set_registry(previous)
-        snap = fresh.snapshot()
-        assert snap["counters"]["exec.jobs"] == 2
-        assert snap["counters"]["exec.cache_misses"] == 2
-        assert snap["histograms"]["exec.job_wall_s"]["count"] == 2
+    def test_metrics_reported_once_per_batch(self, tmp_path):
+        # The manifest totals are the per-batch record: each batch
+        # rewrites them for its own jobs, never accumulating.
+        cache = ResultCache(tmp_path / "cache")
+        for expected_hits in (0, 2):
+            execute_jobs(make_jobs(2), cache=cache, manifest_dir=tmp_path)
+            doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
+            assert doc["totals"]["jobs"] == 2
+            assert doc["totals"]["cache_hits"] == expected_hits
+            assert doc["totals"]["cache_misses"] == 2 - expected_hits
+            assert doc["totals"]["retries"] == 0
+            fresh = [j for j in doc["jobs"] if j["source"] != SOURCE_CACHE]
+            assert len(fresh) == 2 - expected_hits
+            assert all(j["wall_s"] > 0 for j in fresh)
 
 
 class TestJobProfile:

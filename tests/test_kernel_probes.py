@@ -427,7 +427,7 @@ def test_invariant_probe_falls_back():
 
 
 def test_trace_probe_falls_back(tmp_path):
-    from repro.telemetry.trace import TraceProbe
+    from repro.obs.trace import TraceProbe
 
     with TraceProbe(tmp_path / "trace.jsonl.gz") as probe:
         assert not kernel_batch.eligible(_hierarchy([probe]))

@@ -13,14 +13,12 @@ from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     """A real tiny sweep: 2 workloads x 2 policies into one cache dir,
-    with spans.jsonl and a metrics snapshot alongside the manifest."""
+    with spans.jsonl alongside the manifest."""
     from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
     from repro.sim import SystemConfig
-    from repro.telemetry.metrics import MetricsRegistry, set_registry
 
     root = tmp_path_factory.mktemp("sweep")
     cache = ResultCache(root)
-    previous_registry = set_registry(MetricsRegistry())
     install_recorder(SpanRecorder())
     try:
         system = SystemConfig.scaled(ncores=2, llc_kb=32, l2_kb=4)
@@ -35,14 +33,8 @@ def sweep_dir(tmp_path_factory):
             for policy in ("non-inclusive", "lap")
         ]
         execute_jobs(jobs, cache=cache, manifest_dir=root)
-        from repro.telemetry.metrics import get_registry
-
-        (root / "metrics.json").write_text(
-            json.dumps(get_registry().snapshot())
-        )
     finally:
         uninstall_recorder()
-        set_registry(previous_registry)
     return root
 
 
@@ -68,12 +60,9 @@ class TestScan:
             assert "mpki" in row.metrics
             assert 0.0 < row.metrics["llc_hit_rate"] <= 1.0
 
-    def test_spans_and_metrics_snapshots_collected(self, sweep_dir):
+    def test_spans_collected(self, sweep_dir):
         ledger = scan_dirs([sweep_dir])
         assert {s["name"] for s in ledger.spans} >= {"exec.batch", "simulate"}
-        assert len(ledger.metrics_snapshots) == 1
-        snap = ledger.metrics_snapshots[0]["snapshot"]
-        assert "counters" in snap
 
     def test_rows_sorted_by_workload_policy_key(self, sweep_dir):
         ledger = scan_dirs([sweep_dir])
@@ -124,10 +113,28 @@ class TestScan:
         assert len(ledger.rows) == 4
         assert len(ledger.dirs) == 2
         assert ledger.manifests == 2
-        # Spans and snapshots accumulate per dir scanned.
+        # Spans accumulate per dir scanned.
         single = scan_dirs([sweep_dir])
         assert len(ledger.spans) == 2 * len(single.spans)
-        assert len(ledger.metrics_snapshots) == 2
+
+    def test_stale_schema_entry_is_a_problem_not_a_row(self, sweep_dir, tmp_path):
+        """An entry from older cache semantics (the cache refuses to
+        serve it) must not leak its numbers into the policy grids."""
+        work = tmp_path / "copy"
+        shutil.copytree(sweep_dir, work)
+        (work / "manifest.json").unlink()
+        current = sorted(p for p in work.glob("*.json") if len(p.stem) == 64)[0]
+        payload = json.loads(current.read_text())
+        payload["schema"] = 1
+        payload["result"]["llc"]["fill_writes"] += 1_000_000
+        stale = work / ("f" * 64 + ".json")  # sorts last: would win its cell
+        stale.write_text(json.dumps(payload))
+        ledger = scan_dirs([work])
+        assert len(ledger.rows) == 4, "the stale entry must not become a row"
+        assert [p for p in ledger.problems if stale.name in p]
+        assert any("schema 1" in p for p in ledger.problems)
+        baseline = scan_dirs([sweep_dir]).grid("llc_writes")
+        assert ledger.grid("llc_writes") == baseline
 
 
 class TestRollups:

@@ -17,7 +17,7 @@ from repro.instr.probes import (
     RedundantFillProbe,
     make_probes,
 )
-from repro.telemetry import TraceProbe, read_events
+from repro.obs.trace import TraceProbe, read_events
 from repro.testing import A, B, C, D, E, build_micro, run_refs
 
 

@@ -1,4 +1,4 @@
-"""Tests for the flight recorder (repro.telemetry.trace)."""
+"""Tests for the flight recorder (repro.obs.trace)."""
 
 import gzip
 import json
@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.instr.probe import PROBE_EVENTS
-from repro.telemetry import (
+from repro.obs.trace import (
     EVENT_FIELDS,
     EVENT_GROUPS,
     EVENT_TYPES,

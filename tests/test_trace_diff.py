@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.telemetry import (
-    TraceProbe,
-    diff_traces,
-    record_simulation,
-    summarize_trace,
-)
+from repro.obs.diff import diff_traces, summarize_trace
+from repro.obs.trace import TraceProbe, record_simulation
 
 
 def write_trace(path, events, meta=None):
