@@ -14,9 +14,10 @@ Scanning is forgiving by design: a corrupt entry, a missing manifest,
 or a half-written span dump downgrades to a partial row (and a note in
 ``ledger.problems``) rather than an exception — the dashboard must
 render *something* for a fleet where one worker died mid-write. An
-entry written under another ``CACHE_SCHEMA_VERSION`` is noted the same
-way and kept out of the rows: its numbers come from older semantics,
-which :meth:`~repro.exec.cache.ResultCache.get` refuses to serve too.
+entry or a manifest written under another ``CACHE_SCHEMA_VERSION`` is
+noted the same way and kept out of the rows: its numbers come from
+older semantics, which :meth:`~repro.exec.cache.ResultCache.get`
+refuses to serve too.
 """
 
 from __future__ import annotations
@@ -163,6 +164,8 @@ class RunLedger:
 # ----------------------------------------------------------------------
 def _scan_manifest(root: pathlib.Path, ledger: RunLedger,
                    rows: Dict[str, LedgerRow]) -> None:
+    from ..exec.jobs import CACHE_SCHEMA_VERSION
+
     path = root / MANIFEST_NAME
     if not path.exists():
         return
@@ -173,6 +176,12 @@ def _scan_manifest(root: pathlib.Path, ledger: RunLedger,
             raise ValueError("manifest jobs is not a list")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         ledger.problems.append(f"{path}: unreadable manifest ({exc})")
+        return
+    if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
+        ledger.problems.append(
+            f"{path}: manifest cache schema {data.get('cache_schema')!r} "
+            f"is not the current {CACHE_SCHEMA_VERSION}; left out"
+        )
         return
     ledger.manifests += 1
     for job in jobs:

@@ -133,9 +133,14 @@ class RunManifest:
         return sum(j.accesses for j in self.jobs if j.source != SOURCE_CACHE)
 
     def as_dict(self) -> Dict:
+        """The manifest document, stamped with the result-cache version
+        its jobs ran under, so the ledger can leave out stale runs."""
+        from ..exec.jobs import CACHE_SCHEMA_VERSION
+
         return {
             "kind": MANIFEST_KIND,
             "schema": MANIFEST_SCHEMA_VERSION,
+            "cache_schema": CACHE_SCHEMA_VERSION,
             "max_workers": self.max_workers,
             "wall_s": self.wall_s,
             "totals": {

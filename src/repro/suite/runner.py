@@ -1,10 +1,11 @@
 """Suite execution: fan a named benchmark set through the exec pool.
 
-Each set member becomes one :class:`~repro.exec.jobs.JobSpec` batch
-(one job per policy, bit-identical traces within the batch) executed
-via :func:`repro.exec.pool.execute_jobs` — so suites inherit the
-pool's parallelism, the content-addressed result cache (a cache-warm
-rerun simulates nothing), retry policy, and per-job profiling.
+The whole set becomes one :class:`~repro.exec.jobs.JobSpec` batch
+(member-major, one job per member and policy, bit-identical traces
+within a member) executed by one :func:`repro.exec.pool.execute_jobs`
+call — so suites inherit the pool's parallelism with no per-member
+barrier, the content-addressed result cache (a cache-warm rerun
+simulates nothing), retry policy, and per-job profiling.
 Failures are surfaced *per benchmark* (instrumentation-infra style):
 one broken member records its error string and the rest of the suite
 still runs, instead of one exception killing a thousand-job night run.
@@ -154,10 +155,13 @@ def run_suite(
     """Run every member of a benchmark set under every policy.
 
     ``bset`` is a set name (``resolve``-d, so ``"corpus"`` works when a
-    corpus is given) or a :class:`BenchmarkSet` instance. Each member's
-    policy batch goes through :func:`execute_jobs`, inheriting pool
-    fan-out and the result cache; a member that raises records its
-    error and the suite continues. When a cache is present the merged
+    corpus is given) or a :class:`BenchmarkSet` instance. A member whose
+    workload spec cannot be built records its error up front; every
+    other member's jobs go to one :func:`execute_jobs` call, inheriting
+    pool fan-out and the result cache. If that batch raises, each
+    member runs again in its own call and records its own error, and
+    the suite continues. ``progress`` gets one line per member, in
+    member order, after the batch. When a cache is present the merged
     manifest (every member's job profiles) is written next to the
     cached results, so ``repro report`` picks suite runs up like any
     sweep.
@@ -176,42 +180,68 @@ def run_suite(
 
     previous_corpus = set_active_corpus(corpus) if corpus is not None else None
     start = time.perf_counter()
-    outcomes: List[BenchmarkOutcome] = []
+    outcomes = [BenchmarkOutcome(benchmark=label) for label in bset.member_labels()]
     profiles: List[JobProfile] = []
     ncores = system.hierarchy.ncores
+
+    def run(jobs: List[JobSpec]):
+        outcome = execute_jobs(
+            jobs, max_workers=max_workers, cache=cache,
+            heartbeat_interval=heartbeat_interval,
+        )
+        if outcome.interrupted:  # a partial suite is not a result
+            raise KeyboardInterrupt
+        return outcome
+
     try:
-        for member, label in zip(bset.members, bset.member_labels()):
-            outcome = BenchmarkOutcome(benchmark=label)
-            bench_start = time.perf_counter()
+        jobs_of: Dict[int, List[JobSpec]] = {}  # member index -> its jobs
+        for i, member in enumerate(bset.members):
             try:
                 spec = workload_spec_for(member, bset, ncores, seed=seed)
-                jobs = [
-                    JobSpec(
-                        system=system,
-                        workload=spec,
-                        policy=policy,
-                        refs_per_core=refs_per_core,
-                    )
+                jobs_of[i] = [
+                    JobSpec(system=system, workload=spec, policy=policy,
+                            refs_per_core=refs_per_core)
                     for policy in policies
                 ]
-                batch = execute_jobs(
-                    jobs,
-                    max_workers=max_workers,
-                    cache=cache,
-                    heartbeat_interval=heartbeat_interval,
-                )
-                outcome.results = dict(zip(policies, batch))
-                profiles.extend(batch.profiles)
             except ReproError as exc:
-                outcome.error = str(exc)
-            outcome.wall_s = time.perf_counter() - bench_start
-            outcomes.append(outcome)
-            if progress is not None:
-                status = "ok" if outcome.ok else f"FAILED: {outcome.error}"
-                progress(f"{label}: {status} ({outcome.wall_s:.1f}s)")
+                outcomes[i].error = str(exc)
+        try:
+            batch = run([job for jobs in jobs_of.values() for job in jobs])
+        except ReproError as batch_error:
+            # A job failed at run time. Find its member by running each
+            # member on its own; a failure that does not recur is still
+            # a failure, so then the batch's error stands.
+            for i, jobs in jobs_of.items():
+                member_start = time.perf_counter()
+                try:
+                    alone = run(jobs)
+                    outcomes[i].results = dict(zip(policies, alone))
+                    profiles.extend(alone.profiles)
+                except ReproError as exc:
+                    outcomes[i].error = str(exc)
+                outcomes[i].wall_s = time.perf_counter() - member_start
+            if all(outcomes[i].ok for i in jobs_of):
+                raise batch_error
+        else:
+            # Split the batch back into members; each member's wall is
+            # its share of the batch wall, weighted by its jobs' time.
+            profiles = batch.profiles
+            total = sum(p.wall_s for p in profiles)
+            k = len(policies)
+            for n, i in enumerate(jobs_of):
+                own = slice(n * k, (n + 1) * k)
+                outcomes[i].results = dict(zip(policies, batch[own]))
+                weight = sum(p.wall_s for p in profiles[own])
+                outcomes[i].wall_s = batch.wall_s * (
+                    weight / total if total > 0 else 1 / len(jobs_of)
+                )
     finally:
         if corpus is not None:
             set_active_corpus(previous_corpus)
+    if progress is not None:
+        for outcome in outcomes:
+            status = "ok" if outcome.ok else f"FAILED: {outcome.error}"
+            progress(f"{outcome.benchmark}: {status} ({outcome.wall_s:.1f}s)")
 
     report = SuiteReport(
         set_name=bset.name,

@@ -73,6 +73,21 @@ class TestSuiteRun:
         assert "good" in captured.out  # the healthy trace still ran
         assert good.digest  # silence unused warning
 
+    def test_failures_exit_1_but_suite_completes_pooled(self, capsys, tmp_path):
+        # the same broken corpus through a 2-worker pool: the batch fails
+        # in a worker, and the failure still lands on its own member
+        corpus = TraceCorpus(tmp_path / "corpus", create=True)
+        corpus.capture(make_gen("good"), 2048, name="good")
+        bad = corpus.capture(make_gen("bad"), 2048, name="bad")
+        corpus.object_path(bad.digest).write_bytes(b"garbage")
+        assert main([
+            "--jobs", "2", "suite", "run", "corpus", "--corpus", str(corpus.root),
+            "--policies", "non-inclusive,lap", *SMALL,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED bad" in captured.out
+        assert "good: ok" in captured.err  # the healthy trace still ran
+
     def test_csv_and_result_file_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "suite.csv"
         results = tmp_path / "results"

@@ -136,6 +136,29 @@ class TestScan:
         baseline = scan_dirs([sweep_dir]).grid("llc_writes")
         assert ledger.grid("llc_writes") == baseline
 
+    @pytest.mark.parametrize("stamp", [None, 1])
+    def test_stale_manifest_is_a_problem_not_rows(self, sweep_dir, tmp_path, stamp):
+        """A manifest from older cache semantics (or with no stamp) must
+        not add manifest-only rows for entries that are gone or stale."""
+        from repro.exec.jobs import CACHE_SCHEMA_VERSION
+
+        manifest = json.loads((sweep_dir / "manifest.json").read_text())
+        assert manifest["cache_schema"] == CACHE_SCHEMA_VERSION
+        work = tmp_path / "copy"
+        shutil.copytree(sweep_dir, work)
+        for entry in work.glob("*.json"):
+            if len(entry.stem) == 64:
+                entry.unlink()
+        if stamp is None:
+            del manifest["cache_schema"]
+        else:
+            manifest["cache_schema"] = stamp
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        ledger = scan_dirs([work])
+        assert ledger.rows == []
+        assert ledger.manifests == 0
+        assert any(f"manifest cache schema {stamp!r}" in p for p in ledger.problems)
+
 
 class TestRollups:
     def test_grid_is_workload_by_policy(self, sweep_dir):

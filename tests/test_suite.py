@@ -133,6 +133,86 @@ class TestRunSuite:
         with pytest.raises(AnalysisError):
             report.geomean_summary()
 
+    def test_whole_set_runs_as_one_batch(self, small_system):
+        from repro.exec import result_to_dict
+        from repro.exec.jobs import WorkloadSpec
+        from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
+        from repro.sim.runner import run_policies
+
+        members, policies = ("bzip2", "mcf", "astar"), ("non-inclusive", "lap")
+        recorder = SpanRecorder()
+        install_recorder(recorder)
+        try:
+            report = run_suite(
+                self._tiny(*members), small_system, policies=policies,
+                refs_per_core=500, max_workers=2,
+            )
+        finally:
+            uninstall_recorder()
+        batches = [s for s in recorder.spans() if s["name"] == "exec.batch"]
+        assert len(batches) == 1 and batches[0]["attrs"]["jobs"] == 6
+        assert report.ok
+        assert [(p.workload, p.policy) for p in report.profiles] == [
+            (f"{m}x2", p) for m in members for p in policies
+        ]
+        for member, outcome in zip(members, report.outcomes):
+            direct = run_policies(
+                small_system, policies, WorkloadSpec.named(member, 2), 500
+            )
+            for policy in policies:
+                assert result_to_dict(outcome.results[policy]) == result_to_dict(
+                    direct[policy]
+                )
+        assert sum(o.wall_s for o in report.outcomes) <= report.wall_s
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_runtime_failure_is_attributed_to_its_member(
+        self, small_system, max_workers
+    ):
+        from repro.exec import result_to_dict
+        from repro.exec.jobs import WorkloadSpec
+        from repro.sim.runner import run_policies
+
+        policies = ("non-inclusive", "lap")
+        lines = []
+        report = run_suite(
+            self._tiny("bzip2", "WL1"), small_system, policies=policies,
+            refs_per_core=500, max_workers=max_workers, progress=lines.append,
+        )
+        bzip2, wl1 = report.outcomes
+        assert not wl1.ok
+        assert "workload has 4 generators but the system has 2 cores" in wl1.error
+        assert bzip2.ok
+        direct = run_policies(small_system, policies, WorkloadSpec.named("bzip2", 2), 500)
+        for policy in policies:
+            assert result_to_dict(bzip2.results[policy]) == result_to_dict(direct[policy])
+        assert [p.workload for p in report.profiles] == ["bzip2x2", "bzip2x2"]
+        assert [line.split(":")[0] for line in lines] == ["bzip2", "WL1"]
+        assert "FAILED" in lines[1]
+
+    def test_batch_failure_that_does_not_recur_is_raised(
+        self, small_system, monkeypatch
+    ):
+        """A failed batch whose members all pass alone is never a success."""
+        from repro.errors import ExecutionError
+        from repro.suite import runner
+
+        calls, real = [], runner.execute_jobs
+
+        def flaky(jobs, **kwargs):
+            calls.append(len(jobs))
+            if len(calls) == 1:
+                raise ExecutionError("batch broke")
+            return real(jobs, **kwargs)
+
+        monkeypatch.setattr(runner, "execute_jobs", flaky)
+        with pytest.raises(ExecutionError, match="batch broke"):
+            run_suite(
+                self._tiny("bzip2", "mcf"), small_system, policies=("lap",),
+                refs_per_core=500,
+            )
+        assert calls == [2, 1, 1]  # the batch, then each member alone
+
     def test_unknown_set_name_from_runner(self, small_system):
         with pytest.raises(WorkloadError, match="valid sets"):
             run_suite("no-such-set", small_system)
