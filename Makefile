@@ -23,10 +23,11 @@ bench:
 # BENCHMARK.json workload, for its declared run length, at --trace 0
 # and 1; one record per run appended to BENCH_e2e.json. CHECKOUT=<dir>
 # measures another checkout (e.g. a clone of the parent commit) into
-# the same file.
+# the same file; SEED=<n> picks perfbench's seed (stamped on each record).
 CHECKOUT ?= .
+SEED ?= 0
 bench-e2e:
-	$(PYTHON) benchmarks/bench_e2e.py --checkout $(CHECKOUT)
+	$(PYTHON) benchmarks/bench_e2e.py --checkout $(CHECKOUT) --seed $(SEED)
 
 # The HTML fleet dashboard (DESIGN.md §14) over a result-cache dir:
 # runs a tiny traced sweep into CACHE_DIR when it is empty, then

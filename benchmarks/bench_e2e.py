@@ -4,15 +4,17 @@ Usage::
 
     python benchmarks/bench_e2e.py                      # this checkout
     python benchmarks/bench_e2e.py --checkout ../parent # another one
+    python benchmarks/bench_e2e.py --seed 7919          # another seed
 
 Runs the ``perfbench/run.py`` of a checkout (default: this one) for
 every workload its ``BENCHMARK.json`` declares, for the run length it
 declares, at ``--trace 0`` (the end-to-end metrics) and ``--trace 1``
-(the per-layer ones), and appends one record per run to this
-checkout's ``BENCH_e2e.json``: the measured checkout's git SHA and
-whether its tracked files had uncommitted changes, the
-``perfbench-host`` facts and the final result JSON. It only calls perfbench. Measuring a parent
-checkout and a change back to back, on the same host, gives a
+(the per-layer ones), with perfbench's ``--seed`` (default 0), and
+appends one record per run to this checkout's ``BENCH_e2e.json``: the
+measured checkout's git SHA and whether its tracked files had
+uncommitted changes, the seed, the ``perfbench-host`` facts and the
+final result JSON. It only calls perfbench. Measuring a parent
+checkout and a change back to back, on the same host and seed, gives a
 before/after pair.
 """
 
@@ -36,11 +38,13 @@ def _dirty(checkout: pathlib.Path) -> bool:
     return proc.returncode != 0 or bool(proc.stdout.strip())
 
 
-def measure(checkout: pathlib.Path, workload: str, trace: int, seconds: float) -> dict:
+def measure(
+    checkout: pathlib.Path, workload: str, trace: int, seconds: float, seed: int
+) -> dict:
     """One perfbench run as a ``BENCH_e2e.json`` record."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", str(trace), "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.splitlines()
@@ -54,6 +58,7 @@ def measure(checkout: pathlib.Path, workload: str, trace: int, seconds: float) -
         "sha": host["git_sha"],
         "dirty": _dirty(checkout),
         "workload": workload,
+        "seed": seed,
         "trace": trace,
         "seconds": seconds,
         "host": host,
@@ -64,18 +69,19 @@ def measure(checkout: pathlib.Path, workload: str, trace: int, seconds: float) -
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     for wl in spec["workloads"]:
         for trace in (0, 1):
-            record = measure(checkout, wl["name"], trace, spec["run_seconds"])
+            record = measure(checkout, wl["name"], trace, spec["run_seconds"], args.seed)
             data = json.loads(OUT.read_text()) if OUT.exists() else {"entries": []}
             data["entries"].append(record)
             OUT.write_text(json.dumps(data, indent=2) + "\n")
-            print(f"{wl['name']} trace={trace}: {json.dumps(record['result']['metrics'])}",
-                  flush=True)
+            print(f"{wl['name']} seed={args.seed} trace={trace}: "
+                  f"{json.dumps(record['result']['metrics'])}", flush=True)
     return 0
 
 

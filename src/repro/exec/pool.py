@@ -225,7 +225,9 @@ def execute_jobs(
     SIGINT/SIGTERM mid-batch returns a *partial* outcome instead of
     raising: completed jobs are cached, profiled, and manifest-logged
     as usual, pending work is cancelled, and the returned outcome has
-    ``interrupted=True`` with ``total_jobs`` = the requested count.
+    ``interrupted=True`` with ``total_jobs`` = the requested count. A
+    job that raises fails the call, but the results collected before
+    it are stored in ``cache`` first.
     """
     start = time.perf_counter()
     jobs = list(jobs)
@@ -260,26 +262,30 @@ def execute_jobs(
     interrupted = False
     try:
         if misses:
-            with _sigterm_as_interrupt():
-                try:
-                    if max_workers > 1 and len(misses) > 1:
-                        _execute_pooled(
-                            jobs, misses, results, profiles, max_workers, timeout,
-                            retries, pulse, cached_count,
-                        )
-                    else:
-                        _execute_in_process(
-                            jobs, misses, results, profiles, retries, pulse,
-                            cached_count,
-                        )
-                except KeyboardInterrupt:
-                    # Graceful shutdown: keep everything that finished.
-                    # (_execute_pooled has already cancelled its futures.)
-                    interrupted = True
-            if cache is not None:
-                for i in misses:
-                    if results[i] is not None:
-                        cache.put(jobs[i], results[i])
+            try:
+                with _sigterm_as_interrupt():
+                    try:
+                        if max_workers > 1 and len(misses) > 1:
+                            _execute_pooled(
+                                jobs, misses, results, profiles, max_workers, timeout,
+                                retries, pulse, cached_count,
+                            )
+                        else:
+                            _execute_in_process(
+                                jobs, misses, results, profiles, retries, pulse,
+                                cached_count,
+                            )
+                    except KeyboardInterrupt:
+                        # Graceful shutdown: keep everything that finished.
+                        # (_execute_pooled has already cancelled its futures.)
+                        interrupted = True
+            finally:
+                # Also when a job failed: the jobs collected before it
+                # are results, and a rerun should not simulate them again.
+                if cache is not None:
+                    for i in misses:
+                        if results[i] is not None:
+                            cache.put(jobs[i], results[i])
     except BaseException:
         batch_span.finish("error")
         raise

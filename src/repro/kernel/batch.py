@@ -33,7 +33,9 @@ transcription of ``hierarchy.access`` + the policy flows, preserving
   cases;
 - timing-model float arithmetic (same expressions in the same order,
   so bank-contention floats match bit-for-bit);
-- per-set loop-counter and tag-map discipline.
+- per-set loop-counter and tag-map discipline;
+- victim choice: ``LRUPolicy``'s lowest invalid way, else its oldest
+  line, and ``LoopAwarePolicy``'s oldest unmarked line (see below).
 
 The standard probes become derived counters at the event sites the
 loop already transcribes. The loop updates the probes' own containers
@@ -77,12 +79,22 @@ where the generic path calls it, in the same order:
 
 The speed comes from four reductions of per-reference Python work:
 
-- **flat maps** — tag lookups key one dict per cache on the *block
-  number* (``addr >> offset_bits``). Because ``tag_shift = offset_bits
-  + index_bits``, ``(set, tag) <-> block`` is a bijection at every
-  level, so one ``dict.get`` replaces the per-set two-level lookup and
-  the same block number keys L1, L2, and LLC alike. Per-set maps are
-  rebuilt once at checkin.
+- **recency-ordered set maps** — each set keeps one dict ``{block
+  number: slot}`` of its valid lines, oldest first, plus a bitmask of
+  its invalid ways. The key is ``addr >> offset_bits``: because
+  ``tag_shift = offset_bits + index_bits``, ``(set, tag) <-> block`` is
+  a bijection at every level, so the same block number keys L1, L2 and
+  LLC alike and an evicted key needs no address rebuild. Every stamp
+  the loop writes is its cache's newest, so a hit moves its key to the
+  end and the dict stays in stamp order: a fill takes the lowest free
+  way (what the stamp scan's first invalid way was) or else the first
+  key (the least-recent line), and LAP's loop-aware victim is the first
+  unmarked key, all without a scan. Checkout orders each set by
+  ``last_access`` (ties to the lowest way, as ``LRUPolicy`` breaks
+  them) and builds the masks from ``valid``; checkin derives ``tag``
+  and ``valid`` from the maps, resets the ways in no map (so the loop
+  never clears an invalidated way) and rebuilds each tag map in
+  ``insert_seq`` order, which is the generic path's install order.
 - **one interleaved stream** — per batch, addresses are sliced with a
   handful of whole-matrix numpy ops, transposed into reference order
   (core-minor, matching the generic round-robin), and iterated with a
@@ -91,7 +103,9 @@ The speed comes from four reductions of per-reference Python work:
 - **derived stats** — counters that move in lockstep with a path
   (lookups, hit/read splits, fill writes at L1/L2, demand counts) are
   reconstructed after the run from the few data-dependent ones, so the
-  hot loop only counts what it must.
+  hot loop only counts what it must: L1 misses are the L2 tick delta
+  (each one ticks the L2 once, on its hit or its fill), and evictions
+  are fills minus the rare free-way fills.
 - **precomputed L1 stamps** — the L1 tick advances exactly once per
   reference (hit or fill), so its stamps are a numpy arange per batch.
 
@@ -110,6 +124,7 @@ leader writes for Dswitch's decision; LAP counts none.
 from __future__ import annotations
 
 from itertools import chain, cycle, islice
+from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
@@ -117,7 +132,6 @@ import numpy as np
 from ..cache.block import (
     STATE_EXCLUSIVE,
     STATE_MODIFIED,
-    STATE_NONE,
     STATE_OWNED,
     STATE_SHARED,
 )
@@ -135,10 +149,6 @@ MODE_LAP = 2
 MODE_SWITCH = 3
 
 _LAP_REPL = {"lru": 0, "loop": 1, "duel": 2}
-
-#: loop-aware victim masking sentinel — larger than any tick stamp.
-_BIG = 1 << 62
-
 
 def kernel_mode(policy) -> Optional[int]:
     """The kernel's inlined flow for ``policy``, or None if unsupported.
@@ -190,12 +200,20 @@ def eligible(hierarchy) -> bool:
     )
 
 
+#: recency order of a set's valid blocks: by stamp, ties to the lowest way
+_recency = attrgetter("last_access", "way")
+
+
 def _checkout(cache) -> dict:
     """Copy ``cache``'s blocks into the kernel's working state.
 
     Flat lists in slot order (slot = set * assoc + way; MOESI ``state``
-    strings included, for coherent runs), per-set ``{tag: slot}`` dicts
-    and the loop counters. The blocks are stale until :func:`_checkin`.
+    strings included, for coherent runs), and per set: a ``{tag: slot}``
+    map of its valid lines in recency order (oldest first: by stamp,
+    ties to the lowest way, as ``LRUPolicy`` breaks them), a bitmask of
+    its invalid ways and its loop counter. ``tag`` and ``valid``
+    complete the snapshot, but the loop reads neither: the maps and
+    masks stand for them. The blocks are stale until :func:`_checkin`.
     """
     blocks = [b for s in cache.sets for b in s.blocks]
     assoc = cache.assoc
@@ -209,70 +227,74 @@ def _checkout(cache) -> dict:
         "rrpv": [b.rrpv for b in blocks],
         "state": [b.state for b in blocks],
         "maps": [
-            {t: s.index * assoc + b.way for t, b in s.tag_map.items()}
+            {b.tag: s.index * assoc + b.way for b in sorted(s.tag_map.values(), key=_recency)}
             for s in cache.sets
         ],
+        "free": [sum(1 << b.way for b in s.blocks if not b.valid) for s in cache.sets],
         "loop_counts": [s.loop_count for s in cache.sets],
     }
 
 
 def _checkin(cache, state: dict) -> None:
-    """Write a checked-out working state back into ``cache``'s blocks
-    and rebuild its per-set tag maps and loop counters."""
+    """Write a checked-out working state back into ``cache``'s blocks.
+
+    The maps say which ways are valid and with what tag, so the loop
+    keeps no ``tag``/``valid`` columns and never clears an invalidated
+    way: a way in no map is reset here, as ``CacheSet.drop`` leaves it.
+    Each set's tag map is rebuilt in ``insert_seq`` order, the order the
+    generic path's installs leave it in, and gets its loop counter.
+    """
     blocks = [b for s in cache.sets for b in s.blocks]
-    for b, tag, valid, dirty, loop, last, iseq, rrpv, moesi in zip(
+    tags = [None] * len(blocks)
+    for m in state["maps"]:
+        for tag, slot in m.items():
+            tags[slot] = tag
+    iseqs = state["iseq"]
+    for b, tag, dirty, loop, last, iseq, rrpv, moesi in zip(
         blocks,
-        state["tag"],
-        state["valid"],
+        tags,
         state["dirty"],
         state["loop"],
         state["last"],
-        state["iseq"],
+        iseqs,
         state["rrpv"],
         state["state"],
     ):
+        if tag is None:
+            b.reset()
+            continue
         b.tag = tag
-        b.valid = valid
+        b.valid = True
         b.dirty = dirty
         b.loop_bit = loop
         b.last_access = last
         b.insert_seq = iseq
         b.rrpv = rrpv
         b.state = moesi
-    for s, slot_map, loops in zip(cache.sets, state["maps"], state["loop_counts"]):
-        s.tag_map = {t: blocks[slot] for t, slot in slot_map.items()}
+    for s, m, loops in zip(cache.sets, state["maps"], state["loop_counts"]):
+        order = sorted(m.values(), key=iseqs.__getitem__)
+        s.tag_map = {blocks[slot].tag: blocks[slot] for slot in order}
         s.loop_count = loops
 
 
-def _flatten_maps(per_set_maps, idx_bits) -> dict:
-    """Per-set ``{tag: slot}`` dicts -> one ``{block: slot}`` dict."""
-    flat = {}
-    for si, m in enumerate(per_set_maps):
-        for t, slot in m.items():
-            flat[(t << idx_bits) | si] = slot
-    return flat
+def _block_keyed(maps, idx_bits) -> list:
+    """Per-set ``{tag: slot}`` maps re-keyed on the block number
+    ``(tag << idx_bits) | set``, order kept (see module docstring)."""
+    return [{(t << idx_bits) | si: slot for t, slot in m.items()} for si, m in enumerate(maps)]
 
 
-def _unflatten_maps(flat, num_sets, mask, idx_bits) -> list:
-    """Inverse of :func:`_flatten_maps`, for checkin."""
-    maps = [{} for _ in range(num_sets)]
-    for key, slot in flat.items():
-        maps[key & mask][key >> idx_bits] = slot
-    return maps
+def _tag_keyed(maps, idx_bits) -> list:
+    """Inverse of :func:`_block_keyed`, for checkin."""
+    return [{b >> idx_bits: slot for b, slot in m.items()} for m in maps]
 
 
-def _blk_shadow(flat, nslots) -> list:
-    """Slot -> block-number shadow, valid slots only.
-
-    Lets evictions read the victim's flat-map key directly instead of
-    re-deriving ``(tag << idx_bits) | set`` on every replacement. Only
-    consulted while the slot is valid, so stale entries after an
-    invalidation are harmless.
-    """
-    bl = [0] * nslots
-    for b, slot in flat.items():
-        bl[slot] = b
-    return bl
+def _take_free(free, si, base) -> int:
+    """Claim set ``si``'s lowest invalid way (what ``LRUPolicy`` picks
+    first) from the bitmask list ``free``; returns its slot."""
+    f = free[si]
+    low = f & -f
+    free[si] = f ^ low
+    return base + low.bit_length() - 1
 
 
 #: references per core materialised as Python values at a time
@@ -290,46 +312,38 @@ def _in_ref_order(m):
 
 
 def _invalidate_peers(
-    peers, blk, addr, pctx, l2_mask, sharers, streak, from_llc, rec_ctc, tally
+    peers, blk, addr, pctx, geo, sharers, streak, from_llc, rec_ctc, tally
 ) -> None:
     """``CoherenceController._invalidate_peer`` for every core set in the
     bitmask ``peers``, in core order, over the checked-out state.
 
     ``pctx[c]`` is core ``c``'s L1/L2 working state, ending with its
     ``[discard calls, L1 invalidations, L2 invalidations]`` counters;
+    ``geo`` is ``(l1 index mask, l1 assoc, l2 index mask, l2 assoc)``;
     ``tally`` accumulates ``[invalidation messages, L2 lines dropped,
     loop evictions]`` (a dropped line is an L2 eviction to the loop
     tracker, as ``note_l2_drop`` makes it on the generic path).
     """
+    l1_mask, l1_assoc, l2_mask, l2_assoc = geo
+    s1 = blk & l1_mask
+    s2 = blk & l2_mask
     peer = 0
     while peers:
         if peers & 1:
-            (m1, tags1, v1, dir1, last1, iseq1, m2, tags2, val2, dir2, loop2,
-             last2, iseq2, st2, lc2, cnt) = pctx[peer]
+            m1, fr1, m2, fr2, dir2, loop2, lc2, cnt = pctx[peer]
             tally[0] += 1
             cnt[0] += 1
             # l1.discard
-            s = m1.pop(blk, None)
+            s = m1[s1].pop(blk, None)
             if s is not None:
-                tags1[s] = -1
-                v1[s] = False
-                dir1[s] = False
-                last1[s] = 0
-                iseq1[s] = 0
+                fr1[s1] |= 1 << (s % l1_assoc)
                 cnt[1] += 1
             # l2.invalidate
-            s = m2.pop(blk, None)
+            s = m2[s2].pop(blk, None)
             if s is not None:
-                dirty = dir2[s]
+                fr2[s2] |= 1 << (s % l2_assoc)
                 if loop2[s]:
-                    lc2[blk & l2_mask] -= 1
-                tags2[s] = -1
-                val2[s] = False
-                dir2[s] = False
-                loop2[s] = False
-                last2[s] = 0
-                iseq2[s] = 0
-                st2[s] = STATE_NONE
+                    lc2[s2] -= 1
                 cnt[2] += 1
                 # on_l2_drop
                 mask = sharers.get(addr, 0) & ~(1 << peer)
@@ -339,7 +353,7 @@ def _invalidate_peers(
                     sharers.pop(addr, None)
                 # note_l2_drop -> tracker.on_l2_evict
                 tally[1] += 1
-                if dirty:
+                if dir2[s]:
                     if streak and addr in streak:
                         rec_ctc(streak.pop(addr))
                 elif from_llc.get(addr, False):
@@ -349,13 +363,14 @@ def _invalidate_peers(
         peer += 1
 
 
-def _downgrade_peers(peers, blk, m2_flat, l2_state, owned) -> None:
+def _downgrade_peers(peers, blk, s2, m2_sets, l2_state, owned) -> None:
     """The read-snoop downgrades of ``CoherenceController.on_l2_miss``:
-    E→S in every peer, and M→O too when ``owned`` (an LLC miss)."""
+    E→S in every peer, and M→O too when ``owned`` (an LLC miss);
+    ``s2`` is ``blk``'s L2 set."""
     peer = 0
     while peers:
         if peers & 1:
-            s = m2_flat[peer].get(blk)
+            s = m2_sets[peer][s2].get(blk)
             if s is not None:
                 st2 = l2_state[peer]
                 if st2[s] == STATE_EXCLUSIVE:
@@ -396,10 +411,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     l1_assoc = h.l1s[0].assoc
     l2_assoc = h.l2s[0].assoc
     llc_assoc = llc.assoc
-    # Unrolled victim scans for the stock associativities (first-win
-    # strict-< keeps exactly the ``index(min(...))`` tie-breaking).
-    u4 = l1_assoc == 4
-    u8 = l2_assoc == 8
+    geo = (l1_mask, l1_assoc, l2_mask, l2_assoc)
 
     # ---- timing constants (same expressions as TimingModel) ----------
     l2_lat = timing.l2_latency
@@ -436,37 +448,33 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     l2_st = [_checkout(c) for c in h.l2s]
     ll_st = _checkout(llc)
 
-    l1_tag = [s["tag"] for s in l1_st]
-    l1_val = [s["valid"] for s in l1_st]
     l1_dir = [s["dirty"] for s in l1_st]
     l1_last = [s["last"] for s in l1_st]
     l1_iseq = [s["iseq"] for s in l1_st]
-    l2_tag = [s["tag"] for s in l2_st]
-    l2_val = [s["valid"] for s in l2_st]
+    l1_free = [s["free"] for s in l1_st]
     l2_dir = [s["dirty"] for s in l2_st]
     l2_loop = [s["loop"] for s in l2_st]
     l2_last = [s["last"] for s in l2_st]
     l2_iseq = [s["iseq"] for s in l2_st]
+    l2_free = [s["free"] for s in l2_st]
     l2_lc = [s["loop_counts"] for s in l2_st]
     l2_state = [s["state"] for s in l2_st]
-    ll_tag = ll_st["tag"]
-    ll_val = ll_st["valid"]
     ll_dir = ll_st["dirty"]
     ll_loop = ll_st["loop"]
     ll_last = ll_st["last"]
     ll_iseq = ll_st["iseq"]
+    ll_free = ll_st["free"]
     ll_lc = ll_st["loop_counts"]
 
-    # Flat block-number-keyed maps (see module docstring).
-    m1_flat = [_flatten_maps(s["maps"], l1_idx_bits) for s in l1_st]
-    m2_flat = [_flatten_maps(s["maps"], l2_idx_bits) for s in l2_st]
-    ll_flat = _flatten_maps(ll_st["maps"], llc_idx_bits)
-    l1_bn = [_blk_shadow(m1_flat[c], len(l1_tag[c])) for c in range(ncores)]
-    l2_bn = [_blk_shadow(m2_flat[c], len(l2_tag[c])) for c in range(ncores)]
-    ll_bn = _blk_shadow(ll_flat, len(ll_tag))
+    # Recency-ordered set maps keyed on block numbers (module docstring).
+    m1_sets = [_block_keyed(s["maps"], l1_idx_bits) for s in l1_st]
+    m2_sets = [_block_keyed(s["maps"], l2_idx_bits) for s in l2_st]
+    ll_sets = _block_keyed(ll_st["maps"], llc_idx_bits)
+    ll_valid0 = sum(map(len, ll_sets))
 
     l1_tick = [c._tick for c in h.l1s]
     l2_tick = [c._tick for c in h.l2s]
+    l2_tick0 = list(l2_tick)
     ll_tick = llc._tick
 
     # Probe state: the loop continues the probes' own containers, keyed
@@ -508,15 +516,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # ---- local stat accumulators (data-dependent only; the rest is
     # derived after the run) -------------------------------------------
     z = [0] * ncores
-    l1_mis, wh1, l1_ev, l1_dev, l1_inv = list(z), list(z), list(z), list(z), list(z)
-    l2_mis, l2_ev, l2_dev = list(z), list(z), list(z)
+    wh1, l1_dev, l1_inv, l1_nfree = list(z), list(z), list(z), list(z)
+    l2_mis, l2_dev, l2_nfree = list(z), list(z), list(z)
     ll_mis = ll_tp = 0
     ll_drs = ll_drt = ll_dws = ll_dwt = 0
-    ll_ins = ll_ev = ll_dev = ll_inv = 0
+    ll_ins = ll_nfree = ll_dev = ll_inv = 0
     ll_fillw = ll_cleanw = ll_dirtyw = ll_updw = ll_hitinv = 0
     accesses = stores = 0
-    l2_cv = l2_dv = 0
-    mem_writes = 0
 
     # ---- policy selection & inlined set-dueling ----------------------
     noni = mode == MODE_NONI
@@ -555,45 +561,38 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # The LLC insert and update flows are inlined at their call sites
     # below (no closures: keeping every hot variable a plain local is
     # measurably faster than closure-cell access, and the insert runs
-    # up to once per reference on miss-heavy workloads). Victim scans
-    # use C-level min/index: invalid ways carry stamp 0 (reset zeroes
-    # it) while valid ways carry >= 1 (ticks pre-increment), so the
-    # minimum stamp is the first invalid way when one exists and the
-    # oldest line otherwise, with ties breaking to the lowest way —
-    # exactly LRUPolicy's first-win scan.
+    # up to once per reference on miss-heavy workloads). A touch moves
+    # the line's key to the end of its set map, so a full set's victim
+    # is its first key (module docstring), which ``for eb in sm: break``
+    # reads without a scan.
 
     # Per-core objects in core order; each batch's stream cycles through
     # them, so the scalar loop unpacks them from one zip instead of
     # double-indexing.
     core_pat = list(range(ncores))
-    m1_pat = [m1_flat[c] for c in core_pat]
-    m2_pat = [m2_flat[c] for c in core_pat]
+    m1_pat = [m1_sets[c] for c in core_pat]
+    m2_pat = [m2_sets[c] for c in core_pat]
     last1_pat = [l1_last[c] for c in core_pat]
     dir1_pat = [l1_dir[c] for c in core_pat]
     # Everything else the (less frequent) L1-miss path touches, bundled
-    # per core so one tuple unpack replaces ~20 ``[core]`` indexings.
+    # per core so one tuple unpack replaces ~10 ``[core]`` indexings.
     ctx_pat = [
         (
-            l2_tag[c],
-            l2_val[c],
             l2_last[c],
             l2_dir[c],
             l2_loop[c],
             l2_iseq[c],
             l2_lc[c],
-            l2_bn[c],
-            l1_tag[c],
-            l1_val[c],
+            l2_free[c],
             l1_iseq[c],
-            l1_bn[c],
+            l1_free[c],
         )
         for c in core_pat
     ]
     # What a peer invalidation touches, per core (see _invalidate_peers).
     pctx = [
-        (m1_flat[c], l1_tag[c], l1_val[c], l1_dir[c], l1_last[c], l1_iseq[c],
-         m2_flat[c], l2_tag[c], l2_val[c], l2_dir[c], l2_loop[c], l2_last[c],
-         l2_iseq[c], l2_state[c], l2_lc[c], peer_cnt[c])
+        (m1_sets[c], l1_free[c], m2_sets[c], l2_free[c], l2_dir[c], l2_loop[c],
+         l2_lc[c], peer_cnt[c])
         for c in core_pat
     ]
 
@@ -640,14 +639,17 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                 stream if part == left else islice(stream, part)
             ):
                 # ---- L1 lookup --------------------------------------
-                slot = m1.get(blk)
+                s1 = blk & l1_mask
+                sm1 = m1[s1]
+                slot = sm1.pop(blk, None)
                 if slot is not None:
+                    sm1[blk] = slot
                     last1[slot] = tk
                     if w:
                         wh1[core] += 1
                         dir1[slot] = True
                         # propagate_store: L2 copy exists (L1 ⊆ L2)
-                        ls = m2[blk]
+                        ls = m2[blk & l2_mask][blk]
                         d2 = l2_dir[core]
                         if not d2[ls]:
                             d2[ls] = True
@@ -664,22 +666,18 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                     peers = sharers.get(a, 0) & ~(1 << core)
                                     if peers:
                                         _invalidate_peers(
-                                            peers, blk, a, pctx, l2_mask, sharers,
+                                            peers, blk, a, pctx, geo, sharers,
                                             streak, from_llc, rec_ctc, peer_tally,
                                         )
                                 st2[ls] = STATE_MODIFIED
-                                s = ll_flat.pop(blk, None)
+                                si = blk & llc_mask
+                                s = ll_sets[si].pop(blk, None)
                                 if s is not None:
                                     # llc.discard + note_llc_evict
                                     ll_tp += 1
                                     if ll_loop[s]:
-                                        ll_lc[blk & llc_mask] -= 1
-                                    ll_tag[s] = -1
-                                    ll_val[s] = False
-                                    ll_dir[s] = False
-                                    ll_loop[s] = False
-                                    ll_last[s] = 0
-                                    ll_iseq[s] = 0
+                                        ll_lc[si] -= 1
+                                    ll_free[si] |= 1 << (s % llc_assoc)
                                     ll_inv += 1
                                     if fresh:
                                         fresh.discard(blk << off)
@@ -687,13 +685,14 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             l2_lc[core][blk & l2_mask] -= 1
                             l2_loop[core][ls] = False
                     continue
-                l1_mis[core] += 1
-                (tags2, val2, last2, dir2, loop2, iseq2, lc2, bn2,
-                 tags1, v1, iseq1, bn1) = ctx
+                last2, dir2, loop2, iseq2, lc2, fr2, iseq1, fr1 = ctx
                 # ---- L2 lookup (reads only; stores dirty via
                 # propagation) -----------------------------------------
-                ls = m2.get(blk)
+                s2 = blk & l2_mask
+                sm2 = m2[s2]
+                ls = sm2.pop(blk, None)
                 if ls is not None:
+                    sm2[blk] = ls
                     t2k = l2_tick[core] + 1
                     l2_tick[core] = t2k
                     last2[ls] = t2k
@@ -729,7 +728,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         r = roles[si]
                         exm = (duel_winner if r is None else r) == 1
                         noni = not exm
-                    s = ll_flat.get(blk)
+                    sm = ll_sets[si]
+                    s = sm.pop(blk, None)
                     out_dirty = False
                     if s is None:
                         ll_mis += 1
@@ -745,30 +745,26 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             # Fig. 1b: the miss fills the LLC too. The
                             # just-missed line cannot be present, so
                             # insert_or_update is a straight insert
-                            # (plain-LRU scan, clean, loop bit off).
+                            # (plain-LRU victim, clean, loop bit off).
                             ll_tick += 1
-                            base = si * llc_assoc
-                            seg = ll_last[base : base + llc_assoc]
-                            s = base + seg.index(min(seg))
-                            if ll_val[s]:
-                                ll_ev += 1
+                            if ll_free[si]:
+                                s = _take_free(ll_free, si, si * llc_assoc)
+                                ll_nfree += 1
+                            else:
+                                for eb in sm:
+                                    break
+                                s = sm.pop(eb)
                                 if ll_dir[s]:
                                     ll_dev += 1
-                                    mem_writes += 1
-                                eb = ll_bn[s]
-                                del ll_flat[eb]
                                 if fresh:  # on_llc_evict
                                     fresh.discard(eb << off)
                                 if ll_loop[s]:
                                     ll_lc[si] -= 1
-                            ll_tag[s] = blk >> llc_idx_bits
-                            ll_val[s] = True
                             ll_dir[s] = False
                             ll_loop[s] = False
                             ll_last[s] = ll_tick
                             ll_iseq[s] = ll_tick
-                            ll_flat[blk] = s
-                            ll_bn[s] = blk
+                            sm[blk] = s
                             ll_ins += 1
                             ll_tp += 1
                             if slot_sram[s]:
@@ -818,17 +814,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             # the line); dirtiness moves up
                             out_dirty = ll_dir[s]
                             ll_tp += 1
-                            del ll_flat[blk]
                             if ll_loop[s]:
                                 ll_lc[si] -= 1
-                            ll_tag[s] = -1
-                            ll_val[s] = False
-                            ll_dir[s] = False
-                            ll_loop[s] = False
-                            ll_last[s] = 0
-                            ll_iseq[s] = 0
+                            ll_free[si] |= 1 << (s % llc_assoc)
                             ll_inv += 1
                             ll_hitinv += 1
+                        else:
+                            sm[blk] = s
                     if coh:
                         # ---- coherence.on_l2_miss -------------------
                         a = blk << off
@@ -838,11 +830,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 snoops += 1
                                 if peers:
                                     _invalidate_peers(
-                                        peers, blk, a, pctx, l2_mask, sharers,
+                                        peers, blk, a, pctx, geo, sharers,
                                         streak, from_llc, rec_ctc, peer_tally,
                                     )
                             elif peers:
-                                _downgrade_peers(peers, blk, m2_flat, l2_state, False)
+                                _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
                         else:
                             snoops += 1
                             if peers:
@@ -850,70 +842,40 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 c2c += 1
                                 if w:
                                     _invalidate_peers(
-                                        peers, blk, a, pctx, l2_mask, sharers,
+                                        peers, blk, a, pctx, geo, sharers,
                                         streak, from_llc, rec_ctc, peer_tally,
                                     )
                                 else:
-                                    _downgrade_peers(peers, blk, m2_flat, l2_state, True)
+                                    _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
                             else:
                                 ck += mem_stall
                     elif not hit:
                         ck += mem_stall
                     # ---- _fill_l2 -----------------------------------
-                    s2 = blk & l2_mask
                     fl_loop = lap and hit  # l2_fill_loop_bit
                     t2k = l2_tick[core] + 1
                     l2_tick[core] = t2k
-                    base2 = s2 * l2_assoc
-                    if u8:
-                        vs = base2
-                        m = last2[vs]
-                        j = base2 + 1
-                        v = last2[j]
-                        if v < m: m = v; vs = j
-                        j = base2 + 2
-                        v = last2[j]
-                        if v < m: m = v; vs = j
-                        j = base2 + 3
-                        v = last2[j]
-                        if v < m: m = v; vs = j
-                        j = base2 + 4
-                        v = last2[j]
-                        if v < m: m = v; vs = j
-                        j = base2 + 5
-                        v = last2[j]
-                        if v < m: m = v; vs = j
-                        j = base2 + 6
-                        v = last2[j]
-                        if v < m: m = v; vs = j
-                        j = base2 + 7
-                        v = last2[j]
-                        if v < m: vs = j
+                    if fr2[s2]:
+                        vs = _take_free(fr2, s2, s2 * l2_assoc)
+                        l2_nfree[core] += 1
+                        ev_blk = -1
                     else:
-                        seg = last2[base2 : base2 + l2_assoc]
-                        vs = base2 + seg.index(min(seg))
-                    if val2[vs]:
-                        ev_blk = bn2[vs]
+                        for ev_blk in sm2:
+                            break
+                        vs = sm2.pop(ev_blk)
                         ev_dirty = dir2[vs]
                         ev_loop = loop2[vs]
-                        l2_ev[core] += 1
                         if ev_dirty:
                             l2_dev[core] += 1
-                        del m2[ev_blk]
                         if ev_loop:
                             lc2[s2] -= 1
-                    else:
-                        ev_blk = -1
-                    tags2[vs] = blk >> l2_idx_bits
-                    val2[vs] = True
                     dir2[vs] = out_dirty
                     loop2[vs] = fl_loop
                     last2[vs] = t2k
                     iseq2[vs] = t2k
                     if fl_loop:
                         lc2[s2] += 1
-                    m2[blk] = vs
-                    bn2[vs] = blk
+                    sm2[blk] = vs
                     ls = vs
                     if coh:
                         # fill_state + on_l2_insert
@@ -928,13 +890,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                     if ev_blk != -1:
                         # ---- _handle_l2_victim ----------------------
                         # L1 ⊆ L2: kill the upper copy
-                        eslot = m1.pop(ev_blk, None)
+                        e1 = ev_blk & l1_mask
+                        eslot = m1[e1].pop(ev_blk, None)
                         if eslot is not None:
-                            v1[eslot] = False
-                            tags1[eslot] = -1
-                            dir1[eslot] = False
-                            last1[eslot] = 0
-                            iseq1[eslot] = 0
+                            fr1[e1] |= 1 << (eslot % l1_assoc)
                             l1_inv[core] += 1
                         if coh:
                             # on_l2_drop
@@ -946,16 +905,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 sharers.pop(ea, None)
                         # on_l2_victim -> tracker.on_l2_evict
                         if ev_dirty:
-                            l2_dv += 1
                             if streak and (ev_blk << off) in streak:
                                 rec_ctc(streak.pop(ev_blk << off))
-                        else:
-                            l2_cv += 1
-                            if trk:
-                                ea = ev_blk << off
-                                if from_llc.get(ea, False):
-                                    streak[ea] = streak.get(ea, 0) + 1
-                                    loop_ev += 1
+                        elif trk:
+                            ea = ev_blk << off
+                            if from_llc.get(ea, False):
+                                streak[ea] = streak.get(ea, 0) + 1
+                                loop_ev += 1
                         # ---- policy.l2_victim -----------------------
                         # One unified flow for the three modes. noni drops
                         # clean victims; every other (mode, dirty, present)
@@ -978,7 +934,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             ebk = ev_blk & bank_mask
                             if lap:
                                 ll_tp += 1  # llc.probe
-                            es = ll_flat.get(ev_blk)
+                            sm = ll_sets[esi]
+                            es = sm.get(ev_blk)
                             if es is not None:
                                 if ev_dirty or exm:
                                     # inline Cache.update + posted write
@@ -986,6 +943,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                         ll_dir[es] = True
                                     ll_tick += 1
                                     ll_last[es] = ll_tick
+                                    del sm[ev_blk]
+                                    sm[ev_blk] = es
                                     ll_tp += 1
                                     if slot_sram[es]:
                                         ll_dws += 1
@@ -1021,57 +980,41 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             else:
                                 # inline _place_and_insert + _finish_insert
                                 lb = ev_loop if (exm or not ev_dirty) else False
-                                if lap_loop_mode:
-                                    loop_scan = True
-                                elif lap_duel_mode:
-                                    r = roles[esi]
-                                    loop_scan = (duel_winner if r is None else r) == 0
-                                else:
-                                    loop_scan = False
                                 ll_tick += 1
-                                base = esi * llc_assoc
-                                seg = ll_last[base : base + llc_assoc]
-                                s = base + seg.index(min(seg))
-                                if loop_scan and ll_loop[s]:
-                                    # The global-LRU winner is loop-marked:
-                                    # redo the scan with loop-marked ways
-                                    # masked to a sentinel. (When the plain
-                                    # winner is unmarked it already IS the
-                                    # min over unmarked ways, so this path
-                                    # only runs when it would differ.)
-                                    # Invalid ways have the bit clear, so
-                                    # first-invalid still wins; all-loop
-                                    # sets keep the plain-LRU winner.
-                                    masked = [
-                                        _BIG if lbit else la
-                                        for la, lbit in zip(
-                                            seg, ll_loop[base : base + llc_assoc]
-                                        )
-                                    ]
-                                    m = min(masked)
-                                    if m < _BIG:
-                                        s = base + masked.index(m)
-                                if ll_val[s]:
-                                    ll_ev += 1
+                                if ll_free[esi]:
+                                    s = _take_free(ll_free, esi, esi * llc_assoc)
+                                    ll_nfree += 1
+                                else:
+                                    if lap_loop_mode:
+                                        loop_scan = True
+                                    elif lap_duel_mode:
+                                        r = roles[esi]
+                                        loop_scan = (duel_winner if r is None else r) == 0
+                                    else:
+                                        loop_scan = False
+                                    # LoopAwarePolicy: the oldest unmarked
+                                    # line, else (all marked) the oldest.
+                                    for eb in sm:
+                                        break
+                                    if loop_scan:
+                                        for cand, s in sm.items():
+                                            if not ll_loop[s]:
+                                                eb = cand
+                                                break
+                                    s = sm.pop(eb)
                                     if ll_dir[s]:
                                         ll_dev += 1
-                                        mem_writes += 1
-                                    eb = ll_bn[s]
-                                    del ll_flat[eb]
                                     if fresh:  # on_llc_evict
                                         fresh.discard(eb << off)
                                     if ll_loop[s]:
                                         ll_lc[esi] -= 1
-                                ll_tag[s] = ev_blk >> llc_idx_bits
-                                ll_val[s] = True
                                 ll_dir[s] = ev_dirty
                                 ll_loop[s] = lb
                                 ll_last[s] = ll_tick
                                 ll_iseq[s] = ll_tick
                                 if lb:
                                     ll_lc[esi] += 1
-                                ll_flat[ev_blk] = s
-                                ll_bn[s] = ev_blk
+                                sm[ev_blk] = s
                                 ll_ins += 1
                                 ll_tp += 1
                                 if slot_sram[s]:
@@ -1104,35 +1047,19 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         from_llc[blk << off] = hit
                     cc[core] = ck
                 # ---- l1.fill(addr, is_write) ------------------------
-                s1 = blk & l1_mask
-                base1 = s1 * l1_assoc
-                if u4:
-                    vs = base1
-                    m = last1[vs]
-                    j = base1 + 1
-                    v = last1[j]
-                    if v < m: m = v; vs = j
-                    j = base1 + 2
-                    v = last1[j]
-                    if v < m: m = v; vs = j
-                    j = base1 + 3
-                    v = last1[j]
-                    if v < m: vs = j
+                if fr1[s1]:
+                    vs = _take_free(fr1, s1, s1 * l1_assoc)
+                    l1_nfree[core] += 1
                 else:
-                    seg = last1[base1 : base1 + l1_assoc]
-                    vs = base1 + seg.index(min(seg))
-                if v1[vs]:
-                    l1_ev[core] += 1
+                    for eb in sm1:
+                        break
+                    vs = sm1.pop(eb)
                     if dir1[vs]:
                         l1_dev[core] += 1
-                    del m1[bn1[vs]]
-                tags1[vs] = blk >> l1_idx_bits
-                v1[vs] = True
                 dir1[vs] = w
                 last1[vs] = tk
                 iseq1[vs] = tk
-                m1[blk] = vs
-                bn1[vs] = blk
+                sm1[blk] = vs
                 if w:
                     # propagate_store into the (just ensured) L2 copy:
                     # ``ls`` carries the slot from the hit/fill above.
@@ -1151,27 +1078,23 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 peers = sharers.get(a, 0) & ~(1 << core)
                                 if peers:
                                     _invalidate_peers(
-                                        peers, blk, a, pctx, l2_mask, sharers,
+                                        peers, blk, a, pctx, geo, sharers,
                                         streak, from_llc, rec_ctc, peer_tally,
                                     )
                             st2[ls] = STATE_MODIFIED
-                            s = ll_flat.pop(blk, None)
+                            si = blk & llc_mask
+                            s = ll_sets[si].pop(blk, None)
                             if s is not None:
                                 # llc.discard + note_llc_evict
                                 ll_tp += 1
                                 if ll_loop[s]:
-                                    ll_lc[blk & llc_mask] -= 1
-                                ll_tag[s] = -1
-                                ll_val[s] = False
-                                ll_dir[s] = False
-                                ll_loop[s] = False
-                                ll_last[s] = 0
-                                ll_iseq[s] = 0
+                                    ll_lc[si] -= 1
+                                ll_free[si] |= 1 << (s % llc_assoc)
                                 ll_inv += 1
                                 if fresh:
                                     fresh.discard(blk << off)
                     if loop2[ls]:
-                        lc2[blk & l2_mask] -= 1
+                        lc2[s2] -= 1
                         loop2[ls] = False
             left -= part
             if occ_on:
@@ -1180,7 +1103,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                 if since >= interval:
                     since = 0
                     if trk:
-                        samp_valid += len(ll_flat)
+                        # valid LLC lines: free-way fills add one,
+                        # invalidations drop one
+                        samp_valid += ll_valid0 + ll_nfree - ll_inv
                         samp_loops += sum(ll_lc)
         del stream  # frees this batch's last chunk before the next batch
 
@@ -1194,20 +1119,27 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # ---- checkin: maps, state, ticks, stats --------------------------
     checkin_span = start_span("kernel.checkin", ncores=ncores)
     for core in range(ncores):
-        l1_st[core]["maps"] = _unflatten_maps(
-            m1_flat[core], h.l1s[core].num_sets, l1_mask, l1_idx_bits
-        )
-        l2_st[core]["maps"] = _unflatten_maps(
-            m2_flat[core], h.l2s[core].num_sets, l2_mask, l2_idx_bits
-        )
+        l1_st[core]["maps"] = _tag_keyed(m1_sets[core], l1_idx_bits)
+        l2_st[core]["maps"] = _tag_keyed(m2_sets[core], l2_idx_bits)
         _checkin(h.l1s[core], l1_st[core])
         _checkin(h.l2s[core], l2_st[core])
         h.l1s[core]._tick = l1_tick[core]
         h.l2s[core]._tick = l2_tick[core]
-    ll_st["maps"] = _unflatten_maps(ll_flat, llc.num_sets, llc_mask, llc_idx_bits)
+    ll_st["maps"] = _tag_keyed(ll_sets, llc_idx_bits)
     _checkin(llc, ll_st)
     llc._tick = ll_tick
 
+    # ---- derived + accumulated stat flush ----------------------------
+    # Lockstep identities: every reference does one L1 lookup and, on a
+    # miss, exactly one L1 fill-insert, then one L2 lookup that ticks the
+    # L2 once (hit or fill), so L1 misses are the L2 tick delta; every
+    # L2 miss does one fill-insert; a fill that takes no free way
+    # evicts; every L2 eviction and every peer invalidation runs one
+    # upper-level probe, and a peer invalidation one L2 probe; every L2
+    # miss does one LLC lookup, and reads memory unless the LLC or a
+    # peer supplies the line; every dirty LLC eviction writes memory.
+    refs = refs_per_core
+    l2_ev = [l2_mis[c] - l2_nfree[c] for c in range(ncores)]
     if trk:
         lstats = tracker.stats
         lstats.l2_evictions += sum(l2_ev) + peer_tally[1]
@@ -1238,17 +1170,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         cs.invalidation_messages += peer_tally[0]
         cs.upgrades += upgrades
 
-    # ---- derived + accumulated stat flush ----------------------------
-    # Lockstep identities: every reference does one L1 lookup and, on a
-    # miss, exactly one L1 fill-insert; every L1 miss does one L2
-    # lookup and every L2 miss one fill-insert; every L2 eviction and
-    # every peer invalidation runs one upper-level probe, and a peer
-    # invalidation one L2 probe; every L2 miss does one LLC lookup, and
-    # reads memory unless the LLC or a peer supplies the line.
-    refs = refs_per_core
     l1_hits_h = l2_hits_h = 0
     for core in range(ncores):
-        mis1 = l1_mis[core]
+        mis1 = l2_tick[core] - l2_tick0[core]
         hit1 = refs - mis1
         wh = wh1[core]
         l1_hits_h += hit1
@@ -1261,7 +1185,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         s.data_reads_sram += hit1 - wh
         s.data_writes_sram += wh + mis1
         s.insertions += mis1
-        s.evictions += l1_ev[core]
+        s.evictions += mis1 - l1_nfree[core]
         s.dirty_evictions += l1_dev[core]
         s.invalidations += l1_inv[core] + pk_l1_inv
         mis2 = l2_mis[core]
@@ -1289,7 +1213,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     s.data_writes_sram += ll_dws
     s.data_writes_stt += ll_dwt
     s.insertions += ll_ins
-    s.evictions += ll_ev
+    s.evictions += ll_ins - ll_nfree
     s.dirty_evictions += ll_dev
     s.invalidations += ll_inv
     s.fill_writes += ll_fillw
@@ -1298,6 +1222,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     s.update_writes += ll_updw
     s.hit_invalidations += ll_hitinv
 
+    l2_dv = sum(l2_dev)
     hs = h.stats
     hs.accesses += accesses
     hs.stores += stores
@@ -1305,10 +1230,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     hs.l2_hits += l2_hits_h
     hs.llc_demand_accesses += ll_lkp
     hs.llc_demand_hits += ll_lkp - ll_mis
-    hs.l2_clean_victims += l2_cv
+    hs.l2_clean_victims += sum(l2_ev) - l2_dv
     hs.l2_dirty_victims += l2_dv
     hs.mem_reads += ll_mis - c2c
-    hs.mem_writes += mem_writes
+    hs.mem_writes += ll_dev
 
     timing.banks.read_stall_cycles += read_stall
     timing.banks.write_stall_cycles += write_stall

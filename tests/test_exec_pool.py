@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import AnalysisError, ExecutionError, SimulationError
-from repro.exec import JobSpec, WorkloadSpec, execute_jobs
+from repro.errors import AnalysisError, ExecutionError, ReproError, SimulationError
+from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
 from repro.sim import SystemConfig
 from repro.sim.runner import duplicate_builder, mix_builder
 from repro.sim.sweeps import Sweep
@@ -186,6 +186,25 @@ class TestExecuteJobs:
             execute_jobs(jobs, max_workers=max_workers)
         assert attempts.read_text().count("x") == 1
         assert "AssertionError" in str(info.value)
+
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_failed_job_keeps_earlier_results_cached(self, tmp_path, max_workers):
+        """A job that fails at run time fails the call, but the job
+        collected before it is stored in the cache first, so a rerun
+        serves it instead of simulating it again."""
+        good = self.jobs(1)[0]
+        bad = JobSpec(
+            system=small_system(), workload=WorkloadSpec.named("WL1", 2),
+            policy="lap", refs_per_core=400,
+        )
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ReproError, match="4 generators"):
+            execute_jobs([good, bad], max_workers=max_workers, cache=cache)
+        cached = cache.get(good)
+        assert cached is not None
+        assert cached.to_dict() == good.run().to_dict()
+        assert cache.get(bad) is None
 
 
 class TestSweepSpecRequirement:

@@ -16,8 +16,10 @@ the generic loop over the same store (``enable_batch_kernel = False``):
 
 The matrix covers every batched policy, every instrumentation spec the
 kernel accepts, WL and WH mixes, and fuzzer traces on a micro hierarchy
-(non-unrolled victim scans, addresses shared between cores, sample
-points at every offset of the batch stream). Coherent (MOESI) runs add
+(other associativities, addresses shared between cores, sample
+points at every offset of the batch stream). A run continued on the
+other loop, kernel then generic or generic then kernel, must match two
+generic runs. Coherent (MOESI) runs add
 the L2 ``state`` column and the sharers map, which must equal both the
 controller's snapshot and the map rebuilt from the L2 tag arrays. The
 switchers (FLEXclusion, Dswitch) also run at short duel intervals, so
@@ -198,16 +200,45 @@ def test_default_mix_counters_are_live():
     assert r.loop.llc_loop_samples > 0
 
 
-def run_continued(system, policy, make_workload, refs, *, batch=4096, **sim_kwargs):
-    """A kernel run then a generic run, against two generic runs."""
+def run_continued(
+    system, policy, make_workload, refs, *, kernel_leg=0, between=None, batch=4096,
+    **sim_kwargs,
+):
+    """Two consecutive runs, leg ``kernel_leg`` (0 or 1) on the kernel
+    and the other on the generic loop, against two generic runs;
+    ``between`` gets each hierarchy after the first leg."""
     sims = []
-    for first_kernel in (True, False):
+    for kernel in (True, False):
         sim = Simulator(system, policy, make_workload(), **sim_kwargs)
-        sim.enable_batch_kernel = first_kernel
-        first = sim.run(refs, batch)
-        sim.enable_batch_kernel = False
-        sims.append((sim, [first, sim.run(refs, batch)]))
+        results = []
+        for leg in (0, 1):
+            sim.enable_batch_kernel = kernel and leg == kernel_leg
+            results.append(sim.run(refs, batch))
+            if leg == 0 and between is not None:
+                between(sim.hierarchy)
+        sims.append((sim, results))
     return sims
+
+
+def _punch_holes(h) -> None:
+    """Discard the even ways but the last of every full L1 and LLC set,
+    so the next checkout sees invalid ways below valid ones. Dropping
+    these lines breaks no inclusion (L1 ⊆ L2 binds only the L2, and no
+    batched policy keeps the LLC inclusive). Invalidations leave such
+    holes in a run, but the set's next fill takes the lowest, so few
+    outlast one."""
+    caches = (*h.l1s, h.llc)
+    for cache in caches:
+        for s in cache.sets:
+            if all(b.valid for b in s.blocks):
+                for b in s.blocks[0 : cache.assoc - 1 : 2]:
+                    cache.discard(cache.addr_of(s.index, b.tag))
+    assert any(
+        not lo.valid and hi.valid
+        for c in caches
+        for s in c.sets
+        for lo, hi in zip(s.blocks, s.blocks[1:])
+    )
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -217,6 +248,20 @@ def test_kernel_then_generic_continues_exactly(policy):
     system = _mix_system("default")
     sims = run_continued(
         system, policy, lambda: make_table3_mix("WH4", system.scale_context(), seed=9), 600
+    )
+    assert_identical(sims)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_generic_then_kernel_continues_exactly(policy):
+    """The kernel continues a generic run: its checkout rebuilds each
+    set's recency order from the stamps and its free-way masks from
+    ``valid`` (with holes mid-set), and the checkin's tag maps come out
+    in the generic insertion order."""
+    system = _mix_system("default")
+    sims = run_continued(
+        system, policy, lambda: make_table3_mix("WH4", system.scale_context(), seed=9),
+        600, kernel_leg=1, between=_punch_holes,
     )
     assert_identical(sims)
 
@@ -346,8 +391,26 @@ def test_coherent_kernel_then_generic_continues_exactly(policy):
     _assert_coherence_exercised(sims)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coherent_generic_then_kernel_continues_exactly(policy):
+    """The kernel continues a coherent generic run: L2 states, sharers,
+    recency order and free ways left by peer invalidations."""
+    system = SystemConfig(
+        hierarchy=micro_hierarchy_config(ncores=4),
+        label="micro",
+        duel_interval=64,
+        occupancy_sample_interval=7,
+    )
+    sims = run_continued(
+        system, policy, _fuzz_workload(5, 4), 300, kernel_leg=1, between=_punch_holes,
+        batch=97, enable_coherence=True,
+    )
+    assert_identical(sims)
+    _assert_coherence_exercised(sims)
+
+
 # ----------------------------------------------------------------------
-# checkout / checkin and the kernel's flat maps
+# checkout / checkin and the kernel's recency-ordered set maps
 # ----------------------------------------------------------------------
 def test_checkout_checkin_round_trip():
     cache = Cache("t", 4 * 64, 2, 64, sram_ways=1)  # 2 sets: ways sram, stt
@@ -373,15 +436,59 @@ def test_checkout_checkin_round_trip():
     assert cache.loop_block_occupancy() == (1, 1)
 
 
-def test_flat_map_round_trip():
-    idx_bits, num_sets = 2, 4
-    per_set = [{}, {5: 1}, {7: 2, 1: 3}, {}]
-    flat = kernel_batch._flatten_maps(per_set, idx_bits)
-    assert flat == {(5 << 2) | 1: 1, (7 << 2) | 2: 2, (1 << 2) | 2: 3}
-    assert kernel_batch._unflatten_maps(flat, num_sets, num_sets - 1, idx_bits) == per_set
-    shadow = kernel_batch._blk_shadow(flat, 8)
-    for blk_no, slot in flat.items():
-        assert shadow[slot] == blk_no
+def test_recency_map_round_trip():
+    cache = Cache("t", 8 * 64, 4, 64)  # 2 sets x 4 ways, 1 index bit
+    for tag in (10, 11, 12, 13):
+        cache.insert(cache.addr_of(0, tag))
+    cache.lookup(cache.addr_of(0, 10))  # 10 becomes the newest
+    cache.invalidate(cache.addr_of(0, 12))  # a hole at way 2
+    state = kernel_batch._checkout(cache)
+
+    # recency order follows the stamps (oldest first), not the ways
+    assert list(state["maps"][0].items()) == [(11, 1), (13, 3), (10, 0)]
+    assert state["maps"][1] == {}
+    blocks = kernel_batch._block_keyed(state["maps"], 1)
+    assert list(blocks[0]) == [(11 << 1) | 0, (13 << 1) | 0, (10 << 1) | 0]
+    assert kernel_batch._tag_keyed(blocks, 1) == state["maps"]
+
+    # the lowest invalid way is reused first
+    assert state["free"] == [0b0100, 0b1111]
+    assert kernel_batch._take_free(state["free"], 1, 4) == 4
+    assert kernel_batch._take_free(state["free"], 1, 4) == 5
+    assert kernel_batch._take_free(state["free"], 0, 0) == 2
+    assert state["free"] == [0, 0b1100]
+
+    # as the loop leaves it: tag 11 dropped with its columns untouched,
+    # tag 12 refilled into way 2, tag 7 filled into set 1's way 0
+    maps = state["maps"]
+    del maps[0][11]
+    maps[0][12] = 2
+    maps[1][7] = 4
+    for slot, iseq in ((2, 20), (4, 21)):
+        state["dirty"][slot] = True
+        state["last"][slot] = state["iseq"][slot] = iseq
+    state["dirty"][1] = True
+    state["state"][1] = "M"
+    kernel_batch._checkin(cache, state)
+
+    # tag maps come out in insert_seq order (the generic install order)
+    assert [(t, b.way) for t, b in cache.sets[0].tag_map.items()] == [
+        (10, 0), (13, 3), (12, 2)
+    ]
+    assert [(t, b.way) for t, b in cache.sets[1].tag_map.items()] == [(7, 0)]
+    # tag/valid derived from the maps; invalid ways reset
+    b = cache.sets[0].blocks
+    assert (b[2].tag, b[2].valid, b[2].dirty, b[2].insert_seq) == (12, True, True, 20)
+    assert (b[0].tag, b[0].valid) == (10, True)
+    dropped = b[1]
+    assert (dropped.tag, dropped.valid, dropped.dirty, dropped.loop_bit) == (
+        -1, False, False, False
+    )
+    assert (dropped.last_access, dropped.insert_seq, dropped.rrpv, dropped.state) == (
+        0, 0, 0, "-"
+    )
+    assert [blk.valid for blk in cache.sets[1].blocks] == [True, False, False, False]
+    assert cache.peek(cache.addr_of(1, 7)) is cache.sets[1].blocks[0]
 
 
 def test_kernel_mode_exact_policy_types():

@@ -190,6 +190,30 @@ class TestRunSuite:
         assert [line.split(":")[0] for line in lines] == ["bzip2", "WL1"]
         assert "FAILED" in lines[1]
 
+    def test_runtime_failure_simulates_healthy_jobs_once(self, small_system, tmp_path):
+        """The failed batch caches the jobs it finished, so the
+        per-member rerun serves the healthy member from the cache:
+        each of its jobs runs under exactly one ``exec.job`` span."""
+        from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
+
+        recorder = SpanRecorder()
+        install_recorder(recorder)
+        try:
+            report = run_suite(
+                self._tiny("bzip2", "WL1"), small_system,
+                policies=("non-inclusive", "lap"), refs_per_core=500,
+                cache=ResultCache(tmp_path / "cache"),
+            )
+        finally:
+            uninstall_recorder()
+        bzip2, wl1 = report.outcomes
+        assert bzip2.ok and not wl1.ok
+        runs = [
+            s["attrs"]["policy"] for s in recorder.spans()
+            if s["name"] == "exec.job" and s["attrs"]["workload"] == "bzip2x2"
+        ]
+        assert sorted(runs) == ["lap", "non-inclusive"]
+
     def test_batch_failure_that_does_not_recur_is_raised(
         self, small_system, monkeypatch
     ):
