@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check bench bench-e2e bench-figures lint trace-demo arena-demo suite-demo report
+.PHONY: test check bench bench-e2e bench-figures bench-hotpath lint trace-demo arena-demo suite-demo report
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -44,8 +44,18 @@ report:
 	@echo "dashboard: $(REPORT)"
 
 # Regenerate every table & figure artefact via the pytest benchmarks.
+# The hot-path throughput test is left out: it measures this host's
+# speed (and appends to BENCH_hotpath.json) rather than regenerating a
+# figure, so it runs on its own as `make bench-hotpath`.
 bench-figures:
-	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only
+	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only \
+		--ignore=test_hotpath_throughput.py
+
+# Hot-path throughput: kernel vs generic loop, with its gates; appends
+# to BENCH_hotpath.json and writes results/hotpath_throughput.txt.
+bench-hotpath:
+	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only \
+		test_hotpath_throughput.py
 
 # Record + diff a tiny LAP-vs-non-inclusive pair with the flight
 # recorder (writes the trace_demo experiment artefact).

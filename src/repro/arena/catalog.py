@@ -14,7 +14,7 @@ harness's default set reads in this order.
 
 from __future__ import annotations
 
-from .registry import BATCHED, GENERIC, PolicyEntry, register
+from .registry import PolicyEntry, register
 
 _LAP_PAPER = "LAP (Cheng et al., ISCA 2016)"
 
@@ -25,7 +25,6 @@ register(PolicyEntry(
     paper=_LAP_PAPER,
     anchor="Fig. 1a",
     rules="miss fills LLC; LLC evictions back-invalidate L1/L2; clean victims dropped",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("inclusion",),
@@ -38,7 +37,6 @@ register(PolicyEntry(
     anchor="Fig. 1b, Table IV",
     rules="miss fills LLC; clean victims dropped; dirty victims insert/update",
     aliases=("noni",),
-    kernel=BATCHED,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -50,7 +48,6 @@ register(PolicyEntry(
     anchor="Fig. 1c, Table IV",
     rules="no fill; hit invalidates LLC copy; every L2 victim inserted",
     aliases=("ex",),
-    kernel=BATCHED,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("exclusion", "no-fill"),
@@ -63,7 +60,6 @@ register(PolicyEntry(
     anchor="Table IV",
     rules="set-dueling between noni and ex: leader sets keep their flow; "
           "followers adopt ex only when its leaders miss >= 2% less",
-    kernel=BATCHED,
     check_default=True,
     events=("llc_fill", "clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -75,7 +71,6 @@ register(PolicyEntry(
     anchor="Table IV",
     rules="like flexclusion, but followers adopt the flow whose leaders "
           "score lower on LLC writes + 0.6 x misses",
-    kernel=BATCHED,
     check_default=True,
     events=("llc_fill", "clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -88,7 +83,6 @@ register(PolicyEntry(
     rules="no fill; no hit-invalidation; clean victims insert only when "
           "no duplicate; loop-bit set-dueling picks LRU vs loop-aware",
     defaults=(("replacement_mode", "duel"),),
-    kernel=BATCHED,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -101,7 +95,6 @@ register(PolicyEntry(
     anchor="§III-B, Fig. 9",
     rules="LAP data flow; replacement pinned to LRU",
     defaults=(("replacement_mode", "lru"),),
-    kernel=BATCHED,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
 ))
@@ -113,7 +106,6 @@ register(PolicyEntry(
     anchor="§III-B, Fig. 10",
     rules="LAP data flow; replacement pinned to loop-aware victim selection",
     defaults=(("replacement_mode", "loop"),),
-    kernel=BATCHED,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
 ))
@@ -125,7 +117,6 @@ register(PolicyEntry(
     anchor="§III-B (baseline generality)",
     rules="LAP data flow; duel baseline is SRRIP-HP instead of LRU",
     defaults=(("replacement_mode", "duel"), ("baseline", "srrip")),
-    kernel=GENERIC,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -139,7 +130,6 @@ register(PolicyEntry(
     rules="LAP flow on a hybrid LLC; write-hit invalidation, loop→STT "
           "placement, non-loop→SRAM placement",
     defaults=(("winv", True), ("loop_stt", True), ("nloop_sram", True)),
-    kernel=GENERIC,
     hybrid_only=True,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -153,7 +143,6 @@ register(PolicyEntry(
     anchor="§IV-A, Fig. 25",
     rules="LAP flow; store hits to STT-resident lines invalidate and redirect",
     defaults=(("winv", True), ("loop_stt", False), ("nloop_sram", False)),
-    kernel=GENERIC,
     hybrid_only=True,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -167,7 +156,6 @@ register(PolicyEntry(
     anchor="§IV-B, Fig. 25",
     rules="LAP flow; loop-block insertions steered to the STT region",
     defaults=(("winv", False), ("loop_stt", True), ("nloop_sram", False)),
-    kernel=GENERIC,
     hybrid_only=True,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -181,7 +169,6 @@ register(PolicyEntry(
     anchor="§IV-B, Fig. 25",
     rules="LAP flow; non-loop insertions steered to the SRAM region",
     defaults=(("winv", False), ("loop_stt", False), ("nloop_sram", True)),
-    kernel=GENERIC,
     hybrid_only=True,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -195,7 +182,6 @@ register(PolicyEntry(
     anchor="§VII (orthogonality claim)",
     rules="LAP flow; clean victims from dead-write regions dropped by a "
           "saturating-counter predictor",
-    kernel=GENERIC,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -207,7 +193,6 @@ register(PolicyEntry(
     paper="DASCA (Ahn et al., HPCA 2014)",
     anchor="§III (dead-write bypass)",
     rules="exclusive flow; predicted-dead clean victims bypass the LLC",
-    kernel=GENERIC,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -224,7 +209,6 @@ register(PolicyEntry(
     anchor="§3, Alg. 1",
     rules="first miss records the tag and bypasses the fill; a second "
           "miss while tracked fills; clean victims dropped; dirty insert",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -236,7 +220,6 @@ register(PolicyEntry(
     anchor="§III (reuse-distance filter)",
     rules="no fill; no hit-invalidation; clean victims copy back iff "
           "observed reuse distance fits the LLC; dirty insert/update",
-    kernel=GENERIC,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -249,7 +232,6 @@ register(PolicyEntry(
     anchor="§3 (way-granularity gating)",
     rules="non-inclusive flow with victim selection restricted to the "
           "active ways; static energy scaled by the active fraction",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
 ))

@@ -1,24 +1,25 @@
 """The policy registry: one catalog entry per inclusion policy.
 
-Before the arena, the set of known policies lived in four places at
+Before the arena, the set of known policies lived in three places at
 once — a factory dict in :mod:`repro.core.policies`, the 7-tuple
-``DEFAULT_POLICIES`` in :mod:`repro.validate.differential`, hardcoded
-``--policies`` defaults in the CLI, and the exact-type table inside
-:func:`repro.kernel.batch.kernel_mode`. Adding a policy meant touching
-all of them and hoping nothing drifted. The registry replaces that:
-every policy is a :class:`PolicyEntry` carrying its factory *and* its
-metadata — source paper + section anchor, data-flow rules, probe
-events, invariant coverage, batched-kernel eligibility, and which curated
-sets (arena grid, ``repro check`` default) it belongs to. Everything
-that used to hardcode a tuple now derives it from here, and the
-DESIGN.md §15 catalog table is checked against these entries by a
-doc-sync test.
+``DEFAULT_POLICIES`` in :mod:`repro.validate.differential`, and
+hardcoded ``--policies`` defaults in the CLI. Adding a policy meant
+touching all of them and hoping nothing drifted. The registry replaces
+that: every policy is a :class:`PolicyEntry` carrying its factory *and*
+its metadata — source paper + section anchor, data-flow rules, probe
+events, invariant coverage, and which curated sets (arena grid,
+``repro check`` default) it belongs to. Everything that used to
+hardcode a tuple now derives it from here, and the DESIGN.md §15
+catalog table is checked against these entries by a doc-sync test.
+Batched-kernel support is not an entry field: :func:`catalog_rows`
+asks :func:`repro.kernel.batch.supports_policy` of each built entry.
 
 Import discipline: this module imports only the stdlib and
 :mod:`repro.errors`, and entry factories are dotted-path strings
-resolved lazily at :func:`make` time — so the registry is safe to
-import from anywhere (``core.policies``, ``kernel``, ``exec.jobs``)
-without creating import cycles. The catalog itself lives in
+resolved lazily at :func:`make` time (as is the kernel, at
+:func:`catalog_rows` time) — so the registry is safe to import from
+anywhere (``core.policies``, ``exec.jobs``) without creating import
+cycles. The catalog itself lives in
 :mod:`repro.arena.catalog` and is loaded on first use.
 """
 
@@ -33,11 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-
-#: kernel-eligibility declarations (cross-checked against
-#: :func:`repro.kernel.batch.kernel_mode` by the test suite).
-BATCHED = "batched"
-GENERIC = "generic"
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,6 @@ class PolicyEntry:
     rules: str
     aliases: Tuple[str, ...] = ()
     defaults: Tuple[Tuple[str, object], ...] = ()
-    #: ``BATCHED`` when the batched kernel can run this policy,
-    #: ``GENERIC`` otherwise (the default for new policies)
-    kernel: str = GENERIC
     #: needs a hybrid (SRAM+STT) LLC geometry to be meaningful
     hybrid_only: bool = False
     #: member of the ``repro compare --arena`` grid
@@ -198,11 +191,6 @@ def arena_names(hybrid: bool = False) -> Tuple[str, ...]:
     )
 
 
-def batched_names() -> Tuple[str, ...]:
-    """Policies declared eligible for the batched kernel."""
-    return tuple(e.name for e in entries() if e.kernel == BATCHED)
-
-
 def validate_names(
     policies, *, error: Optional[Callable[[str], Exception]] = None
 ) -> Tuple[str, ...]:
@@ -233,7 +221,11 @@ def overridden(name: str, factory) -> "object":
 
 
 def catalog_rows() -> List[dict]:
-    """Rows for the ``repro list`` output and the DESIGN.md catalog."""
+    """Rows for the ``repro list`` output and the DESIGN.md catalog;
+    ``kernel`` is ``"batched"`` for each entry whose built policy the
+    batched kernel inlines, else ``"generic"``."""
+    from ..kernel.batch import supports_policy
+
     return [
         {
             "name": e.name,
@@ -241,7 +233,7 @@ def catalog_rows() -> List[dict]:
             "paper": e.paper,
             "anchor": e.anchor,
             "rules": e.rules,
-            "kernel": e.kernel,
+            "kernel": "batched" if supports_policy(e.build()) else "generic",
             "hybrid_only": e.hybrid_only,
             "arena": e.arena,
             "check_default": e.check_default,

@@ -109,16 +109,22 @@ The speed comes from four reductions of per-reference Python work:
 - **precomputed L1 stamps** — the L1 tick advances exactly once per
   reference (hit or fill), so its stamps are a numpy arange per batch.
 
+The loop's flow locals ``fill``/``inv_hit``/``clean_wb`` are the policy
+class's own Fig. 8 attributes (``fill_on_miss``, ``invalidate_on_hit``,
+``clean_writeback``). Only LAP's loop-bit L2 fills, victim tag probe and
+selective clean writeback are keyed on its class.
+
 Set-dueling is inlined the same way, for LAP and the switchers alike:
 static leader roles are precomputed per set, and the tick/record/decide
 state machine runs on local ints that are written back to the controller
-at the end. The switchers reuse the non-inclusive and exclusive branches:
-after the tick the ``noni``/``exm`` flags are set from the demand set's
-role (leaders keep their flow, followers take the winner), and again
-from the victim's set at the L2-victim site, so one unified victim flow
-covers every merge across mode flips. Their three LLC-write sites (the
-non-inclusive fill, the victim update and the victim insert) count
-leader writes for Dswitch's decision; LAP counts none.
+at the end. A switcher runs each set's duel-role flow (leaders their
+own, followers the winner's): after the tick the flow locals are re-read
+from the :class:`NonInclusivePolicy` or :class:`ExclusivePolicy`
+attributes by the demand set's role, and again by the victim's set at
+the L2-victim site, so one unified victim flow covers every merge
+across mode flips. Their three LLC-write sites (the non-inclusive fill,
+the victim update and the victim insert) count leader writes for
+Dswitch's decision; LAP counts none.
 """
 
 from __future__ import annotations
@@ -138,34 +144,28 @@ from ..cache.block import (
 from ..core.lap import LAPPolicy
 from ..core.loop_bits import LoopBlockTracker
 from ..hierarchy.coherence import CoherenceController
-from ..inclusion.switching import DswitchPolicy, FLEXclusionPolicy
+from ..inclusion.switching import MODE_EX, MODE_NONI, DswitchPolicy, FLEXclusionPolicy
 from ..inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from ..instr.probes import LoopProbe, OccupancySampler, RedundantFillProbe
 from ..obs.spans import start_span
 
-MODE_NONI = 0
-MODE_EX = 1
-MODE_LAP = 2
-MODE_SWITCH = 3
+#: the policy classes whose flows the loop inlines
+_INLINED = (NonInclusivePolicy, ExclusivePolicy, LAPPolicy, FLEXclusionPolicy, DswitchPolicy)
 
-_LAP_REPL = {"lru": 0, "loop": 1, "duel": 2}
 
-def kernel_mode(policy) -> Optional[int]:
-    """The kernel's inlined flow for ``policy``, or None if unsupported.
+def supports_policy(policy) -> bool:
+    """Whether the loop inlines ``policy``'s flow.
 
     Exact-type checks on purpose: subclasses (dead-write bypass,
-    Lhybrid) override hooks the kernel does not call.
+    Lhybrid) override hooks the kernel does not call. LAP's victim
+    choice is inlined over its LRU baseline only.
     """
     t = type(policy)
-    if t is NonInclusivePolicy:
-        return MODE_NONI
-    if t is ExclusivePolicy:
-        return MODE_EX
-    if t is LAPPolicy and policy.baseline == "lru":
-        return MODE_LAP
-    if t is FLEXclusionPolicy or t is DswitchPolicy:
-        return MODE_SWITCH
-    return None
+    return t in _INLINED and (t is not LAPPolicy or policy.baseline == "lru")
+
+
+#: a policy's Fig. 8 flow as the loop's ``(fill, inv_hit, clean_wb)``
+_flow = attrgetter("fill_on_miss", "invalidate_on_hit", "clean_writeback")
 
 
 #: probe types whose semantics the kernel carries as derived counters
@@ -196,7 +196,7 @@ def eligible(hierarchy) -> bool:
     return (
         (coherence is None or type(coherence) is CoherenceController)
         and _kernel_probes(hierarchy.probe_bus.probes) is not None
-        and kernel_mode(hierarchy.policy) is not None
+        and supports_policy(hierarchy.policy)
     )
 
 
@@ -208,18 +208,17 @@ def _checkout(cache) -> dict:
     """Copy ``cache``'s blocks into the kernel's working state.
 
     Flat lists in slot order (slot = set * assoc + way; MOESI ``state``
-    strings included, for coherent runs), and per set: a ``{tag: slot}``
-    map of its valid lines in recency order (oldest first: by stamp,
-    ties to the lowest way, as ``LRUPolicy`` breaks them), a bitmask of
-    its invalid ways and its loop counter. ``tag`` and ``valid``
-    complete the snapshot, but the loop reads neither: the maps and
-    masks stand for them. The blocks are stale until :func:`_checkin`.
+    strings included, for coherent runs), and per set: a ``{block
+    number: slot}`` map of its valid lines in recency order (oldest
+    first: by stamp, ties to the lowest way, as ``LRUPolicy`` breaks
+    them), a bitmask of its invalid ways and its loop counter. The maps
+    and masks stand for the ``tag`` and ``valid`` columns. The blocks
+    are stale until :func:`_checkin`.
     """
     blocks = [b for s in cache.sets for b in s.blocks]
     assoc = cache.assoc
+    idx_bits = cache._index_bits
     return {
-        "tag": [b.tag for b in blocks],
-        "valid": [b.valid for b in blocks],
         "dirty": [b.dirty for b in blocks],
         "loop": [b.loop_bit for b in blocks],
         "last": [b.last_access for b in blocks],
@@ -227,7 +226,10 @@ def _checkout(cache) -> dict:
         "rrpv": [b.rrpv for b in blocks],
         "state": [b.state for b in blocks],
         "maps": [
-            {b.tag: s.index * assoc + b.way for b in sorted(s.tag_map.values(), key=_recency)}
+            {
+                (b.tag << idx_bits) | s.index: s.index * assoc + b.way
+                for b in sorted(s.tag_map.values(), key=_recency)
+            }
             for s in cache.sets
         ],
         "free": [sum(1 << b.way for b in s.blocks if not b.valid) for s in cache.sets],
@@ -238,17 +240,19 @@ def _checkout(cache) -> dict:
 def _checkin(cache, state: dict) -> None:
     """Write a checked-out working state back into ``cache``'s blocks.
 
-    The maps say which ways are valid and with what tag, so the loop
-    keeps no ``tag``/``valid`` columns and never clears an invalidated
-    way: a way in no map is reset here, as ``CacheSet.drop`` leaves it.
+    The maps say which ways are valid and with what block (its tag is
+    ``block >> index_bits``), so the loop keeps no ``tag``/``valid``
+    columns and never clears an invalidated way: a way in no map is
+    reset here, as ``CacheSet.drop`` leaves it.
     Each set's tag map is rebuilt in ``insert_seq`` order, the order the
     generic path's installs leave it in, and gets its loop counter.
     """
     blocks = [b for s in cache.sets for b in s.blocks]
+    idx_bits = cache._index_bits
     tags = [None] * len(blocks)
     for m in state["maps"]:
-        for tag, slot in m.items():
-            tags[slot] = tag
+        for blk, slot in m.items():
+            tags[slot] = blk >> idx_bits
     iseqs = state["iseq"]
     for b, tag, dirty, loop, last, iseq, rrpv, moesi in zip(
         blocks,
@@ -275,17 +279,6 @@ def _checkin(cache, state: dict) -> None:
         order = sorted(m.values(), key=iseqs.__getitem__)
         s.tag_map = {blocks[slot].tag: blocks[slot] for slot in order}
         s.loop_count = loops
-
-
-def _block_keyed(maps, idx_bits) -> list:
-    """Per-set ``{tag: slot}`` maps re-keyed on the block number
-    ``(tag << idx_bits) | set``, order kept (see module docstring)."""
-    return [{(t << idx_bits) | si: slot for t, slot in m.items()} for si, m in enumerate(maps)]
-
-
-def _tag_keyed(maps, idx_bits) -> list:
-    """Inverse of :func:`_block_keyed`, for checkin."""
-    return [{b >> idx_bits: slot for b, slot in m.items()} for m in maps]
 
 
 def _take_free(free, si, base) -> int:
@@ -390,8 +383,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     """
     h = sim.hierarchy
     policy = h.policy
-    mode = kernel_mode(policy)
-    if mode is None or not eligible(h):  # pragma: no cover - guarded by caller
+    if not eligible(h):  # pragma: no cover - guarded by caller
         raise RuntimeError("batch kernel invoked on an ineligible hierarchy")
 
     timing = h.timing
@@ -402,11 +394,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # ---- address-slicing constants -----------------------------------
     off = llc._offset_bits
     l1_mask = h.l1s[0]._index_mask
-    l1_idx_bits = h.l1s[0]._index_bits
     l2_mask = h.l2s[0]._index_mask
-    l2_idx_bits = h.l2s[0]._index_bits
     llc_mask = llc._index_mask
-    llc_idx_bits = llc._index_bits
     bank_mask = llc._bank_mask
     l1_assoc = h.l1s[0].assoc
     l2_assoc = h.l2s[0].assoc
@@ -467,9 +456,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     ll_lc = ll_st["loop_counts"]
 
     # Recency-ordered set maps keyed on block numbers (module docstring).
-    m1_sets = [_block_keyed(s["maps"], l1_idx_bits) for s in l1_st]
-    m2_sets = [_block_keyed(s["maps"], l2_idx_bits) for s in l2_st]
-    ll_sets = _block_keyed(ll_st["maps"], llc_idx_bits)
+    m1_sets = [s["maps"] for s in l1_st]
+    m2_sets = [s["maps"] for s in l2_st]
+    ll_sets = ll_st["maps"]
     ll_valid0 = sum(map(len, ll_sets))
 
     l1_tick = [c._tick for c in h.l1s]
@@ -524,17 +513,17 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     ll_fillw = ll_cleanw = ll_dirtyw = ll_updw = ll_hitinv = 0
     accesses = stores = 0
 
-    # ---- policy selection & inlined set-dueling ----------------------
-    noni = mode == MODE_NONI
-    exm = mode == MODE_EX
-    lap = mode == MODE_LAP
-    # Switchers re-set noni/exm per set (SwitchingPolicy.mode_for) at the
-    # demand set and at the victim's set; the other modes keep them fixed.
-    sw = mode == MODE_SWITCH
-    lap_repl = _LAP_REPL[policy.replacement_mode] if lap else 0
-    lap_loop_mode = lap and lap_repl == 1
-    lap_duel_mode = lap and lap_repl == 2
-    dueling = policy.dueling if lap or sw else None
+    # ---- the policy's flow & inlined set-dueling ---------------------
+    fill, inv_hit, clean_wb = _flow(policy)
+    lap = type(policy) is LAPPolicy
+    # Switchers re-read the flow locals per set (SwitchingPolicy.mode_for)
+    # at the demand set and at the victim's set, by duel role.
+    sw = type(policy) in (FLEXclusionPolicy, DswitchPolicy)
+    sw_flows = {MODE_NONI: _flow(NonInclusivePolicy), MODE_EX: _flow(ExclusivePolicy)}
+    repl = policy.replacement_mode if lap else "lru"
+    loop_victims = repl == "loop"
+    duel_victims = repl == "duel"
+    dueling = getattr(policy, "dueling", None)
     duel_on = dueling is not None
     if duel_on:
         roles = [dueling.role(s) for s in range(llc.num_sets)]
@@ -724,10 +713,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             duel_wb //= 2
                     if sw:
                         # mode_for: leaders keep their flow, followers
-                        # take the winner (0 = noni, 1 = ex)
+                        # take the winner's
                         r = roles[si]
-                        exm = (duel_winner if r is None else r) == 1
-                        noni = not exm
+                        fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
                     sm = ll_sets[si]
                     s = sm.pop(blk, None)
                     out_dirty = False
@@ -741,7 +729,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 la_miss += 1
                             elif r == 1:
                                 lb_miss += 1
-                        if noni:
+                        if fill:
                             # Fig. 1b: the miss fills the LLC too. The
                             # just-missed line cannot be present, so
                             # insert_or_update is a straight insert
@@ -807,7 +795,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         busy[bk] = rnow + st + serv
                         read_stall += st
                         ck += l2_lat + st + serv
-                        if exm and not (
+                        if inv_hit and not (
                             coh and sharers.get(blk << off, 0) & ~(1 << core)
                         ):
                             # invalidate-on-hit (kept while peers share
@@ -913,9 +901,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 streak[ea] = streak.get(ea, 0) + 1
                                 loop_ev += 1
                         # ---- policy.l2_victim -----------------------
-                        # One unified flow for the three modes. noni drops
-                        # clean victims; every other (mode, dirty, present)
-                        # combination updates the LLC copy or inserts:
+                        # One unified flow for every policy. Without clean
+                        # writeback (noni) clean victims are dropped; every
+                        # other (flow, dirty, present) combination updates
+                        # the LLC copy or inserts:
                         #   present+dirty        -> update(d=True) + updw,
                         #     loop bit: ex keeps ev_loop, noni/LAP clear
                         #   present+clean (ex)   -> update(d=False)+cleanw,
@@ -927,9 +916,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         #     dirty-merge clears; dirtyw/cleanw by d
                         if sw:  # mode_for(line.addr)
                             r = roles[ev_blk & llc_mask]
-                            exm = (duel_winner if r is None else r) == 1
-                            noni = not exm
-                        if ev_dirty or not noni:
+                            fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+                        if ev_dirty or clean_wb:
                             esi = ev_blk & llc_mask
                             ebk = ev_blk & bank_mask
                             if lap:
@@ -937,7 +925,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             sm = ll_sets[esi]
                             es = sm.get(ev_blk)
                             if es is not None:
-                                if ev_dirty or exm:
+                                if ev_dirty or not lap:
                                     # inline Cache.update + posted write
                                     if ev_dirty:
                                         ll_dir[es] = True
@@ -973,21 +961,21 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                         elif r == 1:
                                             duel_wb += 1
                                 # loop-bit reconciliation on the copy
-                                nl = ev_loop if (exm or not ev_dirty) else False
+                                nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
                                 if nl != ll_loop[es]:
                                     ll_lc[esi] += 1 if nl else -1
                                     ll_loop[es] = nl
                             else:
                                 # inline _place_and_insert + _finish_insert
-                                lb = ev_loop if (exm or not ev_dirty) else False
+                                lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
                                 ll_tick += 1
                                 if ll_free[esi]:
                                     s = _take_free(ll_free, esi, esi * llc_assoc)
                                     ll_nfree += 1
                                 else:
-                                    if lap_loop_mode:
+                                    if loop_victims:
                                         loop_scan = True
-                                    elif lap_duel_mode:
+                                    elif duel_victims:
                                         r = roles[esi]
                                         loop_scan = (duel_winner if r is None else r) == 0
                                     else:
@@ -1119,13 +1107,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # ---- checkin: maps, state, ticks, stats --------------------------
     checkin_span = start_span("kernel.checkin", ncores=ncores)
     for core in range(ncores):
-        l1_st[core]["maps"] = _tag_keyed(m1_sets[core], l1_idx_bits)
-        l2_st[core]["maps"] = _tag_keyed(m2_sets[core], l2_idx_bits)
         _checkin(h.l1s[core], l1_st[core])
         _checkin(h.l2s[core], l2_st[core])
         h.l1s[core]._tick = l1_tick[core]
         h.l2s[core]._tick = l2_tick[core]
-    ll_st["maps"] = _tag_keyed(ll_sets, llc_idx_bits)
     _checkin(llc, ll_st)
     llc._tick = ll_tick
 

@@ -33,9 +33,10 @@ class SystemConfig:
     list of probe names selects exactly those probes.
 
     Runs go through the batched kernel (:mod:`repro.kernel.batch`) when
-    :func:`~repro.kernel.batch.eligible` holds — non-inclusive/
-    exclusive/LAP, coherent or not, and instrumentation that is
-    probe-free or a subset of the default probes — and through the
+    :func:`~repro.kernel.batch.eligible` holds — non-inclusive,
+    exclusive, FLEXclusion, Dswitch or LAP, coherent or not, and
+    instrumentation that is probe-free or a subset of the default
+    probes — and through the
     generic loop otherwise. Stats are bit-identical across the two.
     """
 

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.arena import registry
-from repro.arena.registry import BATCHED, PolicyEntry
+from repro.arena.registry import PolicyEntry
 from repro.arena.reuse_detector import ReuseDetectorPolicy
 from repro.arena.rd_copyback import RDCopybackPolicy
 from repro.arena.ways_off import WaysOffPolicy
@@ -28,7 +28,6 @@ from repro.core.policies import (
 )
 from repro.errors import ConfigurationError, ExecutionError
 from repro.inclusion.traditional import NonInclusivePolicy
-from repro.kernel.batch import kernel_mode
 from repro.testing import A, B, C, D, E, F, G, H, build_micro, run_refs
 from repro.validate import DEFAULT_POLICIES, generate_trace, run_differential, run_trace
 
@@ -122,19 +121,30 @@ class TestCatalog:
         for name in (*HOMOGENEOUS_POLICIES, *LAP_VARIANTS, *HYBRID_POLICIES):
             assert registry.canonical(name) == name
 
-    def test_kernel_declarations_match_ground_truth(self):
-        """The registry *declares* kernel eligibility; kernel_mode's
-        exact-type dispatch is the ground truth. They must agree for
-        every registered policy."""
-        for e in registry.entries():
-            declared = e.kernel == BATCHED
-            actual = kernel_mode(registry.make(e.name)) is not None
-            assert declared == actual, f"{e.name}: declared {e.kernel}, kernel_mode disagrees"
+    def test_kernel_column_is_derived(self, capsys):
+        """The ``kernel`` column is the kernel's own answer for each
+        built entry: ``repro list`` and ``catalog_rows()`` report
+        ``batched`` for exactly the seven inlined policies."""
+        from repro.cli import main
+
+        batched = {
+            "non-inclusive", "exclusive", "flexclusion", "dswitch", "lap", "lap-lru", "lap-loop"
+        }
+        rows = registry.catalog_rows()
+        assert {r["name"] for r in rows if r["kernel"] == "batched"} == batched
+        assert {r["kernel"] for r in rows} == {"batched", "generic"}
+        assert main(["list"]) == 0
+        listed = {}
+        for line in capsys.readouterr().out.split("\n\nworkloads")[0].splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            if len(cells) == 5 and cells[0] in registry.names():
+                listed[cells[0]] = cells[2]
+        assert listed == {r["name"]: r["kernel"] for r in rows}
 
     def test_design_section15_documents_every_entry(self):
         """Doc-sync: DESIGN.md §15 must catalog every registered policy
         with its source paper, and the §15.2 table's kernel column must
-        match each entry's declaration."""
+        match the catalog's derived one."""
         text = (pathlib.Path(__file__).parent.parent / "DESIGN.md").read_text()
         section = text.split("## 15. Policy arena")[1]
         # §15.2 rows: | `name` (`alias`) | source | kernel | sets | rules |
@@ -143,13 +153,14 @@ class TestCatalog:
             cells = [c.strip() for c in line.split("|")[1:-1]]
             if cells and cells[0].startswith("`"):
                 kernel_column[cells[0].split("`")[1]] = cells[2]
+        kernel = {r["name"]: r["kernel"] for r in registry.catalog_rows()}
         for e in registry.entries():
             assert f"`{e.name}`" in section, f"{e.name} missing from DESIGN.md §15"
             citation = e.paper.split(" via ")[0]
             assert citation in section, f"{e.name}: paper {citation!r} not in §15"
-            assert kernel_column.get(e.name) == e.kernel, (
+            assert kernel_column.get(e.name) == kernel[e.name], (
                 f"{e.name}: §15.2 kernel column says {kernel_column.get(e.name)!r}, "
-                f"registry declares {e.kernel!r}"
+                f"catalog reports {kernel[e.name]!r}"
             )
 
     def test_jobspec_admission_canonicalises(self):

@@ -34,13 +34,15 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from repro.arena import registry
 from repro.cache import Cache
+from repro.core.lap import LAPPolicy
 from repro.core.loop_bits import LoopBlockTracker
 from repro.exec.serialize import result_to_dict
-from repro.inclusion.switching import FLEXclusionPolicy
+from repro.inclusion.switching import DswitchPolicy, FLEXclusionPolicy
+from repro.inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from repro.instr import LoopProbe, OccupancySampler, RedundantFillProbe
 from repro.kernel import batch as kernel_batch
-from repro.kernel import batched_policy_names
 from repro.sim.simulator import Simulator
 from repro.sim.system import SystemConfig
 from repro.testing import micro_hierarchy_config
@@ -54,10 +56,10 @@ from repro.workloads.mixes import (
 )
 from repro.workloads.tracefile import ReplayTrace
 
-#: every policy declared batched (non-inclusive, exclusive, flexclusion,
-#: dswitch, lap, lap-lru, lap-loop) — derived, so a new batched policy
-#: joins automatically.
-POLICIES = batched_policy_names()
+#: every registered policy the kernel inlines (non-inclusive, exclusive,
+#: flexclusion, dswitch, lap, lap-lru, lap-loop) — derived, so a new
+#: batched policy joins automatically.
+POLICIES = tuple(n for n in registry.names() if kernel_batch.supports_policy(registry.make(n)))
 
 #: instrumentation specs the kernel carries (both probe orders included:
 #: the sampler re-emits through the bus, so order is part of the contract).
@@ -421,8 +423,10 @@ def test_checkout_checkin_round_trip():
     slot = 1 * cache.assoc + blk.way
 
     state = kernel_batch._checkout(cache)
-    assert state["tag"][slot] == 3 and state["valid"][slot]
-    assert state["maps"] == [{}, {3: slot}]
+    # keyed by block number (tag 3 in set 1, 1 index bit); no tag/valid
+    # columns: the map entry is the valid tag-3 line
+    assert "tag" not in state and "valid" not in state
+    assert state["maps"] == [{}, {(3 << 1) | 1: slot}]
     assert state["loop_counts"] == [0, 1]
 
     # mutate through the flat lists, as the batch kernel does
@@ -444,12 +448,13 @@ def test_recency_map_round_trip():
     cache.invalidate(cache.addr_of(0, 12))  # a hole at way 2
     state = kernel_batch._checkout(cache)
 
-    # recency order follows the stamps (oldest first), not the ways
-    assert list(state["maps"][0].items()) == [(11, 1), (13, 3), (10, 0)]
+    # keyed by block number (tag << 1 | set); recency order follows the
+    # stamps (oldest first), not the ways
+    assert list(state["maps"][0].items()) == [
+        ((11 << 1) | 0, 1), ((13 << 1) | 0, 3), ((10 << 1) | 0, 0)
+    ]
     assert state["maps"][1] == {}
-    blocks = kernel_batch._block_keyed(state["maps"], 1)
-    assert list(blocks[0]) == [(11 << 1) | 0, (13 << 1) | 0, (10 << 1) | 0]
-    assert kernel_batch._tag_keyed(blocks, 1) == state["maps"]
+    assert [b >> 1 for b in state["maps"][0]] == [11, 13, 10]
 
     # the lowest invalid way is reused first
     assert state["free"] == [0b0100, 0b1111]
@@ -461,9 +466,9 @@ def test_recency_map_round_trip():
     # as the loop leaves it: tag 11 dropped with its columns untouched,
     # tag 12 refilled into way 2, tag 7 filled into set 1's way 0
     maps = state["maps"]
-    del maps[0][11]
-    maps[0][12] = 2
-    maps[1][7] = 4
+    del maps[0][(11 << 1) | 0]
+    maps[0][(12 << 1) | 0] = 2
+    maps[1][(7 << 1) | 1] = 4
     for slot, iseq in ((2, 20), (4, 21)):
         state["dirty"][slot] = True
         state["last"][slot] = state["iseq"][slot] = iseq
@@ -491,25 +496,23 @@ def test_recency_map_round_trip():
     assert cache.peek(cache.addr_of(1, 7)) is cache.sets[1].blocks[0]
 
 
-def test_kernel_mode_exact_policy_types():
+def test_supports_policy_exact_types():
     from repro.core.policies import make_policy
 
-    kernel_mode = kernel_batch.kernel_mode
-    assert kernel_mode(make_policy("non-inclusive")) == kernel_batch.MODE_NONI
-    assert kernel_mode(make_policy("exclusive")) == kernel_batch.MODE_EX
-    assert kernel_mode(make_policy("lap")) == kernel_batch.MODE_LAP
-    assert kernel_mode(make_policy("lap-lru")) == kernel_batch.MODE_LAP
-    assert kernel_mode(make_policy("flexclusion")) == kernel_batch.MODE_SWITCH
-    assert kernel_mode(make_policy("dswitch")) == kernel_batch.MODE_SWITCH
+    supports = kernel_batch.supports_policy
+    for name in ("non-inclusive", "exclusive", "lap", "lap-lru", "lap-loop",
+                 "flexclusion", "dswitch"):
+        assert supports(make_policy(name)), name
     # srrip baseline has no kernel flow; subclasses/others fall back
-    assert kernel_mode(make_policy("lap-rrip")) is None
-    assert kernel_mode(make_policy("inclusive")) is None
-    assert kernel_mode(make_policy("lhybrid")) is None
-
-    class TunedFLEXclusion(FLEXclusionPolicy):
-        pass
-
-    assert kernel_mode(TunedFLEXclusion()) is None
+    assert not supports(make_policy("lap-rrip"))
+    assert not supports(make_policy("inclusive"))
+    assert not supports(make_policy("lhybrid"))
+    # a trivial subclass of each inlined class may override hooks the
+    # kernel does not call, so none is taken
+    for base in (NonInclusivePolicy, ExclusivePolicy, LAPPolicy, FLEXclusionPolicy,
+                 DswitchPolicy):
+        subclass = type(f"Tuned{base.__name__}", (base,), {})
+        assert not supports(subclass()), base.__name__
 
 
 # ----------------------------------------------------------------------
