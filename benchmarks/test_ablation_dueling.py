@@ -9,8 +9,8 @@ percent across an order of magnitude of cadence.
 from conftest import run_once
 
 from repro.analysis.tables import render_mapping_table
+from repro.exec import WorkloadSpec
 from repro.sim import SystemConfig, run_policies
-from repro.sim.runner import mix_builder
 
 try:
     from repro.analysis.figures import DEFAULT_BENCH_REFS
@@ -27,7 +27,7 @@ def _sweep():
         system = SystemConfig.scaled(duel_interval=interval)
         acc = 0.0
         for mix in MIXES:
-            res = run_policies(system, ("non-inclusive", "lap"), mix_builder(mix), refs)
+            res = run_policies(system, ("non-inclusive", "lap"), WorkloadSpec.mix(mix), refs)
             acc += res["lap"].epi / res["non-inclusive"].epi / len(MIXES)
         rows[f"interval={interval}"] = {"lap_epi_vs_noni": acc}
     return rows

@@ -16,8 +16,8 @@ from conftest import run_once
 
 from repro.analysis.figures import DEFAULT_BENCH_REFS
 from repro.analysis.tables import render_mapping_table
+from repro.exec import WorkloadSpec
 from repro.sim import SystemConfig, run_policies
-from repro.sim.runner import mix_builder
 
 
 def _measure():
@@ -26,7 +26,7 @@ def _measure():
     rows = {}
     for mix in ("WH5", "WL2"):
         res = run_policies(
-            system, ("non-inclusive", "lap-lru", "lap-loop"), mix_builder(mix), refs
+            system, ("non-inclusive", "lap-lru", "lap-loop"), WorkloadSpec.mix(mix), refs
         )
         base = res["non-inclusive"]
         rows[mix] = {

@@ -11,8 +11,8 @@ from conftest import run_once
 
 from repro.analysis.figures import DEFAULT_BENCH_REFS
 from repro.analysis.tables import render_mapping_table, summarize_columns
+from repro.exec import WorkloadSpec
 from repro.sim import SystemConfig, run_policies
-from repro.sim.runner import mix_builder
 
 POLICIES = ("non-inclusive", "exclusive", "exclusive+dwb", "lap", "lap+dwb")
 
@@ -22,7 +22,7 @@ def _measure():
     system = SystemConfig.scaled()
     rows = {}
     for mix in ("WL2", "WL4", "WH1", "WH5"):
-        res = run_policies(system, POLICIES, mix_builder(mix), refs)
+        res = run_policies(system, POLICIES, WorkloadSpec.mix(mix), refs)
         base = res["non-inclusive"]
         rows[mix] = {p: res[p].epi / base.epi for p in POLICIES}
         rows[mix]["lap_writes"] = res["lap"].llc_writes / max(1, base.llc_writes)

@@ -16,8 +16,8 @@ from conftest import run_once
 
 from repro.analysis.figures import DEFAULT_BENCH_REFS
 from repro.analysis.tables import render_table
+from repro.exec import WorkloadSpec
 from repro.sim import SystemConfig, run_policies
-from repro.sim.runner import benchmarks_builder
 from repro.workloads import random_mixes
 
 
@@ -27,7 +27,7 @@ def _measure():
     mixes = random_mixes(count=50, seed=2016)
     rows = []
     for i, benchmarks in enumerate(mixes):
-        builder = benchmarks_builder(benchmarks, seed=i, name=f"R{i:02d}")
+        builder = WorkloadSpec.multiprogrammed(benchmarks, seed=i, name=f"R{i:02d}")
         res = run_policies(system, ("non-inclusive", "exclusive"), builder, refs)
         noni, ex = res["non-inclusive"], res["exclusive"]
         wrel = ex.llc_writes / max(1, noni.llc_writes)

@@ -20,7 +20,7 @@ from ..arena import registry
 from ..errors import AnalysisError
 from ..exec.jobs import WorkloadSpec
 from ..sim.results import RunResult
-from ..sim.runner import mix_builder, normalized, run_matrix, run_policies
+from ..sim.runner import normalized, run_matrix, run_policies
 from ..sim.system import SystemConfig
 from ..workloads.mixes import TABLE3_ORDER
 
@@ -96,8 +96,8 @@ def arena_over_mixes(
     system = SystemConfig.scaled()
     epi: Rows = {}
     writes: Rows = {}
-    builders = {mix: mix_builder(mix) for mix in mixes}
-    for mix, res in run_matrix(system, policies, builders, refs).items():
+    specs = {mix: WorkloadSpec.mix(mix) for mix in mixes}
+    for mix, res in run_matrix(system, policies, specs, refs).items():
         epi[mix] = normalized(res, "epi")
         base_writes = max(1, res[BASELINE].llc_writes)
         writes[mix] = {p: res[p].llc_writes / base_writes for p in policies}

@@ -24,19 +24,11 @@ from ..core.policies import (
     LHYBRID_STAGES,
 )
 from ..energy import PUBLISHED_CONFIGS, RAW_TABLE1, SRAM, STT_RAM
+from ..exec.jobs import WorkloadSpec
 from ..sim.results import RunResult
-from ..sim.runner import (
-    benchmarks_builder,
-    duplicate_builder,
-    mix_builder,
-    multithreaded_builder,
-    normalized,
-    run_matrix,
-    run_policies,
-)
-from ..sim.simulator import simulate
+from ..sim.runner import normalized, run_matrix, run_policies
 from ..sim.system import SystemConfig
-from ..workloads.mixes import TABLE3_MIXES, TABLE3_ORDER, make_table3_mix
+from ..workloads.mixes import TABLE3_MIXES, TABLE3_ORDER
 from ..workloads.parsec import PARSEC_ORDER
 from ..workloads.spec import PAPER_BENCHMARK_ORDER
 
@@ -125,9 +117,9 @@ def fig2_motivation(
     sram_rows: Rows = {}
     stt_rows: Rows = {}
     for bench in benchmarks:
-        builder = duplicate_builder(bench)
-        sram_res = run_policies(sram_sys, ("non-inclusive", "exclusive"), builder, refs)
-        stt_res = run_policies(stt_sys, ("non-inclusive", "exclusive"), builder, refs)
+        spec = WorkloadSpec.duplicate(bench)
+        sram_res = run_policies(sram_sys, ("non-inclusive", "exclusive"), spec, refs)
+        stt_res = run_policies(stt_sys, ("non-inclusive", "exclusive"), spec, refs)
         sram_rows[bench] = {
             "ex_epi": normalized(sram_res, "epi")["exclusive"],
             "ex_static_epi": normalized(sram_res, "static_epi")["exclusive"],
@@ -148,7 +140,7 @@ def fig4_loop_blocks(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for bench in benchmarks:
-        res = run_policies(system, ("non-inclusive",), duplicate_builder(bench), refs)
+        res = run_policies(system, ("non-inclusive",), WorkloadSpec.duplicate(bench), refs)
         r = res["non-inclusive"]
         buckets = {f"share[{k}]": v for k, v in _ctc_shares(r).items()}
         rows[bench] = {"loop_fraction": r.loop_block_fraction, **buckets}
@@ -171,7 +163,7 @@ def fig6_redundant_fill(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for bench in benchmarks:
-        res = run_policies(system, ("non-inclusive",), duplicate_builder(bench), refs)
+        res = run_policies(system, ("non-inclusive",), WorkloadSpec.duplicate(bench), refs)
         rows[bench] = {"redundant_fill_fraction": res["non-inclusive"].redundant_fill_fraction}
     return rows
 
@@ -187,7 +179,7 @@ def _mix_results(
     refs: int,
     mixes: Sequence[str] = TABLE3_ORDER,
 ) -> Dict[str, Dict[str, RunResult]]:
-    return run_matrix(system, policies, {mix: mix_builder(mix) for mix in mixes}, refs)
+    return run_matrix(system, policies, {mix: WorkloadSpec.mix(mix) for mix in mixes}, refs)
 
 
 def fig12_noni_vs_ex(
@@ -201,8 +193,8 @@ def fig12_noni_vs_ex(
     sram_rows: Rows = {}
     stt_rows: Rows = {}
     for mix in mixes:
-        sres = run_policies(sram_sys, ("non-inclusive", "exclusive"), mix_builder(mix), refs)
-        tres = run_policies(stt_sys, ("non-inclusive", "exclusive"), mix_builder(mix), refs)
+        sres = run_policies(sram_sys, ("non-inclusive", "exclusive"), WorkloadSpec.mix(mix), refs)
+        tres = run_policies(stt_sys, ("non-inclusive", "exclusive"), WorkloadSpec.mix(mix), refs)
         sram_rows[mix] = {"ex_epi": normalized(sres, "epi")["exclusive"]}
         noni, ex = tres["non-inclusive"], tres["exclusive"]
         stt_rows[mix] = {
@@ -223,7 +215,7 @@ def fig13_scatter(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for mix in mixes:
-        res = run_policies(system, ("non-inclusive", "exclusive"), mix_builder(mix), refs)
+        res = run_policies(system, ("non-inclusive", "exclusive"), WorkloadSpec.mix(mix), refs)
         noni, ex = res["non-inclusive"], res["exclusive"]
         mrel = ex.llc_misses / max(1, noni.llc_misses)
         wrel = ex.llc_writes / max(1, noni.llc_writes)
@@ -306,7 +298,7 @@ def fig17_redundant_fill_mixes(
     system = SystemConfig.scaled()
     rows: Rows = {}
     for mix in mixes:
-        res = run_policies(system, ("non-inclusive",), mix_builder(mix), refs)["non-inclusive"]
+        res = run_policies(system, ("non-inclusive",), WorkloadSpec.mix(mix), refs)["non-inclusive"]
         rows[mix] = {"redundant_fill_fraction": res.redundant_fill_fraction}
     return rows
 
@@ -354,7 +346,7 @@ def fig20_multithreaded(
     perf: Rows = {}
     snoop: Rows = {}
     for bench in benchmarks:
-        res = run_policies(system, policies, multithreaded_builder(bench), refs)
+        res = run_policies(system, policies, WorkloadSpec.multithreaded(bench), refs)
         noni = res["non-inclusive"]
         energy[bench] = {p: res[p].total_energy / noni.total_energy for p in policies}
         perf[bench] = {p: noni.latency / res[p].latency for p in policies}
@@ -389,21 +381,16 @@ def fig21_capacity_ratio(
     }
     # The workloads are FIXED at the baseline geometry: the paper varies
     # the caches under the same applications, so region sizes must not
-    # re-scale with the swept L2/LLC capacities. A workload that is no
-    # function of its system has no JobSpec, so these runs simulate
-    # directly instead of going through the engine and its cache.
+    # re-scale with the swept L2/LLC capacities.
     base_ctx = SystemConfig.scaled().scale_context()
+    specs = {mix: WorkloadSpec.mix(mix, scale=base_ctx) for mix in mixes}
     rows: Rows = {}
     for label, system in configs.items():
         acc: Dict[str, float] = {p: 0.0 for p in policies}
-        for mix in mixes:
-            res = {
-                p: simulate(system, p, make_table3_mix(mix, base_ctx, seed=0), refs)
-                for p in policies
-            }
+        for res in run_matrix(system, policies, specs, refs).values():
             norm = normalized(res, "epi")
             for p in policies:
-                acc[p] += norm[p] / len(mixes)
+                acc[p] += norm[p] / len(specs)
         rows[label] = acc
     return rows
 
@@ -422,7 +409,7 @@ def fig22_core_count(
             # replicate the 4-benchmark mix across 8 cores
             benchlist = list(benchmarks) * (ncores // 4)
             res = run_policies(
-                system, policies, benchmarks_builder(benchlist), refs
+                system, policies, WorkloadSpec.multiprogrammed(benchlist), refs
             )
             norm = normalized(res, "epi")
             for p in policies:
@@ -460,7 +447,7 @@ def fig23_energy_ratio(
 def _avg_lap_saving(system: SystemConfig, mixes: Sequence[str], refs: int) -> float:
     total = 0.0
     for mix in mixes:
-        res = run_policies(system, ("non-inclusive", "lap"), mix_builder(mix), refs)
+        res = run_policies(system, ("non-inclusive", "lap"), WorkloadSpec.mix(mix), refs)
         noni, lap = res["non-inclusive"], res["lap"]
         total += 1.0 - lap.epi / noni.epi
     return total / len(mixes)

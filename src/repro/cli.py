@@ -53,12 +53,13 @@ Every command accepts ``--refs``, ``--seed`` and system-shape flags so
 sweeps can be scripted from the shell; all output is plain ASCII.
 
 Three *global* options (they precede the subcommand) drive the
-execution engine and tracing: ``--jobs N`` fans grid commands out
-over N worker processes, ``--cache-dir PATH`` memoises every
-spec-described simulation in a content-addressed on-disk cache
-(``$REPRO_CACHE_DIR`` is honoured when the flag is absent), and
-``--spans PATH`` turns on span tracing
-for the command and dumps the trace as JSONL (``$REPRO_SPANS`` enables
+execution engine and tracing: ``--jobs N`` fans ``sweep`` and ``suite
+run`` out over N worker processes (``run``, ``compare``,
+``characterize`` and ``figure`` run serially whatever its value),
+``--cache-dir PATH`` memoises every simulation these commands run in a
+content-addressed on-disk cache (``$REPRO_CACHE_DIR`` is honoured when
+the flag is absent), and ``--spans PATH`` turns on span tracing for
+the command and dumps the trace as JSONL (``$REPRO_SPANS`` enables
 tracing without a dump path; the exec pool then writes ``spans.jsonl``
 next to ``manifest.json``), e.g.::
 
@@ -72,7 +73,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import make_workload, simulate
+from . import make_workload
 from .analysis import classify_wl_wh, favors_exclusion, render_mapping_table, render_table
 from .energy import SRAM, STT_RAM
 from .errors import ReproError
@@ -181,8 +182,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     system = _system_from(args)
-    workload = make_workload(args.workload, system, seed=args.seed)
-    result = simulate(system, args.policy, workload, refs_per_core=args.refs)
+    spec = WorkloadSpec.named(args.workload, system.hierarchy.ncores, args.seed)
+    result = run_policies(system, (args.policy,), spec, args.refs)[args.policy]
     summary = result.summary()
     summary["snoop_traffic"] = float(result.snoop_traffic)
     summary["cycles"] = float(result.cycles)
@@ -879,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for grid commands (default: 1 = serial)",
+        help="worker processes for sweep and suite run (default: 1 = serial)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",

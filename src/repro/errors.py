@@ -54,8 +54,8 @@ class ExecutionError(ReproError):
     """The experiment execution engine failed (``repro.exec``).
 
     Raised for unpicklable/malformed job specs, worker-process failures
-    that survive the retry budget, per-job timeouts, and unusable result
-    cache directories or entries.
+    that survive the retry, and unusable result cache directories or
+    entries.
     """
 
 

@@ -216,7 +216,7 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # sim.runner's run_policies/run_matrix pass this to execute_jobs, so
 # every grid they run — figures, the benchmark harness, the CLI's
-# compare/characterize — is cached without threading a cache handle
+# run/compare/characterize — is cached without threading a cache handle
 # through each call site.
 _active_cache: Optional[ResultCache] = None
 

@@ -12,6 +12,7 @@ pickles cleanly and hashes to a stable content address.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -53,7 +54,10 @@ class WorkloadSpec:
 
     ``kind`` selects the construction path; ``benchmarks`` holds the
     benchmark name(s) (or the mix name for ``kind="mix"``); ``ncores``
-    doubles as the thread count for multithreaded workloads.
+    doubles as the thread count for multithreaded workloads. ``scale``
+    pins the geometry the workload is built at; ``None`` builds at the
+    running system's own (Fig. 21 holds its applications at the
+    baseline geometry while it varies the caches).
     """
 
     kind: str
@@ -61,6 +65,7 @@ class WorkloadSpec:
     ncores: int = 4
     seed: int = 0
     name: Optional[str] = None
+    scale: Optional[ScaleContext] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -73,7 +78,7 @@ class WorkloadSpec:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
 
     # ------------------------------------------------------------------
-    # constructors mirroring sim.runner's historical builders
+    # constructors
     # ------------------------------------------------------------------
     @classmethod
     def duplicate(cls, benchmark: str, ncores: int = 4, seed: int = 0) -> "WorkloadSpec":
@@ -81,9 +86,11 @@ class WorkloadSpec:
         return cls(kind=DUPLICATE, benchmarks=(benchmark,), ncores=ncores, seed=seed)
 
     @classmethod
-    def mix(cls, mix_name: str, seed: int = 0) -> "WorkloadSpec":
+    def mix(
+        cls, mix_name: str, seed: int = 0, scale: Optional[ScaleContext] = None
+    ) -> "WorkloadSpec":
         """A Table III mix (WL1..WH5)."""
-        return cls(kind=MIX, benchmarks=(mix_name,), seed=seed)
+        return cls(kind=MIX, benchmarks=(mix_name,), seed=seed, scale=scale)
 
     @classmethod
     def multiprogrammed(
@@ -199,23 +206,29 @@ class WorkloadSpec:
     __call__ = build
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "kind": self.kind,
             "benchmarks": list(self.benchmarks),
             "ncores": self.ncores,
             "seed": self.seed,
             "name": self.name,
         }
+        # Only when set, so specs without one keep their cache keys.
+        if self.scale is not None:
+            data["scale"] = dataclasses.asdict(self.scale)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "WorkloadSpec":
         try:
+            scale = data.get("scale")
             return cls(
                 kind=data["kind"],
                 benchmarks=tuple(data["benchmarks"]),
                 ncores=data.get("ncores", 4),
                 seed=data.get("seed", 0),
                 name=data.get("name"),
+                scale=None if scale is None else ScaleContext(**scale),
             )
         except (KeyError, TypeError) as exc:
             raise ExecutionError(f"malformed WorkloadSpec dict: {exc}") from None
@@ -247,6 +260,13 @@ class JobSpec:
         object.__setattr__(self, "policy", canonical)
         if self.refs_per_core <= 0:
             raise ExecutionError(f"refs_per_core must be positive, got {self.refs_per_core}")
+        # A scale equal to the system's own is the default build: drop
+        # it, so one simulation has one cache key.
+        scale = self.workload.scale
+        if scale is not None and scale == self.system.scale_context():
+            object.__setattr__(
+                self, "workload", dataclasses.replace(self.workload, scale=None)
+            )
 
     # ------------------------------------------------------------------
     # identity
@@ -288,5 +308,7 @@ class JobSpec:
         """Execute the job in-process and return its ``RunResult``."""
         from ..sim.simulator import Simulator
 
-        workload = self.workload.build(self.system.scale_context())
+        workload = self.workload.build(
+            self.workload.scale or self.system.scale_context()
+        )
         return Simulator(self.system, self.policy, workload).run(self.refs_per_core)

@@ -21,7 +21,10 @@ during long sweeps.
 Failure policy: only failures of the worker or process — a broken pool
 (a worker killed by the OS), a pickling error, an ``OSError`` — are
 treated as transient and retried once, in-process; a second failure
-raises :class:`~repro.errors.ExecutionError`. Library errors
+raises :class:`~repro.errors.ExecutionError`. There is no per-job
+timeout: a process pool cannot preempt a running simulation, so a slow
+job is waited for (with heartbeat lines while it runs) and a hung one
+is stopped with Ctrl-C or SIGTERM (below). Library errors
 (:class:`~repro.errors.ReproError`) propagate unchanged, and any other
 exception (an ``AssertionError`` or ``IndexError`` from the simulator)
 is a deterministic bug that a retry would only hide: it fails the job
@@ -114,8 +117,9 @@ class ExecutionOutcome(List[RunResult]):
 
 
 #: failures of the worker or process rather than of the job itself; only
-#: these are retried (``cf.TimeoutError`` is handled before them).
+#: these are retried, at most ``_RETRIES`` times per job.
 _TRANSIENT_ERRORS = (cf.BrokenExecutor, pickle.PicklingError, OSError)
+_RETRIES = 1
 
 
 def _job_failed(index: int, job: JobSpec, exc: BaseException, where: str) -> ExecutionError:
@@ -205,8 +209,6 @@ def execute_jobs(
     jobs: Sequence[JobSpec],
     max_workers: int = 1,
     cache: Optional[ResultCache] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
     manifest_dir: Optional[Union[str, pathlib.Path]] = None,
     heartbeat_interval: Optional[float] = None,
 ) -> ExecutionOutcome:
@@ -214,11 +216,9 @@ def execute_jobs(
 
     ``max_workers <= 1`` (or a pool that fails to start) runs serially
     in-process; ``cache`` short-circuits jobs whose content address is
-    already stored and records fresh results on the way out. ``timeout``
-    bounds each job's wall-clock wait in seconds (parallel path only —
-    a serial job cannot be preempted). ``retries`` bounds re-execution
-    of transiently-failed jobs (default: one retry). ``manifest_dir``
-    writes the run manifest there (``manifest.json``);
+    already stored and records fresh results on the way out. A job that
+    fails transiently is retried once. ``manifest_dir`` writes the run
+    manifest there (``manifest.json``);
     ``heartbeat_interval`` emits progress lines at most that many
     seconds apart on stderr.
 
@@ -234,8 +234,6 @@ def execute_jobs(
     for i, job in enumerate(jobs):
         if not isinstance(job, JobSpec):
             raise ExecutionError(f"jobs[{i}] is not a JobSpec: {type(job).__name__}")
-    if retries < 0:
-        raise ExecutionError(f"retries must be >= 0, got {retries}")
     results: List[Optional[RunResult]] = [None] * len(jobs)
     profiles: List[Optional[JobProfile]] = [None] * len(jobs)
     pulse = Heartbeat(len(jobs), heartbeat_interval)
@@ -267,13 +265,12 @@ def execute_jobs(
                     try:
                         if max_workers > 1 and len(misses) > 1:
                             _execute_pooled(
-                                jobs, misses, results, profiles, max_workers, timeout,
-                                retries, pulse, cached_count,
+                                jobs, misses, results, profiles, max_workers, pulse,
+                                cached_count,
                             )
                         else:
                             _execute_in_process(
-                                jobs, misses, results, profiles, retries, pulse,
-                                cached_count,
+                                jobs, misses, results, profiles, pulse, cached_count
                             )
                     except KeyboardInterrupt:
                         # Graceful shutdown: keep everything that finished.
@@ -323,7 +320,7 @@ def execute_jobs(
 
 
 def _run_in_process(
-    job: JobSpec, index: int, retries: int, prior_retries: int = 0
+    job: JobSpec, index: int, retries: int = _RETRIES, prior_retries: int = 0
 ) -> Tuple[RunResult, JobProfile]:
     """Run one job in this process under an ``exec.job`` span.
 
@@ -349,14 +346,13 @@ def _execute_in_process(
     misses: Sequence[int],
     results: List[Optional[RunResult]],
     profiles: List[Optional[JobProfile]],
-    retries: int,
     pulse: Heartbeat,
     cached_count: int,
 ) -> None:
     """Run ``misses`` one after another in this process, filling
     ``results`` and ``profiles`` in place."""
     for n, i in enumerate(misses):
-        results[i], profiles[i] = _run_in_process(jobs[i], i, retries)
+        results[i], profiles[i] = _run_in_process(jobs[i], i)
         pulse.beat(cached_count + n + 1, cached_count)
 
 
@@ -366,8 +362,6 @@ def _execute_pooled(
     results: List[Optional[RunResult]],
     profiles: List[Optional[JobProfile]],
     max_workers: int,
-    timeout: Optional[float],
-    retries: int,
     pulse: Heartbeat,
     cached_count: int,
 ) -> None:
@@ -379,51 +373,33 @@ def _execute_pooled(
     except (OSError, ValueError, RuntimeError):
         # Pool cannot start (sandboxed environment, missing semaphores,
         # spawn failure): degrade gracefully to serial execution.
-        _execute_in_process(
-            jobs, misses, results, profiles, retries, pulse, cached_count
-        )
+        _execute_in_process(jobs, misses, results, profiles, pulse, cached_count)
         return
 
     try:
         futures = {i: pool.submit(_run_job_dict, jobs[i]) for i in misses}
-        retry_budget = {i: retries for i in misses}
-        pending = list(misses)
-        done = 0
-        while pending:
-            i = pending.pop(0)
+        for n, i in enumerate(misses):
             try:
                 payload = _wait_with_heartbeat(
-                    futures[i], timeout, pulse, cached_count + done, cached_count
+                    futures[i], pulse, cached_count + n, cached_count
                 )
                 results[i] = result_from_dict(payload["result"])
                 profile = _profile_for(i, jobs[i], SOURCE_POOL, results[i])
                 profile.wall_s = payload.get("wall_s", 0.0)
-                profile.retries = retries - retry_budget[i]
                 profile.peak_rss_kb = payload.get("peak_rss_kb")
                 profiles[i] = profile
             except ReproError:
                 raise  # deterministic library failure: retrying is pointless
-            except cf.TimeoutError:
-                futures[i].cancel()
-                raise ExecutionError(
-                    f"job {i} ({jobs[i].workload.label} / {jobs[i].policy}) "
-                    f"exceeded its {timeout:g}s timeout"
-                ) from None
-            except _TRANSIENT_ERRORS as exc:
-                if retry_budget[i] > 0:
-                    retry_budget[i] -= 1
-                    # A crashed worker may have broken the whole pool;
-                    # the retry runs in-process, which also covers
-                    # unpicklable-job failures.
-                    results[i], profiles[i] = _run_in_process(
-                        jobs[i], i, retries=0, prior_retries=retries - retry_budget[i]
-                    )
-                else:
-                    raise _job_failed(i, jobs[i], exc, " in worker") from exc
+            except _TRANSIENT_ERRORS:
+                # A crashed worker may have broken the whole pool; the
+                # retries run in-process, which also covers
+                # unpicklable-job failures.
+                results[i], profiles[i] = _run_in_process(
+                    jobs[i], i, retries=_RETRIES - 1, prior_retries=1
+                )
             except Exception as exc:  # a deterministic bug: no retry
                 raise _job_failed(i, jobs[i], exc, " in worker") from exc
-            done += 1
-            pulse.beat(cached_count + done, cached_count)
+            pulse.beat(cached_count + n + 1, cached_count)
     except KeyboardInterrupt:
         # Graceful shutdown: drop work that has not started, abandon
         # the in-flight job (a process pool cannot preempt it), keep
@@ -441,30 +417,18 @@ def _execute_pooled(
 
 
 def _wait_with_heartbeat(
-    future: "cf.Future",
-    timeout: Optional[float],
-    pulse: Heartbeat,
-    done: int,
-    cached: int,
+    future: "cf.Future", pulse: Heartbeat, done: int, cached: int
 ) -> Dict[str, Any]:
-    """``future.result(timeout=...)`` that keeps the heartbeat alive.
+    """``future.result()`` that keeps the heartbeat alive.
 
     Waits in slices no longer than the heartbeat interval so progress
     lines keep flowing while a slow job blocks the ordered collection
-    loop; the per-job ``timeout`` semantics are unchanged (measured
-    from when collection reaches this job).
+    loop.
     """
-    if pulse.interval is None or pulse.interval <= 0:
-        return future.result(timeout=timeout)
-    deadline = None if timeout is None else time.perf_counter() + timeout
     while True:
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        if remaining is not None and remaining <= 0:
-            raise cf.TimeoutError()
-        wait = pulse.interval if remaining is None else min(pulse.interval, remaining)
         try:
-            return future.result(timeout=wait)
+            return future.result(timeout=pulse.interval or None)
         except cf.TimeoutError:
-            if deadline is not None and time.perf_counter() >= deadline:
+            if future.done():  # the job itself raised a TimeoutError
                 raise
             pulse.beat(done, cached)

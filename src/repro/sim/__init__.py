@@ -3,10 +3,6 @@
 from .results import RunResult
 from .runner import (
     DEFAULT_REFS,
-    benchmarks_builder,
-    duplicate_builder,
-    mix_builder,
-    multithreaded_builder,
     normalized,
     run_matrix,
     run_policies,
@@ -22,9 +18,5 @@ __all__ = [
     "run_policies",
     "run_matrix",
     "normalized",
-    "duplicate_builder",
-    "mix_builder",
-    "benchmarks_builder",
-    "multithreaded_builder",
     "DEFAULT_REFS",
 ]

@@ -3,9 +3,10 @@
 Trace generators are stateful streams, so comparing policies fairly
 requires rebuilding the workload (same seed → bit-identical trace) for
 every run. The runner owns that discipline: callers pass declarative
-:class:`~repro.exec.jobs.WorkloadSpec` builders and a list of policy
-names, and get back one :class:`~repro.sim.results.RunResult` per
-(workload, policy) pair.
+:class:`~repro.exec.jobs.WorkloadSpec` recipes (built with its
+``duplicate``/``mix``/``multiprogrammed``/``multithreaded``/``named``
+constructors) and a list of policy names, and get back one
+:class:`~repro.sim.results.RunResult` per (workload, policy) pair.
 
 Every grid is lowered to one :class:`~repro.exec.jobs.JobSpec` batch
 and run by :func:`repro.exec.pool.execute_jobs` against the
@@ -25,28 +26,6 @@ from .system import SystemConfig
 # Default reference count per core for harness runs; large enough for
 # working sets to cycle through the scaled hierarchy several times.
 DEFAULT_REFS = 120_000
-
-
-def duplicate_builder(benchmark: str, ncores: int = 4, seed: int = 0) -> WorkloadSpec:
-    """Builder for N duplicate copies of one benchmark (Figs. 2/4/6)."""
-    return WorkloadSpec.duplicate(benchmark, ncores=ncores, seed=seed)
-
-
-def mix_builder(mix_name: str, seed: int = 0) -> WorkloadSpec:
-    """Builder for a Table III mix (WL1..WH5)."""
-    return WorkloadSpec.mix(mix_name, seed=seed)
-
-
-def benchmarks_builder(
-    benchmarks: Sequence[str], seed: int = 0, name: str | None = None
-) -> WorkloadSpec:
-    """Builder for an arbitrary multiprogrammed combination."""
-    return WorkloadSpec.multiprogrammed(benchmarks, seed=seed, name=name)
-
-
-def multithreaded_builder(benchmark: str, nthreads: int = 4, seed: int = 0) -> WorkloadSpec:
-    """Builder for a PARSEC-like multithreaded workload (Fig. 20)."""
-    return WorkloadSpec.multithreaded(benchmark, nthreads=nthreads, seed=seed)
 
 
 def run_matrix(

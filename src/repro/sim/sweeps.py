@@ -4,8 +4,10 @@ The paper's Section VI-D sensitivity studies are grids over system
 parameters (L2:L3 ratio, core count, write/read energy ratio) crossed
 with workloads and policies. :class:`Sweep` expresses such grids
 declaratively and collects one flat record per run, ready for CSV
-export or downstream aggregation — the machinery behind the Fig. 21–23
-benchmarks and any new sensitivity study a user wants to script.
+export or downstream aggregation — the machinery behind ``repro sweep``
+and any new sensitivity study a user wants to script. (The Fig. 21–23
+functions in :mod:`repro.analysis.figures` do not use it: they average
+per-policy EPI over ``run_matrix``/``run_policies`` grids.)
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Sweep:
     -------
     >>> sweep = Sweep(
     ...     systems={"1:4": SystemConfig.scaled(l2_kb=8)},
-    ...     workloads={"WH1": mix_builder("WH1")},
+    ...     workloads={"WH1": WorkloadSpec.mix("WH1")},
     ...     policies=("non-inclusive", "lap"),
     ...     refs_per_core=10_000,
     ... )

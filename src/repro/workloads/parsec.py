@@ -26,19 +26,18 @@ from .synthetic import ScaleContext, SharedStateTrace
 from .trace import TraceGenerator
 
 RegionList = List[Tuple[Region, float]]
-SharedBuilder = Callable[[ScaleContext, int], RegionList]
-PrivateBuilder = Callable[[ScaleContext, int], RegionList]
+# (ctx, base) -> (shared regions, per-thread private regions)
+RegionsFn = Callable[[ScaleContext, int], Tuple[RegionList, RegionList]]
 
 
 @dataclass(frozen=True)
 class ParsecSpec:
-    """A multithreaded workload: shared + per-thread region builders."""
+    """A multithreaded workload: shared + per-thread regions."""
 
     name: str
     description: str
     instr_per_ref: float
-    shared_builder: SharedBuilder
-    private_builder: PrivateBuilder
+    regions: RegionsFn
 
     def build_threads(
         self, ctx: ScaleContext, seed: int, nthreads: int, base: int = 0
@@ -46,11 +45,11 @@ class ParsecSpec:
         """One generator per thread over common shared-region objects."""
         if nthreads < 1:
             raise WorkloadError(f"need at least one thread, got {nthreads}")
-        shared = self.shared_builder(ctx, base)
+        shared = self.regions(ctx, base)[0]
         threads: List[TraceGenerator] = []
         for tid in range(nthreads):
             private_base = base + (8 + tid * 4) * REGION_SPAN
-            regions = list(shared) + self.private_builder(ctx, private_base)
+            regions = list(shared) + self.regions(ctx, private_base)[1]
             threads.append(
                 SharedStateTrace(
                     regions,
@@ -67,20 +66,13 @@ PARSEC_BENCHMARKS: Dict[str, ParsecSpec] = {}
 
 def _register(
     name: str, description: str, instr_per_ref: float
-) -> Callable[[Callable[[ScaleContext, int], Tuple[RegionList, RegionList]]], None]:
-    def deco(fn: Callable[[ScaleContext, int], Tuple[RegionList, RegionList]]) -> None:
-        def shared_builder(ctx: ScaleContext, base: int) -> RegionList:
-            return fn(ctx, base)[0]
-
-        def private_builder(ctx: ScaleContext, base: int) -> RegionList:
-            return fn(ctx, base)[1]
-
+) -> Callable[[RegionsFn], None]:
+    def deco(fn: RegionsFn) -> None:
         PARSEC_BENCHMARKS[name] = ParsecSpec(
             name=name,
             description=description,
             instr_per_ref=instr_per_ref,
-            shared_builder=shared_builder,
-            private_builder=private_builder,
+            regions=fn,
         )
 
     return deco

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..sim.runner import duplicate_builder, run_policies
+from ..exec.jobs import WorkloadSpec
+from ..sim.runner import run_policies
 from ..sim.system import SystemConfig
 from .spec import (
     PAPER_BENCHMARK_ORDER,
@@ -60,7 +61,7 @@ def measure_benchmark(
     res = run_policies(
         system,
         ("non-inclusive", "exclusive"),
-        duplicate_builder(spec.name, ncores=system.hierarchy.ncores, seed=seed),
+        WorkloadSpec.duplicate(spec.name, ncores=system.hierarchy.ncores, seed=seed),
         refs_per_core=refs,
     )
     noni, ex = res["non-inclusive"], res["exclusive"]

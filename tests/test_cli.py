@@ -76,6 +76,27 @@ class TestRunCommand:
                      "--llc-kb", "32", "--l2-kb", "4", "--hybrid", "--json"])
         assert code == 0
 
+    def test_run_is_served_from_the_cache(self, tmp_path, capsys, monkeypatch):
+        from repro.sim.simulator import Simulator
+
+        calls = {"n": 0}
+        real_run = Simulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls["n"] += 1
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        argv = ["--cache-dir", str(tmp_path), "run", "WL1", "lap", "--refs", "1000", "--json"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert warm == cold
+        assert calls["n"] == 1, "the second run must be a cache hit"
+        assert main(["--cache-dir", str(tmp_path), "cache", "stats", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 1
+
 
 class TestCompareCommand:
     def test_compare_normalises_to_first_policy(self, capsys):

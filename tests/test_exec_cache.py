@@ -14,7 +14,7 @@ from repro.exec import (
     set_active_cache,
 )
 from repro.sim import SystemConfig
-from repro.sim.runner import duplicate_builder, run_policies
+from repro.sim.runner import run_policies
 from repro.sim.simulator import Simulator
 from repro.sim.sweeps import Sweep
 
@@ -144,8 +144,8 @@ class TestWarmSweepRunsNothing:
                 "big": small_system(llc_kb=64, label="big"),
             },
             workloads={
-                "mcf": duplicate_builder("mcf", ncores=2),
-                "lbm": duplicate_builder("lbm", ncores=2),
+                "mcf": WorkloadSpec.duplicate("mcf", ncores=2),
+                "lbm": WorkloadSpec.duplicate("lbm", ncores=2),
             },
             policies=("non-inclusive", "exclusive", "lap"),
             refs_per_core=600,
@@ -181,7 +181,7 @@ class TestWarmSweepRunsNothing:
         monkeypatch.setattr(Simulator, "run", counting_run)
         set_active_cache(ResultCache(tmp_path))
         system = small_system()
-        builder = duplicate_builder("mcf", ncores=2)
+        builder = WorkloadSpec.duplicate("mcf", ncores=2)
         a = run_policies(system, ("lap",), builder, 600)["lap"]
         assert calls["n"] == 1
         b = run_policies(system, ("lap",), builder, 600)["lap"]

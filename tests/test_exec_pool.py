@@ -5,7 +5,6 @@ import pytest
 from repro.errors import AnalysisError, ExecutionError, ReproError, SimulationError
 from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
 from repro.sim import SystemConfig
-from repro.sim.runner import duplicate_builder, mix_builder
 from repro.sim.sweeps import Sweep
 
 
@@ -21,8 +20,8 @@ def small_grid(refs=600) -> Sweep:
             "big": small_system(llc_kb=64, label="big"),
         },
         workloads={
-            "mcf": duplicate_builder("mcf", ncores=2),
-            "lbm": duplicate_builder("lbm", ncores=2, seed=3),
+            "mcf": WorkloadSpec.duplicate("mcf", ncores=2),
+            "lbm": WorkloadSpec.duplicate("lbm", ncores=2, seed=3),
         },
         policies=("non-inclusive", "lap"),
         refs_per_core=refs,
@@ -32,6 +31,11 @@ def small_grid(refs=600) -> Sweep:
 def _worker_lost(job):
     """Pool entry point that fails the way a lost worker does."""
     raise OSError("worker lost")
+
+
+def _worker_timed_out(job):
+    """Pool entry point whose job raises ``TimeoutError`` itself."""
+    raise TimeoutError("job-internal timeout")
 
 
 class TestDeterminism:
@@ -73,8 +77,6 @@ class TestExecuteJobs:
     def test_rejects_non_jobs(self):
         with pytest.raises(ExecutionError):
             execute_jobs(["not a job"])
-        with pytest.raises(ExecutionError):
-            execute_jobs(self.jobs(1), retries=-1)
 
     def test_transient_failure_retried_once(self, monkeypatch):
         calls = {"n": 0}
@@ -140,6 +142,20 @@ class TestExecuteJobs:
         assert sorted(s["attrs"]["index"] for s in spans) == [0, 1]
         assert [p.retries for p in outcome.profiles] == [1, 1]
         assert [p.source for p in outcome.profiles] == ["serial", "serial"]
+
+    def test_job_timeout_error_ends_the_heartbeat_wait(self, monkeypatch):
+        """A ``TimeoutError`` raised by the job is its failure (an
+        ``OSError``, retried in-process), not another heartbeat slice to
+        wait out again."""
+        import multiprocessing
+
+        from repro.exec import pool
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched entry point only under fork")
+        monkeypatch.setattr(pool, "_run_job_dict", _worker_timed_out)
+        outcome = execute_jobs(self.jobs(2), max_workers=2, heartbeat_interval=0.05)
+        assert [p.retries for p in outcome.profiles] == [1, 1]
 
     def test_library_errors_propagate_without_retry(self, monkeypatch):
         calls = {"n": 0}
@@ -209,7 +225,7 @@ class TestExecuteJobs:
 
 class TestSweepSpecRequirement:
     def test_closure_builders_rejected_in_parallel_mode(self):
-        closure = lambda ctx: duplicate_builder("mcf", ncores=2).build(ctx)  # noqa: E731
+        closure = lambda ctx: WorkloadSpec.duplicate("mcf", ncores=2).build(ctx)  # noqa: E731
         sweep = Sweep(
             systems={"base": small_system()},
             workloads={"mcf": closure},
@@ -227,15 +243,16 @@ class TestBuilderSpecs:
         import pickle
 
         for spec in (
-            duplicate_builder("mcf", ncores=2),
-            mix_builder("WH1", seed=2),
+            WorkloadSpec.duplicate("mcf", ncores=2),
+            WorkloadSpec.mix("WH1", seed=2),
+            WorkloadSpec.mix("WH1", scale=small_system().scale_context()),
         ):
             assert isinstance(spec, WorkloadSpec)
             assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_spec_is_a_workload_builder(self):
+    def test_spec_is_callable_on_a_scale_context(self):
         system = small_system()
-        wl = duplicate_builder("mcf", ncores=2)(system.scale_context())
+        wl = WorkloadSpec.duplicate("mcf", ncores=2)(system.scale_context())
         assert wl.ncores == 2
         assert wl.name == "mcfx2"
 
@@ -243,7 +260,7 @@ class TestBuilderSpecs:
         from repro.sim.runner import normalized, run_policies
 
         results = run_policies(
-            small_system(), ("non-inclusive", "lap"), duplicate_builder("mcf", ncores=2), 400
+            small_system(), ("non-inclusive", "lap"), WorkloadSpec.duplicate("mcf", ncores=2), 400
         )
         norm = normalized(results, "llc_writes")
         assert norm["non-inclusive"] == 1.0

@@ -6,13 +6,14 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.exec import (
+    WorkloadSpec,
     result_from_dict,
     result_to_dict,
     system_from_dict,
     system_to_dict,
 )
 from repro.sim import SystemConfig, simulate
-from repro.sim.runner import duplicate_builder, multithreaded_builder, run_policies
+from repro.sim.runner import run_policies
 from repro.sim.sweeps import RECORD_METRICS
 
 
@@ -22,13 +23,15 @@ def small_system(**kwargs) -> SystemConfig:
 
 @pytest.fixture(scope="module")
 def multiprogrammed_result():
-    return run_policies(small_system(), ("lap",), duplicate_builder("mcf", ncores=2), 1500)["lap"]
+    return run_policies(
+        small_system(), ("lap",), WorkloadSpec.duplicate("mcf", ncores=2), 1500
+    )["lap"]
 
 
 @pytest.fixture(scope="module")
 def multithreaded_result():
     return run_policies(
-        small_system(), ("non-inclusive",), multithreaded_builder("canneal", nthreads=2), 1200
+        small_system(), ("non-inclusive",), WorkloadSpec.multithreaded("canneal", nthreads=2), 1200
     )["non-inclusive"]
 
 
@@ -107,7 +110,7 @@ class TestSystemRoundTrip:
     def test_restored_system_simulates_identically(self):
         system = small_system()
         restored = system_from_dict(system_to_dict(system))
-        builder = duplicate_builder("lbm", ncores=2)
+        builder = WorkloadSpec.duplicate("lbm", ncores=2)
         a = run_policies(system, ("exclusive",), builder, 800)["exclusive"]
         b = run_policies(restored, ("exclusive",), builder, 800)["exclusive"]
         assert result_to_dict(a) == result_to_dict(b)

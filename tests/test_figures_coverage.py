@@ -114,24 +114,68 @@ class TestHybridFigures:
 
 
 class TestFig21FixedWorkloads:
-    def test_workloads_do_not_rescale_with_swept_llc(self):
-        """Fig. 21's sweep must hold workload footprints fixed: the same
-        mix built for the 2x-LLC config and the baseline config must be
-        identical streams (regions sized from the baseline geometry)."""
-        import numpy as np
+    """Fig. 21 varies the caches under fixed applications: its workloads
+    are built at the baseline geometry whatever system runs them, and
+    its runs go through the engine and its cache."""
 
-        from repro.sim import SystemConfig
+    MIX = "WL3"
+    POLICIES = ("non-inclusive", "lap")
+
+    def fig21(self):
+        return F.fig21_capacity_ratio(refs=1200, mixes=(self.MIX,), policies=self.POLICIES)
+
+    def test_workloads_do_not_rescale_with_swept_llc(self):
+        from repro.sim import SystemConfig, normalized, simulate
         from repro.workloads.mixes import make_table3_mix
 
         base_ctx = SystemConfig.scaled().scale_context()
-        wl_a = make_table3_mix("WL3", base_ctx, seed=0)
-        wl_b = make_table3_mix("WL3", base_ctx, seed=0)
-        a = wl_a.generators[0].batch(500)[0]
-        b = wl_b.generators[0].batch(500)[0]
-        assert (np.asarray(a) == np.asarray(b)).all()
-        # and a context from the 2x system gives a DIFFERENT stream,
-        # which is exactly what fig21 must avoid using
-        big_ctx = SystemConfig.scaled(llc_kb=256).scale_context()
-        wl_c = make_table3_mix("WL3", big_ctx, seed=0)
-        c = wl_c.generators[0].batch(500)[0]
-        assert (np.asarray(a) != np.asarray(c)).any()
+        systems = {
+            "L2:L3=1:8": SystemConfig.scaled(l2_kb=4, llc_kb=128),
+            "L2:L3=1:4": SystemConfig.scaled(l2_kb=8, llc_kb=128),
+            "L2:L3=1:2": SystemConfig.scaled(l2_kb=16, llc_kb=128),
+            "2x LLC": SystemConfig.scaled(l2_kb=8, llc_kb=256),
+        }
+        expected = {}
+        for label, system in systems.items():
+            res = {
+                p: simulate(system, p, make_table3_mix(self.MIX, base_ctx, seed=0), 1200)
+                for p in self.POLICIES
+            }
+            expected[label] = normalized(res, "epi")
+        assert self.fig21() == expected
+
+    def test_warm_cache_simulates_nothing(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        real_run = Simulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls["n"] += 1
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        previous = set_active_cache(ResultCache(tmp_path))
+        try:
+            first = self.fig21()
+            simulated = calls["n"]
+            second = self.fig21()
+        finally:
+            set_active_cache(previous)
+        assert simulated == 4 * len(self.POLICIES)
+        assert calls["n"] == simulated, "the repeat must be served from the cache"
+        assert second == first
+
+    def test_scale_equal_to_system_context_shares_the_key(self):
+        from repro.exec import JobSpec, WorkloadSpec
+        from repro.sim import SystemConfig
+
+        system = SystemConfig.scaled()
+        plain = JobSpec(system, WorkloadSpec.mix(self.MIX), "lap", 1200)
+        pinned = JobSpec(
+            system, WorkloadSpec.mix(self.MIX, scale=system.scale_context()), "lap", 1200
+        )
+        assert pinned.key() == plain.key()
+        assert "scale" not in plain.to_dict()["workload"]
+        big = SystemConfig.scaled(llc_kb=256)
+        moved = JobSpec(big, WorkloadSpec.mix(self.MIX, scale=system.scale_context()), "lap", 1200)
+        assert moved.key() != JobSpec(big, WorkloadSpec.mix(self.MIX), "lap", 1200).key()
+        assert JobSpec.from_dict(moved.to_dict()) == moved

@@ -5,15 +5,8 @@ import pytest
 from repro import SystemConfig, make_workload, simulate
 from repro.energy import SRAM, STT_RAM
 from repro.errors import SimulationError, WorkloadError
-from repro.sim.runner import (
-    benchmarks_builder,
-    duplicate_builder,
-    mix_builder,
-    multithreaded_builder,
-    normalized,
-    run_matrix,
-    run_policies,
-)
+from repro.exec import WorkloadSpec
+from repro.sim.runner import normalized, run_matrix, run_policies
 from repro.sim.simulator import Simulator
 
 
@@ -162,7 +155,7 @@ class TestRunner:
         res = run_policies(
             small_system,
             ("non-inclusive", "exclusive"),
-            duplicate_builder("astar", ncores=2),
+            WorkloadSpec.duplicate("astar", ncores=2),
             refs_per_core=1500,
         )
         # identical traces: L2-side behaviour must match exactly. The
@@ -184,7 +177,7 @@ class TestRunner:
         res = run_policies(
             small_system,
             ("non-inclusive", "lap"),
-            duplicate_builder("omnetpp", ncores=2),
+            WorkloadSpec.duplicate("omnetpp", ncores=2),
             refs_per_core=2500,
         )
         norm = normalized(res, "llc_writes")
@@ -195,25 +188,28 @@ class TestRunner:
         out = run_matrix(
             small_system,
             ("non-inclusive",),
-            {"a": duplicate_builder("mcf", ncores=2), "b": duplicate_builder("lbm", ncores=2)},
+            {
+                "a": WorkloadSpec.duplicate("mcf", ncores=2),
+                "b": WorkloadSpec.duplicate("lbm", ncores=2),
+            },
             refs_per_core=600,
         )
         assert set(out) == {"a", "b"}
         assert set(out["a"]) == {"non-inclusive"}
 
-    def test_multithreaded_builder(self, small_system):
+    def test_multithreaded_spec(self, small_system):
         r = run_policies(
-            small_system, ("lap",), multithreaded_builder("dedup", nthreads=2), 800
+            small_system, ("lap",), WorkloadSpec.multithreaded("dedup", nthreads=2), 800
         )["lap"]
         assert r.snoop_traffic > 0
 
     def test_benchmarks_builder_names(self, small_system):
         r = run_policies(
-            small_system, ("lap",), benchmarks_builder(["mcf", "lbm"]), 500
+            small_system, ("lap",), WorkloadSpec.multiprogrammed(["mcf", "lbm"]), 500
         )["lap"]
         assert r.workload == "mcf+lbm"
 
     def test_mix_builder_requires_four_cores(self):
         system = SystemConfig.scaled()  # 4 cores
-        r = run_policies(system, ("non-inclusive",), mix_builder("WH1"), 400)["non-inclusive"]
+        r = run_policies(system, ("non-inclusive",), WorkloadSpec.mix("WH1"), 400)["non-inclusive"]
         assert r.workload == "WH1"

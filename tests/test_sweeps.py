@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import AnalysisError
+from repro.exec import WorkloadSpec
 from repro.sim import SystemConfig
-from repro.sim.runner import duplicate_builder
 from repro.sim.sweeps import (
     Sweep,
     SweepRecord,
@@ -18,7 +18,7 @@ def small_sweep(policies=("non-inclusive", "lap"), refs=1200):
     system = SystemConfig.scaled(ncores=2, llc_kb=32, l2_kb=4)
     return Sweep(
         systems={"base": system},
-        workloads={"mcf": duplicate_builder("mcf", ncores=2)},
+        workloads={"mcf": WorkloadSpec.duplicate("mcf", ncores=2)},
         policies=policies,
         refs_per_core=refs,
     )
@@ -31,13 +31,13 @@ class TestSweepConstruction:
 
     def test_empty_axes_rejected(self):
         with pytest.raises(AnalysisError):
-            Sweep(systems={}, workloads={"w": duplicate_builder("mcf")}, policies=("lap",))
+            Sweep(systems={}, workloads={"w": WorkloadSpec.duplicate("mcf")}, policies=("lap",))
 
     def test_bad_refs_rejected(self):
         with pytest.raises(AnalysisError):
             Sweep(
                 systems={"s": SystemConfig.scaled()},
-                workloads={"w": duplicate_builder("mcf")},
+                workloads={"w": WorkloadSpec.duplicate("mcf")},
                 policies=("lap",),
                 refs_per_core=0,
             )

@@ -286,7 +286,7 @@ class TestMixes:
         a1 = set(wl.generators[1].batch(500)[0].tolist())
         assert a0.isdisjoint(a1)
 
-    def test_duplicate_builder(self):
+    def test_duplicate_copies(self):
         wl = make_duplicate("astar", CTX, ncores=4, seed=0)
         assert wl.benchmarks == ("astar",) * 4
 
