@@ -38,9 +38,12 @@ VALID_STATES = frozenset(
 class CacheBlock:
     """One way of one cache set.
 
-    Blocks are pre-allocated when a :class:`~repro.cache.cache.Cache` is
-    built and recycled in place on insertion/invalidation, which keeps
-    the simulator allocation-free on the hot path.
+    A :class:`~repro.cache.cache.Cache` allocates all of its blocks at
+    once, the first time something reads its ``sets`` (the generic
+    access path, a probe, a test), and recycles them in place on
+    insertion/invalidation, which keeps the simulator allocation-free on
+    the hot path. A cache that only the batched kernel drives never
+    builds them.
     """
 
     __slots__ = (

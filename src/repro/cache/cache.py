@@ -16,6 +16,7 @@ technology.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional
 
 from ..errors import ConfigurationError
@@ -64,6 +65,10 @@ class Cache:
     banks:
         Number of independently busy banks (address-interleaved at
         block granularity); used by the timing model.
+
+    The tag array (:attr:`sets`) is built on first read. Until then the
+    cache is its geometry, ``way_techs`` (each way's technology), its
+    stats and, after a batched-kernel run, that run's working state.
     """
 
     def __init__(
@@ -97,10 +102,10 @@ class Cache:
                 raise ConfigurationError(
                     f"{name}: hybrid sram_ways must be in (0, assoc); got {sram_ways} of {assoc}"
                 )
-            way_techs = ["sram"] * sram_ways + ["stt"] * (assoc - sram_ways)
+            self.way_techs = ["sram"] * sram_ways + ["stt"] * (assoc - sram_ways)
             self.hybrid = True
         else:
-            way_techs = [tech] * assoc
+            self.way_techs = [tech] * assoc
             self.hybrid = False
 
         self.name = name
@@ -119,7 +124,9 @@ class Cache:
         # Tag extraction is ``addr >> _tag_shift``; precomputed so the
         # hot path slices each address exactly once per operation.
         self._tag_shift = self._offset_bits + self._index_bits
-        self.sets: List[CacheSet] = [CacheSet(i, assoc, way_techs) for i in range(num_sets)]
+        #: the batched kernel's working state of a run that ended before
+        #: anything read :attr:`sets`; the first read applies it
+        self._kernel_state: Optional[dict] = None
         self.stats = CacheStats()
         self._tick = 0
         #: Optional per-set replacement resolver consulted on hit-path
@@ -133,6 +140,24 @@ class Cache:
         #: sets, and the winning answer may change between accesses as
         #: the duel progresses.
         self.touch_policy: Optional[Callable[[int], Optional[ReplacementPolicy]]] = None
+
+    @cached_property
+    def sets(self) -> List[CacheSet]:
+        """The tag array, built on first read.
+
+        A cache that only the batched kernel drives never builds it: the
+        kernel keeps its own working state in ``_kernel_state``,
+        which the first read writes into the new blocks.
+        """
+        sets = self.__dict__["sets"] = [
+            CacheSet(i, self.assoc, self.way_techs) for i in range(self.num_sets)
+        ]
+        state, self._kernel_state = self._kernel_state, None
+        if state is not None:
+            from ..kernel.batch import _checkin
+
+            _checkin(self, state)
+        return sets
 
     # ------------------------------------------------------------------
     # address slicing

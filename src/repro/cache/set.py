@@ -1,10 +1,11 @@
 """One set of a set-associative cache.
 
-A :class:`CacheSet` owns its ways — pre-allocated
-:class:`~repro.cache.block.CacheBlock` objects, one per way — and a
-tag→block map for O(1) lookups. Hybrid LLCs partition the ways of
-*every* set between an SRAM region and an STT-RAM region (Table II:
-4 SRAM ways + 12 STT-RAM ways), so region filtering happens here.
+A :class:`CacheSet` owns its ways — :class:`~repro.cache.block.CacheBlock`
+objects, one per way, allocated with the set when its cache first
+builds its tag array — and a tag→block map for O(1) lookups. Hybrid
+LLCs partition the ways of *every* set between an SRAM region and an
+STT-RAM region (Table II: 4 SRAM ways + 12 STT-RAM ways), so region
+filtering happens here.
 
 Each set also maintains ``loop_count`` — the number of valid ways whose
 loop-bit is set — incrementally: install/drop update it here, and every

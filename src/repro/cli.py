@@ -463,15 +463,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"removed {removed} cached result(s) from {cache.root}")
         return 0
+    # Only the on-disk footprint: the hit/miss/put/eviction counters
+    # belong to the process that ran the jobs, not to this one.
     stats = cache.stats()
+    view = {
+        "directory": str(cache.root),
+        "entries": stats.entries,
+        "total_bytes": stats.total_bytes,
+        "max_bytes": stats.max_bytes,
+    }
     if getattr(args, "json", False):
-        print(json.dumps(
-            {"directory": str(cache.root), **stats.as_dict()}, indent=2, sort_keys=True
-        ))
+        print(json.dumps(view, indent=2, sort_keys=True))
         return 0
-    rows = [["directory", str(cache.root)]] + [
-        [k, v] for k, v in stats.as_dict().items()
-    ]
+    rows = [[k, v] for k, v in view.items()]
     print(render_table("result cache", ["field", "value"], rows))
     return 0
 

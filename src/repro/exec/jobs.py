@@ -306,9 +306,9 @@ class JobSpec:
     # ------------------------------------------------------------------
     def run(self):
         """Execute the job in-process and return its ``RunResult``."""
-        from ..sim.simulator import Simulator
+        from ..sim.simulator import simulate
 
         workload = self.workload.build(
             self.workload.scale or self.system.scale_context()
         )
-        return Simulator(self.system, self.policy, workload).run(self.refs_per_core)
+        return simulate(self.system, self.policy, workload, self.refs_per_core)

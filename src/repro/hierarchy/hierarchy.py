@@ -388,6 +388,21 @@ class CacheHierarchy:
         tracker = self.loop_tracker
         return tracker.stats if tracker is not None else LoopBlockStats()
 
+    def unbind(self) -> None:
+        """Drop the references back to this hierarchy.
+
+        The policy, the probes and the coherence controller point back
+        at the hierarchy that binds them, so without this a finished
+        hierarchy is freed only by the cycle collector, which can run
+        hundreds of jobs apart. A caller that owns the hierarchy calls
+        this once it is done with it; the hierarchy cannot run after.
+        """
+        self.policy.unbind()
+        for probe in self.probe_bus.probes:
+            probe.unbind()
+        if self.coherence is not None:
+            self.coherence.h = None
+
     def finish(self) -> None:
         """End-of-run bookkeeping (flush CTC streaks, policy hooks).
 

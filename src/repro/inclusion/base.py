@@ -87,6 +87,10 @@ class InclusionPolicy:
         if self._replacement_override:
             self.llc.touch_policy = self.replacement_for
 
+    def unbind(self) -> None:
+        """Undo :meth:`bind`'s references into the hierarchy."""
+        self.h = self.llc = None
+
     # ------------------------------------------------------------------
     # decision points (overridden by concrete policies)
     # ------------------------------------------------------------------

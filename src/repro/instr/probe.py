@@ -69,6 +69,9 @@ class Probe:
     def bind(self, hierarchy: "CacheHierarchy") -> None:
         """Attach to a hierarchy before the run starts (optional)."""
 
+    def unbind(self) -> None:
+        """Drop what :meth:`bind` kept of the hierarchy (optional)."""
+
     # ---- event handlers (signatures are the dispatch contract) -------
     def on_access(self, core: int, addr: int, is_write: bool) -> None:
         """One memory reference finished processing."""

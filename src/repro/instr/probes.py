@@ -116,6 +116,9 @@ class OccupancySampler(Probe):
     def bind(self, hierarchy: "CacheHierarchy") -> None:
         self._h = hierarchy
 
+    def unbind(self) -> None:
+        self._h = None
+
     def on_access(self, core: int, addr: int, is_write: bool) -> None:
         self._since += 1
         if self._since >= self.interval:

@@ -89,12 +89,13 @@ The speed comes from four reductions of per-reference Python work:
   end and the dict stays in stamp order: a fill takes the lowest free
   way (what the stamp scan's first invalid way was) or else the first
   key (the least-recent line), and LAP's loop-aware victim is the first
-  unmarked key, all without a scan. Checkout orders each set by
-  ``last_access`` (ties to the lowest way, as ``LRUPolicy`` breaks
-  them) and builds the masks from ``valid``; checkin derives ``tag``
-  and ``valid`` from the maps, resets the ways in no map (so the loop
-  never clears an invalidated way) and rebuilds each tag map in
-  ``insert_seq`` order, which is the generic path's install order.
+  unmarked key, all without a scan. Checkout from blocks orders each
+  set by ``last_access`` (ties to the lowest way, as ``LRUPolicy``
+  breaks them) and builds the masks from ``valid``; checkin into blocks
+  derives ``tag`` and ``valid`` from the maps, resets the ways in no
+  map (so the loop never clears an invalidated way) and rebuilds each
+  tag map in ``insert_seq`` order, which is the generic path's install
+  order.
 - **one interleaved stream** — per batch, addresses are sliced with a
   handful of whole-matrix numpy ops, transposed into reference order
   (core-minor, matching the generic round-robin), and iterated with a
@@ -108,6 +109,11 @@ The speed comes from four reductions of per-reference Python work:
   are fills minus the rare free-way fills.
 - **precomputed L1 stamps** — the L1 tick advances exactly once per
   reference (hit or fill), so its stamps are a numpy arange per batch.
+
+A cache builds its blocks on the first read of its ``sets``, so a job
+that runs only on this loop never builds one: :func:`_checkout` reads
+blocks only if they exist, and at run end :func:`_put_back` writes into
+them or leaves the working state on the cache for that first read.
 
 The loop's flow locals ``fill``/``inv_hit``/``clean_wb`` are the policy
 class's own Fig. 8 attributes (``fill_on_miss``, ``invalidate_on_hit``,
@@ -138,6 +144,7 @@ import numpy as np
 from ..cache.block import (
     STATE_EXCLUSIVE,
     STATE_MODIFIED,
+    STATE_NONE,
     STATE_OWNED,
     STATE_SHARED,
 )
@@ -205,16 +212,33 @@ _recency = attrgetter("last_access", "way")
 
 
 def _checkout(cache) -> dict:
-    """Copy ``cache``'s blocks into the kernel's working state.
+    """The kernel's working state of ``cache``.
 
     Flat lists in slot order (slot = set * assoc + way; MOESI ``state``
     strings included, for coherent runs), and per set: a ``{block
     number: slot}`` map of its valid lines in recency order (oldest
     first: by stamp, ties to the lowest way, as ``LRUPolicy`` breaks
     them), a bitmask of its invalid ways and its loop counter. The maps
-    and masks stand for the ``tag`` and ``valid`` columns. The blocks
-    are stale until :func:`_checkin`.
+    and masks stand for the ``tag`` and ``valid`` columns.
+
+    A cache whose blocks were never built gives the state an earlier
+    run stashed on it, or else its empty state straight from geometry;
+    only a cache whose blocks exist is read from them.
     """
+    if cache._kernel_state is not None:
+        return cache._kernel_state
+    if "sets" not in cache.__dict__:
+        n, nsets = cache.num_sets * cache.assoc, cache.num_sets
+        return {
+            "dirty": [False] * n,
+            "loop": [False] * n,
+            "last": [0] * n,
+            "iseq": [0] * n,
+            "state": [STATE_NONE] * n,
+            "maps": [{} for _ in range(nsets)],
+            "free": [(1 << cache.assoc) - 1] * nsets,
+            "loop_counts": [0] * nsets,
+        }
     blocks = [b for s in cache.sets for b in s.blocks]
     assoc = cache.assoc
     idx_bits = cache._index_bits
@@ -223,7 +247,6 @@ def _checkout(cache) -> dict:
         "loop": [b.loop_bit for b in blocks],
         "last": [b.last_access for b in blocks],
         "iseq": [b.insert_seq for b in blocks],
-        "rrpv": [b.rrpv for b in blocks],
         "state": [b.state for b in blocks],
         "maps": [
             {
@@ -243,7 +266,9 @@ def _checkin(cache, state: dict) -> None:
     The maps say which ways are valid and with what block (its tag is
     ``block >> index_bits``), so the loop keeps no ``tag``/``valid``
     columns and never clears an invalidated way: a way in no map is
-    reset here, as ``CacheSet.drop`` leaves it.
+    reset here, as ``CacheSet.drop`` leaves it. No ``rrpv`` column
+    either: only SRRIP writes it, and the kernel runs LRU baselines, so
+    every block it touches keeps ``rrpv == 0``.
     Each set's tag map is rebuilt in ``insert_seq`` order, the order the
     generic path's installs leave it in, and gets its loop counter.
     """
@@ -254,14 +279,13 @@ def _checkin(cache, state: dict) -> None:
         for blk, slot in m.items():
             tags[slot] = blk >> idx_bits
     iseqs = state["iseq"]
-    for b, tag, dirty, loop, last, iseq, rrpv, moesi in zip(
+    for b, tag, dirty, loop, last, iseq, moesi in zip(
         blocks,
         tags,
         state["dirty"],
         state["loop"],
         state["last"],
         iseqs,
-        state["rrpv"],
         state["state"],
     ):
         if tag is None:
@@ -273,12 +297,20 @@ def _checkin(cache, state: dict) -> None:
         b.loop_bit = loop
         b.last_access = last
         b.insert_seq = iseq
-        b.rrpv = rrpv
         b.state = moesi
     for s, m, loops in zip(cache.sets, state["maps"], state["loop_counts"]):
         order = sorted(m.values(), key=iseqs.__getitem__)
         s.tag_map = {blocks[slot].tag: blocks[slot] for slot in order}
         s.loop_count = loops
+
+
+def _put_back(cache, state: dict) -> None:
+    """End a run: write ``state`` into ``cache``'s blocks if they exist,
+    else keep it on the cache until something reads them."""
+    if "sets" in cache.__dict__:
+        _checkin(cache, state)
+    else:
+        cache._kernel_state = state
 
 
 def _take_free(free, si, base) -> int:
@@ -414,7 +446,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     write_stall = 0.0
 
     # Per-LLC-slot service latencies / technology (hybrid-aware).
-    slot_techs = [b.tech for s in llc.sets for b in s.blocks]
+    slot_techs = llc.way_techs * llc.num_sets
     r_serv = [
         timing.sram_read_latency if t == "sram" else timing.llc_read_latency
         for t in slot_techs
@@ -1107,11 +1139,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # ---- checkin: maps, state, ticks, stats --------------------------
     checkin_span = start_span("kernel.checkin", ncores=ncores)
     for core in range(ncores):
-        _checkin(h.l1s[core], l1_st[core])
-        _checkin(h.l2s[core], l2_st[core])
+        _put_back(h.l1s[core], l1_st[core])
+        _put_back(h.l2s[core], l2_st[core])
         h.l1s[core]._tick = l1_tick[core]
         h.l2s[core]._tick = l2_tick[core]
-    _checkin(llc, ll_st)
+    _put_back(llc, ll_st)
     llc._tick = ll_tick
 
     # ---- derived + accumulated stat flush ----------------------------

@@ -168,5 +168,14 @@ def simulate(
     refs_per_core: int,
     **kwargs,
 ) -> RunResult:
-    """One-shot convenience wrapper around :class:`Simulator`."""
-    return Simulator(system, policy, workload, **kwargs).run(refs_per_core)
+    """One-shot convenience wrapper around :class:`Simulator`.
+
+    The hierarchy is unbound after the run, so it is freed as soon as
+    the call returns rather than at the next cycle collection; a policy
+    instance passed in keeps its state but no longer references it.
+    """
+    sim = Simulator(system, policy, workload, **kwargs)
+    try:
+        return sim.run(refs_per_core)
+    finally:
+        sim.hierarchy.unbind()

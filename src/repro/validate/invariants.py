@@ -296,6 +296,9 @@ class InvariantProbe(Probe):
     def bind(self, hierarchy: "CacheHierarchy") -> None:
         self.h = hierarchy
 
+    def unbind(self) -> None:
+        self.h = None
+
     # ---- event handlers ----------------------------------------------
     def on_access(self, core: int, addr: int, is_write: bool) -> None:
         self._seen += 1

@@ -97,6 +97,22 @@ class TestRunCommand:
         assert main(["--cache-dir", str(tmp_path), "cache", "stats", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 1
 
+    def test_cache_stats_shows_only_the_disk(self, tmp_path, capsys):
+        # hit/miss counters live in the process that ran the jobs; a
+        # fresh `cache stats` process can only report what is on disk
+        argv = ["--cache-dir", str(tmp_path), "run", "WL1", "lap", "--refs", "1000", "--json"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["--cache-dir", str(tmp_path), "cache", "stats", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["entries"] == 1
+        assert set(payload) == {"directory", "entries", "total_bytes", "max_bytes"}
+        assert main(["--cache-dir", str(tmp_path), "cache", "stats"]) == 0
+        table = capsys.readouterr().out
+        assert "entries" in table
+        assert not any(k in table for k in ("hits", "misses", "puts", "evictions"))
+
 
 class TestCompareCommand:
     def test_compare_normalises_to_first_policy(self, capsys):

@@ -496,6 +496,77 @@ def test_recency_map_round_trip():
     assert cache.peek(cache.addr_of(1, 7)) is cache.sets[1].blocks[0]
 
 
+# ----------------------------------------------------------------------
+# a kernel run keeps its state on the cache until something reads blocks
+# ----------------------------------------------------------------------
+def _count_blocks(monkeypatch) -> dict:
+    """Count ``CacheBlock`` constructions from here on."""
+    from repro.cache.block import CacheBlock
+
+    built = {"n": 0}
+    real_init = CacheBlock.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["n"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CacheBlock, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "policy, make_workload",
+    [
+        ("lap", lambda ctx: make_table3_mix("WL1", ctx, seed=0)),
+        ("dswitch", lambda ctx: make_multithreaded("canneal", ctx, nthreads=4, seed=3)),
+    ],
+    ids=["WL1-lap", "canneal-dswitch"],
+)
+def test_kernel_run_builds_no_blocks(monkeypatch, policy, make_workload):
+    built = _count_blocks(monkeypatch)
+    system = SystemConfig.scaled()
+    sim = Simulator(system, policy, make_workload(system.scale_context()))
+    assert kernel_batch.eligible(sim.hierarchy)
+    assert (sim.hierarchy.coherence is not None) == (policy == "dswitch")
+    sim.run(1000, 300)
+    sim.run(500)  # the second run starts from the stashed state
+    assert built["n"] == 0
+
+
+@pytest.mark.parametrize("hybrid", [False, True], ids=["homogeneous", "hybrid"])
+def test_unbuilt_checkout_equals_built_checkout(hybrid):
+    system = SystemConfig.scaled(hybrid=hybrid)
+
+    def caches():
+        w = make_table3_mix("WL1", system.scale_context(), seed=1)
+        h = Simulator(system, "lap", w).hierarchy
+        return (*h.l1s, *h.l2s, h.llc)
+
+    unbuilt, built = caches(), caches()
+    assert built[-1].hybrid == hybrid
+    for cache in built:
+        assert cache.sets  # builds the blocks
+    for fresh, blocks in zip(unbuilt, built):
+        assert "sets" not in vars(fresh)
+        assert kernel_batch._checkout(fresh) == kernel_batch._checkout(blocks)
+        assert "sets" not in vars(fresh)
+
+
+def test_sets_are_built_once_after_a_kernel_run(monkeypatch):
+    built = _count_blocks(monkeypatch)
+    system = SystemConfig.scaled()
+    sim = Simulator(system, "lap", make_table3_mix("WL1", system.scale_context(), seed=0))
+    sim.run(1000)
+    llc = sim.hierarchy.llc
+    sets = llc.sets
+    assert built["n"] == llc.num_sets * llc.assoc
+    assert llc.occupancy() > 0  # the run's state was applied
+    blocks = [b for s in sets for b in s.blocks]
+    assert llc.sets is sets
+    assert [b for s in llc.sets for b in s.blocks] == blocks
+    assert built["n"] == llc.num_sets * llc.assoc
+
+
 def test_supports_policy_exact_types():
     from repro.core.policies import make_policy
 

@@ -119,6 +119,45 @@ class TestSimulator:
             with pytest.raises(TypeError, match="has no len"):
                 Simulator(small_system, "lap", wl)
 
+    @pytest.mark.parametrize(
+        "policy, workload",
+        [("lap", "WL1"), ("dswitch", "canneal"), ("inclusive", "WL2")],
+    )
+    def test_finished_job_is_freed_without_the_cycle_collector(
+        self, monkeypatch, policy, workload
+    ):
+        """``JobSpec.run`` (through ``simulate``) unbinds its hierarchy:
+        the policy, the probes and the coherence controller no longer
+        point back at it, so it dies when the call returns."""
+        import gc
+        import weakref
+
+        from repro.exec import JobSpec
+        from repro.hierarchy.hierarchy import CacheHierarchy
+
+        built = []
+        real_init = CacheHierarchy.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(CacheHierarchy, "__init__", tracking_init)
+        job = JobSpec(
+            system=SystemConfig.scaled(),
+            workload=WorkloadSpec.named(workload),
+            policy=policy,
+            refs_per_core=300,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            job.run()
+            assert len(built) == 1
+            assert built[0]() is None
+        finally:
+            gc.enable()
+
 
 class TestRunResult:
     @pytest.fixture
