@@ -29,7 +29,7 @@ SEED ?= 0
 bench-e2e:
 	$(PYTHON) benchmarks/bench_e2e.py --checkout $(CHECKOUT) --seed $(SEED)
 
-# The HTML fleet dashboard (DESIGN.md §14) over a result-cache dir:
+# The HTML fleet dashboard (DESIGN.md §10.6) over a result-cache dir:
 # runs a tiny traced sweep into CACHE_DIR when it is empty, then
 # renders policy grids, span hot spots, provenance, and the bench
 # trend into report.html. Override CACHE_DIR/REPORT to point elsewhere.

@@ -65,7 +65,7 @@ class RDCopybackPolicy(InclusionPolicy):
         self._last_seen.clear()
         self._distance.clear()
 
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
         self._clock += 1
         last = self._last_seen.get(addr)
         if last is not None:
@@ -73,15 +73,15 @@ class RDCopybackPolicy(InclusionPolicy):
         self._last_seen[addr] = self._clock
         if len(self._last_seen) > 4 * self.window:
             self._prune()
-        block = self._llc_lookup(core, addr)
+        block = self._llc_lookup(h, core, addr)
         if block is not None:
             return LLCAccess(hit=True, tech=block.tech)
         return LLCAccess(hit=False, tech=self.llc.tech)  # never fill
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if line.dirty:
             self.insert_or_update(
-                core, line.addr, dirty=True, loop_bit=line.loop_bit,
+                h, core, line.addr, dirty=True, loop_bit=line.loop_bit,
                 category="dirty_victim",
             )
             return
@@ -89,7 +89,7 @@ class RDCopybackPolicy(InclusionPolicy):
         if distance is not None and distance <= self.window:
             self.copybacks += 1
             self.insert_or_update(
-                core, line.addr, dirty=False, loop_bit=line.loop_bit,
+                h, core, line.addr, dirty=False, loop_bit=line.loop_bit,
                 category="clean_victim",
             )
         else:

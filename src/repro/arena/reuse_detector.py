@@ -62,8 +62,8 @@ class ReuseDetectorPolicy(InclusionPolicy):
         super().bind(hierarchy)
         self._detector = [OrderedDict() for _ in range(self.llc.num_sets)]
 
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(core, addr)
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
+        block = self._llc_lookup(h, core, addr)
         if block is not None:
             return LLCAccess(hit=True, tech=block.tech)
         llc = self.llc
@@ -73,7 +73,7 @@ class ReuseDetectorPolicy(InclusionPolicy):
             # Second miss while tracked: demonstrated reuse — fill.
             del tracked[tag]
             self.reuse_fills += 1
-            self.insert_or_update(core, addr, dirty=False, category="fill")
+            self.insert_or_update(h, core, addr, dirty=False, category="fill")
         else:
             # First sighting: record it, bypass the fill (the L2 still
             # receives the line; only the LLC write is skipped).
@@ -83,10 +83,10 @@ class ReuseDetectorPolicy(InclusionPolicy):
             self.reuse_bypasses += 1
         return LLCAccess(hit=False, tech=llc.tech)
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if not line.dirty:
             return  # clean victims are dropped, as in non-inclusion
-        self.insert_or_update(core, line.addr, dirty=True, category="dirty_victim")
+        self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")
 
     def extra_stats(self) -> dict:
         return {

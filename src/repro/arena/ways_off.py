@@ -87,13 +87,11 @@ class WaysOffPolicy(NonInclusivePolicy):
     @property
     def llc_active_fraction(self) -> float:
         """Fraction of LLC ways left powered on (scales static energy)."""
-        if self.llc is None:
-            return 1.0
         return self.active_ways / self.llc.assoc
 
     def extra_stats(self) -> dict:
         return {
             "llc_ways_off": self.ways_off,
-            "llc_ways_total": self.llc.assoc if self.llc is not None else 0,
+            "llc_ways_total": self.llc.assoc,
             "llc_active_fraction": self.llc_active_fraction,
         }

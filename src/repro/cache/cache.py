@@ -17,7 +17,7 @@ technology.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from ..errors import ConfigurationError
 from ..utils import ilog2, require_pow2
@@ -129,17 +129,6 @@ class Cache:
         self._kernel_state: Optional[dict] = None
         self.stats = CacheStats()
         self._tick = 0
-        #: Optional per-set replacement resolver consulted on hit-path
-        #: touches. Inclusion policies set this (see
-        #: :meth:`repro.inclusion.base.InclusionPolicy.bind`) so that
-        #: set-dueled replacement schemes receive their hit promotions:
-        #: given a set index, it returns the :class:`ReplacementPolicy`
-        #: whose ``on_hit`` should run for that set, or ``None`` to fall
-        #: back to the cache's default ``replacement``. The contract is
-        #: per-access — leader sets may answer differently from follower
-        #: sets, and the winning answer may change between accesses as
-        #: the duel progresses.
-        self.touch_policy: Optional[Callable[[int], Optional[ReplacementPolicy]]] = None
 
     @cached_property
     def sets(self) -> List[CacheSet]:
@@ -207,19 +196,25 @@ class Cache:
             addr >> self._tag_shift
         )
 
-    def lookup(self, addr: int, is_write: bool = False) -> Optional[CacheBlock]:
+    def lookup(
+        self,
+        addr: int,
+        is_write: bool = False,
+        policy: Optional[ReplacementPolicy] = None,
+    ) -> Optional[CacheBlock]:
         """Full lookup: tag probe plus data access on hit.
 
         On a hit, the data array is read (or written, for a store hit),
-        recency metadata is updated via the default replacement policy,
-        and a store hit sets the dirty bit. Returns the block on hit,
-        None on miss.
+        recency metadata is updated via ``policy`` (default: the cache's
+        replacement policy), and a store hit sets the dirty bit. Returns
+        the block on hit, None on miss.
         """
         stats = self.stats
         stats.lookups += 1
         stats.tag_probes += 1
-        set_index = (addr >> self._offset_bits) & self._index_mask
-        block = self.sets[set_index].tag_map.get(addr >> self._tag_shift)
+        block = self.sets[(addr >> self._offset_bits) & self._index_mask].tag_map.get(
+            addr >> self._tag_shift
+        )
         if block is None:
             stats.misses += 1
             return None
@@ -234,10 +229,8 @@ class Cache:
             stats.data_reads_sram += 1
         else:
             stats.data_reads_stt += 1
-        tp = self.touch_policy
-        toucher = tp(set_index) if tp is not None else None
         self._tick = now = self._tick + 1
-        (toucher or self.replacement).on_hit(block, now)
+        (policy or self.replacement).on_hit(block, now)
         return block
 
     def insert(

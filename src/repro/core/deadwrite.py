@@ -114,9 +114,9 @@ class _DeadWriteMixin:
         if evicted is not None and not evicted.dirty:
             self.predictor.train(evicted.addr, evicted.reused)
 
-    def _finish_insert(self, core, addr, evicted, *, dirty, category):
+    def _finish_insert(self, h, core, addr, evicted, *, dirty, category):
         self._train_on_llc_eviction(evicted)
-        super()._finish_insert(core, addr, evicted, dirty=dirty, category=category)
+        super()._finish_insert(h, core, addr, evicted, dirty=dirty, category=category)
 
 
 class DeadWriteBypassLAP(_DeadWriteMixin, LAPPolicy):
@@ -135,10 +135,10 @@ class DeadWriteBypassLAP(_DeadWriteMixin, LAPPolicy):
         self._init_predictor(table_size, max_level, initial)
         self.name = "lap+dwb"
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if not line.dirty and self.llc.peek(line.addr) is None and self._bypass_clean(line):
             return
-        super().l2_victim(core, line)
+        super().l2_victim(h, core, line)
 
 
 class DeadWriteBypassExclusive(_DeadWriteMixin, ExclusivePolicy):
@@ -154,7 +154,7 @@ class DeadWriteBypassExclusive(_DeadWriteMixin, ExclusivePolicy):
         self._init_predictor(table_size, max_level, initial)
         self.name = "exclusive+dwb"
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if not line.dirty and self._bypass_clean(line):
             return
-        super().l2_victim(core, line)
+        super().l2_victim(h, core, line)

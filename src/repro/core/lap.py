@@ -96,10 +96,10 @@ class LAPPolicy(InclusionPolicy):
     # ------------------------------------------------------------------
     # inclusion decisions
     # ------------------------------------------------------------------
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
         if self.dueling is not None:
             self.dueling.tick()
-        block = self._llc_lookup(core, addr)
+        block = self._llc_lookup(h, core, addr)
         if block is not None:
             # Keep the copy (no invalidation on hits) — Fig. 8 row LAP.
             return LLCAccess(hit=True, tech=block.tech)
@@ -115,7 +115,7 @@ class LAPPolicy(InclusionPolicy):
         # Fig. 10a: a written block can no longer be a loop-block.
         block.set_loop_bit(False)
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         llc = self.llc
         existing = llc.probe(line.addr)
         if line.dirty:
@@ -123,12 +123,12 @@ class LAPPolicy(InclusionPolicy):
                 llc.update(existing, True)
                 existing.set_loop_bit(False)
                 llc.stats.update_writes += 1
-                self.h.note_dirty_victim(line.addr)
-                self.h.charge_llc_write(core, line.addr, existing.tech)
+                h.note_dirty_victim(line.addr)
+                h.charge_llc_write(core, line.addr, existing.tech)
                 self._record_duel_write(line.addr)
             else:
                 self._place_and_insert(
-                    core, line.addr, dirty=True, loop_bit=False, category="dirty_victim"
+                    h, core, line.addr, dirty=True, loop_bit=False, category="dirty_victim"
                 )
             return
         if existing is not None:
@@ -138,7 +138,7 @@ class LAPPolicy(InclusionPolicy):
             return
         # A clean victim with no duplicate: the one clean-writeback case.
         self._place_and_insert(
-            core, line.addr, dirty=False, loop_bit=line.loop_bit, category="clean_victim"
+            h, core, line.addr, dirty=False, loop_bit=line.loop_bit, category="clean_victim"
         )
 
     # ------------------------------------------------------------------

@@ -74,27 +74,29 @@ class LhybridPolicy(LAPPolicy):
     # ------------------------------------------------------------------
     # dirty-hit redirection (Winv stage, Fig. 11a)
     # ------------------------------------------------------------------
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if line.dirty and self.winv:
             existing = self.llc.probe(line.addr)
             if existing is not None and existing.tech == "stt":
                 self.llc.discard(line.addr)
-                self.h.note_llc_evict(line.addr)
+                h.note_llc_evict(line.addr)
                 self.winv_redirects += 1
                 # Fig. 11a: the dirty data explicitly lands in SRAM.
-                evicted = self._insert_sram_preferred(core, line.addr, dirty=True, loop_bit=False)
+                evicted = self._insert_sram_preferred(
+                    h, core, line.addr, dirty=True, loop_bit=False
+                )
                 self._finish_insert(
-                    core, line.addr, evicted, dirty=True, category="dirty_victim"
+                    h, core, line.addr, evicted, dirty=True, category="dirty_victim"
                 )
                 return
-        super().l2_victim(core, line)
+        super().l2_victim(h, core, line)
 
-    def _insert_sram_preferred(self, core: int, addr: int, *, dirty: bool, loop_bit: bool):
+    def _insert_sram_preferred(self, h, core: int, addr: int, *, dirty: bool, loop_bit: bool):
         """Insert into the SRAM region, using the full migration flow
         when both placement stages are active."""
         cache_set = self.llc.sets[self.llc.set_index(addr)]
         if self.loop_stt and self.nloop_sram:
-            return self._sram_first_insert(core, cache_set, addr, dirty, loop_bit)
+            return self._sram_first_insert(h, core, cache_set, addr, dirty, loop_bit)
         return self.llc.insert(
             addr, dirty=dirty, loop_bit=loop_bit, region="sram", policy=self._region_lru
         )
@@ -104,6 +106,7 @@ class LhybridPolicy(LAPPolicy):
     # ------------------------------------------------------------------
     def _place_and_insert(
         self,
+        h,
         core: int,
         addr: int,
         *,
@@ -116,7 +119,7 @@ class LhybridPolicy(LAPPolicy):
         cache_set = llc.sets[set_index]
 
         if self.loop_stt and self.nloop_sram:
-            evicted = self._sram_first_insert(core, cache_set, addr, dirty, loop_bit)
+            evicted = self._sram_first_insert(h, core, cache_set, addr, dirty, loop_bit)
         elif self.loop_stt and loop_bit:
             evicted = llc.insert(
                 addr, dirty=dirty, loop_bit=loop_bit, region="stt",
@@ -131,9 +134,9 @@ class LhybridPolicy(LAPPolicy):
                 addr, dirty=dirty, loop_bit=loop_bit, region=None,
                 policy=self.replacement_for(set_index),
             )
-        self._finish_insert(core, addr, evicted, dirty=dirty, category=category)
+        self._finish_insert(h, core, addr, evicted, dirty=dirty, category=category)
 
-    def _sram_first_insert(self, core, cache_set, addr: int, dirty: bool, loop_bit: bool):
+    def _sram_first_insert(self, h, core, cache_set, addr: int, dirty: bool, loop_bit: bool):
         """Full-Lhybrid insertion: SRAM first, migrate loop-blocks out.
 
         An incoming *loop-block* goes straight into STT-RAM: it is by
@@ -155,14 +158,14 @@ class LhybridPolicy(LAPPolicy):
             # Fig. 11b: migrate the MRU loop-block to STT-RAM, then the
             # incoming block takes the freed SRAM way.
             mover = max(loop_in_sram, key=lambda b: b.last_access)
-            self._migrate_to_stt(core, cache_set, mover)
+            self._migrate_to_stt(h, core, cache_set, mover)
             return llc.insert(addr, dirty=dirty, loop_bit=loop_bit, region="sram",
                               policy=self._region_lru)
         # Fig. 11c: no loop-blocks at all — evict the SRAM LRU block.
         return llc.insert(addr, dirty=dirty, loop_bit=loop_bit, region="sram",
                           policy=self._region_lru)
 
-    def _migrate_to_stt(self, core: int, cache_set, mover: CacheBlock) -> None:
+    def _migrate_to_stt(self, h, core: int, cache_set, mover: CacheBlock) -> None:
         """Move an SRAM-resident loop-block into the STT-RAM region."""
         llc = self.llc
         stt_blocks = cache_set.region_blocks("stt")
@@ -172,6 +175,6 @@ class LhybridPolicy(LAPPolicy):
             evicted = llc.evict_block(cache_set, dst)
         addr = llc.addr_of(cache_set.index, mover.tag)
         llc.migrate_block(cache_set, mover, dst)
-        self.h.charge_llc_write(core, addr, "stt")
+        h.charge_llc_write(core, addr, "stt")
         if evicted is not None:
-            self.h.on_llc_eviction(evicted)
+            h.on_llc_eviction(evicted)

@@ -43,11 +43,13 @@ class CoherenceController:
     ``addr → bitmask of cores whose L2 holds the line`` — updated by the
     hierarchy at every L2 insert/drop. Snoop fan-out and
     :meth:`CacheHierarchy.shared_by_peers` read the map in O(1) instead
-    of probing every core's L2 tag array per query.
+    of probing every core's L2 tag array per query. The hooks that act
+    on the caches are handed the hierarchy (``h``); the controller never
+    stores it.
     """
 
-    def __init__(self, hierarchy: "CacheHierarchy") -> None:
-        self.h = hierarchy
+    def __init__(self, ncores: int) -> None:
+        self.ncores = ncores
         self.stats = CoherenceStats()
         self._sharers: Dict[int, int] = {}
 
@@ -84,7 +86,9 @@ class CoherenceController:
     # ------------------------------------------------------------------
     # miss-path hooks
     # ------------------------------------------------------------------
-    def on_l2_miss(self, core: int, addr: int, is_write: bool, llc_hit: bool) -> bool:
+    def on_l2_miss(
+        self, h: "CacheHierarchy", core: int, addr: int, is_write: bool, llc_hit: bool
+    ) -> bool:
         """Handle the bus side of an L2 miss.
 
         Returns True when a peer cache supplied the line (so main
@@ -94,14 +98,14 @@ class CoherenceController:
             if is_write:
                 # Read-for-ownership served by the LLC still must kill
                 # peer copies before the store retires.
-                self._broadcast_invalidate(core, addr)
+                self._broadcast_invalidate(h, core, addr)
             else:
                 # A new sharer appeared: peers holding the line
                 # exclusively must downgrade (the LLC-hit copy is clean
                 # by the no-stale-LLC invariant, so E→S is the only
                 # possible transition).
                 for peer in self._holders(core, addr):
-                    block = self.h.l2s[peer].peek(addr)
+                    block = h.l2s[peer].peek(addr)
                     if block is not None and block.state == STATE_EXCLUSIVE:
                         block.state = STATE_SHARED
             return False
@@ -114,12 +118,12 @@ class CoherenceController:
             self.stats.cache_to_cache += 1
         if is_write:
             for peer in holders:
-                self._invalidate_peer(peer, addr)
+                self._invalidate_peer(h, peer, addr)
         elif holders:
             # A read: the (single possible) owner downgrades but keeps
             # ownership of the dirty data; clean holders share.
             for peer in holders:
-                block = self.h.l2s[peer].peek(addr)
+                block = h.l2s[peer].peek(addr)
                 if block is None:
                     continue
                 if block.state == STATE_MODIFIED:
@@ -137,20 +141,20 @@ class CoherenceController:
     # ------------------------------------------------------------------
     # store-path hook
     # ------------------------------------------------------------------
-    def on_store(self, core: int, addr: int) -> None:
+    def on_store(self, h: "CacheHierarchy", core: int, addr: int) -> None:
         """A store is retiring into a block ``core`` already holds."""
-        block = self.h.l2s[core].peek(addr)
+        block = h.l2s[core].peek(addr)
         if block is None:  # pragma: no cover - hierarchy guarantees presence
             return
         if block.state in (STATE_SHARED, STATE_OWNED):
             self.stats.upgrades += 1
-            self._broadcast_invalidate(core, addr)
+            self._broadcast_invalidate(h, core, addr)
         block.state = STATE_MODIFIED
         # Maintain the no-stale-LLC invariant: the LLC duplicate (if
         # any) is now stale and must go.
-        if self.h.llc.peek(addr) is not None:
-            self.h.llc.discard(addr)
-            self.h.note_llc_evict(addr)
+        if h.llc.peek(addr) is not None:
+            h.llc.discard(addr)
+            h.note_llc_evict(addr)
 
     # ------------------------------------------------------------------
     # internals
@@ -159,20 +163,20 @@ class CoherenceController:
         mask = self.peers_of(core, addr)
         if not mask:
             return []
-        return [peer for peer in range(self.h.config.ncores) if (mask >> peer) & 1]
+        return [peer for peer in range(self.ncores) if (mask >> peer) & 1]
 
-    def _broadcast_invalidate(self, core: int, addr: int) -> None:
+    def _broadcast_invalidate(self, h: "CacheHierarchy", core: int, addr: int) -> None:
         self.stats.snoop_broadcasts += 1
         for peer in self._holders(core, addr):
-            self._invalidate_peer(peer, addr)
+            self._invalidate_peer(h, peer, addr)
 
-    def _invalidate_peer(self, peer: int, addr: int) -> None:
+    def _invalidate_peer(self, h: "CacheHierarchy", peer: int, addr: int) -> None:
         """Kill a peer's copy (L2 and, by inclusion, L1)."""
         self.stats.invalidation_messages += 1
-        self.h.l1s[peer].discard(addr)
-        line = self.h.l2s[peer].invalidate(addr)
+        h.l1s[peer].discard(addr)
+        line = h.l2s[peer].invalidate(addr)
         if line is not None:
             self.on_l2_drop(peer, addr)
             # The requester's copy now carries the latest data; probes
             # just see the block leave this L2.
-            self.h.note_l2_drop(line.addr, line.dirty)
+            h.note_l2_drop(line.addr, line.dirty)

@@ -122,7 +122,7 @@ class CacheHierarchy:
         self.stats = HierarchyStats()
         self._finished = False
         self.coherence: Optional[CoherenceController] = (
-            CoherenceController(self) if enable_coherence else None
+            CoherenceController(config.ncores) if enable_coherence else None
         )
         if probes is None:
             probes = make_probes("default", occupancy_interval=occupancy_sample_interval)
@@ -143,7 +143,6 @@ class CacheHierarchy:
         self._on_dirtied = bus_handlers("dirtied")
         self._on_clean_insert = bus_handlers("clean_insert")
         self._on_dirty_victim = bus_handlers("dirty_victim")
-        self._on_occupancy_sample = bus_handlers("occupancy_sample")
         self._on_mem_writeback = bus_handlers("mem_writeback")
 
     def attach_probe(self, probe: Probe) -> None:
@@ -193,12 +192,12 @@ class CacheHierarchy:
 
         # ---- L2 miss: the inclusion policy owns the LLC interaction.
         stats.llc_demand_accesses += 1
-        outcome = self.policy.llc_access(core, addr, is_write)
+        outcome = self.policy.llc_access(self, core, addr, is_write)
         if outcome.hit:
             stats.llc_demand_hits += 1
         supplied = False
         if self.coherence is not None:
-            supplied = self.coherence.on_l2_miss(core, addr, is_write, outcome.hit)
+            supplied = self.coherence.on_l2_miss(self, core, addr, is_write, outcome.hit)
         if not outcome.hit and not supplied:
             stats.mem_reads += 1
             self.timing.memory_access(core)
@@ -256,7 +255,7 @@ class CacheHierarchy:
         if cbs:
             for cb in cbs:
                 cb(line.addr, line.dirty)
-        self.policy.l2_victim(core, line)
+        self.policy.l2_victim(self, core, line)
 
     def _propagate_store(self, core: int, addr: int) -> None:
         """Reflect a store into the L2 copy's dirty bit and loop-bit.
@@ -280,7 +279,7 @@ class CacheHierarchy:
                 for cb in cbs:
                     cb(addr)
             if self.coherence is not None:
-                self.coherence.on_store(core, addr)
+                self.coherence.on_store(self, core, addr)
 
     # ------------------------------------------------------------------
     # services used by inclusion policies
@@ -369,11 +368,6 @@ class CacheHierarchy:
         for cb in self._on_l2_victim:
             cb(addr, dirty)
 
-    def emit_occupancy_sample(self, valid: int, loops: int) -> None:
-        """Re-broadcast an occupancy sample to subscribing probes."""
-        for cb in self._on_occupancy_sample:
-            cb(valid, loops)
-
     # ------------------------------------------------------------------
     # instrumentation access / finalisation
     # ------------------------------------------------------------------
@@ -387,21 +381,6 @@ class CacheHierarchy:
         """Loop-block stats (empty when running without the loop probe)."""
         tracker = self.loop_tracker
         return tracker.stats if tracker is not None else LoopBlockStats()
-
-    def unbind(self) -> None:
-        """Drop the references back to this hierarchy.
-
-        The policy, the probes and the coherence controller point back
-        at the hierarchy that binds them, so without this a finished
-        hierarchy is freed only by the cycle collector, which can run
-        hundreds of jobs apart. A caller that owns the hierarchy calls
-        this once it is done with it; the hierarchy cannot run after.
-        """
-        self.policy.unbind()
-        for probe in self.probe_bus.probes:
-            probe.unbind()
-        if self.coherence is not None:
-            self.coherence.h = None
 
     def finish(self) -> None:
         """End-of-run bookkeeping (flush CTC streaks, policy hooks).

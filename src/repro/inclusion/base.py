@@ -16,7 +16,9 @@ boundary (Fig. 8 of the paper):
 The hierarchy engine (:mod:`repro.hierarchy.hierarchy`) drives the
 per-level mechanics and calls into the bound policy at these decision
 points, so policies stay small and the data-flow differences between
-them are exactly the paper's Fig. 8 table.
+them are exactly the paper's Fig. 8 table. Each hook is handed the
+hierarchy that calls it (``h``); a policy never stores it, so a
+finished hierarchy holds no cycle and is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class InclusionPolicy:
     back_invalidates: bool = False
 
     def __init__(self) -> None:
-        self.h: "CacheHierarchy" | None = None
         self.llc: Cache | None = None
         # Class-level override detection: policies that never choose a
         # per-set replacement keep the fast path (no set_index slicing,
@@ -77,29 +78,19 @@ class InclusionPolicy:
     # lifecycle
     # ------------------------------------------------------------------
     def bind(self, hierarchy: "CacheHierarchy") -> None:
-        """Attach the policy to a hierarchy (called once by the engine)."""
-        self.h = hierarchy
+        """One-time setup (called once by the engine): keeps the LLC,
+        never the hierarchy, which each hook is handed instead."""
         self.llc = hierarchy.llc
-        # Route hit-path recency/RRPV updates through the policy's
-        # per-set replacement choice (set-dueling correctness for
-        # non-LRU baselines). Policies that never override the choice
-        # leave ``touch_policy`` unset so LLC hits skip the indirection.
-        if self._replacement_override:
-            self.llc.touch_policy = self.replacement_for
-
-    def unbind(self) -> None:
-        """Undo :meth:`bind`'s references into the hierarchy."""
-        self.h = self.llc = None
 
     # ------------------------------------------------------------------
     # decision points (overridden by concrete policies)
     # ------------------------------------------------------------------
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
-        """Demand access from an L2 miss. Must be overridden."""
+    def llc_access(self, h: "CacheHierarchy", core: int, addr: int, is_write: bool) -> LLCAccess:
+        """Demand access from an L2 miss of ``h``. Must be overridden."""
         raise NotImplementedError
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
-        """Handle a victim evicted by an L2. Must be overridden."""
+    def l2_victim(self, h: "CacheHierarchy", core: int, line: EvictedLine) -> None:
+        """Handle a victim evicted by one of ``h``'s L2s. Must be overridden."""
         raise NotImplementedError
 
     def l2_fill_loop_bit(self, llc_hit: bool) -> bool:
@@ -136,20 +127,25 @@ class InclusionPolicy:
     # ------------------------------------------------------------------
     # shared mechanics
     # ------------------------------------------------------------------
-    def _llc_lookup(self, core: int, addr: int) -> Optional[CacheBlock]:
+    def _llc_lookup(self, h: "CacheHierarchy", core: int, addr: int) -> Optional[CacheBlock]:
         """Demand lookup with timing and hierarchy bookkeeping.
 
         Demand reads of the LLC are always *reads* regardless of the
         requesting instruction: stores dirty the line in L2, not in the
-        LLC.
+        LLC. A hit's recency update goes through the policy's per-set
+        replacement choice (set-dueling correctness for non-LRU
+        baselines); policies that never override the choice skip it.
         """
         llc = self.llc
-        block = llc.lookup(addr, False)
+        policy = (
+            self.replacement_for(llc.set_index(addr)) if self._replacement_override else None
+        )
+        block = llc.lookup(addr, False, policy)
         if block is None:
             self._record_duel_miss(addr)
             return None
-        self.h.timing.llc_read(core, llc.bank_of(addr), block.tech)
-        self.h.note_demand_hit(addr)
+        h.timing.llc_read(core, llc.bank_of(addr), block.tech)
+        h.note_demand_hit(addr)
         return block
 
     def _record_duel_miss(self, addr: int) -> None:
@@ -157,6 +153,7 @@ class InclusionPolicy:
 
     def insert_or_update(
         self,
+        h: "CacheHierarchy",
         core: int,
         addr: int,
         *,
@@ -184,20 +181,21 @@ class InclusionPolicy:
             existing.set_loop_bit(loop_bit)
             if dirty:
                 stats.update_writes += 1
-                self.h.note_dirty_victim(addr)
+                h.note_dirty_victim(addr)
             elif category == "fill":
                 stats.fill_writes += 1
-                self.h.note_fill(addr)
+                h.note_fill(addr)
             else:
                 stats.clean_victim_writes += 1
-                self.h.note_clean_insert(addr)
-            self.h.charge_llc_write(core, addr, existing.tech)
+                h.note_clean_insert(addr)
+            h.charge_llc_write(core, addr, existing.tech)
             self._record_duel_write(addr)
             return
-        self._place_and_insert(core, addr, dirty=dirty, loop_bit=loop_bit, category=category)
+        self._place_and_insert(h, core, addr, dirty=dirty, loop_bit=loop_bit, category=category)
 
     def _place_and_insert(
         self,
+        h: "CacheHierarchy",
         core: int,
         addr: int,
         *,
@@ -211,10 +209,11 @@ class InclusionPolicy:
             self.replacement_for(llc.set_index(addr)) if self._replacement_override else None
         )
         evicted = llc.insert(addr, dirty, loop_bit, None, policy)
-        self._finish_insert(core, addr, evicted, dirty=dirty, category=category)
+        self._finish_insert(h, core, addr, evicted, dirty=dirty, category=category)
 
     def _finish_insert(
         self,
+        h: "CacheHierarchy",
         core: int,
         addr: int,
         evicted: Optional[EvictedLine],
@@ -227,13 +226,13 @@ class InclusionPolicy:
         stats = llc.stats
         if category == "fill":
             stats.fill_writes += 1
-            self.h.note_fill(addr)
+            h.note_fill(addr)
         elif category == "clean_victim":
             stats.clean_victim_writes += 1
-            self.h.note_clean_insert(addr)
+            h.note_clean_insert(addr)
         elif category == "dirty_victim":
             stats.dirty_victim_writes += 1
-            self.h.note_dirty_victim(addr)
+            h.note_dirty_victim(addr)
         else:  # pragma: no cover - programming error
             raise ValueError(f"unknown LLC write category {category!r}")
         if llc.hybrid:
@@ -243,10 +242,10 @@ class InclusionPolicy:
             tech = inserted.tech if inserted is not None else llc.tech
         else:
             tech = llc.tech
-        self.h.charge_llc_write(core, addr, tech)
+        h.charge_llc_write(core, addr, tech)
         self._record_duel_write(addr)
         if evicted is not None:
-            self.h.on_llc_eviction(evicted)
+            h.on_llc_eviction(evicted)
 
     def _record_duel_write(self, addr: int) -> None:
         """Hook for write-aware dueling controllers; default: none."""

@@ -77,27 +77,26 @@ class SetDueling:
         self._accesses = 0
         self._write_a = 0
         self._write_b = 0
-        self._offset_b = self.period // 2
+        # Each set's role, computed once: a dueling policy on the generic
+        # loop asks for it on every LLC access.
+        leaders = {0: ROLE_LEADER_A, self.period // 2: ROLE_LEADER_B}
+        self._roles = [
+            ROLE_FOLLOWER if self.degenerate else leaders.get(s % self.period, ROLE_FOLLOWER)
+            for s in range(num_sets)
+        ]
 
     def role(self, set_index: int) -> Optional[int]:
         """Leader role of a set (A, B, or follower)."""
-        if self.degenerate:
-            return ROLE_FOLLOWER
-        mod = set_index % self.period
-        if mod == 0:
-            return ROLE_LEADER_A
-        if mod == self._offset_b:
-            return ROLE_LEADER_B
-        return ROLE_FOLLOWER
+        return self._roles[set_index]
 
     def policy_for(self, set_index: int) -> int:
         """Which policy (A=0 / B=1) governs this set right now."""
-        role = self.role(set_index)
+        role = self._roles[set_index]
         return self.winner if role is ROLE_FOLLOWER else role
 
     def record_miss(self, set_index: int) -> None:
         """Account a miss in a leader set (followers are ignored)."""
-        role = self.role(set_index)
+        role = self._roles[set_index]
         if role is ROLE_LEADER_A:
             self.stats.leader_a_misses += 1
         elif role is ROLE_LEADER_B:
@@ -105,7 +104,7 @@ class SetDueling:
 
     def record_write(self, set_index: int) -> None:
         """Account an LLC write in a leader set (Dswitch input)."""
-        role = self.role(set_index)
+        role = self._roles[set_index]
         if role is ROLE_LEADER_A:
             self._write_a += 1
         elif role is ROLE_LEADER_B:

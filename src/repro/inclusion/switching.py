@@ -19,12 +19,35 @@ the decision function:
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..cache import EvictedLine
 from .base import InclusionPolicy, LLCAccess
-from .dueling import ROLE_LEADER_A, ROLE_LEADER_B, SetDueling
+from .dueling import ROLE_LEADER_A, ROLE_LEADER_B, SetDueling, WinnerFn
 
 MODE_NONI = ROLE_LEADER_A  # leader-A sets run the non-inclusive flow
 MODE_EX = ROLE_LEADER_B  # leader-B sets run the exclusive flow
+
+
+def flexclusion_winner(
+    capacity_tolerance: float, miss_noni: int, write_noni: int, miss_ex: int, write_ex: int
+) -> int:
+    """FLEXclusion's duel decision (write-energy blind)."""
+    # Exclusion wins only when its sampled miss count is genuinely
+    # lower (capacity demand); ties favour non-inclusion, which
+    # consumes less on-chip bandwidth (no clean-victim traffic).
+    if miss_ex < miss_noni * capacity_tolerance:
+        return MODE_EX
+    return MODE_NONI
+
+
+def dswitch_winner(
+    miss_weight: float, miss_noni: int, write_noni: int, miss_ex: int, write_ex: int
+) -> int:
+    """Dswitch's duel decision: the mode with the lower estimated energy."""
+    score_noni = write_noni + miss_weight * miss_noni
+    score_ex = write_ex + miss_weight * miss_ex
+    return MODE_NONI if score_noni <= score_ex else MODE_EX
 
 
 class SwitchingPolicy(InclusionPolicy):
@@ -44,12 +67,13 @@ class SwitchingPolicy(InclusionPolicy):
             num_sets=self.llc.num_sets,
             period=self._duel_period,
             interval=self._duel_interval,
-            winner_fn=self._decide,
+            winner_fn=self.winner_fn(),
             initial_winner=MODE_NONI,
         )
 
     # decision function: overridden per policy -------------------------
-    def _decide(self, miss_noni: int, write_noni: int, miss_ex: int, write_ex: int) -> int:
+    def winner_fn(self) -> WinnerFn:
+        """The duel's decision, as a function that holds no policy."""
         raise NotImplementedError
 
     def mode_for(self, addr: int) -> int:
@@ -68,32 +92,32 @@ class SwitchingPolicy(InclusionPolicy):
         self.dueling.record_write(self.llc.set_index(addr))
 
     # the switched data flow -------------------------------------------
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
         self.dueling.tick()
         mode = self.mode_for(addr)
-        block = self._llc_lookup(core, addr)
+        block = self._llc_lookup(h, core, addr)
         if block is not None:
             tech = block.tech
             dirty = False
-            if mode == MODE_EX and not self.h.shared_by_peers(core, addr):
+            if mode == MODE_EX and not h.shared_by_peers(core, addr):
                 # As in the exclusive policy: a discarded dirty copy's
                 # writeback obligation moves up into the L2 fill.
                 dirty = block.dirty
                 self.llc.discard(addr)
                 self.llc.stats.hit_invalidations += 1
-                self.h.note_llc_evict(addr)
+                h.note_llc_evict(addr)
             return LLCAccess(hit=True, tech=tech, dirty=dirty)
         if mode == MODE_NONI:
-            self.insert_or_update(core, addr, dirty=False, category="fill")
+            self.insert_or_update(h, core, addr, dirty=False, category="fill")
         return LLCAccess(hit=False, tech=self.llc.tech)
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         mode = self.mode_for(line.addr)
         if line.dirty:
-            self.insert_or_update(core, line.addr, dirty=True, category="dirty_victim")
+            self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")
         elif mode == MODE_EX:
             self.insert_or_update(
-                core, line.addr, dirty=False, loop_bit=line.loop_bit, category="clean_victim"
+                h, core, line.addr, dirty=False, loop_bit=line.loop_bit, category="clean_victim"
             )
         # clean victim in noni mode: silently dropped
 
@@ -112,13 +136,8 @@ class FLEXclusionPolicy(SwitchingPolicy):
         super().__init__(duel_period, duel_interval)
         self.capacity_tolerance = capacity_tolerance
 
-    def _decide(self, miss_noni: int, write_noni: int, miss_ex: int, write_ex: int) -> int:
-        # Exclusion wins only when its sampled miss count is genuinely
-        # lower (capacity demand); ties favour non-inclusion, which
-        # consumes less on-chip bandwidth (no clean-victim traffic).
-        if miss_ex < miss_noni * self.capacity_tolerance:
-            return MODE_EX
-        return MODE_NONI
+    def winner_fn(self) -> WinnerFn:
+        return partial(flexclusion_winner, self.capacity_tolerance)
 
 
 class DswitchPolicy(SwitchingPolicy):
@@ -138,7 +157,5 @@ class DswitchPolicy(SwitchingPolicy):
         super().__init__(duel_period, duel_interval)
         self.miss_weight = miss_weight
 
-    def _decide(self, miss_noni: int, write_noni: int, miss_ex: int, write_ex: int) -> int:
-        score_noni = write_noni + self.miss_weight * miss_noni
-        score_ex = write_ex + self.miss_weight * miss_ex
-        return MODE_NONI if score_noni <= score_ex else MODE_EX
+    def winner_fn(self) -> WinnerFn:
+        return partial(dswitch_winner, self.miss_weight)

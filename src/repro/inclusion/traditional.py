@@ -29,20 +29,20 @@ class NonInclusivePolicy(InclusionPolicy):
     clean_writeback = False
     back_invalidates = False
 
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(core, addr)
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
+        block = self._llc_lookup(h, core, addr)
         if block is not None:
             return LLCAccess(hit=True, tech=block.tech)
         # Miss: the line is brought from memory into BOTH L2 and L3
         # (Fig. 1b) — the LLC data-fill that Section II-C2 shows can be
         # redundant.
-        self.insert_or_update(core, addr, dirty=False, category="fill")
+        self.insert_or_update(h, core, addr, dirty=False, category="fill")
         return LLCAccess(hit=False, tech=self.llc.tech)
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if not line.dirty:
             return  # clean victims are silently dropped (duplicate kept)
-        self.insert_or_update(core, line.addr, dirty=True, category="dirty_victim")
+        self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")
 
 
 class ExclusivePolicy(InclusionPolicy):
@@ -54,8 +54,8 @@ class ExclusivePolicy(InclusionPolicy):
     clean_writeback = True
     back_invalidates = False
 
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(core, addr)
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
+        block = self._llc_lookup(h, core, addr)
         if block is None:
             return LLCAccess(hit=False, tech=self.llc.tech)
         tech = block.tech
@@ -66,17 +66,17 @@ class ExclusivePolicy(InclusionPolicy):
         # inherits the dirty bit, otherwise the deferred memory write
         # would silently vanish with the invalidated line.
         dirty = False
-        if not self.h.shared_by_peers(core, addr):
+        if not h.shared_by_peers(core, addr):
             dirty = block.dirty
             self.llc.discard(addr)
             self.llc.stats.hit_invalidations += 1
-            self.h.note_llc_evict(addr)
+            h.note_llc_evict(addr)
         return LLCAccess(hit=True, tech=tech, dirty=dirty)
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         category = "dirty_victim" if line.dirty else "clean_victim"
         self.insert_or_update(
-            core, line.addr, dirty=line.dirty, loop_bit=line.loop_bit, category=category
+            h, core, line.addr, dirty=line.dirty, loop_bit=line.loop_bit, category=category
         )
 
 
@@ -89,14 +89,14 @@ class InclusivePolicy(InclusionPolicy):
     clean_writeback = False
     back_invalidates = True
 
-    def llc_access(self, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(core, addr)
+    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
+        block = self._llc_lookup(h, core, addr)
         if block is not None:
             return LLCAccess(hit=True, tech=block.tech)
-        self.insert_or_update(core, addr, dirty=False, category="fill")
+        self.insert_or_update(h, core, addr, dirty=False, category="fill")
         return LLCAccess(hit=False, tech=self.llc.tech)
 
-    def l2_victim(self, core: int, line: EvictedLine) -> None:
+    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
         if not line.dirty:
             return
-        self.insert_or_update(core, line.addr, dirty=True, category="dirty_victim")
+        self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")

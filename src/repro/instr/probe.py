@@ -67,10 +67,12 @@ class Probe:
     name = "probe"
 
     def bind(self, hierarchy: "CacheHierarchy") -> None:
-        """Attach to a hierarchy before the run starts (optional)."""
+        """Attach to a hierarchy before the run starts (optional).
 
-    def unbind(self) -> None:
-        """Drop what :meth:`bind` kept of the hierarchy (optional)."""
+        Bind what the handlers read (the LLC, a stats object), never the
+        hierarchy itself: a probe that pointed back at it would make
+        every finished hierarchy garbage for the cycle collector.
+        """
 
     # ---- event handlers (signatures are the dispatch contract) -------
     def on_access(self, core: int, addr: int, is_write: bool) -> None:

@@ -26,6 +26,7 @@ from ..errors import ConfigurationError
 from .probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cache import Cache
     from ..hierarchy.hierarchy import CacheHierarchy
 
 
@@ -98,8 +99,8 @@ class OccupancySampler(Probe):
 
     Every ``interval`` accesses, reads the LLC's incrementally
     maintained (valid, loop) occupancy counters and re-emits them as an
-    ``occupancy_sample`` event via the hierarchy, so downstream probes
-    (the loop tracker) accumulate the shares.
+    ``occupancy_sample`` event to the bus's subscribers, so downstream
+    probes (the loop tracker) accumulate the shares.
     """
 
     name = "occupancy"
@@ -111,21 +112,22 @@ class OccupancySampler(Probe):
             )
         self.interval = interval
         self._since = 0
-        self._h: "CacheHierarchy" | None = None
+        self._llc: Cache | None = None
+        self._on_sample: tuple = ()
 
     def bind(self, hierarchy: "CacheHierarchy") -> None:
-        self._h = hierarchy
-
-    def unbind(self) -> None:
-        self._h = None
+        # Rebound whenever the hierarchy installs a new bus, so the
+        # subscriber tuple is always the current bus's.
+        self._llc = hierarchy.llc
+        self._on_sample = hierarchy.probe_bus.handlers("occupancy_sample")
 
     def on_access(self, core: int, addr: int, is_write: bool) -> None:
         self._since += 1
         if self._since >= self.interval:
             self._since = 0
-            h = self._h
-            valid, loops = h.llc.loop_block_occupancy()
-            h.emit_occupancy_sample(valid, loops)
+            valid, loops = self._llc.loop_block_occupancy()
+            for cb in self._on_sample:
+                cb(valid, loops)
 
 
 # ----------------------------------------------------------------------

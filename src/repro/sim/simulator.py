@@ -170,12 +170,7 @@ def simulate(
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`Simulator`.
 
-    The hierarchy is unbound after the run, so it is freed as soon as
-    the call returns rather than at the next cycle collection; a policy
-    instance passed in keeps its state but no longer references it.
+    A policy instance passed in stays bound to the run's LLC, so its
+    ``extra_stats()`` and per-set answers remain those of the run.
     """
-    sim = Simulator(system, policy, workload, **kwargs)
-    try:
-        return sim.run(refs_per_core)
-    finally:
-        sim.hierarchy.unbind()
+    return Simulator(system, policy, workload, **kwargs).run(refs_per_core)

@@ -15,7 +15,8 @@ re-checks the catalog below every ``interval`` retired references plus
 once at ``finish()``. Checks run *between* accesses only — mid-access
 transients (a fill racing its store propagation) are deliberately
 invisible, matching the bus contract that ``access`` fires after the
-reference fully retires.
+reference fully retires. It is validation-only (the batched kernel
+never carries it) and holds its hierarchy through a weak reference.
 
 Invariant catalog (see DESIGN.md §11 for the paper anchors):
 
@@ -50,6 +51,7 @@ Invariant catalog (see DESIGN.md §11 for the paper anchors):
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, Set
 
 from ..cache.block import (
@@ -288,16 +290,13 @@ class InvariantProbe(Probe):
 
     def __init__(self, interval: int = 256) -> None:
         self.interval = interval
-        self.h: "CacheHierarchy" | None = None
+        self._h: weakref.ref | None = None
         self.counts: Dict[str, int] = {inv: 0 for inv in INVARIANTS}
         self._outstanding: Set[int] = set()
         self._seen = 0
 
     def bind(self, hierarchy: "CacheHierarchy") -> None:
-        self.h = hierarchy
-
-    def unbind(self) -> None:
-        self.h = None
+        self._h = weakref.ref(hierarchy)
 
     # ---- event handlers ----------------------------------------------
     def on_access(self, core: int, addr: int, is_write: bool) -> None:
@@ -312,7 +311,7 @@ class InvariantProbe(Probe):
         # A memory write retires the obligation only when no dirty copy
         # remains resident (the same address can be dirty in an L2 *and*
         # in the LLC; writing one back must not absolve the other).
-        if not _dirty_resident(self.h, addr):
+        if not _dirty_resident(self._h(), addr):
             self._outstanding.discard(addr)
 
     def finish(self) -> None:
@@ -321,7 +320,7 @@ class InvariantProbe(Probe):
     # ---- the check pass ----------------------------------------------
     def check_now(self) -> None:
         """Run every applicable catalog check against live state."""
-        h = self.h
+        h = self._h()
         counts = self.counts
         if check_l1_inclusion(h):
             counts["l1-inclusion"] += 1

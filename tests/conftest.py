@@ -10,6 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import Cache, LRUPolicy
+from repro.inclusion.base import LLCAccess
+from repro.inclusion.traditional import ExclusivePolicy
 from repro.sim import SystemConfig
 from repro.testing import (  # noqa: F401  (re-exported for test modules)
     A,
@@ -52,3 +54,20 @@ def tiny_cache() -> Cache:
 def addr_of(cache: Cache, set_index: int, tag: int) -> int:
     """Address that maps to (set_index, tag) in ``cache``."""
     return cache.addr_of(set_index, tag)
+
+
+class BuggyExclusivePolicy(ExclusivePolicy):
+    """The pre-fix exclusive policy: hit-invalidation drops the dirty
+    bit, so the LLC copy's writeback obligation vanishes (the mutant
+    the invariant and differential checks must catch)."""
+
+    def llc_access(self, h, core, addr, is_write):
+        block = self._llc_lookup(h, core, addr)
+        if block is None:
+            return LLCAccess(hit=False, tech=self.llc.tech)
+        tech = block.tech
+        if not h.shared_by_peers(core, addr):
+            self.llc.discard(addr)
+            self.llc.stats.hit_invalidations += 1
+            h.note_llc_evict(addr)
+        return LLCAccess(hit=True, tech=tech)

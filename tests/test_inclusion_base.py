@@ -3,6 +3,7 @@
 import pytest
 
 from repro.inclusion.base import InclusionPolicy, LLCAccess
+from repro.inclusion.dueling import ROLE_LEADER_B
 from tests.conftest import A, B, C, D, E, F, G, H, build_micro, run_refs
 
 
@@ -11,22 +12,35 @@ def reads(*addrs):
 
 
 class TestBindAndHooks:
-    def test_bind_attaches_llc_and_touch_policy(self):
+    def test_bind_attaches_llc_and_duel_choice_reaches_hits(self):
         # Policies that never override the per-set replacement choice
-        # leave touch_policy unset (LLC hits skip the indirection) ...
+        # touch LLC hits with the LLC's default replacement ...
         h = build_micro("non-inclusive")
         assert h.policy.llc is h.llc
-        assert h.llc.touch_policy is None
-        # ... while set-dueled policies route hit touches through it.
+        touched = []
+        h.llc.replacement.on_hit = lambda block, now: touched.append("default")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
+        assert h.policy._llc_lookup(h, 0, A) is not None
+        assert touched == ["default"]
+        # ... while LAP's duel choice for the set receives the hit
+        # through ``Cache.lookup(policy=)``, and follows the winner.
         h2 = build_micro("lap")
-        assert h2.llc.touch_policy == h2.policy.replacement_for
+        pol = h2.policy
+        touched.clear()
+        pol._loop_aware.on_hit = lambda block, now: touched.append("loop-aware")
+        pol._lru.on_hit = lambda block, now: touched.append("lru")
+        pol.insert_or_update(h2, 0, A, dirty=False, category="clean_victim")
+        assert pol._llc_lookup(h2, 0, A) is not None
+        pol.dueling.winner = ROLE_LEADER_B
+        assert pol._llc_lookup(h2, 0, A) is not None
+        assert touched == ["loop-aware", "lru"]
 
     def test_base_policy_is_abstract(self):
         pol = InclusionPolicy()
         with pytest.raises(NotImplementedError):
-            pol.llc_access(0, 0, False)
+            pol.llc_access(None, 0, 0, False)
         with pytest.raises(NotImplementedError):
-            pol.l2_victim(0, None)
+            pol.l2_victim(None, 0, None)
 
     def test_default_loop_bit_is_false(self):
         assert InclusionPolicy().l2_fill_loop_bit(True) is False
@@ -46,14 +60,14 @@ class TestBindAndHooks:
 class TestInsertOrUpdate:
     def test_insert_path_counts_category(self):
         h = build_micro("non-inclusive")
-        h.policy.insert_or_update(0, A, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
         assert h.llc.stats.fill_writes == 1
         assert h.llc.peek(A) is not None
 
     def test_update_path_merges_dirty(self):
         h = build_micro("non-inclusive")
-        h.policy.insert_or_update(0, A, dirty=False, category="fill")
-        h.policy.insert_or_update(0, A, dirty=True, category="dirty_victim")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=True, category="dirty_victim")
         assert h.llc.stats.update_writes == 1
         assert h.llc.stats.dirty_victim_writes == 0
         assert h.llc.peek(A).dirty
@@ -63,15 +77,15 @@ class TestInsertOrUpdate:
         miscounted as a clean_victim_write, corrupting the Fig. 15
         breakdown across dynamic-mode switches."""
         h = build_micro("non-inclusive")
-        h.policy.insert_or_update(0, A, dirty=False, category="fill")
-        h.policy.insert_or_update(0, A, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
         assert h.llc.stats.fill_writes == 2
         assert h.llc.stats.clean_victim_writes == 0
 
     def test_merged_clean_victim_keeps_its_class(self):
         h = build_micro("non-inclusive")
-        h.policy.insert_or_update(0, A, dirty=False, category="fill")
-        h.policy.insert_or_update(0, A, dirty=False, category="clean_victim")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="clean_victim")
         assert h.llc.stats.fill_writes == 1
         assert h.llc.stats.clean_victim_writes == 1
 
@@ -83,7 +97,7 @@ class TestInsertOrUpdate:
     def test_duplicate_never_created(self):
         h = build_micro("non-inclusive")
         for _ in range(3):
-            h.policy.insert_or_update(0, A, dirty=False, category="fill")
+            h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
         cache_set = h.llc.sets[h.llc.set_index(A)]
         holders = [b for b in cache_set.blocks if b.valid and b.tag == h.llc.tag_of(A)]
         assert len(holders) == 1
@@ -91,20 +105,20 @@ class TestInsertOrUpdate:
     def test_unknown_category_rejected(self):
         h = build_micro("non-inclusive")
         with pytest.raises(ValueError):
-            h.policy._place_and_insert(0, A, dirty=False, loop_bit=False, category="bogus")
+            h.policy._place_and_insert(h, 0, A, dirty=False, loop_bit=False, category="bogus")
 
     def test_insert_charges_bank_write(self):
         h = build_micro("non-inclusive")
         before = h.timing.banks.busy_until[0]
-        h.policy.insert_or_update(0, A, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=False, category="fill")
         assert h.timing.banks.busy_until[h.llc.bank_of(A)] > before
 
     def test_llc_victim_cascades_to_memory(self):
         h = build_micro("non-inclusive", llc_bytes=128, llc_assoc=2)
-        h.policy.insert_or_update(0, A, dirty=True, category="dirty_victim")
-        h.policy.insert_or_update(0, B, dirty=False, category="fill")
+        h.policy.insert_or_update(h, 0, A, dirty=True, category="dirty_victim")
+        h.policy.insert_or_update(h, 0, B, dirty=False, category="fill")
         before = h.stats.mem_writes
-        h.policy.insert_or_update(0, C, dirty=False, category="fill")  # evicts dirty A
+        h.policy.insert_or_update(h, 0, C, dirty=False, category="fill")  # evicts dirty A
         assert h.stats.mem_writes == before + 1
 
 

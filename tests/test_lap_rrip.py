@@ -1,4 +1,4 @@
-"""Tests for LAP over an SRRIP baseline and the LLC touch-policy hook."""
+"""Tests for LAP over an SRRIP baseline and the LLC hit-path replacement choice."""
 
 import pytest
 
@@ -35,7 +35,7 @@ class TestLapRRIPConstruction:
 class TestTouchPolicyHook:
     def test_llc_routes_touches_through_policy(self):
         h = build_micro(LAPPolicy(baseline="srrip", replacement_mode="loop"))
-        assert h.llc.touch_policy is not None
+        assert h.policy._replacement_override
         # Put A into the LLC, then hit it: SRRIP must promote RRPV to 0.
         run_refs(h, reads(A, B, C, D, E, F, G, H))
         block = h.llc.peek(A)
@@ -44,9 +44,16 @@ class TestTouchPolicyHook:
         assert h.llc.peek(A).rrpv == 0
 
     def test_private_caches_keep_default_lru(self):
+        # An SRRIP touch would promote RRPV to 0; the private caches'
+        # LRU hits leave it alone.
         h = build_micro("lap-rrip")
-        assert h.l1s[0].touch_policy is None
-        assert h.l2s[0].touch_policy is None
+        run_refs(h, reads(A))
+        h.l1s[0].peek(A).rrpv = 3
+        h.l2s[0].peek(A).rrpv = 3
+        run_refs(h, reads(A))  # L1 hit
+        assert h.l1s[0].peek(A).rrpv == 3
+        run_refs(h, reads(B, A))  # B takes the one-block L1: L2 hit on A
+        assert h.l2s[0].peek(A).rrpv == 3
 
     def test_data_flow_identical_to_lru_lap(self):
         """The inclusion *data flow* is replacement-agnostic: write

@@ -59,7 +59,7 @@ class TestPlacement:
         """An incoming loop-block is its own MRU-loop-block: Fig. 11b's
         migration degenerates to a direct STT-RAM insertion."""
         h = build_hybrid()
-        h.policy._place_and_insert(0, A, dirty=False, loop_bit=True, category="clean_victim")
+        h.policy._place_and_insert(h, 0, A, dirty=False, loop_bit=True, category="clean_victim")
         a_block = h.llc.peek(A)
         assert a_block is not None and a_block.tech == "stt" and a_block.loop_bit
         assert h.llc.stats.migrations == 0
@@ -71,11 +71,11 @@ class TestPlacement:
         pol = h.policy
         # A enters SRAM as a non-loop block and is later confirmed to be
         # a loop-block via a clean trip (Fig. 10b tag update).
-        pol._place_and_insert(0, A, dirty=False, loop_bit=False, category="clean_victim")
+        pol._place_and_insert(h, 0, A, dirty=False, loop_bit=False, category="clean_victim")
         assert h.llc.peek(A).tech == "sram"
         h.llc.peek(A).loop_bit = True
         for addr in (B, C, D, E):  # fill the remaining 3 SRAM ways + 1
-            pol._place_and_insert(0, addr, dirty=True, loop_bit=False, category="dirty_victim")
+            pol._place_and_insert(h, 0, addr, dirty=True, loop_bit=False, category="dirty_victim")
         a_block = h.llc.peek(A)
         assert a_block is not None and a_block.tech == "stt" and a_block.loop_bit
         assert h.llc.stats.migrations == 1
@@ -102,14 +102,14 @@ class TestPlacement:
 
     def test_loopstt_routes_loop_insertions_to_stt(self):
         h = build_hybrid("lap+loopstt")
-        h.policy._place_and_insert(0, A, dirty=False, loop_bit=True, category="clean_victim")
+        h.policy._place_and_insert(h, 0, A, dirty=False, loop_bit=True, category="clean_victim")
         assert h.llc.peek(A).tech == "stt"
 
     def test_without_winv_dirty_hit_updates_stt_in_place(self):
         h = build_hybrid("lap+loopstt")
         # Plant A in STT (a loop-block insertion), then dirty it in L2
         # and evict it: without Winv the STT copy is updated in place.
-        h.policy._place_and_insert(0, A, dirty=False, loop_bit=True, category="clean_victim")
+        h.policy._place_and_insert(h, 0, A, dirty=False, loop_bit=True, category="clean_victim")
         assert h.llc.peek(A).tech == "stt"
         stt_writes_before = h.llc.stats.data_writes_stt
         run_refs(h, writes(A))  # LLC hit (kept), dirtied in L2

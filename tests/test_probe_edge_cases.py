@@ -140,7 +140,8 @@ class TestEmptyLlcOccupancy:
     def test_empty_snapshot_is_harmless(self):
         # An explicit (0, 0) sample must not skew any loop statistics.
         h = build_micro("non-inclusive")
-        h.emit_occupancy_sample(*h.llc.loop_block_occupancy())
+        for cb in h.probe_bus.handlers("occupancy_sample"):
+            cb(*h.llc.loop_block_occupancy())
         stats = h.loop_stats()
         assert stats.llc_loop_samples == 0
         assert stats.llc_loop_blocks == 0

@@ -1,11 +1,16 @@
 """Tests for SystemConfig, Simulator, runner, and RunResult."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import SystemConfig, make_workload, simulate
+from repro.arena import registry
 from repro.energy import SRAM, STT_RAM
 from repro.errors import SimulationError, WorkloadError
 from repro.exec import WorkloadSpec
+from repro.inclusion.switching import MODE_EX, MODE_NONI
 from repro.sim.runner import normalized, run_matrix, run_policies
 from repro.sim.simulator import Simulator
 
@@ -157,6 +162,84 @@ class TestSimulator:
             assert built[0]() is None
         finally:
             gc.enable()
+
+
+def _parts(hierarchy):
+    """Weak references to a hierarchy, its policy, its LLC and any duel."""
+    parts = [hierarchy, hierarchy.policy, hierarchy.llc]
+    dueling = getattr(hierarchy.policy, "dueling", None)
+    if dueling is not None:
+        parts.append(dueling)
+    return [weakref.ref(part) for part in parts]
+
+
+def _alive(parts):
+    return [type(ref()).__name__ for ref in parts if ref() is not None]
+
+
+class TestFreedWithoutTheCycleCollector:
+    """No part of a hierarchy points back at it, so whoever owns a
+    finished one frees it by reference counting alone."""
+
+    @pytest.fixture(autouse=True)
+    def _no_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("policy", registry.names())
+    def test_finished_simulator_is_freed(self, policy):
+        system = SystemConfig.scaled(hybrid=registry.get(policy).hybrid_only)
+        sim = Simulator(system, policy, make_workload("WL1", system))
+        sim.run(300)
+        parts = _parts(sim.hierarchy)
+        del sim
+        assert _alive(parts) == []
+
+    def test_finished_coherent_simulator_is_freed(self):
+        system = SystemConfig.scaled()
+        sim = Simulator(system, "dswitch", make_workload("canneal", system))
+        sim.run(300)
+        assert sim.hierarchy.coherence is not None
+        parts = _parts(sim.hierarchy)
+        del sim
+        assert _alive(parts) == []
+
+    @pytest.mark.parametrize("policy", registry.check_names())
+    def test_checked_hierarchy_is_freed(self, policy):
+        """The ``repro check`` path: a hierarchy with the invariant probe."""
+        from repro.validate import InvariantProbe, generate_trace, run_trace
+
+        trace = generate_trace(3, refs=400, ncores=2)
+        h = run_trace(policy, trace, ncores=2, enable_coherence=True)
+        probe = h.probe_bus.find(InvariantProbe)
+        assert probe is not None and sum(probe.counts.values()) > 0
+        parts = _parts(h)
+        del h
+        assert _alive(parts) == []
+
+
+class TestPolicyInstanceAfterSimulate:
+    @pytest.mark.parametrize("name", ["ways-off", "dswitch", "lap"])
+    def test_policy_still_describes_its_run(self, small_system, name):
+        """A policy instance passed to ``simulate()`` keeps answering for
+        the run: its stats match the result's, its per-set choices work."""
+        policy = registry.make(name)
+        result = simulate(small_system, policy, make_workload("mcf", small_system), 2000)
+        stats = policy.extra_stats()
+        assert stats == {key: result.extra[key] for key in stats}
+        if name == "ways-off":
+            assert stats["llc_ways_total"] == small_system.hierarchy.llc.assoc
+            assert policy.llc_active_fraction == 0.5
+        dueling = getattr(policy, "dueling", None)
+        if dueling is not None:
+            assert dueling.stats.decisions_a == result.extra["duel_decisions_a"]
+            assert dueling.stats.decisions_b == result.extra["duel_decisions_b"]
+        for set_index in range(4):
+            policy.replacement_for(set_index)
+        if name == "dswitch":
+            assert policy.mode_for(0) in (MODE_NONI, MODE_EX)
 
 
 class TestRunResult:

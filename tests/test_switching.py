@@ -22,30 +22,30 @@ def writes(*addrs):
 class TestDecisionFunctions:
     def test_flex_picks_exclusion_on_capacity_benefit(self):
         pol = FLEXclusionPolicy()
-        assert pol._decide(miss_noni=100, write_noni=0, miss_ex=50, write_ex=500) == MODE_EX
+        assert pol.winner_fn()(miss_noni=100, write_noni=0, miss_ex=50, write_ex=500) == MODE_EX
 
     def test_flex_ignores_writes(self):
         """FLEXclusion is write-blind: huge exclusive write traffic does
         not deter it when capacity wins (the paper's criticism)."""
         pol = FLEXclusionPolicy()
-        assert pol._decide(100, 0, 80, 10_000) == MODE_EX
+        assert pol.winner_fn()(100, 0, 80, 10_000) == MODE_EX
 
     def test_flex_prefers_noni_on_ties(self):
         pol = FLEXclusionPolicy()
-        assert pol._decide(100, 0, 100, 0) == MODE_NONI
-        assert pol._decide(100, 0, 99, 0) == MODE_NONI  # within tolerance
+        assert pol.winner_fn()(100, 0, 100, 0) == MODE_NONI
+        assert pol.winner_fn()(100, 0, 99, 0) == MODE_NONI  # within tolerance
 
     def test_dswitch_weighs_writes(self):
         pol = DswitchPolicy(miss_weight=1.5)
         # same misses, exclusive writes much more -> pick noni
-        assert pol._decide(100, 100, 100, 1000) == MODE_NONI
+        assert pol.winner_fn()(100, 100, 100, 1000) == MODE_NONI
         # same writes, exclusive misses much less -> pick ex
-        assert pol._decide(100, 100, 10, 100) == MODE_EX
+        assert pol.winner_fn()(100, 100, 10, 100) == MODE_EX
 
     def test_dswitch_tradeoff_crossover(self):
         pol = DswitchPolicy(miss_weight=1.0)
         # noni: 100 writes + 100 misses = 200; ex: 150 writes + 40 misses = 190
-        assert pol._decide(100, 100, 40, 150) == MODE_EX
+        assert pol.winner_fn()(100, 100, 40, 150) == MODE_EX
 
 
 class TestSwitchedDataFlow:

@@ -11,8 +11,7 @@ import pytest
 
 from repro.arena import registry
 from repro.errors import InvariantViolation
-from repro.inclusion.base import LLCAccess
-from repro.inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
+from repro.inclusion.traditional import NonInclusivePolicy
 from repro.validate import (
     DEFAULT_POLICIES,
     fuzz,
@@ -21,21 +20,7 @@ from repro.validate import (
     run_differential,
     run_trace,
 )
-
-
-class BuggyExclusivePolicy(ExclusivePolicy):
-    """Pre-fix exclusive policy: drops the dirty bit on hit-invalidation."""
-
-    def llc_access(self, core, addr, is_write):
-        block = self._llc_lookup(core, addr)
-        if block is None:
-            return LLCAccess(hit=False, tech=self.llc.tech)
-        tech = block.tech
-        if not self.h.shared_by_peers(core, addr):
-            self.llc.discard(addr)
-            self.llc.stats.hit_invalidations += 1
-            self.h.note_llc_evict(addr)
-        return LLCAccess(hit=True, tech=tech)
+from tests.conftest import BuggyExclusivePolicy
 
 
 @pytest.fixture
@@ -92,11 +77,11 @@ class TestCrossPolicyIdentities:
         """A policy that lies about its write classes is caught."""
 
         class Miscounting(NonInclusivePolicy):
-            def l2_victim(self, core, line):
+            def l2_victim(self, h, core, line):
                 if not line.dirty:
                     return
                 # dirty victims miscounted as clean ones
-                self.insert_or_update(core, line.addr, dirty=False, category="clean_victim")
+                self.insert_or_update(h, core, line.addr, dirty=False, category="clean_victim")
 
         with registry.overridden("non-inclusive", Miscounting):
             trace = generate_trace(9, refs=800)

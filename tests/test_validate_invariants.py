@@ -10,8 +10,6 @@ bug is re-introduced via a policy subclass).
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.inclusion.base import LLCAccess
-from repro.inclusion.traditional import ExclusivePolicy
 from repro.validate import (
     InvariantProbe,
     check_coherence,
@@ -24,7 +22,7 @@ from repro.validate import (
     run_trace,
     violation,
 )
-from tests.conftest import A, B, C, D, E, F, G, H, build_micro, run_refs
+from tests.conftest import A, B, C, D, E, F, G, H, BuggyExclusivePolicy, build_micro, run_refs
 
 
 def reads(*addrs):
@@ -41,22 +39,6 @@ def probed(policy, enable_coherence=False, interval=0, **kwargs):
     probe = InvariantProbe(interval=interval)
     h.attach_probe(probe)
     return h, probe
-
-
-class BuggyExclusivePolicy(ExclusivePolicy):
-    """The pre-fix exclusive policy: hit-invalidation drops the dirty
-    bit, so the LLC copy's writeback obligation vanishes."""
-
-    def llc_access(self, core, addr, is_write):
-        block = self._llc_lookup(core, addr)
-        if block is None:
-            return LLCAccess(hit=False, tech=self.llc.tech)
-        tech = block.tech
-        if not self.h.shared_by_peers(core, addr):
-            self.llc.discard(addr)
-            self.llc.stats.hit_invalidations += 1
-            self.h.note_llc_evict(addr)
-        return LLCAccess(hit=True, tech=tech)
 
 
 class TestViolationFactory:
