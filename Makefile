@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check bench bench-e2e bench-figures bench-hotpath lint trace-demo arena-demo suite-demo report
+.PHONY: test check bench-e2e bench-figures bench-hotpath lint trace-demo arena-demo suite-demo report
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -14,16 +14,13 @@ test:
 check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro check --fuzz 200
 
-# Hot-path throughput with the default probes and probe-free; appends
-# one timestamped entry to BENCH_hotpath.json (DESIGN.md §13).
-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench
-
 # The repo benchmark end to end: perfbench/run.py for every
 # BENCHMARK.json workload, for its declared run length, at --trace 0
 # and 1; one record per run appended to BENCH_e2e.json. CHECKOUT=<dir>
 # measures another checkout (e.g. a clone of the parent commit) into
-# the same file; SEED=<n> picks perfbench's seed (stamped on each record).
+# the same file; SEED=<n> picks perfbench's seed (stamped on each
+# record). `repro bench trend BENCH_e2e.json` reads the records
+# (DESIGN.md §10.6).
 CHECKOUT ?= .
 SEED ?= 0
 bench-e2e:
@@ -51,8 +48,11 @@ bench-figures:
 	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only \
 		--ignore=test_hotpath_throughput.py
 
-# Hot-path throughput: kernel vs generic loop, with its gates; appends
-# to BENCH_hotpath.json and writes results/hotpath_throughput.txt.
+# Hot-path throughput: kernel vs generic loop per (policy,
+# instrumentation) cell, with a host-speed reading around each and the
+# benchmark's gates; appends one entry to BENCH_hotpath.json (read by
+# `repro bench trend`, DESIGN.md §13) and writes
+# results/hotpath_throughput.txt.
 bench-hotpath:
 	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only \
 		test_hotpath_throughput.py

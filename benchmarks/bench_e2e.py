@@ -11,11 +11,12 @@ every workload its ``BENCHMARK.json`` declares, for the run length it
 declares, at ``--trace 0`` (the end-to-end metrics) and ``--trace 1``
 (the per-layer ones), with perfbench's ``--seed`` (default 0), and
 appends one record per run to this checkout's ``BENCH_e2e.json``: the
-measured checkout's git SHA and whether its tracked files had
-uncommitted changes, the seed, the ``perfbench-host`` facts and the
-final result JSON. It only calls perfbench. Measuring a parent
-checkout and a change back to back, on the same host and seed, gives a
-before/after pair.
+measured checkout's git SHA and whether its tracked files other than
+``BENCH_e2e.json`` had uncommitted changes, the seed, the
+``perfbench-host`` facts and the final result JSON. It only calls
+perfbench; ``repro bench trend BENCH_e2e.json`` reads the records.
+Measuring a parent checkout and a change back to back, on the same
+host and seed, gives a before/after pair.
 """
 
 from __future__ import annotations
@@ -31,8 +32,12 @@ OUT = ROOT / "BENCH_e2e.json"
 
 
 def _dirty(checkout: pathlib.Path) -> bool:
+    """Whether a tracked file other than ``BENCH_e2e.json`` has
+    uncommitted changes: the record is left out because a before/after
+    pair appends to it between the two runs."""
     proc = subprocess.run(
-        ["git", "status", "--porcelain", "--untracked-files=no"],
+        ["git", "status", "--porcelain", "--untracked-files=no",
+         "--", ".", f":(exclude){OUT.name}"],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     return proc.returncode != 0 or bool(proc.stdout.strip())

@@ -1,19 +1,20 @@
 """Hot-path throughput microbenchmark: batched kernel vs generic loop.
 
 Measures raw simulator accesses/sec on the kernel-eligible policy trio
-over the full ``repro bench`` grid — both instrumentation specs
+with :func:`repro.bench.run_hotpath_bench`: every cell on both
+execution paths (the batched kernel, DESIGN.md §13, and the generic
+per-reference loop, ``Simulator.enable_batch_kernel = False``, which is
+what the kernel is measured against) under both instrumentation specs
 (``default``: the paper's probes, as every shipped path runs; ``none``:
-probe-free) — all of which take the batched kernel (DESIGN.md §13).
-Two more legs sit beside the grid: the generic per-reference loop
-(``Simulator.enable_batch_kernel = False``) under both specs, which is
-what the kernel is measured against, and the probe-free kernel with a
-live span recorder installed and the flight recorder imported but not
-attached. A coherent leg measures the kernel
-against the generic loop on a MOESI run (PARSEC ``canneal``, default
-probes), the configuration behind Fig. 20. The entry is **appended** to
-``BENCH_hotpath.json`` at the repo root; earlier entries (including the
-pre-refactor record, preserved under ``"legacy"``) are never
-overwritten.
+probe-free), with a host-speed reading around each. Two more legs sit
+beside the grid: the probe-free kernel with a live span recorder
+installed and the flight recorder imported but not attached, and a
+coherent leg that measures the kernel against the generic loop on a
+MOESI run (PARSEC ``canneal``, default probes), the configuration
+behind Fig. 20. The entry is **appended** to ``BENCH_hotpath.json`` at
+the repo root, where ``repro bench trend`` reads it; earlier entries
+(including the pre-refactor record, preserved under ``"legacy"``) are
+never overwritten.
 
 ``PRE_REFACTOR_BASELINE`` pins the accesses/sec measured at the growth
 seed (commit ad4a4f6, always-on instrumentation, same workload/refs/
@@ -24,19 +25,14 @@ JSON carries the exact numbers for same-machine comparison.
 from __future__ import annotations
 
 import pathlib
-import time
-from dataclasses import replace
 
 from repro.bench import (
-    BACKEND,
     BENCH_INSTRUMENTATION,
     append_entry,
     measure_throughput,
     run_hotpath_bench,
 )
-from repro.sim.simulator import Simulator
 from repro.sim.system import SystemConfig
-from repro.workloads.mixes import make_multithreaded, make_table3_mix
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_hotpath.json"
 
@@ -69,27 +65,6 @@ def _throughput(system: SystemConfig, policy: str, reps: int = REPS) -> float:
     return measure_throughput(system, policy, refs_per_core=REFS_PER_CORE, reps=reps, seed=7)
 
 
-def _rate(system: SystemConfig, policy: str, workload, refs: int, kernel: bool) -> float:
-    """Accesses/sec of one run, timed exactly as ``measure_throughput``
-    times the kernel; ``kernel=False`` drives the generic loop."""
-    sim = Simulator(system, policy, workload)
-    sim.enable_batch_kernel = kernel
-    start = time.perf_counter()
-    sim.run(refs)
-    return refs * workload.ncores / (time.perf_counter() - start)
-
-
-def _generic_throughput(system: SystemConfig, policy: str) -> float:
-    """Best-of-``REPS`` accesses/sec on the generic per-reference loop."""
-    return max(
-        _rate(
-            system, policy, make_table3_mix("WL1", system.scale_context(), seed=7),
-            REFS_PER_CORE, kernel=False,
-        )
-        for _ in range(REPS)
-    )
-
-
 def _coherent_throughput(policy: str) -> dict:
     """Best-of-``REPS`` accesses/sec of the kernel and the generic loop on
     the coherent leg, alternating rep by rep so both sides see the same
@@ -98,19 +73,17 @@ def _coherent_throughput(policy: str) -> dict:
     best = {"kernel": 0.0, "generic": 0.0}
     for _ in range(REPS):
         for side in best:
-            workload = make_multithreaded(
-                COHERENT_WORKLOAD, system.scale_context(),
-                nthreads=system.hierarchy.ncores, seed=7,
-            )
-            rate = _rate(
-                system, policy, workload, COHERENT_REFS_PER_CORE, kernel=side == "kernel"
+            rate = measure_throughput(
+                system, policy, workload_name=COHERENT_WORKLOAD,
+                refs_per_core=COHERENT_REFS_PER_CORE, reps=1, seed=7,
+                kernel=side == "kernel",
             )
             best[side] = max(best[side], rate)
     return {side: round(rate) for side, rate in best.items()}
 
 
 def measure_grid() -> dict:
-    # The repro-bench grid: both specs, all on the kernel.
+    # The grid: both specs, both execution paths.
     entry = run_hotpath_bench(
         POLICIES,
         refs_per_core=REFS_PER_CORE,
@@ -118,17 +91,9 @@ def measure_grid() -> dict:
         seed=7,
     )
     entry["pre_refactor_accesses_per_sec"] = dict(PRE_REFACTOR_BASELINE)
-    kernel = {
-        spec: {p: entry["accesses_per_sec"][spec][p][BACKEND] for p in POLICIES}
-        for spec in SPECS
-    }
-
-    # The generic per-reference loop.
-    generic = {}
-    for spec in SPECS:
-        system = replace(SystemConfig.scaled(), instrumentation=spec)
-        generic[spec] = {p: round(_generic_throughput(system, p)) for p in POLICIES}
-    entry["generic_accesses_per_sec"] = generic
+    rates = entry["accesses_per_sec"]
+    kernel = {spec: {p: rates[spec][p]["kernel"] for p in POLICIES} for spec in SPECS}
+    generic = {spec: {p: rates[spec][p]["generic"] for p in POLICIES} for spec in SPECS}
     entry["speedup_kernel_vs_generic"] = {
         spec: {p: round(kernel[spec][p] / generic[spec][p], 2) for p in POLICIES}
         for spec in SPECS
@@ -188,7 +153,6 @@ def test_hotpath_throughput(benchmark, emit):
     append_entry(BENCH_PATH, entry)
 
     rates = entry["accesses_per_sec"]
-    generic = entry["generic_accesses_per_sec"]
     speedup = entry["speedup_kernel_vs_generic"]
     lines = [
         f"{'policy':15s} {'spec':8s} {'generic':>10s} {'kernel':>10s} "
@@ -197,8 +161,8 @@ def test_hotpath_throughput(benchmark, emit):
     for policy in POLICIES:
         for spec in SPECS:
             lines.append(
-                f"{policy:15s} {spec:8s} {generic[spec][policy]:>10,} "
-                f"{rates[spec][policy][BACKEND]:>10,} {speedup[spec][policy]:>14.2f}x"
+                f"{policy:15s} {spec:8s} {rates[spec][policy]['generic']:>10,} "
+                f"{rates[spec][policy]['kernel']:>10,} {speedup[spec][policy]:>14.2f}x"
             )
     coherent = entry["coherent_accesses_per_sec"]
     coherent_speedup = entry["coherent_speedup_kernel_vs_generic"]

@@ -1,48 +1,35 @@
-"""Hot-path throughput benchmarking across instrumentation specs.
+"""Hot-path throughput benchmarking across execution paths and
+instrumentation specs.
 
 One bench run measures the simulation rate (accesses/sec, best of
-``reps`` to shed scheduler noise) for each requested policy under both
-instrumentation specs (``"default"``: the paper's probes, as every
-shipped path runs; ``"none"``: probe-free), and appends the result as
-one timestamped entry to ``BENCH_hotpath.json``. The entry format is append-only
-history: re-running the bench never overwrites earlier measurements,
-so before/after comparisons across refactors stay in the file.
+``reps`` to shed scheduler noise) for each requested policy on both
+execution paths (``"kernel"``: the batched kernel every shipped path
+takes; ``"generic"``: the per-reference loop,
+``Simulator.enable_batch_kernel = False``) under both instrumentation
+specs (``"default"``: the paper's probes; ``"none"``: probe-free), with
+a host-speed reading around every cell. ``make bench-hotpath``
+(``benchmarks/test_hotpath_throughput.py``) appends the result as one
+timestamped entry to ``BENCH_hotpath.json``; re-running never
+overwrites earlier measurements, so before/after comparisons across
+refactors stay in the file. ``repro bench trend`` reads it
+(:mod:`repro.obs.trend`).
 
-File schema (version 2)::
+Entry shape::
 
     {
-      "schema": 2,
-      "legacy": {...},          # the pre-refactor flat record, if any
-      "entries": [
-        {
-          "timestamp": "2026-10-17T02:29:22Z",
-          "workload": "WL1", "refs_per_core": 30000, "reps": 5,
-          "backends": ["object"],
-          "instrumentation": ["default", "none"],
-          "accesses_per_sec": {
-            "default": {"lap": {"object": <rate>}},
-            "none": {"lap": {"object": <rate>}}
-          },
-          "host_ref_ms": {      # host-speed reading per cell, same shape
-            "default": {"lap": {"object": <ms>}}, ...
-          },
-          ...
-        }, ...
-      ]
+      "timestamp": "2026-10-18T12:00:00Z",
+      "workload": "WL1", "refs_per_core": 30000, "reps": 3, "seed": 7,
+      "paths": ["kernel", "generic"],
+      "instrumentation": ["default", "none"],
+      "accesses_per_sec": {"default": {"lap": {"kernel": <rate>,
+                                               "generic": <rate>}}, ...},
+      "host_ref_ms": {...},     # host-speed reading per cell, same shape
+      ...                       # the benchmark's own ratios and legs
     }
 
-Entries written before the instrumentation axis existed have no
-``"instrumentation"`` key and a flat ``{policy: {backend: rate}}``
-``accesses_per_sec``; they were all probe-free, and
-:func:`repro.obs.trend.entry_rates` reads them as ``"none"``. (In those
-entries the ``object`` column is the generic per-reference loop; since
-the batched kernel checks out from the object store, it is the kernel.)
-The per-cell ``"object"`` key and the ``"backends"`` list are kept so
-the whole history reads alike; entries from before the numpy layout was
-removed also hold ``"soa"`` columns, which stay as frozen history.
-
-A version-1 file (one flat dict, no ``entries``) is migrated in place
-on first append: the old record moves under ``"legacy"``.
+The file also keeps, as frozen history that the trend does not read, a
+``"legacy"`` record and entries from before the path axis (``"backends"``
+columns ``object``/``soa``).
 """
 
 from __future__ import annotations
@@ -54,9 +41,9 @@ import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
-from .obs.trend import entry_rates
+from .exec.jobs import WorkloadSpec
 from .sim.simulator import Simulator
 from .sim.system import SystemConfig
 
@@ -69,8 +56,8 @@ BENCH_POLICIES = ("non-inclusive", "exclusive", "lap")
 #: and the probe-free one.
 BENCH_INSTRUMENTATION = ("default", "none")
 
-#: the one tag layout; entries keep it as their column key
-BACKEND = "object"
+#: execution paths every cell is measured on
+BENCH_PATHS = ("kernel", "generic")
 
 DEFAULT_REFS = 30_000
 DEFAULT_REPS = 5
@@ -83,21 +70,22 @@ def measure_throughput(
     refs_per_core: int = DEFAULT_REFS,
     reps: int = DEFAULT_REPS,
     seed: int = 7,
+    kernel: bool = True,
 ) -> float:
-    """Best-of-``reps`` accesses/sec for one (policy, system).
+    """Best-of-``reps`` accesses/sec for one (policy, system, path).
 
     Each rep builds a fresh simulator (cold caches — the measurement is
     of the engine, not of a warmed state) and times ``Simulator.run``
-    wall-to-wall, workload generation included. Best-of is deliberate:
-    the floor of a throughput measurement is noise, the ceiling is the
-    engine.
+    wall-to-wall, workload generation included; ``kernel=False`` drives
+    the generic per-reference loop. Best-of is deliberate: the floor of
+    a throughput measurement is noise, the ceiling is the engine.
     """
-    from .workloads.mixes import make_table3_mix
-
+    spec = WorkloadSpec.named(workload_name, system.hierarchy.ncores, seed)
     best = 0.0
     for _ in range(max(1, reps)):
-        workload = make_table3_mix(workload_name, system.scale_context(), seed=seed)
+        workload = spec.build(system.scale_context())
         sim = Simulator(system, policy, workload)
+        sim.enable_batch_kernel = kernel
         start = time.perf_counter()
         sim.run(refs_per_core)
         elapsed = time.perf_counter() - start
@@ -165,8 +153,8 @@ def run_hotpath_bench(
     reps: int = DEFAULT_REPS,
     seed: int = 7,
 ) -> dict:
-    """Measure every (instrumentation, policy) cell, over
-    :data:`BENCH_INSTRUMENTATION`, and return one bench entry.
+    """Measure every (instrumentation, policy, path) cell and return
+    one bench entry.
 
     :func:`host_reference_ms` is read before the first cell and after
     every cell; ``"host_ref_ms"`` records, in the shape of
@@ -178,46 +166,35 @@ def run_hotpath_bench(
     refs: Dict[str, Dict[str, Dict[str, float]]] = {}
     before = host_reference_ms()
     for spec in BENCH_INSTRUMENTATION:
-        base = replace(SystemConfig.scaled(), instrumentation=spec)
-        rates[spec] = {}
-        refs[spec] = {}
+        system = replace(SystemConfig.scaled(), instrumentation=spec)
+        rates[spec] = {policy: {} for policy in policies}
+        refs[spec] = {policy: {} for policy in policies}
         for policy in policies:
-            rate = measure_throughput(
-                base,
-                policy,
-                workload_name=workload,
-                refs_per_core=refs_per_core,
-                reps=reps,
-                seed=seed,
-            )
-            after = host_reference_ms()
-            rates[spec][policy] = {BACKEND: round(rate)}
-            refs[spec][policy] = {BACKEND: round((before + after) / 2, 3)}
-            before = after
+            for path in BENCH_PATHS:
+                rate = measure_throughput(
+                    system,
+                    policy,
+                    workload_name=workload,
+                    refs_per_core=refs_per_core,
+                    reps=reps,
+                    seed=seed,
+                    kernel=path == "kernel",
+                )
+                after = host_reference_ms()
+                rates[spec][policy][path] = round(rate)
+                refs[spec][policy][path] = round((before + after) / 2, 3)
+                before = after
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": workload,
         "refs_per_core": refs_per_core,
         "reps": reps,
         "seed": seed,
-        "backends": [BACKEND],
+        "paths": list(BENCH_PATHS),
         "instrumentation": list(BENCH_INSTRUMENTATION),
         "accesses_per_sec": rates,
         "host_ref_ms": refs,
     }
-
-
-def load_bench_file(path: Union[str, Path]) -> dict:
-    """Read ``BENCH_hotpath.json`` in schema-2 form (migrating v1)."""
-    path = Path(path)
-    if not path.exists():
-        return {"schema": 2, "entries": []}
-    data = json.loads(path.read_text())
-    if "entries" not in data:
-        # Version-1 flat record: preserve it under "legacy".
-        data = {"schema": 2, "legacy": data, "entries": []}
-    data.setdefault("schema", 2)
-    return data
 
 
 #: Per-process uniquifier for bench temp files (same pattern as the
@@ -232,11 +209,10 @@ def append_entry(path: Union[str, Path], entry: dict) -> dict:
     file in the same directory and is moved over the old one with
     ``os.replace``, so an interrupted bench run (ctrl-C, OOM-kill mid
     ``write_text``) can truncate the temp file but never the history —
-    ``BENCH_hotpath.json`` is the repo's only append-only perf record
-    and a half-written JSON file would lose every prior entry.
+    a half-written JSON file would lose every prior entry.
     """
     path = Path(path)
-    data = load_bench_file(path)
+    data = json.loads(path.read_text()) if path.exists() else {"entries": []}
     data["entries"].append(entry)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_counter)}.tmp")
     try:
@@ -246,13 +222,3 @@ def append_entry(path: Union[str, Path], entry: dict) -> dict:
         tmp.unlink(missing_ok=True)
         raise
     return data
-
-
-def entry_rows(entry: dict) -> List[list]:
-    """Flatten one entry into (policy, instrumentation, backend...) rows."""
-    backends = entry["backends"]
-    rows = []
-    for spec, per_policy in entry_rates(entry).items():
-        for policy, rates in sorted(per_policy.items()):
-            rows.append([policy, spec, *(rates.get(b, "-") for b in backends)])
-    return rows

@@ -42,6 +42,9 @@ Commands
     corpora) or ``run`` one set through the exec pool with
     per-benchmark error surfacing and a geomean summary normalised to
     the baseline policy.
+``bench trend``
+    Latest vs best prior for every series of a perf record
+    (``BENCH_hotpath.json`` or ``BENCH_e2e.json``); the CI guard.
 ``corpus``
     The content-addressed trace store (``repro.workloads.corpus``):
     ``add`` archives (verified before ingest), ``list`` entries,
@@ -321,7 +324,6 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
     """The ``repro.obs`` path: scan cache dirs, render the dashboard."""
     import pathlib
 
-    from .bench import load_bench_file
     from .obs.dashboard import render_dashboard
     from .obs.ledger import scan_dirs
 
@@ -345,7 +347,7 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
     bench_doc = None
     bench_path = pathlib.Path(args.bench)
     if bench_path.exists():
-        bench_doc = load_bench_file(bench_path)
+        bench_doc = json.loads(bench_path.read_text())
 
     check_rows = None
     if not args.no_check:
@@ -594,102 +596,48 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench: hot-path throughput across instrumentation specs
+# bench trend: latest vs best prior over a BENCH_*.json record
 # ----------------------------------------------------------------------
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.action == "trend":
-        return _cmd_bench_trend(args)
-    from .bench import (
-        BENCH_INSTRUMENTATION,
-        BENCH_POLICIES,
-        append_entry,
-        entry_rows,
-        run_hotpath_bench,
-    )
-
-    policies = tuple(args.policy) if args.policy else BENCH_POLICIES
-    if not args.quiet:
-        print(
-            f"  benchmarking {len(policies)} policies x "
-            f"{len(BENCH_INSTRUMENTATION)} instrumentation specs "
-            f"({args.refs} refs/core, best of {args.reps})",
-            file=sys.stderr,
-        )
-    entry = run_hotpath_bench(
-        policies,
-        workload=args.workload,
-        refs_per_core=args.refs,
-        reps=args.reps,
-        seed=args.seed,
-    )
-    if args.out != "-":
-        append_entry(args.out, entry)
-    if args.json:
-        print(json.dumps(entry, indent=2, sort_keys=True))
-    else:
-        print(render_table(
-            f"hotpath accesses/sec ({entry['workload']}, {entry['timestamp']})",
-            ["policy", "instrumentation", *entry["backends"]],
-            entry_rows(entry),
-        ))
-        if args.out != "-":
-            print(f"\nappended to {args.out}")
-    return 0
-
-
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    """``repro bench trend``: per-(policy, backend, instrumentation)
-    trajectory over the bench history, latest vs best prior;
-    ``--fail-on-regression PCT``
-    exits 1 when any cell decayed beyond the tolerance (the CI guard)."""
+    """``repro bench trend [PATH]``: every series of a ``BENCH_e2e.json``
+    or ``BENCH_hotpath.json`` document, latest vs best prior;
+    ``--fail-on-regression PCT`` exits 1 when any series decayed beyond
+    the tolerance or its latest run was incorrect (the CI guard)."""
     import pathlib
 
-    from .bench import load_bench_file
     from .obs.trend import bench_trend, regressions, trend_rows
 
-    path = pathlib.Path(args.out)
+    path = pathlib.Path(args.path)
     if not path.exists():
-        raise ReproError(
-            f"no bench history at {path}; run `repro bench` first"
-        )
-    cells = bench_trend(load_bench_file(path))
+        raise ReproError(f"no bench history at {path}")
+    series = bench_trend(json.loads(path.read_text()))
     threshold = args.fail_on_regression
+    bad = regressions(series, threshold) if threshold is not None else []
     if args.json:
         print(json.dumps(
             {
                 "file": str(path),
                 "threshold_pct": threshold,
-                "cells": [c.as_dict() for c in cells],
-                "regressions": [
-                    {"policy": c.policy, "backend": c.backend,
-                     "instrumentation": c.instrumentation,
-                     "delta_pct": c.delta_pct, "basis": c.basis}
-                    for c in (regressions(cells, threshold) if threshold else ())
-                ],
+                "series": [s.as_dict() for s in series],
+                "regressions": [s.label for s in bad],
             },
             indent=2, sort_keys=True,
         ))
     else:
         print(render_table(
-            f"bench trend over {path} ({len(cells)} cells, latest vs best prior)",
-            ["policy", "backend", "instrumentation", "entries", "latest",
-             "best prior", "delta"],
-            trend_rows(cells, threshold),
+            f"bench trend over {path} ({len(series)} series, latest vs best prior)",
+            ["series", "points", "latest", "best prior", "delta"],
+            trend_rows(series, threshold),
         ))
-    if threshold is not None:
-        bad = regressions(cells, threshold)
-        if bad:
-            print(
-                f"\n{len(bad)} cell(s) regressed beyond {threshold:g}%:",
-                file=sys.stderr,
+    if bad:
+        print(f"\n{len(bad)} series regressed beyond {threshold:g}%:", file=sys.stderr)
+        for s in bad:
+            reason = "latest run incorrect" if not s.ok else (
+                f"{s.latest:.4g} is {s.delta_pct:+.1f}% vs best prior "
+                f"{s.best_prior:.4g} ({s.better} is better)"
             )
-            for c in bad:
-                print(
-                    f"  {c.label}: {c.delta_pct:+.1f}% {c.basis} "
-                    f"(latest {c.latest:.0f}, best raw prior {c.best_prior:.0f})",
-                    file=sys.stderr,
-                )
-            return 1
+            print(f"  {s.label}: {reason}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -949,8 +897,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="HTML mode: result-cache directory to scan "
                    "(repeatable; default: the active cache)")
     p.add_argument("--bench", default="BENCH_hotpath.json", metavar="PATH",
-                   help="bench history for the trend section "
-                   "(default: BENCH_hotpath.json; missing file = no section)")
+                   help="BENCH_hotpath.json or BENCH_e2e.json record for the "
+                   "trend section (default: BENCH_hotpath.json; missing "
+                   "file = no section)")
     p.add_argument("--ledger", default=None, metavar="PATH",
                    help="also write the normalized run ledger as JSON")
     p.add_argument("--no-check", action="store_true",
@@ -1011,40 +960,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress per-stage progress on stderr")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser(
-        "bench",
-        help="measure hot-path throughput with the "
-        "default probes and probe-free, and append the entry to "
-        "BENCH_hotpath.json; "
-        "`bench trend` analyses the accumulated history instead",
+    p = sub.add_parser("bench", help="perf-record trends (BENCH_*.json)")
+    bench_sub = p.add_subparsers(dest="action", required=True)
+    bp = bench_sub.add_parser(
+        "trend",
+        help="every series of a BENCH_hotpath.json or BENCH_e2e.json "
+        "record, latest vs best prior",
     )
-    p.add_argument("action", nargs="?", choices=("run", "trend"), default="run",
-                   help="run = measure and append (default); trend = "
-                   "per-cell trajectory over the history, latest vs "
-                   "best prior")
-    p.add_argument("--fail-on-regression", type=float, default=None,
-                   metavar="PCT",
-                   help="trend only: exit 1 when any (policy, backend, "
-                   "instrumentation) cell's latest rate sits more than "
-                   "PCT%% below its "
-                   "best prior value")
-    p.add_argument("--policy", action="append", default=None, metavar="NAME",
-                   help="policy to bench (repeatable; default: the "
-                   "kernel's three flows non-inclusive/exclusive/lap)")
-    p.add_argument("--workload", default="WL1",
-                   help="workload name (default: WL1)")
-    p.add_argument("--refs", type=int, default=30_000,
-                   help="references per core per rep (default: 30000)")
-    p.add_argument("--reps", type=int, default=5,
-                   help="reps per cell, best-of (default: 5)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default="BENCH_hotpath.json", metavar="PATH",
-                   help="bench history file to append to "
-                   "(default: BENCH_hotpath.json; '-' skips the write)")
-    p.add_argument("--json", action="store_true", help="machine-readable entry")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress progress on stderr")
-    p.set_defaults(fn=_cmd_bench)
+    bp.add_argument("path", nargs="?", default="BENCH_hotpath.json", metavar="PATH",
+                    help="bench record to read (default: BENCH_hotpath.json)")
+    bp.add_argument("--fail-on-regression", type=float, default=None, metavar="PCT",
+                    help="exit 1 when any series' latest point is more than "
+                    "PCT%% worse than its best prior, or its latest run was "
+                    "incorrect")
+    bp.add_argument("--json", action="store_true", help="machine-readable output")
+    bp.set_defaults(fn=_cmd_bench_trend)
 
     p = sub.add_parser(
         "suite",

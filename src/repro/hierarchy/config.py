@@ -13,7 +13,7 @@ configurations are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..energy.technology import SRAM, STT_RAM, TechnologyParams
 from ..errors import ConfigurationError

@@ -6,8 +6,10 @@
   manifest the exec pool writes for every cached batch;
 - ``trace`` / ``diff`` — the flight recorder (probe-bus events to
   JSONL) and the trace summaries and diffs behind ``repro trace``;
-- ``ledger`` / ``dashboard`` / ``trend`` — the merged view over result
-  cache directories that ``repro report`` renders, and the bench trend.
+- ``ledger`` / ``dashboard`` — the merged view over result cache
+  directories that ``repro report`` renders;
+- ``trend`` — latest vs best prior over the ``BENCH_hotpath.json`` and
+  ``BENCH_e2e.json`` perf records (``repro bench trend``).
 
 Import discipline: this package ``__init__`` pulls in only the
 dependency-light ``spans`` leaf because the exec pool and the

@@ -2,18 +2,18 @@
 
 :func:`render_dashboard` produces one **self-contained** HTML file —
 inline CSS, no scripts, no external fetches — from a
-:class:`~repro.obs.ledger.RunLedger` plus (optionally) the
-``BENCH_hotpath.json`` document and an invariant-check report. It is
+:class:`~repro.obs.ledger.RunLedger` plus (optionally) a
+``BENCH_hotpath.json`` or ``BENCH_e2e.json`` document and an
+invariant-check report. It is
 the paper's own evaluation shape turned into an operational view:
 policy-grid summary tables (the Fig. 14/15 axes), job throughput and
 latency histograms, invariant status, span hot spots, and the per-PR
 bench trend with regression highlighting.
 
 Chart conventions (kept deliberately boring so the data is the loud
-part): single-series charts use one accent hue with no legend; the
-bench trend's two backend columns use the first two categorical slots
-(blue = object, orange = soa, which only entries from before the numpy
-layout was removed hold) with a legend; pass/fail status uses the
+part): every chart is single-series (the bench trend draws one small
+multiple per series) and uses one accent hue with no legend; pass/fail
+status uses the
 reserved status palette *with* a textual badge so color never carries
 meaning alone; all text wears text tokens, never a series color; dark
 mode is its own selected steps behind ``prefers-color-scheme``, not an
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import html
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .ledger import RunLedger
 from .spans import summarize_spans
-from .trend import TrendCell, bench_trend
+from .trend import bench_trend
 
 #: Metrics the policy grid renders, with direction (is lower better?).
 GRID_METRICS: Tuple[Tuple[str, str, bool], ...] = (
@@ -53,7 +53,7 @@ body {
   --ink: #0b0b0b; --ink-2: #52514e; --muted: #898781;
   --grid: #e1e0d9; --baseline: #c3c2b7;
   --border: rgba(11,11,11,0.10);
-  --series-1: #2a78d6; --series-2: #eb6834;
+  --series-1: #2a78d6;
   --seq-150: #b7d3f6; --seq-300: #6da7ec;
   --good: #0ca30c; --warning: #fab219; --critical: #d03b3b;
   --good-text: #006300;
@@ -64,7 +64,7 @@ body {
     --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
     --grid: #2c2c2a; --baseline: #383835;
     --border: rgba(255,255,255,0.10);
-    --series-1: #3987e5; --series-2: #d95926;
+    --series-1: #3987e5;
     --seq-150: #184f95; --seq-300: #1c5cab;
     --good-text: #0ca30c;
   }
@@ -105,18 +105,12 @@ td.best::after { content: " \\25C2"; color: var(--series-1); }
               align-items: center; flex: 0 1 28px; height: 100%; }
 .chart .bar { width: 100%; max-width: 24px;
               border-radius: 4px 4px 0 0; background: var(--series-1); }
-.chart .bar.alt { background: var(--series-2); }
 .chart .bar.down { background: var(--critical); }
 .chart .cap { font-size: 11px; color: var(--ink-2); margin-bottom: 3px;
               white-space: nowrap; }
 .xlabels { display: flex; gap: 6px; padding: 4px 2px 0; }
 .xlabels span { flex: 0 1 28px; max-width: 28px; text-align: center;
                 font-size: 10px; color: var(--muted); overflow: hidden; }
-.legend { display: flex; gap: 16px; margin: 6px 0 2px; font-size: 12px;
-          color: var(--ink-2); }
-.key { display: inline-block; width: 10px; height: 10px; border-radius: 3px;
-       margin-right: 5px; vertical-align: -1px; background: var(--series-1); }
-.key.alt { background: var(--series-2); }
 .grid-wrap { display: grid; grid-template-columns: repeat(auto-fit, minmax(300px, 1fr));
              gap: 12px; }
 .multiples { display: grid; grid-template-columns: repeat(auto-fit, minmax(240px, 1fr));
@@ -376,46 +370,27 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
                    regression_pct: Optional[float]) -> str:
     if not bench_doc:
         return ""
-    cells = bench_trend(bench_doc)
-    cells = [c for c in cells if c.series]
-    if not cells:
+    series = [s for s in bench_trend(bench_doc) if s.points]
+    if not series:
         return ""
     multiples = []
     any_regressed = False
-    for cell in cells:
-        values = [v for _, v in cell.series]
-        stamps = [t for t, _ in cell.series]
-        classes = []
-        for i in range(len(values)):
-            cls = "alt" if cell.backend == "soa" else ""
-            if (
-                i == len(values) - 1
-                and regression_pct is not None
-                and cell.regressed(regression_pct)
-            ):
-                cls = "down"
-                any_regressed = True
-            classes.append(cls)
-        titles = [
-            f"{cell.label} @ {t}: {_fmt(v)} accesses/s"
-            for t, v in cell.series
-        ]
-        labels = [t[5:10] if len(t) >= 10 else t for t in stamps]
-        delta = cell.delta_pct
+    for s in series:
+        values = [v for _, v in s.points]
+        classes = [""] * len(values)
+        if regression_pct is not None and s.regressed(regression_pct):
+            classes[-1] = "down"
+            any_regressed = True
+        titles = [f"{s.label} @ {t}: {_fmt(v)}" for t, v in s.points]
+        labels = [t[5:10] if len(t) >= 10 else t for t, _ in s.points]
+        delta = s.delta_pct
         delta_text = "" if delta is None else f" ({delta:+.1f}% vs best prior)"
         multiples.append(
-            f'<div class="card"><h2 style="margin-top:0">{_esc(cell.policy)} '
-            f"· {_esc(cell.backend)} · {_esc(cell.instrumentation)}"
-            f"{_esc(delta_text)}</h2>"
+            f'<div class="card"><h2 style="margin-top:0">'
+            f"{_esc(' · '.join(s.key))}{_esc(delta_text)}</h2>"
             + _columns(values, labels, titles, classes)
             + "</div>"
         )
-    legend = (
-        '<div class="legend">'
-        '<span><span class="key"></span>object backend</span>'
-        '<span><span class="key alt"></span>soa backend</span>'
-        "</div>"
-    )
     header = ""
     if regression_pct is not None:
         header = _badge(
@@ -424,11 +399,13 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
             else f"regression beyond {regression_pct:g}% tolerance",
         )
     return (
-        f"<h2>Hot-path bench trend</h2>{header}{legend}"
+        f"<h2>Bench trend</h2>{header}"
         f'<div class="multiples">{"".join(multiples)}</div>'
-        '<p class="note">accesses/sec per BENCH_hotpath.json entry, '
-        "chronological; the latest column turns red when it falls beyond "
-        "the regression tolerance below the cell's best prior value</p>"
+        '<p class="note">one column per bench entry, chronological '
+        "(accesses/s × host reading for BENCH_hotpath.json, lower-is-better "
+        "norm_wall_s for BENCH_e2e.json); the latest column turns red when "
+        "it is worse than the series' best prior value by more than the "
+        "regression tolerance</p>"
     )
 
 

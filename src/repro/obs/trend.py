@@ -1,228 +1,178 @@
-"""Per-PR perf trajectory analysis over ``BENCH_hotpath.json``.
+"""Perf trajectories over the two ``BENCH_*.json`` records.
 
-The bench file is append-only history (one timestamped entry per
-``repro bench`` run); this module turns it into trends: for every
-(policy, backend, instrumentation) cell, the series of accesses/sec
-across entries, the latest value, the best *prior* value, and the
-percentage delta between them. ``repro bench trend`` renders that as
-a table (or JSON) and, with ``--fail-on-regression PCT``, exits
-non-zero when any cell's latest measurement sits more than PCT percent
-below its prior best — the guard CI uses to keep the hot path from
-quietly decaying.
+A :class:`Series` is a key plus a list of (stamp, value) points in file
+(= chronological append) order, with a better direction. Its latest
+point is compared with the best *prior* point, not the previous one:
+measurements are noisy, and a slow run should not reset the baseline —
+a regression is only real when the newest number cannot reach what the
+same series has provably done before, within the tolerance.
+``repro bench trend`` renders the series as a table (or JSON) and, with
+``--fail-on-regression PCT``, exits non-zero when any series' latest
+point is more than PCT percent worse than its best prior (the CI
+guard).
 
-Comparing latest-vs-prior-best (not latest-vs-previous) is deliberate:
-throughput measurements are best-of-N but still noisy, and a slow CI
-host should not *reset* the baseline — a regression is only real when
-the newest number cannot reach what the same cell has provably done
-before, within the tolerance.
+:func:`bench_trend` reads each entry of a document by its shape:
 
-Entries that record a host-speed reading per cell (``"host_ref_ms"``,
-see :func:`repro.bench.host_reference_ms`) are compared with each
-other by rate × reading, which takes out a shared host's slow speed
-drift (not its sub-second jitter). Against an entry without a reading
-the raw rates are compared, as before; the cell's delta is the worse of
-the two comparisons.
+- a ``BENCH_e2e.json`` record (``benchmarks/bench_e2e.py``; it has a
+  ``"result"``) at ``trace == 0`` adds its ``norm_wall_s`` to the
+  (workload, seed) series, lower is better; a record without a seed ran
+  at perfbench's default, 0. A record that is not ``correct`` adds no
+  point, and a series whose latest record is one fails the guard.
+- a path-keyed ``BENCH_hotpath.json`` entry (:mod:`repro.bench`; it has
+  ``"paths"``) adds one point per (policy, path, instrumentation) cell:
+  the rate times the host-speed reading taken around it
+  (:func:`repro.bench.host_reference_ms`), which takes out a shared
+  host's slow speed drift (not its sub-second jitter); higher is
+  better.
+
+Anything else (the hot-path file's ``legacy`` record and its entries
+from before the path axis) is frozen history and is not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import TelemetryError
 
 
-def entry_rates(entry: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """``{instrumentation: {policy: {backend: rate}}}`` for one entry.
-
-    Entries that predate the instrumentation axis (no
-    ``"instrumentation"`` key, flat ``{policy: {backend: rate}}``) were
-    all probe-free and read as ``"none"``. Malformed parts come back
-    as-is for the caller to skip.
-    """
-    rates = entry.get("accesses_per_sec", {})
-    if "instrumentation" not in entry:
-        return {"none": rates}
-    return rates if isinstance(rates, dict) else {}
-
-
-def _cell_ref(entry: Dict[str, Any], spec: str, policy: str, backend: str) -> Optional[float]:
-    """The host-speed reading taken around one cell, or None."""
-    try:
-        value = entry["host_ref_ms"][spec][policy][backend]
-    except (KeyError, TypeError):
-        return None
-    return float(value) if isinstance(value, (int, float)) and value > 0 else None
-
-
 @dataclass
-class TrendCell:
-    """One (policy, backend, instrumentation) series across bench entries."""
+class Series:
+    """One keyed series of measurements across bench entries."""
 
-    policy: str
-    backend: str
-    #: (timestamp, accesses/sec) in file (= chronological append) order.
-    series: List[tuple] = field(default_factory=list)
-    #: instrumentation spec the cell ran with (``"none"``: probe-free)
-    instrumentation: str = "none"
-    #: host-speed reading (ms) per series point, None where not recorded
-    refs: List[Optional[float]] = field(default_factory=list)
+    key: Tuple[str, ...]
+    #: ``"higher"`` or ``"lower"``: which way is better
+    better: str
+    #: (stamp, value) in file (= chronological append) order
+    points: List[Tuple[str, float]] = field(default_factory=list)
+    #: whether the latest record came from a correct run
+    ok: bool = True
 
     @property
     def label(self) -> str:
-        return f"{self.policy}/{self.backend}/{self.instrumentation}"
+        return "/".join(self.key)
 
     @property
     def latest(self) -> Optional[float]:
-        return self.series[-1][1] if self.series else None
+        return self.points[-1][1] if self.points else None
 
     @property
     def best_prior(self) -> Optional[float]:
-        """The best raw rate before the latest point."""
-        if len(self.series) < 2:
+        """The best value before the latest point."""
+        if len(self.points) < 2:
             return None
-        return max(v for _, v in self.series[:-1])
-
-    def _ref(self, i: int) -> Optional[float]:
-        return self.refs[i] if i < len(self.refs) else None
-
-    def _deltas(self) -> Dict[str, float]:
-        """Latest vs best prior per comparison basis, in percent:
-        ``"host-normalised"`` (rate × reading) over the prior points that
-        carry a reading when the latest does, ``"raw"`` over the rest."""
-        n = len(self.series)
-        if n < 2:
-            return {}
-        latest_ref = self._ref(n - 1)
-        raw, norm = [], []
-        for i, (_, value) in enumerate(self.series[:-1]):
-            ref = self._ref(i)
-            if latest_ref is not None and ref is not None:
-                norm.append(value * ref)
-            else:
-                raw.append(value)
-        deltas = {}
-        if raw and max(raw):
-            deltas["raw"] = (self.latest - max(raw)) / max(raw) * 100.0
-        if norm:
-            best = max(norm)
-            deltas["host-normalised"] = (self.latest * latest_ref - best) / best * 100.0
-        return deltas
-
-    @property
-    def basis(self) -> Optional[str]:
-        """Which comparison :attr:`delta_pct` comes from."""
-        deltas = self._deltas()
-        return min(deltas, key=deltas.get) if deltas else None
+        prior = [v for _, v in self.points[:-1]]
+        return max(prior) if self.better == "higher" else min(prior)
 
     @property
     def delta_pct(self) -> Optional[float]:
-        """Latest vs best prior, in percent (negative = slower): the
-        worse of the host-normalised and raw comparisons."""
-        deltas = self._deltas()
-        return min(deltas.values()) if deltas else None
+        """Latest vs best prior, in percent of the best prior."""
+        best = self.best_prior
+        if not best:
+            return None
+        return (self.latest - best) / best * 100.0
 
     def regressed(self, threshold_pct: float) -> bool:
+        """The latest run was incorrect, or its point is worse than the
+        best prior by more than ``threshold_pct`` percent."""
+        if not self.ok:
+            return True
         delta = self.delta_pct
-        return delta is not None and delta < -abs(threshold_pct)
+        if delta is None:
+            return False
+        worse = -delta if self.better == "higher" else delta
+        return worse > abs(threshold_pct)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "policy": self.policy,
-            "backend": self.backend,
-            "instrumentation": self.instrumentation,
-            "entries": len(self.series),
-            "series": [{"timestamp": t, "accesses_per_sec": v,
-                        "host_ref_ms": self._ref(i)}
-                       for i, (t, v) in enumerate(self.series)],
+            "key": list(self.key),
+            "better": self.better,
+            "points": [{"stamp": t, "value": v} for t, v in self.points],
+            "ok": self.ok,
             "latest": self.latest,
             "best_prior": self.best_prior,
             "delta_pct": self.delta_pct,
-            "basis": self.basis,
         }
 
 
-def bench_trend(doc: Dict[str, Any]) -> List[TrendCell]:
-    """Extract every (policy, backend, instrumentation) trend cell from a
-    bench document.
+def _e2e_points(entry: Dict[str, Any]) -> Iterator[tuple]:
+    result = entry["result"]
+    if entry.get("trace") != 0 or not isinstance(result, dict):
+        return
+    try:
+        value = float(result["metrics"]["norm_wall_s"]["value"])
+    except (KeyError, TypeError, ValueError):
+        value = None
+    key = (str(entry.get("workload", "?")), f"seed {entry.get('seed') or 0}")
+    yield key, "lower", value, result.get("correct") is True
 
-    ``doc`` is the schema-2 shape :func:`repro.bench.load_bench_file`
-    returns; a v1 ``legacy`` record (flat, backend-less) contributes a
-    leading ``object``-backend point when its rates are recoverable, so
-    the trajectory reaches back past the schema migration.
-    """
+
+def _hotpath_points(entry: Dict[str, Any]) -> Iterator[tuple]:
+    rates, refs = entry.get("accesses_per_sec"), entry.get("host_ref_ms")
+    if not isinstance(rates, dict) or not isinstance(refs, dict):
+        return
+    for spec, per_policy in sorted(rates.items()):
+        for policy, per_path in sorted(per_policy.items()):
+            for path, rate in sorted(per_path.items()):
+                try:
+                    value = float(rate) * float(refs[spec][policy][path])
+                except (KeyError, TypeError, ValueError):
+                    continue
+                yield (policy, path, spec), "higher", value, True
+
+
+def bench_trend(doc: Dict[str, Any]) -> List[Series]:
+    """Every series in a parsed ``BENCH_e2e.json`` or
+    ``BENCH_hotpath.json`` document, sorted by key."""
     if not isinstance(doc, dict):
-        raise TelemetryError("bench trend needs the parsed BENCH_hotpath.json dict")
-    cells: Dict[tuple, TrendCell] = {}
-
-    def cell(policy: str, backend: str, spec: str = "none") -> TrendCell:
-        key = (policy, backend, spec)
-        found = cells.get(key)
-        if found is None:
-            found = cells[key] = TrendCell(
-                policy=policy, backend=backend, instrumentation=spec
-            )
-        return found
-
-    legacy = doc.get("legacy")
-    if isinstance(legacy, dict):
-        rates = legacy.get("accesses_per_sec")
-        if isinstance(rates, dict):
-            stamp = legacy.get("timestamp", "legacy")
-            for policy, value in sorted(rates.items()):
-                if isinstance(value, (int, float)):
-                    found = cell(policy, "object")
-                    found.series.append((stamp, float(value)))
-                    found.refs.append(None)
-
+        raise TelemetryError("bench trend needs a parsed BENCH_*.json dict")
+    found: Dict[tuple, Series] = {}
     for entry in doc.get("entries", []):
         if not isinstance(entry, dict):
             continue
-        stamp = entry.get("timestamp", "?")
-        for spec, rates in sorted(entry_rates(entry).items()):
-            if not isinstance(rates, dict):
-                continue
-            for policy in sorted(rates):
-                per_backend = rates[policy]
-                if not isinstance(per_backend, dict):
-                    continue
-                for backend in sorted(per_backend):
-                    value = per_backend[backend]
-                    if isinstance(value, (int, float)):
-                        found = cell(policy, backend, spec)
-                        found.series.append((stamp, float(value)))
-                        found.refs.append(_cell_ref(entry, spec, policy, backend))
-
-    return sorted(cells.values(), key=lambda c: (c.policy, c.backend, c.instrumentation))
+        if "result" in entry:
+            points = _e2e_points(entry)
+            stamp = str(entry.get("sha", "?"))[:7]
+        elif "paths" in entry:
+            points = _hotpath_points(entry)
+            stamp = str(entry.get("timestamp", "?"))
+        else:
+            continue
+        for key, better, value, ok in points:
+            series = found.setdefault(key, Series(key, better))
+            if value is not None and ok:
+                series.points.append((stamp, value))
+            series.ok = ok
+    return sorted(found.values(), key=lambda s: s.key)
 
 
-def regressions(
-    cells: List[TrendCell], threshold_pct: float
-) -> List[TrendCell]:
-    """The cells whose latest point regressed beyond the tolerance."""
-    return [c for c in cells if c.regressed(threshold_pct)]
+def regressions(series: List[Series], threshold_pct: float) -> List[Series]:
+    """The series whose latest point regressed beyond the tolerance."""
+    return [s for s in series if s.regressed(threshold_pct)]
 
 
-def trend_rows(cells: List[TrendCell], threshold_pct: Optional[float] = None) -> List[list]:
-    """CLI table rows: policy, backend, instrumentation, n, latest, best
-    prior, delta."""
+def trend_rows(series: List[Series], threshold_pct: Optional[float] = None) -> List[list]:
+    """CLI table rows: series, n, latest, best prior, delta."""
+
+    def num(value: Optional[float]) -> str:
+        if value is None:
+            return "-"
+        return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
     rows: List[list] = []
-    for c in cells:
-        delta = c.delta_pct
-        verdict = "-"
-        if delta is not None:
-            verdict = f"{delta:+.1f}%"
-            if c.basis == "host-normalised":
-                verdict += " (host-normalised)"
-            if threshold_pct is not None and c.regressed(threshold_pct):
-                verdict += " REGRESSION"
+    for s in series:
+        delta = s.delta_pct
+        verdict = "-" if delta is None else f"{delta:+.1f}%"
+        if not s.ok:
+            verdict += " INCORRECT"
+        elif threshold_pct is not None and s.regressed(threshold_pct):
+            verdict += " REGRESSION"
         rows.append([
-            c.policy,
-            c.backend,
-            c.instrumentation,
-            len(c.series),
-            round(c.latest) if c.latest is not None else "-",
-            round(c.best_prior) if c.best_prior is not None else "-",
+            s.label,
+            len(s.points),
+            num(s.latest),
+            num(s.best_prior),
             verdict,
         ])
     return rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..errors import AnalysisError

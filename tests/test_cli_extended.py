@@ -1,9 +1,5 @@
 """Tests for the report/validate/sweep CLI commands."""
 
-import pathlib
-
-import pytest
-
 from repro.cli import main
 
 

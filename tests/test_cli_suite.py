@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.workloads import TraceCorpus
 from repro.workloads.corpus import ENV_CORPUS_DIR

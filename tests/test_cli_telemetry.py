@@ -3,8 +3,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.obs.profiling import MANIFEST_NAME, RunManifest
 

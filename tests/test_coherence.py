@@ -8,7 +8,7 @@ from repro.cache.block import (
     STATE_OWNED,
     STATE_SHARED,
 )
-from tests.conftest import A, B, C, D, E, F, G, H, build_micro
+from tests.conftest import A, E, F, G, H, build_micro
 
 
 def build_mp(policy="non-inclusive", ncores=2, **kw):

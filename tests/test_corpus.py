@@ -1,6 +1,5 @@
 """Tests for the content-addressed trace corpus (workloads.corpus)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError

@@ -1,7 +1,5 @@
 """Tests for technology parameters and the EPI energy model."""
 
-import math
-
 import pytest
 
 from repro.cache.stats import CacheStats

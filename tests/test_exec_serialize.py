@@ -12,7 +12,7 @@ from repro.exec import (
     system_from_dict,
     system_to_dict,
 )
-from repro.sim import SystemConfig, simulate
+from repro.sim import SystemConfig
 from repro.sim.runner import run_policies
 from repro.sim.sweeps import RECORD_METRICS
 

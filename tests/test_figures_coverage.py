@@ -5,8 +5,6 @@ its output structure is checked, so harness regressions are caught in
 the fast test-suite rather than only during the long benchmark run.
 """
 
-import pytest
-
 import repro.analysis.figures as F
 from repro.exec import ResultCache, set_active_cache
 from repro.sim.simulator import Simulator

@@ -4,7 +4,7 @@ import pytest
 
 from repro.inclusion.base import InclusionPolicy, LLCAccess
 from repro.inclusion.dueling import ROLE_LEADER_B
-from tests.conftest import A, B, C, D, E, F, G, H, build_micro, run_refs
+from tests.conftest import A, B, C, build_micro, run_refs
 
 
 def reads(*addrs):

@@ -5,8 +5,6 @@ insertions in exclusive LLCs) and Fig. 5 (redundant data fills in
 non-inclusive LLCs), plus the basic Fig. 1 data flows.
 """
 
-import pytest
-
 from tests.conftest import A, B, C, D, E, F, G, H, build_micro, run_refs
 
 

@@ -1,6 +1,5 @@
 """Tests for span tracing (repro.obs.spans)."""
 
-import json
 import threading
 
 import pytest

@@ -6,10 +6,7 @@ streaming read-modify-write phase) and verify the dueling controllers
 switch modes, and that LAP's replacement dueling reacts too.
 """
 
-import pytest
-
 from repro import SystemConfig, Workload
-from repro.inclusion.switching import MODE_EX, MODE_NONI
 from repro.sim.simulator import Simulator
 from repro.workloads import ConcatTrace, LoopRegion, StreamRegion, SyntheticTrace
 

@@ -2,7 +2,6 @@
 hierarchy's structural invariants."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cache import Cache, LRUPolicy

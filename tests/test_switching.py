@@ -1,7 +1,5 @@
 """Tests for the dynamic switching baselines (FLEXclusion, Dswitch)."""
 
-import pytest
-
 from repro.inclusion.switching import (
     MODE_EX,
     MODE_NONI,

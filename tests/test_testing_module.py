@@ -1,7 +1,5 @@
 """Tests for repro.testing (the public micro-hierarchy helpers)."""
 
-import pytest
-
 from repro.core import LAPPolicy
 from repro.energy import SRAM
 from repro.testing import (

@@ -1,6 +1,5 @@
 """Tests for the trace-statistics analyzer (workloads.stats)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -12,7 +11,7 @@ from repro.workloads import (
     SyntheticTrace,
     build_benchmark,
 )
-from repro.workloads.stats import TraceStats, compare_footprints, measure_trace
+from repro.workloads.stats import compare_footprints, measure_trace
 from repro.workloads.trace import FixedTrace, MemRef
 
 CTX = ScaleContext(l1_bytes=2048, l2_bytes=8192, llc_bytes=131072)

@@ -1,7 +1,5 @@
 """Tests for the deterministic trace fuzzer and its ddmin shrinker."""
 
-import pytest
-
 from repro.validate import (
     FuzzCase,
     fuzz,
