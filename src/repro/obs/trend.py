@@ -36,6 +36,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import TelemetryError
 
+#: The one regression tolerance, in percent: ``repro report``'s bench
+#: card highlights at it, and CI's ``--fail-on-regression`` gates at it.
+REGRESSION_PCT = 15.0
+
 
 @dataclass
 class Series:

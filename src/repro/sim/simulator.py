@@ -62,6 +62,11 @@ class Simulator:
         #: :func:`repro.kernel.batch.eligible` execute through the batched
         #: kernel; parity tests set this False to force the generic loop.
         self.enable_batch_kernel = True
+        #: ``(holder, source)`` when the private-level stream may be shared
+        #: with other jobs of one ``execute_jobs`` call: ``holder`` is the
+        #: dict the kernel keeps at most one stream in, ``source`` what the
+        #: workload was built from (:meth:`repro.exec.jobs.JobSpec.run`)
+        self.stream_share = None
         self.hierarchy = CacheHierarchy(
             system.hierarchy,
             policy,

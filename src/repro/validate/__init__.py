@@ -11,7 +11,9 @@ Three layers, one purpose — make silent state corruption loud:
   policy, asserting the cross-policy accounting laws the paper's
   comparisons assume;
 - :mod:`~repro.validate.fuzz` — a seeded deterministic trace fuzzer
-  with ddmin-style failure shrinking.
+  with ddmin-style failure shrinking, which also replays each kernel
+  policy's case on the batched kernel and on the generic loop
+  (:mod:`~repro.validate.parity`).
 
 ``repro check [--fuzz N]`` (see :mod:`repro.cli`) drives all three via
 :func:`~repro.validate.runner.run_checks`.
@@ -36,6 +38,7 @@ from .invariants import (
     check_write_ledger,
     violation,
 )
+from .parity import KernelDivergence, assert_identical, check_kernel_parity
 from .runner import CheckEntry, CheckReport, run_checks
 
 __all__ = [
@@ -47,10 +50,13 @@ __all__ = [
     "FuzzCase",
     "FuzzFailure",
     "InvariantProbe",
+    "KernelDivergence",
+    "assert_identical",
     "check_coherence",
     "check_dirty_conservation",
     "check_exclusion",
     "check_inclusion",
+    "check_kernel_parity",
     "check_l1_inclusion",
     "check_no_fill",
     "check_write_ledger",

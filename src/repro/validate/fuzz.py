@@ -14,6 +14,12 @@ failure report is a complete reproduction recipe. When a case fails,
 shrinking chunks while the *same* invariant keeps failing — which
 typically turns a few-hundred-reference trace into the handful of
 refs a regression test wants.
+
+A case whose policy the batched kernel takes also replays its trace on
+the kernel and on the generic loop (:mod:`repro.validate.parity`), at a
+batch size, sampler interval and instrumentation drawn from its seed;
+coherent cases fuzz the kernel's one-pass loop, the others its two
+passes. A divergence shrinks the same way, to ``kernel-parity``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation
 from .differential import DEFAULT_POLICIES, Ref, run_trace
+from .parity import KernelDivergence, check_kernel_parity, kernel_takes
 
 BLOCK = 64
 
@@ -42,6 +49,10 @@ class FuzzCase:
     enable_coherence: bool = False
     refs: int = 600
     interval: int = 32
+    #: the kernel-parity replay's shape (kernel policies only)
+    batch: int = 97
+    sample_interval: int = 7
+    instrumentation: str = "default"
 
     def describe(self) -> str:
         coh = "coh" if self.enable_coherence else "nocoh"
@@ -161,6 +172,16 @@ class FuzzFailure:
 
     def repro_snippet(self) -> str:
         """Executable reproduction for bug reports / regression tests."""
+        c = self.case
+        if self.invariant == KERNEL_PARITY:
+            return (
+                "from repro.validate.parity import check_kernel_parity\n"
+                f"trace = {self.trace!r}\n"
+                f"check_kernel_parity({c.policy!r}, trace, ncores={c.ncores}, "
+                f"enable_coherence={c.enable_coherence}, batch={c.batch}, "
+                f"sample_interval={c.sample_interval}, "
+                f"instrumentation={c.instrumentation!r})"
+            )
         return (
             "from repro.validate import run_trace\n"
             f"trace = {self.trace!r}\n"
@@ -169,12 +190,39 @@ class FuzzFailure:
         )
 
 
+#: the failure name of a kernel-vs-generic divergence
+KERNEL_PARITY = "kernel-parity"
+
+
 def _failure_for(case: FuzzCase, trace: Sequence[Ref]) -> Optional[InvariantViolation]:
     try:
         run_case(case, trace)
     except InvariantViolation as exc:
         return exc
     return None
+
+
+def _divergence_for(case: FuzzCase, trace: Sequence[Ref]) -> Optional[KernelDivergence]:
+    try:
+        check_kernel_parity(
+            case.policy, trace, ncores=case.ncores, enable_coherence=case.enable_coherence,
+            batch=case.batch, sample_interval=case.sample_interval,
+            instrumentation=case.instrumentation,
+        )
+    except KernelDivergence as exc:
+        return exc
+    return None
+
+
+def _kernel_failure(case: FuzzCase, trace: Sequence[Ref], shrink: bool) -> Optional[FuzzFailure]:
+    """The case's kernel-vs-generic replay, shrunk on a divergence."""
+    diverged = _divergence_for(case, trace)
+    if diverged is None:
+        return None
+    shrunk = list(trace)
+    if shrink:
+        shrunk = shrink_trace(trace, lambda candidate: _divergence_for(case, candidate) is not None)
+    return FuzzFailure(case, KERNEL_PARITY, str(diverged), shrunk)
 
 
 def fuzz(
@@ -191,24 +239,33 @@ def fuzz(
 
     Case ``i`` uses seed ``base_seed + i`` on ``policies[i % len]``,
     alternating coherence modes (coherent cases run two cores, the
-    smallest configuration where sharing exists). Returns the list of
-    shrunk failures — empty means every case held.
+    smallest configuration where sharing exists); a kernel policy's case
+    is also replayed on both loops (module docstring). Returns the list
+    of shrunk failures — empty means every case held.
     """
     failures: List[FuzzFailure] = []
     for i in range(rounds):
         policy = policies[i % len(policies)]
         coherent = coherence_modes[(i // len(policies)) % len(coherence_modes)]
         ncores = 2 if coherent or (i % 5 == 4) else 1
+        shape = random.Random(base_seed + i)
         case = FuzzCase(
             seed=base_seed + i,
             policy=policy,
             ncores=ncores,
             enable_coherence=coherent,
             refs=refs,
+            batch=shape.choice((1, 7, 97, 4096)),
+            sample_interval=shape.choice((1, 7, 64, 1777)),
+            instrumentation=shape.choice(("default", "none")),
         )
         if progress is not None:
             progress(i, case)
         trace = generate_trace(case.seed, case.refs, case.ncores)
+        if kernel_takes(case.policy):
+            diverged = _kernel_failure(case, trace, shrink)
+            if diverged is not None:
+                failures.append(diverged)
         exc = _failure_for(case, trace)
         if exc is None:
             continue

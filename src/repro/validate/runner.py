@@ -10,7 +10,9 @@ Runs the full validation suite and folds the outcome into one
    policies, asserting the cross-policy accounting laws
    (:mod:`repro.validate.differential`), in both coherence modes;
 3. **fuzz stage** (optional) — ``--fuzz N`` randomized cases with
-   automatic shrinking (:mod:`repro.validate.fuzz`).
+   automatic shrinking (:mod:`repro.validate.fuzz`); a case whose policy
+   the batched kernel takes also replays on the kernel and the generic
+   loop, which must agree (:mod:`repro.validate.parity`).
 
 Failures never abort the suite: each stage entry records ok/FAIL so one
 run reports every broken invariant, and shrunk fuzz counterexamples
@@ -25,6 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..errors import InvariantViolation
 from .differential import DEFAULT_POLICIES, run_differential, run_trace
 from .fuzz import FuzzFailure, fuzz, generate_trace
+from .parity import kernel_takes
 
 
 @dataclass
@@ -167,7 +170,8 @@ def run_checks(
                 CheckEntry(
                     f"fuzz[{fuzz_rounds} rounds]",
                     True,
-                    f"no violations across {len(policies)} policies",
+                    f"no violations across {len(policies)} policies, "
+                    f"{sum(map(kernel_takes, policies))} of them also kernel-vs-generic",
                 )
             )
     return report

@@ -1,6 +1,8 @@
-"""``benchmarks/bench_e2e.py``'s dirty flag on a throwaway git repository."""
+"""``benchmarks/bench_e2e.py``: its dirty flag on a throwaway git repository,
+and its paired before/after records."""
 
 import importlib.util
+import json
 import pathlib
 import shutil
 import subprocess
@@ -50,3 +52,68 @@ def test_editing_another_tracked_file_reads_dirty(bench_e2e, checkout):
     assert bench_e2e._dirty(checkout)
     (checkout / "BENCH_e2e.json").write_text('{"entries": [{}]}\n')
     assert bench_e2e._dirty(checkout)
+
+
+# ----------------------------------------------------------------------
+# --pairs: a paired, interleaved before/after
+# ----------------------------------------------------------------------
+def _run_record(checkout, wall, sha):
+    return {"sha": sha, "dirty": False, "workload": "kernel-grid", "seed": 0, "trace": 0,
+            "seconds": 20.0, "host": {"nproc": 2, "checkout": str(checkout)},
+            "result": {"correct": True, "attempted": 30, "failed": 0, "metrics": {
+                "norm_wall_s": {"value": wall, "unit": "s"},
+                "peak_rss_mb": {"value": 40.0, "unit": "MiB"}}}}
+
+
+def test_pairs_alternate_and_summarise(bench_e2e, monkeypatch, tmp_path):
+    """Parent and change run back to back, the first one swapping every
+    pair; one record per workload holds both sides' values, the median
+    change/parent ratio and the change's wins."""
+    parent = tmp_path / "parent"
+    walls = {parent: iter([2.0, 2.2, 2.0, 2.4]), bench_e2e.ROOT: iter([1.5, 2.3, 1.6, 1.2])}
+    order = []
+
+    def fake_measure(checkout, workload, trace, seconds, seed):
+        assert trace == 0
+        order.append(checkout)
+        return _run_record(checkout, next(walls[checkout]), "p" if checkout == parent else "c")
+
+    out = tmp_path / "BENCH_e2e.json"
+    monkeypatch.setattr(bench_e2e, "OUT", out)
+    monkeypatch.setattr(bench_e2e, "measure", fake_measure)
+    bench_e2e.measure_pairs(parent, ["kernel-grid"], 20.0, 7919, 4)
+
+    root = bench_e2e.ROOT
+    assert order == [parent, root, root, parent, parent, root, root, parent]
+    (record,) = json.loads(out.read_text())["entries"]
+    assert record["workload"] == "kernel-grid"
+    assert record["parent"]["metrics"]["norm_wall_s"] == [2.0, 2.2, 2.0, 2.4]
+    assert record["change"]["metrics"]["norm_wall_s"] == [1.5, 2.3, 1.6, 1.2]
+    assert record["change"]["metrics"]["peak_rss_mb"] == [40.0] * 4
+    assert (record["parent"]["sha"], record["change"]["sha"]) == ("p", "c")
+    pair = record["pair"]
+    assert (pair["seed"], pair["pairs"], pair["change_wins"]) == (7919, 4, 3)
+    ratios = sorted([1.5 / 2.0, 2.3 / 2.2, 1.6 / 2.0, 1.2 / 2.4])
+    assert pair["median_ratio"] == pytest.approx((ratios[1] + ratios[2]) / 2)
+
+
+def test_pairs_need_another_checkout(bench_e2e):
+    with pytest.raises(SystemExit):
+        bench_e2e.main(["--pairs", "3"])
+
+
+def test_trend_skips_pair_records():
+    """A pair record adds no series and moves none: the trend model and
+    its CI gate read single runs only."""
+    from repro.obs.trend import bench_trend
+
+    single = _run_record("x", 2.0, "a" * 40)
+    pair = {"workload": "kernel-grid", "pair": {"seed": 0, "pairs": 1, "median_ratio": 0.5,
+                                                 "change_wins": 1},
+            "parent": {"metrics": {"norm_wall_s": [9.0]}},
+            "change": {"metrics": {"norm_wall_s": [4.5]}}, "host": {}}
+    alone = bench_trend({"entries": [single]})
+    assert [(s.key, s.points) for s in bench_trend({"entries": [single, pair]})] == [
+        (s.key, s.points) for s in alone
+    ]
+    assert bench_trend({"entries": [pair]}) == []

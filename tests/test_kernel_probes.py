@@ -4,15 +4,9 @@ The batched kernel (:mod:`repro.kernel.batch`) carries the loop tracker,
 the redundant-fill detector and the occupancy sampler as derived
 counters. Every instrumented kernel run must be indistinguishable from
 the generic loop over the same store (``enable_batch_kernel = False``):
-
-- the entire ``RunResult`` (``asdict``), and its serialised JSON byte for
-  byte without ``sort_keys`` (so dict key order — the CTC histogram's
-  included — matches too);
-- the final tag-array state and the stats of every cache (the private
-  L1s and L2s are not in the ``RunResult``), tag-map order included;
-- the probes' internal state after ``finish()`` (open streaks and the
-  ``_from_llc`` map in insertion order, the fresh-fill set, the
-  sampler's countdown), which is what a second ``run()`` starts from.
+:func:`repro.validate.parity.assert_identical` compares the whole
+``RunResult`` (and its JSON byte for byte), every cache's tag-array
+state and stats, and the probes' internal state.
 
 The matrix covers every batched policy, every instrumentation spec the
 kernel accepts, WL and WH mixes, and fuzzer traces on a micro hierarchy
@@ -28,17 +22,14 @@ their follower sets flip between the non-inclusive and exclusive flows.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.arena import registry
 from repro.cache import Cache
 from repro.core.lap import LAPPolicy
 from repro.core.loop_bits import LoopBlockTracker
-from repro.exec.serialize import result_to_dict
 from repro.inclusion.switching import DswitchPolicy, FLEXclusionPolicy
 from repro.inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from repro.instr import LoopProbe, OccupancySampler, RedundantFillProbe
@@ -48,13 +39,8 @@ from repro.sim.system import SystemConfig
 from repro.testing import micro_hierarchy_config
 from repro.validate import generate_trace
 from repro.validate.invariants import InvariantProbe
-from repro.workloads.mixes import (
-    MULTIPROGRAMMED,
-    Workload,
-    make_multithreaded,
-    make_table3_mix,
-)
-from repro.workloads.tracefile import ReplayTrace
+from repro.validate.parity import assert_identical, replay_workload, run_pair
+from repro.workloads.mixes import make_multithreaded, make_table3_mix
 
 #: every registered policy the kernel inlines (non-inclusive, exclusive,
 #: flexclusion, dswitch, lap, lap-lru, lap-loop) — derived, so a new
@@ -64,91 +50,6 @@ POLICIES = tuple(n for n in registry.names() if kernel_batch.supports_policy(reg
 #: instrumentation specs the kernel carries (both probe orders included:
 #: the sampler re-emits through the bus, so order is part of the contract).
 SPECS = ("default", "loop", "redundant-fill", "occupancy,loop", "loop,occupancy", "none")
-
-
-def tag_state(h) -> list:
-    """Every cache's ways, tag-map order, loop counters and tick."""
-    state = []
-    for cache in (*h.l1s, *h.l2s, h.llc):
-        sets = [
-            (
-                [
-                    (b.tag, b.valid, b.dirty, b.loop_bit, b.last_access,
-                     b.insert_seq, b.rrpv, b.state)
-                    for b in s.blocks
-                ],
-                [(t, b.way) for t, b in s.tag_map.items()],
-                s.loop_count,
-            )
-            for s in cache.sets
-        ]
-        state.append((cache._tick, sets))
-    return state
-
-
-def cache_stats(h) -> list:
-    """Every cache's stats, private levels included."""
-    return [asdict(cache.stats) for cache in (*h.l1s, *h.l2s, h.llc)]
-
-
-def probe_state(h) -> list:
-    """The standard probes' internal state, in bus order."""
-    state = []
-    for probe in h.probe_bus.probes:
-        if isinstance(probe, LoopProbe):
-            t = probe.tracker
-            state.append((
-                "loop",
-                list(t._streak.items()),
-                list(t._from_llc.items()),
-                asdict(t.stats),
-                list(t.stats.ctc_histogram.items()),
-            ))
-        elif isinstance(probe, RedundantFillProbe):
-            state.append(("redundant-fill", sorted(probe._fresh)))
-        elif isinstance(probe, OccupancySampler):
-            state.append(("occupancy", probe._since))
-    return state
-
-
-def sharers_from_tags(h) -> dict:
-    """The sharers map rebuilt from the L2 tag arrays (ground truth)."""
-    rebuilt = {}
-    for core, l2 in enumerate(h.l2s):
-        for cache_set in l2.sets:
-            for tag in cache_set.tag_map:
-                addr = l2.addr_of(cache_set.index, tag)
-                rebuilt[addr] = rebuilt.get(addr, 0) | (1 << core)
-    return rebuilt
-
-
-def run_pair(system, policy, make_workload, refs, *, runs=1, batch=4096, **sim_kwargs):
-    """Run the kernel and the generic loop on fresh simulators; ``runs``
-    consecutive ``run()`` calls each."""
-    out = []
-    for kernel in (True, False):
-        sim = Simulator(system, policy, make_workload(), **sim_kwargs)
-        sim.enable_batch_kernel = kernel
-        out.append((sim, [sim.run(refs, batch) for _ in range(runs)]))
-    return out
-
-
-def assert_identical(pair) -> None:
-    (sim_k, results_k), (sim_g, results_g) = pair
-    # the kernel must actually have run, not silently fallen back
-    assert kernel_batch.eligible(sim_k.hierarchy)
-    for r_k, r_g in zip(results_k, results_g):
-        assert asdict(r_k) == asdict(r_g)
-        assert json.dumps(result_to_dict(r_k)) == json.dumps(result_to_dict(r_g))
-    assert tag_state(sim_k.hierarchy) == tag_state(sim_g.hierarchy)
-    assert cache_stats(sim_k.hierarchy) == cache_stats(sim_g.hierarchy)
-    assert probe_state(sim_k.hierarchy) == probe_state(sim_g.hierarchy)
-    coh_k, coh_g = sim_k.hierarchy.coherence, sim_g.hierarchy.coherence
-    if coh_k is not None:
-        sharers = coh_k.sharers_snapshot()
-        assert sharers == coh_g.sharers_snapshot()
-        assert list(sharers) == list(coh_g.sharers_snapshot())
-        assert sharers == sharers_from_tags(sim_k.hierarchy)
 
 
 def _mix_system(spec: str) -> SystemConfig:
@@ -273,21 +174,7 @@ def test_generic_then_kernel_continues_exactly(policy):
 # ----------------------------------------------------------------------
 def _fuzz_workload(seed: int, ncores: int):
     trace = generate_trace(seed, refs=1200, ncores=ncores)
-
-    def make():
-        generators = []
-        for core in range(ncores):
-            refs = [(a, w) for c, a, w in trace if c == core] or [(0, False)]
-            addrs = np.array([a for a, _ in refs], dtype=np.uint64)
-            writes = np.array([w for _, w in refs], dtype=bool)
-            generators.append(ReplayTrace(addrs, writes, name=f"fuzz{seed}.{core}",
-                                          instr_per_ref=2.0))
-        return Workload(
-            name=f"fuzz{seed}", kind=MULTIPROGRAMMED, generators=generators,
-            benchmarks=tuple(g.name for g in generators), seed=seed,
-        )
-
-    return make
+    return lambda: replay_workload(trace, ncores, f"fuzz{seed}")
 
 
 @pytest.mark.parametrize("interval", (1, 7, 64))

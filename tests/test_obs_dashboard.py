@@ -398,3 +398,40 @@ class TestBenchTrendCli:
         path = self._write(tmp_path, doc, "BENCH_e2e.json")
         assert main(["bench", "trend", str(path), "--fail-on-regression", "15"]) == 1
         assert "kernel-grid/seed 7919" in capsys.readouterr().err
+
+
+class TestOneTolerance:
+    """``repro report``'s bench card and the CI trend gate use one
+    tolerance, so a series the gate passes is never painted red."""
+
+    @pytest.mark.parametrize("delta_pct, regressed", [(12.8, False), (16.0, True)])
+    def test_dashboard_and_gate_agree(self, tmp_path, delta_pct, regressed):
+        from repro.cli import main
+        from repro.obs.dashboard import render_dashboard
+        from repro.obs.ledger import RunLedger
+        from repro.obs.trend import REGRESSION_PCT
+
+        doc = {"entries": [
+            e2e_record("kernel-grid", 2.0, seed=7919, sha="a" * 40),
+            e2e_record("kernel-grid", 2.0 * (1 + delta_pct / 100), seed=7919, sha="b" * 40),
+        ]}
+        (series,) = bench_trend(doc)
+        assert series.delta_pct == pytest.approx(delta_pct)
+        path = tmp_path / "BENCH_e2e.json"
+        path.write_text(json.dumps(doc))
+        gate = main(["bench", "trend", str(path), "--fail-on-regression", f"{REGRESSION_PCT:g}"])
+        assert gate == (1 if regressed else 0)
+        html = render_dashboard(RunLedger(), bench_doc=doc)
+        assert ("regression beyond" in html) == regressed
+        out = tmp_path / "report.html"
+        assert main(["report", "--cache-dir", str(tmp_path), "--bench", str(path),
+                     "--out", str(out), "--no-check"]) == 0
+        assert ("regression beyond" in out.read_text()) == regressed
+
+    def test_ci_gates_at_the_shared_tolerance(self):
+        import pathlib
+
+        from repro.obs.trend import REGRESSION_PCT
+
+        ci = pathlib.Path(__file__).resolve().parent.parent / ".github/workflows/ci.yml"
+        assert f"--fail-on-regression {REGRESSION_PCT:g}" in ci.read_text()

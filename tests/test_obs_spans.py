@@ -238,9 +238,25 @@ class TestIntegration:
         simulate(system, "lap", workload, refs_per_core=400)
         by_name = {s["name"]: s for s in rec.spans()}
         sim_id = by_name["simulate"]["id"]
-        for phase in ("kernel.checkout", "kernel.batch_loop", "kernel.checkin"):
+        # a non-coherent run takes the two passes
+        for phase in ("kernel.checkout", "kernel.pass1", "kernel.pass2", "kernel.checkin"):
             assert phase in by_name
             assert by_name[phase]["parent"] == sim_id
+        assert by_name["kernel.pass1"]["attrs"]["shared"] == "miss"
+        assert "kernel.batch_loop" not in by_name
+
+    def test_coherent_kernel_keeps_one_pass_span(self):
+        from repro.sim import SystemConfig, simulate
+        from repro.workloads.mixes import make_multithreaded
+
+        rec = SpanRecorder()
+        install_recorder(rec)
+        system = SystemConfig.scaled()
+        workload = make_multithreaded("canneal", system.scale_context(), nthreads=4, seed=3)
+        simulate(system, "lap", workload, refs_per_core=200)
+        names = {s["name"] for s in rec.spans()}
+        assert "kernel.batch_loop" in names
+        assert not names & {"kernel.pass1", "kernel.pass2"}
 
     def test_execute_jobs_dumps_spans_next_to_manifest(self, tmp_path):
         from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs

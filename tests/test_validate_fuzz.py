@@ -1,5 +1,7 @@
 """Tests for the deterministic trace fuzzer and its ddmin shrinker."""
 
+import importlib
+
 from repro.validate import (
     FuzzCase,
     fuzz,
@@ -101,3 +103,45 @@ class TestShrink:
         shrunk = shrink_trace(trace, still_fails)
         assert still_fails(shrunk)
         assert len(shrunk) < len(trace)
+
+
+# ----------------------------------------------------------------------
+# kernel-vs-generic replays
+# ----------------------------------------------------------------------
+def test_fuzz_replays_kernel_policies_on_both_loops(monkeypatch):
+    """Every case of a kernel policy replays on the kernel and the
+    generic loop, in both coherence modes, at varied shapes."""
+    fuzz_module = importlib.import_module("repro.validate.fuzz")  # not the function
+    calls = []
+    real = fuzz_module.check_kernel_parity
+
+    def spy(policy, trace, **shape):
+        calls.append((policy, shape))
+        real(policy, trace, **shape)
+
+    monkeypatch.setattr(fuzz_module, "check_kernel_parity", spy)
+    assert fuzz_module.fuzz(16, ("lap", "inclusive", "exclusive", "dswitch")) == []
+    assert {p for p, _ in calls} == {"lap", "exclusive", "dswitch"}
+    assert {s["enable_coherence"] for _, s in calls} == {False, True}
+    assert len({(s["batch"], s["sample_interval"]) for _, s in calls}) > 1
+    assert {s["instrumentation"] for _, s in calls} == {"default", "none"}
+
+
+def test_kernel_divergence_is_shrunk_to_a_snippet(monkeypatch):
+    from repro.validate import KernelDivergence
+
+    fuzz_module = importlib.import_module("repro.validate.fuzz")
+    culprit = generate_trace(0, 600, 1)[17]
+
+    def diverge(policy, trace, **shape):
+        if culprit in trace:
+            raise KernelDivergence("RunResult differs at ['llc']['hits']")
+
+    monkeypatch.setattr(fuzz_module, "check_kernel_parity", diverge)
+    (failure,) = fuzz_module.fuzz(1, ("lap",))
+    assert failure.invariant == "kernel-parity"
+    assert failure.trace == [culprit]
+    snippet = failure.repro_snippet()
+    assert "check_kernel_parity('lap'" in snippet
+    monkeypatch.undo()
+    exec(snippet, {})  # the real kernel agrees with the generic loop
