@@ -25,7 +25,9 @@ swapping which goes first every pair, and appends one pair record per
 (workload, seed): each side's SHA, dirty flag and per-run end-to-end
 metric values, and under ``"pair"`` the seed, the median change/parent
 ``norm_wall_s`` ratio and how many pairs the change won. ``repro bench
-trend`` skips pair records (they have no ``"result"``).
+trend`` adds no series point for a pair record (it has no
+``"result"``) and judges each on its own: with ``--fail-on-regression
+PCT`` a median ratio above 1 + PCT/100 fails.
 """
 
 from __future__ import annotations

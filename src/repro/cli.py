@@ -601,19 +601,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
     """``repro bench trend [PATH]``: every series of a ``BENCH_e2e.json``
-    or ``BENCH_hotpath.json`` document, latest vs best prior;
-    ``--fail-on-regression PCT`` exits 1 when any series decayed beyond
-    the tolerance or its latest run was incorrect (the CI guard)."""
+    or ``BENCH_hotpath.json`` document, latest vs best prior, and every
+    pair record on its own; ``--fail-on-regression PCT`` exits 1 when
+    any series decayed beyond the tolerance or its latest run was
+    incorrect, or any pair's median ratio is above 1 + PCT/100 (the CI
+    guard)."""
+    import dataclasses
     import pathlib
 
-    from .obs.trend import bench_trend, regressions, trend_rows
+    from .obs.trend import bench_pairs, bench_trend, regressions, trend_rows
 
     path = pathlib.Path(args.path)
     if not path.exists():
         raise ReproError(f"no bench history at {path}")
-    series = bench_trend(json.loads(path.read_text()))
+    doc = json.loads(path.read_text())
+    series, pairs = bench_trend(doc), bench_pairs(doc)
     threshold = args.fail_on_regression
     bad = regressions(series, threshold) if threshold is not None else []
+    bad_pairs = [p for p in pairs if p.regressed(threshold)] if threshold is not None else []
     if args.json:
         print(json.dumps(
             {
@@ -621,6 +626,8 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
                 "threshold_pct": threshold,
                 "series": [s.as_dict() for s in series],
                 "regressions": [s.label for s in bad],
+                "pairs": [dataclasses.asdict(p) for p in pairs],
+                "pair_regressions": [p.label for p in bad_pairs],
             },
             indent=2, sort_keys=True,
         ))
@@ -630,14 +637,27 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
             ["series", "points", "latest", "best prior", "delta"],
             trend_rows(series, threshold),
         ))
-    if bad:
-        print(f"\n{len(bad)} series regressed beyond {threshold:g}%:", file=sys.stderr)
+        if pairs:
+            print(render_table(
+                f"pair records ({len(pairs)}, median change/parent norm_wall_s)",
+                ["pair", "pairs", "ratio", "change wins", "verdict"],
+                [[p.label, p.pairs, f"{p.median_ratio:.3f}", p.change_wins,
+                  "REGRESSION" if p in bad_pairs else "-"] for p in pairs],
+            ))
+    if bad or bad_pairs:
+        print(f"\n{len(bad) + len(bad_pairs)} record(s) regressed beyond {threshold:g}%:",
+              file=sys.stderr)
         for s in bad:
             reason = "latest run incorrect" if not s.ok else (
                 f"{s.latest:.4g} is {s.delta_pct:+.1f}% vs best prior "
                 f"{s.best_prior:.4g} ({s.better} is better)"
             )
             print(f"  {s.label}: {reason}", file=sys.stderr)
+        for p in bad_pairs:
+            reason = "change side incorrect" if not p.correct else (
+                f"median ratio {p.median_ratio:.3f} > {1 + threshold / 100:.3f}"
+            )
+            print(f"  pair {p.label}: {reason}", file=sys.stderr)
         return 1
     return 0
 
@@ -974,7 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--fail-on-regression", type=float, default=None, metavar="PCT",
                     help="exit 1 when any series' latest point is more than "
                     "PCT%% worse than its best prior, or its latest run was "
-                    "incorrect")
+                    "incorrect, or any pair record's median change/parent "
+                    "ratio is above 1 + PCT/100")
     bp.add_argument("--json", action="store_true", help="machine-readable output")
     bp.set_defaults(fn=_cmd_bench_trend)
 

@@ -41,10 +41,11 @@ from .serialize import system_from_dict, system_to_dict
 # golden re-capture without a bump fails.
 CACHE_SCHEMA_VERSION = 2
 
-#: The dict in which the jobs one ``execute_jobs`` call runs in this
-#: context (its serial loop, or one pool worker) share the batched
-#: kernel's private-level stream; None elsewhere, so a direct
-#: ``JobSpec.run`` or ``Simulator.run`` never shares.
+#: The dict in which the jobs ``execute_jobs`` runs one after another in
+#: this context (its serial loop, or one stream group a pool worker
+#: runs) share the batched kernel's private-level stream; None
+#: elsewhere, so a direct ``JobSpec.run`` or ``Simulator.run`` never
+#: shares.
 STREAM_SHARE: ContextVar[Optional[dict]] = ContextVar("stream_share", default=None)
 
 DUPLICATE = "duplicate"

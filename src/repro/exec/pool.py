@@ -32,7 +32,7 @@ on its first attempt as an :class:`~repro.errors.ExecutionError`.
 
 Interruption policy: SIGINT (Ctrl-C) and SIGTERM (a supervisor's stop)
 during a batch shut the batch down gracefully instead of unwinding
-with a raw traceback — pending work is cancelled, every *completed*
+with a raw traceback — pending work is cancelled, every *collected*
 job is still cached and profiled, the manifest is still written, and
 the caller receives a partial :class:`ExecutionOutcome` with
 ``interrupted=True`` (SIGTERM is bridged to ``KeyboardInterrupt``
@@ -42,6 +42,24 @@ a batch in a worker thread keeps its host's signal handling untouched).
 Workers serialise results with :mod:`repro.exec.serialize` rather than
 pickling :class:`RunResult` objects, so the parallel path returns
 byte-identical data to the cache path.
+
+Stream groups: the pool gets one task per *stream group*, not per job.
+A group is the cache misses that would read the same batched-kernel
+pass 1 (same ``WorkloadSpec`` and build scale, refs per core, core
+count, L1/L2 geometry and instrumentation), in first-appearance order;
+its worker runs them one after another under one ``STREAM_SHARE``
+holder, as the serial loop runs the whole batch, so a workload's
+policies pay for its private levels once across the pool. When there
+are fewer groups than workers, the largest are halved until every
+worker has a task. A worker catches each job's exception and returns
+it in that job's place, so failures keep their per-job meaning: a
+library error or a bug fails the call when that job is collected, and
+a task that fails transiently (a lost worker) retries each of its
+jobs in-process. Results, profiles and per-job wall time and peak RSS
+are as with one task per job; the grouping never changes a result
+(the kernel's own key decides what is shared). An interrupt abandons
+every in-flight group whole, including its jobs that finished in the
+worker but were not yet collected.
 """
 
 from __future__ import annotations
@@ -129,10 +147,40 @@ def _job_failed(index: int, job: JobSpec, exc: BaseException, where: str) -> Exe
     )
 
 
-def _start_worker() -> None:
-    """Pool initializer: the worker's jobs share streams until the
-    worker ends with its pool (``STREAM_SHARE``)."""
+def _stream_groups(jobs: Sequence[JobSpec], misses: Sequence[int], tasks: int) -> List[List[int]]:
+    """``misses`` grouped by what their pass 1 reads (the facts of the
+    built hierarchy ``kernel.batch._private_stream`` keys on), in
+    first-appearance order, the largest halved until there are at least
+    ``tasks`` groups."""
+    groups: Dict[tuple, List[int]] = {}
+    for i in misses:
+        job = jobs[i]
+        system, h = job.system, job.system.hierarchy
+        key = (job.workload, job.workload.scale or system.scale_context(), job.refs_per_core,
+               h.ncores, h.block_size, h.l1, h.l2, system.instrumentation,
+               system.occupancy_sample_interval)
+        groups.setdefault(key, []).append(i)
+    chunks = list(groups.values())
+    while len(chunks) < tasks:
+        k = max(range(len(chunks)), key=lambda n: len(chunks[n]))
+        half = (len(chunks[k]) + 1) // 2
+        chunks[k:k + 1] = [chunks[k][:half], chunks[k][half:]]
+    return chunks
+
+
+def _run_group(group: Sequence[JobSpec]) -> List[Any]:
+    """Worker entry point: run a stream group's jobs in order under a
+    fresh ``STREAM_SHARE`` holder; per job its ``_run_job_dict`` payload,
+    or the exception it raised (carrying the worker's traceback as its
+    cause, as the executor sends a task's own exception)."""
     STREAM_SHARE.set({})
+    out: List[Any] = []
+    for job in group:
+        try:
+            out.append(_run_job_dict(job))
+        except Exception as exc:
+            out.append(cf.process._ExceptionWithTraceback(exc, exc.__traceback__))
+    return out
 
 
 def _run_job_dict(job: JobSpec) -> Dict[str, Any]:
@@ -229,7 +277,7 @@ def execute_jobs(
     seconds apart on stderr.
 
     SIGINT/SIGTERM mid-batch returns a *partial* outcome instead of
-    raising: completed jobs are cached, profiled, and manifest-logged
+    raising: collected jobs are cached, profiled, and manifest-logged
     as usual, pending work is cancelled, and the returned outcome has
     ``interrupted=True`` with ``total_jobs`` = the requested count. A
     job that raises fails the call, but the results collected before
@@ -376,11 +424,12 @@ def _execute_pooled(
     pulse: Heartbeat,
     cached_count: int,
 ) -> None:
-    """Fan ``misses`` out over a process pool, filling ``results`` and
-    ``profiles`` in place."""
+    """Fan ``misses`` out over a process pool, one task per stream
+    group, filling ``results`` and ``profiles`` in place."""
     workers = min(max_workers, len(misses))
+    groups = _stream_groups(jobs, misses, workers)
     try:
-        pool = cf.ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+        pool = cf.ProcessPoolExecutor(max_workers=workers)
     except (OSError, ValueError, RuntimeError):
         # Pool cannot start (sandboxed environment, missing semaphores,
         # spawn failure): degrade gracefully to serial execution.
@@ -388,12 +437,16 @@ def _execute_pooled(
         return
 
     try:
-        futures = {i: pool.submit(_run_job_dict, jobs[i]) for i in misses}
+        futures = [pool.submit(_run_group, [jobs[i] for i in g]) for g in groups]
+        task = {i: (f, at) for f, g in zip(futures, groups) for at, i in enumerate(g)}
         for n, i in enumerate(misses):
+            future, at = task[i]
             try:
                 payload = _wait_with_heartbeat(
-                    futures[i], pulse, cached_count + n, cached_count
-                )
+                    future, pulse, cached_count + n, cached_count
+                )[at]
+                if isinstance(payload, BaseException):
+                    raise payload
                 results[i] = result_from_dict(payload["result"])
                 profile = _profile_for(i, jobs[i], SOURCE_POOL, results[i])
                 profile.wall_s = payload.get("wall_s", 0.0)
@@ -402,9 +455,9 @@ def _execute_pooled(
             except ReproError:
                 raise  # deterministic library failure: retrying is pointless
             except _TRANSIENT_ERRORS:
-                # A crashed worker may have broken the whole pool; the
-                # retries run in-process, which also covers
-                # unpicklable-job failures.
+                # A crashed worker may have broken the whole pool (then
+                # each job of its group lands here); the retries run
+                # in-process, which also covers unpicklable-job failures.
                 results[i], profiles[i] = _run_in_process(
                     jobs[i], i, retries=_RETRIES - 1, prior_retries=1
                 )
@@ -413,10 +466,11 @@ def _execute_pooled(
             pulse.beat(cached_count + n + 1, cached_count)
     except KeyboardInterrupt:
         # Graceful shutdown: drop work that has not started, abandon
-        # the in-flight job (a process pool cannot preempt it), keep
-        # every result already collected. The caller turns this into a
+        # the in-flight groups (a process pool cannot preempt them),
+        # their finished but uncollected jobs included, and keep every
+        # result already collected. The caller turns this into a
         # partial ExecutionOutcome.
-        for future in futures.values():
+        for future in futures:
             future.cancel()
         pool.shutdown(wait=False, cancel_futures=True)
         raise
@@ -429,7 +483,7 @@ def _execute_pooled(
 
 def _wait_with_heartbeat(
     future: "cf.Future", pulse: Heartbeat, done: int, cached: int
-) -> Dict[str, Any]:
+) -> List[Any]:
     """``future.result()`` that keeps the heartbeat alive.
 
     Waits in slices no longer than the heartbeat interval so progress
@@ -440,6 +494,6 @@ def _wait_with_heartbeat(
         try:
             return future.result(timeout=pulse.interval or None)
         except cf.TimeoutError:
-            if future.done():  # the job itself raised a TimeoutError
+            if future.done():  # the task itself raised a TimeoutError
                 raise
             pulse.beat(done, cached)

@@ -76,9 +76,12 @@ bit only if not stored to; checkin rebuilds the L2 ``dirty``/``loop``
 columns and loop counters from them. The L2-hit latencies are added one
 at a time, so ``core_cycles`` rounds exactly as in one pass.
 
-The jobs of one ``execute_jobs`` call (its serial loop, or one pool
-worker) share pass 1 through ``Simulator.stream_share``, on a pristine
-hierarchy (its first run) only. The key is what pass 1 reads: the
+The jobs of one ``execute_jobs`` call share pass 1 through
+``Simulator.stream_share``, on a pristine hierarchy (its first run)
+only: its serial loop runs them all under one holder, and its pool
+dispatches one task per stream group (the jobs that would read the same
+pass 1), which a worker runs under a fresh holder. That grouping is only
+a scheduling hint; this key decides what is shared. The key is what pass 1 reads: the
 ``WorkloadSpec`` and its build scale, the core count, block size, L1/L2
 geometry, refs per core, batch size and the probe events recorded; not
 the policy, LLC, technology, latencies, energy or duel interval. At

@@ -27,6 +27,13 @@ guard).
 
 Anything else (the hot-path file's ``legacy`` record and its entries
 from before the path axis) is frozen history and is not read.
+
+A pair record (``bench_e2e.py --pairs``; it has ``"pair"``) adds no
+point to a series. :func:`bench_pairs` reads each one as a
+:class:`Pair` that is judged on its own, with no comparison across
+days: it fails the guard when its median change/parent ``norm_wall_s``
+ratio is above ``1 + PCT/100``, or when its change side ran
+incorrectly.
 """
 
 from __future__ import annotations
@@ -149,6 +156,44 @@ def bench_trend(doc: Dict[str, Any]) -> List[Series]:
                 series.points.append((stamp, value))
             series.ok = ok
     return sorted(found.values(), key=lambda s: s.key)
+
+
+@dataclass(frozen=True)
+class Pair:
+    """One paired before/after record of ``BENCH_e2e.json``."""
+
+    label: str
+    #: median change/parent ``norm_wall_s``; lower is better
+    median_ratio: float
+    change_wins: int
+    pairs: int
+    correct: bool
+
+    def regressed(self, threshold_pct: float) -> bool:
+        return not self.correct or self.median_ratio > 1.0 + abs(threshold_pct) / 100.0
+
+
+def bench_pairs(doc: Dict[str, Any]) -> List[Pair]:
+    """Every pair record of a parsed ``BENCH_e2e.json`` document, in
+    file order; an unreadable ratio reads as infinitely worse."""
+    found: List[Pair] = []
+    for entry in doc.get("entries", []):
+        pair = entry.get("pair") if isinstance(entry, dict) else None
+        if not isinstance(pair, dict):
+            continue
+        try:
+            ratio = float(pair["median_ratio"])
+        except (KeyError, TypeError, ValueError):
+            ratio = float("inf")
+        parent = str((entry.get("parent") or {}).get("sha", "?"))[:7]
+        found.append(Pair(
+            label=f"{entry.get('workload', '?')}/seed {pair.get('seed') or 0} vs {parent}",
+            median_ratio=ratio,
+            change_wins=int(pair.get("change_wins") or 0),
+            pairs=int(pair.get("pairs") or 0),
+            correct=(entry.get("change") or {}).get("correct") is not False,
+        ))
+    return found
 
 
 def regressions(series: List[Series], threshold_pct: float) -> List[Series]:

@@ -4,9 +4,9 @@ The invariant catalog is only as strong as the states it visits. The
 micro-trace tests walk the paper's worked examples; this fuzzer walks
 everything else: phased random traces (loop sweeps, hot sets, strides,
 write bursts — the access shapes the synthetic workloads are built
-from) replayed through a deliberately tiny hierarchy so every ref
-lands in a handful of sets and eviction/invalidation paths fire
-constantly.
+from — and dirty lines swept by another core) replayed through a
+deliberately tiny hierarchy so every ref lands in a handful of sets and
+eviction/invalidation paths fire constantly.
 
 Everything derives from an integer seed via ``random.Random``, so a
 failure report is a complete reproduction recipe. When a case fails,
@@ -36,7 +36,7 @@ BLOCK = 64
 
 #: phase kinds the generator mixes; weights favour looping/hot shapes
 #: because those exercise the clean-trip (loop-block) machinery.
-_PHASES = ("loop", "loop", "hot", "random", "stride", "writeburst")
+_PHASES = ("loop", "loop", "hot", "random", "stride", "writeburst", "handoff")
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,25 @@ def generate_trace(
             base, step = rng.randrange(footprint), rng.choice((1, 2, 3, 5))
             write_p = 0.15
             picks = [addrs[(base + i * step) % footprint] for i in range(length)]
+        elif kind == "handoff":
+            # One core stores to two lines, holds them dirty (reading a
+            # third) and stores to them again, while the next core
+            # sweeps them with more lines than its L2 holds: its LLC
+            # fills and clean evictions open clean-trip streaks on
+            # lines the first L2 holds dirty. A dirty line that is
+            # stored to again after the run boundary (or, under an
+            # invalidate-on-hit flow, handed over dirty from the LLC)
+            # must not end its streak.
+            base = rng.randrange(footprint)
+            window = [addrs[(base + i) % footprint] for i in range(rng.randint(5, 8))]
+            sweeper = (core + 1) % ncores
+            stores = [(core, addr, True) for addr in window[:2]]
+            trace.extend(stores)
+            for i in range(length):
+                trace.append((core, window[2], False))
+                trace.append((sweeper, window[i % len(window)], False))
+            trace.extend(stores)
+            continue
         elif kind == "writeburst":
             burst = rng.sample(addrs, k=min(3, footprint))
             write_p = 0.9
@@ -239,7 +258,9 @@ def fuzz(
 
     Case ``i`` uses seed ``base_seed + i`` on ``policies[i % len]``,
     alternating coherence modes (coherent cases run two cores, the
-    smallest configuration where sharing exists); a kernel policy's case
+    smallest configuration where sharing exists, and so do two in five
+    non-coherent ones, shifting by one policy per pass so that every
+    policy gets some); a kernel policy's case
     is also replayed on both loops (module docstring). Returns the list
     of shrunk failures — empty means every case held.
     """
@@ -247,7 +268,7 @@ def fuzz(
     for i in range(rounds):
         policy = policies[i % len(policies)]
         coherent = coherence_modes[(i // len(policies)) % len(coherence_modes)]
-        ncores = 2 if coherent or (i % 5 == 4) else 1
+        ncores = 2 if coherent or (i + i // len(policies)) % 5 in (1, 4) else 1
         shape = random.Random(base_seed + i)
         case = FuzzCase(
             seed=base_seed + i,

@@ -103,8 +103,8 @@ def test_pairs_need_another_checkout(bench_e2e):
 
 
 def test_trend_skips_pair_records():
-    """A pair record adds no series and moves none: the trend model and
-    its CI gate read single runs only."""
+    """A pair record adds no series and moves none: the trend model
+    reads single runs only (``bench_pairs`` judges the pairs)."""
     from repro.obs.trend import bench_trend
 
     single = _run_record("x", 2.0, "a" * 40)
@@ -117,3 +117,50 @@ def test_trend_skips_pair_records():
         (s.key, s.points) for s in alone
     ]
     assert bench_trend({"entries": [pair]}) == []
+
+
+# ----------------------------------------------------------------------
+# the CI gate over pair records: each judged on its own
+# ----------------------------------------------------------------------
+def _pair_record(ratio, correct=True, workload="suite-paper"):
+    return {"workload": workload,
+            "pair": {"seed": 7919, "seconds": 20.0, "pairs": 10, "median_ratio": ratio,
+                     "change_wins": 3},
+            "parent": {"sha": "a" * 40, "correct": True, "metrics": {}},
+            "change": {"sha": "a" * 40, "dirty": True, "correct": correct, "metrics": {}},
+            "host": {}}
+
+
+def test_pair_gate_bounds_the_median_ratio():
+    from repro.obs.trend import bench_pairs
+
+    doc = {"entries": [_run_record("x", 2.0, "b" * 40), _pair_record(1.14),
+                       _pair_record(1.16), _pair_record(0.5, correct=False),
+                       _pair_record(None)]}
+    pairs = bench_pairs(doc)
+    assert [p.label for p in pairs] == ["suite-paper/seed 7919 vs aaaaaaa"] * 4
+    assert [p.regressed(15) for p in pairs] == [False, True, True, True]
+    assert [p.regressed(20) for p in pairs] == [False, False, True, True]
+
+
+def test_pair_gate_fails_the_cli(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "BENCH_e2e.json"
+    path.write_text(json.dumps({"entries": [_pair_record(1.10)]}))
+    assert main(["bench", "trend", str(path), "--fail-on-regression", "15"]) == 0
+    path.write_text(json.dumps({"entries": [_pair_record(1.10), _pair_record(1.20)]}))
+    assert main(["bench", "trend", str(path), "--fail-on-regression", "15"]) == 1
+    assert "median ratio 1.200 > 1.150" in capsys.readouterr().err
+    assert main(["bench", "trend", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["median_ratio"] for p in report["pairs"]] == [1.10, 1.20]
+
+
+def test_committed_pair_records_pass_the_ci_gate():
+    from repro.obs.trend import bench_pairs
+
+    doc = json.loads((SCRIPT.parent.parent / "BENCH_e2e.json").read_text())
+    pairs = bench_pairs(doc)
+    assert len(pairs) >= 6
+    assert [p.label for p in pairs if p.regressed(15)] == []

@@ -204,6 +204,38 @@ class TestExecuteJobs:
         assert "AssertionError" in str(info.value)
 
 
+    def test_bug_mid_stream_group_keeps_the_earlier_job_cached(self, monkeypatch, tmp_path):
+        """The middle job of a 3-job stream group raises a simulator
+        bug: the call fails when that job is collected, once, and the
+        group's first job, collected before it, is cached; nothing
+        collected after it is."""
+        import multiprocessing
+
+        from repro.sim.simulator import Simulator
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched simulator only under fork")
+        attempts = tmp_path / "attempts"
+        real = Simulator._run_references
+
+        def buggy(self, refs_per_core, batch):
+            if self.policy.name == "exclusive":
+                with open(attempts, "a") as fh:
+                    fh.write("x\n")
+                raise AssertionError("simulated simulator bug")
+            return real(self, refs_per_core, batch)
+
+        monkeypatch.setattr(Simulator, "_run_references", buggy)
+        first, other = self.jobs(2)
+        group = [JobSpec(system=first.system, workload=first.workload, policy=policy,
+                         refs_per_core=400) for policy in ("lap", "exclusive", "non-inclusive")]
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ExecutionError, match="job 1 .*AssertionError"):
+            execute_jobs(group + [other], max_workers=2, cache=cache)
+        assert attempts.read_text().count("x") == 1
+        assert cache.get(group[0]) is not None
+        assert [cache.get(job) for job in group[1:] + [other]] == [None, None, None]
+
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_failed_job_keeps_earlier_results_cached(self, tmp_path, max_workers):
         """A job that fails at run time fails the call, but the job

@@ -207,10 +207,51 @@ def test_shared_stream_job_equals_its_own(spec, pass1_calls):
     assert _timing(shared) == _timing(own)
 
 
-def test_pooled_jobs_share_within_a_worker():
+@pytest.fixture
+def pass1_file(monkeypatch, tmp_path):
+    """Count pass-1 runs through a file, which forked pool workers
+    append to as well; returns a function reading the count."""
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched kernel only under fork")
+    log = tmp_path / "pass1"
+    real = kernel_batch._pass1
+
+    def counting(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("x\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_batch, "_pass1", counting)
+    return lambda: log.read_text().count("x") if log.exists() else 0
+
+
+def test_pool_runs_pass1_once_per_stream_group(pass1_file):
+    jobs = [_job(policy=p, seed=seed) for seed in range(3)
+            for p in ("lap", "non-inclusive", "exclusive")]
+    pooled = execute_jobs(jobs, max_workers=2)
+    assert pass1_file() == 3
+    assert list(pooled) == [job.run() for job in jobs]
+
+
+def test_pool_splits_one_stream_group_across_its_workers(pass1_file):
+    """One workload under four policies on two workers: two tasks of
+    two jobs, so two pass-1 runs."""
     jobs = [_job(policy=p) for p in ("lap", "non-inclusive", "exclusive", "lap-lru")]
     pooled = execute_jobs(jobs, max_workers=2)
+    assert pass1_file() == 2
     assert list(pooled) == [job.run() for job in jobs]
+
+
+def test_stream_groups_keep_first_appearance_order_and_split_the_largest():
+    from repro.exec.pool import _stream_groups
+
+    jobs = [_job(seed=1), _job(seed=0), _job(seed=1, policy="exclusive"),
+            _job(seed=1, policy="non-inclusive"), _job(seed=0, refs=300)]
+    assert _stream_groups(jobs, range(5), 2) == [[0, 2, 3], [1], [4]]
+    assert _stream_groups(jobs, [0, 2, 3], 2) == [[0, 2], [3]]
+    assert _stream_groups(jobs, [0, 2, 3], 3) == [[0], [2], [3]]
 
 
 def test_measure_throughput_never_shares(monkeypatch):

@@ -127,6 +127,18 @@ def test_fuzz_replays_kernel_policies_on_both_loops(monkeypatch):
     assert {s["instrumentation"] for _, s in calls} == {"default", "none"}
 
 
+def test_every_policy_gets_two_core_cases_without_coherence():
+    """Which non-coherent cases run two cores shifts by one policy per
+    pass, so every policy gets some (not only the fifth and tenth)."""
+    from repro.validate.differential import DEFAULT_POLICIES
+
+    seen = set()
+    fuzz(3 * len(DEFAULT_POLICIES), coherence_modes=(False,), shrink=False,
+         progress=lambda i, case: seen.add((case.policy, case.ncores)))
+    for ncores in (1, 2):
+        assert {p for p, n in seen if n == ncores} == set(DEFAULT_POLICIES)
+
+
 def test_kernel_divergence_is_shrunk_to_a_snippet(monkeypatch):
     from repro.validate import KernelDivergence
 
