@@ -20,8 +20,9 @@ check:
 # and 1; one record per run appended to BENCH_e2e.json. CHECKOUT=<dir>
 # measures another checkout (e.g. a clone of the parent commit) into
 # the same file; SEED=<n> picks perfbench's seed (stamped on each
-# record). `repro bench trend BENCH_e2e.json` reads the records
-# (DESIGN.md §10.6).
+# record). These single records are history; a speed claim is a pair
+# record (`python benchmarks/bench_e2e.py --checkout PARENT --pairs N`),
+# which `repro bench pairs` judges (DESIGN.md §10.6).
 CHECKOUT ?= .
 SEED ?= 0
 bench-e2e:
@@ -29,8 +30,9 @@ bench-e2e:
 
 # The HTML fleet dashboard (DESIGN.md §10.6) over a result-cache dir:
 # runs a tiny traced sweep into CACHE_DIR when it is empty, then
-# renders policy grids, span hot spots, provenance, and the bench
-# trend into report.html. Override CACHE_DIR/REPORT to point elsewhere.
+# renders policy grids, span hot spots, provenance, and the verdicts
+# of BENCH_e2e.json's pair records into report.html. Override
+# CACHE_DIR/REPORT to point elsewhere.
 CACHE_DIR ?= .repro-cache
 REPORT ?= report.html
 report:
@@ -50,10 +52,9 @@ bench-figures:
 		--ignore=test_hotpath_throughput.py
 
 # Hot-path throughput: kernel vs generic loop per (policy,
-# instrumentation) cell, with a host-speed reading around each and the
-# benchmark's gates; appends one entry to BENCH_hotpath.json (read by
-# `repro bench trend`, DESIGN.md §13) and writes
-# results/hotpath_throughput.txt.
+# instrumentation) cell, with the benchmark's in-run gates; appends one
+# entry to BENCH_hotpath.json (a record; no gate compares entries,
+# DESIGN.md §13) and writes results/hotpath_throughput.txt.
 bench-hotpath:
 	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only \
 		test_hotpath_throughput.py

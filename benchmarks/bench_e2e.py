@@ -15,7 +15,7 @@ appends one record per run to this checkout's ``BENCH_e2e.json``: the
 measured checkout's git SHA and whether its tracked files other than
 ``BENCH_e2e.json`` had uncommitted changes, the seed, the
 ``perfbench-host`` facts and the final result JSON. It only calls
-perfbench; ``repro bench trend BENCH_e2e.json`` reads the records.
+perfbench. These single records are history: no gate reads them.
 
 ``--pairs N`` makes a paired before/after instead, the unit of a speed
 claim on a shared host: per workload of this checkout's
@@ -24,10 +24,18 @@ checkout (the change) back to back at ``--trace 0``, N times,
 swapping which goes first every pair, and appends one pair record per
 (workload, seed): each side's SHA, dirty flag and per-run end-to-end
 metric values, and under ``"pair"`` the seed, the median change/parent
-``norm_wall_s`` ratio and how many pairs the change won. ``repro bench
-trend`` adds no series point for a pair record (it has no
-``"result"``) and judges each on its own: with ``--fail-on-regression
-PCT`` a median ratio above 1 + PCT/100 fails.
+``norm_wall_s`` ratio, how many pairs the change won and the IQR of the
+parent's ``norm_wall_s`` runs. Before the first pair it byte-compiles
+``src/`` and ``perfbench/`` in both checkouts with the running
+interpreter, so neither side starts from a stale bytecode cache (which
+moves ``setup_s`` and ``peak_rss_mb`` on identical code where
+``PYTHONDONTWRITEBYTECODE`` is set). ``repro bench pairs`` judges each
+pair record on its own: a median ratio above ``1 + REGRESSION_PCT/100``
+fails (``repro.obs.trend``).
+
+Every record is appended with ``repro.bench.append_entry``, which moves
+a complete temp file over the old one, so an interrupted run never
+truncates the history.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_e2e.json"
+
+sys.path.insert(0, str(ROOT / "src"))
+from repro.bench import append_entry  # noqa: E402
 
 
 def _dirty(checkout: pathlib.Path) -> bool:
@@ -83,10 +94,19 @@ def measure(
     }
 
 
-def _append(record: dict) -> None:
-    data = json.loads(OUT.read_text()) if OUT.exists() else {"entries": []}
-    data["entries"].append(record)
-    OUT.write_text(json.dumps(data, indent=2) + "\n")
+def compile_checkout(checkout: pathlib.Path) -> None:
+    """Byte-compile a checkout's ``src/`` and ``perfbench/`` with the
+    running interpreter."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True)
+
+
+def _iqr(values: list) -> float:
+    """Interquartile range (numpy's default, linear interpolation)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def pair_record(workload: str, seed: int, seconds: float, parent: list, change: list) -> dict:
@@ -115,6 +135,7 @@ def pair_record(workload: str, seed: int, seconds: float, parent: list, change: 
             "pairs": len(walls),
             "median_ratio": statistics.median(c / p for p, c in walls),
             "change_wins": sum(c < p for p, c in walls),
+            "parent_iqr": _iqr(before["metrics"]["norm_wall_s"]),
         },
         "parent": before,
         "change": after,
@@ -125,16 +146,19 @@ def pair_record(workload: str, seed: int, seconds: float, parent: list, change: 
 def measure_pairs(parent: pathlib.Path, workloads: list, seconds: float, seed: int,
                   pairs: int) -> None:
     """Alternate parent and change per workload; one pair record each."""
+    for checkout in (parent, ROOT):
+        compile_checkout(checkout)
     for workload in workloads:
         runs: dict = {parent: [], ROOT: []}
         for i in range(pairs):
             for checkout in (parent, ROOT) if i % 2 == 0 else (ROOT, parent):
                 runs[checkout].append(measure(checkout, workload, 0, seconds, seed))
         record = pair_record(workload, seed, seconds, runs[parent], runs[ROOT])
-        _append(record)
+        append_entry(OUT, record)
         summary = record["pair"]
         print(f"{workload} seed={seed} pairs={pairs}: median ratio "
-              f"{summary['median_ratio']:.3f}, change won {summary['change_wins']}", flush=True)
+              f"{summary['median_ratio']:.3f}, change won {summary['change_wins']}, "
+              f"parent IQR {summary['parent_iqr']:.4g} s", flush=True)
 
 
 def main(argv=None) -> int:
@@ -156,7 +180,7 @@ def main(argv=None) -> int:
     for name in names:
         for trace in (0, 1):
             record = measure(checkout, name, trace, spec["run_seconds"], args.seed)
-            _append(record)
+            append_entry(OUT, record)
             print(f"{name} seed={args.seed} trace={trace}: "
                   f"{json.dumps(record['result']['metrics'])}", flush=True)
     return 0

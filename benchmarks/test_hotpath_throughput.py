@@ -6,17 +6,17 @@ execution paths (the batched kernel, DESIGN.md §13, and the generic
 per-reference loop, ``Simulator.enable_batch_kernel = False``, which is
 what the kernel is measured against) under both instrumentation specs
 (``default``: the paper's probes, as every shipped path runs; ``none``:
-probe-free), with a host-speed reading around each. The probe-free vs
-default-probe kernel ratio is not read off the grid: it is the median
-of per-pair ratios over interleaved single-rep pairs (order swapped
-every pair). Two more legs sit beside the grid: the probe-free kernel with a live span recorder
-installed and the flight recorder imported but not attached, and a
-coherent leg that measures the kernel against the generic loop on a
-MOESI run (PARSEC ``canneal``, default probes), the configuration
-behind Fig. 20. The entry is **appended** to ``BENCH_hotpath.json`` at
-the repo root, where ``repro bench trend`` reads it; earlier entries
-(including the pre-refactor record, preserved under ``"legacy"``) are
-never overwritten.
+probe-free). The probe-free vs default-probe kernel ratio is not read
+off the grid: it is the median of per-pair ratios over interleaved
+single-rep pairs (order swapped every pair). Two more legs sit beside
+the grid: the probe-free kernel with a live span recorder installed and
+the flight recorder imported but not attached, and a coherent leg that
+measures the kernel against the generic loop on a MOESI run (PARSEC
+``canneal``, default probes), the configuration behind Fig. 20. The entry is **appended** to ``BENCH_hotpath.json`` at
+the repo root as a record; earlier entries (including the pre-refactor
+record, preserved under ``"legacy"``) are never overwritten. Only the
+in-run gates below judge it: no gate compares entries taken on
+different days (a speed claim is a pair record, ``repro bench pairs``).
 
 ``PRE_REFACTOR_BASELINE`` pins the accesses/sec measured at the growth
 seed (commit ad4a4f6, always-on instrumentation, same workload/refs/

@@ -6,13 +6,13 @@ One bench run measures the simulation rate (accesses/sec, best of
 execution paths (``"kernel"``: the batched kernel every shipped path
 takes; ``"generic"``: the per-reference loop,
 ``Simulator.enable_batch_kernel = False``) under both instrumentation
-specs (``"default"``: the paper's probes; ``"none"``: probe-free), with
-a host-speed reading around every cell. ``make bench-hotpath``
-(``benchmarks/test_hotpath_throughput.py``) appends the result as one
-timestamped entry to ``BENCH_hotpath.json``; re-running never
-overwrites earlier measurements, so before/after comparisons across
-refactors stay in the file. ``repro bench trend`` reads it
-(:mod:`repro.obs.trend`).
+specs (``"default"``: the paper's probes; ``"none"``: probe-free).
+``make bench-hotpath`` (``benchmarks/test_hotpath_throughput.py``)
+appends the result as one timestamped entry to ``BENCH_hotpath.json``;
+re-running never overwrites earlier measurements. The entry is a
+record, not a verdict: its own in-run gates compare cells measured in
+the same process, and no gate compares entries across days (a speed
+claim is a paired before/after, :mod:`repro.obs.trend`).
 
 Entry shape::
 
@@ -23,13 +23,12 @@ Entry shape::
       "instrumentation": ["default", "none"],
       "accesses_per_sec": {"default": {"lap": {"kernel": <rate>,
                                                "generic": <rate>}}, ...},
-      "host_ref_ms": {...},     # host-speed reading per cell, same shape
       ...                       # the benchmark's own ratios and legs
     }
 
-The file also keeps, as frozen history that the trend does not read, a
-``"legacy"`` record and entries from before the path axis (``"backends"``
-columns ``object``/``soa``).
+The file also keeps, as frozen history, a ``"legacy"`` record, entries
+from before the path axis (``"backends"`` columns ``object``/``soa``)
+and entries that carry a host-speed reading per cell.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -95,56 +93,6 @@ def measure_throughput(
     return best
 
 
-def _reference_work() -> int:
-    # Dict, list and int work from a Python loop, like the simulator's
-    # own mix; fixed, so it never changes with the code under test.
-    table: Dict[int, int] = {}
-    slots = [0] * 256
-    total = 0
-    for i in range(20_000):
-        key = (i * 2654435761) & 4095
-        table[key] = table.get(key, 0) + 1
-        slots[key & 255] = i
-        total += slots[(key >> 4) & 255]
-    return total
-
-
-def host_reference_ms(repeats: int = 3) -> float:
-    """How fast the host runs right now: the median wall milliseconds of
-    ``repeats`` runs of a fixed pure-Python workload on each CPU this
-    process may use, averaged over the CPUs.
-
-    A shared host runs everything up to twice as slowly while a
-    neighbour is busy, in phases of seconds to minutes that differ per
-    CPU. A rate times the reading taken around it drifts less with those
-    phases than the raw rate; it does not remove sub-second jitter (on a
-    shared 2-core x86_64 host, a 4-minute series of single-rep runs read
-    IQR/median 0.26 raw, 0.20 normalised). The process's CPU set is
-    restored afterwards.
-    """
-
-    def median_ms() -> float:
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            _reference_work()
-            samples.append((time.perf_counter() - start) * 1e3)
-        return statistics.median(samples)
-
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return median_ms()
-    per_cpu = []
-    try:
-        for cpu in cpus:
-            os.sched_setaffinity(0, {cpu})
-            per_cpu.append(median_ms())
-    finally:
-        os.sched_setaffinity(0, cpus)
-    return statistics.mean(per_cpu)
-
-
 def run_hotpath_bench(
     policies: Sequence[str] = BENCH_POLICIES,
     *,
@@ -154,21 +102,11 @@ def run_hotpath_bench(
     seed: int = 7,
 ) -> dict:
     """Measure every (instrumentation, policy, path) cell and return
-    one bench entry.
-
-    :func:`host_reference_ms` is read before the first cell and after
-    every cell; ``"host_ref_ms"`` records, in the shape of
-    ``"accesses_per_sec"``, the mean of the readings on either side of
-    each cell, which :mod:`repro.obs.trend` uses to compare entries
-    taken at different host speeds.
-    """
+    one bench entry."""
     rates: Dict[str, Dict[str, Dict[str, int]]] = {}
-    refs: Dict[str, Dict[str, Dict[str, float]]] = {}
-    before = host_reference_ms()
     for spec in BENCH_INSTRUMENTATION:
         system = replace(SystemConfig.scaled(), instrumentation=spec)
         rates[spec] = {policy: {} for policy in policies}
-        refs[spec] = {policy: {} for policy in policies}
         for policy in policies:
             for path in BENCH_PATHS:
                 rate = measure_throughput(
@@ -180,10 +118,7 @@ def run_hotpath_bench(
                     seed=seed,
                     kernel=path == "kernel",
                 )
-                after = host_reference_ms()
                 rates[spec][policy][path] = round(rate)
-                refs[spec][policy][path] = round((before + after) / 2, 3)
-                before = after
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": workload,
@@ -193,7 +128,6 @@ def run_hotpath_bench(
         "paths": list(BENCH_PATHS),
         "instrumentation": list(BENCH_INSTRUMENTATION),
         "accesses_per_sec": rates,
-        "host_ref_ms": refs,
     }
 
 
@@ -216,7 +150,7 @@ def append_entry(path: Union[str, Path], entry: dict) -> dict:
     data["entries"].append(entry)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_counter)}.tmp")
     try:
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        tmp.write_text(json.dumps(data, indent=2) + "\n")
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)

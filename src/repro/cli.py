@@ -20,7 +20,7 @@ Commands
     ``--cache-dir``, render the self-contained HTML fleet dashboard
     from one or more result-cache directories (``repro.obs``): policy
     grids, throughput/latency histograms, invariant status, span hot
-    spots, and the bench trend with regression highlighting.
+    spots, and the pair-record speed verdicts.
 ``validate-workloads``
     Re-measure every synthetic benchmark's declared traits.
 ``sweep``
@@ -42,9 +42,9 @@ Commands
     corpora) or ``run`` one set through the exec pool with
     per-benchmark error surfacing and a geomean summary normalised to
     the baseline policy.
-``bench trend``
-    Latest vs best prior for every series of a perf record
-    (``BENCH_hotpath.json`` or ``BENCH_e2e.json``); the CI guard.
+``bench pairs``
+    The speed verdict of every paired before/after record in
+    ``BENCH_e2e.json``; exits 1 on a regressed pair (the CI guard).
 ``corpus``
     The content-addressed trace store (``repro.workloads.corpus``):
     ``add`` archives (verified before ingest), ``list`` entries,
@@ -87,7 +87,6 @@ from .exec import (
     get_active_cache,
     set_active_cache,
 )
-from .obs.trend import REGRESSION_PCT
 from .sim import SystemConfig, run_policies
 from .workloads import PARSEC_ORDER, TABLE3_ORDER, benchmark_names
 
@@ -375,7 +374,6 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
         ledger,
         bench_doc=bench_doc,
         check_rows=check_rows,
-        regression_pct=args.regression_pct,
     )
     out = pathlib.Path(args.out or "report.html")
     out.write_text(html)
@@ -597,67 +595,50 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench trend: latest vs best prior over a BENCH_*.json record
+# bench pairs: the speed verdict of every pair record
 # ----------------------------------------------------------------------
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    """``repro bench trend [PATH]``: every series of a ``BENCH_e2e.json``
-    or ``BENCH_hotpath.json`` document, latest vs best prior, and every
-    pair record on its own; ``--fail-on-regression PCT`` exits 1 when
-    any series decayed beyond the tolerance or its latest run was
-    incorrect, or any pair's median ratio is above 1 + PCT/100 (the CI
-    guard)."""
+def _cmd_bench_pairs(args: argparse.Namespace) -> int:
+    """``repro bench pairs [PATH]``: every pair record of a
+    ``BENCH_e2e.json`` document with its verdict; exits 1 when any
+    pair's median change/parent ratio is above 1 + REGRESSION_PCT/100
+    or its change side ran incorrectly (the CI guard)."""
     import dataclasses
     import pathlib
 
-    from .obs.trend import bench_pairs, bench_trend, regressions, trend_rows
+    from .obs.trend import REGRESSION_PCT, bench_pairs
 
     path = pathlib.Path(args.path)
     if not path.exists():
-        raise ReproError(f"no bench history at {path}")
-    doc = json.loads(path.read_text())
-    series, pairs = bench_trend(doc), bench_pairs(doc)
-    threshold = args.fail_on_regression
-    bad = regressions(series, threshold) if threshold is not None else []
-    bad_pairs = [p for p in pairs if p.regressed(threshold)] if threshold is not None else []
+        raise ReproError(f"no bench record at {path}")
+    pairs = bench_pairs(json.loads(path.read_text()))
+    bad = [p for p in pairs if p.regressed]
     if args.json:
         print(json.dumps(
             {
                 "file": str(path),
-                "threshold_pct": threshold,
-                "series": [s.as_dict() for s in series],
-                "regressions": [s.label for s in bad],
-                "pairs": [dataclasses.asdict(p) for p in pairs],
-                "pair_regressions": [p.label for p in bad_pairs],
+                "threshold_pct": REGRESSION_PCT,
+                "pairs": [{**dataclasses.asdict(p), "verdict": p.verdict} for p in pairs],
+                "regressions": [p.label for p in bad],
             },
             indent=2, sort_keys=True,
         ))
     else:
         print(render_table(
-            f"bench trend over {path} ({len(series)} series, latest vs best prior)",
-            ["series", "points", "latest", "best prior", "delta"],
-            trend_rows(series, threshold),
+            f"pair records in {path} ({len(pairs)}, median change/parent norm_wall_s)",
+            ["pair", "pairs", "ratio", "change wins", "parent IQR (s)", "verdict"],
+            [[p.label, p.pairs, f"{p.median_ratio:.3f}", p.change_wins,
+              "-" if p.parent_iqr is None else f"{p.parent_iqr:.4g}", p.verdict]
+             for p in pairs],
         ))
-        if pairs:
-            print(render_table(
-                f"pair records ({len(pairs)}, median change/parent norm_wall_s)",
-                ["pair", "pairs", "ratio", "change wins", "verdict"],
-                [[p.label, p.pairs, f"{p.median_ratio:.3f}", p.change_wins,
-                  "REGRESSION" if p in bad_pairs else "-"] for p in pairs],
-            ))
-    if bad or bad_pairs:
-        print(f"\n{len(bad) + len(bad_pairs)} record(s) regressed beyond {threshold:g}%:",
+    if bad:
+        limit = 1 + REGRESSION_PCT / 100
+        print(f"\n{len(bad)} pair record(s) regressed beyond {REGRESSION_PCT:g}%:",
               file=sys.stderr)
-        for s in bad:
-            reason = "latest run incorrect" if not s.ok else (
-                f"{s.latest:.4g} is {s.delta_pct:+.1f}% vs best prior "
-                f"{s.best_prior:.4g} ({s.better} is better)"
-            )
-            print(f"  {s.label}: {reason}", file=sys.stderr)
-        for p in bad_pairs:
+        for p in bad:
             reason = "change side incorrect" if not p.correct else (
-                f"median ratio {p.median_ratio:.3f} > {1 + threshold / 100:.3f}"
+                f"median ratio {p.median_ratio:.3f} > {limit:.3f}"
             )
-            print(f"  pair {p.label}: {reason}", file=sys.stderr)
+            print(f"  {p.label}: {reason}", file=sys.stderr)
         return 1
     return 0
 
@@ -917,19 +898,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, metavar="PATH",
                    help="HTML mode: result-cache directory to scan "
                    "(repeatable; default: the active cache)")
-    p.add_argument("--bench", default="BENCH_hotpath.json", metavar="PATH",
-                   help="BENCH_hotpath.json or BENCH_e2e.json record for the "
-                   "trend section (default: BENCH_hotpath.json; missing "
-                   "file = no section)")
+    p.add_argument("--bench", default="BENCH_e2e.json", metavar="PATH",
+                   help="BENCH_e2e.json record for the pair-record section "
+                   "(default: BENCH_e2e.json; missing file = no section)")
     p.add_argument("--ledger", default=None, metavar="PATH",
                    help="also write the normalized run ledger as JSON")
     p.add_argument("--no-check", action="store_true",
                    help="skip the invariant-check section")
     p.add_argument("--check-refs", type=int, default=500, metavar="N",
                    help="references per invariant-check run (default: 500)")
-    p.add_argument("--regression-pct", type=float, default=REGRESSION_PCT, metavar="PCT",
-                   help="bench-trend highlight tolerance (default: "
-                   f"{REGRESSION_PCT:g}, CI's trend gate)")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("validate-workloads",
@@ -982,22 +959,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress per-stage progress on stderr")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("bench", help="perf-record trends (BENCH_*.json)")
+    p = sub.add_parser("bench", help="speed verdicts of the BENCH_e2e.json pair records")
     bench_sub = p.add_subparsers(dest="action", required=True)
     bp = bench_sub.add_parser(
-        "trend",
-        help="every series of a BENCH_hotpath.json or BENCH_e2e.json "
-        "record, latest vs best prior",
+        "pairs",
+        help="every paired before/after record with its verdict; exit 1 "
+        "on a regressed or incorrect pair",
     )
-    bp.add_argument("path", nargs="?", default="BENCH_hotpath.json", metavar="PATH",
-                    help="bench record to read (default: BENCH_hotpath.json)")
-    bp.add_argument("--fail-on-regression", type=float, default=None, metavar="PCT",
-                    help="exit 1 when any series' latest point is more than "
-                    "PCT%% worse than its best prior, or its latest run was "
-                    "incorrect, or any pair record's median change/parent "
-                    "ratio is above 1 + PCT/100")
+    bp.add_argument("path", nargs="?", default="BENCH_e2e.json", metavar="PATH",
+                    help="bench record to read (default: BENCH_e2e.json)")
     bp.add_argument("--json", action="store_true", help="machine-readable output")
-    bp.set_defaults(fn=_cmd_bench_trend)
+    bp.set_defaults(fn=_cmd_bench_pairs)
 
     p = sub.add_parser(
         "suite",

@@ -8,8 +8,8 @@
   JSONL) and the trace summaries and diffs behind ``repro trace``;
 - ``ledger`` / ``dashboard`` — the merged view over result cache
   directories that ``repro report`` renders;
-- ``trend`` — latest vs best prior over the ``BENCH_hotpath.json`` and
-  ``BENCH_e2e.json`` perf records (``repro bench trend``).
+- ``trend`` — the speed verdict of every paired before/after record in
+  ``BENCH_e2e.json`` (``repro bench pairs``).
 
 Import discipline: this package ``__init__`` pulls in only the
 dependency-light ``spans`` leaf because the exec pool and the

@@ -3,23 +3,22 @@
 :func:`render_dashboard` produces one **self-contained** HTML file —
 inline CSS, no scripts, no external fetches — from a
 :class:`~repro.obs.ledger.RunLedger` plus (optionally) a
-``BENCH_hotpath.json`` or ``BENCH_e2e.json`` document and an
-invariant-check report. It is
-the paper's own evaluation shape turned into an operational view:
+``BENCH_e2e.json`` document and an invariant-check report. It is the
+paper's own evaluation shape turned into an operational view:
 policy-grid summary tables (the Fig. 14/15 axes), job throughput and
-latency histograms, invariant status, span hot spots, and the per-PR
-bench trend with regression highlighting.
+latency histograms, invariant status, span hot spots, and the speed
+verdict of every pair record (:mod:`repro.obs.trend`), a regressed pair
+in red.
 
 Chart conventions (kept deliberately boring so the data is the loud
-part): every chart is single-series (the bench trend draws one small
-multiple per series) and uses one accent hue with no legend; pass/fail
-status uses the
-reserved status palette *with* a textual badge so color never carries
-meaning alone; all text wears text tokens, never a series color; dark
-mode is its own selected steps behind ``prefers-color-scheme``, not an
-automatic inversion. Bars are thin with a rounded data-end and grow
-from a hairline baseline; values are labeled selectively (extremes)
-with the rest on native ``title`` tooltips and in the adjacent tables.
+part): every chart is single-series and uses one accent hue with no
+legend; pass/fail status uses the reserved status palette *with* a
+textual badge so color never carries meaning alone; all text wears text
+tokens, never a series color; dark mode is its own selected steps
+behind ``prefers-color-scheme``, not an automatic inversion. Bars are
+thin with a rounded data-end and grow from a hairline baseline; values
+are labeled selectively (extremes) with the rest on native ``title``
+tooltips and in the adjacent tables.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .ledger import RunLedger
 from .spans import summarize_spans
-from .trend import REGRESSION_PCT, bench_trend
+from .trend import REGRESSION_PCT, bench_pairs
 
 #: Metrics the policy grid renders, with direction (is lower better?).
 GRID_METRICS: Tuple[Tuple[str, str, bool], ...] = (
@@ -105,15 +104,12 @@ td.best::after { content: " \\25C2"; color: var(--series-1); }
               align-items: center; flex: 0 1 28px; height: 100%; }
 .chart .bar { width: 100%; max-width: 24px;
               border-radius: 4px 4px 0 0; background: var(--series-1); }
-.chart .bar.down { background: var(--critical); }
 .chart .cap { font-size: 11px; color: var(--ink-2); margin-bottom: 3px;
               white-space: nowrap; }
 .xlabels { display: flex; gap: 6px; padding: 4px 2px 0; }
 .xlabels span { flex: 0 1 28px; max-width: 28px; text-align: center;
                 font-size: 10px; color: var(--muted); overflow: hidden; }
 .grid-wrap { display: grid; grid-template-columns: repeat(auto-fit, minmax(300px, 1fr));
-             gap: 12px; }
-.multiples { display: grid; grid-template-columns: repeat(auto-fit, minmax(240px, 1fr));
              gap: 12px; }
 .mono { font-family: ui-monospace, SFMono-Regular, Menlo, monospace; font-size: 12px; }
 """
@@ -169,7 +165,6 @@ def _columns(
     values: Sequence[float],
     labels: Sequence[str],
     titles: Sequence[str],
-    classes: Optional[Sequence[str]] = None,
     label_max_only: bool = True,
 ) -> str:
     """A column chart: thin bars, rounded data-end, hairline baseline.
@@ -187,10 +182,9 @@ def _columns(
         cap = ""
         if not label_max_only or (v == vmax and v > 0):
             cap = f'<div class="cap">{_esc(_fmt(v))}</div>'
-        cls = "bar" if classes is None else f"bar {classes[i]}".strip()
         cols.append(
             f'<div class="col" title="{_esc(titles[i])}">{cap}'
-            f'<div class="{cls}" style="height:{height}%"></div></div>'
+            f'<div class="bar" style="height:{height}%"></div></div>'
         )
     xlabels = "".join(f"<span>{_esc(lbl)}</span>" for lbl in labels)
     return (
@@ -366,46 +360,32 @@ def _section_spans(ledger: RunLedger) -> str:
     )
 
 
-def _section_bench(bench_doc: Optional[Dict[str, Any]],
-                   regression_pct: Optional[float]) -> str:
-    if not bench_doc:
+def _section_bench(bench_doc: Optional[Dict[str, Any]]) -> str:
+    pairs = bench_pairs(bench_doc) if bench_doc else []
+    if not pairs:
         return ""
-    series = [s for s in bench_trend(bench_doc) if s.points]
-    if not series:
-        return ""
-    multiples = []
-    any_regressed = False
-    for s in series:
-        values = [v for _, v in s.points]
-        classes = [""] * len(values)
-        if regression_pct is not None and s.regressed(regression_pct):
-            classes[-1] = "down"
-            any_regressed = True
-        titles = [f"{s.label} @ {t}: {_fmt(v)}" for t, v in s.points]
-        labels = [t[5:10] if len(t) >= 10 else t for t, _ in s.points]
-        delta = s.delta_pct
-        delta_text = "" if delta is None else f" ({delta:+.1f}% vs best prior)"
-        multiples.append(
-            f'<div class="card"><h2 style="margin-top:0">'
-            f"{_esc(' · '.join(s.key))}{_esc(delta_text)}</h2>"
-            + _columns(values, labels, titles, classes)
-            + "</div>"
-        )
-    header = ""
-    if regression_pct is not None:
-        header = _badge(
-            not any_regressed,
-            "no bench regressions" if not any_regressed
-            else f"regression beyond {regression_pct:g}% tolerance",
-        )
+    rows = [
+        [
+            f"<td>{_esc(p.label)}</td>",
+            f"<td>{p.pairs}</td>",
+            f"<td>{p.median_ratio:.3f}</td>",
+            f"<td>{p.change_wins}</td>",
+            f"<td>{'-' if p.parent_iqr is None else f'{p.parent_iqr:.4g}'}</td>",
+            f'<td style="text-align:left">{_badge(not p.regressed, p.verdict)}</td>',
+        ]
+        for p in pairs
+    ]
+    failed = sum(p.regressed for p in pairs)
+    verdict = _badge(failed == 0, "no pair regressed" if failed == 0
+                     else f"{failed} pair(s) regressed beyond {REGRESSION_PCT:g}%")
     return (
-        f"<h2>Bench trend</h2>{header}"
-        f'<div class="multiples">{"".join(multiples)}</div>'
-        '<p class="note">one column per bench entry, chronological '
-        "(accesses/s × host reading for BENCH_hotpath.json, lower-is-better "
-        "norm_wall_s for BENCH_e2e.json); the latest column turns red when "
-        "it is worse than the series' best prior value by more than the "
-        "regression tolerance</p>"
+        f'<h2>Bench pairs</h2><div class="card">{verdict}'
+        + _table(["pair", "pairs", "median ratio", "change wins", "parent IQR (s)",
+                  "verdict"], rows, raw=True)
+        + '<p class="note">one row per paired before/after record: the median '
+        "change/parent norm_wall_s ratio over interleaved runs (lower is better) "
+        "and how many pairs the change won; the same verdict as "
+        "<code>repro bench pairs</code></p></div>"
     )
 
 
@@ -417,7 +397,6 @@ def render_dashboard(
     bench_doc: Optional[Dict[str, Any]] = None,
     check_rows: Optional[Sequence[Tuple[str, Optional[bool], str]]] = None,
     title: str = "repro fleet report",
-    regression_pct: Optional[float] = REGRESSION_PCT,
 ) -> str:
     """The complete self-contained dashboard document as a string."""
     generated = time.strftime("%Y-%m-%d %H:%M:%SZ", time.gmtime())
@@ -439,7 +418,7 @@ def render_dashboard(
         _section_perf(ledger),
         "<h2>Invariant checks</h2>",
         _section_invariants(check_rows),
-        _section_bench(bench_doc, regression_pct),
+        _section_bench(bench_doc),
         _section_spans(ledger),
         "<h2>Provenance</h2>",
         _section_provenance(ledger),

@@ -1,5 +1,6 @@
 """``benchmarks/bench_e2e.py``: its dirty flag on a throwaway git repository,
-and its paired before/after records."""
+its paired before/after records and the crash-safe appender it shares
+with the hot-path bench."""
 
 import importlib.util
 import json
@@ -9,7 +10,8 @@ import subprocess
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "bench_e2e.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "bench_e2e.py"
 
 pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 
@@ -81,6 +83,7 @@ def test_pairs_alternate_and_summarise(bench_e2e, monkeypatch, tmp_path):
     out = tmp_path / "BENCH_e2e.json"
     monkeypatch.setattr(bench_e2e, "OUT", out)
     monkeypatch.setattr(bench_e2e, "measure", fake_measure)
+    monkeypatch.setattr(bench_e2e, "compile_checkout", lambda checkout: None)
     bench_e2e.measure_pairs(parent, ["kernel-grid"], 20.0, 7919, 4)
 
     root = bench_e2e.ROOT
@@ -95,28 +98,41 @@ def test_pairs_alternate_and_summarise(bench_e2e, monkeypatch, tmp_path):
     assert (pair["seed"], pair["pairs"], pair["change_wins"]) == (7919, 4, 3)
     ratios = sorted([1.5 / 2.0, 2.3 / 2.2, 1.6 / 2.0, 1.2 / 2.4])
     assert pair["median_ratio"] == pytest.approx((ratios[1] + ratios[2]) / 2)
+    # parent quartiles of [2.0, 2.0, 2.2, 2.4], linear interpolation
+    assert pair["parent_iqr"] == pytest.approx(2.25 - 2.0)
+
+
+def test_pairs_compile_both_checkouts_before_measuring(bench_e2e, monkeypatch, tmp_path):
+    """Both trees start from bytecode the running interpreter wrote, so
+    a stale cache on one side cannot move ``setup_s``."""
+    parent = tmp_path / "parent"
+    events = []
+    monkeypatch.setattr(bench_e2e, "OUT", tmp_path / "BENCH_e2e.json")
+    monkeypatch.setattr(bench_e2e, "compile_checkout",
+                        lambda checkout: events.append(("compile", checkout)))
+
+    def fake_measure(checkout, workload, trace, seconds, seed):
+        events.append(("measure", checkout))
+        return _run_record(checkout, 1.0, "s")
+
+    monkeypatch.setattr(bench_e2e, "measure", fake_measure)
+    bench_e2e.measure_pairs(parent, ["kernel-grid", "suite-paper"], 20.0, 0, 2)
+    assert events[:2] == [("compile", parent), ("compile", bench_e2e.ROOT)]
+    assert [kind for kind, _ in events[2:]] == ["measure"] * 8
+
+
+def test_compile_checkout_writes_bytecode(bench_e2e, tmp_path):
+    for name in ("src", "perfbench"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "mod.py").write_text("X = 1\n")
+    bench_e2e.compile_checkout(tmp_path)
+    for name in ("src", "perfbench"):
+        assert list((tmp_path / name / "__pycache__").glob("mod.*.pyc")), name
 
 
 def test_pairs_need_another_checkout(bench_e2e):
     with pytest.raises(SystemExit):
         bench_e2e.main(["--pairs", "3"])
-
-
-def test_trend_skips_pair_records():
-    """A pair record adds no series and moves none: the trend model
-    reads single runs only (``bench_pairs`` judges the pairs)."""
-    from repro.obs.trend import bench_trend
-
-    single = _run_record("x", 2.0, "a" * 40)
-    pair = {"workload": "kernel-grid", "pair": {"seed": 0, "pairs": 1, "median_ratio": 0.5,
-                                                 "change_wins": 1},
-            "parent": {"metrics": {"norm_wall_s": [9.0]}},
-            "change": {"metrics": {"norm_wall_s": [4.5]}}, "host": {}}
-    alone = bench_trend({"entries": [single]})
-    assert [(s.key, s.points) for s in bench_trend({"entries": [single, pair]})] == [
-        (s.key, s.points) for s in alone
-    ]
-    assert bench_trend({"entries": [pair]}) == []
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +155,8 @@ def test_pair_gate_bounds_the_median_ratio():
                        _pair_record(None)]}
     pairs = bench_pairs(doc)
     assert [p.label for p in pairs] == ["suite-paper/seed 7919 vs aaaaaaa"] * 4
-    assert [p.regressed(15) for p in pairs] == [False, True, True, True]
-    assert [p.regressed(20) for p in pairs] == [False, False, True, True]
+    assert [p.regressed for p in pairs] == [False, True, True, True]
+    assert [p.verdict for p in pairs] == ["ok", "REGRESSION", "INCORRECT", "REGRESSION"]
 
 
 def test_pair_gate_fails_the_cli(tmp_path, capsys):
@@ -148,11 +164,11 @@ def test_pair_gate_fails_the_cli(tmp_path, capsys):
 
     path = tmp_path / "BENCH_e2e.json"
     path.write_text(json.dumps({"entries": [_pair_record(1.10)]}))
-    assert main(["bench", "trend", str(path), "--fail-on-regression", "15"]) == 0
+    assert main(["bench", "pairs", str(path)]) == 0
     path.write_text(json.dumps({"entries": [_pair_record(1.10), _pair_record(1.20)]}))
-    assert main(["bench", "trend", str(path), "--fail-on-regression", "15"]) == 1
+    assert main(["bench", "pairs", str(path)]) == 1
     assert "median ratio 1.200 > 1.150" in capsys.readouterr().err
-    assert main(["bench", "trend", str(path), "--json"]) == 0
+    assert main(["bench", "pairs", str(path), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [p["median_ratio"] for p in report["pairs"]] == [1.10, 1.20]
 
@@ -160,7 +176,48 @@ def test_pair_gate_fails_the_cli(tmp_path, capsys):
 def test_committed_pair_records_pass_the_ci_gate():
     from repro.obs.trend import bench_pairs
 
-    doc = json.loads((SCRIPT.parent.parent / "BENCH_e2e.json").read_text())
+    doc = json.loads((ROOT / "BENCH_e2e.json").read_text())
     pairs = bench_pairs(doc)
     assert len(pairs) >= 6
-    assert [p.label for p in pairs if p.regressed(15)] == []
+    assert [p.label for p in pairs if p.regressed] == []
+
+
+# ----------------------------------------------------------------------
+# the records themselves: one crash-safe appender, history untouched
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["BENCH_e2e.json", "BENCH_hotpath.json"])
+def test_append_keeps_the_committed_bytes(tmp_path, name):
+    """Appending to a copy of a committed record leaves its bytes as they
+    are: everything up to the end of the entries list is an unchanged
+    prefix, and what follows the list an unchanged suffix."""
+    from repro.bench import append_entry
+
+    old = (ROOT / name).read_bytes()
+    copy = tmp_path / name
+    copy.write_bytes(old)
+    append_entry(copy, {"workload": "kernel-grid", "note": "appended"})
+    new = copy.read_bytes()
+    cut = old.index(b"\n  ]")  # the close of the top-level entries list
+    assert new.startswith(old[:cut]) and new.endswith(old[cut:])
+    entries = json.loads(new)["entries"]
+    assert entries[:-1] == json.loads(old)["entries"]
+    assert entries[-1] == {"workload": "kernel-grid", "note": "appended"}
+    assert [p.name for p in tmp_path.iterdir()] == [name], "no temp file left behind"
+
+
+def test_bench_e2e_appends_through_the_shared_appender(bench_e2e):
+    from repro.bench import append_entry
+
+    assert bench_e2e.append_entry is append_entry
+
+
+def test_hotpath_entry_carries_no_host_reading():
+    from repro.bench import run_hotpath_bench
+
+    entry = run_hotpath_bench(("lap",), refs_per_core=200, reps=1)
+    assert set(entry) == {"timestamp", "workload", "refs_per_core", "reps", "seed",
+                          "paths", "instrumentation", "accesses_per_sec"}
+    assert entry["paths"] == ["kernel", "generic"]
+    for spec in ("default", "none"):
+        assert set(entry["accesses_per_sec"][spec]["lap"]) == {"kernel", "generic"}
+        assert min(entry["accesses_per_sec"][spec]["lap"].values()) > 0
