@@ -10,9 +10,11 @@ probe-free). The probe-free vs default-probe kernel ratio is not read
 off the grid: it is the median of per-pair ratios over interleaved
 single-rep pairs (order swapped every pair). Two more legs sit beside
 the grid: the probe-free kernel with a live span recorder installed and
-the flight recorder imported but not attached, and a coherent leg that
-measures the kernel against the generic loop on a MOESI run (PARSEC
-``canneal``, default probes), the configuration behind Fig. 20. The entry is **appended** to ``BENCH_hotpath.json`` at
+the flight recorder imported but not attached (its ratio to the plain
+probe-free kernel is the median of interleaved pairs the same way), and
+a coherent leg that measures the kernel against the generic loop on a
+MOESI run (PARSEC ``canneal``, default probes), the configuration
+behind Fig. 20. The entry is **appended** to ``BENCH_hotpath.json`` at
 the repo root as a record; earlier entries (including the pre-refactor
 record, preserved under ``"legacy"``) are never overwritten. Only the
 in-run gates below judge it: no gate compares entries taken on
@@ -44,7 +46,8 @@ POLICIES = ("non-inclusive", "exclusive", "lap")
 SPECS = BENCH_INSTRUMENTATION  # ("default", "none")
 REFS_PER_CORE = 30_000
 REPS = 3
-#: interleaved probe-free/default-probe kernel pairs per policy
+#: interleaved single-rep pairs per policy behind the probe-free vs
+#: default-probe and the telemetry-idle vs probe-free ratios
 PROBE_PAIRS = 6
 
 #: accesses/sec at the pre-refactor seed (same grid, default probes).
@@ -71,19 +74,52 @@ def _throughput(system: SystemConfig, policy: str, reps: int = REPS) -> float:
     return measure_throughput(system, policy, refs_per_core=REFS_PER_CORE, reps=reps, seed=7)
 
 
-def _probe_free_vs_instrumented(policy: str) -> list:
-    """Probe-free / default-probe kernel rate over ``PROBE_PAIRS``
-    single-rep pairs, measured back to back in this process with the
-    order swapped every pair, so both sides of a pair see the same
-    host-speed phase."""
-    systems = {spec: replace(SystemConfig.scaled(), instrumentation=spec)
-               for spec in ("none", "default")}
+def _interleaved_ratios(measure: dict) -> list:
+    """First side's rate / second side's over ``PROBE_PAIRS`` pairs of
+    single-rep measurements (``measure`` maps a side to a callable that
+    returns its rate), taken back to back in this process with the order
+    swapped every pair, so both sides of a pair see the same host-speed
+    phase."""
+    first, second = measure
     ratios = []
     for k in range(PROBE_PAIRS):
-        order = ("none", "default") if k % 2 == 0 else ("default", "none")
-        rate = {spec: _throughput(systems[spec], policy, reps=1) for spec in order}
-        ratios.append(round(rate["none"] / rate["default"], 3))
+        order = (first, second) if k % 2 == 0 else (second, first)
+        rate = {side: measure[side]() for side in order}
+        ratios.append(round(rate[first] / rate[second], 3))
     return ratios
+
+
+def _probe_free_vs_instrumented(policy: str) -> list:
+    """Probe-free / default-probe kernel rate, per interleaved pair."""
+    systems = {spec: replace(SystemConfig.scaled(), instrumentation=spec)
+               for spec in ("none", "default")}
+    return _interleaved_ratios({
+        spec: lambda spec=spec: _throughput(systems[spec], policy, reps=1)
+        for spec in ("none", "default")
+    })
+
+
+def _telemetry_idle_vs_probe_free(policy: str) -> list:
+    """Probe-free kernel rate with a live span recorder installed / the
+    same without one, per interleaved pair."""
+    from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
+
+    system = SystemConfig.scaled().probe_free()
+
+    def idle() -> float:
+        previous = install_recorder(SpanRecorder())
+        try:
+            return _throughput(system, policy, reps=1)
+        finally:
+            if previous is None:
+                uninstall_recorder()
+            else:
+                install_recorder(previous)
+
+    return _interleaved_ratios({
+        "idle": idle,
+        "plain": lambda: _throughput(system, policy, reps=1),
+    })
 
 
 def _coherent_throughput(policy: str) -> dict:
@@ -145,28 +181,14 @@ def measure_grid() -> dict:
     # the probe-free hot path must be unchanged. Spans are coarse (one
     # per run and per kernel phase, never per access), so this measures
     # that the observability layer stays off the per-access path
-    # entirely. The two sides alternate rep by rep so they see the same
-    # host-speed phase (the grid above ran minutes earlier).
+    # entirely. Like the probe-free ratio, it is the median of
+    # interleaved pairs, not a ratio of best-of rates.
     import repro.obs.trace  # noqa: F401  (imported, never attached)
-    from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 
-    probe_free_system = SystemConfig.scaled().probe_free()
-    plain = {p: 0.0 for p in POLICIES}
-    idle = {p: 0.0 for p in POLICIES}
-    for policy in POLICIES:
-        for _ in range(REPS):
-            plain[policy] = max(plain[policy], _throughput(probe_free_system, policy, reps=1))
-            previous = install_recorder(SpanRecorder())
-            try:
-                idle[policy] = max(idle[policy], _throughput(probe_free_system, policy, reps=1))
-            finally:
-                if previous is None:
-                    uninstall_recorder()
-                else:
-                    install_recorder(previous)
-    entry["telemetry_idle_accesses_per_sec"] = {p: round(idle[p]) for p in POLICIES}
+    idle_pairs = {p: _telemetry_idle_vs_probe_free(p) for p in POLICIES}
+    entry["telemetry_idle_vs_probe_free_pairs"] = idle_pairs
     entry["telemetry_idle_vs_probe_free"] = {
-        p: round(idle[p] / plain[p], 3) for p in POLICIES
+        p: round(statistics.median(idle_pairs[p]), 3) for p in POLICIES
     }
     return entry
 

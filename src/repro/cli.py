@@ -24,7 +24,9 @@ Commands
 ``validate-workloads``
     Re-measure every synthetic benchmark's declared traits.
 ``sweep``
-    Run a workloads x policies grid on one system and export CSV.
+    Run a workloads x policies grid on one system and export CSV: a
+    suite run (``run_suite``) over the ``--workloads`` list, printed as
+    one CSV row per workload and policy.
 ``cache``
     Inspect (``stats``, optionally ``--json``) or empty (``clear``)
     the result cache.
@@ -62,9 +64,9 @@ run`` out over N worker processes (``run``, ``compare``,
 ``--cache-dir PATH`` memoises every simulation these commands run in a
 content-addressed on-disk cache (``$REPRO_CACHE_DIR`` is honoured when
 the flag is absent), and ``--spans PATH`` turns on span tracing for
-the command and dumps the trace as JSONL (``$REPRO_SPANS`` enables
-tracing without a dump path; the exec pool then writes ``spans.jsonl``
-next to ``manifest.json``), e.g.::
+the command and dumps the trace as JSONL to PATH when it ends (``repro
+report`` reads a dump named ``spans.jsonl`` in a cache directory),
+e.g.::
 
     python -m repro --jobs 4 --cache-dir ~/.repro-cache sweep --workloads WL2,WH1
 """
@@ -417,39 +419,43 @@ def _cmd_validate_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sim.sweeps import Sweep, records_to_csv
+    from .suite import BenchmarkSet, records_to_csv, run_suite, suite_records
 
     system = _system_from(args)
-    sweep = Sweep(
-        systems={system.label: system},
-        workloads={
-            name: WorkloadSpec.named(name, system.hierarchy.ncores, args.seed)
-            for name in args.workloads.split(",")
-        },
-        policies=_policy_list(args.policies, hybrid=args.hybrid),
-        refs_per_core=args.refs,
-    )
+    names = tuple(dict.fromkeys(args.workloads.split(",")))
+    for name in names:  # an unknown name is a usage error, before any run
+        WorkloadSpec.named(name, system.hierarchy.ncores, args.seed)
+    policies = _policy_list(args.policies, hybrid=args.hybrid)
     jobs = max(1, getattr(args, "jobs", 1))
     cache = get_active_cache()
     print(
-        f"running {sweep.size()} simulations "
+        f"running {len(names) * len(policies)} simulations "
         f"({'serial' if jobs == 1 else f'{jobs} workers'}"
         f"{', cached' if cache else ''}) ...",
         file=sys.stderr,
     )
-    records = sweep.run(
-        progress=lambda r: print(f"  {r.workload} / {r.policy} done", file=sys.stderr),
+    report = run_suite(
+        BenchmarkSet(name="sweep", description="repro sweep --workloads", members=names),
+        system,
+        policies=policies,
+        refs_per_core=args.refs,
+        seed=args.seed,
         max_workers=jobs,
         cache=cache,
+        progress=lambda line: print(f"  {line}", file=sys.stderr),
         heartbeat_interval=args.heartbeat if args.heartbeat > 0 else None,
     )
-    if cache is not None:
+    if cache is not None and report.profiles:
         print(f"run manifest written to {cache.root / 'manifest.json'}", file=sys.stderr)
-    text = records_to_csv(records, args.output)
-    if args.output:
-        print(f"CSV written to {args.output}")
-    else:
-        print(text, end="")
+    if report.succeeded:
+        text = records_to_csv(suite_records(report), args.output)
+        if args.output:
+            print(f"CSV written to {args.output}")
+        else:
+            print(text, end="")
+    if not report.ok:
+        print(f"\n{len(report.failures)} workload(s) failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -691,8 +697,13 @@ def _cmd_suite_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite_run(args: argparse.Namespace) -> int:
-    from .sim.sweeps import records_to_csv
-    from .suite import result_text, run_suite, suite_records, write_result_file
+    from .suite import (
+        records_to_csv,
+        result_text,
+        run_suite,
+        suite_records,
+        write_result_file,
+    )
 
     system = _system_from(args)
     corpus = _corpus_from(args)
@@ -734,7 +745,7 @@ def _cmd_suite_run(args: argparse.Namespace) -> int:
     if args.result_file:
         path = write_result_file(report, args.result_file)
         print(f"result file written to {path}", file=sys.stderr)
-    if cache is not None:
+    if cache is not None and report.profiles:
         print(f"run manifest written to {cache.root / 'manifest.json'}",
               file=sys.stderr)
     if not report.ok:
@@ -844,8 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--spans", default=None, metavar="PATH",
         help="enable span tracing for the command and dump the trace as "
-        "JSONL to PATH afterwards ($REPRO_SPANS enables tracing without "
-        "a dump path)",
+        "JSONL to PATH afterwards",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1086,19 +1096,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        from .obs.spans import (
-            SpanRecorder,
-            install_recorder,
-            recorder_from_env,
-            uninstall_recorder,
-        )
+        from .obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 
         spans_path = getattr(args, "spans", None)
-        if spans_path:
-            recorder = SpanRecorder()
+        recorder = SpanRecorder() if spans_path else None
+        if recorder is not None:
             install_recorder(recorder)
-        else:
-            recorder = recorder_from_env()
         cache = (
             ResultCache(args.cache_dir) if getattr(args, "cache_dir", None)
             else cache_from_env()
@@ -1110,10 +1113,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if cache is not None:
                 set_active_cache(previous)
             if recorder is not None:
-                if spans_path:
-                    recorder.dump(spans_path)
-                    print(f"span trace written to {spans_path} "
-                          f"({len(recorder)} spans)", file=sys.stderr)
+                recorder.dump(spans_path)
+                print(f"span trace written to {spans_path} "
+                      f"({len(recorder)} spans)", file=sys.stderr)
                 uninstall_recorder()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

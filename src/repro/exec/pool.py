@@ -1,22 +1,22 @@
 """Parallel job execution over a process pool, with caching and retry.
 
 :func:`execute_jobs` is the engine behind every multi-run caller
-(``sim.runner.run_policies``/``run_matrix``, ``Sweep.run``,
-``run_suite``) and the CLI's ``--jobs``: it resolves cache hits first, fans the misses
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`, and returns
-results in the *input* order regardless of completion order, so parallel
-sweeps are record-for-record identical to serial ones.
+(``sim.runner.run_policies``/``run_matrix`` and ``run_suite``, which
+``repro sweep`` and ``repro suite run`` drive) and the CLI's
+``--jobs``: it resolves cache hits first, fans the misses out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`, and returns results
+in the *input* order regardless of completion order, so parallel runs
+are record-for-record identical to serial ones.
 
 The return value is an :class:`ExecutionOutcome` — a list of
 :class:`RunResult` (so every existing caller keeps working) that also
 carries one :class:`~repro.obs.profiling.JobProfile` per job
 (wall time, throughput, retries, provenance, peak RSS) plus cache
 hit/miss totals, and can roll them up into a
-:class:`~repro.obs.profiling.RunManifest`. Pass ``manifest_dir``
-to have the manifest written as ``manifest.json`` (a sweep run with a
-cache does this automatically, next to the cached results), and
-``heartbeat_interval`` to get rate-limited progress lines on stderr
-during long sweeps.
+:class:`~repro.obs.profiling.RunManifest` (``outcome.manifest()``;
+``run_suite`` writes it as ``manifest.json`` next to the cached
+results). Pass ``heartbeat_interval`` to get rate-limited progress
+lines on stderr during long batches.
 
 Failure policy: only failures of the worker or process — a broken pool
 (a worker killed by the OS), a pickling error, an ``OSError`` — are
@@ -33,9 +33,8 @@ on its first attempt as an :class:`~repro.errors.ExecutionError`.
 Interruption policy: SIGINT (Ctrl-C) and SIGTERM (a supervisor's stop)
 during a batch shut the batch down gracefully instead of unwinding
 with a raw traceback — pending work is cancelled, every *collected*
-job is still cached and profiled, the manifest is still written, and
-the caller receives a partial :class:`ExecutionOutcome` with
-``interrupted=True`` (SIGTERM is bridged to ``KeyboardInterrupt``
+job is still cached and profiled, and the caller receives a partial
+:class:`ExecutionOutcome` with ``interrupted=True`` (SIGTERM is bridged to ``KeyboardInterrupt``
 while the batch runs, main thread only — a library caller that runs
 a batch in a worker thread keeps its host's signal handling untouched).
 
@@ -66,12 +65,11 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import contextlib
-import pathlib
 import pickle
 import signal
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, ReproError
 from ..obs.profiling import (
@@ -83,7 +81,7 @@ from ..obs.profiling import (
     RunManifest,
     peak_rss_kb,
 )
-from ..obs.spans import current_recorder, span, tracing_enabled
+from ..obs.spans import span
 from ..sim.results import RunResult
 from .cache import ResultCache
 from .jobs import STREAM_SHARE, JobSpec
@@ -96,8 +94,10 @@ class ExecutionOutcome(List[RunResult]):
     Behaves exactly like the plain ``List[RunResult]`` this function
     used to return; the telemetry rides along as attributes. An
     interrupted batch (``interrupted=True``) holds only the jobs that
-    completed — still in input order — with ``total_jobs`` recording
-    how many were requested.
+    completed, in input order, with ``total_jobs`` recording how many
+    were requested. They need not be a prefix of the input: cache hits
+    are collected before any miss runs, so a caller that needs every
+    job must treat a partial outcome as no result.
     """
 
     def __init__(
@@ -128,10 +128,6 @@ class ExecutionOutcome(List[RunResult]):
         return RunManifest(
             jobs=list(self.profiles), max_workers=self.max_workers, wall_s=self.wall_s
         )
-
-    def write_manifest(self, target: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write ``manifest.json`` (``target`` may be a directory)."""
-        return self.manifest().write(target)
 
 
 #: failures of the worker or process rather than of the job itself; only
@@ -263,7 +259,6 @@ def execute_jobs(
     jobs: Sequence[JobSpec],
     max_workers: int = 1,
     cache: Optional[ResultCache] = None,
-    manifest_dir: Optional[Union[str, pathlib.Path]] = None,
     heartbeat_interval: Optional[float] = None,
 ) -> ExecutionOutcome:
     """Execute ``jobs`` and return one :class:`RunResult` per job, in order.
@@ -271,14 +266,12 @@ def execute_jobs(
     ``max_workers <= 1`` (or a pool that fails to start) runs serially
     in-process; ``cache`` short-circuits jobs whose content address is
     already stored and records fresh results on the way out. A job that
-    fails transiently is retried once. ``manifest_dir`` writes the run
-    manifest there (``manifest.json``);
-    ``heartbeat_interval`` emits progress lines at most that many
-    seconds apart on stderr.
+    fails transiently is retried once. ``heartbeat_interval`` emits
+    progress lines at most that many seconds apart on stderr.
 
     SIGINT/SIGTERM mid-batch returns a *partial* outcome instead of
-    raising: collected jobs are cached, profiled, and manifest-logged
-    as usual, pending work is cancelled, and the returned outcome has
+    raising: collected jobs are cached and profiled as usual, pending
+    work is cancelled, and the returned outcome has
     ``interrupted=True`` with ``total_jobs`` = the requested count. A
     job that raises fails the call, but the results collected before
     it are stored in ``cache`` first.
@@ -360,16 +353,6 @@ def execute_jobs(
     batch_span.finish()
     if jobs:
         pulse.final(len(completed), cached_count)
-    if manifest_dir is not None:
-        outcome.write_manifest(manifest_dir)
-        if tracing_enabled():
-            # The span dump rides next to the manifest so the ledger
-            # scanner finds both in one pass. Dumping the whole
-            # recorder (not a drained slice) means later batches in
-            # the same process supersede the file with a superset.
-            recorder = current_recorder()
-            if recorder is not None and len(recorder):
-                recorder.dump(pathlib.Path(manifest_dir))
     return outcome
 
 

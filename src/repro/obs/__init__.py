@@ -3,7 +3,7 @@
 - ``spans`` — coarse span tracing (per run, batch and job), the
   optional per-layer timing record;
 - ``profiling`` — per-job profiles and the ``manifest.json`` run
-  manifest the exec pool writes for every cached batch;
+  manifest ``run_suite`` writes for every cached suite run;
 - ``trace`` / ``diff`` — the flight recorder (probe-bus events to
   JSONL) and the trace summaries and diffs behind ``repro trace``;
 - ``ledger`` / ``dashboard`` — the merged view over result cache
@@ -20,13 +20,11 @@ them here would make the import graph cyclic.
 """
 
 from .spans import (
-    SPANS_ENV,
     SPANS_NAME,
     SpanRecorder,
     current_recorder,
     install_recorder,
     read_spans,
-    recorder_from_env,
     span,
     start_span,
     summarize_spans,
@@ -35,13 +33,11 @@ from .spans import (
 )
 
 __all__ = [
-    "SPANS_ENV",
     "SPANS_NAME",
     "SpanRecorder",
     "current_recorder",
     "install_recorder",
     "read_spans",
-    "recorder_from_env",
     "span",
     "start_span",
     "summarize_spans",

@@ -2,7 +2,8 @@
 
 A sweep leaves its records in three places: ``manifest.json`` (per-job
 profiles), content-addressed ``<sha256>.json`` result entries (the job
-spec *and* its full metrics) and ``spans.jsonl`` (the span trace).
+spec *and* its full metrics) and ``spans.jsonl`` (the span trace, when
+the run passed ``--spans <dir>/spans.jsonl``).
 :func:`scan_dirs` walks one or more such directories and merges
 everything into a :class:`RunLedger`: one :class:`LedgerRow` per job
 with provenance (policy, cache-hit source, retries) and headline result

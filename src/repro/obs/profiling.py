@@ -4,8 +4,8 @@
 job — wall time, simulated accesses/s, retry count, result provenance
 (fresh worker / in-process / content-addressed cache) and peak RSS
 where the platform reports it — and rolls them up into a
-:class:`RunManifest` written as ``manifest.json`` next to the cached
-results. The manifest is the sweep-level flight log: when a Fig. 14
+:class:`RunManifest`, which :func:`repro.suite.run_suite` writes as
+``manifest.json`` next to the cached results. The manifest is the sweep-level flight log: when a Fig. 14
 grid produces a surprising number, it answers "which jobs actually
 ran, which came from cache, and where did the time go" without
 re-running anything.

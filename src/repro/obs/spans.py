@@ -20,10 +20,10 @@ Usage::
 
 The recorder is process-global and thread-safe; each thread keeps its
 own parent stack, so spans opened on a worker thread and on the main
-thread never mis-parent each other. The execution pool dumps the
-recorder next to ``manifest.json`` (as ``spans.jsonl``) whenever
-tracing is on, and the CLI's global ``--spans PATH`` turns tracing on
-for any command.
+thread never mis-parent each other. The CLI's global ``--spans PATH``
+is the one switch: it turns tracing on for any command and dumps the
+recorder to PATH when the command ends (``repro report`` reads a dump
+named ``spans.jsonl`` in a cache directory, next to ``manifest.json``).
 
 Dump format is one JSON object per line::
 
@@ -46,10 +46,6 @@ from ..errors import TelemetryError
 
 #: File name a span dump takes when written next to a run manifest.
 SPANS_NAME = "spans.jsonl"
-
-#: Environment variable that enables tracing process-wide (any
-#: non-empty value); the CLI's ``--spans`` flag is the explicit form.
-SPANS_ENV = "REPRO_SPANS"
 
 
 class SpanRecorder:
@@ -181,15 +177,6 @@ def current_recorder() -> Optional[SpanRecorder]:
 
 def tracing_enabled() -> bool:
     return _recorder is not None
-
-
-def recorder_from_env(env_var: str = SPANS_ENV) -> Optional[SpanRecorder]:
-    """Install a fresh recorder when ``$REPRO_SPANS`` is set (non-empty)."""
-    if not os.environ.get(env_var, "").strip():
-        return None
-    recorder = SpanRecorder()
-    install_recorder(recorder)
-    return recorder
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,12 @@ from .registry import (
     unknown_set,
 )
 from .report import (
+    RECORD_METRICS,
+    SweepRecord,
     benchmark_table,
     failure_lines,
     geomean_table,
+    records_to_csv,
     result_text,
     suite_records,
     write_result_file,
@@ -57,6 +60,9 @@ __all__ = [
     "geomean_table",
     "failure_lines",
     "suite_records",
+    "RECORD_METRICS",
+    "SweepRecord",
+    "records_to_csv",
     "result_text",
     "write_result_file",
 ]

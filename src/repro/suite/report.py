@@ -1,21 +1,53 @@
 """Suite-report rendering: tables, CSV records, result-file text.
 
 One :class:`~repro.suite.runner.SuiteReport` feeds three consumers —
-the terminal (``repro suite run``), the sweep-CSV toolchain
-(:func:`suite_records` emits :class:`~repro.sim.sweeps.SweepRecord`
-rows that ``records_to_csv``/``load_csv`` already understand), and the
-experiment record (:func:`result_text` writes the
-``suite_geomean`` artefact :mod:`repro.analysis.report` indexes).
+the terminal (``repro suite run``), CSV (:func:`suite_records`
+flattens it into one :class:`SweepRecord` per member and policy, and
+:func:`records_to_csv` writes them; ``repro sweep`` is a suite run over
+its ``--workloads`` printed this way), and the experiment record
+(:func:`result_text` writes the ``suite_geomean`` artefact
+:mod:`repro.analysis.report` indexes).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import pathlib
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis.tables import render_mapping_table, render_table
-from ..sim.sweeps import RECORD_METRICS, SweepRecord
+from ..errors import AnalysisError
 from .runner import SUMMARY_METRICS, SuiteReport
+
+#: The metrics a CSV record carries, in column order.
+RECORD_METRICS = (
+    "epi",
+    "static_epi",
+    "dynamic_epi",
+    "throughput",
+    "mpki",
+    "llc_writes",
+    "llc_misses",
+    "loop_block_fraction",
+    "redundant_fill_fraction",
+    "snoop_traffic",
+)
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One run's flattened outcome."""
+
+    system: str
+    workload: str
+    policy: str
+    metrics: Dict[str, float]
+
+    def row(self) -> Dict[str, Union[str, float]]:
+        return {"system": self.system, "workload": self.workload,
+                "policy": self.policy, **self.metrics}
 
 
 def benchmark_table(report: SuiteReport, metric: str = "epi") -> str:
@@ -57,7 +89,7 @@ def failure_lines(report: SuiteReport) -> List[str]:
 
 
 def suite_records(report: SuiteReport) -> List[SweepRecord]:
-    """Flatten successful runs into sweep records (CSV-ready)."""
+    """Flatten successful runs into records (CSV-ready), member-major."""
     records: List[SweepRecord] = []
     for outcome in report.outcomes:
         if not outcome.ok:
@@ -73,6 +105,25 @@ def suite_records(report: SuiteReport) -> List[SweepRecord]:
                 )
             )
     return records
+
+
+def records_to_csv(
+    records: Sequence[SweepRecord],
+    path: Optional[Union[str, pathlib.Path]] = None,
+) -> str:
+    """Serialise records as CSV; optionally also write to ``path``."""
+    if not records:
+        raise AnalysisError("no records to serialise")
+    fieldnames = list(records[0].row().keys())
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    for r in records:
+        writer.writerow(r.row())
+    text = buf.getvalue()
+    if path is not None:
+        pathlib.Path(path).write_text(text)
+    return text
 
 
 def result_text(report: SuiteReport) -> str:

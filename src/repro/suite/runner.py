@@ -161,10 +161,11 @@ def run_suite(
     pool fan-out and the result cache. If that batch raises, each
     member runs again in its own call and records its own error, and
     the suite continues. ``progress`` gets one line per member, in
-    member order, after the batch. When a cache is present the merged
-    manifest (every member's job profiles) is written next to the
-    cached results, so ``repro report`` picks suite runs up like any
-    sweep.
+    member order, after the batch. An interrupted batch raises
+    ``KeyboardInterrupt``: a partial batch is not a result. When a
+    cache is present the merged manifest (every member's job profiles)
+    is written next to the cached results, where ``repro report`` reads
+    it; this is the one place a batch manifest is written.
     """
     from ..arena import registry as arena_registry
 

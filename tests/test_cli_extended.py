@@ -1,6 +1,16 @@
 """Tests for the report/validate/sweep CLI commands."""
 
+import csv
+import io
+
+import pytest
+
 from repro.cli import main
+from repro.exec import JobSpec, WorkloadSpec, execute_jobs
+from repro.sim import SystemConfig
+from repro.suite import RECORD_METRICS
+
+SMALL = ["--ncores", "4", "--llc-kb", "32", "--l2-kb", "4"]
 
 
 class TestSweepCommand:
@@ -36,6 +46,68 @@ class TestSweepCommand:
 
     def test_sweep_unknown_workload_fails(self, capsys):
         assert main(["sweep", "--workloads", "gcc", "--refs", "100"]) == 2
+
+    def test_every_row_is_its_jobspec(self, capsys):
+        """Each CSV row carries the numbers of the job its labels name:
+        a Table III mix, a SPEC-like and a PARSEC-like workload under
+        three policies."""
+        policies = ("non-inclusive", "exclusive", "lap")
+        code = main(["sweep", "--workloads", "WL1,mcf,dedup",
+                     "--policies", ",".join(policies), "--refs", "500",
+                     "--seed", "2", *SMALL])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["workload"], r["policy"]) for r in rows] == [
+            (w, p) for w in ("WL1", "mcf", "dedup") for p in policies
+        ]
+        system = SystemConfig.scaled(ncores=4, llc_kb=32, l2_kb=4)
+        results = execute_jobs([
+            JobSpec(system=system, workload=WorkloadSpec.named(r["workload"], 4, 2),
+                    policy=r["policy"], refs_per_core=500)
+            for r in rows
+        ])
+        for row, result in zip(rows, results):
+            assert row["system"] == system.label
+            for metric in RECORD_METRICS:
+                assert float(row[metric]) == float(getattr(result, metric)), (
+                    row["workload"], row["policy"], metric)
+
+    def test_duplicate_workloads_run_once(self, capsys):
+        code = main(["sweep", "--workloads", "mcf,mcf", "--policies", "lap",
+                     "--refs", "300", *SMALL])
+        assert code == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l][1:]
+        assert len(rows) == 1
+
+    def test_run_time_failure_keeps_other_rows(self, capsys):
+        """A member that fails while running exits 1 with the other
+        members' rows (a Table III mix needs 4 cores)."""
+        code = main(["sweep", "--workloads", "mcf,WL1", "--policies", "lap",
+                     "--refs", "300", "--ncores", "2", "--llc-kb", "32",
+                     "--l2-kb", "4"])
+        assert code == 1
+        captured = capsys.readouterr()
+        rows = [l for l in captured.out.splitlines() if l][1:]
+        assert [r.split(",")[1] for r in rows] == ["mcf"]
+        assert "WL1: FAILED" in captured.err
+
+    def test_interrupt_on_part_warm_cache_prints_no_rows(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """With non-inclusive and LAP cached, an interrupt while the
+        exclusive job runs must not print LAP's numbers as exclusive's."""
+        args = ["--cache-dir", str(tmp_path), "sweep", "--workloads", "mcf",
+                "--refs", "400", "--heartbeat", "0", *SMALL]
+        assert main(args + ["--policies", "non-inclusive,lap"]) == 0
+        capsys.readouterr()
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(JobSpec, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--policies", "non-inclusive,exclusive,lap"])
+        assert capsys.readouterr().out == ""
 
 
 class TestReportCommand:

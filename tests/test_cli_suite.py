@@ -86,6 +86,15 @@ class TestSuiteRun:
         assert "FAILED bad" in captured.out
         assert "good: ok" in captured.err  # the healthy trace still ran
 
+    def test_no_manifest_claimed_when_no_job_ran(self, capsys, tmp_path):
+        # every Table III mix fails on a 2-core system, so no job runs and
+        # run_suite writes no manifest; the CLI must not say it did
+        assert main([
+            "--cache-dir", str(tmp_path), "suite", "run", "wl", "--json", *SMALL,
+        ]) == 1
+        assert "run manifest written" not in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_csv_and_result_file_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "suite.csv"
         results = tmp_path / "results"

@@ -10,13 +10,13 @@ from repro.exec import (
     ResultCache,
     WorkloadSpec,
     cache_from_env,
+    execute_jobs,
     get_active_cache,
     set_active_cache,
 )
 from repro.sim import SystemConfig
 from repro.sim.runner import run_policies
 from repro.sim.simulator import Simulator
-from repro.sim.sweeps import Sweep
 
 
 def small_system(**kwargs) -> SystemConfig:
@@ -137,19 +137,14 @@ class TestResultCache:
 
 
 class TestWarmSweepRunsNothing:
-    def sweep(self) -> Sweep:
-        return Sweep(
-            systems={
-                "base": small_system(),
-                "big": small_system(llc_kb=64, label="big"),
-            },
-            workloads={
-                "mcf": WorkloadSpec.duplicate("mcf", ncores=2),
-                "lbm": WorkloadSpec.duplicate("lbm", ncores=2),
-            },
-            policies=("non-inclusive", "exclusive", "lap"),
-            refs_per_core=600,
-        )
+    def grid(self):
+        return [
+            JobSpec(system=system, workload=spec, policy=policy, refs_per_core=600)
+            for system in (small_system(), small_system(llc_kb=64, label="big"))
+            for spec in (WorkloadSpec.duplicate("mcf", ncores=2),
+                         WorkloadSpec.duplicate("lbm", ncores=2))
+            for policy in ("non-inclusive", "exclusive", "lap")
+        ]
 
     def test_warm_cache_performs_zero_simulations(self, tmp_path, monkeypatch):
         calls = {"n": 0}
@@ -161,12 +156,12 @@ class TestWarmSweepRunsNothing:
 
         monkeypatch.setattr(Simulator, "run", counting_run)
         cache = ResultCache(tmp_path)
-        sweep = self.sweep()
-        cold = sweep.run(cache=cache)
-        assert calls["n"] == sweep.size() == 12
-        warm = sweep.run(cache=cache)
+        grid = self.grid()
+        cold = execute_jobs(grid, cache=cache)
+        assert calls["n"] == len(grid) == 12
+        warm = execute_jobs(grid, cache=cache)
         assert calls["n"] == 12, "warm run must not simulate anything"
-        assert warm == cold
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
         s = cache.stats()
         assert s.hits == 12 and s.puts == 12
 

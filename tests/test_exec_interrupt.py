@@ -1,6 +1,6 @@
 """Graceful-shutdown semantics of execute_jobs: SIGINT/SIGTERM
 mid-batch yields a partial ExecutionOutcome with completed work cached
-and manifest-logged, not a raw traceback; off the main thread the
+and profiled, not a raw traceback; off the main thread the
 batch leaves the process's signal handling alone."""
 
 import os
@@ -57,7 +57,8 @@ class TestGracefulInterrupt:
         batch = jobs(3)
         cache = ResultCache(tmp_path / "cache")
         interrupt_on_call(monkeypatch, 2)
-        outcome = execute_jobs(batch, cache=cache, manifest_dir=tmp_path)
+        outcome = execute_jobs(batch, cache=cache)
+        outcome.manifest().write(tmp_path)
         assert outcome.interrupted and len(outcome) == 2
         # the two finished jobs are in the shared cache...
         monkeypatch.undo()

@@ -3,29 +3,24 @@
 import pytest
 
 from repro.errors import AnalysisError, ExecutionError, ReproError, SimulationError
-from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
+from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs, result_to_dict
 from repro.sim import SystemConfig
-from repro.sim.sweeps import Sweep
+from repro.suite import BenchmarkSet, run_suite, suite_records
 
 
 def small_system(**kwargs) -> SystemConfig:
     return SystemConfig.scaled(**{"ncores": 2, "llc_kb": 32, "l2_kb": 4, **kwargs})
 
 
-def small_grid(refs=600) -> Sweep:
-    """The satellite's 2-system x 2-workload x 2-policy determinism grid."""
-    return Sweep(
-        systems={
-            "base": small_system(),
-            "big": small_system(llc_kb=64, label="big"),
-        },
-        workloads={
-            "mcf": WorkloadSpec.duplicate("mcf", ncores=2),
-            "lbm": WorkloadSpec.duplicate("lbm", ncores=2, seed=3),
-        },
-        policies=("non-inclusive", "lap"),
-        refs_per_core=refs,
-    )
+def small_grid(refs=600):
+    """A 2-system x 2-workload x 2-policy determinism grid, as jobs."""
+    return [
+        JobSpec(system=system, workload=spec, policy=policy, refs_per_core=refs)
+        for system in (small_system(), small_system(llc_kb=64, label="big"))
+        for spec in (WorkloadSpec.duplicate("mcf", ncores=2),
+                     WorkloadSpec.duplicate("lbm", ncores=2, seed=3))
+        for policy in ("non-inclusive", "lap")
+    ]
 
 
 def _worker_lost(job):
@@ -40,19 +35,24 @@ def _worker_timed_out(job):
 
 class TestDeterminism:
     def test_parallel_records_equal_serial(self):
-        sweep = small_grid()
-        serial = sweep.run()
-        parallel = sweep.run(max_workers=4)
-        assert len(serial) == sweep.size() == 8
-        # same order, same labels, bit-identical metric values
-        assert parallel == serial
+        grid = small_grid()
+        serial = execute_jobs(grid)
+        parallel = execute_jobs(grid, max_workers=4)
+        assert len(serial) == len(grid) == 8
+        # same order, bit-identical results
+        assert [p.index for p in parallel.profiles] == list(range(8))
+        assert [result_to_dict(r) for r in parallel] == [result_to_dict(r) for r in serial]
 
     def test_progress_fires_in_serial_order(self):
-        sweep = small_grid(refs=400)
-        expected = sweep.run()
+        members = ("mcf", "lbm", "bzip2")
+        kwargs = dict(policies=("non-inclusive", "lap"), refs_per_core=400)
+        bset = BenchmarkSet(name="three", description="", members=members)
+        expected = suite_records(run_suite(bset, small_system(), **kwargs))
         seen = []
-        sweep.run(progress=seen.append, max_workers=4)
-        assert seen == expected
+        pooled = run_suite(bset, small_system(), max_workers=4,
+                           progress=seen.append, **kwargs)
+        assert [line.split(":")[0] for line in seen] == list(members)
+        assert suite_records(pooled) == expected
 
 
 class TestExecuteJobs:
@@ -258,16 +258,12 @@ class TestExecuteJobs:
 class TestSweepSpecRequirement:
     def test_closure_builders_rejected_in_parallel_mode(self):
         closure = lambda ctx: WorkloadSpec.duplicate("mcf", ncores=2).build(ctx)  # noqa: E731
-        sweep = Sweep(
-            systems={"base": small_system()},
-            workloads={"mcf": closure},
-            policies=("lap",),
-            refs_per_core=400,
-        )
-        # Serial and parallel sweeps share one engine: neither runs closures.
-        for max_workers in (1, 2):
-            with pytest.raises(ExecutionError, match="WorkloadSpec"):
-                sweep.run(max_workers=max_workers)
+        # Serial and pooled batches take the same JobSpecs, and a JobSpec
+        # refuses a closure (it has no content address), so neither runs
+        # one.
+        with pytest.raises(ExecutionError, match="WorkloadSpec"):
+            JobSpec(system=small_system(), workload=closure, policy="lap",
+                    refs_per_core=400)
 
 
 class TestBuilderSpecs:
@@ -304,12 +300,11 @@ class TestBuilderSpecs:
 
 class TestOneRunPath:
     def test_every_grid_caller_agrees(self):
-        """run_policies, serial and pooled Sweeps, and run_suite all lower
-        to the same JobSpecs, so they must return identical results."""
-        from repro.exec import result_to_dict
+        """run_policies, execute_jobs, and serial and pooled suite runs
+        (the path behind ``repro sweep``) all lower to the same
+        JobSpecs, so they must return identical results."""
         from repro.sim.runner import run_policies
-        from repro.sim.sweeps import RECORD_METRICS
-        from repro.suite import BenchmarkSet, run_suite
+        from repro.suite import RECORD_METRICS
 
         system = small_system()
         policies = ("non-inclusive", "lap")
@@ -325,11 +320,20 @@ class TestOneRunPath:
         for policy in policies:
             assert result_to_dict(suite[policy]) == result_to_dict(direct[policy])
 
-        sweep = Sweep(systems={"s": system}, workloads={"mcf": spec},
-                      policies=policies, refs_per_core=500)
+        jobs = [JobSpec(system=system, workload=spec, policy=p, refs_per_core=500)
+                for p in policies]
+        for max_workers in (1, 2):
+            outcome = execute_jobs(jobs, max_workers=max_workers)
+            assert [result_to_dict(r) for r in outcome] == [
+                result_to_dict(direct[p]) for p in policies
+            ]
+
         expected = [
             {m: float(getattr(direct[p], m)) for m in RECORD_METRICS} for p in policies
         ]
         for max_workers in (1, 2):
-            records = sweep.run(max_workers=max_workers)
+            records = suite_records(run_suite(
+                BenchmarkSet(name="one", description="one member", members=("mcf",)),
+                system, policies=policies, refs_per_core=500, max_workers=max_workers,
+            ))
             assert [r.metrics for r in records] == expected

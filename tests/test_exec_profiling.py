@@ -6,8 +6,6 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.exec import ExecutionOutcome, JobSpec, ResultCache, WorkloadSpec, execute_jobs
-from repro.sim import SystemConfig
-from repro.sim.sweeps import Sweep
 from repro.obs.profiling import (
     MANIFEST_NAME,
     SOURCE_CACHE,
@@ -18,6 +16,8 @@ from repro.obs.profiling import (
     RunManifest,
     peak_rss_kb,
 )
+from repro.sim import SystemConfig
+from repro.suite import BenchmarkSet, run_suite
 
 
 def small_system(**kwargs) -> SystemConfig:
@@ -80,8 +80,9 @@ class TestExecutionOutcome:
             assert profile.accesses_per_s == 0.0  # nothing was simulated
         assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 
-    def test_manifest_dir_writes_manifest_json(self, tmp_path):
-        outcome = execute_jobs(make_jobs(2), manifest_dir=tmp_path)
+    def test_outcome_manifest_writes_manifest_json(self, tmp_path):
+        outcome = execute_jobs(make_jobs(2))
+        outcome.manifest().write(tmp_path)
         path = tmp_path / MANIFEST_NAME
         assert path.exists()
         loaded = RunManifest.load(tmp_path)
@@ -95,7 +96,7 @@ class TestExecutionOutcome:
         # rewrites them for its own jobs, never accumulating.
         cache = ResultCache(tmp_path / "cache")
         for expected_hits in (0, 2):
-            execute_jobs(make_jobs(2), cache=cache, manifest_dir=tmp_path)
+            execute_jobs(make_jobs(2), cache=cache).manifest().write(tmp_path)
             doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
             assert doc["totals"]["jobs"] == 2
             assert doc["totals"]["cache_hits"] == expected_hits
@@ -182,30 +183,29 @@ class TestRunManifest:
 
 
 class TestSweepManifest:
-    def sweep(self):
-        return Sweep(
-            systems={"base": small_system()},
-            workloads={"mcf": WorkloadSpec.duplicate("mcf", ncores=2)},
-            policies=("non-inclusive", "lap"),
-            refs_per_core=300,
+    def run(self, cache=None):
+        return run_suite(
+            BenchmarkSet(name="one", description="", members=("mcf",)),
+            small_system(), policies=("non-inclusive", "lap"),
+            refs_per_core=300, cache=cache,
         )
 
     def test_cached_sweep_writes_manifest_next_to_results(self, tmp_path):
         cache = ResultCache(tmp_path)
-        self.sweep().run(cache=cache)
+        self.run(cache)
         manifest = RunManifest.load(tmp_path)
         assert len(manifest.jobs) == 2
         assert manifest.cache_misses == 2
         assert all(j.wall_s > 0 for j in manifest.jobs)
 
         # Warm re-run overwrites the manifest with all-cache provenance.
-        self.sweep().run(cache=cache)
+        self.run(cache)
         manifest = RunManifest.load(tmp_path)
         assert manifest.cache_hits == 2
 
     def test_manifest_is_invisible_to_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        self.sweep().run(cache=cache)
+        self.run(cache)
         assert (tmp_path / MANIFEST_NAME).exists()
         stats = cache.stats()
         assert stats.entries == 2  # manifest.json is not an entry
@@ -213,15 +213,9 @@ class TestSweepManifest:
         assert removed == 2
         assert (tmp_path / MANIFEST_NAME).exists()  # clear leaves it alone
 
-    def test_explicit_manifest_dir_without_cache(self, tmp_path):
-        self.sweep().run(manifest_dir=tmp_path)
-        manifest = RunManifest.load(tmp_path)
-        assert len(manifest.jobs) == 2
-        assert all(j.source == SOURCE_SERIAL for j in manifest.jobs)
-
     def test_serial_sweep_without_cache_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        self.sweep().run()
+        self.run()
         assert not (tmp_path / MANIFEST_NAME).exists()
 
 

@@ -14,7 +14,7 @@ from repro.exec import (
 )
 from repro.sim import SystemConfig
 from repro.sim.runner import run_policies
-from repro.sim.sweeps import RECORD_METRICS
+from repro.suite import RECORD_METRICS
 
 
 def small_system(**kwargs) -> SystemConfig:

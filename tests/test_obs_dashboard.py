@@ -27,7 +27,7 @@ def sweep_dir(tmp_path_factory):
         )
         for policy in ("non-inclusive", "lap")
     ]
-    execute_jobs(jobs, cache=ResultCache(root), manifest_dir=root)
+    execute_jobs(jobs, cache=ResultCache(root)).manifest().write(root)
     return root
 
 

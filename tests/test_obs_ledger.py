@@ -19,7 +19,8 @@ def sweep_dir(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("sweep")
     cache = ResultCache(root)
-    install_recorder(SpanRecorder())
+    recorder = SpanRecorder()
+    install_recorder(recorder)
     try:
         system = SystemConfig.scaled(ncores=2, llc_kb=32, l2_kb=4)
         jobs = [
@@ -32,7 +33,8 @@ def sweep_dir(tmp_path_factory):
             for bench in ("mcf", "libquantum")
             for policy in ("non-inclusive", "lap")
         ]
-        execute_jobs(jobs, cache=cache, manifest_dir=root)
+        execute_jobs(jobs, cache=cache).manifest().write(root)
+        recorder.dump(root)
     finally:
         uninstall_recorder()
     return root

@@ -6,12 +6,10 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.obs.spans import (
-    SPANS_ENV,
     SpanRecorder,
     current_recorder,
     install_recorder,
     read_spans,
-    recorder_from_env,
     span,
     start_span,
     summarize_spans,
@@ -38,22 +36,12 @@ class TestDisabled:
             a.set(more=2)
         a.finish()  # all no-ops
 
-    def test_recorder_from_env_respects_unset_var(self, monkeypatch):
-        monkeypatch.delenv(SPANS_ENV, raising=False)
-        assert recorder_from_env() is None
-        assert not tracing_enabled()
-
-    def test_recorder_from_env_installs_when_set(self, monkeypatch):
-        monkeypatch.setenv(SPANS_ENV, "1")
-        rec = recorder_from_env()
-        assert rec is not None
-        assert current_recorder() is rec
-
 
 class TestRecording:
     def test_span_records_wall_cpu_and_status(self):
         rec = SpanRecorder()
         install_recorder(rec)
+        assert current_recorder() is rec and tracing_enabled()
         with span("simulate", policy="lap"):
             pass
         (s,) = rec.spans()
@@ -258,39 +246,6 @@ class TestIntegration:
         assert "kernel.batch_loop" in names
         assert not names & {"kernel.pass1", "kernel.pass2"}
 
-    def test_execute_jobs_dumps_spans_next_to_manifest(self, tmp_path):
-        from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
-        from repro.sim import SystemConfig
-
-        rec = SpanRecorder()
-        install_recorder(rec)
-        cache = ResultCache(tmp_path / "cache")
-        job = JobSpec(
-            system=SystemConfig.scaled(ncores=2, llc_kb=32, l2_kb=4),
-            workload=WorkloadSpec.duplicate("mcf", ncores=2, seed=0),
-            policy="lap",
-            refs_per_core=300,
-        )
-        execute_jobs([job], cache=cache, manifest_dir=cache.root)
-        dump = cache.root / "spans.jsonl"
-        assert dump.exists()
-        names = {s["name"] for s in read_spans(dump)}
-        assert {"exec.batch", "exec.job", "simulate"} <= names
-
-    def test_no_dump_when_tracing_disabled(self, tmp_path):
-        from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
-        from repro.sim import SystemConfig
-
-        cache = ResultCache(tmp_path / "cache")
-        job = JobSpec(
-            system=SystemConfig.scaled(ncores=2, llc_kb=32, l2_kb=4),
-            workload=WorkloadSpec.duplicate("mcf", ncores=2, seed=0),
-            policy="lap",
-            refs_per_core=200,
-        )
-        execute_jobs([job], cache=cache, manifest_dir=cache.root)
-        assert not (cache.root / "spans.jsonl").exists()
-
     def test_cli_spans_flag_writes_dump(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -300,3 +255,19 @@ class TestIntegration:
         spans = read_spans(out)
         assert any(s["name"] == "simulate" for s in spans)
         assert not tracing_enabled(), "CLI must uninstall its recorder"
+
+    def test_cli_spans_next_to_sweep_manifest(self, tmp_path, capsys):
+        """``make report``'s recipe: a cached sweep with ``--spans`` into
+        the cache dir leaves the job spans where the ledger reads them."""
+        from repro.cli import main
+        from repro.obs.ledger import scan_dirs
+
+        rc = main(["--cache-dir", str(tmp_path), "--spans", str(tmp_path / "spans.jsonl"),
+                   "sweep", "--workloads", "mcf", "--policies", "lap", "--refs", "200",
+                   "--ncores", "2", "--llc-kb", "32", "--l2-kb", "4"])
+        assert rc == 0
+        names = {s["name"] for s in read_spans(tmp_path / "spans.jsonl")}
+        assert {"exec.batch", "exec.job", "simulate"} <= names
+        ledger = scan_dirs([tmp_path])
+        assert ledger.manifests == 1 and len(ledger.rows) == 1
+        assert ledger.spans

@@ -1,13 +1,17 @@
 """Tests for the benchmark-suite layer (repro.suite)."""
 
+import csv
+
 import pytest
 
 from repro.errors import AnalysisError, WorkloadError
 from repro.exec.cache import ResultCache
 from repro.suite import (
+    RECORD_METRICS,
     BenchmarkSet,
     corpus_set,
     get_set,
+    records_to_csv,
     resolve,
     result_text,
     run_suite,
@@ -309,6 +313,26 @@ class TestReporting:
         assert len(records) == 2  # bzip2 x two policies
         assert {r.policy for r in records} == {"non-inclusive", "lap"}
         assert all(r.workload == "bzip2" for r in records)
+
+    def test_records_to_csv_round_trip(self, report, tmp_path):
+        records = suite_records(report)
+        path = tmp_path / "sweep.csv"
+        text = records_to_csv(records, path)
+        assert path.read_bytes().decode() == text
+        header = text.splitlines()[0].split(",")
+        assert header == ["system", "workload", "policy", *RECORD_METRICS]
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            assert row["policy"] == record.policy
+            assert row["workload"] == record.workload
+            for metric in RECORD_METRICS:
+                assert float(row[metric]) == record.metrics[metric]
+
+    def test_records_to_csv_rejects_no_records(self):
+        with pytest.raises(AnalysisError):
+            records_to_csv([])
 
     def test_write_result_file(self, report, tmp_path):
         path = write_result_file(report, tmp_path / "results")
