@@ -65,11 +65,13 @@ trace-demo:
 	cd benchmarks && PYTHONPATH=../$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-only test_trace_demo.py
 	@cat benchmarks/results/trace_demo.txt
 
-# Fuzz the cross-paper rivals through the invariant suite, then run
-# the arena-grid walkthrough (DESIGN.md §15).
+# Fuzz the cross-paper rivals and the policies that layer overrides on
+# the shared Fig. 8 flow (dead-write bypass, LAP over RRIP) through the
+# invariant suite, then run the arena-grid walkthrough (DESIGN.md §15).
 arena-demo:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro check --fuzz 50 \
-		--policy reuse-detector --policy rd-copyback --policy ways-off
+		--policy reuse-detector --policy rd-copyback --policy ways-off \
+		--policy exclusive+dwb --policy lap+dwb --policy lap-rrip
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/arena_demo.py WL2 4000
 
 # Benchmark suites + trace corpus walkthrough (DESIGN.md §16): run a

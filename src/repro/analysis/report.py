@@ -200,12 +200,3 @@ def assemble_report(
         parts.append("")
     return "\n".join(parts)
 
-
-def missing_results(results_dir: Union[str, pathlib.Path]) -> List[str]:
-    """Names of experiments whose result files are absent."""
-    results_dir = pathlib.Path(results_dir)
-    return [
-        e.result_file
-        for e in EXPERIMENT_INDEX
-        if not (results_dir / f"{e.result_file}.txt").exists()
-    ]

@@ -5,10 +5,10 @@ Wang, Wang & Ye, "Reuse Distance-based Victim Cache Copy-back" (arXiv
 from the upper level whose re-insertion into the LLC may never pay off
 — but with a different filter: copy a clean victim back only when its
 *measured reuse distance* says it is likely to be referenced again
-before the LLC would evict it. (ISSUE.md describes the direction as
-LLC→L2; the source mechanism copies clean victims of the higher level
-back into the lower-level cache, which is the natural rival to LAP's
-duplicate-based clean-victim rule, and is what we implement.)
+before the LLC would evict it. (The source mechanism copies clean
+victims of the higher level back into the lower-level cache, which is
+the natural rival to LAP's duplicate-based clean-victim rule, and is
+what we implement.)
 
 Mechanism here: the policy timestamps every LLC demand access per
 block address and records the gap between consecutive accesses as that
@@ -16,10 +16,11 @@ address's observed reuse distance. On a clean L2 eviction the victim
 is copied back iff its last observed distance fits within the
 ``window`` (default: the LLC's capacity in blocks — a line whose
 reuses arrive further apart than the LLC can hold lines is unlikely to
-survive to its next use). Dirty victims always insert or update: the
-writeback obligation is unconditional. LLC hits keep the copy and LLC
-misses never fill, exactly as in LAP — so the no-fill invariant and
-the zero-``fill_writes`` differential law both apply in full.
+survive to its next use). Everything else is the base class's Fig. 8
+flow over LAP's row: dirty victims always insert or update (the
+writeback obligation is unconditional), LLC hits keep the copy and LLC
+misses never fill — so the no-fill invariant and the zero-
+``fill_writes`` differential law both apply in full.
 
 The tracking table is bounded: once it exceeds ``4 * window`` entries
 the oldest half (by last access) is pruned, keeping long traces from
@@ -73,27 +74,16 @@ class RDCopybackPolicy(InclusionPolicy):
         self._last_seen[addr] = self._clock
         if len(self._last_seen) > 4 * self.window:
             self._prune()
-        block = self._llc_lookup(h, core, addr)
-        if block is not None:
-            return LLCAccess(hit=True, tech=block.tech)
-        return LLCAccess(hit=False, tech=self.llc.tech)  # never fill
+        return super().llc_access(h, core, addr, is_write)
 
     def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        if line.dirty:
-            self.insert_or_update(
-                h, core, line.addr, dirty=True, loop_bit=line.loop_bit,
-                category="dirty_victim",
-            )
-            return
-        distance = self._distance.get(line.addr)
-        if distance is not None and distance <= self.window:
+        if not line.dirty:
+            distance = self._distance.get(line.addr)
+            if distance is None or distance > self.window:
+                self.copyback_drops += 1
+                return
             self.copybacks += 1
-            self.insert_or_update(
-                h, core, line.addr, dirty=False, loop_bit=line.loop_bit,
-                category="clean_victim",
-            )
-        else:
-            self.copyback_drops += 1
+        super().l2_victim(h, core, line)
 
     def _prune(self) -> None:
         """Drop the stalest half of the tracking table (bounded state)."""

@@ -13,10 +13,10 @@ Adaptation to this substrate: the paper's detector keys on block
 addresses sampled near the LLC (their §3, Algorithm 1); we keep a
 bounded FIFO of recently-missed tags per LLC set ("reuse bits"), which
 is the same capacity-bounded second-miss test without PC information
-(the synthetic traces carry none). Victim handling is non-inclusive:
-clean L2 victims are dropped (a bypassed block simply has no LLC
-copy), dirty victims always insert — dirty data must never be lost,
-bypass predictor notwithstanding.
+(the synthetic traces carry none). Victim handling is the base class's
+non-inclusive flow: clean L2 victims are dropped (a bypassed block
+simply has no LLC copy), dirty victims always insert — dirty data must
+never be lost, bypass predictor notwithstanding.
 
 Accounting laws the differential harness holds this policy to:
 ``clean_writeback=False`` ⇒ zero ``clean_victim_writes``; the write
@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List
 
-from ..cache import EvictedLine
 from ..inclusion.base import InclusionPolicy, LLCAccess
 
 
@@ -82,11 +81,6 @@ class ReuseDetectorPolicy(InclusionPolicy):
                 tracked.popitem(last=False)
             self.reuse_bypasses += 1
         return LLCAccess(hit=False, tech=llc.tech)
-
-    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        if not line.dirty:
-            return  # clean victims are dropped, as in non-inclusion
-        self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")
 
     def extra_stats(self) -> dict:
         return {

@@ -15,12 +15,11 @@ Commands
 ``figure``
     Regenerate one of the paper's figures by id (e.g. ``fig14``).
 ``report``
-    Assemble a markdown experiment record from the benchmark harness's
-    result files (``benchmarks/results``) — or, with ``--out`` /
-    ``--cache-dir``, render the self-contained HTML fleet dashboard
-    from one or more result-cache directories (``repro.obs``): policy
-    grids, throughput/latency histograms, invariant status, span hot
-    spots, and the pair-record speed verdicts.
+    Render the self-contained HTML fleet dashboard from one or more
+    result-cache directories (``repro.obs``): policy grids,
+    throughput/latency histograms, invariant status, span hot spots,
+    and the pair-record speed verdicts. (The markdown experiment record,
+    EXPERIMENTS.md, is built by ``benchmarks/make_experiments.py``.)
 ``validate-workloads``
     Re-measure every synthetic benchmark's declared traits.
 ``sweep``
@@ -300,30 +299,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # HTML fleet-dashboard mode only on an explicit ask (--out or a
-    # sub-level --cache-dir); the bare command keeps producing the
-    # legacy markdown record from benchmarks/results.
-    if getattr(args, "out", None) or getattr(args, "cache_dirs", None):
-        return _cmd_report_html(args)
-    from .analysis.report import assemble_report, missing_results
-
-    text = assemble_report(args.results_dir)
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(text)
-        print(f"report written to {args.output}")
-    else:
-        print(text)
-    missing = missing_results(args.results_dir)
-    if missing:
-        print(f"\nnote: {len(missing)} experiments not yet regenerated: "
-              f"{', '.join(missing)}", file=sys.stderr)
-    return 0
-
-
-def _cmd_report_html(args: argparse.Namespace) -> int:
-    """The ``repro.obs`` path: scan cache dirs, render the dashboard."""
+    """Scan result-cache directories and render the HTML dashboard."""
     import pathlib
 
     from .obs.dashboard import render_dashboard
@@ -377,7 +353,7 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
         bench_doc=bench_doc,
         check_rows=check_rows,
     )
-    out = pathlib.Path(args.out or "report.html")
+    out = pathlib.Path(args.out)
     out.write_text(html)
     print(f"dashboard written to {out} ({len(html)} bytes)")
     if args.ledger:
@@ -739,7 +715,7 @@ def _cmd_suite_run(args: argparse.Namespace) -> int:
     else:
         print(result_text(report), end="")
     print(f"suite run took {report.wall_s:.1f}s wall", file=sys.stderr)
-    if args.output:
+    if args.output and report.succeeded:
         records_to_csv(suite_records(report), args.output)
         print(f"CSV written to {args.output}", file=sys.stderr)
     if args.result_file:
@@ -892,21 +868,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser(
-        "report",
-        help="assemble the markdown experiment record, or (with --out / "
-        "--cache-dir) the self-contained HTML fleet dashboard",
+        "report", help="render the self-contained HTML fleet dashboard"
     )
-    p.add_argument("--results-dir", default="benchmarks/results")
-    p.add_argument("--output", default=None,
-                   help="markdown mode: write to a file instead of stdout")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="HTML mode: dashboard output path (default when "
-                   "--cache-dir is given: report.html)")
-    # Repeatable, distinct dest from the global --cache-dir: the HTML
+    p.add_argument("--out", default="report.html", metavar="PATH",
+                   help="dashboard output path (default: report.html)")
+    # Repeatable, distinct dest from the global --cache-dir: the
     # dashboard can merge several result-cache directories.
     p.add_argument("--cache-dir", action="append", dest="cache_dirs",
                    default=None, metavar="PATH",
-                   help="HTML mode: result-cache directory to scan "
+                   help="result-cache directory to scan "
                    "(repeatable; default: the active cache)")
     p.add_argument("--bench", default="BENCH_e2e.json", metavar="PATH",
                    help="BENCH_e2e.json record for the pair-record section "

@@ -26,10 +26,10 @@ ablations: ``"lru"`` (LAP-LRU), ``"loop"`` (LAP-Loop), ``"duel"``
 
 from __future__ import annotations
 
-from ..cache import CacheBlock, EvictedLine
+from ..cache import EvictedLine
 from ..cache.replacement import LoopAwarePolicy, LRUPolicy, ReplacementPolicy, SRRIPPolicy
 from ..errors import ConfigurationError
-from ..inclusion.base import InclusionPolicy, LLCAccess
+from ..inclusion.base import InclusionPolicy
 from ..inclusion.dueling import ROLE_LEADER_A, SetDueling, fewer_misses_wins
 
 REPLACEMENT_MODES = ("duel", "lru", "loop")
@@ -78,7 +78,6 @@ class LAPPolicy(InclusionPolicy):
 
         self._lru: ReplacementPolicy = make_baseline()
         self._loop_aware: ReplacementPolicy = LoopAwarePolicy(make_baseline())
-        self.dueling: SetDueling | None = None
 
     def bind(self, hierarchy) -> None:
         super().bind(hierarchy)
@@ -94,52 +93,23 @@ class LAPPolicy(InclusionPolicy):
             )
 
     # ------------------------------------------------------------------
-    # inclusion decisions
+    # inclusion decisions (the rest is the base flow over Fig. 8's row)
     # ------------------------------------------------------------------
-    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
-        if self.dueling is not None:
-            self.dueling.tick()
-        block = self._llc_lookup(h, core, addr)
-        if block is not None:
-            # Keep the copy (no invalidation on hits) — Fig. 8 row LAP.
-            return LLCAccess(hit=True, tech=block.tech)
-        # No LLC data-fill on misses: data goes to upper levels only.
-        return LLCAccess(hit=False, tech=self.llc.tech)
-
     def l2_fill_loop_bit(self, llc_hit: bool) -> bool:
         # Fig. 10c: the block inserted into L2 on an LLC hit is predicted
         # to start (or continue) a clean trip.
         return llc_hit
 
-    def on_l2_dirtied(self, block: CacheBlock) -> None:
-        # Fig. 10a: a written block can no longer be a loop-block.
-        block.set_loop_bit(False)
-
     def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        llc = self.llc
-        existing = llc.probe(line.addr)
-        if line.dirty:
-            if existing is not None:
-                llc.update(existing, True)
-                existing.set_loop_bit(False)
-                llc.stats.update_writes += 1
-                h.note_dirty_victim(line.addr)
-                h.charge_llc_write(core, line.addr, existing.tech)
-                self._record_duel_write(line.addr)
-            else:
-                self._place_and_insert(
-                    h, core, line.addr, dirty=True, loop_bit=False, category="dirty_victim"
-                )
-            return
-        if existing is not None:
+        existing = self.llc.probe(line.addr)
+        if existing is not None and not line.dirty:
             # Fig. 10b: the clean data is discarded; only the loop-bit in
             # the SRAM tag array is refreshed — no data-array write.
             existing.set_loop_bit(line.loop_bit)
             return
-        # A clean victim with no duplicate: the one clean-writeback case.
-        self._place_and_insert(
-            h, core, line.addr, dirty=False, loop_bit=line.loop_bit, category="clean_victim"
-        )
+        # A dirty victim, or a clean one with no duplicate (the one
+        # clean-writeback case): the base flow inserts or updates it.
+        super().l2_victim(h, core, line)
 
     # ------------------------------------------------------------------
     # replacement (Fig. 9)

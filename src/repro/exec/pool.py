@@ -12,10 +12,9 @@ The return value is an :class:`ExecutionOutcome` — a list of
 :class:`RunResult` (so every existing caller keeps working) that also
 carries one :class:`~repro.obs.profiling.JobProfile` per job
 (wall time, throughput, retries, provenance, peak RSS) plus cache
-hit/miss totals, and can roll them up into a
-:class:`~repro.obs.profiling.RunManifest` (``outcome.manifest()``;
-``run_suite`` writes it as ``manifest.json`` next to the cached
-results). Pass ``heartbeat_interval`` to get rate-limited progress
+hit/miss totals (``run_suite`` rolls the profiles up into the
+:class:`~repro.obs.profiling.RunManifest` it writes as
+``manifest.json`` next to the cached results). Pass ``heartbeat_interval`` to get rate-limited progress
 lines on stderr during long batches.
 
 Failure policy: only failures of the worker or process — a broken pool
@@ -78,7 +77,6 @@ from ..obs.profiling import (
     SOURCE_SERIAL,
     Heartbeat,
     JobProfile,
-    RunManifest,
     peak_rss_kb,
 )
 from ..obs.spans import span
@@ -123,11 +121,6 @@ class ExecutionOutcome(List[RunResult]):
     @property
     def cache_misses(self) -> int:
         return sum(1 for p in self.profiles if p.source != SOURCE_CACHE)
-
-    def manifest(self) -> RunManifest:
-        return RunManifest(
-            jobs=list(self.profiles), max_workers=self.max_workers, wall_s=self.wall_s
-        )
 
 
 #: failures of the worker or process rather than of the job itself; only

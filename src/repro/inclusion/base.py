@@ -1,29 +1,37 @@
-"""The inclusion-policy interface.
+"""The inclusion-policy interface, and the one generic L2↔LLC flow.
 
 An :class:`InclusionPolicy` owns every decision about the L2↔LLC
-boundary (Fig. 8 of the paper):
+boundary. The paper states each inclusion property as one row of a
+decision table (Fig. 8), and so does this class: three flags,
 
-- what happens on an LLC **hit** (keep the copy, or invalidate it as
-  exclusive caches do);
-- what happens on an LLC **miss** (fill the LLC as non-inclusive caches
-  do, or bypass it);
-- what happens to an **L2 victim** (drop clean victims, insert them,
-  or insert only non-duplicates);
-- which **replacement policy** governs each LLC set (LAP's set-dueling
-  hooks in here);
-- where a block is **placed** inside a hybrid LLC.
+- ``fill_on_miss`` — an LLC **miss** fills the LLC (non-inclusion) or
+  bypasses it (exclusion, LAP);
+- ``invalidate_on_hit`` — an LLC **hit** keeps the copy or invalidates
+  it (exclusion), handing a dirty copy's writeback up to the L2;
+- ``clean_writeback`` — a clean **L2 victim** is written to the LLC or
+  dropped (dirty victims always insert or update);
+
+drive the one flow that :meth:`InclusionPolicy.llc_access` and
+:meth:`InclusionPolicy.l2_victim` implement, read per address through
+:meth:`InclusionPolicy.flow_for` (the switchers pick a row per set). A
+policy overrides a flow method only for a selection its paper defines
+on top of the table: LAP's duplicate-aware clean victim, Lhybrid's
+placement, dead-write bypass, Reuse Detector's fill and RD copy-back's
+clean copy-back. The **replacement policy** of each LLC set (LAP's
+set-dueling hooks in here) and the **placement** inside a hybrid LLC
+are hooks too.
 
 The hierarchy engine (:mod:`repro.hierarchy.hierarchy`) drives the
 per-level mechanics and calls into the bound policy at these decision
-points, so policies stay small and the data-flow differences between
-them are exactly the paper's Fig. 8 table. Each hook is handed the
-hierarchy that calls it (``h``); a policy never stores it, so a
-finished hierarchy holds no cycle and is freed by reference counting.
+points. Each hook is handed the hierarchy that calls it (``h``); a
+policy never stores it, so a finished hierarchy holds no cycle and is
+freed by reference counting.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from ..cache import Cache, CacheBlock, EvictedLine
 from ..cache.replacement import ReplacementPolicy
@@ -50,6 +58,11 @@ class LLCAccess(NamedTuple):
     dirty: bool = False
 
 
+#: a policy's (or policy class's) Fig. 8 row as
+#: ``(fill_on_miss, invalidate_on_hit, clean_writeback)``
+flow_flags = attrgetter("fill_on_miss", "invalidate_on_hit", "clean_writeback")
+
+
 class InclusionPolicy:
     """Base class for all inclusion properties (Table IV)."""
 
@@ -64,6 +77,9 @@ class InclusionPolicy:
     #: inclusive policies). Part of the policy interface: the hierarchy
     #: engine consults it on every LLC eviction.
     back_invalidates: bool = False
+    #: the set-dueling controller ticked on every LLC demand access
+    #: (LAP's replacement duel, the switchers' mode duel), if any
+    dueling = None
 
     def __init__(self) -> None:
         self.llc: Cache | None = None
@@ -83,16 +99,57 @@ class InclusionPolicy:
         self.llc = hierarchy.llc
 
     # ------------------------------------------------------------------
-    # decision points (overridden by concrete policies)
+    # the Fig. 8 flow
     # ------------------------------------------------------------------
+    def flow_for(self, addr: int) -> Tuple[bool, bool, bool]:
+        """The Fig. 8 row governing ``addr``'s LLC set, as
+        ``(fill_on_miss, invalidate_on_hit, clean_writeback)``."""
+        return flow_flags(self)
+
     def llc_access(self, h: "CacheHierarchy", core: int, addr: int, is_write: bool) -> LLCAccess:
-        """Demand access from an L2 miss of ``h``. Must be overridden."""
-        raise NotImplementedError
+        """Demand access from an L2 miss of ``h``."""
+        if self.dueling is not None:
+            self.dueling.tick()
+        fill, inv_hit, _ = self.flow_for(addr)
+        block = self._llc_lookup(h, core, addr)
+        if block is None:
+            if fill:
+                # The line enters both L2 and the LLC (Fig. 1b): the
+                # data-fill that Section II-C2 shows can be redundant.
+                self.insert_or_update(h, core, addr, dirty=False, category="fill")
+            return LLCAccess(hit=False, tech=self.llc.tech)
+        tech = block.tech
+        if not inv_hit or h.shared_by_peers(core, addr):
+            # Keep the copy. Invalidating a line other cores still hold
+            # would force every later reader through a snoop.
+            return LLCAccess(hit=True, tech=tech)
+        # Invalidate on hit for larger effective capacity (Fig. 1c). A
+        # dirty copy hands its writeback obligation up with the data:
+        # the L2 fill inherits the dirty bit, otherwise the deferred
+        # memory write would vanish with the invalidated line.
+        dirty = block.dirty
+        self.llc.discard(addr)
+        self.llc.stats.hit_invalidations += 1
+        h.note_llc_evict(addr)
+        return LLCAccess(hit=True, tech=tech, dirty=dirty)
 
     def l2_victim(self, h: "CacheHierarchy", core: int, line: EvictedLine) -> None:
-        """Handle a victim evicted by one of ``h``'s L2s. Must be overridden."""
-        raise NotImplementedError
+        """Handle a victim evicted by one of ``h``'s L2s: a dirty one
+        always inserts or updates, a clean one only under
+        ``clean_writeback`` (otherwise its duplicate, if any, is kept)."""
+        if line.dirty:
+            category = "dirty_victim"
+        elif self.flow_for(line.addr)[2]:
+            category = "clean_victim"
+        else:
+            return
+        self.insert_or_update(
+            h, core, line.addr, dirty=line.dirty, loop_bit=line.loop_bit, category=category
+        )
 
+    # ------------------------------------------------------------------
+    # other decision points
+    # ------------------------------------------------------------------
     def l2_fill_loop_bit(self, llc_hit: bool) -> bool:
         """Loop-bit value for a block newly filled into L2.
 
@@ -101,7 +158,8 @@ class InclusionPolicy:
         return False
 
     def on_l2_dirtied(self, block: CacheBlock) -> None:
-        """An L2-resident block transitioned clean→dirty (store)."""
+        """An L2-resident block transitioned clean→dirty (store): a
+        written block can no longer be a loop-block (Fig. 10a)."""
         block.set_loop_bit(False)
 
     def replacement_for(self, set_index: int) -> Optional[ReplacementPolicy]:

@@ -2,8 +2,11 @@
 
 Both policies dynamically select between the non-inclusive and the
 exclusive data flow using set-dueling (leader sets permanently run one
-mode each; follower sets adopt the current winner). They differ only in
-the decision function:
+mode each; follower sets adopt the current winner). The two modes are
+the two classes' Fig. 8 rows, held in one table (:data:`MODE_FLOWS`)
+that the generic flow (:meth:`SwitchingPolicy.flow_for`) and the
+batched kernel both read. The policies differ only in the decision
+function:
 
 - **FLEXclusion** (Sim et al., ISCA 2012) is performance/bandwidth
   oriented: it picks exclusion when the sampled capacity benefit is
@@ -21,12 +24,15 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..cache import EvictedLine
-from .base import InclusionPolicy, LLCAccess
+from .base import InclusionPolicy, flow_flags
 from .dueling import ROLE_LEADER_A, ROLE_LEADER_B, SetDueling, WinnerFn
+from .traditional import ExclusivePolicy, NonInclusivePolicy
 
 MODE_NONI = ROLE_LEADER_A  # leader-A sets run the non-inclusive flow
 MODE_EX = ROLE_LEADER_B  # leader-B sets run the exclusive flow
+
+#: each mode's Fig. 8 row ``(fill_on_miss, invalidate_on_hit, clean_writeback)``
+MODE_FLOWS = {MODE_NONI: flow_flags(NonInclusivePolicy), MODE_EX: flow_flags(ExclusivePolicy)}
 
 
 def flexclusion_winner(
@@ -59,7 +65,6 @@ class SwitchingPolicy(InclusionPolicy):
         super().__init__()
         self._duel_period = duel_period
         self._duel_interval = duel_interval
-        self.dueling: SetDueling | None = None
 
     def bind(self, hierarchy) -> None:
         super().bind(hierarchy)
@@ -80,6 +85,9 @@ class SwitchingPolicy(InclusionPolicy):
         """The inclusion mode governing the set that ``addr`` maps to."""
         return self.dueling.policy_for(self.llc.set_index(addr))
 
+    def flow_for(self, addr: int):
+        return MODE_FLOWS[self.mode_for(addr)]
+
     @property
     def current_mode(self) -> int:
         """The follower sets' current mode (for tests/introspection)."""
@@ -90,36 +98,6 @@ class SwitchingPolicy(InclusionPolicy):
 
     def _record_duel_write(self, addr: int) -> None:
         self.dueling.record_write(self.llc.set_index(addr))
-
-    # the switched data flow -------------------------------------------
-    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
-        self.dueling.tick()
-        mode = self.mode_for(addr)
-        block = self._llc_lookup(h, core, addr)
-        if block is not None:
-            tech = block.tech
-            dirty = False
-            if mode == MODE_EX and not h.shared_by_peers(core, addr):
-                # As in the exclusive policy: a discarded dirty copy's
-                # writeback obligation moves up into the L2 fill.
-                dirty = block.dirty
-                self.llc.discard(addr)
-                self.llc.stats.hit_invalidations += 1
-                h.note_llc_evict(addr)
-            return LLCAccess(hit=True, tech=tech, dirty=dirty)
-        if mode == MODE_NONI:
-            self.insert_or_update(h, core, addr, dirty=False, category="fill")
-        return LLCAccess(hit=False, tech=self.llc.tech)
-
-    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        mode = self.mode_for(line.addr)
-        if line.dirty:
-            self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")
-        elif mode == MODE_EX:
-            self.insert_or_update(
-                h, core, line.addr, dirty=False, loop_bit=line.loop_bit, category="clean_victim"
-            )
-        # clean victim in noni mode: silently dropped
 
 
 class FLEXclusionPolicy(SwitchingPolicy):

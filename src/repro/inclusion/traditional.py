@@ -1,6 +1,8 @@
 """Traditional inclusion properties: inclusive, non-inclusive, exclusive.
 
-These implement the three data flows of the paper's Fig. 1:
+These are the three data flows of the paper's Fig. 1, each stated as its
+Fig. 8 flags alone; :class:`~repro.inclusion.base.InclusionPolicy` runs
+the flow they select:
 
 - **inclusive** — LLC misses fill the LLC, LLC evictions back-invalidate
   upper levels, clean victims are dropped. (Provided for completeness;
@@ -16,8 +18,7 @@ These implement the three data flows of the paper's Fig. 1:
 
 from __future__ import annotations
 
-from ..cache import EvictedLine
-from .base import InclusionPolicy, LLCAccess
+from .base import InclusionPolicy
 
 
 class NonInclusivePolicy(InclusionPolicy):
@@ -29,21 +30,6 @@ class NonInclusivePolicy(InclusionPolicy):
     clean_writeback = False
     back_invalidates = False
 
-    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(h, core, addr)
-        if block is not None:
-            return LLCAccess(hit=True, tech=block.tech)
-        # Miss: the line is brought from memory into BOTH L2 and L3
-        # (Fig. 1b) — the LLC data-fill that Section II-C2 shows can be
-        # redundant.
-        self.insert_or_update(h, core, addr, dirty=False, category="fill")
-        return LLCAccess(hit=False, tech=self.llc.tech)
-
-    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        if not line.dirty:
-            return  # clean victims are silently dropped (duplicate kept)
-        self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")
-
 
 class ExclusivePolicy(InclusionPolicy):
     """Exclusive LLC (``ex``): upper levels and LLC hold disjoint data."""
@@ -54,31 +40,6 @@ class ExclusivePolicy(InclusionPolicy):
     clean_writeback = True
     back_invalidates = False
 
-    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(h, core, addr)
-        if block is None:
-            return LLCAccess(hit=False, tech=self.llc.tech)
-        tech = block.tech
-        # Invalidate on hit for larger effective capacity (Fig. 1c) —
-        # except for lines other cores still hold, which stay resident
-        # so shared readers are not forced through snoops. A dirty copy
-        # hands its writeback obligation up with the data: the L2 fill
-        # inherits the dirty bit, otherwise the deferred memory write
-        # would silently vanish with the invalidated line.
-        dirty = False
-        if not h.shared_by_peers(core, addr):
-            dirty = block.dirty
-            self.llc.discard(addr)
-            self.llc.stats.hit_invalidations += 1
-            h.note_llc_evict(addr)
-        return LLCAccess(hit=True, tech=tech, dirty=dirty)
-
-    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        category = "dirty_victim" if line.dirty else "clean_victim"
-        self.insert_or_update(
-            h, core, line.addr, dirty=line.dirty, loop_bit=line.loop_bit, category=category
-        )
-
 
 class InclusivePolicy(InclusionPolicy):
     """Strictly inclusive LLC with back-invalidation (Fig. 1a)."""
@@ -88,15 +49,3 @@ class InclusivePolicy(InclusionPolicy):
     fill_on_miss = True
     clean_writeback = False
     back_invalidates = True
-
-    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(h, core, addr)
-        if block is not None:
-            return LLCAccess(hit=True, tech=block.tech)
-        self.insert_or_update(h, core, addr, dirty=False, category="fill")
-        return LLCAccess(hit=False, tech=self.llc.tech)
-
-    def l2_victim(self, h, core: int, line: EvictedLine) -> None:
-        if not line.dirty:
-            return
-        self.insert_or_update(h, core, line.addr, dirty=True, category="dirty_victim")

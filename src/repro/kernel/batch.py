@@ -139,22 +139,27 @@ that runs only on this loop never builds one: :func:`_checkout` reads
 blocks only if they exist, and at run end :func:`_put_back` writes into
 them or leaves the working state on the cache for that first read.
 
-The loop's flow locals ``fill``/``inv_hit``/``clean_wb`` are the policy
-class's own Fig. 8 attributes (``fill_on_miss``, ``invalidate_on_hit``,
-``clean_writeback``). Only LAP's loop-bit L2 fills, victim tag probe and
-selective clean writeback are keyed on its class.
+Both loops read one flow. The generic loop runs
+:class:`~repro.inclusion.base.InclusionPolicy`'s one L2↔LLC flow, driven
+by the policy's Fig. 8 row (``fill_on_miss``, ``invalidate_on_hit``,
+``clean_writeback``, read through ``flow_for``); this loop's flow locals
+``fill``/``inv_hit``/``clean_wb`` are that same row
+(:data:`~repro.inclusion.base.flow_flags`). Only LAP's loop-bit L2
+fills, victim tag probe and selective clean writeback are keyed on its
+class, as on the generic loop, where they are LAP's only overrides.
 
 Set-dueling is inlined the same way, for LAP and the switchers alike:
 static leader roles are precomputed per set, and the tick/record/decide
 state machine runs on local ints that are written back to the controller
 at the end. A switcher runs each set's duel-role flow (leaders their
 own, followers the winner's): after the tick the flow locals are re-read
-from the :class:`NonInclusivePolicy` or :class:`ExclusivePolicy`
-attributes by the demand set's role, and again by the victim's set at
-the L2-victim site, so one unified victim flow covers every merge
-across mode flips. Their three LLC-write sites (the non-inclusive fill,
-the victim update and the victim insert) count leader writes for
-Dswitch's decision; LAP counts none.
+from the switchers' mode table
+(:data:`~repro.inclusion.switching.MODE_FLOWS`, which their
+``flow_for`` reads too) by the demand set's role, and again by the
+victim's set at the L2-victim site, so one unified victim flow covers
+every merge across mode flips. Their three LLC-write sites (the
+non-inclusive fill, the victim update and the victim insert) count
+leader writes for Dswitch's decision; LAP counts none.
 """
 
 from __future__ import annotations
@@ -178,7 +183,8 @@ from ..cache.block import (
 from ..core.lap import LAPPolicy
 from ..core.loop_bits import LoopBlockTracker
 from ..hierarchy.coherence import CoherenceController
-from ..inclusion.switching import MODE_EX, MODE_NONI, DswitchPolicy, FLEXclusionPolicy
+from ..inclusion.base import flow_flags
+from ..inclusion.switching import MODE_FLOWS, DswitchPolicy, FLEXclusionPolicy
 from ..inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from ..instr.probes import LoopProbe, OccupancySampler, RedundantFillProbe
 from ..obs.spans import start_span
@@ -196,10 +202,6 @@ def supports_policy(policy) -> bool:
     """
     t = type(policy)
     return t in _INLINED and (t is not LAPPolicy or policy.baseline == "lru")
-
-
-#: a policy's Fig. 8 flow as the loop's ``(fill, inv_hit, clean_wb)``
-_flow = attrgetter("fill_on_miss", "invalidate_on_hit", "clean_writeback")
 
 
 #: probe types whose semantics the kernel carries as derived counters
@@ -808,16 +810,16 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     stores = 0
 
     # ---- the policy's flow & inlined set-dueling ---------------------
-    fill, inv_hit, clean_wb = _flow(policy)
+    fill, inv_hit, clean_wb = flow_flags(policy)
     lap = type(policy) is LAPPolicy
-    # Switchers re-read the flow locals per set (SwitchingPolicy.mode_for)
-    # at the demand set and at the victim's set, by duel role.
+    # Switchers re-read the flow locals per set from the mode table their
+    # flow_for reads, at the demand set and at the victim's set, by duel role.
     sw = type(policy) in (FLEXclusionPolicy, DswitchPolicy)
-    sw_flows = {MODE_NONI: _flow(NonInclusivePolicy), MODE_EX: _flow(ExclusivePolicy)}
+    sw_flows = MODE_FLOWS
     repl = policy.replacement_mode if lap else "lru"
     loop_victims = repl == "loop"
     duel_victims = repl == "duel"
-    dueling = getattr(policy, "dueling", None)
+    dueling = policy.dueling
     duel_on = dueling is not None
     if duel_on:
         roles = [dueling.role(s) for s in range(llc.num_sets)]

@@ -22,25 +22,21 @@ them here would make the import graph cyclic.
 from .spans import (
     SPANS_NAME,
     SpanRecorder,
-    current_recorder,
     install_recorder,
     read_spans,
     span,
     start_span,
     summarize_spans,
-    tracing_enabled,
     uninstall_recorder,
 )
 
 __all__ = [
     "SPANS_NAME",
     "SpanRecorder",
-    "current_recorder",
     "install_recorder",
     "read_spans",
     "span",
     "start_span",
     "summarize_spans",
-    "tracing_enabled",
     "uninstall_recorder",
 ]

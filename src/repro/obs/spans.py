@@ -13,10 +13,11 @@ Usage::
 
     from repro.obs.spans import SpanRecorder, install_recorder, span
 
-    install_recorder(SpanRecorder())
+    recorder = SpanRecorder()
+    install_recorder(recorder)
     with span("simulate", policy="lap", workload="WL1"):
         ...
-    current_recorder().dump("spans.jsonl")
+    recorder.dump("spans.jsonl")
 
 The recorder is process-global and thread-safe; each thread keeps its
 own parent stack, so spans opened on a worker thread and on the main
@@ -168,15 +169,6 @@ def uninstall_recorder() -> Optional[SpanRecorder]:
     previous = _recorder
     _recorder = None
     return previous
-
-
-def current_recorder() -> Optional[SpanRecorder]:
-    """The active recorder, or ``None`` when tracing is off."""
-    return _recorder
-
-
-def tracing_enabled() -> bool:
-    return _recorder is not None
 
 
 # ----------------------------------------------------------------------

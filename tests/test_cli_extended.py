@@ -110,31 +110,6 @@ class TestSweepCommand:
         assert capsys.readouterr().out == ""
 
 
-class TestReportCommand:
-    def test_report_from_results_dir(self, capsys, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "fig18_mpki.txt").write_text("MPKI TABLE")
-        code = main(["report", "--results-dir", str(results)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "MPKI TABLE" in out
-        assert "**Paper:**" in out
-
-    def test_report_to_file(self, capsys, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        target = tmp_path / "EXP.md"
-        code = main([
-            "report", "--results-dir", str(results), "--output", str(target)
-        ])
-        assert code == 0
-        assert target.exists()
-
-    def test_report_missing_dir_fails(self, capsys, tmp_path):
-        assert main(["report", "--results-dir", str(tmp_path / "none")]) == 2
-
-
 class TestValidateCommand:
     def test_validate_runs_and_passes(self, capsys):
         code = main([

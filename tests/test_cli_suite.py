@@ -95,6 +95,19 @@ class TestSuiteRun:
         assert "run manifest written" not in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_no_csv_when_no_member_succeeded(self, capsys, tmp_path):
+        # as in ``repro sweep``: the failures are reported (exit 1) and
+        # no CSV is written, instead of dying on an empty record list
+        out_csv = tmp_path / "x.csv"
+        assert main([
+            "suite", "run", "wl", "--json", "--output", str(out_csv), *SMALL,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failures"]
+        assert "5 benchmark(s) failed" in captured.err
+        assert "error:" not in captured.err
+        assert not out_csv.exists()
+
     def test_csv_and_result_file_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "suite.csv"
         results = tmp_path / "results"

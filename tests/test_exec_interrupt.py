@@ -58,7 +58,7 @@ class TestGracefulInterrupt:
         cache = ResultCache(tmp_path / "cache")
         interrupt_on_call(monkeypatch, 2)
         outcome = execute_jobs(batch, cache=cache)
-        outcome.manifest().write(tmp_path)
+        RunManifest(list(outcome.profiles), outcome.max_workers, outcome.wall_s).write(tmp_path)
         assert outcome.interrupted and len(outcome) == 2
         # the two finished jobs are in the shared cache...
         monkeypatch.undo()

@@ -82,7 +82,7 @@ class TestExecutionOutcome:
 
     def test_outcome_manifest_writes_manifest_json(self, tmp_path):
         outcome = execute_jobs(make_jobs(2))
-        outcome.manifest().write(tmp_path)
+        RunManifest(list(outcome.profiles), outcome.max_workers, outcome.wall_s).write(tmp_path)
         path = tmp_path / MANIFEST_NAME
         assert path.exists()
         loaded = RunManifest.load(tmp_path)
@@ -96,7 +96,8 @@ class TestExecutionOutcome:
         # rewrites them for its own jobs, never accumulating.
         cache = ResultCache(tmp_path / "cache")
         for expected_hits in (0, 2):
-            execute_jobs(make_jobs(2), cache=cache).manifest().write(tmp_path)
+            outcome = execute_jobs(make_jobs(2), cache=cache)
+            RunManifest(list(outcome.profiles), outcome.max_workers, outcome.wall_s).write(tmp_path)
             doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
             assert doc["totals"]["jobs"] == 2
             assert doc["totals"]["cache_hits"] == expected_hits

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.inclusion.base import InclusionPolicy, LLCAccess
+from repro.core.policies import make_policy
+from repro.inclusion.base import InclusionPolicy, LLCAccess, flow_flags
 from repro.inclusion.dueling import ROLE_LEADER_B
+from repro.inclusion.switching import MODE_EX, MODE_FLOWS, MODE_NONI
+from repro.validate import generate_trace
 from tests.conftest import A, B, C, build_micro, run_refs
 
 
@@ -35,13 +38,6 @@ class TestBindAndHooks:
         assert pol._llc_lookup(h2, 0, A) is not None
         assert touched == ["loop-aware", "lru"]
 
-    def test_base_policy_is_abstract(self):
-        pol = InclusionPolicy()
-        with pytest.raises(NotImplementedError):
-            pol.llc_access(None, 0, 0, False)
-        with pytest.raises(NotImplementedError):
-            pol.l2_victim(None, 0, None)
-
     def test_default_loop_bit_is_false(self):
         assert InclusionPolicy().l2_fill_loop_bit(True) is False
 
@@ -55,6 +51,71 @@ class TestBindAndHooks:
         block.loop_bit = True
         InclusionPolicy().on_l2_dirtied(block)
         assert not block.loop_bit
+
+
+#: the registered policies stated by their Fig. 8 flags alone
+FLAG_POLICIES = ("inclusive", "non-inclusive", "exclusive")
+
+
+def _bare(fill: bool, inv_hit: bool, clean_wb: bool, back_invalidates: bool = False):
+    """A bare ``InclusionPolicy`` subclass carrying one Fig. 8 row."""
+    cls = type(
+        "Bare",
+        (InclusionPolicy,),
+        {
+            "fill_on_miss": fill,
+            "invalidate_on_hit": inv_hit,
+            "clean_writeback": clean_wb,
+            "back_invalidates": back_invalidates,
+        },
+    )
+    return cls()
+
+
+def _replay(policy, seed: int = 3) -> dict:
+    """Run a fuzz micro trace (1 core) and return every counter it moved."""
+    h = build_micro(policy)
+    for core, addr, is_write in generate_trace(seed, refs=900):
+        h.access(core, addr, is_write)
+    return {
+        "hierarchy": h.stats.snapshot(),
+        "llc": h.llc.stats.snapshot(),
+        "l2": h.l2s[0].stats.snapshot(),
+        "cycles": list(h.timing.core_cycles),
+    }
+
+
+class TestGenericFlow:
+    """The one flag-driven flow is the whole of the traditional policies."""
+
+    @pytest.mark.parametrize("seed", (3, 11))
+    @pytest.mark.parametrize("name", FLAG_POLICIES)
+    def test_bare_flags_replay_as_the_named_policy(self, name, seed):
+        named = make_policy(name)
+        bare = _bare(*flow_flags(named), back_invalidates=named.back_invalidates)
+        replayed = _replay(bare, seed)
+        assert replayed == _replay(name, seed)
+        # the trace moved the LLC, so the comparison is not vacuous
+        assert replayed["llc"]["hits"] and replayed["llc"]["insertions"]
+
+    @pytest.mark.parametrize("mode, name", ((MODE_NONI, "non-inclusive"), (MODE_EX, "exclusive")))
+    def test_switcher_mode_table_is_the_named_flags(self, mode, name):
+        assert MODE_FLOWS[mode] == flow_flags(make_policy(name))
+
+    @pytest.mark.parametrize("switcher", ("flexclusion", "dswitch"))
+    @pytest.mark.parametrize("mode, name", ((MODE_NONI, "non-inclusive"), (MODE_EX, "exclusive")))
+    def test_switcher_pinned_to_a_mode_replays_as_that_policy(self, switcher, mode, name):
+        # The micro LLC has one set, so the duel is degenerate: every set
+        # follows the winner, which never changes once pinned.
+        pol = make_policy(switcher)
+
+        class Pinned(type(pol)):
+            def bind(self, hierarchy):
+                super().bind(hierarchy)
+                assert self.dueling.degenerate
+                self.dueling.winner = mode
+
+        assert _replay(Pinned()) == _replay(name)
 
 
 class TestInsertOrUpdate:

@@ -30,7 +30,9 @@ from repro.arena import registry
 from repro.cache import Cache
 from repro.core.lap import LAPPolicy
 from repro.core.loop_bits import LoopBlockTracker
-from repro.inclusion.switching import DswitchPolicy, FLEXclusionPolicy
+from repro.inclusion import switching
+from repro.inclusion.base import flow_flags
+from repro.inclusion.switching import MODE_EX, MODE_NONI, DswitchPolicy, FLEXclusionPolicy
 from repro.inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
 from repro.instr import LoopProbe, OccupancySampler, RedundantFillProbe
 from repro.kernel import batch as kernel_batch
@@ -261,6 +263,27 @@ def test_switching_flip_parity(policy, workload, interval):
     assert (pair[0][0].hierarchy.coherence is None) == (workload == "WH2")
     assert_identical(pair)
     _assert_dueling_exercised(pair)
+
+
+def test_switchers_read_one_mode_table(monkeypatch):
+    """The kernel and ``SwitchingPolicy.flow_for`` read the same mode
+    table: with its two rows swapped both loops still agree, and the
+    run differs from the unswapped one."""
+    system = replace(_mix_system("default"), duel_interval=16)
+
+    def make():
+        return make_table3_mix("WH2", system.scale_context(), seed=5)
+
+    def llc_stats():
+        pair = run_pair(system, "dswitch", make, refs=1500, runs=1, batch=500)
+        assert_identical(pair)
+        _assert_dueling_exercised(pair)
+        return pair[0][1][-1].llc
+
+    before = llc_stats()
+    monkeypatch.setitem(switching.MODE_FLOWS, MODE_NONI, switching.MODE_FLOWS[MODE_EX])
+    monkeypatch.setitem(switching.MODE_FLOWS, MODE_EX, flow_flags(NonInclusivePolicy))
+    assert llc_stats() != before
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -15,6 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def sweep_dir(tmp_path_factory):
     """One tiny real sweep shared by the rendering tests."""
     from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
+    from repro.obs.profiling import RunManifest
     from repro.sim import SystemConfig
 
     root = tmp_path_factory.mktemp("sweep")
@@ -27,7 +28,8 @@ def sweep_dir(tmp_path_factory):
         )
         for policy in ("non-inclusive", "lap")
     ]
-    execute_jobs(jobs, cache=ResultCache(root)).manifest().write(root)
+    outcome = execute_jobs(jobs, cache=ResultCache(root))
+    RunManifest(list(outcome.profiles), outcome.max_workers, outcome.wall_s).write(root)
     return root
 
 
@@ -142,16 +144,16 @@ class TestReportCli:
         rc = main(["report", "--out", str(tmp_path / "r.html")])
         assert rc != 0
 
-    def test_report_markdown_mode_untouched(self, tmp_path, capsys):
-        """The legacy `repro report` (no --out/--cache-dir) still builds
-        the markdown experiment record."""
+    def test_bare_report_renders_the_dashboard(self, sweep_dir, monkeypatch, tmp_path):
+        """With no sub-level flag, `repro report` scans the active cache
+        and writes report.html: there is no second (markdown) mode."""
         from repro.cli import main
 
-        results = tmp_path / "results"
-        results.mkdir()
-        rc = main(["report", "--results-dir", str(results)])
-        assert rc == 0
-        assert "#" in capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        assert main(["--cache-dir", str(sweep_dir), "report", "--no-check"]) == 0
+        html = (tmp_path / "report.html").read_text()
+        assert html.startswith("<!DOCTYPE html>")
+        assert "Policy grids" in html
 
 
 class TestBenchPairsCli:

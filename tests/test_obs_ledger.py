@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.obs.ledger import LEDGER_KIND, LEDGER_SCHEMA, LedgerRow, RunLedger, scan_dirs
+from repro.obs.profiling import RunManifest
 from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 
 
@@ -33,7 +34,8 @@ def sweep_dir(tmp_path_factory):
             for bench in ("mcf", "libquantum")
             for policy in ("non-inclusive", "lap")
         ]
-        execute_jobs(jobs, cache=cache).manifest().write(root)
+        outcome = execute_jobs(jobs, cache=cache)
+        RunManifest(list(outcome.profiles), outcome.max_workers, outcome.wall_s).write(root)
         recorder.dump(root)
     finally:
         uninstall_recorder()

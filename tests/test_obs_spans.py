@@ -7,13 +7,11 @@ import pytest
 from repro.errors import TelemetryError
 from repro.obs.spans import (
     SpanRecorder,
-    current_recorder,
     install_recorder,
     read_spans,
     span,
     start_span,
     summarize_spans,
-    tracing_enabled,
     uninstall_recorder,
 )
 
@@ -28,7 +26,7 @@ def no_ambient_recorder():
 
 class TestDisabled:
     def test_span_is_shared_noop_when_tracing_off(self):
-        assert not tracing_enabled()
+        assert uninstall_recorder() is None  # nothing was installed
         a = span("x")
         b = span("y", attr=1)
         assert a is b  # the shared singleton: zero allocation per call
@@ -40,8 +38,8 @@ class TestDisabled:
 class TestRecording:
     def test_span_records_wall_cpu_and_status(self):
         rec = SpanRecorder()
-        install_recorder(rec)
-        assert current_recorder() is rec and tracing_enabled()
+        assert install_recorder(rec) is None
+        assert install_recorder(rec) is rec  # rec is the active recorder
         with span("simulate", policy="lap"):
             pass
         (s,) = rec.spans()
@@ -254,7 +252,7 @@ class TestIntegration:
         assert rc == 0
         spans = read_spans(out)
         assert any(s["name"] == "simulate" for s in spans)
-        assert not tracing_enabled(), "CLI must uninstall its recorder"
+        assert uninstall_recorder() is None, "CLI must uninstall its recorder"
 
     def test_cli_spans_next_to_sweep_manifest(self, tmp_path, capsys):
         """``make report``'s recipe: a cached sweep with ``--spans`` into

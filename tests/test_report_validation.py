@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import (
-    EXPERIMENT_INDEX,
-    assemble_report,
-    missing_results,
-)
+from repro.analysis.report import EXPERIMENT_INDEX, assemble_report
 from repro.errors import AnalysisError
 from repro.workloads.validation import (
     TraitReport,
@@ -41,12 +37,6 @@ class TestReportAssembly:
     def test_paper_claims_always_present(self, tmp_path):
         report = assemble_report(tmp_path_with_nothing(tmp_path))
         assert report.count("**Paper:**") == len(EXPERIMENT_INDEX)
-
-    def test_missing_results_listing(self, tmp_path):
-        (tmp_path / "fig18_mpki.txt").write_text("x")
-        missing = missing_results(tmp_path)
-        assert "fig18_mpki" not in missing
-        assert "fig14_policy_comparison" in missing
 
     def test_preamble_included(self, tmp_path):
         report = assemble_report(tmp_path_with_nothing(tmp_path), preamble="HELLO")
