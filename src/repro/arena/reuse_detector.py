@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List
 
-from ..inclusion.base import InclusionPolicy, LLCAccess
+from ..inclusion.base import InclusionPolicy
 
 
 class ReuseDetectorPolicy(InclusionPolicy):
@@ -61,10 +61,7 @@ class ReuseDetectorPolicy(InclusionPolicy):
         super().bind(hierarchy)
         self._detector = [OrderedDict() for _ in range(self.llc.num_sets)]
 
-    def llc_access(self, h, core: int, addr: int, is_write: bool) -> LLCAccess:
-        block = self._llc_lookup(h, core, addr)
-        if block is not None:
-            return LLCAccess(hit=True, tech=block.tech)
+    def fills_miss(self, addr: int) -> bool:
         llc = self.llc
         tracked = self._detector[llc.set_index(addr)]
         tag = llc.tag_of(addr)
@@ -72,15 +69,14 @@ class ReuseDetectorPolicy(InclusionPolicy):
             # Second miss while tracked: demonstrated reuse — fill.
             del tracked[tag]
             self.reuse_fills += 1
-            self.insert_or_update(h, core, addr, dirty=False, category="fill")
-        else:
-            # First sighting: record it, bypass the fill (the L2 still
-            # receives the line; only the LLC write is skipped).
-            tracked[tag] = None
-            if len(tracked) > self.detector_entries:
-                tracked.popitem(last=False)
-            self.reuse_bypasses += 1
-        return LLCAccess(hit=False, tech=llc.tech)
+            return True
+        # First sighting: record it, bypass the fill (the L2 still
+        # receives the line; only the LLC write is skipped).
+        tracked[tag] = None
+        if len(tracked) > self.detector_entries:
+            tracked.popitem(last=False)
+        self.reuse_bypasses += 1
+        return False
 
     def extra_stats(self) -> dict:
         return {

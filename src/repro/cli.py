@@ -356,9 +356,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out = pathlib.Path(args.out)
     out.write_text(html)
     print(f"dashboard written to {out} ({len(html)} bytes)")
-    if args.ledger:
-        pathlib.Path(args.ledger).write_text(ledger.to_json() + "\n")
-        print(f"ledger written to {args.ledger}")
     if check_rows is not None and any(not ok for _, ok, _ in check_rows):
         print("invariant checks FAILED (see dashboard)", file=sys.stderr)
         return 1
@@ -446,14 +443,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"removed {removed} cached result(s) from {cache.root}")
         return 0
-    # Only the on-disk footprint: the hit/miss/put/eviction counters
+    # Only the on-disk footprint: the hit/miss/put counters
     # belong to the process that ran the jobs, not to this one.
     stats = cache.stats()
     view = {
         "directory": str(cache.root),
         "entries": stats.entries,
         "total_bytes": stats.total_bytes,
-        "max_bytes": stats.max_bytes,
     }
     if getattr(args, "json", False):
         print(json.dumps(view, indent=2, sort_keys=True))
@@ -718,7 +714,7 @@ def _cmd_suite_run(args: argparse.Namespace) -> int:
     if args.output and report.succeeded:
         records_to_csv(suite_records(report), args.output)
         print(f"CSV written to {args.output}", file=sys.stderr)
-    if args.result_file:
+    if args.result_file and report.succeeded:
         path = write_result_file(report, args.result_file)
         print(f"result file written to {path}", file=sys.stderr)
     if cache is not None and report.profiles:
@@ -881,8 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", default="BENCH_e2e.json", metavar="PATH",
                    help="BENCH_e2e.json record for the pair-record section "
                    "(default: BENCH_e2e.json; missing file = no section)")
-    p.add_argument("--ledger", default=None, metavar="PATH",
-                   help="also write the normalized run ledger as JSON")
     p.add_argument("--no-check", action="store_true",
                    help="skip the invariant-check section")
     p.add_argument("--check-refs", type=int, default=500, metavar="N",

@@ -11,7 +11,6 @@ benchmark harness alike.
 
 from .cache import (
     CACHE_DIR_ENV,
-    DEFAULT_MAX_BYTES,
     ResultCache,
     ResultCacheStats,
     cache_from_env,
@@ -30,7 +29,6 @@ from .serialize import (
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
-    "DEFAULT_MAX_BYTES",
     "ExecutionOutcome",
     "JobSpec",
     "ResultCache",

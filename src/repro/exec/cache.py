@@ -4,19 +4,20 @@ Every entry is one JSON file named after the SHA-256 of the job's
 canonical description (see :meth:`~repro.exec.jobs.JobSpec.key`), so a
 result can only ever be served back to the exact (system, workload,
 policy, refs) that produced it — there is no invalidation logic to get
-wrong, only misses. A size cap evicts least-recently-used entries
-(mtime order; hits refresh mtime). Corrupt or schema-mismatched files
-count as misses and are deleted on sight.
+wrong, only misses. Corrupt or schema-mismatched files count as misses
+and are deleted on sight. This module is the only reader of the entry
+format: :meth:`ResultCache.get` serves one entry, and
+:meth:`ResultCache.scan` walks them all read-only for the run ledger.
 
 The directory is safe to share between independent writers (concurrent
 CLI invocations sharing one ``--cache-dir``, pool workers, threads of
 one library caller): every store writes a process- and thread-unique
 temporary file and publishes it with an atomic ``os.replace``, so
 readers only ever observe complete entries, and every directory walk
-tolerates entries that a racing eviction (or ``clear``) deletes
-mid-scan. Two processes storing the same key both win — the entries
-are byte-identical by construction (content addressing plus
-deterministic simulation), so last-replace-wins is a no-op.
+tolerates entries that a racing ``clear`` deletes mid-scan. Two
+processes storing the same key both win — the entries are
+byte-identical by construction (content addressing plus deterministic
+simulation), so last-replace-wins is a no-op.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, ReproError
 from ..sim.results import RunResult
 from .jobs import CACHE_SCHEMA_VERSION, JobSpec
 from .serialize import result_from_dict, result_to_dict
-
-DEFAULT_MAX_BYTES = 512 * 1024 * 1024  # 512 MiB of JSON ≈ hundreds of thousands of runs
 
 # Environment variable consulted by :func:`cache_from_env` (the CLI and
 # the benchmark harness both honour it).
@@ -45,49 +44,50 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _tmp_counter = itertools.count()
 
 
+def _read(path: pathlib.Path, with_job: bool = False) -> Tuple[Optional[JobSpec], RunResult]:
+    """The ``(job, result)`` stored at ``path`` (``job`` only when
+    ``with_job``). A vanished file raises ``FileNotFoundError``; a
+    corrupt one, or one written under another ``CACHE_SCHEMA_VERSION``
+    or for another key, raises ``ExecutionError`` saying which."""
+    try:
+        payload = json.loads(path.read_text())
+        schema = payload.get("schema")
+        if schema == CACHE_SCHEMA_VERSION and payload.get("key") == path.stem:
+            job = JobSpec.from_dict(payload["job"]) if with_job else None
+            return job, result_from_dict(payload["result"])
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ReproError) as exc:
+        raise ExecutionError(f"unreadable cache entry ({exc})") from None
+    if schema != CACHE_SCHEMA_VERSION:
+        raise ExecutionError(
+            f"cache entry schema {schema!r} is not the current {CACHE_SCHEMA_VERSION}; left out"
+        )
+    raise ExecutionError(f"unreadable cache entry (stored under key {payload.get('key')!r})")
+
+
 @dataclass
 class ResultCacheStats:
     """Session counters plus the on-disk footprint of a cache."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     puts: int = 0
     entries: int = 0
     total_bytes: int = 0
-    max_bytes: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "puts": self.puts,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "max_bytes": self.max_bytes,
-        }
 
 
 class ResultCache:
     """A content-addressed store of serialised :class:`RunResult`s."""
 
-    def __init__(
-        self,
-        root: Union[str, pathlib.Path],
-        max_bytes: int = DEFAULT_MAX_BYTES,
-    ) -> None:
-        if max_bytes <= 0:
-            raise ExecutionError(f"cache max_bytes must be positive, got {max_bytes}")
+    def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ExecutionError(f"cannot create cache directory {self.root}: {exc}") from None
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.puts = 0
 
     # ------------------------------------------------------------------
@@ -100,38 +100,44 @@ class ResultCache:
 
         The run manifest (``manifest.json``, see
         :mod:`repro.obs.profiling`) and any other stray files in
-        the cache directory must never be counted, evicted, or cleared.
+        the cache directory must never be counted, scanned, or cleared.
         """
         stem = path.stem
         return len(stem) == 64 and all(c in "0123456789abcdef" for c in stem)
 
-    def _entries(self):
+    def _entries(self) -> List[pathlib.Path]:
         return [p for p in self.root.glob("*.json") if p.is_file() and self._is_entry(p)]
 
     # ------------------------------------------------------------------
     def get(self, job: JobSpec) -> Optional[RunResult]:
         """Return the cached result for ``job``, or ``None`` on a miss."""
-        key = job.key()
-        path = self._path(key)
+        path = self._path(job.key())
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema") != CACHE_SCHEMA_VERSION or payload.get("key") != key:
-                raise ValueError("schema/key mismatch")
-            result = result_from_dict(payload["result"])
+            _, result = _read(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, OSError, ExecutionError):
-            # Corrupt entry: purge it so it cannot keep masking a miss.
+        except ExecutionError:
+            # Corrupt or stale entry: purge it so it cannot keep masking a miss.
             path.unlink(missing_ok=True)
             self.misses += 1
             return None
         self.hits += 1
-        try:
-            os.utime(path)  # refresh recency for LRU eviction
-        except OSError:
-            pass
         return result
+
+    def scan(self, problems: List[str]) -> Iterator[Tuple[str, JobSpec, RunResult]]:
+        """``(key, job, result)`` of every readable entry, in key order,
+        deleting nothing: a corrupt or stale entry is noted in
+        ``problems`` and skipped."""
+        for path in sorted(self._entries()):
+            try:
+                job, result = _read(path, with_job=True)
+            except FileNotFoundError:
+                continue  # cleared by a concurrent caller
+            except ExecutionError as exc:
+                problems.append(f"{path.name}: {exc}")
+                continue
+            yield path.stem, job, result
 
     def put(self, job: JobSpec, result: RunResult) -> None:
         """Store ``result`` under ``job``'s content address."""
@@ -154,40 +160,6 @@ class ResultCache:
             tmp.unlink(missing_ok=True)
             raise ExecutionError(f"cannot write cache entry {path}: {exc}") from None
         self.puts += 1
-        self._enforce_cap(protect=path)
-
-    @staticmethod
-    def _sizes(entries) -> Dict[pathlib.Path, int]:
-        """``{path: byte size}`` skipping entries a racer just deleted."""
-        sizes: Dict[pathlib.Path, int] = {}
-        for path in entries:
-            try:
-                sizes[path] = path.stat().st_size
-            except OSError:
-                continue  # evicted/cleared by a concurrent writer
-        return sizes
-
-    def _enforce_cap(self, protect: Optional[pathlib.Path] = None) -> None:
-        sizes = self._sizes(self._entries())
-        total = sum(sizes.values())
-        if total <= self.max_bytes:
-            return
-
-        def mtime(path: pathlib.Path) -> float:
-            try:
-                return path.stat().st_mtime
-            except OSError:
-                return 0.0  # already gone: sorts first, unlink is a no-op
-
-        # Oldest first; never evict the entry just written.
-        for path in sorted(sizes, key=mtime):
-            if path == protect:
-                continue
-            total -= sizes[path]
-            path.unlink(missing_ok=True)
-            self.evictions += 1
-            if total <= self.max_bytes:
-                break
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -198,16 +170,19 @@ class ResultCache:
         return removed
 
     def stats(self) -> ResultCacheStats:
-        """Session hit/miss/evict counters plus current disk footprint."""
-        sizes = self._sizes(self._entries())
+        """Session hit/miss/put counters plus current disk footprint."""
+        sizes = []
+        for path in self._entries():
+            try:
+                sizes.append(path.stat().st_size)
+            except OSError:
+                continue  # cleared by a concurrent caller
         return ResultCacheStats(
             hits=self.hits,
             misses=self.misses,
-            evictions=self.evictions,
             puts=self.puts,
             entries=len(sizes),
-            total_bytes=sum(sizes.values()),
-            max_bytes=self.max_bytes,
+            total_bytes=sum(sizes),
         )
 
 

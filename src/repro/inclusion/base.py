@@ -16,10 +16,10 @@ drive the one flow that :meth:`InclusionPolicy.llc_access` and
 :meth:`InclusionPolicy.flow_for` (the switchers pick a row per set). A
 policy overrides a flow method only for a selection its paper defines
 on top of the table: LAP's duplicate-aware clean victim, Lhybrid's
-placement, dead-write bypass, Reuse Detector's fill and RD copy-back's
-clean copy-back. The **replacement policy** of each LLC set (LAP's
-set-dueling hooks in here) and the **placement** inside a hybrid LLC
-are hooks too.
+placement, dead-write bypass and RD copy-back's clean copy-back. Reuse
+Detector narrows only the miss fill (:meth:`InclusionPolicy.fills_miss`).
+The **replacement policy** of each LLC set (LAP's set-dueling hooks in
+here) and the **placement** inside a hybrid LLC are hooks too.
 
 The hierarchy engine (:mod:`repro.hierarchy.hierarchy`) drives the
 per-level mechanics and calls into the bound policy at these decision
@@ -113,7 +113,7 @@ class InclusionPolicy:
         fill, inv_hit, _ = self.flow_for(addr)
         block = self._llc_lookup(h, core, addr)
         if block is None:
-            if fill:
+            if fill and self.fills_miss(addr):
                 # The line enters both L2 and the LLC (Fig. 1b): the
                 # data-fill that Section II-C2 shows can be redundant.
                 self.insert_or_update(h, core, addr, dirty=False, category="fill")
@@ -132,6 +132,11 @@ class InclusionPolicy:
         self.llc.stats.hit_invalidations += 1
         h.note_llc_evict(addr)
         return LLCAccess(hit=True, tech=tech, dirty=dirty)
+
+    def fills_miss(self, addr: int) -> bool:
+        """Whether an LLC miss on ``addr`` that the Fig. 8 row fills
+        does fill; asked once per such miss. Reuse Detector narrows it."""
+        return True
 
     def l2_victim(self, h: "CacheHierarchy", core: int, line: EvictedLine) -> None:
         """Handle a victim evicted by one of ``h``'s L2s: a dirty one

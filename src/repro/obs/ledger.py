@@ -7,37 +7,32 @@ the run passed ``--spans <dir>/spans.jsonl``).
 :func:`scan_dirs` walks one or more such directories and merges
 everything into a :class:`RunLedger`: one :class:`LedgerRow` per job
 with provenance (policy, cache-hit source, retries) and headline result
-metrics, plus the merged spans. The ledger is what ``repro report``
-renders and what any future fleet aggregation ships between hosts —
-plain JSON-safe data, no simulator objects.
+metrics, plus the merged spans. The ledger is the in-memory view that
+``repro report`` renders. It parses neither file format itself:
+:meth:`~repro.obs.profiling.RunManifest.load` reads the manifest and
+:meth:`~repro.exec.cache.ResultCache.scan` the entries.
 
 Scanning is forgiving by design: a corrupt entry, a missing manifest,
 or a half-written span dump downgrades to a partial row (and a note in
 ``ledger.problems``) rather than an exception — the dashboard must
-render *something* for a fleet where one worker died mid-write. An
-entry or a manifest written under another ``CACHE_SCHEMA_VERSION`` is
-noted the same way and kept out of the rows: its numbers come from
-older semantics, which :meth:`~repro.exec.cache.ResultCache.get`
-refuses to serve too.
+render *something* when one worker died mid-write. An entry or a
+manifest written under another ``CACHE_SCHEMA_VERSION`` is noted the
+same way and kept out of the rows: its numbers come from older
+semantics, which :meth:`~repro.exec.cache.ResultCache.get` refuses to
+serve too.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import TelemetryError
-from .profiling import MANIFEST_NAME
+from ..exec.cache import ResultCache
+from ..exec.jobs import CACHE_SCHEMA_VERSION
+from .profiling import MANIFEST_NAME, RunManifest
 from .spans import SPANS_NAME, read_spans
-
-LEDGER_SCHEMA = 2
-LEDGER_KIND = "repro-ledger"
-
-
-def _is_entry_name(stem: str) -> bool:
-    return len(stem) == 64 and all(c in "0123456789abcdef" for c in stem)
 
 
 @dataclass
@@ -60,26 +55,6 @@ class LedgerRow:
     #: Headline result metrics (RunResult.summary) when the cache entry
     #: was readable; empty for manifest-only rows.
     metrics: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def has_result(self) -> bool:
-        return bool(self.metrics)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "workload": self.workload,
-            "policy": self.policy,
-            "system": self.system,
-            "refs_per_core": self.refs_per_core,
-            "source": self.source,
-            "wall_s": self.wall_s,
-            "accesses": self.accesses,
-            "accesses_per_s": self.accesses_per_s,
-            "retries": self.retries,
-            "cache_dir": self.cache_dir,
-            "metrics": dict(self.metrics),
-        }
 
 
 @dataclass
@@ -135,102 +110,52 @@ class RunLedger:
                 table.setdefault(r.workload, {})[r.policy] = r.metrics[metric]
         return table
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": LEDGER_KIND,
-            "schema": LEDGER_SCHEMA,
-            "dirs": list(self.dirs),
-            "manifests": self.manifests,
-            "totals": {
-                "rows": len(self.rows),
-                "workloads": len(self.workloads()),
-                "policies": len(self.policies()),
-                "by_source": self.by_source(),
-                "retries": self.total_retries(),
-                "simulated_accesses": self.simulated_accesses(),
-                "wall_s": self.total_wall_s(),
-                "spans": len(self.spans),
-            },
-            "rows": [r.as_dict() for r in self.rows],
-            "spans": list(self.spans),
-            "problems": list(self.problems),
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
 
 # ----------------------------------------------------------------------
 # scanning
 # ----------------------------------------------------------------------
+def _row(rows: Dict[str, LedgerRow], key: str, root: pathlib.Path) -> LedgerRow:
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = LedgerRow(key=key, cache_dir=str(root))
+    return row
+
+
 def _scan_manifest(root: pathlib.Path, ledger: RunLedger,
                    rows: Dict[str, LedgerRow]) -> None:
-    from ..exec.jobs import CACHE_SCHEMA_VERSION
-
     path = root / MANIFEST_NAME
     if not path.exists():
         return
     try:
-        data = json.loads(path.read_text())
-        jobs = data.get("jobs", [])
-        if not isinstance(jobs, list):
-            raise ValueError("manifest jobs is not a list")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        ledger.problems.append(f"{path}: unreadable manifest ({exc})")
+        manifest = RunManifest.load(path)
+    except TelemetryError as exc:
+        ledger.problems.append(str(exc))
         return
-    if data.get("cache_schema") != CACHE_SCHEMA_VERSION:
+    if manifest.cache_schema != CACHE_SCHEMA_VERSION:
         ledger.problems.append(
-            f"{path}: manifest cache schema {data.get('cache_schema')!r} "
+            f"{path}: manifest cache schema {manifest.cache_schema!r} "
             f"is not the current {CACHE_SCHEMA_VERSION}; left out"
         )
         return
     ledger.manifests += 1
-    for job in jobs:
-        if not isinstance(job, dict) or "key" not in job:
-            ledger.problems.append(f"{path}: malformed job profile entry")
-            continue
-        key = str(job["key"])
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = LedgerRow(key=key, cache_dir=str(root))
-        row.workload = job.get("workload", row.workload)
-        row.policy = job.get("policy", row.policy)
-        row.system = job.get("system", row.system)
-        row.source = job.get("source", row.source)
-        row.wall_s = float(job.get("wall_s", row.wall_s))
-        row.accesses = int(job.get("accesses", row.accesses))
-        row.accesses_per_s = float(job.get("accesses_per_s", row.accesses_per_s))
-        row.retries = int(job.get("retries", row.retries))
+    for job in manifest.jobs:
+        row = _row(rows, job.key, root)
+        row.workload = job.workload
+        row.policy = job.policy
+        row.system = job.system
+        row.source = job.source
+        row.wall_s = job.wall_s
+        row.accesses = job.accesses
+        row.accesses_per_s = job.accesses_per_s
+        row.retries = job.retries
 
 
 def _scan_entries(root: pathlib.Path, ledger: RunLedger,
                   rows: Dict[str, LedgerRow]) -> None:
-    from ..exec.jobs import CACHE_SCHEMA_VERSION
-    from ..exec.serialize import result_from_dict
-
-    for path in sorted(root.glob("*.json")):
-        if not _is_entry_name(path.stem):
-            continue
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                ledger.problems.append(
-                    f"{path.name}: cache entry schema {payload.get('schema')!r} "
-                    f"is not the current {CACHE_SCHEMA_VERSION}; left out"
-                )
-                continue
-            job = payload["job"]
-            result = result_from_dict(payload["result"])
-        except Exception as exc:  # any malformed entry: note and move on
-            ledger.problems.append(f"{path.name}: unreadable cache entry ({exc})")
-            continue
-        key = path.stem
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = LedgerRow(key=key, cache_dir=str(root))
-        workload = job.get("workload", {})
-        row.policy = job.get("policy", row.policy)
-        row.refs_per_core = int(job.get("refs_per_core", row.refs_per_core))
+    for key, job, result in ResultCache(root).scan(ledger.problems):
+        row = _row(rows, key, root)
+        row.policy = job.policy
+        row.refs_per_core = job.refs_per_core
         if row.workload == "?":
             row.workload = result.workload
         if row.system == "?":
@@ -241,8 +166,8 @@ def _scan_entries(root: pathlib.Path, ledger: RunLedger,
             result.llc.hits / result.llc.lookups if result.llc.lookups else 0.0
         )
         # keep a couple of workload-provenance facts handy for tooltips
-        if isinstance(workload, dict) and workload.get("benchmarks"):
-            row.metrics.setdefault("ncores", float(workload.get("ncores", 0)))
+        if job.workload.benchmarks:
+            row.metrics.setdefault("ncores", float(job.workload.ncores))
 
 
 def _scan_spans(root: pathlib.Path, ledger: RunLedger) -> None:

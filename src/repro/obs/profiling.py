@@ -112,6 +112,9 @@ class RunManifest:
     jobs: List[JobProfile] = field(default_factory=list)
     max_workers: int = 1
     wall_s: float = 0.0
+    #: the ``cache_schema`` stamp :meth:`load` read (``None`` when built
+    #: in memory: :meth:`as_dict` always stamps the current version)
+    cache_schema: Optional[int] = None
 
     # ------------------------------------------------------------------
     # roll-ups
@@ -169,6 +172,9 @@ class RunManifest:
 
     @classmethod
     def load(cls, source: Union[str, pathlib.Path]) -> "RunManifest":
+        """Read a manifest (a directory source means its
+        ``manifest.json``); any unreadable one raises ``TelemetryError``.
+        This is the only reader of the format (the run ledger uses it)."""
         path = pathlib.Path(source)
         if path.is_dir():
             path = path / MANIFEST_NAME
@@ -176,7 +182,7 @@ class RunManifest:
             data = json.loads(path.read_text())
         except FileNotFoundError:
             raise TelemetryError(f"no such manifest: {path}") from None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise TelemetryError(f"unreadable manifest {path}: {exc}") from None
         if not isinstance(data, dict) or data.get("kind") != MANIFEST_KIND:
             raise TelemetryError(f"{path}: not a {MANIFEST_KIND} file")
@@ -185,10 +191,18 @@ class RunManifest:
                 f"{path}: manifest schema {data.get('schema')!r} is not the "
                 f"supported version {MANIFEST_SCHEMA_VERSION}"
             )
+        jobs = data.get("jobs", [])
+        if not isinstance(jobs, list) or not all(isinstance(j, dict) for j in jobs):
+            raise TelemetryError(f"{path}: manifest jobs is not a list of job profiles")
+        try:
+            profiles = [JobProfile.from_dict(j) for j in jobs]
+        except TelemetryError as exc:
+            raise TelemetryError(f"{path}: {exc}") from None
         return cls(
-            jobs=[JobProfile.from_dict(j) for j in data.get("jobs", [])],
+            jobs=profiles,
             max_workers=data.get("max_workers", 1),
             wall_s=data.get("wall_s", 0.0),
+            cache_schema=data.get("cache_schema"),
         )
 
 

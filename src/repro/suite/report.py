@@ -127,8 +127,10 @@ def records_to_csv(
 
 
 def result_text(report: SuiteReport) -> str:
-    """The full text artefact: summary, per-benchmark EPI, failures."""
-    parts = [geomean_table(report), "", benchmark_table(report, "epi")]
+    """The full text artefact: summary (when any benchmark succeeded),
+    per-benchmark EPI, failures."""
+    parts = [geomean_table(report), ""] if report.succeeded else []
+    parts.append(benchmark_table(report, "epi"))
     failures = failure_lines(report)
     if failures:
         parts += ["", *failures]

@@ -107,11 +107,11 @@ class TestRunCommand:
         assert main(["--cache-dir", str(tmp_path), "cache", "stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == 1
-        assert set(payload) == {"directory", "entries", "total_bytes", "max_bytes"}
+        assert set(payload) == {"directory", "entries", "total_bytes"}
         assert main(["--cache-dir", str(tmp_path), "cache", "stats"]) == 0
         table = capsys.readouterr().out
         assert "entries" in table
-        assert not any(k in table for k in ("hits", "misses", "puts", "evictions"))
+        assert not any(k in table for k in ("hits", "misses", "puts"))
 
 
 class TestCompareCommand:

@@ -108,6 +108,20 @@ class TestSuiteRun:
         assert "error:" not in captured.err
         assert not out_csv.exists()
 
+    def test_no_result_file_when_no_member_succeeded(self, capsys, tmp_path):
+        # as for --output: the failures are reported (exit 1) and no
+        # result file is written, instead of dying on an empty geomean
+        results = tmp_path / "results"
+        assert main([
+            "suite", "run", "wl", "--result-file", str(results), *SMALL,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED WL1" in captured.out and "geomean" not in captured.out
+        assert "5 benchmark(s) failed" in captured.err
+        assert "error:" not in captured.err
+        assert "result file written" not in captured.err
+        assert not results.exists()
+
     def test_csv_and_result_file_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "suite.csv"
         results = tmp_path / "results"

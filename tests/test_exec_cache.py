@@ -98,6 +98,14 @@ class TestResultCache:
         assert cache.get(j) is None
         assert not path.exists()
 
+    def test_non_object_entry_is_purged_and_misses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        j = job()
+        path = cache.root / f"{j.key()}.json"
+        path.write_text("[]")
+        assert cache.get(j) is None
+        assert not path.exists()
+
     def test_schema_mismatch_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         j = job()
@@ -108,25 +116,31 @@ class TestResultCache:
         path.write_text(json.dumps(payload))
         assert cache.get(j) is None
 
-    def test_size_cap_evicts_oldest(self, tmp_path):
-        cache = ResultCache(tmp_path, max_bytes=1)  # everything overflows
-        first, second = job(seed=0), job(seed=1)
-        cache.put(first, first.run())
-        cache.put(second, second.run())
-        # the older entry was evicted to make room; the newest survives
-        assert cache.evictions >= 1
-        assert cache.get(second) is not None
-        assert cache.get(first) is None
+    def test_scan_notes_bad_entries_and_deletes_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        j = job()
+        result = j.run()
+        cache.put(j, result)
+        corrupt = tmp_path / ("ab" * 32 + ".json")
+        corrupt.write_text("{not json")
+        payload = json.loads((tmp_path / f"{j.key()}.json").read_text())
+        payload["schema"] = 1
+        stale = tmp_path / ("f" * 64 + ".json")
+        stale.write_text(json.dumps(payload))
+        problems = []
+        entries = [(key, job.key(), res) for key, job, res in cache.scan(problems)]
+        assert entries == [(j.key(), j.key(), result)]
+        assert len(problems) == 2
+        assert problems[0].startswith(f"{corrupt.name}: unreadable cache entry (")
+        assert problems[1] == f"{stale.name}: cache entry schema 1 is not the current 2; left out"
+        assert corrupt.exists() and stale.exists()
+        assert cache.get(j) == result
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(job(), job().run())
         assert cache.clear() == 1
         assert cache.stats().entries == 0
-
-    def test_bad_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(ExecutionError):
-            ResultCache(tmp_path, max_bytes=0)
 
     def test_cache_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

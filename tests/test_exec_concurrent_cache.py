@@ -1,8 +1,8 @@
 """Concurrent-writer safety of the result cache: many independent
 ``ResultCache`` instances — the in-process stand-in for many processes,
 since instances share no state, only the directory — hammer one cache
-dir while evictions race, and two real processes share one dir with
-exactly one simulation between them."""
+dir while a racing ``clear`` deletes entries, and two real processes
+share one dir with exactly one simulation between them."""
 
 import json
 import subprocess
@@ -61,17 +61,15 @@ class TestConcurrentWriters:
         assert ResultCache(tmp_path).get(job).to_dict() == expected
 
     def test_racing_eviction_mid_read_is_a_miss_not_a_crash(self, tmp_path):
-        """Writers under a tiny size cap evict each other's entries
-        while readers and stat-takers walk the directory."""
+        """Writers and readers walk the directory while a racing
+        ``clear`` deletes every entry under them."""
         jobs = [spec(seed=s) for s in range(4)]
         results = {j.key(): j.run() for j in jobs}
-        entry_bytes = len(json.dumps({"result": results[jobs[0].key()].to_dict()}))
         failures = []
+        done = threading.Event()
 
         def churner(offset):
-            # Cap fits roughly two entries: every put risks evicting a
-            # file another thread is mid-way through reading/statting.
-            cache = ResultCache(tmp_path, max_bytes=2 * entry_bytes)
+            cache = ResultCache(tmp_path)
             try:
                 for n in range(40):
                     job = jobs[(offset + n) % len(jobs)]
@@ -81,15 +79,32 @@ class TestConcurrentWriters:
                         assert hit.to_dict() == results[
                             jobs[(offset + n + 1) % len(jobs)].key()
                         ].to_dict()
-                    cache.stats()  # walks the dir while others unlink
+                    cache.stats()  # walks the dir while the clearer unlinks
+                    problems = []
+                    for key, _, result in cache.scan(problems):
+                        assert result.to_dict() == results[key].to_dict()
+                    assert problems == []
+            except Exception as exc:
+                failures.append(exc)
+
+        def clearer():
+            cache = ResultCache(tmp_path)
+            try:
+                while not done.is_set():
+                    cache.clear()
             except Exception as exc:
                 failures.append(exc)
 
         threads = [threading.Thread(target=churner, args=(n,)) for n in range(4)]
+        racer = threading.Thread(target=clearer)
+        racer.start()
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=120)
+        done.set()
+        racer.join(timeout=120)
+        assert not any(t.is_alive() for t in (*threads, racer))
         assert not failures
 
     def test_put_leaves_no_temp_droppings(self, tmp_path):

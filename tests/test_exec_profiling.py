@@ -175,6 +175,20 @@ class TestRunManifest:
         with pytest.raises(TelemetryError, match="not a repro-manifest"):
             RunManifest.load(tmp_path)
 
+    def test_load_reads_the_cache_schema_stamp(self, tmp_path):
+        from repro.exec.jobs import CACHE_SCHEMA_VERSION
+
+        assert self.manifest().cache_schema is None
+        loaded = RunManifest.load(self.manifest().write(tmp_path))
+        assert loaded.cache_schema == CACHE_SCHEMA_VERSION
+
+    @pytest.mark.parametrize("jobs", [{"key": "a"}, ["a"], [{"key": "a"}]])
+    def test_load_rejects_malformed_jobs(self, tmp_path, jobs):
+        doc = {**self.manifest().as_dict(), "jobs": jobs}
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(doc))
+        with pytest.raises(TelemetryError, match=str(tmp_path)):
+            RunManifest.load(tmp_path)
+
     def test_load_rejects_wrong_schema(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text(
             json.dumps({"kind": "repro-manifest", "schema": 99})

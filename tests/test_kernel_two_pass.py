@@ -121,9 +121,10 @@ def _job(system=None, policy="lap", refs=400, **workload):
     return JobSpec(system=system, workload=spec, policy=policy, refs_per_core=refs)
 
 
-def test_policy_llc_technology_and_energy_share_one_pass1(pass1_calls):
+def _one_pass1_jobs():
+    """Jobs that differ only in what pass 1 does not read."""
     base = SystemConfig.scaled()
-    jobs = [
+    return [
         _job(base, "lap"),
         _job(base, "non-inclusive"),
         _job(base, "exclusive"),
@@ -131,6 +132,10 @@ def test_policy_llc_technology_and_energy_share_one_pass1(pass1_calls):
         _job(replace(base, leakage_compensation=base.leakage_compensation * 2), "lap"),
         _job(replace(base, duel_interval=512), "lap"),
     ]
+
+
+def test_policy_llc_technology_and_energy_share_one_pass1(pass1_calls):
+    jobs = _one_pass1_jobs()
     outcome = execute_jobs(jobs)
     assert len(pass1_calls) == 1
     for job, result in zip(jobs, outcome):
@@ -138,25 +143,50 @@ def test_policy_llc_technology_and_energy_share_one_pass1(pass1_calls):
     assert len(pass1_calls) == 1 + len(jobs)  # ...so each ran its own pass 1
 
 
+def _scale():
+    return SystemConfig.scaled().scale_context()
+
+
 def _other_scale():
-    ctx = SystemConfig.scaled().scale_context()
-    return replace(ctx, l2_bytes=ctx.l2_bytes * 2)
+    return replace(_scale(), l2_bytes=_scale().l2_bytes * 2)
 
 
-@pytest.mark.parametrize(
-    "other",
-    [
-        lambda: _job(seed=1),
-        lambda: _job(refs=300),
-        lambda: _job(SystemConfig.scaled(l2_kb=16), scale=SystemConfig.scaled().scale_context()),
-        lambda: _job(scale=_other_scale()),
-    ],
-    ids=["workload-seed", "refs-per-core", "l2-size", "build-scale"],
-)
-def test_what_pass1_reads_is_not_shared(other, pass1_calls):
-    outcome = execute_jobs([_job(), other()])
+def _other_l2_assoc():
+    """Another L2 whose size, and so the workload's build scale, is the same."""
+    base = SystemConfig.scaled()
+    l2 = replace(base.hierarchy.l2, assoc=base.hierarchy.l2.assoc * 2)
+    return replace(base, hierarchy=replace(base.hierarchy, l2=l2))
+
+
+#: pairs of jobs that read different pass-1 streams
+OTHER_PASS1 = {
+    "workload-seed": lambda: [_job(), _job(seed=1)],
+    "refs-per-core": lambda: [_job(), _job(refs=300)],
+    "l2-size": lambda: [_job(), _job(SystemConfig.scaled(l2_kb=16), scale=_scale())],
+    "l2-assoc": lambda: [_job(), _job(_other_l2_assoc())],
+    "build-scale": lambda: [_job(), _job(scale=_other_scale())],
+}
+
+
+@pytest.mark.parametrize("pair", OTHER_PASS1.values(), ids=OTHER_PASS1.keys())
+def test_what_pass1_reads_is_not_shared(pair, pass1_calls):
+    jobs = pair()
+    outcome = execute_jobs(jobs)
     assert len(pass1_calls) == 2
-    assert list(outcome) == [_job().run(), other().run()]
+    assert list(outcome) == [job.run() for job in jobs]
+
+
+def test_pool_stream_groups_follow_the_kernel_sharing_key():
+    """The pool's grouping (``exec.pool._stream_groups``) and the kernel's
+    holder key (``kernel.batch._private_stream``) state the same key in
+    two modules: the jobs that share one pass 1 above form one group,
+    and each pair that does not is split."""
+    from repro.exec.pool import _stream_groups
+
+    jobs = _one_pass1_jobs()
+    assert _stream_groups(jobs, range(len(jobs)), 1) == [list(range(len(jobs)))]
+    for pair in OTHER_PASS1.values():
+        assert _stream_groups(pair(), [0, 1], 1) == [[0], [1]]
 
 
 def test_batch_size_is_not_shared(pass1_calls):

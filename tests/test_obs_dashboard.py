@@ -121,21 +121,6 @@ class TestReportCli:
         assert "Policy grids" in html
         assert "lap" in html
 
-    def test_report_writes_ledger_json(self, sweep_dir, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "report.html"
-        ledger_path = tmp_path / "ledger.json"
-        rc = main([
-            "report", "--cache-dir", str(sweep_dir),
-            "--out", str(out), "--no-check",
-            "--ledger", str(ledger_path),
-        ])
-        assert rc == 0
-        doc = json.loads(ledger_path.read_text())
-        assert doc["kind"] == "repro-ledger"
-        assert doc["totals"]["rows"] == 2
-
     def test_report_without_dirs_or_cache_errors(self, monkeypatch, tmp_path):
         from repro.cli import main
 

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from repro.errors import TelemetryError
-from repro.obs.ledger import LEDGER_KIND, LEDGER_SCHEMA, LedgerRow, RunLedger, scan_dirs
+from repro.obs.ledger import LedgerRow, RunLedger, scan_dirs
 from repro.obs.profiling import RunManifest
 from repro.obs.spans import SpanRecorder, install_recorder, uninstall_recorder
 
@@ -54,7 +54,7 @@ class TestScan:
             assert row.policy in ("non-inclusive", "lap")
             assert row.source in ("pool", "serial", "cache"), row.source
             assert row.refs_per_core == 300
-            assert row.has_result
+            assert row.metrics
             assert row.wall_s > 0
 
     def test_rows_carry_result_metrics_and_hit_rate(self, sweep_dir):
@@ -85,6 +85,17 @@ class TestScan:
         assert len(ledger.rows) == 4, "corrupt entry must not become a row"
         assert any("unreadable cache entry" in p for p in ledger.problems)
 
+    def test_malformed_manifest_is_a_problem_not_a_crash(self, sweep_dir, tmp_path):
+        work = tmp_path / "copy"
+        shutil.copytree(sweep_dir, work)
+        manifest = json.loads((work / "manifest.json").read_text())
+        manifest["jobs"] = [None]
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        ledger = scan_dirs([work])
+        assert ledger.manifests == 0
+        assert all(r.source == "disk" for r in ledger.rows)
+        assert any("manifest jobs is not a list" in p for p in ledger.problems)
+
     def test_manifest_only_row_when_entry_missing(self, sweep_dir, tmp_path):
         work = tmp_path / "copy"
         shutil.copytree(sweep_dir, work)
@@ -95,7 +106,7 @@ class TestScan:
         victim.unlink()
         ledger = scan_dirs([work])
         assert len(ledger.rows) == 4, "the manifest still claims the job"
-        partial = [r for r in ledger.rows if not r.has_result]
+        partial = [r for r in ledger.rows if not r.metrics]
         assert len(partial) == 1
         assert partial[0].key == victim.stem
 
@@ -107,7 +118,7 @@ class TestScan:
         assert len(ledger.rows) == 4
         assert ledger.manifests == 0
         assert all(r.source == "disk" for r in ledger.rows)
-        assert all(r.has_result for r in ledger.rows)
+        assert all(r.metrics for r in ledger.rows)
 
     def test_multi_dir_merge(self, sweep_dir, tmp_path):
         second = tmp_path / "second"
@@ -194,18 +205,3 @@ class TestRollups:
             LedgerRow(key="c" * 64, source="disk", accesses=100),
         ])
         assert ledger.simulated_accesses() == 100
-
-
-class TestSerialization:
-    def test_to_json_round_trip(self, sweep_dir):
-        ledger = scan_dirs([sweep_dir])
-        doc = json.loads(ledger.to_json())
-        assert doc["kind"] == LEDGER_KIND
-        assert doc["schema"] == LEDGER_SCHEMA
-        assert doc["totals"]["rows"] == 4
-        assert doc["totals"]["by_source"] == ledger.by_source()
-        assert len(doc["rows"]) == 4
-        assert all("metrics" in r for r in doc["rows"])
-
-    def test_as_dict_is_json_safe(self, sweep_dir):
-        json.dumps(scan_dirs([sweep_dir]).as_dict())
