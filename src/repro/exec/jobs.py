@@ -321,9 +321,18 @@ class JobSpec:
         """
         from ..sim.simulator import Simulator
 
-        scale = self.workload.scale or self.system.scale_context()
-        sim = Simulator(self.system, self.policy, self.workload.build(scale))
+        source = self.stream_source()
+        sim = Simulator(self.system, self.policy, self.workload.build(source[1]))
         share = STREAM_SHARE.get()
         if share is not None:
-            sim.stream_share = (share, (self.workload, scale))
+            sim.stream_share = (share, source)
         return sim.run(self.refs_per_core)
+
+    def stream_source(self) -> tuple:
+        """The workload that this job's pass 1 reads: its spec without a
+        pinned scale, and the scale it builds at. Jobs whose workloads
+        build alike share this, whether or not one pins its scale."""
+        return (
+            dataclasses.replace(self.workload, scale=None),
+            self.workload.scale or self.system.scale_context(),
+        )

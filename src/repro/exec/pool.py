@@ -145,9 +145,8 @@ def _stream_groups(jobs: Sequence[JobSpec], misses: Sequence[int], tasks: int) -
     for i in misses:
         job = jobs[i]
         system, h = job.system, job.system.hierarchy
-        key = (job.workload, job.workload.scale or system.scale_context(), job.refs_per_core,
-               h.ncores, h.block_size, h.l1, h.l2, system.instrumentation,
-               system.occupancy_sample_interval)
+        key = (job.stream_source(), job.refs_per_core, h.ncores, h.block_size, h.l1, h.l2,
+               system.instrumentation, system.occupancy_sample_interval)
         groups.setdefault(key, []).append(i)
     chunks = list(groups.values())
     while len(chunks) < tasks:

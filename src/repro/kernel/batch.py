@@ -52,59 +52,77 @@ to their stats at checkin, so ``finish()``, a second ``run()`` and
   loses demand hits and LLC evictions/invalidations; a dirty victim
   meeting a fresh entry bumps ``redundant_fills``.
 - **occupancy sampler** — each batch's reference stream is split at the
-  sample points, so the ``(valid, loop)`` sample lands after exactly the
-  same reference as on the generic path and the per-reference loop
-  carries no counter.
+  sample points, where a sample event joins the stream, so the
+  ``(valid, loop)`` sample lands after exactly the same reference as on
+  the generic path and the per-reference loop carries no counter.
 
 With a probe absent its state is an empty dict/set that nothing fills,
 so the probe-free run pays only membership tests on rare paths.
 
-Two passes. A run without coherence splits the loop in two. Nothing the
-LLC does there changes L1/L2 replacement (the paper acts only at the
-L2↔LLC boundary), so pass 1 (:func:`_pass1`) runs the private levels
-alone, from their current state, and records the stream the L2 lets
-through: per L2 miss its block, the L2 slot filled, the victim's block,
-whether the victim was stored to since its fill, and the core's L2 hits
-since its previous miss; at each batch end the trailing hit counts. With
+Two passes. Nothing the LLC does changes L1/L2 replacement (the paper
+acts only at the L2↔LLC boundary), so the loop is split in two. Pass 1
+(:func:`_pass1`) runs the private levels alone, from their current
+state, and records the stream of events the L2 lets through: per L2
+miss its block, the L2 slot filled, the victim's block, whether the
+victim was stored to since its fill, and the core's L2 hits since its
+previous miss; per core at each batch end its trailing hit count. With
 the loop tracker it also records each line's first store since its fill
 (``on_dirtied`` and the order of CTC finalisations) and the occupancy
-sample points. Pass 2 replays that stream through the LLC demand and
-victim flows, once per policy. It keeps the policy-dependent bits of
-each L2 slot as set at its fill, the dirty hand-off and LAP's loop bit:
-a victim is dirty if handed over dirty or stored to, and keeps its loop
-bit only if not stored to; checkin rebuilds the L2 ``dirty``/``loop``
-columns and loop counters from them. The L2-hit latencies are added one
-at a time, so ``core_cycles`` rounds exactly as in one pass.
+sample points. Pass 2 runs those events through the LLC demand and
+victim flows, once per policy, and is the only code that writes LLC
+state. It keeps the policy-dependent bits of each L2 slot as set at its
+fill, the dirty hand-off and LAP's loop bit: a victim is dirty if handed
+over dirty or stored to, and keeps its loop bit only if not stored to;
+checkin rebuilds the L2 ``dirty``/``loop`` columns and loop counters
+from them. The L2-hit latencies are added one at a time, so
+``core_cycles`` rounds exactly as in one loop.
 
 The jobs of one ``execute_jobs`` call share pass 1 through
 ``Simulator.stream_share``, on a pristine hierarchy (its first run)
 only: its serial loop runs them all under one holder, and its pool
 dispatches one task per stream group (the jobs that would read the same
 pass 1), which a worker runs under a fresh holder. That grouping is only
-a scheduling hint; this key decides what is shared. The key is what pass 1 reads: the
-``WorkloadSpec`` and its build scale, the core count, block size, L1/L2
-geometry, refs per core, batch size and the probe events recorded; not
-the policy, LLC, technology, latencies, energy or duel interval. At
+a scheduling hint; this key decides what is shared. The key is what
+pass 1 reads: the workload as ``JobSpec.stream_source`` states it (the
+spec without a pinned scale, and the scale it builds at), the core
+count, block size, L1/L2 geometry, refs per core, batch size and the
+probe events recorded; not the policy, LLC, technology, latencies,
+energy or duel interval. At
 most one stream is held, in numpy columns. A hit also restores the
 generators' end state: it leaves the simulator exactly as a miss would.
 
-MOESI coherence (Fig. 20's multithreaded runs) stays one pass: a store
-upgrade depends on the policy's dirty hand-off, so L2 contents can
-differ by policy. That loop transcribes each controller hook where the
-generic path calls it, in the same order:
+MOESI coherence (Fig. 20's multithreaded runs) cannot record pass 1
+ahead: a store upgrade depends on the policy's dirty hand-off, so L2
+contents can differ by policy. Its pass 2 is driven live instead, by a
+generator front (:func:`_coherent_front`) that walks the private levels
+as pass 1 does and yields each event as it happens; pass 2 runs it
+before the walk resumes. The front transcribes each controller hook
+where the generic path calls it, in the same order, but one:
 
-- ``on_l2_miss`` after the LLC access — snoop broadcasts, write
-  invalidations, E→S and M→O downgrades, and peer supply, which skips
-  the memory read and its stall;
-- ``fill_state`` + ``on_l2_insert`` at the L2 fill and ``on_l2_drop``
-  at the L2 victim, on the controller's own sharers map (keyed by block
-  address) and the L2 ``state`` column of the checked-out blocks;
-- ``on_store`` on the first dirtying store only — S/O upgrade, and the
-  LLC copy discarded with ``note_llc_evict``;
+- ``on_l2_miss`` runs in the front before it yields the miss, on an LLC
+  hit peeked as the block's presence in its LLC set. The generic path
+  runs it after the LLC access, but the two commute: the hook touches
+  only peers' L1/L2, the sharers map and the loop tracker's entries for
+  the missed block, none of which the LLC demand reads or writes, and
+  the peer finalisations it makes still precede the victim's, so the
+  CTC histogram's order holds. It snoops, invalidates on a write,
+  downgrades E→S (and M→O on an LLC miss), and counts a peer supply;
+- the miss's event carries one bit the recorded stream never sets, "a
+  peer holds the line", taken before the hook: pass 2 then skips the
+  memory stall of an LLC miss (peer supply) and keeps the LLC copy on
+  a hit (exclusive's ``shared_by_peers`` exception to
+  invalidate-on-hit);
+- ``fill_state`` + ``on_l2_insert`` at the L2 fill, after pass 2 ran
+  the miss (a dirty hand-off, read back from pass 2's per-slot bits,
+  fills M), and ``on_l2_drop`` at the L2 victim, on the controller's
+  own sharers map (keyed by block address) and the L2 ``state`` column
+  of the checked-out blocks;
+- ``on_store`` on the first dirtying store only — S/O upgrade — and,
+  when a peek finds the LLC copy, a discard event for pass 2 to drop
+  it with ``note_llc_evict``;
 - ``_invalidate_peer`` (:func:`_invalidate_peers`) — peer L1 discard,
   L2 invalidate, sharers drop, and ``note_l2_drop``, which the loop
-  tracker counts as an L2 eviction;
-- exclusive's ``shared_by_peers`` exception to invalidate-on-hit.
+  tracker counts as an L2 eviction.
 
 The speed comes from three reductions of per-reference Python work:
 
@@ -166,9 +184,8 @@ from __future__ import annotations
 
 import copy
 import pickle
-from array import array
 from itertools import chain, cycle, islice
-from operator import attrgetter
+from operator import attrgetter, gt, or_
 from typing import List, Optional
 
 import numpy as np
@@ -400,17 +417,19 @@ def _batch_refs(gens, take: int, off: int, l1_tick: list, per_core: tuple):
 
 
 def _invalidate_peers(
-    peers, blk, addr, pctx, geo, sharers, streak, from_llc, rec_ctc, tally
+    peers, blk, addr, pctx, geo, hand, sharers, streak, from_llc, rec_ctc, tally
 ) -> None:
     """``CoherenceController._invalidate_peer`` for every core set in the
     bitmask ``peers``, in core order, over the checked-out state.
 
     ``pctx[c]`` is core ``c``'s L1/L2 working state, ending with its
-    ``[discard calls, L1 invalidations, L2 invalidations]`` counters;
-    ``geo`` is ``(l1 index mask, l1 assoc, l2 index mask, l2 assoc)``;
-    ``tally`` accumulates ``[invalidation messages, L2 lines dropped,
-    loop evictions]`` (a dropped line is an L2 eviction to the loop
-    tracker, as ``note_l2_drop`` makes it on the generic path).
+    ``[discard calls, L1 invalidations, L2 invalidations]`` counters; a
+    line is dirty if handed over dirty (``hand``, numbered across cores
+    from ``c``'s first slot) or stored to since its fill. ``geo`` is
+    ``(l1 index mask, l1 assoc, l2 index mask, l2 assoc)``; ``tally``
+    accumulates ``[invalidation messages, L2 lines dropped, loop
+    evictions]`` (a dropped line is an L2 eviction to the loop tracker,
+    as ``note_l2_drop`` makes it on the generic path).
     """
     l1_mask, l1_assoc, l2_mask, l2_assoc = geo
     s1 = blk & l1_mask
@@ -418,7 +437,7 @@ def _invalidate_peers(
     peer = 0
     while peers:
         if peers & 1:
-            m1, fr1, m2, fr2, dir2, loop2, lc2, cnt = pctx[peer]
+            m1, fr1, m2, fr2, sto2, base, cnt = pctx[peer]
             tally[0] += 1
             cnt[0] += 1
             # l1.discard
@@ -430,8 +449,6 @@ def _invalidate_peers(
             s = m2[s2].pop(blk, None)
             if s is not None:
                 fr2[s2] |= 1 << (s % l2_assoc)
-                if loop2[s]:
-                    lc2[s2] -= 1
                 cnt[2] += 1
                 # on_l2_drop
                 mask = sharers.get(addr, 0) & ~(1 << peer)
@@ -441,7 +458,7 @@ def _invalidate_peers(
                     sharers.pop(addr, None)
                 # note_l2_drop -> tracker.on_l2_evict
                 tally[1] += 1
-                if dir2[s]:
+                if hand[base + s] or sto2[s]:
                     if streak and addr in streak:
                         rec_ctc(streak.pop(addr))
                 elif from_llc.get(addr, False):
@@ -469,8 +486,13 @@ def _downgrade_peers(peers, blk, s2, m2_sets, l2_state, owned) -> None:
         peer += 1
 
 
-#: the victim field of a first-store event (a miss carries -1 or a block)
-_FIRST_STORE = -2
+#: the kinds of event that carry no L2 miss (a miss's victim field is -1
+#: or a block): a first store since its fill to the line in slot
+#: ``gx >> 2`` (loop tracker only); a coherent first store's discard of
+#: the LLC copy of ``blk``; an occupancy sample point (loop tracker
+#: only); and, per core ``gx``, a batch end, ``blk`` references per core
+#: long, after ``hits`` trailing L2 hits
+_FIRST_STORE, _DISCARD, _SAMPLE, _BATCH_END = -2, -3, -4, -5
 
 #: numpy types of an event's ``(hits, blk, gx, victim)`` columns
 _COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int64)
@@ -478,14 +500,13 @@ _COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int64)
 
 class _Stream:
     """Pass 1's output (module docstring). An event is ``(hits, blk, gx,
-    victim)``: ``gx`` is the L2 slot filled (numbered across cores) times
-    two, plus one if the victim was stored to since its fill; ``victim``
-    is -1 for a free way, or ``_FIRST_STORE`` for a first store to the
-    line in slot ``gx >> 1``. ``marks`` holds ``events << 1 | batch end``
-    at each sample point and batch end."""
+    victim)``: for an L2 miss, ``gx`` is the L2 slot filled (numbered
+    across cores) times four, plus two if a peer holds the line (coherent
+    runs only) and one if the victim was stored to since its fill;
+    ``victim`` is -1 for a free way, or else one of the other kinds above.
+    Besides the events, the private levels' end state and counts."""
 
-    __slots__ = ("chunks", "events", "marks", "trail", "l1", "l2", "sto", "counts", "since",
-                 "gens")
+    __slots__ = ("chunks", "events", "l1", "l2", "sto", "counts", "peer", "since", "gens")
 
     def replay(self):
         """The events in order, one batch's columns materialised at a time."""
@@ -505,20 +526,29 @@ def _copy_state(state: dict) -> dict:
     return {k: [dict(m) for m in v] if k == "maps" else list(v) for k, v in state.items()}
 
 
+def _private_state(h) -> _Stream:
+    """A stream holding ``h``'s checked-out L1/L2 states and, per L2 slot,
+    "stored to since its fill" (all False)."""
+    st = _Stream()
+    st.l1 = [_checkout(c) for c in h.l1s]
+    st.l2 = [_checkout(c) for c in h.l2s]
+    st.sto = [[False] * len(state["dirty"]) for state in st.l2]
+    return st
+
+
 def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
            since: int) -> _Stream:
     """Run the private levels alone and record their L2-boundary stream
-    (module docstring); first stores and sample marks only with the loop
-    tracker (``trk``). ``interval`` is the sampler's, 0 without one."""
+    (module docstring); first stores and sample points only with the
+    loop tracker (``trk``). ``interval`` is the sampler's, 0 without one."""
     ncores = len(gens)
     l1, l2 = h.l1s[0], h.l2s[0]
     off = l1._offset_bits
     l1_mask, l2_mask = l1._index_mask, l2._index_mask
     l1_assoc, l2_assoc = l1.assoc, l2.assoc
     n2 = l2.num_sets * l2_assoc
-    l1_st = [_checkout(c) for c in h.l1s]
-    l2_st = [_checkout(c) for c in h.l2s]
-    sto = [[False] * n2 for _ in range(ncores)]
+    st = _private_state(h)
+    l1_st, l2_st, sto = st.l1, st.l2, st.sto
     l1_tick = [c._tick for c in h.l1s]
     l2_tick = [c._tick for c in h.l2s]
     l2_tick0 = list(l2_tick)
@@ -526,8 +556,7 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
     stores = 0
     occ_on = interval > 0
 
-    st = _Stream()
-    st.chunks, st.events, st.marks, st.trail = [], 0, array("q"), array("i")
+    st.chunks, st.events = [], 0
     # events go to lists (cheap appends), then to numpy columns at most
     # _CHUNK references per core later, which bounds the lists' memory
     cols = ([], [], [], [])
@@ -539,16 +568,16 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
         for col in cols:
             col.clear()
 
-    def first_store(blk, gx):
-        a_hits(0)
+    def event(hits, blk, gx, kind):
+        a_hits(hits)
         a_blk(blk)
         a_gx(gx)
-        a_vic(_FIRST_STORE)
+        a_vic(kind)
 
     per_core = (
         [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st],
         [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
-        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], 2 * c * n2)
+        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], 4 * c * n2)
          for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
     )
     remaining = refs_per_core
@@ -581,7 +610,7 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                         if not st2[ls]:
                             st2[ls] = True
                             if trk:
-                                first_store(blk, (core * n2 + ls) << 1)
+                                event(0, blk, (core * n2 + ls) << 2, _FIRST_STORE)
                     continue
                 last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
                 s2 = blk & l2_mask
@@ -619,7 +648,7 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                     a_hits(l2_hits[core])
                     l2_hits[core] = 0
                     a_blk(blk)
-                    a_gx(base + ls + ls + vst)
+                    a_gx(base + (ls << 2) + vst)
                     a_vic(ev_blk)
                 # ---- l1.fill(addr, is_write) ------------------------
                 if fr1[s1]:
@@ -638,26 +667,27 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                 if w and not st2[ls]:
                     st2[ls] = True
                     if trk:
-                        first_store(blk, base + ls + ls)
+                        event(0, blk, base + (ls << 2), _FIRST_STORE)
             left -= part
             if occ_on:
                 since += part
                 if since >= interval:
                     since = 0
                     if trk:
-                        st.marks.append(st.events + len(cols[0]) << 1)
+                        event(0, 0, 0, _SAMPLE)
             if len(cols[0]) >= _CHUNK * ncores // 2:
                 flush()
         del stream
+        for core in range(ncores):
+            event(l2_hits[core], take, core, _BATCH_END)
+            l2_hits[core] = 0
         flush()
-        st.marks.append(st.events << 1 | 1)
-        st.trail.extend(l2_hits)
-        l2_hits[:] = [0] * ncores
         remaining -= take
 
-    st.l1, st.l2, st.sto, st.since, st.gens = l1_st, l2_st, sto, since, None
+    st.since, st.gens = since, None
     st.counts = (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis,
                  l2_nfree, stores)
+    st.peer = (0, [0, 0, 0], [[0, 0, 0]] * ncores)
     return st
 
 
@@ -692,6 +722,226 @@ def _private_stream(sim, refs_per_core: int, batch: int, trk: bool, interval: in
     return stream
 
 
+def _coherent_front(st, h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
+                    since: int, hand, ll_sets, streak, from_llc, rec_ctc):
+    """Coherent runs' private levels (module docstring): pass 1's walk
+    with the ``CoherenceController`` hooks, over ``st``'s states, yielding
+    its events live. Pass 2 runs each event before the walk resumes, so
+    the walk reads a fill's dirty hand-off back from ``hand`` and peeks
+    ``ll_sets``, which it never writes; and it charges each L2 hit's
+    latency itself, as it happens, so its events carry no hit count. At
+    its end it leaves on ``st`` what :func:`_pass1` does, and adds its
+    coherence stats."""
+    ncores = len(gens)
+    l1, l2, llc = h.l1s[0], h.l2s[0], h.llc
+    off = l1._offset_bits
+    l1_mask, l2_mask, llc_mask = l1._index_mask, l2._index_mask, llc._index_mask
+    l1_assoc, l2_assoc = l1.assoc, l2.assoc
+    n2 = l2.num_sets * l2_assoc
+    geo = (l1_mask, l1_assoc, l2_mask, l2_assoc)
+    cc = h.timing.core_cycles  # mutated in place, by pass 2 too
+    l2_lat_f = float(h.timing.l2_latency)
+    coherence = h.coherence
+    sharers = coherence._sharers  # keyed by block address
+    l1_st, l2_st, sto = st.l1, st.l2, st.sto
+    m1_sets, m2_sets = [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st]
+    l2_state = [s2["state"] for s2 in l2_st]
+    l1_tick = [c._tick for c in h.l1s]
+    l2_tick = [c._tick for c in h.l2s]
+    l2_tick0 = list(l2_tick)
+    wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree = ([0] * ncores for _ in range(6))
+    stores = snoops = upgrades = c2c = 0
+    tally = [0, 0, 0]
+    cnt = [[0, 0, 0] for _ in range(ncores)]
+    occ_on = interval > 0
+    per_core = (
+        m1_sets, m2_sets, [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
+        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], 4 * c * n2)
+         for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
+    )
+    # What a peer invalidation touches, per core (see _invalidate_peers).
+    pctx = [(m1_sets[c], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c], c * n2, cnt[c])
+            for c in range(ncores)]
+
+    remaining = refs_per_core
+    while remaining > 0:
+        take = min(batch, remaining)
+        stream, n = _batch_refs(gens, take, off, l1_tick, per_core)
+        stores += n
+        left = take * ncores
+        while left:
+            part = left
+            if occ_on:
+                gap = interval - since
+                if gap < part:
+                    part = gap if gap > 0 else 1
+            for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
+                stream if part == left else islice(stream, part)
+            ):
+                s1 = blk & l1_mask
+                sm1 = m1[s1]
+                slot = sm1.pop(blk, None)
+                if slot is not None:
+                    sm1[blk] = slot
+                    last1[slot] = tk
+                    if not w:
+                        continue
+                    wh1[core] += 1
+                    dir1[slot] = True
+                    # propagate_store: L2 copy exists (L1 ⊆ L2)
+                    ls = m2[blk & l2_mask][blk]
+                    st2 = sto[core]
+                else:
+                    last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
+                    s2 = blk & l2_mask
+                    sm2 = m2[s2]
+                    ls = sm2.pop(blk, None)
+                    t2k = l2_tick[core] + 1
+                    l2_tick[core] = t2k
+                    if ls is not None:
+                        sm2[blk] = ls
+                        last2[ls] = t2k
+                        cc[core] += l2_lat_f
+                    else:
+                        l2_mis[core] += 1
+                        # ---- coherence.on_l2_miss, ahead of the LLC
+                        # access it follows on the generic path (module
+                        # docstring): a peer supplies the line on an LLC
+                        # miss (no memory read); a write snoops either
+                        # way. The sharers map is exact, so this core's
+                        # own bit is clear on its L2 miss.
+                        a = blk << off
+                        peers = sharers.get(a, 0)
+                        if w:
+                            snoops += 1
+                            if peers:
+                                if blk not in ll_sets[blk & llc_mask]:
+                                    c2c += 1
+                                _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers,
+                                                  streak, from_llc, rec_ctc, tally)
+                        elif blk in ll_sets[blk & llc_mask]:  # an LLC hit
+                            if peers:
+                                _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
+                        else:
+                            snoops += 1
+                            if peers:
+                                c2c += 1
+                                _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
+                        # ---- the L2 fill, run through pass 2 (free
+                        # ways: _take_free, inlined) ------------------
+                        f = fr2[s2]
+                        if f:
+                            low = f & -f
+                            fr2[s2] = f ^ low
+                            ls = s2 * l2_assoc + low.bit_length() - 1
+                            l2_nfree[core] += 1
+                            ev_blk = -1
+                            vst = False
+                        else:
+                            for ev_blk in sm2:
+                                break
+                            ls = sm2.pop(ev_blk)
+                            vst = st2[ls]
+                            # L1 ⊆ L2: kill the upper copy
+                            e1 = ev_blk & l1_mask
+                            eslot = m1[e1].pop(ev_blk, None)
+                            if eslot is not None:
+                                fr1[e1] |= 1 << (eslot % l1_assoc)
+                                l1_inv[core] += 1
+                        st2[ls] = False
+                        last2[ls] = t2k
+                        iseq2[ls] = t2k
+                        sm2[blk] = ls
+                        gx = base + (ls << 2) + vst
+                        if peers:
+                            gx += 2
+                        yield 0, blk, gx, ev_blk
+                        # fill_state + on_l2_insert (a dirty hand-off
+                        # fills M); a write has invalidated every peer
+                        if w:
+                            l2_state[core][ls] = STATE_MODIFIED
+                            sharers[a] = 1 << core
+                        else:
+                            if hand[gx >> 2]:
+                                l2_state[core][ls] = STATE_MODIFIED
+                            elif peers:
+                                l2_state[core][ls] = STATE_SHARED
+                            else:
+                                l2_state[core][ls] = STATE_EXCLUSIVE
+                            sharers[a] = peers | 1 << core
+                        if ev_blk != -1:
+                            # the victim's on_l2_drop (this core's bit is set)
+                            ea = ev_blk << off
+                            pm = sharers[ea] & ~(1 << core)
+                            if pm:
+                                sharers[ea] = pm
+                            else:
+                                del sharers[ea]
+                    # ---- l1.fill(addr, is_write) --------------------
+                    f = fr1[s1]
+                    if f:
+                        low = f & -f
+                        fr1[s1] = f ^ low
+                        vs = s1 * l1_assoc + low.bit_length() - 1
+                        l1_nfree[core] += 1
+                    else:
+                        for eb in sm1:
+                            break
+                        vs = sm1.pop(eb)
+                        if dir1[vs]:
+                            l1_dev[core] += 1
+                    dir1[vs] = w
+                    last1[vs] = tk
+                    iseq1[vs] = tk
+                    sm1[blk] = vs
+                    if not w:
+                        continue
+                # ---- the store into L2 slot ls: its first dirtying
+                # store unless stored to or handed over dirty ---------
+                if st2[ls]:
+                    continue
+                st2[ls] = True
+                if hand[core * n2 + ls]:
+                    continue
+                a = blk << off
+                # on_dirtied -> tracker._finalize
+                if streak and a in streak:
+                    rec_ctc(streak.pop(a))
+                # coherence.on_store
+                state2 = l2_state[core]
+                if state2[ls] == STATE_SHARED or state2[ls] == STATE_OWNED:
+                    upgrades += 1
+                    snoops += 1
+                    peers = sharers.get(a, 0) & ~(1 << core)
+                    if peers:
+                        _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers,
+                                          streak, from_llc, rec_ctc, tally)
+                state2[ls] = STATE_MODIFIED
+                if blk in ll_sets[blk & llc_mask]:
+                    yield 0, blk, 0, _DISCARD
+            left -= part
+            if occ_on:
+                since += part
+                if since >= interval:
+                    since = 0
+                    if trk:
+                        yield 0, 0, 0, _SAMPLE
+        del stream  # frees this batch's last chunk before the next batch
+        for core in range(ncores):
+            yield 0, take, core, _BATCH_END
+        remaining -= take
+
+    st.since = since
+    st.counts = (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis,
+                 l2_nfree, stores)
+    st.peer = (c2c, tally, cnt)
+    cs = coherence.stats
+    cs.snoop_broadcasts += snoops
+    cs.cache_to_cache += c2c
+    cs.invalidation_messages += tally[0]
+    cs.upgrades += upgrades
+
+
 def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     """Drive ``sim``'s hierarchy through the flattened loop.
 
@@ -711,14 +961,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
 
     # ---- address-slicing constants -----------------------------------
     off = llc._offset_bits
-    l1_mask = h.l1s[0]._index_mask
-    l2_mask = h.l2s[0]._index_mask
     llc_mask = llc._index_mask
     bank_mask = llc._bank_mask
-    l1_assoc = h.l1s[0].assoc
-    l2_assoc = h.l2s[0].assoc
     llc_assoc = llc.assoc
-    geo = (l1_mask, l1_assoc, l2_mask, l2_assoc)
 
     # ---- timing constants (same expressions as TimingModel) ----------
     l2_lat = timing.l2_latency
@@ -731,17 +976,18 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     read_stall = 0.0
     write_stall = 0.0
 
-    # Per-LLC-slot service latencies / technology (hybrid-aware).
-    slot_techs = llc.way_techs * llc.num_sets
+    # Per-LLC-slot service latencies / technology (hybrid-aware): slot
+    # ``set * assoc + way`` has its way's technology.
+    way_techs, nsets = llc.way_techs, llc.num_sets
     r_serv = [
         timing.sram_read_latency if t == "sram" else timing.llc_read_latency
-        for t in slot_techs
-    ]
+        for t in way_techs
+    ] * nsets
     w_serv = [
         timing.sram_write_latency if t == "sram" else timing.llc_write_latency
-        for t in slot_techs
-    ]
-    slot_sram = [t == "sram" for t in slot_techs]
+        for t in way_techs
+    ] * nsets
+    slot_sram = [t == "sram" for t in way_techs] * nsets
     # _finish_insert charges the write against the landed region for
     # hybrid LLCs and against llc.tech for homogeneous ones — same
     # value either way here, so slot tech serves both.
@@ -787,27 +1033,15 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     since = sampler._since if occ_on else 0
     loop_ev = loop_reins = redundant = samp_valid = samp_loops = 0
 
-    # Coherence (the one-pass loop): CoherenceController's hooks run on
-    # its own sharers map (keyed by block address) and the L2 ``state``s.
-    coherence = h.coherence
-    coh = coherence is not None
-    sharers: dict = coherence._sharers if coh else {}
-    snoops = upgrades = c2c = 0
-    peer_tally = [0, 0, 0]
-    peer_cnt = [[0, 0, 0] for _ in range(ncores)]
-
     checkout_span.finish()
 
     # ---- local stat accumulators (data-dependent only; the rest is
     # derived after the run) -------------------------------------------
-    z = [0] * ncores
-    wh1, l1_dev, l1_inv, l1_nfree = list(z), list(z), list(z), list(z)
-    l2_mis, l2_dev, l2_nfree = list(z), list(z), list(z)
+    l2_dev = [0] * ncores
     ll_mis = ll_tp = 0
     ll_drs = ll_dws = 0  # SRAM-region reads/writes; STT is the rest
     ll_ins = ll_nfree = ll_dev = ll_inv = 0
     ll_fillw = ll_cleanw = ll_dirtyw = ll_updw = ll_hitinv = 0
-    stores = 0
 
     # ---- the policy's flow & inlined set-dueling ---------------------
     fill, inv_hit, clean_wb = flow_flags(policy)
@@ -842,6 +1076,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         winner_fn = None
         dmiss, dwrite, dec = [0] * 3, [0] * 3, [0] * 3
     rix = [2 if r is None else r for r in roles]  # a set's slot in dmiss/dwrite
+    duel_ticks = duel_on and not duel_degen
 
     # The LLC insert and update flows are inlined at their call sites
     # below (no closures: keeping every hot variable a plain local is
@@ -851,746 +1086,305 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # is its first key (module docstring), which ``for eb in sm: break``
     # reads without a scan.
 
-    core_instr = [0.0] * ncores
+    # ---- the events: a recorded pass 1, or the coherent front live ---
+    coh = h.coherence is not None
+    stream = (_private_state(h) if coh
+              else _private_stream(sim, refs_per_core, batch, trk, interval, since))
+    l1_st, l2_st = stream.l1, stream.l2
+    # The policy-dependent bits of each L2 slot as set at its fill,
+    # numbered across cores: the dirty hand-off and LAP's loop bit.
+    hand = list(chain.from_iterable(state["dirty"] for state in l2_st))
+    lfill = list(chain.from_iterable(state["loop"] for state in l2_st))
+    n2 = len(hand) // ncores
+    gcore = list(chain.from_iterable([c] * n2 for c in range(ncores)))  # slot -> core
     if coh:
-        # ---- one pass (coherent runs: module docstring) ---------------
-        l1_st = [_checkout(c) for c in h.l1s]
-        l2_st = [_checkout(c) for c in h.l2s]
-        m1_sets, l1_dir, l1_last, l1_iseq, l1_free = (
-            [st[k] for st in l1_st] for k in ("maps", "dirty", "last", "iseq", "free")
-        )
-        m2_sets, l2_dir, l2_loop, l2_last, l2_iseq, l2_free, l2_lc, l2_state = (
-            [st[k] for st in l2_st]
-            for k in ("maps", "dirty", "loop", "last", "iseq", "free", "loop_counts", "state")
-        )
-        l1_tick = [c._tick for c in h.l1s]
-        l2_tick = [c._tick for c in h.l2s]
-        l2_tick0 = list(l2_tick)
-        # Everything the (less frequent) L1-miss path touches, bundled
-        # per core so one tuple unpack replaces ~10 ``[core]`` indexings.
-        ctxs = [
-            (l2_last[c], l2_dir[c], l2_loop[c], l2_iseq[c], l2_lc[c], l2_free[c], l1_iseq[c],
-             l1_free[c])
-            for c in range(ncores)
-        ]
-        per_core = (m1_sets, m2_sets, l1_last, l1_dir, ctxs)
-        # What a peer invalidation touches, per core (see _invalidate_peers).
-        pctx = [
-            (m1_sets[c], l1_free[c], m2_sets[c], l2_free[c], l2_dir[c], l2_loop[c],
-             l2_lc[c], peer_cnt[c])
-            for c in range(ncores)
-        ]
-
-        loop_span = start_span(
-            "kernel.batch_loop", refs_per_core=refs_per_core, batch=batch
-        )
-        remaining = refs_per_core
-        while remaining > 0:
-            take = min(batch, remaining)
-            stream, n = _batch_refs(gens, take, off, l1_tick, per_core)
-            stores += n
-            left = take * ncores
-            while left:
-                # Split the stream at occupancy-sample points (module
-                # docstring); without a sampler the batch is one segment.
-                part = left
-                if occ_on:
-                    gap = interval - since
-                    if gap < part:
-                        part = gap if gap > 0 else 1
-                for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
-                    stream if part == left else islice(stream, part)
-                ):
-                    # ---- L1 lookup --------------------------------------
-                    s1 = blk & l1_mask
-                    sm1 = m1[s1]
-                    slot = sm1.pop(blk, None)
-                    if slot is not None:
-                        sm1[blk] = slot
-                        last1[slot] = tk
-                        if w:
-                            wh1[core] += 1
-                            dir1[slot] = True
-                            # propagate_store: L2 copy exists (L1 ⊆ L2)
-                            ls = m2[blk & l2_mask][blk]
-                            d2 = l2_dir[core]
-                            if not d2[ls]:
-                                d2[ls] = True
-                                # on_dirtied -> tracker._finalize
-                                if streak and (blk << off) in streak:
-                                    rec_ctc(streak.pop(blk << off))
-                                # coherence.on_store
-                                st2 = l2_state[core]
-                                if st2[ls] == STATE_SHARED or st2[ls] == STATE_OWNED:
-                                    upgrades += 1
-                                    snoops += 1
-                                    a = blk << off
-                                    peers = sharers.get(a, 0) & ~(1 << core)
-                                    if peers:
-                                        _invalidate_peers(
-                                            peers, blk, a, pctx, geo, sharers,
-                                            streak, from_llc, rec_ctc, peer_tally,
-                                        )
-                                st2[ls] = STATE_MODIFIED
-                                si = blk & llc_mask
-                                s = ll_sets[si].pop(blk, None)
-                                if s is not None:
-                                    # llc.discard + note_llc_evict
-                                    ll_tp += 1
-                                    if ll_loop[s]:
-                                        ll_lc[si] -= 1
-                                    ll_free[si] |= 1 << (s % llc_assoc)
-                                    ll_inv += 1
-                                    if fresh:
-                                        fresh.discard(blk << off)
-                            if l2_loop[core][ls]:
-                                l2_lc[core][blk & l2_mask] -= 1
-                                l2_loop[core][ls] = False
-                        continue
-                    last2, dir2, loop2, iseq2, lc2, fr2, iseq1, fr1 = ctx
-                    # ---- L2 lookup (reads only; stores dirty via
-                    # propagation) -----------------------------------------
-                    s2 = blk & l2_mask
-                    sm2 = m2[s2]
-                    ls = sm2.pop(blk, None)
-                    if ls is not None:
-                        sm2[blk] = ls
-                        t2k = l2_tick[core] + 1
-                        l2_tick[core] = t2k
-                        last2[ls] = t2k
-                        cc[core] += l2_lat_f
-                    else:
-                        l2_mis[core] += 1
-                        # ---- L2 miss: inlined policy.llc_access (as in
-                        # pass 2) -----------------------------------------
-                        ck = cc[core]
-                        si = blk & llc_mask
-                        bk = blk & bank_mask
-                        if duel_on and not duel_degen:
-                            # dueling.tick()
-                            duel_acc += 1
-                            if duel_acc >= duel_interval:
-                                duel_acc = 0
-                                duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
-                        if sw:
-                            r = roles[si]
-                            fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-                        sm = ll_sets[si]
-                        s = sm.pop(blk, None)
-                        out_dirty = False
-                        if s is None:
-                            ll_mis += 1
-                            hit = False
-                            if duel_on:  # dueling.record_miss(si)
-                                dmiss[rix[si]] += 1
-                            if fill:
-                                # Fig. 1b: the miss fills the LLC too. The
-                                # just-missed line cannot be present, so
-                                # insert_or_update is a straight insert
-                                # (plain-LRU victim, clean, loop bit off).
-                                ll_tick += 1
-                                if ll_free[si]:
-                                    s = _take_free(ll_free, si, si * llc_assoc)
-                                    ll_nfree += 1
-                                else:
-                                    for eb in sm:
-                                        break
-                                    s = sm.pop(eb)
-                                    if ll_dir[s]:
-                                        ll_dev += 1
-                                    if fresh:  # on_llc_evict
-                                        fresh.discard(eb << off)
-                                    if ll_loop[s]:
-                                        ll_lc[si] -= 1
-                                ll_dir[s] = False
-                                ll_loop[s] = False
-                                ll_last[s] = ll_tick
-                                ll_iseq[s] = ll_tick
-                                sm[blk] = s
-                                ll_ins += 1
-                                ll_tp += 1
-                                if slot_sram[s]:
-                                    ll_dws += 1
-                                ll_fillw += 1
-                                if rf_on:  # on_llc_fill
-                                    fresh.add(blk << off)
-                                if sw:  # _record_duel_write
-                                    dwrite[rix[si]] += 1
-                                wnow = ck
-                                free = busy[bk]
-                                st = free - wnow
-                                if st < 0.0:
-                                    st = 0.0
-                                busy[bk] = wnow + st + w_serv[s]
-                                write_stall += st
-                        else:
-                            hit = True
-                            if fresh:  # on_demand_hit
-                                fresh.discard(blk << off)
-                            if slot_sram[s]:
-                                ll_drs += 1
-                            ll_tick += 1
-                            ll_last[s] = ll_tick
-                            # timing.llc_read
-                            rnow = ck + l2_lat
-                            serv = r_serv[s]
-                            free = busy[bk]
-                            st = free - rnow
-                            if st < 0.0:
-                                st = 0.0
-                            busy[bk] = rnow + st + serv
-                            read_stall += st
-                            ck += l2_lat + st + serv
-                            if inv_hit and not sharers.get(blk << off, 0) & ~(1 << core):
-                                # invalidate-on-hit (kept while peers share
-                                # the line); dirtiness moves up
-                                out_dirty = ll_dir[s]
-                                ll_tp += 1
-                                if ll_loop[s]:
-                                    ll_lc[si] -= 1
-                                ll_free[si] |= 1 << (s % llc_assoc)
-                                ll_inv += 1
-                                ll_hitinv += 1
-                            else:
-                                sm[blk] = s
-                        # ---- coherence.on_l2_miss -------------------
-                        a = blk << off
-                        peers = sharers.get(a, 0) & ~(1 << core)
-                        if hit:
-                            if w:
-                                snoops += 1
-                                if peers:
-                                    _invalidate_peers(
-                                        peers, blk, a, pctx, geo, sharers,
-                                        streak, from_llc, rec_ctc, peer_tally,
-                                    )
-                            elif peers:
-                                _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
-                        else:
-                            snoops += 1
-                            if peers:
-                                # a peer supplies the line: no memory read
-                                c2c += 1
-                                if w:
-                                    _invalidate_peers(
-                                        peers, blk, a, pctx, geo, sharers,
-                                        streak, from_llc, rec_ctc, peer_tally,
-                                    )
-                                else:
-                                    _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
-                            else:
-                                ck += mem_stall
-                        # ---- _fill_l2 -----------------------------------
-                        fl_loop = lap and hit  # l2_fill_loop_bit
-                        t2k = l2_tick[core] + 1
-                        l2_tick[core] = t2k
-                        if fr2[s2]:
-                            vs = _take_free(fr2, s2, s2 * l2_assoc)
-                            l2_nfree[core] += 1
-                            ev_blk = -1
-                        else:
-                            for ev_blk in sm2:
-                                break
-                            vs = sm2.pop(ev_blk)
-                            ev_dirty = dir2[vs]
-                            ev_loop = loop2[vs]
-                            if ev_dirty:
-                                l2_dev[core] += 1
-                            if ev_loop:
-                                lc2[s2] -= 1
-                        dir2[vs] = out_dirty
-                        loop2[vs] = fl_loop
-                        last2[vs] = t2k
-                        iseq2[vs] = t2k
-                        if fl_loop:
-                            lc2[s2] += 1
-                        sm2[blk] = vs
-                        ls = vs
-                        # fill_state + on_l2_insert
-                        pm = sharers.get(a, 0)
-                        if out_dirty or w:
-                            l2_state[core][vs] = STATE_MODIFIED
-                        elif pm & ~(1 << core):
-                            l2_state[core][vs] = STATE_SHARED
-                        else:
-                            l2_state[core][vs] = STATE_EXCLUSIVE
-                        sharers[a] = pm | (1 << core)
-                        if ev_blk != -1:
-                            # ---- _handle_l2_victim ----------------------
-                            # L1 ⊆ L2: kill the upper copy
-                            e1 = ev_blk & l1_mask
-                            eslot = m1[e1].pop(ev_blk, None)
-                            if eslot is not None:
-                                fr1[e1] |= 1 << (eslot % l1_assoc)
-                                l1_inv[core] += 1
-                            # on_l2_drop
-                            ea = ev_blk << off
-                            pm = sharers.get(ea, 0) & ~(1 << core)
-                            if pm:
-                                sharers[ea] = pm
-                            else:
-                                sharers.pop(ea, None)
-                            # on_l2_victim -> tracker.on_l2_evict
-                            if ev_dirty:
-                                if streak and (ev_blk << off) in streak:
-                                    rec_ctc(streak.pop(ev_blk << off))
-                            elif trk:
-                                ea = ev_blk << off
-                                if from_llc.get(ea, False):
-                                    streak[ea] = streak.get(ea, 0) + 1
-                                    loop_ev += 1
-                            # ---- policy.l2_victim (as in pass 2) --------
-                            if sw:  # mode_for(line.addr)
-                                r = roles[ev_blk & llc_mask]
-                                fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-                            if ev_dirty or clean_wb:
-                                esi = ev_blk & llc_mask
-                                ebk = ev_blk & bank_mask
-                                if lap:
-                                    ll_tp += 1  # llc.probe
-                                sm = ll_sets[esi]
-                                es = sm.get(ev_blk)
-                                if es is not None:
-                                    if ev_dirty or not lap:
-                                        # inline Cache.update + posted write
-                                        if ev_dirty:
-                                            ll_dir[es] = True
-                                        ll_tick += 1
-                                        ll_last[es] = ll_tick
-                                        del sm[ev_blk]
-                                        sm[ev_blk] = es
-                                        ll_tp += 1
-                                        if slot_sram[es]:
-                                            ll_dws += 1
-                                        wnow = ck
-                                        free = busy[ebk]
-                                        st = free - wnow
-                                        if st < 0.0:
-                                            st = 0.0
-                                        busy[ebk] = wnow + st + w_serv[es]
-                                        write_stall += st
-                                        if ev_dirty:
-                                            ll_updw += 1
-                                            if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
-                                                redundant += 1
-                                                fresh.remove(ev_blk << off)
-                                        else:
-                                            ll_cleanw += 1
-                                            if streak and (ev_blk << off) in streak:  # on_clean_insert
-                                                loop_reins += 1
-                                        if sw:  # _record_duel_write
-                                            dwrite[rix[esi]] += 1
-                                    # loop-bit reconciliation on the copy
-                                    nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                                    if nl != ll_loop[es]:
-                                        ll_lc[esi] += 1 if nl else -1
-                                        ll_loop[es] = nl
-                                else:
-                                    # inline _place_and_insert + _finish_insert
-                                    lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                                    ll_tick += 1
-                                    if ll_free[esi]:
-                                        s = _take_free(ll_free, esi, esi * llc_assoc)
-                                        ll_nfree += 1
-                                    else:
-                                        if loop_victims:
-                                            loop_scan = True
-                                        elif duel_victims:
-                                            r = roles[esi]
-                                            loop_scan = (duel_winner if r is None else r) == 0
-                                        else:
-                                            loop_scan = False
-                                        # LoopAwarePolicy: the oldest unmarked
-                                        # line, else (all marked) the oldest.
-                                        for eb in sm:
-                                            break
-                                        if loop_scan:
-                                            for cand, s in sm.items():
-                                                if not ll_loop[s]:
-                                                    eb = cand
-                                                    break
-                                        s = sm.pop(eb)
-                                        if ll_dir[s]:
-                                            ll_dev += 1
-                                        if fresh:  # on_llc_evict
-                                            fresh.discard(eb << off)
-                                        if ll_loop[s]:
-                                            ll_lc[esi] -= 1
-                                    ll_dir[s] = ev_dirty
-                                    ll_loop[s] = lb
-                                    ll_last[s] = ll_tick
-                                    ll_iseq[s] = ll_tick
-                                    if lb:
-                                        ll_lc[esi] += 1
-                                    sm[ev_blk] = s
-                                    ll_ins += 1
-                                    ll_tp += 1
-                                    if slot_sram[s]:
-                                        ll_dws += 1
-                                    if ev_dirty:
-                                        ll_dirtyw += 1
-                                        if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
-                                            redundant += 1
-                                            fresh.remove(ev_blk << off)
-                                    else:
-                                        ll_cleanw += 1
-                                        if streak and (ev_blk << off) in streak:  # on_clean_insert
-                                            loop_reins += 1
-                                    if sw:  # _record_duel_write
-                                        dwrite[rix[esi]] += 1
-                                    wnow = ck
-                                    free = busy[ebk]
-                                    st = free - wnow
-                                    if st < 0.0:
-                                        st = 0.0
-                                    busy[ebk] = wnow + st + w_serv[s]
-                                    write_stall += st
-                        if trk:  # on_l2_fill
-                            from_llc[blk << off] = hit
-                        cc[core] = ck
-                    # ---- l1.fill(addr, is_write) ------------------------
-                    if fr1[s1]:
-                        vs = _take_free(fr1, s1, s1 * l1_assoc)
-                        l1_nfree[core] += 1
-                    else:
-                        for eb in sm1:
-                            break
-                        vs = sm1.pop(eb)
-                        if dir1[vs]:
-                            l1_dev[core] += 1
-                    dir1[vs] = w
-                    last1[vs] = tk
-                    iseq1[vs] = tk
-                    sm1[blk] = vs
-                    if w:
-                        # propagate_store into the (just ensured) L2 copy:
-                        # ``ls`` carries the slot from the hit/fill above.
-                        if not dir2[ls]:
-                            dir2[ls] = True
-                            # on_dirtied -> tracker._finalize
-                            if streak and (blk << off) in streak:
-                                rec_ctc(streak.pop(blk << off))
-                            # coherence.on_store (as on the L1-hit path)
-                            st2 = l2_state[core]
-                            if st2[ls] == STATE_SHARED or st2[ls] == STATE_OWNED:
-                                upgrades += 1
-                                snoops += 1
-                                a = blk << off
-                                peers = sharers.get(a, 0) & ~(1 << core)
-                                if peers:
-                                    _invalidate_peers(
-                                        peers, blk, a, pctx, geo, sharers,
-                                        streak, from_llc, rec_ctc, peer_tally,
-                                    )
-                            st2[ls] = STATE_MODIFIED
-                            si = blk & llc_mask
-                            s = ll_sets[si].pop(blk, None)
-                            if s is not None:
-                                # llc.discard + note_llc_evict
-                                ll_tp += 1
-                                if ll_loop[s]:
-                                    ll_lc[si] -= 1
-                                ll_free[si] |= 1 << (s % llc_assoc)
-                                ll_inv += 1
-                                if fresh:
-                                    fresh.discard(blk << off)
-                        if loop2[ls]:
-                            lc2[s2] -= 1
-                            loop2[ls] = False
-                left -= part
-                if occ_on:
-                    # OccupancySampler.on_access -> LoopProbe sample
-                    since += part
-                    if since >= interval:
-                        since = 0
-                        if trk:
-                            # valid LLC lines: free-way fills add one,
-                            # invalidations drop one
-                            samp_valid += ll_valid0 + ll_nfree - ll_inv
-                            samp_loops += sum(ll_lc)
-            del stream  # frees this batch's last chunk before the next batch
-
-            for core, gen in enumerate(gens):
-                instrs = take * gen.instr_per_ref
-                core_instr[core] += instrs
-                cc[core] += instrs
-            remaining -= take
-        loop_span.finish()
+        pass2_span = start_span("kernel.batch_loop", refs_per_core=refs_per_core, batch=batch)
+        events = _coherent_front(stream, h, gens, refs_per_core, batch, trk, interval, since,
+                                 hand, ll_sets, streak, from_llc, rec_ctc)
     else:
-        # ---- two passes (module docstring) ------------------------------
-        stream = _private_stream(sim, refs_per_core, batch, trk, interval, since)
-        l1_st, l2_st, since = stream.l1, stream.l2, stream.since
-        (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
-         stores) = stream.counts
-        # The policy-dependent bits of each L2 slot as set at its fill,
-        # numbered across cores: the dirty hand-off and LAP's loop bit.
-        hand = [d for state in l2_st for d in state["dirty"]]
-        lfill = [b for state in l2_st for b in state["loop"]]
         pass2_span = start_span("kernel.pass2", events=stream.events)
         events = stream.replay()
-        gcore = [c for c, state in enumerate(l2_st) for _ in state["dirty"]]  # slot -> core
-        ti = pos = 0
-        remaining = refs_per_core
-        for mark in stream.marks:
-            at = mark >> 1
-            for nh, blk, gx, ev_blk in islice(events, at - pos):
-                g = gx >> 1
-                if ev_blk == _FIRST_STORE:
-                    # on_dirtied -> tracker._finalize, unless the fill
-                    # handed the line over dirty
-                    if not hand[g] and streak and (blk << off) in streak:
-                        rec_ctc(streak.pop(blk << off))
-                    continue
-                core = gcore[g]
-                # the core's L2 hits since its last miss, one at a time
-                ck = cc[core]
-                while nh:
-                    ck += l2_lat_f
-                    nh -= 1
-                # ---- L2 miss: inlined policy.llc_access -------------
+
+    # ---- pass 2: the LLC flows, one event at a time ------------------
+    core_instr = [0.0] * ncores
+    for nh, blk, gx, ev_blk in events:
+        if ev_blk < -1:
+            if ev_blk == _FIRST_STORE:
+                # on_dirtied -> tracker._finalize, unless the fill
+                # handed the line over dirty
+                if not hand[gx >> 2] and streak and (blk << off) in streak:
+                    rec_ctc(streak.pop(blk << off))
+            elif ev_blk == _DISCARD:
+                # coherence.on_store: llc.discard + note_llc_evict
                 si = blk & llc_mask
-                bk = blk & bank_mask
-                if duel_on and not duel_degen:
-                    # dueling.tick()
-                    duel_acc += 1
-                    if duel_acc >= duel_interval:
-                        duel_acc = 0
-                        duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
-                if sw:
-                    r = roles[si]
-                    fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-                sm = ll_sets[si]
-                s = sm.pop(blk, None)
-                out_dirty = False
-                if s is None:
-                    ll_mis += 1
-                    hit = False
-                    if duel_on:  # dueling.record_miss(si)
-                        dmiss[rix[si]] += 1
-                    if fill:
-                        # Fig. 1b: a straight insert (plain-LRU victim)
-                        ll_tick += 1
-                        if ll_free[si]:
-                            s = _take_free(ll_free, si, si * llc_assoc)
-                            ll_nfree += 1
-                        else:
-                            for eb in sm:
-                                break
-                            s = sm.pop(eb)
-                            if ll_dir[s]:
-                                ll_dev += 1
-                            if fresh:  # on_llc_evict
-                                fresh.discard(eb << off)
-                            if ll_loop[s]:
-                                ll_lc[si] -= 1
-                        ll_dir[s] = False
-                        ll_loop[s] = False
-                        ll_last[s] = ll_tick
-                        ll_iseq[s] = ll_tick
-                        sm[blk] = s
-                        ll_ins += 1
-                        ll_tp += 1
-                        if slot_sram[s]:
-                            ll_dws += 1
-                        ll_fillw += 1
-                        if rf_on:  # on_llc_fill
-                            fresh.add(blk << off)
-                        if sw:  # _record_duel_write
-                            dwrite[rix[si]] += 1
-                        st = busy[bk] - ck
-                        if st < 0.0:
-                            st = 0.0
-                        busy[bk] = ck + st + w_serv[s]
-                        write_stall += st
-                    ck += mem_stall
-                else:
-                    hit = True
-                    if fresh:  # on_demand_hit
-                        fresh.discard(blk << off)
-                    if slot_sram[s]:
-                        ll_drs += 1
-                    ll_tick += 1
-                    ll_last[s] = ll_tick
-                    # timing.llc_read
-                    rnow = ck + l2_lat
-                    serv = r_serv[s]
-                    st = busy[bk] - rnow
-                    if st < 0.0:
-                        st = 0.0
-                    busy[bk] = rnow + st + serv
-                    read_stall += st
-                    ck += l2_lat + st + serv
-                    if inv_hit:
-                        # invalidate-on-hit; dirtiness moves up
-                        out_dirty = ll_dir[s]
-                        ll_tp += 1
-                        if ll_loop[s]:
-                            ll_lc[si] -= 1
-                        ll_free[si] |= 1 << (s % llc_assoc)
-                        ll_inv += 1
-                        ll_hitinv += 1
-                    else:
-                        sm[blk] = s
-                # ---- _fill_l2 (odd gx: victim stored to since fill) --
-                ev_dirty, ev_loop = (True, False) if gx & 1 else (hand[g], lfill[g])
-                hand[g] = out_dirty
-                lfill[g] = lap and hit  # l2_fill_loop_bit
-                if ev_blk != -1:
-                    # ---- _handle_l2_victim --------------------------
-                    if ev_dirty:
-                        l2_dev[core] += 1
-                        # on_l2_victim -> tracker.on_l2_evict
-                        if streak and (ev_blk << off) in streak:
-                            rec_ctc(streak.pop(ev_blk << off))
-                    elif trk:
-                        ea = ev_blk << off
-                        if from_llc.get(ea, False):
-                            streak[ea] = streak.get(ea, 0) + 1
-                            loop_ev += 1
-                    # ---- policy.l2_victim ----------------------------
-                    # One unified flow for every policy. Without clean
-                    # writeback (noni) clean victims are dropped; every
-                    # other (flow, dirty, present) combination updates
-                    # the LLC copy or inserts:
-                    #   present+dirty        -> update(d=True) + updw,
-                    #     loop bit: ex keeps ev_loop, noni/LAP clear
-                    #   present+clean (ex)   -> update(d=False)+cleanw,
-                    #     loop bit := ev_loop
-                    #   present+clean (LAP)  -> Fig. 10b loop-bit
-                    #     refresh only, no write
-                    #   absent               -> insert(d=ev_dirty),
-                    #     loop bit: ex keeps, LAP clean keeps,
-                    #     dirty-merge clears; dirtyw/cleanw by d
-                    if sw:  # mode_for(line.addr)
-                        r = roles[ev_blk & llc_mask]
-                        fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-                    if ev_dirty or clean_wb:
-                        esi = ev_blk & llc_mask
-                        ebk = ev_blk & bank_mask
-                        if lap:
-                            ll_tp += 1  # llc.probe
-                        sm = ll_sets[esi]
-                        es = sm.get(ev_blk)
-                        if es is not None:
-                            if ev_dirty or not lap:
-                                # inline Cache.update + posted write
-                                if ev_dirty:
-                                    ll_dir[es] = True
-                                ll_tick += 1
-                                ll_last[es] = ll_tick
-                                del sm[ev_blk]
-                                sm[ev_blk] = es
-                                ll_tp += 1
-                                if slot_sram[es]:
-                                    ll_dws += 1
-                                st = busy[ebk] - ck
-                                if st < 0.0:
-                                    st = 0.0
-                                busy[ebk] = ck + st + w_serv[es]
-                                write_stall += st
-                                if ev_dirty:
-                                    ll_updw += 1
-                                    if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
-                                        redundant += 1
-                                        fresh.remove(ev_blk << off)
-                                else:
-                                    ll_cleanw += 1
-                                    if streak and (ev_blk << off) in streak:  # on_clean_insert
-                                        loop_reins += 1
-                                if sw:  # _record_duel_write
-                                    dwrite[rix[esi]] += 1
-                            # loop-bit reconciliation on the copy
-                            nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                            if nl != ll_loop[es]:
-                                ll_lc[esi] += 1 if nl else -1
-                                ll_loop[es] = nl
-                        else:
-                            # inline _place_and_insert + _finish_insert
-                            lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                            ll_tick += 1
-                            if ll_free[esi]:
-                                s = _take_free(ll_free, esi, esi * llc_assoc)
-                                ll_nfree += 1
-                            else:
-                                if loop_victims:
-                                    loop_scan = True
-                                elif duel_victims:
-                                    r = roles[esi]
-                                    loop_scan = (duel_winner if r is None else r) == 0
-                                else:
-                                    loop_scan = False
-                                # LoopAwarePolicy: the oldest unmarked
-                                # line, else (all marked) the oldest.
-                                for eb in sm:
-                                    break
-                                if loop_scan:
-                                    for cand, s in sm.items():
-                                        if not ll_loop[s]:
-                                            eb = cand
-                                            break
-                                s = sm.pop(eb)
-                                if ll_dir[s]:
-                                    ll_dev += 1
-                                if fresh:  # on_llc_evict
-                                    fresh.discard(eb << off)
-                                if ll_loop[s]:
-                                    ll_lc[esi] -= 1
-                            ll_dir[s] = ev_dirty
-                            ll_loop[s] = lb
-                            ll_last[s] = ll_tick
-                            ll_iseq[s] = ll_tick
-                            if lb:
-                                ll_lc[esi] += 1
-                            sm[ev_blk] = s
-                            ll_ins += 1
-                            ll_tp += 1
-                            if slot_sram[s]:
-                                ll_dws += 1
-                            if ev_dirty:
-                                ll_dirtyw += 1
-                                if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
-                                    redundant += 1
-                                    fresh.remove(ev_blk << off)
-                            else:
-                                ll_cleanw += 1
-                                if streak and (ev_blk << off) in streak:  # on_clean_insert
-                                    loop_reins += 1
-                            if sw:  # _record_duel_write
-                                dwrite[rix[esi]] += 1
-                            st = busy[ebk] - ck
-                            if st < 0.0:
-                                st = 0.0
-                            busy[ebk] = ck + st + w_serv[s]
-                            write_stall += st
-                if trk:  # on_l2_fill
-                    from_llc[blk << off] = hit
-                cc[core] = ck
-            pos = at
-            if mark & 1:
-                # batch end: the trailing L2 hits, then the instructions
-                take = min(batch, remaining)
-                for core, gen in enumerate(gens):
-                    c = cc[core]
-                    for _ in range(stream.trail[ti + core]):
-                        c += l2_lat_f
-                    instrs = take * gen.instr_per_ref
-                    core_instr[core] += instrs
-                    cc[core] = c + instrs
-                ti += ncores
-                remaining -= take
-            else:
-                # OccupancySampler.on_access -> LoopProbe sample
+                s = ll_sets[si].pop(blk)
+                ll_tp += 1
+                if ll_loop[s]:
+                    ll_lc[si] -= 1
+                ll_free[si] |= 1 << (s % llc_assoc)
+                ll_inv += 1
+                if fresh:
+                    fresh.discard(blk << off)
+            elif ev_blk == _SAMPLE:
+                # OccupancySampler.on_access -> LoopProbe sample: valid
+                # LLC lines (free-way fills add one, invalidations drop
+                # one) and loop lines
                 samp_valid += ll_valid0 + ll_nfree - ll_inv
                 samp_loops += sum(ll_lc)
-        pass2_span.finish()
-        # The L2 dirty and loop columns: each fill's bits, unless the
-        # line was stored to since.
-        n2 = len(hand) // ncores
-        for core, (state, sto) in enumerate(zip(l2_st, stream.sto)):
-            lo = core * n2
-            state["dirty"] = [d or s for d, s in zip(hand[lo:lo + n2], sto)]
-            state["loop"] = lp = [b and not s for b, s in zip(lfill[lo:lo + n2], sto)]
-            state["loop_counts"] = [sum(lp[s] for s in m.values()) for m in state["maps"]]
+            else:
+                # a batch end: core gx's trailing L2 hits, then its
+                # instructions
+                c = cc[gx]
+                while nh:
+                    c += l2_lat_f
+                    nh -= 1
+                instrs = blk * gens[gx].instr_per_ref
+                core_instr[gx] += instrs
+                cc[gx] = c + instrs
+            continue
+        g = gx >> 2
+        core = gcore[g]
+        # the core's L2 hits since its last miss, one at a time
+        ck = cc[core]
+        while nh:
+            ck += l2_lat_f
+            nh -= 1
+        # ---- L2 miss: inlined policy.llc_access ---------------------
+        si = blk & llc_mask
+        bk = blk & bank_mask
+        if duel_ticks:  # dueling.tick()
+            duel_acc += 1
+            if duel_acc >= duel_interval:
+                duel_acc = 0
+                duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
+        if sw:
+            r = roles[si]
+            fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+        sm = ll_sets[si]
+        s = sm.pop(blk, None)
+        out_dirty = False
+        if s is None:
+            ll_mis += 1
+            hit = False
+            if duel_on:  # dueling.record_miss(si)
+                dmiss[rix[si]] += 1
+            if fill:
+                # Fig. 1b: a straight insert (plain-LRU victim)
+                ll_tick += 1
+                if ll_free[si]:
+                    s = _take_free(ll_free, si, si * llc_assoc)
+                    ll_nfree += 1
+                else:
+                    for eb in sm:
+                        break
+                    s = sm.pop(eb)
+                    if ll_dir[s]:
+                        ll_dev += 1
+                    if fresh:  # on_llc_evict
+                        fresh.discard(eb << off)
+                    if ll_loop[s]:
+                        ll_lc[si] -= 1
+                ll_dir[s] = False
+                ll_loop[s] = False
+                ll_last[s] = ll_tick
+                ll_iseq[s] = ll_tick
+                sm[blk] = s
+                ll_ins += 1
+                ll_tp += 1
+                if slot_sram[s]:
+                    ll_dws += 1
+                ll_fillw += 1
+                if rf_on:  # on_llc_fill
+                    fresh.add(blk << off)
+                if sw:  # _record_duel_write
+                    dwrite[rix[si]] += 1
+                st = busy[bk] - ck
+                if st < 0.0:
+                    st = 0.0
+                busy[bk] = ck + st + w_serv[s]
+                write_stall += st
+            if not gx & 2:  # else a peer supplies the line
+                ck += mem_stall
+        else:
+            hit = True
+            if fresh:  # on_demand_hit
+                fresh.discard(blk << off)
+            if slot_sram[s]:
+                ll_drs += 1
+            ll_tick += 1
+            ll_last[s] = ll_tick
+            # timing.llc_read
+            rnow = ck + l2_lat
+            serv = r_serv[s]
+            st = busy[bk] - rnow
+            if st < 0.0:
+                st = 0.0
+            busy[bk] = rnow + st + serv
+            read_stall += st
+            ck += l2_lat + st + serv
+            if inv_hit and not gx & 2:
+                # invalidate-on-hit, unless a peer holds the line
+                # (shared_by_peers); dirtiness moves up
+                out_dirty = ll_dir[s]
+                ll_tp += 1
+                if ll_loop[s]:
+                    ll_lc[si] -= 1
+                ll_free[si] |= 1 << (s % llc_assoc)
+                ll_inv += 1
+                ll_hitinv += 1
+            else:
+                sm[blk] = s
+        # ---- _fill_l2 (odd gx: the victim was stored to since its fill)
+        if gx & 1:
+            ev_dirty = True
+            ev_loop = False
+        else:
+            ev_dirty = hand[g]
+            ev_loop = lfill[g]
+        hand[g] = out_dirty
+        lfill[g] = lap and hit  # l2_fill_loop_bit
+        if ev_blk != -1:
+            # ---- _handle_l2_victim ----------------------------------
+            if ev_dirty:
+                l2_dev[core] += 1
+                # on_l2_victim -> tracker.on_l2_evict
+                if streak and (ev_blk << off) in streak:
+                    rec_ctc(streak.pop(ev_blk << off))
+            elif trk:
+                ea = ev_blk << off
+                if from_llc.get(ea, False):
+                    streak[ea] = streak.get(ea, 0) + 1
+                    loop_ev += 1
+            # ---- policy.l2_victim -----------------------------------
+            # One unified flow for every policy. Without clean
+            # writeback (noni) clean victims are dropped; every
+            # other (flow, dirty, present) combination updates
+            # the LLC copy or inserts:
+            #   present+dirty        -> update(d=True) + updw,
+            #     loop bit: ex keeps ev_loop, noni/LAP clear
+            #   present+clean (ex)   -> update(d=False)+cleanw,
+            #     loop bit := ev_loop
+            #   present+clean (LAP)  -> Fig. 10b loop-bit
+            #     refresh only, no write
+            #   absent               -> insert(d=ev_dirty),
+            #     loop bit: ex keeps, LAP clean keeps,
+            #     dirty-merge clears; dirtyw/cleanw by d
+            if sw:  # mode_for(line.addr)
+                r = roles[ev_blk & llc_mask]
+                fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+            if ev_dirty or clean_wb:
+                esi = ev_blk & llc_mask
+                ebk = ev_blk & bank_mask
+                if lap:
+                    ll_tp += 1  # llc.probe
+                sm = ll_sets[esi]
+                es = sm.get(ev_blk)
+                if es is not None:
+                    if ev_dirty or not lap:
+                        # inline Cache.update + posted write
+                        if ev_dirty:
+                            ll_dir[es] = True
+                        ll_tick += 1
+                        ll_last[es] = ll_tick
+                        del sm[ev_blk]
+                        sm[ev_blk] = es
+                        ll_tp += 1
+                        if slot_sram[es]:
+                            ll_dws += 1
+                        st = busy[ebk] - ck
+                        if st < 0.0:
+                            st = 0.0
+                        busy[ebk] = ck + st + w_serv[es]
+                        write_stall += st
+                        if ev_dirty:
+                            ll_updw += 1
+                            if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                redundant += 1
+                                fresh.remove(ev_blk << off)
+                        else:
+                            ll_cleanw += 1
+                            if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                loop_reins += 1
+                        if sw:  # _record_duel_write
+                            dwrite[rix[esi]] += 1
+                    # loop-bit reconciliation on the copy
+                    nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
+                    if nl != ll_loop[es]:
+                        ll_lc[esi] += 1 if nl else -1
+                        ll_loop[es] = nl
+                else:
+                    # inline _place_and_insert + _finish_insert
+                    lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
+                    ll_tick += 1
+                    if ll_free[esi]:
+                        s = _take_free(ll_free, esi, esi * llc_assoc)
+                        ll_nfree += 1
+                    else:
+                        if loop_victims:
+                            loop_scan = True
+                        elif duel_victims:
+                            r = roles[esi]
+                            loop_scan = (duel_winner if r is None else r) == 0
+                        else:
+                            loop_scan = False
+                        # LoopAwarePolicy: the oldest unmarked
+                        # line, else (all marked) the oldest.
+                        for eb in sm:
+                            break
+                        if loop_scan:
+                            for cand, s in sm.items():
+                                if not ll_loop[s]:
+                                    eb = cand
+                                    break
+                        s = sm.pop(eb)
+                        if ll_dir[s]:
+                            ll_dev += 1
+                        if fresh:  # on_llc_evict
+                            fresh.discard(eb << off)
+                        if ll_loop[s]:
+                            ll_lc[esi] -= 1
+                    ll_dir[s] = ev_dirty
+                    ll_loop[s] = lb
+                    ll_last[s] = ll_tick
+                    ll_iseq[s] = ll_tick
+                    if lb:
+                        ll_lc[esi] += 1
+                    sm[ev_blk] = s
+                    ll_ins += 1
+                    ll_tp += 1
+                    if slot_sram[s]:
+                        ll_dws += 1
+                    if ev_dirty:
+                        ll_dirtyw += 1
+                        if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                            redundant += 1
+                            fresh.remove(ev_blk << off)
+                    else:
+                        ll_cleanw += 1
+                        if streak and (ev_blk << off) in streak:  # on_clean_insert
+                            loop_reins += 1
+                    if sw:  # _record_duel_write
+                        dwrite[rix[esi]] += 1
+                    st = busy[ebk] - ck
+                    if st < 0.0:
+                        st = 0.0
+                    busy[ebk] = ck + st + w_serv[s]
+                    write_stall += st
+        if trk:  # on_l2_fill
+            from_llc[blk << off] = hit
+        cc[core] = ck
+    pass2_span.finish()
+    (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
+     stores) = stream.counts
+    c2c, peer_tally, peer_cnt = stream.peer
+    since = stream.since
+    # The L2 dirty and loop columns: each fill's bits, unless the
+    # line was stored to since (bools: ``d | s`` and ``b > s``).
+    for core, (state, sto) in enumerate(zip(l2_st, stream.sto)):
+        lo = core * n2
+        state["dirty"] = list(map(or_, hand[lo:lo + n2], sto))
+        state["loop"] = lp = list(map(gt, lfill[lo:lo + n2], sto))
+        state["loop_counts"] = [sum(map(lp.__getitem__, m.values())) for m in state["maps"]]
 
     # ---- checkin: maps, state, ticks, stats --------------------------
     checkin_span = start_span("kernel.checkin", ncores=ncores)
@@ -1631,13 +1425,6 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         dueling._write_a, dueling._write_b = dwrite[:2]
         ds.leader_a_misses, ds.leader_b_misses = dmiss[:2]
         ds.decisions_a, ds.decisions_b, ds.intervals = dec
-
-    if coh:
-        cs = coherence.stats
-        cs.snoop_broadcasts += snoops
-        cs.cache_to_cache += c2c
-        cs.invalidation_messages += peer_tally[0]
-        cs.upgrades += upgrades
 
     l1_hits_h = l2_hits_h = 0
     for core in range(ncores):

@@ -165,9 +165,6 @@ def _scan_entries(root: pathlib.Path, ledger: RunLedger,
         row.metrics["llc_hit_rate"] = (
             result.llc.hits / result.llc.lookups if result.llc.lookups else 0.0
         )
-        # keep a couple of workload-provenance facts handy for tooltips
-        if job.workload.benchmarks:
-            row.metrics.setdefault("ncores", float(job.workload.ncores))
 
 
 def _scan_spans(root: pathlib.Path, ledger: RunLedger) -> None:

@@ -64,8 +64,8 @@ class Simulator:
         self.enable_batch_kernel = True
         #: ``(holder, source)`` when the private-level stream may be shared
         #: with other jobs of one ``execute_jobs`` call: ``holder`` is the
-        #: dict the kernel keeps at most one stream in, ``source`` what the
-        #: workload was built from (:meth:`repro.exec.jobs.JobSpec.run`)
+        #: dict the kernel keeps at most one stream in, ``source`` the
+        #: workload pass 1 reads (:meth:`repro.exec.jobs.JobSpec.stream_source`)
         self.stream_share = None
         self.hierarchy = CacheHierarchy(
             system.hierarchy,

@@ -18,8 +18,11 @@ refs a regression test wants.
 A case whose policy the batched kernel takes also replays its trace on
 the kernel and on the generic loop (:mod:`repro.validate.parity`), at a
 batch size, sampler interval and instrumentation drawn from its seed;
-coherent cases fuzz the kernel's one-pass loop, the others its two
-passes. A divergence shrinks the same way, to ``kernel-parity``.
+coherent cases drive its pass 2 from the live coherent walk, the others
+replay a recorded pass 1. That replay runs the trace twice; some
+two-core cases of kernel policies are shaped to straddle that run
+boundary (:func:`boundary_trace`). A divergence shrinks the same way,
+to ``kernel-parity``.
 """
 
 from __future__ import annotations
@@ -53,13 +56,22 @@ class FuzzCase:
     batch: int = 97
     sample_interval: int = 7
     instrumentation: str = "default"
+    #: ``"phased"`` (:func:`generate_trace`) or ``"boundary"``
+    #: (:func:`boundary_trace`)
+    shape: str = "phased"
 
     def describe(self) -> str:
         coh = "coh" if self.enable_coherence else "nocoh"
         return (
             f"seed={self.seed} policy={self.policy} ncores={self.ncores} "
-            f"{coh} refs={self.refs}"
+            f"{coh} refs={self.refs}" + (" boundary" if self.shape == "boundary" else "")
         )
+
+    def trace(self) -> List[Ref]:
+        """The case's generated trace."""
+        if self.shape == "boundary":
+            return boundary_trace(self.seed)
+        return generate_trace(self.seed, self.refs, self.ncores)
 
 
 def generate_trace(
@@ -130,11 +142,39 @@ def generate_trace(
     return trace[:refs]
 
 
+def boundary_trace(seed: int, block: int = BLOCK) -> List[Ref]:
+    """A two-core trace that straddles the run boundary of a replay that
+    runs it twice, as :func:`~repro.validate.parity.check_kernel_parity`
+    does: both cores have equally many references, so both begin the
+    second run at their first.
+
+    One core reads a line 2W–4W times, stores to two more lines and
+    reads on, so it ends the first run holding the two dirty. The other
+    sweeps W ∈ {5, 6, 7} lines, the two among them, more than its L2
+    holds. In the second run the sweep's LLC hits and clean evictions
+    open clean-trip streaks on the two lines before their holder stores
+    to them again, and a store to a line that was already dirty when the
+    run began must not end them.
+    """
+    rng = random.Random(seed)
+    width = rng.choice((5, 6, 7))
+    held, *swept = rng.sample(range(64), width + 1)
+    holder = [(held, False)] * rng.randint(2 * width, 4 * width)
+    holder += [(addr, True) for addr in rng.sample(swept, 2)]
+    holder += [(held, False)] * rng.randint(0, 2 * width)
+    start = rng.randrange(width)
+    sweeper = [(swept[(start + i) % width], False) for i in range(len(holder))]
+    per_core = (holder, sweeper) if rng.randrange(2) == 0 else (sweeper, holder)
+    return [
+        (core, addr * block, w) for step in zip(*per_core) for core, (addr, w) in enumerate(step)
+    ]
+
+
 def run_case(case: FuzzCase, trace: Optional[Sequence[Ref]] = None) -> None:
     """Replay one case (its generated trace unless ``trace`` is given);
     raises :class:`InvariantViolation` on failure."""
     if trace is None:
-        trace = generate_trace(case.seed, case.refs, case.ncores)
+        trace = case.trace()
     run_trace(
         case.policy,
         trace,
@@ -261,28 +301,36 @@ def fuzz(
     smallest configuration where sharing exists, and so do two in five
     non-coherent ones, shifting by one policy per pass so that every
     policy gets some); a kernel policy's case
-    is also replayed on both loops (module docstring). Returns the list
-    of shrunk failures — empty means every case held.
+    is also replayed on both loops (module docstring), and one in five of
+    its non-coherent ones, instead of a one-core case, is a two-core
+    :func:`boundary_trace` with the loop tracker on (the streaks it
+    tests live there). Returns the list of shrunk failures — empty means
+    every case held.
     """
     failures: List[FuzzFailure] = []
     for i in range(rounds):
         policy = policies[i % len(policies)]
         coherent = coherence_modes[(i // len(policies)) % len(coherence_modes)]
-        ncores = 2 if coherent or (i + i // len(policies)) % 5 in (1, 4) else 1
+        slot = (i + i // len(policies)) % 5
+        boundary = not coherent and slot == 2 and kernel_takes(policy)
         shape = random.Random(base_seed + i)
         case = FuzzCase(
             seed=base_seed + i,
             policy=policy,
-            ncores=ncores,
+            ncores=2 if coherent or boundary or slot in (1, 4) else 1,
             enable_coherence=coherent,
             refs=refs,
             batch=shape.choice((1, 7, 97, 4096)),
             sample_interval=shape.choice((1, 7, 64, 1777)),
             instrumentation=shape.choice(("default", "none")),
         )
+        if boundary:
+            trace = boundary_trace(case.seed)
+            case = replace(case, shape="boundary", instrumentation="default", refs=len(trace))
+        else:
+            trace = case.trace()
         if progress is not None:
             progress(i, case)
-        trace = generate_trace(case.seed, case.refs, case.ncores)
         if kernel_takes(case.policy):
             diverged = _kernel_failure(case, trace, shrink)
             if diverged is not None:

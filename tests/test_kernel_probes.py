@@ -30,6 +30,7 @@ from repro.arena import registry
 from repro.cache import Cache
 from repro.core.lap import LAPPolicy
 from repro.core.loop_bits import LoopBlockTracker
+from repro.hierarchy.coherence import CoherenceController
 from repro.inclusion import switching
 from repro.inclusion.base import flow_flags
 from repro.inclusion.switching import MODE_EX, MODE_NONI, DswitchPolicy, FLEXclusionPolicy
@@ -41,7 +42,12 @@ from repro.sim.system import SystemConfig
 from repro.testing import micro_hierarchy_config
 from repro.validate import generate_trace
 from repro.validate.invariants import InvariantProbe
-from repro.validate.parity import assert_identical, replay_workload, run_pair
+from repro.validate.parity import (
+    assert_identical,
+    check_kernel_parity,
+    replay_workload,
+    run_pair,
+)
 from repro.workloads.mixes import make_multithreaded, make_table3_mix
 
 #: every registered policy the kernel inlines (non-inclusive, exclusive,
@@ -235,6 +241,59 @@ def test_coherent_parsec_parity(policy):
     assert_identical(pair)
     coh = pair[0][1][-1].coherence
     assert coh.snoop_broadcasts and coh.cache_to_cache and coh.invalidation_messages
+
+
+A, C, D, E, F, P0, P1 = (64 * b for b in (1, 2, 3, 4, 5, 6, 7))
+
+#: Two cores in lockstep (step i is core 0's i-th reference, then core
+#: 1's) over the micro hierarchy's one-block L1s and one-set L2s:
+#: core 1 reads A after core 0 (a non-inclusive LLC hit on a shared
+#: line, else a peer supply), evicts it (exclusive and LAP insert the
+#: clean victim) and reads it again from the LLC while core 0 still
+#: shares it, then stores to it (an S upgrade whose first store discards
+#: the LLC copy), and core 0 reads A back from core 1 (a peer supply).
+SHARED_LINE_STEPS = (
+    ((A, False), (P1, False)),
+    ((P0, False), (A, False)),
+    ((P0, False), (C, False)),
+    ((P0, False), (D, False)),
+    ((P0, False), (E, False)),
+    ((P0, False), (F, False)),
+    ((P0, False), (A, False)),
+    ((P0, False), (A, True)),
+    ((A, False), (P1, False)),
+)
+
+
+@pytest.mark.parametrize("policy", ("exclusive", "non-inclusive", "lap", "dswitch"))
+def test_coherent_shared_line_paths_parity(policy, monkeypatch):
+    """The coherent events the fuzzer reaches only by chance, each at
+    least once, on both loops alike: an LLC hit on a line a peer shares,
+    which keeps the LLC copy (exclusive included); an LLC miss a peer
+    supplies; and a first store that discards the LLC copy. The generic
+    loop's hooks count them, and parity holds the kernel to that run."""
+    seen = {"shared hit": 0, "copy kept": 0, "peer supply": 0, "store discard": 0}
+    on_l2_miss, on_store = CoherenceController.on_l2_miss, CoherenceController.on_store
+
+    def spy_l2_miss(self, h, core, addr, is_write, llc_hit):
+        if self.peers_of(core, addr):
+            if llc_hit:
+                seen["shared hit"] += 1
+                seen["copy kept"] += h.llc.peek(addr) is not None
+            else:
+                seen["peer supply"] += 1
+        return on_l2_miss(self, h, core, addr, is_write, llc_hit)
+
+    def spy_store(self, h, core, addr):
+        seen["store discard"] += h.llc.peek(addr) is not None
+        return on_store(self, h, core, addr)
+
+    monkeypatch.setattr(CoherenceController, "on_l2_miss", spy_l2_miss)
+    monkeypatch.setattr(CoherenceController, "on_store", spy_store)
+    trace = [(core, addr, w) for step in SHARED_LINE_STEPS
+             for core, (addr, w) in enumerate(step)]
+    check_kernel_parity(policy, trace, ncores=2, enable_coherence=True)
+    assert all(seen.values()), seen
 
 
 def _assert_dueling_exercised(pair) -> None:

@@ -179,14 +179,31 @@ def test_what_pass1_reads_is_not_shared(pair, pass1_calls):
 def test_pool_stream_groups_follow_the_kernel_sharing_key():
     """The pool's grouping (``exec.pool._stream_groups``) and the kernel's
     holder key (``kernel.batch._private_stream``) state the same key in
-    two modules: the jobs that share one pass 1 above form one group,
-    and each pair that does not is split."""
+    two modules, over one ``JobSpec.stream_source``: the jobs that share
+    one pass 1 above form one group, and each pair that does not is
+    split."""
     from repro.exec.pool import _stream_groups
 
     jobs = _one_pass1_jobs()
     assert _stream_groups(jobs, range(len(jobs)), 1) == [list(range(len(jobs)))]
     for pair in OTHER_PASS1.values():
         assert _stream_groups(pair(), [0, 1], 1) == [[0], [1]]
+
+
+def test_a_pinned_scale_shares_with_the_build_scale_it_equals(pass1_calls):
+    """Fig. 21's ``2x LLC`` shape: WL1 pinned to the scaled system's
+    scale, on that system (where admission drops the pin) and on one
+    with twice its LLC (where it stays). The L1/L2 and the effective
+    scale are the same, so both jobs read one pass 1, in one group."""
+    from repro.exec.pool import _stream_groups
+
+    jobs = [_job(SystemConfig.scaled(), scale=_scale()),
+            _job(SystemConfig.scaled(llc_kb=256), scale=_scale())]
+    assert jobs[0].workload.scale is None and jobs[1].workload.scale is not None
+    assert _stream_groups(jobs, [0, 1], 1) == [[0, 1]]
+    outcome = execute_jobs(jobs)
+    assert len(pass1_calls) == 1
+    assert list(outcome) == [job.run() for job in jobs]
 
 
 def test_batch_size_is_not_shared(pass1_calls):

@@ -139,6 +139,36 @@ def test_every_policy_gets_two_core_cases_without_coherence():
         assert {p for p, n in seen if n == ncores} == set(DEFAULT_POLICIES)
 
 
+def test_boundary_trace_straddles_the_run_boundary():
+    """Both cores have equally many references; one stores to exactly
+    two lines, both of which the other sweeps, each store after at least
+    ten reads, so the sweep can open streaks on them first."""
+    from repro.validate.fuzz import boundary_trace
+
+    for seed in range(20):
+        trace = boundary_trace(seed)
+        assert boundary_trace(seed) == trace
+        per_core = [[(a, w) for c, a, w in trace if c == core] for core in (0, 1)]
+        assert len(per_core[0]) == len(per_core[1])
+        (holder,) = [refs for refs in per_core if any(w for _, w in refs)]
+        (sweeper,) = [refs for refs in per_core if refs is not holder]
+        stored = [a for a, w in holder if w]
+        assert len(set(stored)) == 2 and holder.index((stored[0], True)) >= 10
+        assert set(stored) <= {a for a, _ in sweeper}
+        assert 5 <= len({a for a, _ in sweeper}) <= 7
+
+
+def test_boundary_cases_are_non_coherent_kernel_cases_with_the_loop_tracker():
+    cases = []
+    fuzz(40, ("lap", "inclusive"), shrink=False, progress=lambda i, case: cases.append(case))
+    boundary = [c for c in cases if c.shape == "boundary"]
+    assert boundary and all(
+        c.policy == "lap" and c.ncores == 2 and not c.enable_coherence
+        and c.instrumentation == "default" and c.refs == len(c.trace())
+        for c in boundary
+    )
+
+
 def test_kernel_divergence_is_shrunk_to_a_snippet(monkeypatch):
     from repro.validate import KernelDivergence
 
