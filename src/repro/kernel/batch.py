@@ -63,12 +63,12 @@ Two passes. Nothing the LLC does changes L1/L2 replacement (the paper
 acts only at the L2↔LLC boundary), so the loop is split in two. Pass 1
 (:func:`_pass1`) runs the private levels alone, from their current
 state, and records the stream of events the L2 lets through: per L2
-miss its block, the L2 slot filled, the victim's block, whether the
-victim was stored to since its fill, and the core's L2 hits since its
-previous miss; per core at each batch end its trailing hit count. With
-the loop tracker it also records each line's first store since its fill
-(``on_dirtied`` and the order of CTC finalisations) and the occupancy
-sample points. Pass 2 runs those events through the LLC demand and
+miss its block and core, the L2 slot filled, the victim's block,
+whether the victim was stored to since its fill, and the core's L2 hits
+since its previous miss; per core at each batch end its trailing hit
+count. With the loop tracker it also records each line's first store
+since its fill (``on_dirtied`` and the order of CTC finalisations) and
+the occupancy sample points. Pass 2 runs those events through the LLC demand and
 victim flows, once per policy, and is the only code that writes LLC
 state. It keeps the policy-dependent bits of each L2 slot as set at its
 fill, the dirty hand-off and LAP's loop bit: a victim is dirty if handed
@@ -93,33 +93,28 @@ generators' end state: it leaves the simulator exactly as a miss would.
 
 MOESI coherence (Fig. 20's multithreaded runs) cannot record pass 1
 ahead: a store upgrade depends on the policy's dirty hand-off, so L2
-contents can differ by policy. Its pass 2 is driven live instead, by a
-generator front (:func:`_coherent_front`) that walks the private levels
-as pass 1 does and yields each event as it happens; pass 2 runs it
-before the walk resumes. The front transcribes each controller hook
-where the generic path calls it, in the same order, but one:
+contents can differ by policy. Its events are made live instead, at
+the top of pass 2's loop, by a coherent walk: pass 1's walk over the
+same states, with the controller's hooks, run on to its next event,
+which pass 2 runs before the walk goes on. The walk only peeks at the
+LLC (a block's presence in its set). Each hook runs where the generic
+path calls it, in the same order:
 
-- ``on_l2_miss`` runs in the front before it yields the miss, on an LLC
-  hit peeked as the block's presence in its LLC set. The generic path
-  runs it after the LLC access, but the two commute: the hook touches
-  only peers' L1/L2, the sharers map and the loop tracker's entries for
-  the missed block, none of which the LLC demand reads or writes, and
-  the peer finalisations it makes still precede the victim's, so the
-  CTC histogram's order holds. It snoops, invalidates on a write,
-  downgrades E→S (and M→O on an LLC miss), and counts a peer supply;
-- the miss's event carries one bit the recorded stream never sets, "a
-  peer holds the line", taken before the hook: pass 2 then skips the
-  memory stall of an LLC miss (peer supply) and keeps the LLC copy on
-  a hit (exclusive's ``shared_by_peers`` exception to
-  invalidate-on-hit);
-- ``fill_state`` + ``on_l2_insert`` at the L2 fill, after pass 2 ran
-  the miss (a dirty hand-off, read back from pass 2's per-slot bits,
-  fills M), and ``on_l2_drop`` at the L2 victim, on the controller's
+- the walk reads the missed line's sharers (``peers``) before the
+  miss's event: pass 2 then skips the memory stall of an LLC miss (a
+  peer supplies the line) and keeps the LLC copy on a hit (exclusive's
+  ``shared_by_peers`` exception to invalidate-on-hit);
+- ``on_l2_miss`` (snoop, write invalidations, E→S and on an LLC miss
+  M→O downgrades, a peer supply), ``fill_state`` + ``on_l2_insert`` (a
+  dirty hand-off fills M) and the victim's ``on_l2_drop`` run in pass
+  2 between the demand and the L2-victim flows, on the controller's
   own sharers map (keyed by block address) and the L2 ``state`` column
   of the checked-out blocks;
+- the walk runs an L2 miss's L1 fill before its event: it touches only
+  the core's L1 set, which nothing in pass 2 reads;
 - ``on_store`` on the first dirtying store only — S/O upgrade — and,
   when a peek finds the LLC copy, a discard event for pass 2 to drop
-  it with ``note_llc_evict``;
+  it with ``note_llc_evict``; a write miss's store ends pass 2's miss;
 - ``_invalidate_peer`` (:func:`_invalidate_peers`) — peer L1 discard,
   L2 invalidate, sharers drop, and ``note_l2_drop``, which the loop
   tracker counts as an L2 eviction.
@@ -184,7 +179,7 @@ from __future__ import annotations
 
 import copy
 import pickle
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, repeat
 from operator import attrgetter, gt, or_
 from typing import List, Optional
 
@@ -359,15 +354,6 @@ def _put_back(cache, state: dict) -> None:
         cache._kernel_state = state
 
 
-def _take_free(free, si, base) -> int:
-    """Claim set ``si``'s lowest invalid way (what ``LRUPolicy`` picks
-    first) from the bitmask list ``free``; returns its slot."""
-    f = free[si]
-    low = f & -f
-    free[si] = f ^ low
-    return base + low.bit_length() - 1
-
-
 #: references per core materialised as Python values at a time
 _CHUNK = 1024
 
@@ -487,26 +473,27 @@ def _downgrade_peers(peers, blk, s2, m2_sets, l2_state, owned) -> None:
 
 
 #: the kinds of event that carry no L2 miss (a miss's victim field is -1
-#: or a block): a first store since its fill to the line in slot
-#: ``gx >> 2`` (loop tracker only); a coherent first store's discard of
-#: the LLC copy of ``blk``; an occupancy sample point (loop tracker
-#: only); and, per core ``gx``, a batch end, ``blk`` references per core
-#: long, after ``hits`` trailing L2 hits
-_FIRST_STORE, _DISCARD, _SAMPLE, _BATCH_END = -2, -3, -4, -5
+#: or a block): a first store since its fill to the line in ``slot``
+#: (loop tracker only); a coherent first store's discard of the LLC copy
+#: of ``blk``; an occupancy sample point (loop tracker only); a batch end
+#: of ``core``, ``blk`` references long, after ``hits`` trailing L2
+#: hits; and the coherent walk's end
+_FIRST_STORE, _DISCARD, _SAMPLE, _BATCH_END, _END = -2, -3, -4, -5, -6
 
-#: numpy types of an event's ``(hits, blk, gx, victim)`` columns
-_COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int64)
+#: numpy types of an event's ``(hits, blk, core, slot, stored, victim)``
+#: columns
+_COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int32, np.bool_, np.int64)
 
 
 class _Stream:
-    """Pass 1's output (module docstring). An event is ``(hits, blk, gx,
-    victim)``: for an L2 miss, ``gx`` is the L2 slot filled (numbered
-    across cores) times four, plus two if a peer holds the line (coherent
-    runs only) and one if the victim was stored to since its fill;
-    ``victim`` is -1 for a free way, or else one of the other kinds above.
-    Besides the events, the private levels' end state and counts."""
+    """Pass 1's output (module docstring). An event is ``(hits, blk, core,
+    slot, stored, victim)``: for an L2 miss of ``core``, ``slot`` is the
+    L2 slot filled (numbered across cores), ``stored`` whether the victim
+    was stored to since its fill, and ``victim`` its block, -1 for a free
+    way, or else one of the other kinds above. Besides the events, the
+    private levels' end state and counts."""
 
-    __slots__ = ("chunks", "events", "l1", "l2", "sto", "counts", "peer", "since", "gens")
+    __slots__ = ("chunks", "events", "l1", "l2", "sto", "counts", "since", "gens")
 
     def replay(self):
         """The events in order, one batch's columns materialised at a time."""
@@ -526,14 +513,12 @@ def _copy_state(state: dict) -> dict:
     return {k: [dict(m) for m in v] if k == "maps" else list(v) for k, v in state.items()}
 
 
-def _private_state(h) -> _Stream:
-    """A stream holding ``h``'s checked-out L1/L2 states and, per L2 slot,
-    "stored to since its fill" (all False)."""
-    st = _Stream()
-    st.l1 = [_checkout(c) for c in h.l1s]
-    st.l2 = [_checkout(c) for c in h.l2s]
-    st.sto = [[False] * len(state["dirty"]) for state in st.l2]
-    return st
+def _private_state(h) -> tuple:
+    """``h``'s checked-out L1 and L2 states and, per L2 slot, "stored to
+    since its fill" (all False)."""
+    l1 = [_checkout(c) for c in h.l1s]
+    l2 = [_checkout(c) for c in h.l2s]
+    return l1, l2, [[False] * len(state["dirty"]) for state in l2]
 
 
 def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
@@ -547,8 +532,8 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
     l1_mask, l2_mask = l1._index_mask, l2._index_mask
     l1_assoc, l2_assoc = l1.assoc, l2.assoc
     n2 = l2.num_sets * l2_assoc
-    st = _private_state(h)
-    l1_st, l2_st, sto = st.l1, st.l2, st.sto
+    st = _Stream()
+    st.l1, st.l2, st.sto = l1_st, l2_st, sto = _private_state(h)
     l1_tick = [c._tick for c in h.l1s]
     l2_tick = [c._tick for c in h.l2s]
     l2_tick0 = list(l2_tick)
@@ -559,8 +544,8 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
     st.chunks, st.events = [], 0
     # events go to lists (cheap appends), then to numpy columns at most
     # _CHUNK references per core later, which bounds the lists' memory
-    cols = ([], [], [], [])
-    a_hits, a_blk, a_gx, a_vic = (col.append for col in cols)
+    cols = ([], [], [], [], [], [])
+    a_hits, a_blk, a_core, a_slot, a_sto, a_vic = (col.append for col in cols)
 
     def flush():
         st.events += len(cols[0])
@@ -568,16 +553,18 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
         for col in cols:
             col.clear()
 
-    def event(hits, blk, gx, kind):
+    def event(hits, blk, core, slot, kind):
         a_hits(hits)
         a_blk(blk)
-        a_gx(gx)
+        a_core(core)
+        a_slot(slot)
+        a_sto(False)
         a_vic(kind)
 
     per_core = (
         [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st],
         [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
-        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], 4 * c * n2)
+        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], c * n2)
          for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
     )
     remaining = refs_per_core
@@ -610,7 +597,7 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                         if not st2[ls]:
                             st2[ls] = True
                             if trk:
-                                event(0, blk, (core * n2 + ls) << 2, _FIRST_STORE)
+                                event(0, blk, core, core * n2 + ls, _FIRST_STORE)
                     continue
                 last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
                 s2 = blk & l2_mask
@@ -625,8 +612,13 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                 else:
                     # ---- the L2 fill, recorded for pass 2 ----------
                     l2_mis[core] += 1
-                    if fr2[s2]:
-                        ls = _take_free(fr2, s2, s2 * l2_assoc)
+                    f = fr2[s2]
+                    if f:
+                        # the set's lowest invalid way (LRUPolicy's first
+                        # pick) leaves its bitmask
+                        low = f & -f
+                        fr2[s2] = f ^ low
+                        ls = s2 * l2_assoc + low.bit_length() - 1
                         l2_nfree[core] += 1
                         ev_blk = -1
                         vst = False
@@ -648,11 +640,16 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                     a_hits(l2_hits[core])
                     l2_hits[core] = 0
                     a_blk(blk)
-                    a_gx(base + (ls << 2) + vst)
+                    a_core(core)
+                    a_slot(base + ls)
+                    a_sto(vst)
                     a_vic(ev_blk)
                 # ---- l1.fill(addr, is_write) ------------------------
-                if fr1[s1]:
-                    vs = _take_free(fr1, s1, s1 * l1_assoc)
+                f = fr1[s1]
+                if f:
+                    low = f & -f
+                    fr1[s1] = f ^ low
+                    vs = s1 * l1_assoc + low.bit_length() - 1
                     l1_nfree[core] += 1
                 else:
                     for eb in sm1:
@@ -667,19 +664,19 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                 if w and not st2[ls]:
                     st2[ls] = True
                     if trk:
-                        event(0, blk, base + (ls << 2), _FIRST_STORE)
+                        event(0, blk, core, base + ls, _FIRST_STORE)
             left -= part
             if occ_on:
                 since += part
                 if since >= interval:
                     since = 0
                     if trk:
-                        event(0, 0, 0, _SAMPLE)
+                        event(0, 0, 0, 0, _SAMPLE)
             if len(cols[0]) >= _CHUNK * ncores // 2:
                 flush()
         del stream
         for core in range(ncores):
-            event(l2_hits[core], take, core, _BATCH_END)
+            event(l2_hits[core], take, core, 0, _BATCH_END)
             l2_hits[core] = 0
         flush()
         remaining -= take
@@ -687,7 +684,6 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
     st.since, st.gens = since, None
     st.counts = (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis,
                  l2_nfree, stores)
-    st.peer = (0, [0, 0, 0], [[0, 0, 0]] * ncores)
     return st
 
 
@@ -720,226 +716,6 @@ def _private_stream(sim, refs_per_core: int, batch: int, trk: bool, interval: in
     span.set(events=stream.events)
     span.finish()
     return stream
-
-
-def _coherent_front(st, h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
-                    since: int, hand, ll_sets, streak, from_llc, rec_ctc):
-    """Coherent runs' private levels (module docstring): pass 1's walk
-    with the ``CoherenceController`` hooks, over ``st``'s states, yielding
-    its events live. Pass 2 runs each event before the walk resumes, so
-    the walk reads a fill's dirty hand-off back from ``hand`` and peeks
-    ``ll_sets``, which it never writes; and it charges each L2 hit's
-    latency itself, as it happens, so its events carry no hit count. At
-    its end it leaves on ``st`` what :func:`_pass1` does, and adds its
-    coherence stats."""
-    ncores = len(gens)
-    l1, l2, llc = h.l1s[0], h.l2s[0], h.llc
-    off = l1._offset_bits
-    l1_mask, l2_mask, llc_mask = l1._index_mask, l2._index_mask, llc._index_mask
-    l1_assoc, l2_assoc = l1.assoc, l2.assoc
-    n2 = l2.num_sets * l2_assoc
-    geo = (l1_mask, l1_assoc, l2_mask, l2_assoc)
-    cc = h.timing.core_cycles  # mutated in place, by pass 2 too
-    l2_lat_f = float(h.timing.l2_latency)
-    coherence = h.coherence
-    sharers = coherence._sharers  # keyed by block address
-    l1_st, l2_st, sto = st.l1, st.l2, st.sto
-    m1_sets, m2_sets = [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st]
-    l2_state = [s2["state"] for s2 in l2_st]
-    l1_tick = [c._tick for c in h.l1s]
-    l2_tick = [c._tick for c in h.l2s]
-    l2_tick0 = list(l2_tick)
-    wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree = ([0] * ncores for _ in range(6))
-    stores = snoops = upgrades = c2c = 0
-    tally = [0, 0, 0]
-    cnt = [[0, 0, 0] for _ in range(ncores)]
-    occ_on = interval > 0
-    per_core = (
-        m1_sets, m2_sets, [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
-        [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], 4 * c * n2)
-         for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
-    )
-    # What a peer invalidation touches, per core (see _invalidate_peers).
-    pctx = [(m1_sets[c], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c], c * n2, cnt[c])
-            for c in range(ncores)]
-
-    remaining = refs_per_core
-    while remaining > 0:
-        take = min(batch, remaining)
-        stream, n = _batch_refs(gens, take, off, l1_tick, per_core)
-        stores += n
-        left = take * ncores
-        while left:
-            part = left
-            if occ_on:
-                gap = interval - since
-                if gap < part:
-                    part = gap if gap > 0 else 1
-            for core, w, blk, tk, m1, m2, last1, dir1, ctx in (
-                stream if part == left else islice(stream, part)
-            ):
-                s1 = blk & l1_mask
-                sm1 = m1[s1]
-                slot = sm1.pop(blk, None)
-                if slot is not None:
-                    sm1[blk] = slot
-                    last1[slot] = tk
-                    if not w:
-                        continue
-                    wh1[core] += 1
-                    dir1[slot] = True
-                    # propagate_store: L2 copy exists (L1 ⊆ L2)
-                    ls = m2[blk & l2_mask][blk]
-                    st2 = sto[core]
-                else:
-                    last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
-                    s2 = blk & l2_mask
-                    sm2 = m2[s2]
-                    ls = sm2.pop(blk, None)
-                    t2k = l2_tick[core] + 1
-                    l2_tick[core] = t2k
-                    if ls is not None:
-                        sm2[blk] = ls
-                        last2[ls] = t2k
-                        cc[core] += l2_lat_f
-                    else:
-                        l2_mis[core] += 1
-                        # ---- coherence.on_l2_miss, ahead of the LLC
-                        # access it follows on the generic path (module
-                        # docstring): a peer supplies the line on an LLC
-                        # miss (no memory read); a write snoops either
-                        # way. The sharers map is exact, so this core's
-                        # own bit is clear on its L2 miss.
-                        a = blk << off
-                        peers = sharers.get(a, 0)
-                        if w:
-                            snoops += 1
-                            if peers:
-                                if blk not in ll_sets[blk & llc_mask]:
-                                    c2c += 1
-                                _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers,
-                                                  streak, from_llc, rec_ctc, tally)
-                        elif blk in ll_sets[blk & llc_mask]:  # an LLC hit
-                            if peers:
-                                _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
-                        else:
-                            snoops += 1
-                            if peers:
-                                c2c += 1
-                                _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
-                        # ---- the L2 fill, run through pass 2 (free
-                        # ways: _take_free, inlined) ------------------
-                        f = fr2[s2]
-                        if f:
-                            low = f & -f
-                            fr2[s2] = f ^ low
-                            ls = s2 * l2_assoc + low.bit_length() - 1
-                            l2_nfree[core] += 1
-                            ev_blk = -1
-                            vst = False
-                        else:
-                            for ev_blk in sm2:
-                                break
-                            ls = sm2.pop(ev_blk)
-                            vst = st2[ls]
-                            # L1 ⊆ L2: kill the upper copy
-                            e1 = ev_blk & l1_mask
-                            eslot = m1[e1].pop(ev_blk, None)
-                            if eslot is not None:
-                                fr1[e1] |= 1 << (eslot % l1_assoc)
-                                l1_inv[core] += 1
-                        st2[ls] = False
-                        last2[ls] = t2k
-                        iseq2[ls] = t2k
-                        sm2[blk] = ls
-                        gx = base + (ls << 2) + vst
-                        if peers:
-                            gx += 2
-                        yield 0, blk, gx, ev_blk
-                        # fill_state + on_l2_insert (a dirty hand-off
-                        # fills M); a write has invalidated every peer
-                        if w:
-                            l2_state[core][ls] = STATE_MODIFIED
-                            sharers[a] = 1 << core
-                        else:
-                            if hand[gx >> 2]:
-                                l2_state[core][ls] = STATE_MODIFIED
-                            elif peers:
-                                l2_state[core][ls] = STATE_SHARED
-                            else:
-                                l2_state[core][ls] = STATE_EXCLUSIVE
-                            sharers[a] = peers | 1 << core
-                        if ev_blk != -1:
-                            # the victim's on_l2_drop (this core's bit is set)
-                            ea = ev_blk << off
-                            pm = sharers[ea] & ~(1 << core)
-                            if pm:
-                                sharers[ea] = pm
-                            else:
-                                del sharers[ea]
-                    # ---- l1.fill(addr, is_write) --------------------
-                    f = fr1[s1]
-                    if f:
-                        low = f & -f
-                        fr1[s1] = f ^ low
-                        vs = s1 * l1_assoc + low.bit_length() - 1
-                        l1_nfree[core] += 1
-                    else:
-                        for eb in sm1:
-                            break
-                        vs = sm1.pop(eb)
-                        if dir1[vs]:
-                            l1_dev[core] += 1
-                    dir1[vs] = w
-                    last1[vs] = tk
-                    iseq1[vs] = tk
-                    sm1[blk] = vs
-                    if not w:
-                        continue
-                # ---- the store into L2 slot ls: its first dirtying
-                # store unless stored to or handed over dirty ---------
-                if st2[ls]:
-                    continue
-                st2[ls] = True
-                if hand[core * n2 + ls]:
-                    continue
-                a = blk << off
-                # on_dirtied -> tracker._finalize
-                if streak and a in streak:
-                    rec_ctc(streak.pop(a))
-                # coherence.on_store
-                state2 = l2_state[core]
-                if state2[ls] == STATE_SHARED or state2[ls] == STATE_OWNED:
-                    upgrades += 1
-                    snoops += 1
-                    peers = sharers.get(a, 0) & ~(1 << core)
-                    if peers:
-                        _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers,
-                                          streak, from_llc, rec_ctc, tally)
-                state2[ls] = STATE_MODIFIED
-                if blk in ll_sets[blk & llc_mask]:
-                    yield 0, blk, 0, _DISCARD
-            left -= part
-            if occ_on:
-                since += part
-                if since >= interval:
-                    since = 0
-                    if trk:
-                        yield 0, 0, 0, _SAMPLE
-        del stream  # frees this batch's last chunk before the next batch
-        for core in range(ncores):
-            yield 0, take, core, _BATCH_END
-        remaining -= take
-
-    st.since = since
-    st.counts = (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis,
-                 l2_nfree, stores)
-    st.peer = (c2c, tally, cnt)
-    cs = coherence.stats
-    cs.snoop_broadcasts += snoops
-    cs.cache_to_cache += c2c
-    cs.invalidation_messages += tally[0]
-    cs.upgrades += upgrades
 
 
 def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
@@ -1086,33 +862,221 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # is its first key (module docstring), which ``for eb in sm: break``
     # reads without a scan.
 
-    # ---- the events: a recorded pass 1, or the coherent front live ---
+    # ---- the events: a recorded pass 1, or the coherent walk live ----
     coh = h.coherence is not None
-    stream = (_private_state(h) if coh
-              else _private_stream(sim, refs_per_core, batch, trk, interval, since))
-    l1_st, l2_st = stream.l1, stream.l2
+    if coh:
+        l1_st, l2_st, sto = _private_state(h)
+    else:
+        stream = _private_stream(sim, refs_per_core, batch, trk, interval, since)
+        l1_st, l2_st, sto = stream.l1, stream.l2, stream.sto
     # The policy-dependent bits of each L2 slot as set at its fill,
     # numbered across cores: the dirty hand-off and LAP's loop bit.
     hand = list(chain.from_iterable(state["dirty"] for state in l2_st))
     lfill = list(chain.from_iterable(state["loop"] for state in l2_st))
     n2 = len(hand) // ncores
-    gcore = list(chain.from_iterable([c] * n2 for c in range(ncores)))  # slot -> core
+    # peer supplies, [invalidation messages, L2 lines dropped, loop
+    # evictions] and per core [discard calls, L1 and L2 invalidations]:
+    # the peer invalidations' counts (coherent runs only)
+    c2c = 0
+    tally = [0, 0, 0]
+    cnt = [[0, 0, 0] for _ in range(ncores)]
     if coh:
+        # ---- the coherent walk's state (module docstring) ------------
+        l1, l2 = h.l1s[0], h.l2s[0]
+        l1_mask, l2_mask = l1._index_mask, l2._index_mask
+        l1_assoc, l2_assoc = l1.assoc, l2.assoc
+        geo = (l1_mask, l1_assoc, l2_mask, l2_assoc)
+        coherence = h.coherence
+        sharers = coherence._sharers  # keyed by block address
+        m1_sets, m2_sets = [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st]
+        l2_state = [s2["state"] for s2 in l2_st]
+        l1_tick = [c._tick for c in h.l1s]
+        l2_tick = [c._tick for c in h.l2s]
+        l2_tick0 = list(l2_tick)
+        wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree = ([0] * ncores for _ in range(6))
+        stores = snoops = upgrades = 0
+        per_core = (
+            m1_sets, m2_sets, [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
+            [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], c * n2)
+             for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
+        )
+        # What a peer invalidation touches, per core (see _invalidate_peers).
+        pctx = [(m1_sets[c], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c], c * n2,
+                 cnt[c]) for c in range(ncores)]
+        # the batch's reference stream, the run of it up to the next
+        # sample point, references left in the batch and per core, and
+        # the events made ahead of the walk (taken from the end)
+        feed = None
+        seg = ()
+        left = part = take = 0
+        remaining = refs_per_core
+        queue = []
         pass2_span = start_span("kernel.batch_loop", refs_per_core=refs_per_core, batch=batch)
-        events = _coherent_front(stream, h, gens, refs_per_core, batch, trk, interval, since,
-                                 hand, ll_sets, streak, from_llc, rec_ctc)
+        events = repeat((0, 0, 0, 0, False, 0))  # each event is made at the loop's top
     else:
         pass2_span = start_span("kernel.pass2", events=stream.events)
         events = stream.replay()
 
     # ---- pass 2: the LLC flows, one event at a time ------------------
     core_instr = [0.0] * ncores
-    for nh, blk, gx, ev_blk in events:
+    peers = 0  # the cores that hold a missed line (coherent runs only)
+    for nh, blk, core, g, vst, ev_blk in events:
+        if coh:
+            # ---- the coherent walk (pass 1's, with the controller's
+            # hooks) runs on to its next event: an L2 miss, a store's
+            # LLC discard, a sample point, a batch end or its end. It
+            # charges each L2 hit's latency as it happens, so its events
+            # carry no hit count.
+            while True:
+                if queue:
+                    blk, core, ev_blk = queue.pop()
+                    break
+                for core, w, blk, tk, m1, m2, last1, dir1, ctx in seg:
+                    s1 = blk & l1_mask
+                    sm1 = m1[s1]
+                    slot = sm1.pop(blk, None)
+                    if slot is not None:
+                        sm1[blk] = slot
+                        last1[slot] = tk
+                        if not w:
+                            continue
+                        wh1[core] += 1
+                        dir1[slot] = True
+                        # propagate_store: L2 copy exists (L1 ⊆ L2)
+                        ls = m2[blk & l2_mask][blk]
+                        st2 = sto[core]
+                    else:
+                        last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
+                        s2 = blk & l2_mask
+                        sm2 = m2[s2]
+                        ls = sm2.pop(blk, None)
+                        t2k = l2_tick[core] + 1
+                        l2_tick[core] = t2k
+                        if ls is not None:
+                            sm2[blk] = ls
+                            last2[ls] = t2k
+                            cc[core] += l2_lat_f
+                            g = -1
+                        else:
+                            l2_mis[core] += 1
+                            # the cores that hold the line: the sharers
+                            # map is exact, so not this one
+                            a = blk << off
+                            peers = sharers.get(a, 0)
+                            # ---- the L2 fill, run through pass 2 below
+                            # (a free way: the lowest) ------------------
+                            f = fr2[s2]
+                            if f:
+                                low = f & -f
+                                fr2[s2] = f ^ low
+                                ls = s2 * l2_assoc + low.bit_length() - 1
+                                l2_nfree[core] += 1
+                                ev_blk = -1
+                                vst = False
+                            else:
+                                for ev_blk in sm2:
+                                    break
+                                ls = sm2.pop(ev_blk)
+                                vst = st2[ls]
+                                # L1 ⊆ L2: kill the upper copy
+                                e1 = ev_blk & l1_mask
+                                eslot = m1[e1].pop(ev_blk, None)
+                                if eslot is not None:
+                                    fr1[e1] |= 1 << (eslot % l1_assoc)
+                                    l1_inv[core] += 1
+                            st2[ls] = False
+                            last2[ls] = t2k
+                            iseq2[ls] = t2k
+                            sm2[blk] = ls
+                            g = base + ls
+                        # ---- l1.fill(addr, is_write): it reads nothing
+                        # pass 2 writes, so it runs ahead of an L2 miss's
+                        # event
+                        f = fr1[s1]
+                        if f:
+                            low = f & -f
+                            fr1[s1] = f ^ low
+                            vs = s1 * l1_assoc + low.bit_length() - 1
+                            l1_nfree[core] += 1
+                        else:
+                            for eb in sm1:
+                                break
+                            vs = sm1.pop(eb)
+                            if dir1[vs]:
+                                l1_dev[core] += 1
+                        dir1[vs] = w
+                        last1[vs] = tk
+                        iseq1[vs] = tk
+                        sm1[blk] = vs
+                        if g >= 0:
+                            break  # the miss's event; its store follows it
+                        if not w:
+                            continue
+                    # ---- the store into L2 slot ls: its first dirtying
+                    # store unless stored to or handed over dirty -----
+                    if st2[ls]:
+                        continue
+                    st2[ls] = True
+                    if hand[core * n2 + ls]:
+                        continue
+                    a = blk << off
+                    # on_dirtied -> tracker._finalize
+                    if streak and a in streak:
+                        rec_ctc(streak.pop(a))
+                    # coherence.on_store
+                    state2 = l2_state[core]
+                    if state2[ls] == STATE_SHARED or state2[ls] == STATE_OWNED:
+                        upgrades += 1
+                        snoops += 1
+                        others = sharers.get(a, 0) & ~(1 << core)
+                        if others:
+                            _invalidate_peers(others, blk, a, pctx, geo, hand, sharers,
+                                              streak, from_llc, rec_ctc, tally)
+                    state2[ls] = STATE_MODIFIED
+                    if blk in ll_sets[blk & llc_mask]:
+                        ev_blk = _DISCARD
+                        break
+                else:
+                    # the run is over: at a batch's end a batch end per
+                    # core, after the sample point the run may reach
+                    # (taken first); once they are run, the next batch
+                    # (read only then: a batch may change the generators)
+                    if left:
+                        left -= part
+                        if not left:
+                            feed = None  # frees the batch's last chunk
+                            queue.extend([(take, c, _BATCH_END)
+                                          for c in range(ncores - 1, -1, -1)])
+                        if occ_on:
+                            since += part
+                            if since >= interval:
+                                since = 0
+                                if trk:
+                                    queue.append((0, 0, _SAMPLE))
+                    elif remaining:
+                        take = min(batch, remaining)
+                        remaining -= take
+                        feed, n = _batch_refs(gens, take, off, l1_tick, per_core)
+                        stores += n
+                        left = take * ncores
+                    else:
+                        ev_blk = _END
+                        break
+                    seg = ()
+                    if left:
+                        part = left
+                        if occ_on:
+                            gap = interval - since
+                            if gap < part:
+                                part = gap if gap > 0 else 1
+                        seg = feed if part == left else islice(feed, part)
+                    continue
+                break
         if ev_blk < -1:
             if ev_blk == _FIRST_STORE:
                 # on_dirtied -> tracker._finalize, unless the fill
                 # handed the line over dirty
-                if not hand[gx >> 2] and streak and (blk << off) in streak:
+                if not hand[g] and streak and (blk << off) in streak:
                     rec_ctc(streak.pop(blk << off))
             elif ev_blk == _DISCARD:
                 # coherence.on_store: llc.discard + note_llc_evict
@@ -1131,19 +1095,19 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                 # one) and loop lines
                 samp_valid += ll_valid0 + ll_nfree - ll_inv
                 samp_loops += sum(ll_lc)
+            elif ev_blk == _END:
+                break
             else:
-                # a batch end: core gx's trailing L2 hits, then its
+                # a batch end: the core's trailing L2 hits, then its
                 # instructions
-                c = cc[gx]
+                ck = cc[core]
                 while nh:
-                    c += l2_lat_f
+                    ck += l2_lat_f
                     nh -= 1
-                instrs = blk * gens[gx].instr_per_ref
-                core_instr[gx] += instrs
-                cc[gx] = c + instrs
+                instrs = blk * gens[core].instr_per_ref
+                core_instr[core] += instrs
+                cc[core] = ck + instrs
             continue
-        g = gx >> 2
-        core = gcore[g]
         # the core's L2 hits since its last miss, one at a time
         ck = cc[core]
         while nh:
@@ -1171,8 +1135,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
             if fill:
                 # Fig. 1b: a straight insert (plain-LRU victim)
                 ll_tick += 1
-                if ll_free[si]:
-                    s = _take_free(ll_free, si, si * llc_assoc)
+                f = ll_free[si]
+                if f:
+                    low = f & -f
+                    ll_free[si] = f ^ low
+                    s = si * llc_assoc + low.bit_length() - 1
                     ll_nfree += 1
                 else:
                     for eb in sm:
@@ -1203,7 +1170,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                     st = 0.0
                 busy[bk] = ck + st + w_serv[s]
                 write_stall += st
-            if not gx & 2:  # else a peer supplies the line
+            if not peers:  # else a peer supplies the line
                 ck += mem_stall
         else:
             hit = True
@@ -1222,7 +1189,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
             busy[bk] = rnow + st + serv
             read_stall += st
             ck += l2_lat + st + serv
-            if inv_hit and not gx & 2:
+            if inv_hit and not peers:
                 # invalidate-on-hit, unless a peer holds the line
                 # (shared_by_peers); dirtiness moves up
                 out_dirty = ll_dir[s]
@@ -1234,8 +1201,49 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                 ll_hitinv += 1
             else:
                 sm[blk] = s
-        # ---- _fill_l2 (odd gx: the victim was stored to since its fill)
-        if gx & 1:
+        if coh:
+            # ---- coherence.on_l2_miss: a write snoops and invalidates
+            # every peer; a read snoops on an LLC miss, where a peer
+            # supplies the line, and downgrades E→S (and M→O on an LLC
+            # miss). Then _fill_l2's fill_state + on_l2_insert (a dirty
+            # hand-off fills M) and the victim's on_l2_drop. The sharers
+            # map is exact: this core's bit is clear in peers and set for
+            # its victim, so adding and subtracting it set and clear it.
+            bit = 1 << core
+            if w:
+                snoops += 1
+                if peers:
+                    if not hit:
+                        c2c += 1
+                    _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers, streak, from_llc,
+                                      rec_ctc, tally)
+                l2_state[core][ls] = STATE_MODIFIED
+                sharers[a] = bit
+            else:
+                if hit:
+                    if peers:
+                        _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
+                else:
+                    snoops += 1
+                    if peers:
+                        c2c += 1
+                        _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
+                if out_dirty:
+                    l2_state[core][ls] = STATE_MODIFIED
+                elif peers:
+                    l2_state[core][ls] = STATE_SHARED
+                else:
+                    l2_state[core][ls] = STATE_EXCLUSIVE
+                sharers[a] = peers + bit
+            if ev_blk != -1:
+                ea = ev_blk << off
+                pm = sharers[ea] - bit
+                if pm:
+                    sharers[ea] = pm
+                else:
+                    del sharers[ea]
+        # ---- _fill_l2 (vst: the victim was stored to since its fill)
+        if vst:
             ev_dirty = True
             ev_loop = False
         else:
@@ -1316,8 +1324,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                     # inline _place_and_insert + _finish_insert
                     lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
                     ll_tick += 1
-                    if ll_free[esi]:
-                        s = _take_free(ll_free, esi, esi * llc_assoc)
+                    f = ll_free[esi]
+                    if f:
+                        low = f & -f
+                        ll_free[esi] = f ^ low
+                        s = esi * llc_assoc + low.bit_length() - 1
                         ll_nfree += 1
                     else:
                         if loop_victims:
@@ -1373,17 +1384,34 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         if trk:  # on_l2_fill
             from_llc[blk << off] = hit
         cc[core] = ck
+        if coh and w:
+            # ---- the coherent write's store, its first since the fill:
+            # on_dirtied and on_store (no upgrade: the line is M), unless
+            # the fill handed it over dirty; its LLC discard is the next
+            # event
+            st2[ls] = True
+            if not out_dirty:
+                if streak and a in streak:
+                    rec_ctc(streak.pop(a))
+                if blk in ll_sets[blk & llc_mask]:
+                    queue.append((blk, core, _DISCARD))
     pass2_span.finish()
-    (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
-     stores) = stream.counts
-    c2c, peer_tally, peer_cnt = stream.peer
-    since = stream.since
+    if coh:
+        cs = coherence.stats
+        cs.snoop_broadcasts += snoops
+        cs.cache_to_cache += c2c
+        cs.invalidation_messages += tally[0]
+        cs.upgrades += upgrades
+    else:
+        (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
+         stores) = stream.counts
+        since = stream.since
     # The L2 dirty and loop columns: each fill's bits, unless the
     # line was stored to since (bools: ``d | s`` and ``b > s``).
-    for core, (state, sto) in enumerate(zip(l2_st, stream.sto)):
+    for core, (state, stored) in enumerate(zip(l2_st, sto)):
         lo = core * n2
-        state["dirty"] = list(map(or_, hand[lo:lo + n2], sto))
-        state["loop"] = lp = list(map(gt, lfill[lo:lo + n2], sto))
+        state["dirty"] = list(map(or_, hand[lo:lo + n2], stored))
+        state["loop"] = lp = list(map(gt, lfill[lo:lo + n2], stored))
         state["loop_counts"] = [sum(map(lp.__getitem__, m.values())) for m in state["maps"]]
 
     # ---- checkin: maps, state, ticks, stats --------------------------
@@ -1409,8 +1437,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     l2_ev = [l2_mis[c] - l2_nfree[c] for c in range(ncores)]
     if trk:
         lstats = tracker.stats
-        lstats.l2_evictions += sum(l2_ev) + peer_tally[1]
-        lstats.loop_evictions += loop_ev + peer_tally[2]
+        lstats.l2_evictions += sum(l2_ev) + tally[1]
+        lstats.loop_evictions += loop_ev + tally[2]
         lstats.loop_reinsertions += loop_reins
         lstats.llc_loop_samples += samp_valid
         lstats.llc_loop_blocks += samp_loops
@@ -1436,7 +1464,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         s.lookups += refs
         s.hits += hit1
         s.misses += mis1
-        pk_calls, pk_l1_inv, pk_l2_inv = peer_cnt[core]
+        pk_calls, pk_l1_inv, pk_l2_inv = cnt[core]
         s.tag_probes += refs + mis1 + l2_ev[core] + pk_calls
         s.data_reads_sram += hit1 - wh
         s.data_writes_sram += wh + mis1

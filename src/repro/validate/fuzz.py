@@ -56,22 +56,13 @@ class FuzzCase:
     batch: int = 97
     sample_interval: int = 7
     instrumentation: str = "default"
-    #: ``"phased"`` (:func:`generate_trace`) or ``"boundary"``
-    #: (:func:`boundary_trace`)
-    shape: str = "phased"
 
     def describe(self) -> str:
         coh = "coh" if self.enable_coherence else "nocoh"
         return (
             f"seed={self.seed} policy={self.policy} ncores={self.ncores} "
-            f"{coh} refs={self.refs}" + (" boundary" if self.shape == "boundary" else "")
+            f"{coh} refs={self.refs}"
         )
-
-    def trace(self) -> List[Ref]:
-        """The case's generated trace."""
-        if self.shape == "boundary":
-            return boundary_trace(self.seed)
-        return generate_trace(self.seed, self.refs, self.ncores)
 
 
 def generate_trace(
@@ -174,7 +165,7 @@ def run_case(case: FuzzCase, trace: Optional[Sequence[Ref]] = None) -> None:
     """Replay one case (its generated trace unless ``trace`` is given);
     raises :class:`InvariantViolation` on failure."""
     if trace is None:
-        trace = case.trace()
+        trace = generate_trace(case.seed, case.refs, case.ncores)
     run_trace(
         case.policy,
         trace,
@@ -326,9 +317,9 @@ def fuzz(
         )
         if boundary:
             trace = boundary_trace(case.seed)
-            case = replace(case, shape="boundary", instrumentation="default", refs=len(trace))
+            case = replace(case, instrumentation="default", refs=len(trace))
         else:
-            trace = case.trace()
+            trace = generate_trace(case.seed, case.refs, case.ncores)
         if progress is not None:
             progress(i, case)
         if kernel_takes(case.policy):

@@ -31,6 +31,7 @@ from repro.cache import Cache
 from repro.core.lap import LAPPolicy
 from repro.core.loop_bits import LoopBlockTracker
 from repro.hierarchy.coherence import CoherenceController
+from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.inclusion import switching
 from repro.inclusion.base import flow_flags
 from repro.inclusion.switching import MODE_EX, MODE_NONI, DswitchPolicy, FLEXclusionPolicy
@@ -252,6 +253,9 @@ A, C, D, E, F, P0, P1 = (64 * b for b in (1, 2, 3, 4, 5, 6, 7))
 #: clean victim) and reads it again from the LLC while core 0 still
 #: shares it, then stores to it (an S upgrade whose first store discards
 #: the LLC copy), and core 0 reads A back from core 1 (a peer supply).
+#: Then core 1 evicts A again (a dirty victim insert) and writes it while
+#: core 0 still shares it: a write miss that hits the LLC, keeps the
+#: copy for the peer's sake, and whose first store discards it.
 SHARED_LINE_STEPS = (
     ((A, False), (P1, False)),
     ((P0, False), (A, False)),
@@ -262,6 +266,11 @@ SHARED_LINE_STEPS = (
     ((P0, False), (A, False)),
     ((P0, False), (A, True)),
     ((A, False), (P1, False)),
+    ((P0, False), (C, False)),
+    ((P0, False), (D, False)),
+    ((P0, False), (E, False)),
+    ((P0, False), (F, False)),
+    ((P0, False), (A, True)),
 )
 
 
@@ -270,12 +279,22 @@ def test_coherent_shared_line_paths_parity(policy, monkeypatch):
     """The coherent events the fuzzer reaches only by chance, each at
     least once, on both loops alike: an LLC hit on a line a peer shares,
     which keeps the LLC copy (exclusive included); an LLC miss a peer
-    supplies; and a first store that discards the LLC copy. The generic
-    loop's hooks count them, and parity holds the kernel to that run."""
-    seen = {"shared hit": 0, "copy kept": 0, "peer supply": 0, "store discard": 0}
+    supplies; and a first store that discards the LLC copy, on an L1 hit
+    and on a write miss. The generic loop's hooks count them, and parity
+    holds the kernel to that run."""
+    seen = {"shared hit": 0, "copy kept": 0, "peer supply": 0, "store discard": 0,
+            "write-miss discard": 0}
+    access = CacheHierarchy.access
     on_l2_miss, on_store = CoherenceController.on_l2_miss, CoherenceController.on_store
+    write_miss = [None]  # the current reference's (core, addr) if a write L2 miss
+
+    def spy_access(self, core, addr, is_write):
+        write_miss[0] = None
+        return access(self, core, addr, is_write)
 
     def spy_l2_miss(self, h, core, addr, is_write, llc_hit):
+        if is_write:
+            write_miss[0] = (core, addr)
         if self.peers_of(core, addr):
             if llc_hit:
                 seen["shared hit"] += 1
@@ -285,9 +304,11 @@ def test_coherent_shared_line_paths_parity(policy, monkeypatch):
         return on_l2_miss(self, h, core, addr, is_write, llc_hit)
 
     def spy_store(self, h, core, addr):
-        seen["store discard"] += h.llc.peek(addr) is not None
+        kind = "write-miss discard" if write_miss[0] == (core, addr) else "store discard"
+        seen[kind] += h.llc.peek(addr) is not None
         return on_store(self, h, core, addr)
 
+    monkeypatch.setattr(CacheHierarchy, "access", spy_access)
     monkeypatch.setattr(CoherenceController, "on_l2_miss", spy_l2_miss)
     monkeypatch.setattr(CoherenceController, "on_store", spy_store)
     trace = [(core, addr, w) for step in SHARED_LINE_STEPS
@@ -425,12 +446,11 @@ def test_recency_map_round_trip():
     assert state["maps"][1] == {}
     assert [b >> 1 for b in state["maps"][0]] == [11, 13, 10]
 
-    # the lowest invalid way is reused first
+    # a set's invalid ways as a bitmask; a fill claims its lowest set
+    # bit (the lowest invalid way, reused first): here set 1's ways 0
+    # and 1, then set 0's way 2
     assert state["free"] == [0b0100, 0b1111]
-    assert kernel_batch._take_free(state["free"], 1, 4) == 4
-    assert kernel_batch._take_free(state["free"], 1, 4) == 5
-    assert kernel_batch._take_free(state["free"], 0, 0) == 2
-    assert state["free"] == [0, 0b1100]
+    state["free"] = [0, 0b1100]
 
     # as the loop leaves it: tag 11 dropped with its columns untouched,
     # tag 12 refilled into way 2, tag 7 filled into set 1's way 0

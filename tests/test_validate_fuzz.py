@@ -158,13 +158,22 @@ def test_boundary_trace_straddles_the_run_boundary():
         assert 5 <= len({a for a, _ in sweeper}) <= 7
 
 
-def test_boundary_cases_are_non_coherent_kernel_cases_with_the_loop_tracker():
+def test_boundary_cases_are_non_coherent_kernel_cases_with_the_loop_tracker(monkeypatch):
+    fuzz_module = importlib.import_module("repro.validate.fuzz")
+    boundary_trace = fuzz_module.boundary_trace
+    shaped = {}
+
+    def spy(seed):
+        shaped[seed] = trace = boundary_trace(seed)
+        return trace
+
+    monkeypatch.setattr(fuzz_module, "boundary_trace", spy)
     cases = []
     fuzz(40, ("lap", "inclusive"), shrink=False, progress=lambda i, case: cases.append(case))
-    boundary = [c for c in cases if c.shape == "boundary"]
+    boundary = [c for c in cases if c.seed in shaped]
     assert boundary and all(
         c.policy == "lap" and c.ncores == 2 and not c.enable_coherence
-        and c.instrumentation == "default" and c.refs == len(c.trace())
+        and c.instrumentation == "default" and c.refs == len(shaped[c.seed])
         for c in boundary
     )
 
