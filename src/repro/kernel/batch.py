@@ -114,7 +114,8 @@ path calls it, in the same order:
   the core's L1 set, which nothing in pass 2 reads;
 - ``on_store`` on the first dirtying store only — S/O upgrade — and,
   when a peek finds the LLC copy, a discard event for pass 2 to drop
-  it with ``note_llc_evict``; a write miss's store ends pass 2's miss;
+  it with ``note_llc_evict``; a write miss's store ends pass 2's miss,
+  which then runs the same discard;
 - ``_invalidate_peer`` (:func:`_invalidate_peers`) — peer L1 discard,
   L2 invalidate, sharers drop, and ``note_l2_drop``, which the loop
   tracker counts as an L2 eviction.
@@ -904,8 +905,8 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         pctx = [(m1_sets[c], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c], c * n2,
                  cnt[c]) for c in range(ncores)]
         # the batch's reference stream, the run of it up to the next
-        # sample point, references left in the batch and per core, and
-        # the events made ahead of the walk (taken from the end)
+        # sample point, references left in the batch, in the run and per
+        # core, and the events a run's end makes (taken from the end)
         feed = None
         seg = ()
         left = part = take = 0
@@ -928,9 +929,6 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
             # charges each L2 hit's latency as it happens, so its events
             # carry no hit count.
             while True:
-                if queue:
-                    blk, core, ev_blk = queue.pop()
-                    break
                 for core, w, blk, tk, m1, m2, last1, dir1, ctx in seg:
                     s1 = blk & l1_mask
                     sm1 = m1[s1]
@@ -1037,14 +1035,17 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                         ev_blk = _DISCARD
                         break
                 else:
-                    # the run is over: at a batch's end a batch end per
-                    # core, after the sample point the run may reach
-                    # (taken first); once they are run, the next batch
-                    # (read only then: a batch may change the generators)
-                    if left:
+                    # the run is over: its events first (a sample point
+                    # it reached, then at a batch's end a batch end per
+                    # core), then the next run; the next batch is read
+                    # only then, as a batch may change the generators
+                    if queue:
+                        blk, core, ev_blk = queue.pop()
+                        break
+                    if part:
                         left -= part
                         if not left:
-                            feed = None  # frees the batch's last chunk
+                            feed, seg = None, ()  # frees the batch's last chunk
                             queue.extend([(take, c, _BATCH_END)
                                           for c in range(ncores - 1, -1, -1)])
                         if occ_on:
@@ -1053,259 +1054,286 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 since = 0
                                 if trk:
                                     queue.append((0, 0, _SAMPLE))
-                    elif remaining:
+                        part = 0
+                        continue
+                    if not left:
+                        if not remaining:
+                            ev_blk = _END
+                            break
                         take = min(batch, remaining)
                         remaining -= take
                         feed, n = _batch_refs(gens, take, off, l1_tick, per_core)
                         stores += n
                         left = take * ncores
-                    else:
-                        ev_blk = _END
-                        break
-                    seg = ()
-                    if left:
-                        part = left
-                        if occ_on:
-                            gap = interval - since
-                            if gap < part:
-                                part = gap if gap > 0 else 1
-                        seg = feed if part == left else islice(feed, part)
+                    part = left
+                    if occ_on:
+                        gap = interval - since
+                        if gap < part:
+                            part = gap if gap > 0 else 1
+                    seg = feed if part == left else islice(feed, part)
                     continue
                 break
-        if ev_blk < -1:
-            if ev_blk == _FIRST_STORE:
-                # on_dirtied -> tracker._finalize, unless the fill
-                # handed the line over dirty
-                if not hand[g] and streak and (blk << off) in streak:
-                    rec_ctc(streak.pop(blk << off))
-            elif ev_blk == _DISCARD:
-                # coherence.on_store: llc.discard + note_llc_evict
-                si = blk & llc_mask
-                s = ll_sets[si].pop(blk)
-                ll_tp += 1
-                if ll_loop[s]:
-                    ll_lc[si] -= 1
-                ll_free[si] |= 1 << (s % llc_assoc)
-                ll_inv += 1
-                if fresh:
-                    fresh.discard(blk << off)
-            elif ev_blk == _SAMPLE:
-                # OccupancySampler.on_access -> LoopProbe sample: valid
-                # LLC lines (free-way fills add one, invalidations drop
-                # one) and loop lines
-                samp_valid += ll_valid0 + ll_nfree - ll_inv
-                samp_loops += sum(ll_lc)
-            elif ev_blk == _END:
-                break
+        if ev_blk >= -1:
+            # an L2 miss (the other kinds follow below); first the core's
+            # L2 hits since its last miss, one at a time
+            ck = cc[core]
+            while nh:
+                ck += l2_lat_f
+                nh -= 1
+            # ---- L2 miss: inlined policy.llc_access ---------------------
+            si = blk & llc_mask
+            bk = blk & bank_mask
+            if duel_ticks:  # dueling.tick()
+                duel_acc += 1
+                if duel_acc >= duel_interval:
+                    duel_acc = 0
+                    duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
+            if sw:
+                r = roles[si]
+                fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+            sm = ll_sets[si]
+            s = sm.pop(blk, None)
+            out_dirty = False
+            if s is None:
+                ll_mis += 1
+                hit = False
+                if duel_on:  # dueling.record_miss(si)
+                    dmiss[rix[si]] += 1
+                if fill:
+                    # Fig. 1b: a straight insert (plain-LRU victim)
+                    ll_tick += 1
+                    f = ll_free[si]
+                    if f:
+                        low = f & -f
+                        ll_free[si] = f ^ low
+                        s = si * llc_assoc + low.bit_length() - 1
+                        ll_nfree += 1
+                    else:
+                        for eb in sm:
+                            break
+                        s = sm.pop(eb)
+                        if ll_dir[s]:
+                            ll_dev += 1
+                        if fresh:  # on_llc_evict
+                            fresh.discard(eb << off)
+                        if ll_loop[s]:
+                            ll_lc[si] -= 1
+                    ll_dir[s] = False
+                    ll_loop[s] = False
+                    ll_last[s] = ll_tick
+                    ll_iseq[s] = ll_tick
+                    sm[blk] = s
+                    ll_ins += 1
+                    ll_tp += 1
+                    if slot_sram[s]:
+                        ll_dws += 1
+                    ll_fillw += 1
+                    if rf_on:  # on_llc_fill
+                        fresh.add(blk << off)
+                    if sw:  # _record_duel_write
+                        dwrite[rix[si]] += 1
+                    st = busy[bk] - ck
+                    if st < 0.0:
+                        st = 0.0
+                    busy[bk] = ck + st + w_serv[s]
+                    write_stall += st
+                if not peers:  # else a peer supplies the line
+                    ck += mem_stall
             else:
-                # a batch end: the core's trailing L2 hits, then its
-                # instructions
-                ck = cc[core]
-                while nh:
-                    ck += l2_lat_f
-                    nh -= 1
-                instrs = blk * gens[core].instr_per_ref
-                core_instr[core] += instrs
-                cc[core] = ck + instrs
-            continue
-        # the core's L2 hits since its last miss, one at a time
-        ck = cc[core]
-        while nh:
-            ck += l2_lat_f
-            nh -= 1
-        # ---- L2 miss: inlined policy.llc_access ---------------------
-        si = blk & llc_mask
-        bk = blk & bank_mask
-        if duel_ticks:  # dueling.tick()
-            duel_acc += 1
-            if duel_acc >= duel_interval:
-                duel_acc = 0
-                duel_winner = _duel_decide(winner_fn, dmiss, dwrite, dec)
-        if sw:
-            r = roles[si]
-            fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-        sm = ll_sets[si]
-        s = sm.pop(blk, None)
-        out_dirty = False
-        if s is None:
-            ll_mis += 1
-            hit = False
-            if duel_on:  # dueling.record_miss(si)
-                dmiss[rix[si]] += 1
-            if fill:
-                # Fig. 1b: a straight insert (plain-LRU victim)
-                ll_tick += 1
-                f = ll_free[si]
-                if f:
-                    low = f & -f
-                    ll_free[si] = f ^ low
-                    s = si * llc_assoc + low.bit_length() - 1
-                    ll_nfree += 1
-                else:
-                    for eb in sm:
-                        break
-                    s = sm.pop(eb)
-                    if ll_dir[s]:
-                        ll_dev += 1
-                    if fresh:  # on_llc_evict
-                        fresh.discard(eb << off)
-                    if ll_loop[s]:
-                        ll_lc[si] -= 1
-                ll_dir[s] = False
-                ll_loop[s] = False
-                ll_last[s] = ll_tick
-                ll_iseq[s] = ll_tick
-                sm[blk] = s
-                ll_ins += 1
-                ll_tp += 1
+                hit = True
+                if fresh:  # on_demand_hit
+                    fresh.discard(blk << off)
                 if slot_sram[s]:
-                    ll_dws += 1
-                ll_fillw += 1
-                if rf_on:  # on_llc_fill
-                    fresh.add(blk << off)
-                if sw:  # _record_duel_write
-                    dwrite[rix[si]] += 1
-                st = busy[bk] - ck
+                    ll_drs += 1
+                ll_tick += 1
+                ll_last[s] = ll_tick
+                # timing.llc_read
+                rnow = ck + l2_lat
+                serv = r_serv[s]
+                st = busy[bk] - rnow
                 if st < 0.0:
                     st = 0.0
-                busy[bk] = ck + st + w_serv[s]
-                write_stall += st
-            if not peers:  # else a peer supplies the line
-                ck += mem_stall
-        else:
-            hit = True
-            if fresh:  # on_demand_hit
-                fresh.discard(blk << off)
-            if slot_sram[s]:
-                ll_drs += 1
-            ll_tick += 1
-            ll_last[s] = ll_tick
-            # timing.llc_read
-            rnow = ck + l2_lat
-            serv = r_serv[s]
-            st = busy[bk] - rnow
-            if st < 0.0:
-                st = 0.0
-            busy[bk] = rnow + st + serv
-            read_stall += st
-            ck += l2_lat + st + serv
-            if inv_hit and not peers:
-                # invalidate-on-hit, unless a peer holds the line
-                # (shared_by_peers); dirtiness moves up
-                out_dirty = ll_dir[s]
-                ll_tp += 1
-                if ll_loop[s]:
-                    ll_lc[si] -= 1
-                ll_free[si] |= 1 << (s % llc_assoc)
-                ll_inv += 1
-                ll_hitinv += 1
-            else:
-                sm[blk] = s
-        if coh:
-            # ---- coherence.on_l2_miss: a write snoops and invalidates
-            # every peer; a read snoops on an LLC miss, where a peer
-            # supplies the line, and downgrades E→S (and M→O on an LLC
-            # miss). Then _fill_l2's fill_state + on_l2_insert (a dirty
-            # hand-off fills M) and the victim's on_l2_drop. The sharers
-            # map is exact: this core's bit is clear in peers and set for
-            # its victim, so adding and subtracting it set and clear it.
-            bit = 1 << core
-            if w:
-                snoops += 1
-                if peers:
-                    if not hit:
-                        c2c += 1
-                    _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers, streak, from_llc,
-                                      rec_ctc, tally)
-                l2_state[core][ls] = STATE_MODIFIED
-                sharers[a] = bit
-            else:
-                if hit:
-                    if peers:
-                        _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
+                busy[bk] = rnow + st + serv
+                read_stall += st
+                ck += l2_lat + st + serv
+                if inv_hit and not peers:
+                    # invalidate-on-hit, unless a peer holds the line
+                    # (shared_by_peers); dirtiness moves up
+                    out_dirty = ll_dir[s]
+                    ll_tp += 1
+                    if ll_loop[s]:
+                        ll_lc[si] -= 1
+                    ll_free[si] |= 1 << (s % llc_assoc)
+                    ll_inv += 1
+                    ll_hitinv += 1
                 else:
+                    sm[blk] = s
+            if coh:
+                # ---- coherence.on_l2_miss: a write snoops and invalidates
+                # every peer; a read snoops on an LLC miss, where a peer
+                # supplies the line, and downgrades E→S (and M→O on an LLC
+                # miss). Then _fill_l2's fill_state + on_l2_insert (a dirty
+                # hand-off fills M) and the victim's on_l2_drop. The sharers
+                # map is exact: this core's bit is clear in peers and set for
+                # its victim, so adding and subtracting it set and clear it.
+                bit = 1 << core
+                if w:
                     snoops += 1
                     if peers:
-                        c2c += 1
-                        _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
-                if out_dirty:
+                        if not hit:
+                            c2c += 1
+                        _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers, streak, from_llc,
+                                          rec_ctc, tally)
                     l2_state[core][ls] = STATE_MODIFIED
-                elif peers:
-                    l2_state[core][ls] = STATE_SHARED
+                    sharers[a] = bit
                 else:
-                    l2_state[core][ls] = STATE_EXCLUSIVE
-                sharers[a] = peers + bit
+                    if hit:
+                        if peers:
+                            _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
+                    else:
+                        snoops += 1
+                        if peers:
+                            c2c += 1
+                            _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
+                    if out_dirty:
+                        l2_state[core][ls] = STATE_MODIFIED
+                    elif peers:
+                        l2_state[core][ls] = STATE_SHARED
+                    else:
+                        l2_state[core][ls] = STATE_EXCLUSIVE
+                    sharers[a] = peers + bit
+                if ev_blk != -1:
+                    ea = ev_blk << off
+                    pm = sharers[ea] - bit
+                    if pm:
+                        sharers[ea] = pm
+                    else:
+                        del sharers[ea]
+            # ---- _fill_l2 (vst: the victim was stored to since its fill)
+            if vst:
+                ev_dirty = True
+                ev_loop = False
+            else:
+                ev_dirty = hand[g]
+                ev_loop = lfill[g]
+            hand[g] = out_dirty
+            lfill[g] = lap and hit  # l2_fill_loop_bit
             if ev_blk != -1:
-                ea = ev_blk << off
-                pm = sharers[ea] - bit
-                if pm:
-                    sharers[ea] = pm
-                else:
-                    del sharers[ea]
-        # ---- _fill_l2 (vst: the victim was stored to since its fill)
-        if vst:
-            ev_dirty = True
-            ev_loop = False
-        else:
-            ev_dirty = hand[g]
-            ev_loop = lfill[g]
-        hand[g] = out_dirty
-        lfill[g] = lap and hit  # l2_fill_loop_bit
-        if ev_blk != -1:
-            # ---- _handle_l2_victim ----------------------------------
-            if ev_dirty:
-                l2_dev[core] += 1
-                # on_l2_victim -> tracker.on_l2_evict
-                if streak and (ev_blk << off) in streak:
-                    rec_ctc(streak.pop(ev_blk << off))
-            elif trk:
-                ea = ev_blk << off
-                if from_llc.get(ea, False):
-                    streak[ea] = streak.get(ea, 0) + 1
-                    loop_ev += 1
-            # ---- policy.l2_victim -----------------------------------
-            # One unified flow for every policy. Without clean
-            # writeback (noni) clean victims are dropped; every
-            # other (flow, dirty, present) combination updates
-            # the LLC copy or inserts:
-            #   present+dirty        -> update(d=True) + updw,
-            #     loop bit: ex keeps ev_loop, noni/LAP clear
-            #   present+clean (ex)   -> update(d=False)+cleanw,
-            #     loop bit := ev_loop
-            #   present+clean (LAP)  -> Fig. 10b loop-bit
-            #     refresh only, no write
-            #   absent               -> insert(d=ev_dirty),
-            #     loop bit: ex keeps, LAP clean keeps,
-            #     dirty-merge clears; dirtyw/cleanw by d
-            if sw:  # mode_for(line.addr)
-                r = roles[ev_blk & llc_mask]
-                fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
-            if ev_dirty or clean_wb:
-                esi = ev_blk & llc_mask
-                ebk = ev_blk & bank_mask
-                if lap:
-                    ll_tp += 1  # llc.probe
-                sm = ll_sets[esi]
-                es = sm.get(ev_blk)
-                if es is not None:
-                    if ev_dirty or not lap:
-                        # inline Cache.update + posted write
-                        if ev_dirty:
-                            ll_dir[es] = True
+                # ---- _handle_l2_victim ----------------------------------
+                if ev_dirty:
+                    l2_dev[core] += 1
+                    # on_l2_victim -> tracker.on_l2_evict
+                    if streak and (ev_blk << off) in streak:
+                        rec_ctc(streak.pop(ev_blk << off))
+                elif trk:
+                    ea = ev_blk << off
+                    if from_llc.get(ea, False):
+                        streak[ea] = streak.get(ea, 0) + 1
+                        loop_ev += 1
+                # ---- policy.l2_victim -----------------------------------
+                # One unified flow for every policy. Without clean
+                # writeback (noni) clean victims are dropped; every
+                # other (flow, dirty, present) combination updates
+                # the LLC copy or inserts:
+                #   present+dirty        -> update(d=True) + updw,
+                #     loop bit: ex keeps ev_loop, noni/LAP clear
+                #   present+clean (ex)   -> update(d=False)+cleanw,
+                #     loop bit := ev_loop
+                #   present+clean (LAP)  -> Fig. 10b loop-bit
+                #     refresh only, no write
+                #   absent               -> insert(d=ev_dirty),
+                #     loop bit: ex keeps, LAP clean keeps,
+                #     dirty-merge clears; dirtyw/cleanw by d
+                if sw:  # mode_for(line.addr)
+                    r = roles[ev_blk & llc_mask]
+                    fill, inv_hit, clean_wb = sw_flows[duel_winner if r is None else r]
+                if ev_dirty or clean_wb:
+                    esi = ev_blk & llc_mask
+                    ebk = ev_blk & bank_mask
+                    if lap:
+                        ll_tp += 1  # llc.probe
+                    sm = ll_sets[esi]
+                    es = sm.get(ev_blk)
+                    if es is not None:
+                        if ev_dirty or not lap:
+                            # inline Cache.update + posted write
+                            if ev_dirty:
+                                ll_dir[es] = True
+                            ll_tick += 1
+                            ll_last[es] = ll_tick
+                            del sm[ev_blk]
+                            sm[ev_blk] = es
+                            ll_tp += 1
+                            if slot_sram[es]:
+                                ll_dws += 1
+                            st = busy[ebk] - ck
+                            if st < 0.0:
+                                st = 0.0
+                            busy[ebk] = ck + st + w_serv[es]
+                            write_stall += st
+                            if ev_dirty:
+                                ll_updw += 1
+                                if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
+                                    redundant += 1
+                                    fresh.remove(ev_blk << off)
+                            else:
+                                ll_cleanw += 1
+                                if streak and (ev_blk << off) in streak:  # on_clean_insert
+                                    loop_reins += 1
+                            if sw:  # _record_duel_write
+                                dwrite[rix[esi]] += 1
+                        # loop-bit reconciliation on the copy
+                        nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
+                        if nl != ll_loop[es]:
+                            ll_lc[esi] += 1 if nl else -1
+                            ll_loop[es] = nl
+                    else:
+                        # inline _place_and_insert + _finish_insert
+                        lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
                         ll_tick += 1
-                        ll_last[es] = ll_tick
-                        del sm[ev_blk]
-                        sm[ev_blk] = es
+                        f = ll_free[esi]
+                        if f:
+                            low = f & -f
+                            ll_free[esi] = f ^ low
+                            s = esi * llc_assoc + low.bit_length() - 1
+                            ll_nfree += 1
+                        else:
+                            if loop_victims:
+                                loop_scan = True
+                            elif duel_victims:
+                                r = roles[esi]
+                                loop_scan = (duel_winner if r is None else r) == 0
+                            else:
+                                loop_scan = False
+                            # LoopAwarePolicy: the oldest unmarked
+                            # line, else (all marked) the oldest.
+                            for eb in sm:
+                                break
+                            if loop_scan:
+                                for cand, s in sm.items():
+                                    if not ll_loop[s]:
+                                        eb = cand
+                                        break
+                            s = sm.pop(eb)
+                            if ll_dir[s]:
+                                ll_dev += 1
+                            if fresh:  # on_llc_evict
+                                fresh.discard(eb << off)
+                            if ll_loop[s]:
+                                ll_lc[esi] -= 1
+                        ll_dir[s] = ev_dirty
+                        ll_loop[s] = lb
+                        ll_last[s] = ll_tick
+                        ll_iseq[s] = ll_tick
+                        if lb:
+                            ll_lc[esi] += 1
+                        sm[ev_blk] = s
+                        ll_ins += 1
                         ll_tp += 1
-                        if slot_sram[es]:
+                        if slot_sram[s]:
                             ll_dws += 1
-                        st = busy[ebk] - ck
-                        if st < 0.0:
-                            st = 0.0
-                        busy[ebk] = ck + st + w_serv[es]
-                        write_stall += st
                         if ev_dirty:
-                            ll_updw += 1
+                            ll_dirtyw += 1
                             if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
                                 redundant += 1
                                 fresh.remove(ev_blk << off)
@@ -1315,86 +1343,62 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                                 loop_reins += 1
                         if sw:  # _record_duel_write
                             dwrite[rix[esi]] += 1
-                    # loop-bit reconciliation on the copy
-                    nl = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                    if nl != ll_loop[es]:
-                        ll_lc[esi] += 1 if nl else -1
-                        ll_loop[es] = nl
-                else:
-                    # inline _place_and_insert + _finish_insert
-                    lb = ev_loop if (not ev_dirty or clean_wb and not lap) else False
-                    ll_tick += 1
-                    f = ll_free[esi]
-                    if f:
-                        low = f & -f
-                        ll_free[esi] = f ^ low
-                        s = esi * llc_assoc + low.bit_length() - 1
-                        ll_nfree += 1
-                    else:
-                        if loop_victims:
-                            loop_scan = True
-                        elif duel_victims:
-                            r = roles[esi]
-                            loop_scan = (duel_winner if r is None else r) == 0
-                        else:
-                            loop_scan = False
-                        # LoopAwarePolicy: the oldest unmarked
-                        # line, else (all marked) the oldest.
-                        for eb in sm:
-                            break
-                        if loop_scan:
-                            for cand, s in sm.items():
-                                if not ll_loop[s]:
-                                    eb = cand
-                                    break
-                        s = sm.pop(eb)
-                        if ll_dir[s]:
-                            ll_dev += 1
-                        if fresh:  # on_llc_evict
-                            fresh.discard(eb << off)
-                        if ll_loop[s]:
-                            ll_lc[esi] -= 1
-                    ll_dir[s] = ev_dirty
-                    ll_loop[s] = lb
-                    ll_last[s] = ll_tick
-                    ll_iseq[s] = ll_tick
-                    if lb:
-                        ll_lc[esi] += 1
-                    sm[ev_blk] = s
-                    ll_ins += 1
-                    ll_tp += 1
-                    if slot_sram[s]:
-                        ll_dws += 1
-                    if ev_dirty:
-                        ll_dirtyw += 1
-                        if fresh and (ev_blk << off) in fresh:  # on_dirty_victim
-                            redundant += 1
-                            fresh.remove(ev_blk << off)
-                    else:
-                        ll_cleanw += 1
-                        if streak and (ev_blk << off) in streak:  # on_clean_insert
-                            loop_reins += 1
-                    if sw:  # _record_duel_write
-                        dwrite[rix[esi]] += 1
-                    st = busy[ebk] - ck
-                    if st < 0.0:
-                        st = 0.0
-                    busy[ebk] = ck + st + w_serv[s]
-                    write_stall += st
-        if trk:  # on_l2_fill
-            from_llc[blk << off] = hit
-        cc[core] = ck
-        if coh and w:
+                        st = busy[ebk] - ck
+                        if st < 0.0:
+                            st = 0.0
+                        busy[ebk] = ck + st + w_serv[s]
+                        write_stall += st
+            if trk:  # on_l2_fill
+                from_llc[blk << off] = hit
+            cc[core] = ck
+            if not coh or not w:
+                continue
             # ---- the coherent write's store, its first since the fill:
-            # on_dirtied and on_store (no upgrade: the line is M), unless
-            # the fill handed it over dirty; its LLC discard is the next
-            # event
+            # on_dirtied and on_store (no upgrade: the line is M), unless the
+            # fill handed it over dirty; its LLC discard follows below
             st2[ls] = True
-            if not out_dirty:
-                if streak and a in streak:
-                    rec_ctc(streak.pop(a))
-                if blk in ll_sets[blk & llc_mask]:
-                    queue.append((blk, core, _DISCARD))
+            if out_dirty:
+                continue
+            if streak and a in streak:
+                rec_ctc(streak.pop(a))
+            if blk not in ll_sets[blk & llc_mask]:
+                continue
+            ev_blk = _DISCARD
+        if ev_blk == _DISCARD:
+            # coherence.on_store (a store's, or a write miss's):
+            # llc.discard + note_llc_evict
+            si = blk & llc_mask
+            s = ll_sets[si].pop(blk)
+            ll_tp += 1
+            if ll_loop[s]:
+                ll_lc[si] -= 1
+            ll_free[si] |= 1 << (s % llc_assoc)
+            ll_inv += 1
+            if fresh:
+                fresh.discard(blk << off)
+        elif ev_blk == _FIRST_STORE:
+            # on_dirtied -> tracker._finalize, unless the fill
+            # handed the line over dirty
+            if not hand[g] and streak and (blk << off) in streak:
+                rec_ctc(streak.pop(blk << off))
+        elif ev_blk == _SAMPLE:
+            # OccupancySampler.on_access -> LoopProbe sample: valid
+            # LLC lines (free-way fills add one, invalidations drop
+            # one) and loop lines
+            samp_valid += ll_valid0 + ll_nfree - ll_inv
+            samp_loops += sum(ll_lc)
+        elif ev_blk == _END:
+            break
+        else:
+            # a batch end: the core's trailing L2 hits, then its
+            # instructions
+            ck = cc[core]
+            while nh:
+                ck += l2_lat_f
+                nh -= 1
+            instrs = blk * gens[core].instr_per_ref
+            core_instr[core] += instrs
+            cc[core] = ck + instrs
     pass2_span.finish()
     if coh:
         cs = coherence.stats
