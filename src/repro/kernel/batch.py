@@ -904,9 +904,10 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         # What a peer invalidation touches, per core (see _invalidate_peers).
         pctx = [(m1_sets[c], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c], c * n2,
                  cnt[c]) for c in range(ncores)]
-        # the batch's reference stream, the run of it up to the next
-        # sample point, references left in the batch, in the run and per
-        # core, and the events a run's end makes (taken from the end)
+        # the batch's reference stream and its run up to the next sample
+        # point; references left in the batch and in the run (0 once it
+        # is over); references per core in the batch and still to read;
+        # and the events a run's end makes (taken from the end)
         feed = None
         seg = ()
         left = part = take = 0
