@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check bench-e2e bench-figures bench-hotpath lint trace-demo arena-demo suite-demo report
+.PHONY: test check mutants bench-e2e bench-figures bench-hotpath lint trace-demo arena-demo suite-demo report
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -14,6 +14,12 @@ test:
 # deterministic, ~7s.
 check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro check --fuzz 200
+
+# The batched kernel's mutation suite (benchmarks/mutants.py): applies
+# each listed mutant to a temporary copy of the tree and runs its killer
+# there; exits 1 on a survivor. ~70s.
+mutants:
+	$(PYTHON) benchmarks/mutants.py
 
 # The repo benchmark end to end: perfbench/run.py for every
 # BENCHMARK.json workload, for its declared run length, at --trace 0

@@ -59,23 +59,31 @@ to their stats at checkin, so ``finish()``, a second ``run()`` and
 With a probe absent its state is an empty dict/set that nothing fills,
 so the probe-free run pays only membership tests on rare paths.
 
-Two passes. Nothing the LLC does changes L1/L2 replacement (the paper
-acts only at the L2↔LLC boundary), so the loop is split in two. Pass 1
-(:func:`_pass1`) runs the private levels alone, from their current
-state, and records the stream of events the L2 lets through: per L2
-miss its block and core, the L2 slot filled, the victim's block,
-whether the victim was stored to since its fill, and the core's L2 hits
-since its previous miss; per core at each batch end its trailing hit
-count. With the loop tracker it also records each line's first store
-since its fill (``on_dirtied`` and the order of CTC finalisations) and
-the occupancy sample points. Pass 2 runs those events through the LLC demand and
-victim flows, once per policy, and is the only code that writes LLC
-state. It keeps the policy-dependent bits of each L2 slot as set at its
-fill, the dirty hand-off and LAP's loop bit: a victim is dirty if handed
-over dirty or stored to, and keeps its loop bit only if not stored to;
-checkin rebuilds the L2 ``dirty``/``loop`` columns and loop counters
-from them. The L2-hit latencies are added one at a time, so
-``core_cycles`` rounds exactly as in one loop.
+One walk, two consumers. Nothing the LLC does changes L1/L2
+replacement (the paper acts only at the L2↔LLC boundary), so the
+private levels are a filter whose output every LLC policy consumes. One
+generator, :func:`_walk`, is the only code that looks up, fills or
+evicts L1/L2 lines (coherence only invalidates and downgrades peers'
+copies). It runs the private levels from their current state and
+yields the events the L2 lets through: per L2 miss its block and core,
+the L2 slot filled, the victim's block, whether the victim was stored
+to since its fill, whether the miss is a store, and the core's L2 hits
+since its previous miss (its L2 ticks since then); per core at each
+batch end its trailing hit count and the batch's number, whose
+per-core ``instr_per_ref`` the walk records right after reading the
+batch. With the loop tracker or coherence it also yields each other
+first store to a line since its fill (a write miss's rides on its
+miss); with the loop tracker, the occupancy sample points. Pass 2 runs
+the events through the LLC demand and victim flows and is the only
+code that writes LLC state. It keeps the policy-dependent bits of each
+L2 slot as set at its fill, the dirty hand-off and LAP's loop bit: a
+victim is dirty if handed over dirty or stored to, and keeps its loop
+bit only if not stored to; checkin rebuilds the L2 ``dirty``/``loop``
+columns and loop counters from them. The L2-hit latencies are added one
+at a time, so ``core_cycles`` rounds exactly as in one loop.
+
+Without coherence the walk is recorded ahead: pass 1 (:func:`_pass1`)
+drains it into numpy columns, which pass 2 replays once per policy.
 
 The jobs of one ``execute_jobs`` call share pass 1 through
 ``Simulator.stream_share``, on a pristine hierarchy (its first run)
@@ -91,31 +99,32 @@ energy or duel interval. At
 most one stream is held, in numpy columns. A hit also restores the
 generators' end state: it leaves the simulator exactly as a miss would.
 
-MOESI coherence (Fig. 20's multithreaded runs) cannot record pass 1
+MOESI coherence (Fig. 20's multithreaded runs) cannot record the walk
 ahead: a store upgrade depends on the policy's dirty hand-off, so L2
-contents can differ by policy. Its events are made live instead, at
-the top of pass 2's loop, by a coherent walk: pass 1's walk over the
-same states, with the controller's hooks, run on to its next event,
-which pass 2 runs before the walk goes on. The walk only peeks at the
-LLC (a block's presence in its set). Each hook runs where the generic
+contents can differ by policy. Pass 2 iterates the walk live instead:
+a generator suspends at each ``yield``, so pass 2 runs each event
+before the walk goes on, and the controller's hooks, run in pass 2,
+may change the peers' private state between events. The walk never
+touches the sharers map or the LLC. Each hook runs where the generic
 path calls it, in the same order:
 
-- the walk reads the missed line's sharers (``peers``) before the
-  miss's event: pass 2 then skips the memory stall of an LLC miss (a
-  peer supplies the line) and keeps the LLC copy on a hit (exclusive's
+- pass 2 reads the missed line's sharers (``peers``) at the top of the
+  miss: it then skips the memory stall of an LLC miss (a peer supplies
+  the line) and keeps the LLC copy on a hit (exclusive's
   ``shared_by_peers`` exception to invalidate-on-hit);
 - ``on_l2_miss`` (snoop, write invalidations, E→S and on an LLC miss
   M→O downgrades, a peer supply), ``fill_state`` + ``on_l2_insert`` (a
-  dirty hand-off fills M) and the victim's ``on_l2_drop`` run in pass
-  2 between the demand and the L2-victim flows, on the controller's
-  own sharers map (keyed by block address) and the L2 ``state`` column
-  of the checked-out blocks;
-- the walk runs an L2 miss's L1 fill before its event: it touches only
-  the core's L1 set, which nothing in pass 2 reads;
-- ``on_store`` on the first dirtying store only — S/O upgrade — and,
-  when a peek finds the LLC copy, a discard event for pass 2 to drop
-  it with ``note_llc_evict``; a write miss's store ends pass 2's miss,
-  which then runs the same discard;
+  dirty hand-off fills M) and the victim's ``on_l2_drop`` run between
+  the demand and the L2-victim flows, on the controller's own sharers
+  map (keyed by block address) and the L2 ``state`` column of the
+  checked-out blocks;
+- the walk runs an L2 miss's L1 fill after its event: it touches only
+  the core's own L1 set, which no hook touches;
+- the L2 hits are charged at the core's next miss or batch end, which
+  is exact: only the core's own events touch its cycle count;
+- ``on_store`` on the first dirtying store only, at pass 2's one store
+  site (a write miss's or a first-store event's): S/O upgrade, then
+  the LLC copy's discard with ``note_llc_evict``;
 - ``_invalidate_peer`` (:func:`_invalidate_peers`) — peer L1 discard,
   L2 invalidate, sharers drop, and ``note_l2_drop``, which the loop
   tracker counts as an L2 eviction.
@@ -180,7 +189,7 @@ from __future__ import annotations
 
 import copy
 import pickle
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, islice
 from operator import attrgetter, gt, or_
 from typing import List, Optional
 
@@ -455,49 +464,57 @@ def _invalidate_peers(
         peer += 1
 
 
-def _downgrade_peers(peers, blk, s2, m2_sets, l2_state, owned) -> None:
+def _downgrade_peers(peers, blk, s2, m2_sets, l2_state, n2, owned) -> None:
     """The read-snoop downgrades of ``CoherenceController.on_l2_miss``:
     E→S in every peer, and M→O too when ``owned`` (an LLC miss);
-    ``s2`` is ``blk``'s L2 set."""
+    ``s2`` is ``blk``'s L2 set, ``l2_state`` the MOESI states of the L2
+    slots numbered across cores, ``n2`` per core."""
     peer = 0
     while peers:
         if peers & 1:
             s = m2_sets[peer][s2].get(blk)
             if s is not None:
-                st2 = l2_state[peer]
-                if st2[s] == STATE_EXCLUSIVE:
-                    st2[s] = STATE_SHARED
-                elif owned and st2[s] == STATE_MODIFIED:
-                    st2[s] = STATE_OWNED
+                s += peer * n2
+                if l2_state[s] == STATE_EXCLUSIVE:
+                    l2_state[s] = STATE_SHARED
+                elif owned and l2_state[s] == STATE_MODIFIED:
+                    l2_state[s] = STATE_OWNED
         peers >>= 1
         peer += 1
 
 
 #: the kinds of event that carry no L2 miss (a miss's victim field is -1
 #: or a block): a first store since its fill to the line in ``slot``
-#: (loop tracker only); a coherent first store's discard of the LLC copy
-#: of ``blk``; an occupancy sample point (loop tracker only); a batch end
-#: of ``core``, ``blk`` references long, after ``hits`` trailing L2
-#: hits; and the coherent walk's end
-_FIRST_STORE, _DISCARD, _SAMPLE, _BATCH_END, _END = -2, -3, -4, -5, -6
+#: other than a write miss's (with the loop tracker or coherence); an
+#: occupancy sample point (loop tracker only); and a batch end of
+#: ``core``, ``blk`` references long, batch number ``slot``, after
+#: ``hits`` trailing L2 hits
+_FIRST_STORE, _SAMPLE, _BATCH_END = -2, -3, -4
 
-#: numpy types of an event's ``(hits, blk, core, slot, stored, victim)``
-#: columns
-_COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int32, np.bool_, np.int64)
+#: numpy types of an event's ``(hits, blk, core, slot, stored, victim,
+#: write)`` columns
+_COLUMN_TYPES = (np.int32, np.int64, np.int32, np.int32, np.bool_, np.int64, np.bool_)
+
+#: events per recorded chunk: drained from the walk in C (the tuples die
+#: one at a time), then split into the typed columns
+_DRAIN = 2048
 
 
 class _Stream:
-    """Pass 1's output (module docstring). An event is ``(hits, blk, core,
-    slot, stored, victim)``: for an L2 miss of ``core``, ``slot`` is the
-    L2 slot filled (numbered across cores), ``stored`` whether the victim
-    was stored to since its fill, and ``victim`` its block, -1 for a free
-    way, or else one of the other kinds above. Besides the events, the
-    private levels' end state and counts."""
+    """The walk's output (module docstring). An event is ``(hits, blk,
+    core, slot, stored, victim, write)``: for an L2 miss of ``core``,
+    ``slot`` is the L2 slot filled (numbered across cores), ``stored``
+    whether the victim was stored to since its fill, ``victim`` its
+    block, -1 for a free way, and ``write`` whether the miss is a store;
+    else ``victim`` is one of the other kinds above. Besides the events
+    (recorded in ``chunks``, or none when iterated live), the private
+    levels' working and end state, each batch's per-core
+    ``instr_per_ref`` weights and the walk's counts."""
 
-    __slots__ = ("chunks", "events", "l1", "l2", "sto", "counts", "since", "gens")
+    __slots__ = ("chunks", "events", "l1", "l2", "sto", "weights", "counts", "since", "gens")
 
     def replay(self):
-        """The events in order, one batch's columns materialised at a time."""
+        """The events in order, one chunk's columns materialised at a time."""
         return chain.from_iterable(
             zip(*(col.tolist() for col in chunk)) for chunk in self.chunks
         )
@@ -514,53 +531,45 @@ def _copy_state(state: dict) -> dict:
     return {k: [dict(m) for m in v] if k == "maps" else list(v) for k, v in state.items()}
 
 
-def _private_state(h) -> tuple:
-    """``h``'s checked-out L1 and L2 states and, per L2 slot, "stored to
-    since its fill" (all False)."""
-    l1 = [_checkout(c) for c in h.l1s]
-    l2 = [_checkout(c) for c in h.l2s]
-    return l1, l2, [[False] * len(state["dirty"]) for state in l2]
+def _fresh_stream(h) -> _Stream:
+    """A stream for :func:`_walk` to fill: ``h``'s checked-out L1 and L2
+    states and, per L2 slot, "stored to since its fill" (all False)."""
+    st = _Stream()
+    st.l1 = [_checkout(c) for c in h.l1s]
+    st.l2 = [_checkout(c) for c in h.l2s]
+    st.sto = [[False] * len(state["dirty"]) for state in st.l2]
+    st.chunks, st.events, st.weights, st.gens = [], 0, [], None
+    return st
 
 
-def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
-           since: int) -> _Stream:
-    """Run the private levels alone and record their L2-boundary stream
-    (module docstring); first stores and sample points only with the
-    loop tracker (``trk``). ``interval`` is the sampler's, 0 without one."""
+def _walk(h, st, gens, refs_per_core: int, batch: int, trk: bool, coh: bool, interval: int,
+          since: int):
+    """The private levels' walk from ``st``'s states: yields the events
+    the L2 lets through (module docstring), first stores other than a
+    write miss's with the loop tracker (``trk``) or coherence (``coh``),
+    sample points with the loop tracker. ``interval`` is the sampler's,
+    0 without one. Once exhausted it leaves its counts on ``st``.
+
+    The only code that looks up, fills or evicts L1/L2 lines: a consumer
+    runs each event before the walk resumes, so coherence may invalidate
+    and downgrade the peers' copies between events."""
     ncores = len(gens)
     l1, l2 = h.l1s[0], h.l2s[0]
     off = l1._offset_bits
     l1_mask, l2_mask = l1._index_mask, l2._index_mask
     l1_assoc, l2_assoc = l1.assoc, l2.assoc
     n2 = l2.num_sets * l2_assoc
-    st = _Stream()
-    st.l1, st.l2, st.sto = l1_st, l2_st, sto = _private_state(h)
+    l1_st, l2_st, sto, weights = st.l1, st.l2, st.sto, st.weights
     l1_tick = [c._tick for c in h.l1s]
     l2_tick = [c._tick for c in h.l2s]
     l2_tick0 = list(l2_tick)
-    wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree, l2_hits = ([0] * ncores for _ in range(7))
+    # each L2 access ticks its L2 once, so a core's L2 hits since its
+    # last event are the ticks since then
+    l2_mark = list(l2_tick)
+    wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree = ([0] * ncores for _ in range(6))
     stores = 0
     occ_on = interval > 0
-
-    st.chunks, st.events = [], 0
-    # events go to lists (cheap appends), then to numpy columns at most
-    # _CHUNK references per core later, which bounds the lists' memory
-    cols = ([], [], [], [], [], [])
-    a_hits, a_blk, a_core, a_slot, a_sto, a_vic = (col.append for col in cols)
-
-    def flush():
-        st.events += len(cols[0])
-        st.chunks.append(tuple(np.array(col, dtype=t) for col, t in zip(cols, _COLUMN_TYPES)))
-        for col in cols:
-            col.clear()
-
-    def event(hits, blk, core, slot, kind):
-        a_hits(hits)
-        a_blk(blk)
-        a_core(core)
-        a_slot(slot)
-        a_sto(False)
-        a_vic(kind)
+    first_stores = trk or coh
 
     per_core = (
         [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st],
@@ -572,10 +581,12 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
     while remaining > 0:
         take = min(batch, remaining)
         stream, n = _batch_refs(gens, take, off, l1_tick, per_core)
+        nb = len(weights)
+        weights.append(tuple(gen.instr_per_ref for gen in gens))
         stores += n
         left = take * ncores
         while left:
-            part = min(left, _CHUNK * ncores)
+            part = left
             if occ_on:
                 gap = interval - since
                 if gap < part:
@@ -597,8 +608,8 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                         st2 = sto[core]
                         if not st2[ls]:
                             st2[ls] = True
-                            if trk:
-                                event(0, blk, core, core * n2 + ls, _FIRST_STORE)
+                            if first_stores:
+                                yield 0, blk, core, core * n2 + ls, False, _FIRST_STORE, False
                     continue
                 last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
                 s2 = blk & l2_mask
@@ -609,9 +620,8 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                 if ls is not None:
                     sm2[blk] = ls
                     last2[ls] = t2k
-                    l2_hits[core] += 1
                 else:
-                    # ---- the L2 fill, recorded for pass 2 ----------
+                    # ---- the L2 fill, an event for the LLC flows ------
                     l2_mis[core] += 1
                     f = fr2[s2]
                     if f:
@@ -634,17 +644,14 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                         if eslot is not None:
                             fr1[e1] |= 1 << (eslot % l1_assoc)
                             l1_inv[core] += 1
-                    st2[ls] = False
+                    # a write miss's store is its line's first since the
+                    # fill: it rides on the miss's event
+                    st2[ls] = w
                     last2[ls] = t2k
                     iseq2[ls] = t2k
                     sm2[blk] = ls
-                    a_hits(l2_hits[core])
-                    l2_hits[core] = 0
-                    a_blk(blk)
-                    a_core(core)
-                    a_slot(base + ls)
-                    a_sto(vst)
-                    a_vic(ev_blk)
+                    yield t2k - l2_mark[core] - 1, blk, core, base + ls, vst, ev_blk, w
+                    l2_mark[core] = t2k
                 # ---- l1.fill(addr, is_write) ------------------------
                 f = fr1[s1]
                 if f:
@@ -664,28 +671,39 @@ def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
                 sm1[blk] = vs
                 if w and not st2[ls]:
                     st2[ls] = True
-                    if trk:
-                        event(0, blk, core, base + ls, _FIRST_STORE)
+                    if first_stores:
+                        yield 0, blk, core, base + ls, False, _FIRST_STORE, False
             left -= part
             if occ_on:
                 since += part
                 if since >= interval:
                     since = 0
                     if trk:
-                        event(0, 0, 0, 0, _SAMPLE)
-            if len(cols[0]) >= _CHUNK * ncores // 2:
-                flush()
+                        yield 0, 0, 0, 0, False, _SAMPLE, False
         del stream
         for core in range(ncores):
-            event(l2_hits[core], take, core, 0, _BATCH_END)
-            l2_hits[core] = 0
-        flush()
+            yield l2_tick[core] - l2_mark[core], take, core, nb, False, _BATCH_END, False
+            l2_mark[core] = l2_tick[core]
         remaining -= take
 
-    st.since, st.gens = since, None
+    st.since = since
     st.counts = (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis,
                  l2_nfree, stores)
-    return st
+
+
+def _pass1(h, gens, refs_per_core: int, batch: int, trk: bool, interval: int,
+           since: int) -> _Stream:
+    """Record the walk's events for pass 2 to replay, in numpy columns."""
+    st = _fresh_stream(h)
+    walk = _walk(h, st, gens, refs_per_core, batch, trk, False, interval, since)
+    ncols = len(_COLUMN_TYPES)
+    while True:
+        m = np.fromiter(chain.from_iterable(islice(walk, _DRAIN)), np.int64)
+        if not len(m):
+            return st
+        m = m.reshape(-1, ncols)
+        st.chunks.append(tuple(m[:, i].astype(t) for i, t in enumerate(_COLUMN_TYPES)))
+        st.events += len(m)
 
 
 def _private_stream(sim, refs_per_core: int, batch: int, trk: bool, interval: int,
@@ -863,13 +881,13 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # is its first key (module docstring), which ``for eb in sm: break``
     # reads without a scan.
 
-    # ---- the events: a recorded pass 1, or the coherent walk live ----
+    # ---- the events: pass 1's recorded walk, or the walk live ---------
     coh = h.coherence is not None
     if coh:
-        l1_st, l2_st, sto = _private_state(h)
+        stream = _fresh_stream(h)
     else:
         stream = _private_stream(sim, refs_per_core, batch, trk, interval, since)
-        l1_st, l2_st, sto = stream.l1, stream.l2, stream.sto
+    l1_st, l2_st, sto, weights = stream.l1, stream.l2, stream.sto, stream.weights
     # The policy-dependent bits of each L2 slot as set at its fill,
     # numbered across cores: the dirty hand-off and LAP's loop bit.
     hand = list(chain.from_iterable(state["dirty"] for state in l2_st))
@@ -882,39 +900,21 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     tally = [0, 0, 0]
     cnt = [[0, 0, 0] for _ in range(ncores)]
     if coh:
-        # ---- the coherent walk's state (module docstring) ------------
+        # ---- the controller's state (module docstring) ---------------
         l1, l2 = h.l1s[0], h.l2s[0]
-        l1_mask, l2_mask = l1._index_mask, l2._index_mask
-        l1_assoc, l2_assoc = l1.assoc, l2.assoc
-        geo = (l1_mask, l1_assoc, l2_mask, l2_assoc)
+        l2_mask = l2._index_mask
+        geo = (l1._index_mask, l1.assoc, l2_mask, l2.assoc)
         coherence = h.coherence
         sharers = coherence._sharers  # keyed by block address
-        m1_sets, m2_sets = [s1["maps"] for s1 in l1_st], [s2["maps"] for s2 in l2_st]
-        l2_state = [s2["state"] for s2 in l2_st]
-        l1_tick = [c._tick for c in h.l1s]
-        l2_tick = [c._tick for c in h.l2s]
-        l2_tick0 = list(l2_tick)
-        wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree = ([0] * ncores for _ in range(6))
-        stores = snoops = upgrades = 0
-        per_core = (
-            m1_sets, m2_sets, [s1["last"] for s1 in l1_st], [s1["dirty"] for s1 in l1_st],
-            [(s2["last"], sto[c], s2["iseq"], s2["free"], s1["iseq"], s1["free"], c * n2)
-             for c, (s1, s2) in enumerate(zip(l1_st, l2_st))],
-        )
+        m2_sets = [s2["maps"] for s2 in l2_st]
+        # the L2 slots' MOESI states, numbered across cores like hand
+        l2_state = list(chain.from_iterable(s2["state"] for s2 in l2_st))
+        snoops = upgrades = 0
         # What a peer invalidation touches, per core (see _invalidate_peers).
-        pctx = [(m1_sets[c], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c], c * n2,
-                 cnt[c]) for c in range(ncores)]
-        # the batch's reference stream and its run up to the next sample
-        # point; references left in the batch and in the run (0 once it
-        # is over); references per core in the batch and still to read;
-        # and the events a run's end makes (taken from the end)
-        feed = None
-        seg = ()
-        left = part = take = 0
-        remaining = refs_per_core
-        queue = []
+        pctx = [(l1_st[c]["maps"], l1_st[c]["free"], m2_sets[c], l2_st[c]["free"], sto[c],
+                 c * n2, cnt[c]) for c in range(ncores)]
         pass2_span = start_span("kernel.batch_loop", refs_per_core=refs_per_core, batch=batch)
-        events = repeat((0, 0, 0, 0, False, 0))  # each event is made at the loop's top
+        events = _walk(h, stream, gens, refs_per_core, batch, trk, True, interval, since)
     else:
         pass2_span = start_span("kernel.pass2", events=stream.events)
         events = stream.replay()
@@ -922,158 +922,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # ---- pass 2: the LLC flows, one event at a time ------------------
     core_instr = [0.0] * ncores
     peers = 0  # the cores that hold a missed line (coherent runs only)
-    for nh, blk, core, g, vst, ev_blk in events:
-        if coh:
-            # ---- the coherent walk (pass 1's, with the controller's
-            # hooks) runs on to its next event: an L2 miss, a store's
-            # LLC discard, a sample point, a batch end or its end. It
-            # charges each L2 hit's latency as it happens, so its events
-            # carry no hit count.
-            while True:
-                for core, w, blk, tk, m1, m2, last1, dir1, ctx in seg:
-                    s1 = blk & l1_mask
-                    sm1 = m1[s1]
-                    slot = sm1.pop(blk, None)
-                    if slot is not None:
-                        sm1[blk] = slot
-                        last1[slot] = tk
-                        if not w:
-                            continue
-                        wh1[core] += 1
-                        dir1[slot] = True
-                        # propagate_store: L2 copy exists (L1 ⊆ L2)
-                        ls = m2[blk & l2_mask][blk]
-                        st2 = sto[core]
-                    else:
-                        last2, st2, iseq2, fr2, iseq1, fr1, base = ctx
-                        s2 = blk & l2_mask
-                        sm2 = m2[s2]
-                        ls = sm2.pop(blk, None)
-                        t2k = l2_tick[core] + 1
-                        l2_tick[core] = t2k
-                        if ls is not None:
-                            sm2[blk] = ls
-                            last2[ls] = t2k
-                            cc[core] += l2_lat_f
-                            g = -1
-                        else:
-                            l2_mis[core] += 1
-                            # the cores that hold the line: the sharers
-                            # map is exact, so not this one
-                            a = blk << off
-                            peers = sharers.get(a, 0)
-                            # ---- the L2 fill, run through pass 2 below
-                            # (a free way: the lowest) ------------------
-                            f = fr2[s2]
-                            if f:
-                                low = f & -f
-                                fr2[s2] = f ^ low
-                                ls = s2 * l2_assoc + low.bit_length() - 1
-                                l2_nfree[core] += 1
-                                ev_blk = -1
-                                vst = False
-                            else:
-                                for ev_blk in sm2:
-                                    break
-                                ls = sm2.pop(ev_blk)
-                                vst = st2[ls]
-                                # L1 ⊆ L2: kill the upper copy
-                                e1 = ev_blk & l1_mask
-                                eslot = m1[e1].pop(ev_blk, None)
-                                if eslot is not None:
-                                    fr1[e1] |= 1 << (eslot % l1_assoc)
-                                    l1_inv[core] += 1
-                            st2[ls] = False
-                            last2[ls] = t2k
-                            iseq2[ls] = t2k
-                            sm2[blk] = ls
-                            g = base + ls
-                        # ---- l1.fill(addr, is_write): it reads nothing
-                        # pass 2 writes, so it runs ahead of an L2 miss's
-                        # event
-                        f = fr1[s1]
-                        if f:
-                            low = f & -f
-                            fr1[s1] = f ^ low
-                            vs = s1 * l1_assoc + low.bit_length() - 1
-                            l1_nfree[core] += 1
-                        else:
-                            for eb in sm1:
-                                break
-                            vs = sm1.pop(eb)
-                            if dir1[vs]:
-                                l1_dev[core] += 1
-                        dir1[vs] = w
-                        last1[vs] = tk
-                        iseq1[vs] = tk
-                        sm1[blk] = vs
-                        if g >= 0:
-                            break  # the miss's event; its store follows it
-                        if not w:
-                            continue
-                    # ---- the store into L2 slot ls: its first dirtying
-                    # store unless stored to or handed over dirty -----
-                    if st2[ls]:
-                        continue
-                    st2[ls] = True
-                    if hand[core * n2 + ls]:
-                        continue
-                    a = blk << off
-                    # on_dirtied -> tracker._finalize
-                    if streak and a in streak:
-                        rec_ctc(streak.pop(a))
-                    # coherence.on_store
-                    state2 = l2_state[core]
-                    if state2[ls] == STATE_SHARED or state2[ls] == STATE_OWNED:
-                        upgrades += 1
-                        snoops += 1
-                        others = sharers.get(a, 0) & ~(1 << core)
-                        if others:
-                            _invalidate_peers(others, blk, a, pctx, geo, hand, sharers,
-                                              streak, from_llc, rec_ctc, tally)
-                    state2[ls] = STATE_MODIFIED
-                    if blk in ll_sets[blk & llc_mask]:
-                        ev_blk = _DISCARD
-                        break
-                else:
-                    # the run is over: its events first (a sample point
-                    # it reached, then at a batch's end a batch end per
-                    # core), then the next run; the next batch is read
-                    # only then, as a batch may change the generators
-                    if queue:
-                        blk, core, ev_blk = queue.pop()
-                        break
-                    if part:
-                        left -= part
-                        if not left:
-                            feed, seg = None, ()  # frees the batch's last chunk
-                            queue.extend([(take, c, _BATCH_END)
-                                          for c in range(ncores - 1, -1, -1)])
-                        if occ_on:
-                            since += part
-                            if since >= interval:
-                                since = 0
-                                if trk:
-                                    queue.append((0, 0, _SAMPLE))
-                        part = 0
-                        continue
-                    if not left:
-                        if not remaining:
-                            ev_blk = _END
-                            break
-                        take = min(batch, remaining)
-                        remaining -= take
-                        feed, n = _batch_refs(gens, take, off, l1_tick, per_core)
-                        stores += n
-                        left = take * ncores
-                    part = left
-                    if occ_on:
-                        gap = interval - since
-                        if gap < part:
-                            part = gap if gap > 0 else 1
-                    seg = feed if part == left else islice(feed, part)
-                    continue
-                break
+    for nh, blk, core, g, vst, ev_blk, w in events:
         if ev_blk >= -1:
             # an L2 miss (the other kinds follow below); first the core's
             # L2 hits since its last miss, one at a time
@@ -1081,6 +930,11 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
             while nh:
                 ck += l2_lat_f
                 nh -= 1
+            if coh:
+                # the cores that hold the line: the sharers map is exact,
+                # so not this one
+                a = blk << off
+                peers = sharers.get(a, 0)
             # ---- L2 miss: inlined policy.llc_access ---------------------
             si = blk & llc_mask
             bk = blk & bank_mask
@@ -1185,23 +1039,25 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
                             c2c += 1
                         _invalidate_peers(peers, blk, a, pctx, geo, hand, sharers, streak, from_llc,
                                           rec_ctc, tally)
-                    l2_state[core][ls] = STATE_MODIFIED
+                    l2_state[g] = STATE_MODIFIED
                     sharers[a] = bit
                 else:
                     if hit:
                         if peers:
-                            _downgrade_peers(peers, blk, s2, m2_sets, l2_state, False)
+                            _downgrade_peers(peers, blk, blk & l2_mask, m2_sets, l2_state, n2,
+                                             False)
                     else:
                         snoops += 1
                         if peers:
                             c2c += 1
-                            _downgrade_peers(peers, blk, s2, m2_sets, l2_state, True)
+                            _downgrade_peers(peers, blk, blk & l2_mask, m2_sets, l2_state, n2,
+                                             True)
                     if out_dirty:
-                        l2_state[core][ls] = STATE_MODIFIED
+                        l2_state[g] = STATE_MODIFIED
                     elif peers:
-                        l2_state[core][ls] = STATE_SHARED
+                        l2_state[g] = STATE_SHARED
                     else:
-                        l2_state[core][ls] = STATE_EXCLUSIVE
+                        l2_state[g] = STATE_EXCLUSIVE
                     sharers[a] = peers + bit
                 if ev_blk != -1:
                     ea = ev_blk << off
@@ -1352,54 +1208,59 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
             if trk:  # on_l2_fill
                 from_llc[blk << off] = hit
             cc[core] = ck
-            if not coh or not w:
+            if not w:
                 continue
-            # ---- the coherent write's store, its first since the fill:
-            # on_dirtied and on_store (no upgrade: the line is M), unless the
-            # fill handed it over dirty; its LLC discard follows below
-            st2[ls] = True
-            if out_dirty:
-                continue
-            if streak and a in streak:
-                rec_ctc(streak.pop(a))
-            if blk not in ll_sets[blk & llc_mask]:
-                continue
-            ev_blk = _DISCARD
-        if ev_blk == _DISCARD:
-            # coherence.on_store (a store's, or a write miss's):
-            # llc.discard + note_llc_evict
+            # a write miss: its store, the line's first since the fill,
+            # follows at the store site
+        elif ev_blk != _FIRST_STORE:
+            if ev_blk == _SAMPLE:
+                # OccupancySampler.on_access -> LoopProbe sample: valid
+                # LLC lines (free-way fills add one, invalidations drop
+                # one) and loop lines
+                samp_valid += ll_valid0 + ll_nfree - ll_inv
+                samp_loops += sum(ll_lc)
+            else:
+                # a batch end: the core's trailing L2 hits, then its
+                # instructions at the batch's weight
+                ck = cc[core]
+                while nh:
+                    ck += l2_lat_f
+                    nh -= 1
+                instrs = blk * weights[g][core]
+                core_instr[core] += instrs
+                cc[core] = ck + instrs
+            continue
+        # ---- the store site: the first store to L2 slot g since its fill
+        # (a write miss's or a later one's). on_dirtied -> tracker._finalize
+        # and, on coherent runs, on_store, unless the fill handed the line
+        # over dirty
+        if hand[g]:
+            continue
+        if streak and (blk << off) in streak:
+            rec_ctc(streak.pop(blk << off))
+        if coh:
+            # coherence.on_store: an S/O upgrade invalidates the peers'
+            # copies (a write miss's line is M already); then llc.discard
+            # + note_llc_evict of an LLC copy
+            if l2_state[g] == STATE_SHARED or l2_state[g] == STATE_OWNED:
+                upgrades += 1
+                snoops += 1
+                a = blk << off
+                others = sharers.get(a, 0) & ~(1 << core)
+                if others:
+                    _invalidate_peers(others, blk, a, pctx, geo, hand, sharers, streak,
+                                      from_llc, rec_ctc, tally)
+            l2_state[g] = STATE_MODIFIED
             si = blk & llc_mask
-            s = ll_sets[si].pop(blk)
-            ll_tp += 1
-            if ll_loop[s]:
-                ll_lc[si] -= 1
-            ll_free[si] |= 1 << (s % llc_assoc)
-            ll_inv += 1
-            if fresh:
-                fresh.discard(blk << off)
-        elif ev_blk == _FIRST_STORE:
-            # on_dirtied -> tracker._finalize, unless the fill
-            # handed the line over dirty
-            if not hand[g] and streak and (blk << off) in streak:
-                rec_ctc(streak.pop(blk << off))
-        elif ev_blk == _SAMPLE:
-            # OccupancySampler.on_access -> LoopProbe sample: valid
-            # LLC lines (free-way fills add one, invalidations drop
-            # one) and loop lines
-            samp_valid += ll_valid0 + ll_nfree - ll_inv
-            samp_loops += sum(ll_lc)
-        elif ev_blk == _END:
-            break
-        else:
-            # a batch end: the core's trailing L2 hits, then its
-            # instructions
-            ck = cc[core]
-            while nh:
-                ck += l2_lat_f
-                nh -= 1
-            instrs = blk * gens[core].instr_per_ref
-            core_instr[core] += instrs
-            cc[core] = ck + instrs
+            s = ll_sets[si].pop(blk, None)
+            if s is not None:
+                ll_tp += 1
+                if ll_loop[s]:
+                    ll_lc[si] -= 1
+                ll_free[si] |= 1 << (s % llc_assoc)
+                ll_inv += 1
+                if fresh:
+                    fresh.discard(blk << off)
     pass2_span.finish()
     if coh:
         cs = coherence.stats
@@ -1407,14 +1268,16 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         cs.cache_to_cache += c2c
         cs.invalidation_messages += tally[0]
         cs.upgrades += upgrades
-    else:
-        (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
-         stores) = stream.counts
-        since = stream.since
+    (l1_tick, l2_tick, l2_tick0, wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree,
+     stores) = stream.counts
+    since = stream.since
     # The L2 dirty and loop columns: each fill's bits, unless the
-    # line was stored to since (bools: ``d | s`` and ``b > s``).
+    # line was stored to since (bools: ``d | s`` and ``b > s``); and on
+    # coherent runs the MOESI states.
     for core, (state, stored) in enumerate(zip(l2_st, sto)):
         lo = core * n2
+        if coh:
+            state["state"] = l2_state[lo:lo + n2]
         state["dirty"] = list(map(or_, hand[lo:lo + n2], stored))
         state["loop"] = lp = list(map(gt, lfill[lo:lo + n2], stored))
         state["loop_counts"] = [sum(map(lp.__getitem__, m.values())) for m in state["maps"]]

@@ -49,7 +49,8 @@ from repro.validate.parity import (
     replay_workload,
     run_pair,
 )
-from repro.workloads.mixes import make_multithreaded, make_table3_mix
+from repro.workloads import ConcatTrace, LoopRegion, StreamRegion, SyntheticTrace
+from repro.workloads.mixes import Workload, make_multithreaded, make_table3_mix
 
 #: every registered policy the kernel inlines (non-inclusive, exclusive,
 #: flexclusion, dswitch, lap, lap-lru, lap-loop) — derived, so a new
@@ -198,6 +199,40 @@ def test_fuzz_trace_parity(policy, seed, interval):
     )
     pair = run_pair(system, policy, _fuzz_workload(seed, 2), refs=450, runs=2, batch=97)
     assert_identical(pair)
+
+
+# ----------------------------------------------------------------------
+# per-batch instruction weights
+# ----------------------------------------------------------------------
+def _two_weight_workload(system: SystemConfig) -> Workload:
+    """Per core a loop region at 2 instructions per reference, then a
+    stream region at 8, 1,500 references each: a ``ConcatTrace`` whose
+    ``instr_per_ref`` changes from batch to batch."""
+    ctx = system.scale_context()
+    gens = []
+    for c in range(system.hierarchy.ncores):
+        base = c * ctx.core_span
+        loop = SyntheticTrace([(LoopRegion(base, ctx.region_size(3.0), ctx.block_size), 1.0)],
+                              seed=10 + c, name="loop", instr_per_ref=2.0)
+        stream = SyntheticTrace(
+            [(StreamRegion(base + (1 << 36), ctx.llc_bytes * 4, ctx.block_size), 1.0)],
+            seed=20 + c, name="stream", instr_per_ref=8.0)
+        gens.append(ConcatTrace([(loop, 1500), (stream, 1500)]))
+    return Workload(name="two-weight", kind="multiprogrammed", generators=gens,
+                    benchmarks=("two-weight",) * len(gens))
+
+
+@pytest.mark.parametrize("coherence", (False, True))
+def test_batch_weights_follow_concat_parts(coherence):
+    """Each batch's instructions use the weight its generator reports
+    after that batch, as ``Simulator.run`` reads it, on the recorded
+    path and on the coherent one alike."""
+    system = SystemConfig.scaled()
+    pair = run_pair(system, "lap", lambda: _two_weight_workload(system), 3000, runs=2,
+                    batch=1000, enable_coherence=coherence)
+    assert_identical(pair)
+    # batches of 1,000: all loop (2.0), half and half (8.0 after), all stream
+    assert [r.instructions for r in pair[0][1]] == [4 * (1000 * 2 + 2000 * 8)] * 2
 
 
 # ----------------------------------------------------------------------
