@@ -564,7 +564,7 @@ def _walk(h, st, gens, refs_per_core: int, batch: int, trk: bool, coh: bool, int
     l2_tick = [c._tick for c in h.l2s]
     l2_tick0 = list(l2_tick)
     # each L2 access ticks its L2 once, so a core's L2 hits since its
-    # last event are the ticks since then
+    # last miss or batch end are the ticks since then
     l2_mark = list(l2_tick)
     wh1, l1_dev, l1_inv, l1_nfree, l2_mis, l2_nfree = ([0] * ncores for _ in range(6))
     stores = 0
