@@ -1,10 +1,6 @@
 """The batched kernel's mutation suite: each listed mutant must be killed.
 
-Usage::
-
-    python benchmarks/mutants.py            # every mutant (~70 s)
-    python benchmarks/mutants.py --list     # name, file and guard of each
-    python benchmarks/mutants.py -k peers   # the mutants whose name has "peers"
+Usage: ``python benchmarks/mutants.py`` runs every mutant (~70 s).
 
 A mutant is one text edit of a file under ``src/`` (``old`` becomes
 ``new``) and the command that must fail on it, its killer:
@@ -21,7 +17,6 @@ not compile raises.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -130,17 +125,8 @@ def _run(killer: Tuple[str, ...], cwd: pathlib.Path) -> Tuple[bool, float]:
     return proc.returncode == 0, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--list", action="store_true", help="list the mutants and exit")
-    ap.add_argument("-k", default="", help="run only mutants whose name contains this")
-    args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.k in m.name]
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: {m.file} ({m.guards}); killer: {' '.join(m.killer)}")
-        return 0
-    bad = [m for m in chosen if occurrences(m) != 1]
+def main() -> int:
+    bad = [m for m in MUTANTS if occurrences(m) != 1]
     for m in bad:
         print(f"INAPPLICABLE {m.name}: old text occurs {occurrences(m)} times in {m.file}")
     if bad:
@@ -149,12 +135,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = pathlib.Path(tmp)
         _copy_tree(copy)
-        for killer in sorted({m.killer for m in chosen}):
+        for killer in sorted({m.killer for m in MUTANTS}):
             ok, wall = _run(killer, copy)
             print(f"{'ok' if ok else 'FAILS'} unmutated: {' '.join(killer)} ({wall:.1f} s)")
             if not ok:
                 return 1
-        for m in chosen:
+        for m in MUTANTS:
             path = copy / m.file
             text = path.read_text()
             mutated = text.replace(m.old, m.new)
@@ -166,7 +152,7 @@ def main(argv=None) -> int:
                 path.write_text(text)
             survivors += passed
             print(f"{'SURVIVED' if passed else 'killed'} {m.name} ({wall:.1f} s)")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutant(s) killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutant(s) killed")
     return 1 if survivors else 0
 
 
