@@ -10,42 +10,35 @@ SPEC-like benchmark it measures
 
 then classifies the benchmark as WL (fewer writes under exclusion) or
 WH and says which traditional inclusion property it favours on an
-STT-RAM LLC.
+STT-RAM LLC. The measurement is ``repro.workloads.validation``'s, the
+one ``repro characterize`` prints.
 
 Run:  python examples/workload_characterization.py [refs_per_core]
 """
 
 import sys
 
-from repro import SystemConfig, benchmark_names, make_workload, simulate
-from repro.analysis import classify_wl_wh, favors_exclusion, render_table
+from repro import SystemConfig, benchmark_names
+from repro.analysis import render_table
+from repro.workloads.validation import validate_all
 
 
 def main() -> None:
     refs = int(sys.argv[1]) if len(sys.argv) > 1 else 12_000
-    system = SystemConfig.scaled()
-    rows = []
-    for bench in benchmark_names():
-        runs = {}
-        for policy in ("non-inclusive", "exclusive"):
-            workload = make_workload(bench, system)
-            runs[policy] = simulate(system, policy, workload, refs_per_core=refs)
-        noni, ex = runs["non-inclusive"], runs["exclusive"]
-        buckets = noni.loop.ctc_buckets()
-        big_ctc = buckets.get("ctc>=5", 0)
-        total_ctc = max(1, sum(buckets.values()))
-        rows.append(
-            [
-                bench,
-                noni.loop_block_fraction,
-                big_ctc / total_ctc,
-                noni.redundant_fill_fraction,
-                ex.llc_misses / max(1, noni.llc_misses),
-                ex.llc_writes / max(1, noni.llc_writes),
-                classify_wl_wh(noni, ex),
-                "exclusive" if favors_exclusion(noni, ex) else "non-inclusive",
-            ]
-        )
+    reports = validate_all(SystemConfig.scaled(), refs, benchmark_names())
+    rows = [
+        [
+            bench,
+            r.loop_fraction,
+            r.ctc_shares["ctc>=5"],
+            r.redundant_fill_fraction,
+            r.mrel,
+            r.wrel,
+            r.wl_class,
+            r.favours,
+        ]
+        for bench, r in reports.items()
+    ]
     print(
         render_table(
             "SPEC-like benchmark characterisation (paper Figs. 2/4/6)",

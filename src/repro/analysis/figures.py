@@ -142,17 +142,9 @@ def fig4_loop_blocks(
     for bench in benchmarks:
         res = run_policies(system, ("non-inclusive",), WorkloadSpec.duplicate(bench), refs)
         r = res["non-inclusive"]
-        buckets = {f"share[{k}]": v for k, v in _ctc_shares(r).items()}
+        buckets = {f"share[{k}]": v for k, v in r.loop.ctc_shares().items()}
         rows[bench] = {"loop_fraction": r.loop_block_fraction, **buckets}
     return rows
-
-
-def _ctc_shares(result: RunResult) -> Dict[str, float]:
-    buckets = result.loop.ctc_buckets()
-    total = sum(buckets.values())
-    if total == 0:
-        return {k: 0.0 for k in buckets}
-    return {k: v / total for k, v in buckets.items()}
 
 
 def fig6_redundant_fill(

@@ -195,3 +195,12 @@ class LoopBlockStats:
             else:
                 buckets["ctc>=5"] += n
         return buckets
+
+    def ctc_shares(self) -> dict:
+        """The :meth:`ctc_buckets` as shares of all loop-block lifetimes
+        (Fig. 4's stacking); all zero when there are none."""
+        buckets = self.ctc_buckets()
+        total = sum(buckets.values())
+        if total == 0:
+            return {k: 0.0 for k in buckets}
+        return {k: v / total for k, v in buckets.items()}

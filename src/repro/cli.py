@@ -10,8 +10,10 @@ Commands
     Run several policies against bit-identical traces and print a
     normalised comparison table.
 ``characterize``
-    Measure the Section II workload characteristics (loop-block
-    fraction, redundant fills, WL/WH class) for named benchmarks.
+    Measure the Section II workload traits (loop-block fraction,
+    redundant fills, Mrel/Wrel, WL/WH class, favoured property) of
+    named workloads, by default the 13 SPEC-like benchmarks, and check
+    each benchmark's declared traits (exit 1 when one fails).
 ``figure``
     Regenerate one of the paper's figures by id (e.g. ``fig14``).
 ``report``
@@ -20,8 +22,6 @@ Commands
     throughput/latency histograms, invariant status, span hot spots,
     and the pair-record speed verdicts. (The markdown experiment record,
     EXPERIMENTS.md, is built by ``benchmarks/make_experiments.py``.)
-``validate-workloads``
-    Re-measure every synthetic benchmark's declared traits.
 ``sweep``
     Run a workloads x policies grid on one system and export CSV: a
     suite run (``run_suite``) over the ``--workloads`` list, printed as
@@ -78,7 +78,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import make_workload
-from .analysis import classify_wl_wh, favors_exclusion, render_mapping_table, render_table
+from .analysis import render_mapping_table, render_table
 from .energy import SRAM, STT_RAM
 from .errors import ReproError
 from .exec import (
@@ -220,24 +220,21 @@ def _policy_list(spec: str, hybrid: bool = False) -> tuple:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .analysis.arena import grid_rows
+    from .analysis.arena import BASELINE, arena_grid
 
     system = _system_from(args)
     if args.arena:
-        policies = _policy_list("arena", hybrid=args.hybrid)
-    else:
-        policies = _policy_list(args.policies, hybrid=args.hybrid)
-    spec = WorkloadSpec.named(args.workload, system.hierarchy.ncores, args.seed)
-    results = run_policies(system, policies, spec, args.refs)
-    if args.arena:
         print(render_mapping_table(
             f"arena grid: {args.workload} on {system.label} "
-            f"(normalised to {policies[0]}; write classes as share of "
+            f"(normalised to {BASELINE}; write classes as share of "
             "its total LLC writes)",
-            grid_rows(results),
+            arena_grid(system, args.workload, args.refs, seed=args.seed),
             row_label="policy",
         ))
         return 0
+    policies = _policy_list(args.policies, hybrid=args.hybrid)
+    spec = WorkloadSpec.named(args.workload, system.hierarchy.ncores, args.seed)
+    results = run_policies(system, policies, spec, args.refs)
     baseline = results[policies[0]]
     rows = {}
     for policy, r in results.items():
@@ -257,27 +254,35 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from .workloads.validation import validate_all, violations
+
     system = _system_from(args)
-    rows = []
     benches = args.benchmarks or list(benchmark_names())
-    for bench in benches:
-        spec = WorkloadSpec.named(bench, system.hierarchy.ncores, args.seed)
-        runs = run_policies(system, ("non-inclusive", "exclusive"), spec, args.refs)
-        noni, ex = runs["non-inclusive"], runs["exclusive"]
-        rows.append([
-            bench,
-            noni.loop_block_fraction,
-            noni.redundant_fill_fraction,
-            ex.llc_misses / max(1, noni.llc_misses),
-            ex.llc_writes / max(1, noni.llc_writes),
-            classify_wl_wh(noni, ex),
-            "exclusive" if favors_exclusion(noni, ex) else "non-inclusive",
-        ])
+    reports = validate_all(system, args.refs, benches, seed=args.seed)
+    rows = [
+        [
+            r.benchmark,
+            r.loop_fraction,
+            r.redundant_fill_fraction,
+            r.mrel,
+            r.wrel,
+            r.wl_class,
+            r.favours,
+            "; ".join(r.violations) or "ok",
+        ]
+        for r in reports.values()
+    ]
     print(render_table(
         "workload characterisation (paper Figs. 2/4/6)",
-        ["benchmark", "loop_frac", "redundant_fill", "Mrel", "Wrel", "class", "favours"],
+        ["benchmark", "loop_frac", "redundant_fill", "Mrel", "Wrel", "class", "favours",
+         "verdict"],
         rows,
     ))
+    bad = violations(reports)
+    if bad:
+        print(f"\n{len(bad)} benchmark(s) violate their declared traits",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -358,35 +363,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"dashboard written to {out} ({len(html)} bytes)")
     if check_rows is not None and any(not ok for _, ok, _ in check_rows):
         print("invariant checks FAILED (see dashboard)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_validate_workloads(args: argparse.Namespace) -> int:
-    from .workloads.validation import validate_all, violations
-
-    system = _system_from(args)
-    reports = validate_all(system, refs=args.refs)
-    rows = [
-        [
-            r.benchmark,
-            r.loop_fraction,
-            r.redundant_fill_fraction,
-            r.mrel,
-            r.wrel,
-            "; ".join(r.violations) or "ok",
-        ]
-        for r in reports.values()
-    ]
-    print(render_table(
-        "workload-model validation against declared traits",
-        ["benchmark", "loop_frac", "redundant_fill", "Mrel", "Wrel", "verdict"],
-        rows,
-    ))
-    bad = violations(reports)
-    if bad:
-        print(f"\n{len(bad)} benchmark(s) violate their declared traits",
-              file=sys.stderr)
         return 1
     return 0
 
@@ -853,7 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("characterize", help="measure loop/redundant-fill traits")
+    p = sub.add_parser("characterize",
+                       help="measure Section II traits; exit 1 if a declared one fails")
     p.add_argument("benchmarks", nargs="*", help="default: all 13 SPEC-like")
     _add_system_args(p)
     p.set_defaults(fn=_cmd_characterize)
@@ -882,11 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-refs", type=int, default=500, metavar="N",
                    help="references per invariant-check run (default: 500)")
     p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("validate-workloads",
-                       help="re-measure every benchmark's declared traits")
-    _add_system_args(p)
-    p.set_defaults(fn=_cmd_validate_workloads)
 
     p = sub.add_parser("sweep", help="workloads x policies grid with CSV export")
     p.add_argument("--workloads", default="WL2,WH1",

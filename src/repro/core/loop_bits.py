@@ -86,14 +86,6 @@ class LoopBlockTracker:
         """Fraction of L2 evictions that were clean trips (Fig. 4)."""
         return self.stats.loop_block_fraction
 
-    def ctc_fractions(self) -> Dict[str, float]:
-        """CTC bucket shares among loop-block lifetimes (Fig. 4 stacking)."""
-        buckets = self.stats.ctc_buckets()
-        total = sum(buckets.values())
-        if total == 0:
-            return {k: 0.0 for k in buckets}
-        return {k: v / total for k, v in buckets.items()}
-
     def _finalize(self, addr: int) -> None:
         streak = self._streak.pop(addr, 0)
         if streak > 0:

@@ -145,7 +145,8 @@ def _stream_groups(jobs: Sequence[JobSpec], misses: Sequence[int], tasks: int) -
     for i in misses:
         job = jobs[i]
         system, h = job.system, job.system.hierarchy
-        key = (job.stream_source(), job.refs_per_core, h.ncores, h.block_size, h.l1, h.l2,
+        key = (job.stream_source(), job.refs_per_core, h.ncores, h.block_size,
+               h.l1.size_bytes, h.l1.assoc, h.l2.size_bytes, h.l2.assoc,
                system.instrumentation, system.occupancy_sample_interval)
         groups.setdefault(key, []).append(i)
     chunks = list(groups.values())

@@ -21,8 +21,10 @@ batch size, sampler interval and instrumentation drawn from its seed;
 coherent cases drive its pass 2 from the live coherent walk, the others
 replay a recorded pass 1. That replay runs the trace twice; some
 two-core cases of kernel policies are shaped to straddle that run
-boundary (:func:`boundary_trace`). A divergence shrinks the same way,
-to ``kernel-parity``.
+boundary (:func:`boundary_trace`). After it the catalog's state checks
+run once over the kernel side's checked-in hierarchy. A divergence
+shrinks the same way, to ``kernel-parity``, and a failed state check to
+its invariant's name.
 """
 
 from __future__ import annotations
@@ -219,11 +221,13 @@ class FuzzFailure:
     invariant: str
     message: str
     trace: List[Ref] = field(default_factory=list)
+    #: found by the kernel replay (parity or the kernel side's state)
+    kernel: bool = False
 
     def repro_snippet(self) -> str:
         """Executable reproduction for bug reports / regression tests."""
         c = self.case
-        if self.invariant == KERNEL_PARITY:
+        if self.kernel:
             return (
                 "from repro.validate.parity import check_kernel_parity\n"
                 f"trace = {self.trace!r}\n"
@@ -240,10 +244,6 @@ class FuzzFailure:
         )
 
 
-#: the failure name of a kernel-vs-generic divergence
-KERNEL_PARITY = "kernel-parity"
-
-
 def _failure_for(case: FuzzCase, trace: Sequence[Ref]) -> Optional[InvariantViolation]:
     try:
         run_case(case, trace)
@@ -252,27 +252,41 @@ def _failure_for(case: FuzzCase, trace: Sequence[Ref]) -> Optional[InvariantViol
     return None
 
 
-def _divergence_for(case: FuzzCase, trace: Sequence[Ref]) -> Optional[KernelDivergence]:
+def _kernel_failure_for(
+    case: FuzzCase, trace: Sequence[Ref]
+) -> Optional[KernelDivergence | InvariantViolation]:
     try:
         check_kernel_parity(
             case.policy, trace, ncores=case.ncores, enable_coherence=case.enable_coherence,
             batch=case.batch, sample_interval=case.sample_interval,
             instrumentation=case.instrumentation,
         )
-    except KernelDivergence as exc:
+    except (KernelDivergence, InvariantViolation) as exc:
         return exc
     return None
 
 
-def _kernel_failure(case: FuzzCase, trace: Sequence[Ref], shrink: bool) -> Optional[FuzzFailure]:
-    """The case's kernel-vs-generic replay, shrunk on a divergence."""
-    diverged = _divergence_for(case, trace)
-    if diverged is None:
+def _shrunk_failure(
+    case: FuzzCase, trace: Sequence[Ref], run: Callable, shrink: bool
+) -> Optional[FuzzFailure]:
+    """``run``'s failure on the case, if any, shrunk to a trace that
+    fails the same invariant, re-run at ``interval=1`` (the generic
+    loop's checks after every reference; the kernel replay ignores it)."""
+    exc = run(case, trace)
+    if exc is None:
         return None
+    invariant = getattr(exc, "invariant", "unknown")
     shrunk = list(trace)
     if shrink:
-        shrunk = shrink_trace(trace, lambda candidate: _divergence_for(case, candidate) is not None)
-    return FuzzFailure(case, KERNEL_PARITY, str(diverged), shrunk)
+        tight = replace(case, interval=1)
+
+        def same_failure(candidate: Sequence[Ref]) -> bool:
+            again = run(tight, candidate)
+            return again is not None and getattr(again, "invariant", None) == invariant
+
+        if same_failure(trace):
+            shrunk = shrink_trace(trace, same_failure)
+    return FuzzFailure(case, invariant, str(exc), shrunk, kernel=run is _kernel_failure_for)
 
 
 def fuzz(
@@ -322,23 +336,6 @@ def fuzz(
             trace = generate_trace(case.seed, case.refs, case.ncores)
         if progress is not None:
             progress(i, case)
-        if kernel_takes(case.policy):
-            diverged = _kernel_failure(case, trace, shrink)
-            if diverged is not None:
-                failures.append(diverged)
-        exc = _failure_for(case, trace)
-        if exc is None:
-            continue
-        invariant = getattr(exc, "invariant", "unknown")
-        shrunk = list(trace)
-        if shrink:
-            tight = replace(case, interval=1)
-
-            def same_failure(candidate: Sequence[Ref]) -> bool:
-                again = _failure_for(tight, candidate)
-                return again is not None and getattr(again, "invariant", None) == invariant
-
-            if same_failure(trace):
-                shrunk = shrink_trace(trace, same_failure)
-        failures.append(FuzzFailure(case, invariant, str(exc), shrunk))
+        runs = (_kernel_failure_for, _failure_for) if kernel_takes(case.policy) else (_failure_for,)
+        failures += filter(None, [_shrunk_failure(case, trace, run, shrink) for run in runs])
     return failures

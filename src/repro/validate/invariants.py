@@ -275,6 +275,18 @@ def check_dirty_conservation(h: "CacheHierarchy", outstanding: Set[int]) -> bool
     return True
 
 
+#: the checks that read only the hierarchy's state, in catalog order
+#: (``dirty-conservation`` also needs the probe's dirtied/writeback history)
+STATE_CHECKS = (
+    ("l1-inclusion", check_l1_inclusion),
+    ("inclusion", check_inclusion),
+    ("exclusion", check_exclusion),
+    ("no-fill", check_no_fill),
+    ("write-ledger", check_write_ledger),
+    ("coherence", check_coherence),
+)
+
+
 class InvariantProbe(Probe):
     """Probe-bus observer that re-checks the invariant catalog.
 
@@ -322,18 +334,9 @@ class InvariantProbe(Probe):
         """Run every applicable catalog check against live state."""
         h = self._h()
         counts = self.counts
-        if check_l1_inclusion(h):
-            counts["l1-inclusion"] += 1
-        if check_inclusion(h):
-            counts["inclusion"] += 1
-        if check_exclusion(h):
-            counts["exclusion"] += 1
-        if check_no_fill(h):
-            counts["no-fill"] += 1
-        if check_write_ledger(h):
-            counts["write-ledger"] += 1
-        if check_coherence(h):
-            counts["coherence"] += 1
+        for name, check in STATE_CHECKS:
+            if check(h):
+                counts[name] += 1
         if check_dirty_conservation(h, self._outstanding):
             counts["dirty-conservation"] += 1
 

@@ -19,8 +19,8 @@ run with a generic run of the same system, policy and workload:
 
 The parity tests (``tests/test_kernel_probes.py``) use it on fixed
 seeds and shapes; :func:`check_kernel_parity` replays a fuzz trace on
-both paths, which is what ``repro check --fuzz`` runs for every case
-whose policy the kernel takes.
+both paths, then runs the invariants' ``STATE_CHECKS`` over the kernel
+side, for every fuzz case whose policy the kernel takes.
 """
 
 from __future__ import annotations
@@ -41,10 +41,13 @@ from ..testing import micro_hierarchy_config
 from ..workloads.mixes import MULTIPROGRAMMED, Workload
 from ..workloads.tracefile import ReplayTrace
 from .differential import Ref
+from .invariants import STATE_CHECKS
 
 
 class KernelDivergence(AssertionError):
     """The batched kernel and the generic loop disagree."""
+
+    invariant = "kernel-parity"  # its name in fuzz failures
 
 
 def _first_difference(kernel, generic, path: str) -> str:
@@ -198,7 +201,8 @@ def check_kernel_parity(
 ) -> None:
     """Replay ``trace`` on the kernel and on the generic loop, over a
     micro hierarchy, in two consecutive runs of the whole trace each;
-    raises :class:`KernelDivergence` on any difference."""
+    raises :class:`KernelDivergence` on any difference, then
+    ``InvariantViolation`` if the kernel side fails a state check."""
     system = SystemConfig(
         hierarchy=micro_hierarchy_config(ncores=ncores),
         label="micro",
@@ -212,3 +216,5 @@ def check_kernel_parity(
         batch=batch, enable_coherence=enable_coherence,
     )
     assert_identical(pair)
+    for _, check in STATE_CHECKS:
+        check(pair[0][0].hierarchy)

@@ -12,7 +12,8 @@ Runs the full validation suite and folds the outcome into one
 3. **fuzz stage** (optional) — ``--fuzz N`` randomized cases with
    automatic shrinking (:mod:`repro.validate.fuzz`); a case whose policy
    the batched kernel takes also replays on the kernel and the generic
-   loop, which must agree (:mod:`repro.validate.parity`).
+   loop, which must agree (:mod:`repro.validate.parity`), and the
+   kernel side's final state must pass the catalog's state checks.
 
 Failures never abort the suite: each stage entry records ok/FAIL so one
 run reports every broken invariant, and shrunk fuzz counterexamples
@@ -171,7 +172,8 @@ def run_checks(
                     f"fuzz[{fuzz_rounds} rounds]",
                     True,
                     f"no violations across {len(policies)} policies, "
-                    f"{sum(map(kernel_takes, policies))} of them also kernel-vs-generic",
+                    f"{sum(map(kernel_takes, policies))} of them also kernel-vs-generic "
+                    "and on kernel state",
                 )
             )
     return report

@@ -110,8 +110,11 @@ class ConcatTrace(TraceGenerator):
         self.instr_per_ref = parts[0][0].instr_per_ref
 
     def batch(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` references; ``instr_per_ref`` becomes their
+        mean weight, each charged at its own part's."""
         addr_chunks: List[np.ndarray] = []
         write_chunks: List[np.ndarray] = []
+        instrs = 0.0
         need = n
         while need > 0:
             if self._index >= len(self._parts):
@@ -129,5 +132,7 @@ class ConcatTrace(TraceGenerator):
             write_chunks.append(w)
             self._consumed_in_part += take
             need -= take
-            self.instr_per_ref = gen.instr_per_ref
+            instrs += take * gen.instr_per_ref
+        if n > 0:
+            self.instr_per_ref = instrs / n
         return np.concatenate(addr_chunks), np.concatenate(write_chunks)

@@ -126,12 +126,39 @@ class TestCompareCommand:
 
 
 class TestCharacterizeCommand:
+    SMALL = ["--refs", "1500", "--ncores", "2", "--llc-kb", "32", "--l2-kb", "4"]
+
     def test_characterize_named_benchmarks(self, capsys):
         code = main(["characterize", "libquantum", "--refs", "1500",
                      "--ncores", "2", "--llc-kb", "32", "--l2-kb", "4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "libquantum" in out and ("WL" in out or "WH" in out)
+
+    def test_every_benchmark_passes_its_declared_traits(self, capsys):
+        code = main(["characterize", "--refs", "3000"])
+        out = capsys.readouterr().out
+        assert "libquantum" in out
+        assert code == 0, out
+        assert out.count("| ok") == 13
+
+    def test_a_failed_declared_trait_exits_1(self, capsys, monkeypatch):
+        import repro.workloads.validation as validation
+
+        monkeypatch.setattr(validation, "LOOP_HEAVY_MIN", 1.01)
+        code = main(["characterize", "omnetpp", "lbm", *self.SMALL])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "declared loop-heavy but measured loop fraction" in captured.out
+        assert "| ok" in captured.out  # lbm declares no loop-heavy trait
+        assert "1 benchmark(s) violate their declared traits" in captured.err
+
+    def test_seed_picks_the_workload(self, capsys):
+        outs = []
+        for seed in ("0", "1"):
+            assert main(["characterize", "mcf", "--seed", seed, *self.SMALL]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
 
 
 class TestFigureCommand:

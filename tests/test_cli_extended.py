@@ -1,4 +1,4 @@
-"""Tests for the report/validate/sweep CLI commands."""
+"""Tests for the report/sweep CLI commands and the global exec options."""
 
 import csv
 import io
@@ -108,16 +108,6 @@ class TestSweepCommand:
         with pytest.raises(KeyboardInterrupt):
             main(args + ["--policies", "non-inclusive,exclusive,lap"])
         assert capsys.readouterr().out == ""
-
-
-class TestValidateCommand:
-    def test_validate_runs_and_passes(self, capsys):
-        code = main([
-            "validate-workloads", "--refs", "3000",
-        ])
-        out = capsys.readouterr().out
-        assert "libquantum" in out
-        assert code == 0, out
 
 
 class TestExecOptions:

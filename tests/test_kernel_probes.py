@@ -226,15 +226,17 @@ def _two_weight_workload(system: SystemConfig) -> Workload:
 def test_batch_weights_follow_concat_parts(coherence):
     """Each batch's instructions use the weight its generator reports
     after that batch, as ``Simulator.run`` reads it, on the recorded
-    path and on the coherent one alike."""
+    path and on the coherent one alike; a ``ConcatTrace`` batch that
+    straddles two parts charges each reference at its own part's."""
     system = SystemConfig.scaled()
     pair = run_pair(system, "lap", lambda: _two_weight_workload(system), 3000, runs=2,
                     batch=1000, enable_coherence=coherence)
     assert_identical(pair)
-    # the weight changes between batches: one weight for every batch
-    # would give 4 * 3000 * 2.0 or 4 * 3000 * 8.0 instructions per run
-    for result in pair[0][1]:
-        assert 4 * 3000 * 2 < result.instructions < 4 * 3000 * 8
+    # per core and run: 1,000 refs at 2, then 500 at 2 + 500 at 8 in
+    # the straddling batch, then 1,000 at 8
+    for _, results in pair:
+        for result in results:
+            assert result.instructions == 4 * (1000 * 2 + 500 * 2 + 500 * 8 + 1000 * 8)
 
 
 # ----------------------------------------------------------------------

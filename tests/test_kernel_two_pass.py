@@ -131,6 +131,9 @@ def _one_pass1_jobs():
         _job(SystemConfig.scaled(tech=SRAM), "lap"),
         _job(replace(base, leakage_compensation=base.leakage_compensation * 2), "lap"),
         _job(replace(base, duel_interval=512), "lap"),
+        _job(replace(base, hierarchy=replace(
+            base.hierarchy, l2=replace(base.hierarchy.l2, latency=base.hierarchy.l2.latency + 4),
+        )), "lap"),
     ]
 
 

@@ -62,13 +62,13 @@ class TestTrackerUnit:
         buckets = t.stats.ctc_buckets()
         assert buckets == {"ctc=1": 1, "1<ctc<5": 2, "ctc>=5": 2}
 
-    def test_ctc_fractions_sum_to_one(self):
+    def test_ctc_shares_sum_to_one(self):
         t = LoopBlockTracker()
         for _ in range(4):
             t.on_l2_fill(A, from_llc=True)
             t.on_l2_evict(A, dirty=False)
         t.finalize()
-        fractions = t.ctc_fractions()
+        fractions = t.stats.ctc_shares()
         assert abs(sum(fractions.values()) - 1.0) < 1e-12
 
     def test_fraction_zero_when_no_evictions(self):

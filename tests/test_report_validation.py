@@ -77,14 +77,31 @@ class TestWorkloadValidation:
         assert report.redundant_fill_fraction > 0.5
         assert report.ok
 
+    def test_report_carries_class_favours_and_ctc_shares(self, reports):
+        assert {r.wl_class for r in reports.values()} == {"WL", "WH"}
+        assert {r.favours for r in reports.values()} == {"exclusive", "non-inclusive"}
+        for r in reports.values():
+            assert (r.wl_class == "WL") == (r.wrel <= 1.0)
+            assert abs(sum(r.ctc_shares.values()) - 1.0) < 1e-12
+
+    def test_names_without_declared_traits_are_measured(self):
+        for name in ("WH1", "streamcluster"):
+            report = measure_benchmark(name, refs=1000)
+            assert report.benchmark == name
+            assert report.declared_traits == frozenset() and report.ok
+            assert 0 < report.mrel and 0 < report.wrel
+
     def test_violation_detection_mechanism(self):
         # Construct a report with a violation directly and check `ok`.
         bad = TraitReport(
             benchmark="x",
             loop_fraction=0.0,
+            ctc_shares={},
             redundant_fill_fraction=0.0,
             mrel=1.0,
             wrel=1.0,
+            wl_class="WL",
+            favours="exclusive",
             declared_traits=frozenset(),
             violations=("declared loop-heavy but measured loop fraction 0.00",),
         )

@@ -67,6 +67,13 @@ class TestOtherStats:
         assert s.loop_block_fraction == pytest.approx(0.4)
         assert s.ctc_buckets() == {"ctc=1": 1, "1<ctc<5": 0, "ctc>=5": 1}
 
+    def test_loop_stats_ctc_shares(self):
+        s = LoopBlockStats()
+        assert s.ctc_shares() == {"ctc=1": 0.0, "1<ctc<5": 0.0, "ctc>=5": 0.0}
+        for ctc in (1, 2, 3, 9):
+            s.record_ctc(ctc)
+        assert s.ctc_shares() == {"ctc=1": 0.25, "1<ctc<5": 0.5, "ctc>=5": 0.25}
+
 
 class TestMiscCacheOps:
     def test_read_block_counts_region_read(self):

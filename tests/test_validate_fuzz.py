@@ -2,6 +2,8 @@
 
 import importlib
 
+import pytest
+
 from repro.validate import (
     FuzzCase,
     fuzz,
@@ -196,3 +198,33 @@ def test_kernel_divergence_is_shrunk_to_a_snippet(monkeypatch):
     assert "check_kernel_parity('lap'" in snippet
     monkeypatch.undo()
     exec(snippet, {})  # the real kernel agrees with the generic loop
+
+
+def test_a_corrupted_kernel_state_is_shrunk_to_its_invariant(monkeypatch):
+    """After the kernel replay the state checks run over the kernel
+    side: an L1 line whose block is in no L2 map (dropped on both sides,
+    so parity still holds) is an ``l1-inclusion`` failure, shrunk to one
+    reference, with a snippet that reproduces it."""
+    from repro.errors import InvariantViolation
+    from repro.validate import parity
+
+    real = parity.run_pair
+
+    def corrupted(*args, **kwargs):
+        pair = real(*args, **kwargs)
+        for sim, _ in pair:
+            l1, l2 = sim.hierarchy.l1s[0], sim.hierarchy.l2s[0]
+            addr = l1.resident_addrs()[0]
+            del l2.sets[l2.set_index(addr)].tag_map[l2.tag_of(addr)]
+        return pair
+
+    monkeypatch.setattr(parity, "run_pair", corrupted)
+    (failure,) = fuzz(1, ("lap",))
+    assert failure.invariant == "l1-inclusion" and failure.kernel
+    assert "with no L2 copy" in failure.message
+    assert len(failure.trace) == 1
+    snippet = failure.repro_snippet()
+    with pytest.raises(InvariantViolation, match="l1-inclusion"):
+        exec(snippet, {})
+    monkeypatch.undo()
+    exec(snippet, {})  # the real kernel state holds
